@@ -1,639 +1,37 @@
 // Command benchtables regenerates the tables and figures of the paper's
-// evaluation section (§5) on the synthetic datasets.
+// evaluation section (§5) on the synthetic datasets. Performance is
+// measured by the repository benchmark instead (bench/README.md).
 //
 // Usage:
 //
-//	benchtables [-scale 0.25] [-table N] [-workers N] [-bench baseline.json]
+//	benchtables [-scale 0.25] [-table N] [-ablations] [-workers N]
 //
 // -scale multiplies the paper-scale dataset sizes (1.0 reproduces the
 // Table 1 reference counts but takes correspondingly longer); -table
 // restricts output to one table (1..7; 5 also prints the Figure 6
 // series). Without -table, everything is printed. -workers sets the
 // graph-construction worker count for every run (0 = NumCPU; results
-// are identical at any setting). -bench skips the tables and instead
-// times graph construction and full reconciliation at worker counts
-// 1, 2, 4, and NumCPU, recording per-phase times (build / propagate /
-// closure), allocation counts per reconciliation, delta-scoring
-// counters, and a delta-vs-rescan propagation comparison, writing the
-// measurements as JSON.
+// are identical at any setting).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
-	"net/http/httptest"
 	"os"
-	"path/filepath"
-	"runtime"
-	"sort"
 	"time"
 
-	"refrecon/internal/collective"
 	"refrecon/internal/experiments"
-	"refrecon/internal/loadgen"
-	"refrecon/internal/obs"
-	"refrecon/internal/recon"
-	"refrecon/internal/reference"
-	"refrecon/internal/schema"
-	"refrecon/internal/serve"
 )
-
-// benchBaseline is the JSON shape written by -bench: one record per
-// (dataset, worker count), plus enough context to re-run the measurement.
-type benchBaseline struct {
-	Scale      float64 `json:"scale"`
-	NumCPU     int     `json:"numCPU"`
-	GoMaxProcs int     `json:"gomaxprocs"`
-	GoVer      string  `json:"go"`
-	// Degraded marks a baseline captured on a single-core host: every
-	// workers>1 and shards>1 row times goroutine overhead rather than
-	// parallel speedup, so the speedup and shard-sweep figures are noise.
-	// Consumers (ci.sh prints this prominently) must not treat a degraded
-	// baseline as a performance reference.
-	Degraded   bool            `json:"degraded"`
-	Runs       []benchRun      `json:"runs"`
-	Speedup    []benchGain     `json:"speedup"`
-	Propagate  []benchRescan   `json:"propagateComparison"`
-	Query      []benchQuery    `json:"queryLatency"`
-	Counters   []benchCounters `json:"counters,omitempty"`
-	ShardSweep []benchShard    `json:"shardSweep,omitempty"`
-	Durability []benchDurable  `json:"durability,omitempty"`
-	Loadgen    []benchLoadgen  `json:"loadgen,omitempty"`
-}
-
-// benchLoadgen is one cmd/loadgen replay through the full serving stack
-// (HTTP transport over a loopback server): sustained throughput and
-// client-observed latency for the standing regression gate. The qps and
-// p99 keys are the rows ci consumers read.
-type benchLoadgen struct {
-	Dataset         string  `json:"dataset"`
-	Refs            int     `json:"refs"`
-	Queries         int     `json:"queries"`
-	Clients         int     `json:"clients"`
-	QPS             float64 `json:"loadgen_qps"`
-	PlainP50MS      float64 `json:"plainP50Ms"`
-	PlainP99MS      float64 `json:"loadgen_p99_ms"`
-	CollectiveP50MS float64 `json:"collectiveP50Ms"`
-	CollectiveP99MS float64 `json:"collectiveP99Ms"`
-	IngestP99MS     float64 `json:"ingestP99Ms"`
-	TransportErrors int64   `json:"transportErrors"`
-	QueryErrors     int64   `json:"queryErrors"`
-	Degraded        int64   `json:"degraded"`
-}
-
-// benchDurable measures the serving layer's durability machinery on one
-// dataset: the size of the write-ahead log and of a snapshot checkpoint
-// covering the whole dataset, and the two recovery paths — the fast
-// checkpoint restore a clean shutdown enables, and the full log replay a
-// crash forces.
-type benchDurable struct {
-	Dataset         string  `json:"dataset"`
-	References      int     `json:"references"`
-	LogBytes        int64   `json:"logBytes"`
-	CheckpointBytes int64   `json:"checkpointBytes"`
-	RestoreMS       float64 `json:"checkpointRestoreMs"`
-	ReplayMS        float64 `json:"logReplayMs"`
-}
-
-// durabilityPhase seeds a durable service with the dataset (logged as
-// batch 1), shuts it down cleanly, and times both recovery paths; the
-// replay measurement removes the checkpoints so recovery must rebuild
-// from the log alone.
-func durabilityPhase(store *reference.Store, name string) benchDurable {
-	dir, err := os.MkdirTemp("", "benchdurable")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	cfg := serve.Config{Schema: schema.PIM(), DataDir: dir}
-	svc, err := serve.NewFromStore(cfg, store)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := svc.Close(); err != nil {
-		log.Fatal(err)
-	}
-	d := svc.Metrics().Durability
-	row := benchDurable{
-		Dataset:         name,
-		References:      store.Len(),
-		LogBytes:        d.LogBytes,
-		CheckpointBytes: d.CheckpointBytes,
-	}
-
-	restored, err := serve.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rd := restored.Metrics().Durability
-	if rd.Recovery != "checkpoint" {
-		log.Fatalf("durability bench: recovery = %q, want checkpoint", rd.Recovery)
-	}
-	row.RestoreMS = rd.RecoveryMS
-	if err := restored.Close(); err != nil {
-		log.Fatal(err)
-	}
-
-	cks, err := filepath.Glob(filepath.Join(dir, "ckpt-*.ck"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, f := range cks {
-		if err := os.Remove(f); err != nil {
-			log.Fatal(err)
-		}
-	}
-	replayed, err := serve.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	pd := replayed.Metrics().Durability
-	if pd.Recovery != "replay" {
-		log.Fatalf("durability bench: recovery = %q, want replay", pd.Recovery)
-	}
-	row.ReplayMS = pd.RecoveryMS
-	if err := replayed.Close(); err != nil {
-		log.Fatal(err)
-	}
-	return row
-}
-
-// loadgenPhase replays the standard cmd/loadgen workload for one dataset
-// through the full serving stack — workload generation, HTTP transport
-// over a loopback server, mixed ingest+query replay — and reports the
-// client-observed throughput and latency rows the regression gate reads.
-func loadgenPhase(dataset string) benchLoadgen {
-	const (
-		refs    = 1500
-		queries = 300
-		clients = 16
-	)
-	w, err := loadgen.Build(loadgen.Defaults(dataset, refs, queries, 1))
-	if err != nil {
-		log.Fatal(err)
-	}
-	svc, err := serve.New(serve.Config{Schema: w.Schema, Name: "benchtables"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	rep, err := loadgen.Run(w, loadgen.NewHTTPTarget(ts.URL, clients),
-		loadgen.Options{Concurrency: clients})
-	if err != nil {
-		log.Fatal(err)
-	}
-	return benchLoadgen{
-		Dataset:         dataset,
-		Refs:            rep.IngestedRefs,
-		Queries:         rep.Queries,
-		Clients:         rep.Concurrency,
-		QPS:             rep.QPS,
-		PlainP50MS:      rep.Plain.P50MS,
-		PlainP99MS:      rep.Plain.P99MS,
-		CollectiveP50MS: rep.Collective.P50MS,
-		CollectiveP99MS: rep.Collective.P99MS,
-		IngestP99MS:     rep.Ingest.P99MS,
-		TransportErrors: rep.TransportErrors,
-		QueryErrors:     rep.QueryErrors,
-		Degraded:        rep.Degraded,
-	}
-}
-
-// benchShard is one sharded-reconciliation measurement: a full Reconcile
-// at a fixed shard count, with the boundary-frontier counters from
-// Stats.Shard. Per-shard wall-clock lanes live in the trace spans (run
-// cmd/reconcile -trace -shards N); here the sweep records the end-to-end
-// effect of the shard count.
-type benchShard struct {
-	Dataset         string  `json:"dataset"`
-	Shards          int     `json:"shards"`
-	Components      int     `json:"components"`
-	LargestComp     int     `json:"largestComponent"`
-	BoundaryPairs   int     `json:"boundaryPairs"`
-	FrontierRounds  int     `json:"frontierRounds"`
-	BoundaryUpdates int     `json:"boundaryUpdates"`
-	FoldReplays     int     `json:"foldReplays"`
-	PropagateMS     float64 `json:"propagateMs"`
-	ReconcileMS     float64 `json:"reconcileMs"`
-}
-
-type benchRun struct {
-	Dataset string `json:"dataset"`
-	Workers int    `json:"workers"`
-	// NumCPU / GoMaxProcs are recorded per run (not just in the file
-	// header) so that individual rows pasted into issues or diffed across
-	// baselines carry their own hardware context; a speedup row measured
-	// on a single-core host is noise, not signal.
-	NumCPU         int     `json:"numCPU"`
-	GoMaxProcs     int     `json:"gomaxprocs"`
-	References     int     `json:"references"`
-	CandidatePairs int     `json:"candidatePairs"`
-	GraphNodes     int     `json:"graphNodes"`
-	GraphEdges     int     `json:"graphEdges"`
-	BuildMS        float64 `json:"buildMs"`
-	PropagateMS    float64 `json:"propagateMs"`
-	ClosureMS      float64 `json:"closureMs"`
-	ReconcileMS    float64 `json:"reconcileMs"`
-	// ReconcileAllocs is the heap allocation count (runtime mallocs) of one
-	// full Reconcile call — the allocs/op of the end-to-end operation.
-	ReconcileAllocs uint64 `json:"reconcileAllocs"`
-	// ReconcileBytesAlloc is the cumulative bytes allocated (TotalAlloc
-	// delta) over the same call: the companion metric to ReconcileAllocs —
-	// slab/arena storage trades many small allocations for fewer larger
-	// ones, so the count can fall while bytes stay flat (or vice versa),
-	// and a regression in either is worth seeing.
-	ReconcileBytesAlloc uint64 `json:"reconcileBytesAlloc"`
-	DeltaHits           int    `json:"deltaHits"`
-	// Engine-shape counters from the same Reconcile run (free: they come
-	// out of the deterministic engine stats, no observer attached to the
-	// timed runs).
-	Rounds         int `json:"rounds"`
-	QueueHighWater int `json:"queueHighWater"`
-	RequeueReal    int `json:"requeueReal"`
-	RequeueStrong  int `json:"requeueStrong"`
-	RequeueWeak    int `json:"requeueWeak"`
-}
-
-// benchCounters is one untimed observability run per dataset: a Reconcile
-// with an obs.Counters set attached, reporting the counters the timed
-// runs cannot see (similarity-cache traffic, blocking-index shape).
-type benchCounters struct {
-	Dataset          string `json:"dataset"`
-	SimfnCacheHits   int64  `json:"simfnCacheHits"`
-	SimfnCacheMisses int64  `json:"simfnCacheMisses"`
-	BlockingKeys     int64  `json:"blockingKeys"`
-	MaxBucket        int64  `json:"maxBucket"`
-}
-
-// counterPhase reconciles the store once with counters attached. The run
-// is untimed — counter atomics on the scoring hot path would perturb the
-// timed measurements, so they get their own pass.
-func counterPhase(store *reference.Store, name string) benchCounters {
-	cfg := recon.DefaultConfig()
-	cfg.Obs = &obs.Observer{Counters: obs.NewCounters()}
-	if _, err := recon.New(schema.PIM(), cfg).Reconcile(store); err != nil {
-		log.Fatal(err)
-	}
-	c := cfg.Obs.Counters.Snapshot()
-	return benchCounters{
-		Dataset:          name,
-		SimfnCacheHits:   c.SimfnCacheHits,
-		SimfnCacheMisses: c.SimfnCacheMisses,
-		BlockingKeys:     c.BlockingKeys,
-		MaxBucket:        c.MaxBucket,
-	}
-}
-
-type benchGain struct {
-	Dataset string  `json:"dataset"`
-	Workers int     `json:"workers"`
-	Build   float64 `json:"buildSpeedup"`
-}
-
-// benchRescan compares the propagation fixed point under delta scoring
-// (the default) against the full-rescan reference path on one dataset.
-type benchRescan struct {
-	Dataset  string  `json:"dataset"`
-	DeltaMS  float64 `json:"deltaPropagateMs"`
-	RescanMS float64 `json:"rescanPropagateMs"`
-	Speedup  float64 `json:"propagateSpeedup"`
-}
-
-// benchQuery is the query-time reconciliation latency over a warm
-// snapshot: N single queries replayed through the recon.Matcher (the
-// same path reconserve's /reconcile endpoint takes), then the same
-// queries — with each reference's associations attached — through the
-// collective matcher (the "collective" query mode).
-type benchQuery struct {
-	Dataset           string  `json:"dataset"`
-	Queries           int     `json:"queries"`
-	P50MS             float64 `json:"query_p50_ms"`
-	P99MS             float64 `json:"query_p99_ms"`
-	MeanCandidateRefs float64 `json:"meanCandidateRefs"`
-	CollectiveP50MS   float64 `json:"collective_query_p50_ms"`
-	CollectiveP99MS   float64 `json:"collective_query_p99_ms"`
-	// MeanExpansionNodes is the mean expanded-subgraph size (reference-pair
-	// nodes) per collective query; Degraded counts queries that fell back
-	// to attribute-only scoring under the node budget (the collective runs
-	// have no time budget, so the counts are deterministic).
-	MeanExpansionNodes float64 `json:"meanExpansionNodes"`
-	Degraded           int     `json:"collectiveDegraded"`
-}
-
-// latQuantiles sorts a latency series and reads the q-quantile in ms.
-func latQuantiles(lats []time.Duration, q float64) float64 {
-	if len(lats) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(lats)))
-	if i >= len(lats) {
-		i = len(lats) - 1
-	}
-	return float64(lats[i].Nanoseconds()) / 1e6
-}
-
-// queryPhase reconciles the store once, exports a snapshot, and replays
-// up to n exact-copy queries (each reference's own atomic values) against
-// the warm matcher, reporting per-query latency quantiles; the same
-// queries then replay through the collective matcher with the reference's
-// associations attached.
-func queryPhase(store *reference.Store, n int) benchQuery {
-	sess := recon.New(schema.PIM(), recon.DefaultConfig()).NewSession(store)
-	if _, err := sess.Reconcile(); err != nil {
-		log.Fatal(err)
-	}
-	snap, err := sess.Snapshot()
-	if err != nil {
-		log.Fatal(err)
-	}
-	m := recon.NewMatcher(schema.PIM(), recon.DefaultConfig(), snap)
-	// Budget 0: no wall-clock limit, so the collective measurements are a
-	// deterministic function of the dataset (only node/step budgets apply).
-	cm := recon.NewCollectiveMatcher(m, collective.Config{})
-
-	var queries []recon.Query
-	stride := store.Len() / n
-	if stride < 1 {
-		stride = 1
-	}
-	for id := 0; id < store.Len() && len(queries) < n; id += stride {
-		r := store.Get(reference.ID(id))
-		q := recon.Query{Class: r.Class, Atomic: make(map[string][]string), Limit: 10}
-		for _, attr := range r.AtomicAttrs() {
-			q.Atomic[attr] = r.Atomic(attr)
-		}
-		for _, attr := range r.AssocAttrs() {
-			if q.Assoc == nil {
-				q.Assoc = make(map[string][]reference.ID)
-			}
-			q.Assoc[attr] = r.Assoc(attr)
-		}
-		if len(q.Atomic) > 0 {
-			queries = append(queries, q)
-		}
-	}
-
-	lats := make([]time.Duration, 0, len(queries))
-	totalRefs := 0
-	for rep := 0; rep < 2; rep++ { // first pass warms, second is timed
-		lats = lats[:0]
-		totalRefs = 0
-		for _, q := range queries {
-			aq := q
-			aq.Assoc = nil
-			t0 := time.Now()
-			_, stats, err := m.Match(aq)
-			lat := time.Since(t0)
-			if err != nil {
-				log.Fatal(err)
-			}
-			lats = append(lats, lat)
-			totalRefs += stats.CandidateRefs
-		}
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	out := benchQuery{Queries: len(lats), P50MS: latQuantiles(lats, 0.50), P99MS: latQuantiles(lats, 0.99)}
-	if len(lats) > 0 {
-		out.MeanCandidateRefs = float64(totalRefs) / float64(len(lats))
-	}
-
-	clats := make([]time.Duration, 0, len(queries))
-	totalNodes, degraded := 0, 0
-	for rep := 0; rep < 2; rep++ {
-		clats = clats[:0]
-		totalNodes, degraded = 0, 0
-		for _, q := range queries {
-			t0 := time.Now()
-			_, st, err := cm.Match(q)
-			lat := time.Since(t0)
-			if err != nil {
-				log.Fatal(err)
-			}
-			clats = append(clats, lat)
-			totalNodes += st.Expansion.PairNodes
-			if st.Expansion.Degraded {
-				degraded++
-			}
-		}
-	}
-	sort.Slice(clats, func(i, j int) bool { return clats[i] < clats[j] })
-	out.CollectiveP50MS = latQuantiles(clats, 0.50)
-	out.CollectiveP99MS = latQuantiles(clats, 0.99)
-	out.Degraded = degraded
-	if len(clats) > 0 {
-		out.MeanExpansionNodes = float64(totalNodes) / float64(len(clats))
-	}
-	return out
-}
-
-// propagatePhase times only the propagation fixed point: the graph is
-// rebuilt untimed via BuildRetained before every repetition (Prepared is
-// single-use). One warm-up plus three timed repetitions, best kept.
-func propagatePhase(store *reference.Store, rescan bool) time.Duration {
-	cfg := recon.DefaultConfig()
-	cfg.RescanScoring = rescan
-	rc := recon.New(schema.PIM(), cfg)
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < 4; i++ {
-		p, err := rc.BuildRetained(store)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := p.Propagate()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if i > 0 && res.Stats.PropagateTime < best {
-			best = res.Stats.PropagateTime
-		}
-	}
-	return best
-}
-
-func runBench(s *experiments.Suite, scale float64, out string) {
-	counts := []int{1, 2, 4}
-	if n := runtime.NumCPU(); n != 1 && n != 2 && n != 4 {
-		counts = append(counts, n)
-	}
-	if runtime.NumCPU() == 1 {
-		fmt.Println("warning: single-core host (NumCPU=1); workers>1 rows time goroutine overhead, not parallel speedup — treat speedup figures as noise")
-	}
-	base := benchBaseline{
-		Scale:      scale,
-		NumCPU:     runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVer:      runtime.Version(),
-		Degraded:   runtime.NumCPU() == 1,
-	}
-	serial := make(map[string]float64)
-	for _, name := range []string{"A", "Cora"} {
-		store := s.Cora().Store
-		if name != "Cora" {
-			store = s.PIM(name).Store
-		}
-		for _, w := range counts {
-			cfg := recon.DefaultConfig()
-			cfg.Workers = w
-			rc := recon.New(schema.PIM(), cfg)
-			// One warm-up plus three timed build repetitions; keep the best
-			// (least-interference) time, the usual benchmarking convention.
-			if _, err := rc.BuildGraph(store); err != nil {
-				log.Fatal(err)
-			}
-			best := time.Duration(1<<63 - 1)
-			var st recon.Stats
-			for i := 0; i < 3; i++ {
-				bs, err := rc.BuildGraph(store)
-				if err != nil {
-					log.Fatal(err)
-				}
-				if bs.BuildTime < best {
-					best = bs.BuildTime
-					st = bs
-				}
-			}
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			res, err := rc.Reconcile(store)
-			if err != nil {
-				log.Fatal(err)
-			}
-			runtime.ReadMemStats(&m1)
-			total := res.Stats.BuildTime + res.Stats.PropagateTime + res.Stats.ClosureTime
-			run := benchRun{
-				Dataset:             name,
-				Workers:             w,
-				NumCPU:              runtime.NumCPU(),
-				GoMaxProcs:          runtime.GOMAXPROCS(0),
-				References:          store.Len(),
-				CandidatePairs:      st.CandidatePairs,
-				GraphNodes:          st.GraphNodes,
-				GraphEdges:          st.GraphEdges,
-				BuildMS:             float64(best.Microseconds()) / 1e3,
-				PropagateMS:         float64(res.Stats.PropagateTime.Microseconds()) / 1e3,
-				ClosureMS:           float64(res.Stats.ClosureTime.Microseconds()) / 1e3,
-				ReconcileMS:         float64(total.Microseconds()) / 1e3,
-				ReconcileAllocs:     m1.Mallocs - m0.Mallocs,
-				ReconcileBytesAlloc: m1.TotalAlloc - m0.TotalAlloc,
-				DeltaHits:           res.Stats.Engine.DeltaHits,
-				Rounds:              res.Stats.Engine.Rounds,
-				QueueHighWater:      res.Stats.Engine.QueueHighWater,
-				RequeueReal:         res.Stats.Engine.RequeueReal,
-				RequeueStrong:       res.Stats.Engine.RequeueStrong,
-				RequeueWeak:         res.Stats.Engine.RequeueWeak,
-			}
-			base.Runs = append(base.Runs, run)
-			if w == 1 {
-				serial[name] = run.BuildMS
-			} else if s1 := serial[name]; s1 > 0 && run.BuildMS > 0 {
-				base.Speedup = append(base.Speedup, benchGain{
-					Dataset: name, Workers: w, Build: s1 / run.BuildMS,
-				})
-			}
-			fmt.Printf("%-5s workers=%-2d build %8.1fms  propagate %8.1fms  reconcile %8.1fms  (%d pairs, %d nodes, %d allocs, %.1f MB)\n",
-				name, w, run.BuildMS, run.PropagateMS, run.ReconcileMS,
-				run.CandidatePairs, run.GraphNodes, run.ReconcileAllocs,
-				float64(run.ReconcileBytesAlloc)/(1<<20))
-			fmt.Printf("%-5s counters:  %d rounds  queue high-water %d  requeues %d real / %d strong / %d weak\n",
-				name, run.Rounds, run.QueueHighWater,
-				run.RequeueReal, run.RequeueStrong, run.RequeueWeak)
-		}
-		cb := counterPhase(store, name)
-		base.Counters = append(base.Counters, cb)
-		fmt.Printf("%-5s simfn:     cache %d hits / %d misses  blocking %d keys (max bucket %d)\n",
-			name, cb.SimfnCacheHits, cb.SimfnCacheMisses, cb.BlockingKeys, cb.MaxBucket)
-		deltaT := propagatePhase(store, false)
-		rescanT := propagatePhase(store, true)
-		cmp := benchRescan{
-			Dataset:  name,
-			DeltaMS:  float64(deltaT.Microseconds()) / 1e3,
-			RescanMS: float64(rescanT.Microseconds()) / 1e3,
-		}
-		if cmp.DeltaMS > 0 {
-			cmp.Speedup = cmp.RescanMS / cmp.DeltaMS
-		}
-		base.Propagate = append(base.Propagate, cmp)
-		fmt.Printf("%-5s propagate: delta %8.1fms  rescan %8.1fms  (%.2fx)\n",
-			name, cmp.DeltaMS, cmp.RescanMS, cmp.Speedup)
-		qb := queryPhase(store, 200)
-		qb.Dataset = name
-		base.Query = append(base.Query, qb)
-		fmt.Printf("%-5s query:     p50 %8.3fms  p99 %8.3fms  (%d queries, mean %.1f candidate refs)\n",
-			name, qb.P50MS, qb.P99MS, qb.Queries, qb.MeanCandidateRefs)
-		fmt.Printf("%-5s collective: p50 %7.3fms  p99 %8.3fms  (mean %.1f pair nodes, %d degraded)\n",
-			name, qb.CollectiveP50MS, qb.CollectiveP99MS, qb.MeanExpansionNodes, qb.Degraded)
-		for _, k := range []int{1, 2, 4} {
-			cfg := recon.DefaultConfig()
-			cfg.Shards = k
-			res, err := recon.New(schema.PIM(), cfg).Reconcile(store)
-			if err != nil {
-				log.Fatal(err)
-			}
-			st := res.Stats
-			row := benchShard{
-				Dataset:         name,
-				Shards:          k,
-				Components:      st.Shard.Components,
-				LargestComp:     st.Shard.LargestComponent,
-				BoundaryPairs:   st.Shard.BoundaryLinks,
-				FrontierRounds:  st.Shard.FrontierRounds,
-				BoundaryUpdates: st.Shard.BoundaryUpdates,
-				FoldReplays:     st.Shard.FoldReplays,
-				PropagateMS:     float64(st.PropagateTime.Microseconds()) / 1e3,
-				ReconcileMS: float64((st.BuildTime + st.PropagateTime +
-					st.ClosureTime).Microseconds()) / 1e3,
-			}
-			base.ShardSweep = append(base.ShardSweep, row)
-			fmt.Printf("%-5s shards=%-2d propagate %8.1fms  reconcile %8.1fms  (%d components, %d boundary pairs, %d frontier rounds)\n",
-				name, k, row.PropagateMS, row.ReconcileMS,
-				row.Components, row.BoundaryPairs, row.FrontierRounds)
-		}
-		db := durabilityPhase(store, name)
-		base.Durability = append(base.Durability, db)
-		fmt.Printf("%-5s durable:   restore %8.1fms  replay %8.1fms  (log %.1f KB, checkpoint %.1f KB)\n",
-			name, db.RestoreMS, db.ReplayMS,
-			float64(db.LogBytes)/1024, float64(db.CheckpointBytes)/1024)
-	}
-	for _, ds := range []string{"biblio", "catalog"} {
-		lb := loadgenPhase(ds)
-		base.Loadgen = append(base.Loadgen, lb)
-		fmt.Printf("%-7s loadgen: %8.1f q/s  plain p50/p99 %.2f/%.2f ms  collective p50/p99 %.2f/%.2f ms  (%d clients, %d errors)\n",
-			ds, lb.QPS, lb.PlainP50MS, lb.PlainP99MS,
-			lb.CollectiveP50MS, lb.CollectiveP99MS, lb.Clients,
-			lb.TransportErrors+lb.QueryErrors)
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(base); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("baseline written to %s\n", out)
-}
 
 func main() {
 	scale := flag.Float64("scale", 0.25, "dataset scale factor (1.0 = paper scale)")
 	table := flag.Int("table", 0, "print only this table (1-7; 0 = all)")
 	ablations := flag.Bool("ablations", false, "also print the repository's design-choice ablations (blocking coverage)")
 	workers := flag.Int("workers", 0, "graph-construction worker count for all runs (0 = NumCPU)")
-	bench := flag.String("bench", "", "skip tables; time construction at workers 1,2,4,NumCPU and write JSON here")
 	flag.Parse()
 
 	s := experiments.NewSuite(*scale)
 	s.Workers = *workers
-	if *bench != "" {
-		runBench(s, *scale, *bench)
-		return
-	}
 	w := os.Stdout
 	want := func(n int) bool { return *table == 0 || *table == n }
 	start := time.Now()

@@ -43,7 +43,6 @@ func main() {
 	workers := flag.Int("workers", 0, "goroutines scoring candidate pairs (0 = NumCPU, 1 = serial; results are identical at any setting)")
 	shards := flag.Int("shards", 1, "reconcile blocking-connected components in N concurrent shards (0 = one per CPU, 1 = single monolithic run; depgraph only)")
 	bucketCap := flag.Int("bucketcap", 0, "override the blocking bucket cap (0 = keep the default; lower caps tame saturated buckets on large scaled corpora)")
-	rescan := flag.Bool("rescan", false, "score by full neighborhood rescans instead of delta-maintained digests (results are identical; for benchmarking)")
 	auditFlag := flag.Bool("audit", false, "verify structural invariants at every phase boundary (depgraph only; slower, aborts on the first violation)")
 	dump := flag.String("dump", "", "write partitions as JSON to this file")
 	explain := flag.String("explain", "", "explain a pair decision, e.g. -explain 12,45 (depgraph only)")
@@ -79,7 +78,6 @@ func main() {
 		cfg := recon.DefaultConfig()
 		cfg.Constraints = *constraints
 		cfg.Workers = *workers
-		cfg.RescanScoring = *rescan
 		cfg.Audit = *auditFlag
 		switch strings.ToLower(*mode) {
 		case "full":
@@ -122,16 +120,18 @@ func main() {
 			cfg.BucketCap = *bucketCap
 		}
 		rc := recon.New(schema.PIM(), cfg)
+		// -explain and -dot read the propagated graph, which only a session
+		// retains; sessions propagate monolithically (sharded propagation
+		// runs on per-component copies).
 		var res *recon.Result
 		var sess *recon.Session
-		if *shards == 1 {
+		if *explain != "" || *dot != "" {
+			if *shards != 1 {
+				log.Fatal("-explain and -dot need the session graph; use -shards 1")
+			}
 			sess = rc.NewSession(ds.Store)
 			res, err = sess.Reconcile()
 		} else {
-			// Sessions run monolithically; the sharded path is one-shot.
-			if *explain != "" || *dot != "" {
-				log.Fatal("-explain and -dot need the session graph; use -shards 1")
-			}
 			res, err = rc.Reconcile(ds.Store)
 		}
 		if err != nil {

@@ -44,6 +44,15 @@ import (
 	"refrecon/internal/serve"
 )
 
+// Connection limits for the public listener: a client gets this long to
+// send its request headers, and an idle keep-alive connection is closed
+// after this long. Bodies are bounded by size (serve's 413), not time,
+// because a legitimate ingest batch can take a while to upload.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("reconserve: ")
@@ -149,7 +158,12 @@ func main() {
 	mux.Handle("/", svc.Handler())
 	mux.Handle("GET /debug/vars", expvar.Handler())
 
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("listening on %s", *addr)

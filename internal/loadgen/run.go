@@ -9,11 +9,11 @@ package loadgen
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"refrecon/internal/obs"
 	"refrecon/internal/serve"
 )
 
@@ -27,16 +27,9 @@ type Options struct {
 	RateQPS float64
 }
 
-// LatencyStats summarizes one latency histogram (log-spaced buckets,
-// ×1.5 from 20µs, like the server's own histograms).
-type LatencyStats struct {
-	Count  int64   `json:"count"`
-	MeanMS float64 `json:"meanMs"`
-	P50MS  float64 `json:"p50Ms"`
-	P90MS  float64 `json:"p90Ms"`
-	P99MS  float64 `json:"p99Ms"`
-	MaxMS  float64 `json:"maxMs"`
-}
+// LatencyStats summarizes one client-side latency histogram (the
+// server's own bucket layout).
+type LatencyStats = obs.LatencySummary
 
 // Report is the machine-readable result of one replay.
 type Report struct {
@@ -67,73 +60,6 @@ type Report struct {
 	Degraded int64 `json:"degraded"`
 }
 
-// histogram is the client-side latency histogram; unlike the server's it
-// is only touched under the run's mutex-free atomic counters.
-type histogram struct {
-	boundsMS []float64
-	counts   []atomic.Int64
-	count    atomic.Int64
-	sumNanos atomic.Int64
-	maxNanos atomic.Int64
-}
-
-func newHistogram() *histogram {
-	var bounds []float64
-	for b := 0.02; b < 90_000; b *= 1.5 {
-		bounds = append(bounds, b)
-	}
-	return &histogram{boundsMS: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
-}
-
-func (h *histogram) observe(d time.Duration) {
-	ms := float64(d.Nanoseconds()) / 1e6
-	h.counts[sort.SearchFloat64s(h.boundsMS, ms)].Add(1)
-	h.count.Add(1)
-	h.sumNanos.Add(d.Nanoseconds())
-	for {
-		cur := h.maxNanos.Load()
-		if d.Nanoseconds() <= cur || h.maxNanos.CompareAndSwap(cur, d.Nanoseconds()) {
-			break
-		}
-	}
-}
-
-func (h *histogram) quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := int64(q * float64(total))
-	if target >= total {
-		target = total - 1
-	}
-	var seen int64
-	for i := range h.counts {
-		seen += h.counts[i].Load()
-		if seen > target {
-			if i < len(h.boundsMS) {
-				return h.boundsMS[i]
-			}
-			return float64(h.maxNanos.Load()) / 1e6
-		}
-	}
-	return float64(h.maxNanos.Load()) / 1e6
-}
-
-func (h *histogram) stats() LatencyStats {
-	s := LatencyStats{
-		Count: h.count.Load(),
-		P50MS: h.quantile(0.50),
-		P90MS: h.quantile(0.90),
-		P99MS: h.quantile(0.99),
-		MaxMS: float64(h.maxNanos.Load()) / 1e6,
-	}
-	if s.Count > 0 {
-		s.MeanMS = float64(h.sumNanos.Load()) / 1e6 / float64(s.Count)
-	}
-	return s
-}
-
 // Run replays the workload against the target and reports.
 func Run(w *Workload, target Target, opts Options) (*Report, error) {
 	if opts.Concurrency < 1 {
@@ -157,9 +83,9 @@ func Run(w *Workload, target Target, opts Options) (*Report, error) {
 		transportErrors atomic.Int64
 		queryErrors     atomic.Int64
 		emptyResults    atomic.Int64
-		plain           = newHistogram()
-		collective      = newHistogram()
-		ingestHist      = newHistogram()
+		plain           = obs.NewLatencyHistogram()
+		collective      = obs.NewLatencyHistogram()
+		ingestHist      = obs.NewLatencyHistogram()
 	)
 
 	runQuery := func(qi int, lat0 time.Time) {
@@ -175,9 +101,9 @@ func Run(w *Workload, target Target, opts Options) (*Report, error) {
 				emptyResults.Add(1)
 			}
 			if q.Mode == serve.ModeCollective {
-				collective.observe(d)
+				collective.Observe(d.Nanoseconds())
 			} else {
-				plain.observe(d)
+				plain.Observe(d.Nanoseconds())
 			}
 		}
 		completed.Add(1)
@@ -191,7 +117,7 @@ func Run(w *Workload, target Target, opts Options) (*Report, error) {
 		if err := target.Ingest(w.Batches[0]); err != nil {
 			return nil, fmt.Errorf("loadgen: seed ingest: %w", err)
 		}
-		ingestHist.observe(time.Since(t0))
+		ingestHist.Observe(time.Since(t0).Nanoseconds())
 		rep.IngestBatches++
 		rep.IngestedRefs += len(w.Batches[0])
 	}
@@ -210,7 +136,7 @@ func Run(w *Workload, target Target, opts Options) (*Report, error) {
 				transportErrors.Add(1)
 				continue
 			}
-			ingestHist.observe(time.Since(t0))
+			ingestHist.Observe(time.Since(t0).Nanoseconds())
 			rep.IngestBatches++
 			rep.IngestedRefs += len(w.Batches[i])
 		}
@@ -261,9 +187,9 @@ func Run(w *Workload, target Target, opts Options) (*Report, error) {
 	rep.TransportErrors = transportErrors.Load()
 	rep.QueryErrors = queryErrors.Load()
 	rep.EmptyResults = emptyResults.Load()
-	rep.Plain = plain.stats()
-	rep.Collective = collective.stats()
-	rep.Ingest = ingestHist.stats()
+	rep.Plain = plain.Latency()
+	rep.Collective = collective.Latency()
+	rep.Ingest = ingestHist.Latency()
 	rep.Degraded = -1
 	if m, err := target.Metrics(); err == nil && m != nil {
 		rep.Degraded = m.CollectiveDegraded

@@ -171,3 +171,65 @@ func TestDoRunsFunction(t *testing.T) {
 		t.Fatal("Do did not run the function")
 	}
 }
+
+func TestHistogramQuantilesAndSummary(t *testing.T) {
+	h := NewHistogram([]int64{1, 2, 4, 8})
+	if h.quantile(0.5) != 0 || h.Summary().Count != 0 {
+		t.Fatal("empty histogram is not all zero")
+	}
+	for v := int64(1); v <= 8; v++ { // buckets: {1} {2} {3,4} {5..8}
+		h.Observe(v)
+	}
+	h.Observe(100) // overflow bucket: quantiles there read the exact max
+	s := h.Summary()
+	if s.Count != 9 || s.Max != 100 || s.Mean != 136.0/9 {
+		t.Errorf("summary = %+v", s)
+	}
+	for _, tc := range []struct {
+		q    float64
+		want int64
+	}{{0, 1}, {0.25, 4}, {0.5, 8}, {0.9, 100}, {1, 100}} {
+		if got := h.quantile(tc.q); got != tc.want {
+			t.Errorf("quantile(%v) = %d, want %d (bucket upper bound)", tc.q, got, tc.want)
+		}
+	}
+}
+
+func TestHistogramLatencyBuckets(t *testing.T) {
+	h := NewLatencyHistogram()
+	h.Observe((25 * time.Microsecond).Nanoseconds())
+	h.Observe((30 * time.Microsecond).Nanoseconds())
+	h.Observe((40 * time.Millisecond).Nanoseconds())
+	l := h.Latency()
+	// Both short ones land in the second ×1.5 bucket (20µs, 30µs, 45µs, ...).
+	if l.Count != 3 || l.P50MS != 0.03 || l.MaxMS != 40 {
+		t.Errorf("latency summary = %+v", l)
+	}
+	if l.P99MS < 40 || l.P99MS > 40*1.5 {
+		t.Errorf("p99 = %v ms, want the bucket bound above 40 ms", l.P99MS)
+	}
+}
+
+func TestHistogramConcurrentObserve(t *testing.T) {
+	h := NewLatencyHistogram()
+	const workers, each = 8, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 1; i <= each; i++ {
+				h.Observe(int64(w*each + i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	s := h.Summary()
+	if s.Count != workers*each || s.Max != workers*each {
+		t.Errorf("count %d max %d after %d concurrent observations", s.Count, s.Max, workers*each)
+	}
+	var n int64 = workers * each
+	if want := float64(n*(n+1)/2) / float64(n); s.Mean != want {
+		t.Errorf("mean = %v, want %v", s.Mean, want)
+	}
+}

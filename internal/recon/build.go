@@ -121,9 +121,6 @@ type builder struct {
 	// indexes holds the per-class blocking indexes, kept across
 	// incremental batches.
 	indexes map[string]*blocking.Index
-	// seeds collects RefPair nodes grouped by class rank so the engine
-	// evaluates dependees before dependents (§3.2).
-	seeds map[int][]*depgraph.Node
 	// fresh accumulates the RefPair nodes created since the last drain;
 	// association wiring and engine seeding work off it.
 	fresh []*depgraph.Node
@@ -164,7 +161,6 @@ func newBuilder(store *reference.Store, sch *schema.Schema, cfg Config) *builder
 		lib:          simfn.NewLibrary(),
 		g:            depgraph.New(),
 		indexes:      make(map[string]*blocking.Index),
-		seeds:        make(map[int][]*depgraph.Node),
 		removed:      make(map[uint64]int),
 		parsedNames:  make(map[reference.ID][]names.Name),
 		parsedEmails: make(map[reference.ID][]emailaddr.Address),
@@ -200,17 +196,12 @@ func (b *builder) feedCounters(c *obs.Counters) {
 	obs.UpdateMax(&c.MaxBucket, int64(maxBucket))
 }
 
-// build runs the two construction passes of §3.1 plus constraint seeding
-// over the whole store and returns the graph and the seed order.
-func (b *builder) build() (*depgraph.Graph, []*depgraph.Node) {
-	b.incorporate(b.store.All())
-	return b.g, b.seedOrder()
-}
-
-// incorporate extends the graph with a batch of new references: library
-// statistics, blocking keys, candidate pairs involving the new references,
-// association dependencies, and constraints. It returns the RefPair nodes
-// created by this batch in seed (rank) order.
+// incorporate extends the graph with a batch of new references — the two
+// construction passes of §3.1 plus constraint seeding: library statistics,
+// blocking keys, candidate pairs involving the new references, association
+// dependencies, and constraints. It returns the RefPair nodes created by
+// this batch in seed order: by class rank, so the engine evaluates
+// dependees before dependents (§3.2).
 func (b *builder) incorporate(newRefs []*reference.Reference) []*depgraph.Node {
 	b.batch++
 	for _, r := range newRefs {
@@ -304,14 +295,6 @@ func (b *builder) incorporate(newRefs []*reference.Reference) []*depgraph.Node {
 	drain()
 
 	return seedSort(b.sch, batch)
-}
-
-func (b *builder) seedOrder() []*depgraph.Node {
-	var out []*depgraph.Node
-	for _, ns := range b.seeds {
-		out = append(out, ns...)
-	}
-	return seedSort(b.sch, out)
 }
 
 // seedSort orders nodes by class rank with an explicit total-order
@@ -431,11 +414,6 @@ func (b *builder) wireScored(r1, r2 *reference.Reference, induced bool, vals []v
 		b.removed[pairIndex(r1.ID, r2.ID)] = b.batch
 		return nil
 	}
-	rank := 0
-	if c, ok := b.sch.Class(r1.Class); ok {
-		rank = c.Rank
-	}
-	b.seeds[rank] = append(b.seeds[rank], m)
 	b.fresh = append(b.fresh, m)
 	return m
 }

@@ -212,8 +212,8 @@ func TestCoAuthorConstraintAddsNodes(t *testing.T) {
 	s.Add(a)
 
 	b := newBuilder(s, schema.PIM(), DefaultConfig())
-	g, _ := b.build()
-	n := g.LookupRefPair(p1.ID, p2.ID)
+	b.incorporate(s.All())
+	n := b.g.LookupRefPair(p1.ID, p2.ID)
 	if n == nil {
 		t.Fatal("co-author pair node should exist (constraints add nodes)")
 	}
@@ -238,7 +238,7 @@ func TestSeedOrderClassRank(t *testing.T) {
 	mk("Decomposition strategies for query processing", p2.ID)
 
 	b := newBuilder(s, schema.PIM(), DefaultConfig())
-	_, seed := b.build()
+	seed := b.incorporate(s.All())
 	sawArticle := false
 	for _, n := range seed {
 		if n.Class() == schema.ClassArticle {
@@ -290,7 +290,7 @@ func TestBuilderLibraryStats(t *testing.T) {
 	personRef(s, "Ling Yuan", "")
 	personRef(s, "Michael Stonebraker", "")
 	b := newBuilder(s, schema.PIM(), DefaultConfig())
-	b.build() // library statistics are collected during incorporation
+	b.incorporate(s.All()) // library statistics are collected during incorporation
 	if r := b.lib.NameRarity("", "yuan"); r >= 1 {
 		t.Errorf("shared surname should not be fully identifying: %f", r)
 	}

@@ -30,7 +30,7 @@ import (
 // its shape. The engine's monotone scoring guarantees merges never
 // regress.
 //
-// Sessions always run the monolithic propagation path and ignore
+// Sessions always run the monolithic propagate step and ignore
 // Config.Shards: components drift and merge as batches arrive, so a
 // per-batch re-split would forfeit the retained graph the session exists
 // to keep.
@@ -86,28 +86,56 @@ func (s *Session) Reconcile() (*Result, error) {
 }
 
 // CommitContext is Reconcile with cooperative cancellation: ctx is
-// checked before each phase and at every propagation-round boundary. A
-// cancelled commit returns an error wrapping both ErrCanceled and
-// ctx.Err(); the session and its store stay usable — the next commit
-// detects the interrupted graph, discards the incremental state, and
-// reconciles the whole store from scratch, yielding the same partitions a
-// never-cancelled session would have produced.
+// checked before each phase (build, propagate, closure) and at every
+// propagation-round boundary — the same checkpoints the tracer
+// instruments. A cancelled commit returns an error wrapping both
+// ErrCanceled and ctx.Err(); the session and its store stay usable — the
+// next commit detects the interrupted graph, discards the incremental
+// state, and reconciles the whole store from scratch, yielding the same
+// partitions a never-cancelled session would have produced.
 func (s *Session) CommitContext(ctx context.Context) (*Result, error) {
+	return s.commit(ctx, 1)
+}
+
+// commit is the reconcile pipeline, the only one in the package: validate,
+// build (§3.1), propagate to the fixed point (§3.2), close transitively
+// under the non-merge constraints (§3.4), with an invariant audit after
+// each phase when Config.Audit is on. One-shot Reconcile is a fresh
+// session's first commit, and BuildRetained/Prepared.Propagate are that
+// commit's two halves called apart. shards > 1 selects the sharded
+// propagate step, which only a session that makes no further commit may
+// use (it propagates copies and leaves the session graph behind).
+func (s *Session) commit(ctx context.Context, shards int) (*Result, error) {
+	seed, idle, err := s.build(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if idle {
+		return s.latest, nil
+	}
+	return s.finish(ctx, seed, shards)
+}
+
+// build is the first half of commit: it validates the store, extends the
+// graph with the references added since the last commit, and returns the
+// new pairs in seed order. idle reports a commit with nothing to
+// incorporate.
+func (s *Session) build(ctx context.Context) (seed []*depgraph.Node, idle bool, err error) {
 	if err := ctx.Err(); err != nil {
-		return nil, canceled("commit", err)
+		return nil, false, canceled("build", err)
 	}
 	if err := s.store.Validate(s.rc.sch); err != nil {
-		return nil, invalidInput(err)
+		return nil, false, invalidInput(err)
 	}
 	if s.poisoned {
 		s.reset()
 	}
 	newRefs := s.store.All()[s.seen:]
 	if len(newRefs) == 0 && s.latest != nil {
-		return s.latest, nil
+		return nil, true, nil
 	}
 	s.seen = s.store.Len()
-	if s.rc.cfg.Audit && s.aud == nil {
+	if s.aud == nil {
 		s.aud = s.rc.newAuditor()
 	}
 	o := s.rc.cfg.Obs
@@ -117,52 +145,90 @@ func (s *Session) CommitContext(ctx context.Context) (*Result, error) {
 
 	sp := o.Tracer().Begin("phase", "build")
 	start := time.Now()
-	var seed []*depgraph.Node
-	build := func() { seed = s.b.incorporate(newRefs) }
-	if o.Profiling() {
-		obs.Do("build", build)
-	} else {
-		build()
-	}
-	if s.g == nil {
-		s.g = s.b.g
-	}
+	labeled(o, "build", func() { seed = s.b.incorporate(newRefs) })
+	s.g = s.b.g
 	s.stats.BuildTime += time.Since(start)
+	s.stats.CandidatePairs = s.b.candidatePairs
+	s.stats.SkippedBuckets = s.b.skippedBuckets
+	s.stats.GraphNodes = s.g.NodeCount()
+	s.stats.GraphEdges = s.g.EdgeCount()
 	sp.EndArgs(map[string]any{
 		"batch": len(newRefs), "nodes": s.g.NodeCount(), "edges": s.g.EdgeCount(),
+		"candidates": s.b.candidatePairs,
 	})
 	s.b.feedCounters(o.Counter())
 	o.Progressor().Emit(obs.Event{Phase: "build", Final: true})
 	if s.aud != nil {
 		if err := s.aud.CheckGraph("build", s.g, false).Err(); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 	}
+	return seed, false, nil
+}
+
+// fixedPoint is the propagate step of the pipeline, the one step with two
+// implementations: a single engine over the session graph (wholeGraph), or
+// one engine per blocking-connected component joined by a boundary
+// frontier (shardedGraph, shards.go).
+type fixedPoint interface {
+	// run iterates similarities to the fixed point from the seeds.
+	run(seed []*depgraph.Node, opts depgraph.Options) (depgraph.Stats, error)
+	// audit checks the propagated graph's invariants (Config.Audit only).
+	audit(truncated bool) error
+	// nodes visits every decided pair node once; the constraint count, the
+	// closure, and the partition audit walk it.
+	nodes(fn func(*depgraph.Node))
+}
+
+// wholeGraph is the monolithic propagate step.
+type wholeGraph struct{ s *Session }
+
+func (w wholeGraph) run(seed []*depgraph.Node, opts depgraph.Options) (depgraph.Stats, error) {
+	o := w.s.rc.cfg.Obs
+	opts.Trace = o.Tracer()
+	opts.Progress = o.Progressor()
+	return w.s.g.Run(seed, opts), nil
+}
+
+func (w wholeGraph) audit(truncated bool) error {
+	return w.s.aud.CheckGraph("propagate", w.s.g, truncated).Err()
+}
+
+func (w wholeGraph) nodes(fn func(*depgraph.Node)) { w.s.g.Nodes(fn) }
+
+// finish is the second half of commit: propagate from the seeds, then the
+// constrained closure over the whole store.
+func (s *Session) finish(ctx context.Context, seed []*depgraph.Node, shards int) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		// The graph already holds this batch's nodes; without a propagation
 		// pass its decisions are stale, so the next commit must rebuild.
 		return nil, s.cancelCommit("propagate", err)
 	}
-
+	var fp fixedPoint = wholeGraph{s}
+	if shards > 1 {
+		fp = &shardedGraph{s: s, shards: shards}
+	}
+	o := s.rc.cfg.Obs
 	eopts := s.rc.engineOptions()
 	eopts.Interrupt = ctx.Err
-	eopts.Trace = o.Tracer()
-	eopts.Progress = o.Progressor()
 
-	sp = o.Tracer().Begin("phase", "propagate")
-	start = time.Now()
+	sp := o.Tracer().Begin("phase", "propagate")
+	start := time.Now()
 	var engine depgraph.Stats
-	run := func() { engine = s.g.Run(seed, eopts) }
-	if o.Profiling() {
-		obs.Do("propagate", run)
-	} else {
-		run()
+	var err error
+	labeled(o, "propagate", func() { engine, err = fp.run(seed, eopts) })
+	if err != nil {
+		return nil, err
 	}
 	s.stats.PropagateTime += time.Since(start)
-	sp.EndArgs(map[string]any{
+	args := map[string]any{
 		"steps": engine.Steps, "merges": engine.Merges,
 		"folds": engine.Folds, "rounds": engine.Rounds,
-	})
+	}
+	if sh := s.stats.Shard; sh.Components > 0 {
+		args["components"], args["frontierRounds"] = sh.Components, sh.FrontierRounds
+	}
+	sp.EndArgs(args)
 	feedEngineCounters(o.Counter(), engine)
 	o.Progressor().Emit(obs.Event{
 		Phase: "propagate", Round: engine.Rounds,
@@ -172,37 +238,18 @@ func (s *Session) CommitContext(ctx context.Context) (*Result, error) {
 	if engine.Interrupted {
 		return nil, s.cancelCommit("propagate", ctx.Err())
 	}
-	if s.aud != nil {
-		if err := s.aud.CheckGraph("propagate", s.g, engine.Truncated).Err(); err != nil {
-			return nil, err
-		}
-	}
-
-	s.stats.CandidatePairs = s.b.candidatePairs
-	s.stats.GraphNodes = s.g.NodeCount()
-	s.stats.GraphEdges = s.g.EdgeCount()
-	s.stats.SkippedBuckets = s.b.skippedBuckets
-	s.stats.Engine.Steps += engine.Steps
-	s.stats.Engine.Merges += engine.Merges
-	s.stats.Engine.Folds += engine.Folds
-	s.stats.Engine.Reactivate += engine.Reactivate
-	s.stats.Engine.Truncated = s.stats.Engine.Truncated || engine.Truncated
-	s.stats.Engine.Rounds += engine.Rounds
-	if engine.QueueHighWater > s.stats.Engine.QueueHighWater {
-		s.stats.Engine.QueueHighWater = engine.QueueHighWater
-	}
-	s.stats.Engine.RequeueReal += engine.RequeueReal
-	s.stats.Engine.RequeueStrong += engine.RequeueStrong
-	s.stats.Engine.RequeueWeak += engine.RequeueWeak
-	s.stats.Engine.DeltaHits += engine.DeltaHits
-	s.stats.Engine.AggBuilds += engine.AggBuilds
-	s.stats.Engine.AggRebuilds += engine.AggRebuilds
+	addEngineStats(&s.stats.Engine, engine)
 	s.stats.NonMergeNodes = 0
-	s.g.Nodes(func(n *depgraph.Node) {
+	fp.nodes(func(n *depgraph.Node) {
 		if n.Status() == depgraph.NonMerge {
 			s.stats.NonMergeNodes++
 		}
 	})
+	if s.aud != nil {
+		if err := fp.audit(engine.Truncated); err != nil {
+			return nil, err
+		}
+	}
 	if err := ctx.Err(); err != nil {
 		// Propagation converged but the closure never ran; s.latest is
 		// still the previous batch's result. Poisoning keeps the recovery
@@ -210,14 +257,14 @@ func (s *Session) CommitContext(ctx context.Context) (*Result, error) {
 		return nil, s.cancelCommit("closure", err)
 	}
 
-	spc := o.Tracer().Begin("phase", "closure")
+	sp = o.Tracer().Begin("phase", "closure")
 	start = time.Now()
-	res := closure(s.store, s.g, s.rc.cfg.Constraints)
+	res := closure(s.store, fp.nodes, s.rc.cfg.Constraints)
 	s.stats.ClosureTime += time.Since(start)
-	spc.End()
+	sp.End()
 	o.Progressor().Emit(obs.Event{Phase: "closure", Final: true})
 	if s.aud != nil {
-		if err := s.aud.CheckPartition("closure", s.store, s.g, res.Partitions, res.Assignment).Err(); err != nil {
+		if err := s.aud.CheckPartitionNodes("closure", s.store, fp.nodes, res.Partitions, res.Assignment).Err(); err != nil {
 			return nil, err
 		}
 		s.stats.AuditChecks = s.aud.TotalChecks
@@ -225,6 +272,16 @@ func (s *Session) CommitContext(ctx context.Context) (*Result, error) {
 	res.Stats = s.stats
 	s.latest = res
 	return res, nil
+}
+
+// labeled runs fn under the phase's pprof label when the observer asks for
+// profiling.
+func labeled(o *obs.Observer, phase string, fn func()) {
+	if o.Profiling() {
+		obs.Do(phase, fn)
+	} else {
+		fn()
+	}
 }
 
 // cancelCommit marks the session for a from-scratch rebuild and returns

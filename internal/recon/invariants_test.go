@@ -178,7 +178,7 @@ func TestFullModeReachesFixedPoint(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	b := newBuilder(g.Store, schema.PIM(), cfg)
-	graph, seed := b.build()
+	graph, seed := b.g, b.incorporate(g.Store.All())
 	scorer := &simfn.Scorer{Params: cfg.Params}
 	graph.Run(seed, depgraph.Options{
 		Scorer: scorer,
@@ -214,7 +214,8 @@ func TestEvidenceLevelGating(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Evidence = ev
 		b := newBuilder(g.Store, schema.PIM(), cfg)
-		graph, _ := b.build()
+		b.incorporate(g.Store.All())
+		graph := b.g
 		graph.Nodes(func(n *depgraph.Node) {
 			if n.Kind() == depgraph.ValuePair && n.Class() == "nameEmail" {
 				cross++

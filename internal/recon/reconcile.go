@@ -40,7 +40,8 @@ type Stats struct {
 	// CandidatePairs is the number of blocked candidate pairs considered.
 	CandidatePairs int
 	// GraphNodes / GraphEdges measure the dependency graph right after
-	// construction (the Table 6 size metric).
+	// construction (the Table 6 size metric); in a session, right after
+	// the latest commit's construction, before its folds.
 	GraphNodes, GraphEdges int
 	// NonMergeNodes counts constraint-marked nodes after the run.
 	NonMergeNodes int
@@ -51,7 +52,7 @@ type Stats struct {
 	// counts sum, QueueHighWater is the max, terminal flags or together.
 	Engine depgraph.Stats
 	// Shard describes the sharded execution layer; the whole struct is
-	// zero under the monolithic path.
+	// zero when one engine ran over the whole graph.
 	Shard ShardStats
 	// BuildTime, PropagateTime, and ClosureTime are wall-clock phase
 	// timings: graph construction (blocking, candidate scoring, wiring),
@@ -87,26 +88,6 @@ func (r *Result) SameEntity(a, b reference.ID) bool {
 	return okA && okB && pa == pb
 }
 
-// BuildGraph runs only the dependency-graph construction phase — blocking,
-// candidate-pair scoring, association wiring, constraint seeding — and
-// returns its stats, discarding the graph. It is the unit the construction
-// benchmarks measure; Reconcile is the complete algorithm.
-func (rc *Reconciler) BuildGraph(store *reference.Store) (Stats, error) {
-	if err := store.Validate(rc.sch); err != nil {
-		return Stats{}, invalidInput(err)
-	}
-	start := time.Now()
-	b := newBuilder(store, rc.sch, rc.cfg)
-	g, _ := b.build()
-	return Stats{
-		CandidatePairs: b.candidatePairs,
-		GraphNodes:     g.NodeCount(),
-		GraphEdges:     g.EdgeCount(),
-		SkippedBuckets: b.skippedBuckets,
-		BuildTime:      time.Since(start),
-	}, nil
-}
-
 // engineOptions assembles the propagation-engine configuration shared by
 // one-shot and incremental reconciliation. The scorer reads the
 // delta-maintained evidence digests unless Config.RescanScoring forces the
@@ -136,151 +117,37 @@ func (rc *Reconciler) newAuditor() *audit.Auditor {
 	return audit.New(rc.engineOptions().MergeThreshold, rc.cfg.Constraints)
 }
 
-// Prepared is a fully constructed dependency graph awaiting propagation.
-// BuildRetained returns one; Propagate consumes it. The split lets
-// benchmarks (and diagnostics) time the propagation fixed point and the
-// closure separately from construction.
+// Prepared is a one-shot reconciliation paused at the build/propagate
+// boundary: BuildRetained runs the first half of a fresh session's commit,
+// Propagate the second. The split lets benchmarks (and diagnostics) time
+// the propagation fixed point and the closure separately from
+// construction.
 type Prepared struct {
-	rc    *Reconciler
-	store *reference.Store
-	g     *depgraph.Graph
-	seed  []*depgraph.Node
-	stats Stats
-	used  bool
+	s    *Session
+	seed []*depgraph.Node
+	used bool
 }
 
 // BuildRetained runs the construction phase and keeps the graph, ready for
 // a single Propagate call.
 func (rc *Reconciler) BuildRetained(store *reference.Store) (*Prepared, error) {
-	return rc.buildRetainedContext(context.Background(), store)
-}
-
-func (rc *Reconciler) buildRetainedContext(ctx context.Context, store *reference.Store) (*Prepared, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, canceled("build", err)
+	s := rc.NewSession(store)
+	seed, _, err := s.build(context.Background())
+	if err != nil {
+		return nil, err
 	}
-	if err := store.Validate(rc.sch); err != nil {
-		return nil, invalidInput(err)
-	}
-	o := rc.cfg.Obs
-	sp := o.Tracer().Begin("phase", "build")
-	start := time.Now()
-	b := newBuilder(store, rc.sch, rc.cfg)
-	var g *depgraph.Graph
-	var seed []*depgraph.Node
-	build := func() { g, seed = b.build() }
-	if o.Profiling() {
-		obs.Do("build", build)
-	} else {
-		build()
-	}
-	sp.EndArgs(map[string]any{
-		"nodes": g.NodeCount(), "edges": g.EdgeCount(), "candidates": b.candidatePairs,
-	})
-	b.feedCounters(o.Counter())
-	o.Progressor().Emit(obs.Event{Phase: "build", Final: true})
-	return &Prepared{
-		rc: rc, store: store, g: g, seed: seed,
-		stats: Stats{
-			CandidatePairs: b.candidatePairs,
-			GraphNodes:     g.NodeCount(),
-			GraphEdges:     g.EdgeCount(),
-			SkippedBuckets: b.skippedBuckets,
-			BuildTime:      time.Since(start),
-		},
-	}, nil
+	return &Prepared{s: s, seed: seed}, nil
 }
 
 // Propagate runs the fixed point and the constrained closure over the
 // prepared graph. Propagation mutates the graph, so a Prepared value is
 // single-use; a second call errors.
 func (p *Prepared) Propagate() (*Result, error) {
-	return p.propagateContext(context.Background())
-}
-
-func (p *Prepared) propagateContext(ctx context.Context) (*Result, error) {
-	if k := p.rc.shardCount(); k > 1 {
-		return p.propagateSharded(ctx, k)
-	}
 	if p.used {
 		return nil, fmt.Errorf("recon: Prepared.Propagate called twice (the graph is consumed)")
 	}
 	p.used = true
-	stats := p.stats
-	o := p.rc.cfg.Obs
-
-	aud := p.rc.newAuditor()
-	if aud != nil {
-		if err := aud.CheckGraph("build", p.g, false).Err(); err != nil {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, canceled("propagate", err)
-	}
-
-	eopts := p.rc.engineOptions()
-	eopts.Interrupt = ctx.Err
-	eopts.Trace = o.Tracer()
-	eopts.Progress = o.Progressor()
-
-	sp := o.Tracer().Begin("phase", "propagate")
-	start := time.Now()
-	run := func() { stats.Engine = p.g.Run(p.seed, eopts) }
-	if o.Profiling() {
-		obs.Do("propagate", run)
-	} else {
-		run()
-	}
-	stats.PropagateTime = time.Since(start)
-	sp.EndArgs(map[string]any{
-		"steps": stats.Engine.Steps, "merges": stats.Engine.Merges,
-		"folds": stats.Engine.Folds, "rounds": stats.Engine.Rounds,
-	})
-	feedEngineCounters(o.Counter(), stats.Engine)
-	o.Progressor().Emit(obs.Event{
-		Phase: "propagate", Round: stats.Engine.Rounds,
-		Steps: stats.Engine.Steps, Merges: stats.Engine.Merges,
-		Folds: stats.Engine.Folds, Final: true,
-	})
-	if stats.Engine.Interrupted {
-		if c := o.Counter(); c != nil {
-			c.Canceled.Add(1)
-		}
-		return nil, canceled("propagate", ctx.Err())
-	}
-
-	p.g.Nodes(func(n *depgraph.Node) {
-		if n.Status() == depgraph.NonMerge {
-			stats.NonMergeNodes++
-		}
-	})
-	if aud != nil {
-		if err := aud.CheckGraph("propagate", p.g, stats.Engine.Truncated).Err(); err != nil {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		if c := o.Counter(); c != nil {
-			c.Canceled.Add(1)
-		}
-		return nil, canceled("closure", err)
-	}
-
-	spc := o.Tracer().Begin("phase", "closure")
-	start = time.Now()
-	res := closure(p.store, p.g, p.rc.cfg.Constraints)
-	stats.ClosureTime = time.Since(start)
-	spc.End()
-	o.Progressor().Emit(obs.Event{Phase: "closure", Final: true})
-	if aud != nil {
-		if err := aud.CheckPartition("closure", p.store, p.g, res.Partitions, res.Assignment).Err(); err != nil {
-			return nil, err
-		}
-		stats.AuditChecks = aud.TotalChecks
-	}
-	res.Stats = stats
-	return res, nil
+	return p.s.finish(context.Background(), p.seed, p.s.rc.shardCount())
 }
 
 // Reconcile partitions the store's references into entities.
@@ -288,18 +155,13 @@ func (rc *Reconciler) Reconcile(store *reference.Store) (*Result, error) {
 	return rc.ReconcileContext(context.Background(), store)
 }
 
-// ReconcileContext is Reconcile with cooperative cancellation: the run
-// checks ctx before each phase (build, propagate, closure) and at every
-// propagation-round boundary — the same checkpoints the tracer
-// instruments. A cancelled run returns an error wrapping both ErrCanceled
-// and ctx.Err(); the store is never mutated by reconciliation, so it
-// remains usable afterwards.
+// ReconcileContext is Reconcile with cooperative cancellation. It is the
+// first commit of a fresh session (see Session.CommitContext for the
+// checkpoints and the error contract), with the one difference that it
+// honors Config.Shards; the store is never mutated by reconciliation, so
+// it remains usable after a cancelled run.
 func (rc *Reconciler) ReconcileContext(ctx context.Context, store *reference.Store) (*Result, error) {
-	p, err := rc.buildRetainedContext(ctx, store)
-	if err != nil {
-		return nil, err
-	}
-	return p.propagateContext(ctx)
+	return rc.NewSession(store).commit(ctx, rc.shardCount())
 }
 
 // feedEngineCounters adds one engine run's stats to the observer's
@@ -329,14 +191,11 @@ func feedEngineCounters(c *obs.Counters, e depgraph.Stats) {
 // reconcile r1 with r2, and r2 with r3, then r1, r2 and r3 will be
 // clustered even if we have evidence showing that r1 is not similar to r3"
 // — by revoking the least-certain link on any constraint-violating path.
-func closure(store *reference.Store, g *depgraph.Graph, constrained bool) *Result {
-	return closureOver(store, g.Nodes, constrained)
-}
-
-// closureOver is closure generalized over any node iterator; the sharded
-// path feeds it the concatenation of every component's real (non-mirror)
-// pairs in component-id order, which visits each global pair exactly once.
-func closureOver(store *reference.Store, each func(func(*depgraph.Node)), constrained bool) *Result {
+//
+// each is the propagate step's node iterator: the session graph's nodes
+// or, under sharding, every component's real (non-mirror) pairs in
+// component-id order, which visits each global pair exactly once.
+func closure(store *reference.Store, each func(func(*depgraph.Node)), constrained bool) *Result {
 	uf := unionfind.New(store.Len())
 	if !constrained {
 		each(func(n *depgraph.Node) {

@@ -16,10 +16,8 @@ package recon
 // against Shards == 1.
 
 import (
-	"context"
 	"fmt"
 	"runtime"
-	"time"
 
 	"refrecon/internal/audit"
 	"refrecon/internal/depgraph"
@@ -60,7 +58,7 @@ type ShardStats struct {
 }
 
 // shardCount resolves Config.Shards: 0 means one shard per available CPU,
-// anything below 1 is clamped to the monolithic path.
+// anything below 1 is clamped to the monolithic step.
 func (rc *Reconciler) shardCount() int {
 	s := rc.cfg.Shards
 	if s == 0 {
@@ -72,33 +70,31 @@ func (rc *Reconciler) shardCount() int {
 	return s
 }
 
-// propagateSharded is the sharded counterpart of propagateContext: split
-// the prepared global graph, run per-component fixed points concurrently,
-// drain the boundary frontier, then close over the union of per-component
-// decisions.
-func (p *Prepared) propagateSharded(ctx context.Context, shards int) (*Result, error) {
-	if p.used {
-		return nil, fmt.Errorf("recon: Prepared.Propagate called twice (the graph is consumed)")
-	}
-	p.used = true
-	stats := p.stats
-	o := p.rc.cfg.Obs
+// shardedGraph is the sharded propagate step (see fixedPoint): split the
+// session's freshly built graph, run per-component fixed points
+// concurrently, and drain the boundary frontier. The decisions live in the
+// plan's component graphs afterwards; the session graph is left as built.
+type shardedGraph struct {
+	s      *Session
+	shards int
+	plan   *shard.Plan
+	// auds holds one auditor per component (Config.Audit only): mirrors
+	// duplicate remote pair keys, so the stateful cross-phase snapshots
+	// need per-graph scopes.
+	auds []*audit.Auditor
+	// base is the merged closure after the first wave, the frontier
+	// coherence oracle (Config.Audit only).
+	base map[reference.ID]int
+}
 
-	aud := p.rc.newAuditor()
-	if aud != nil {
-		if err := aud.CheckGraph("build", p.g, false).Err(); err != nil {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, canceled("propagate", err)
-	}
+func (sg *shardedGraph) run(seed []*depgraph.Node, eopts depgraph.Options) (depgraph.Stats, error) {
+	s := sg.s
+	o := s.rc.cfg.Obs
+	tr := o.Tracer()
 
-	sp := o.Tracer().Begin("phase", "propagate")
-	start := time.Now()
-
-	spSplit := o.Tracer().Begin("phase", "shard-split")
-	plan := shard.Split(p.g, p.seed, p.store.Len(), shards)
+	spSplit := tr.Begin("phase", "shard-split")
+	plan := shard.Split(s.g, seed, s.store.Len(), sg.shards)
+	sg.plan = plan
 	spSplit.EndArgs(map[string]any{
 		"components": len(plan.Comps), "shards": len(plan.Groups),
 		"boundaryLinks": len(plan.Links), "valueReplicas": plan.ValueReplicas,
@@ -110,37 +106,30 @@ func (p *Prepared) propagateSharded(ctx context.Context, shards int) (*Result, e
 		ValueReplicas:    plan.ValueReplicas,
 	}
 
-	// The shard partition itself, then each component graph, is audited
-	// with a per-component auditor: mirrors duplicate remote pair keys, so
-	// the stateful cross-phase snapshots need per-graph scopes.
-	var auds []*audit.Auditor
-	if aud != nil {
-		if err := aud.CheckSharding("shard-split", plan, p.g).Err(); err != nil {
-			return nil, err
+	if s.aud != nil {
+		if err := s.aud.CheckSharding("shard-split", plan, s.g).Err(); err != nil {
+			return depgraph.Stats{}, err
 		}
-		auds = make([]*audit.Auditor, len(plan.Comps))
+		sg.auds = make([]*audit.Auditor, len(plan.Comps))
 		for i, c := range plan.Comps {
-			auds[i] = p.rc.newAuditor()
-			if err := auds[i].CheckGraph("shard-build", c.G, false).Err(); err != nil {
-				return nil, fmt.Errorf("component %d: %w", i, err)
+			sg.auds[i] = s.rc.newAuditor()
+			if err := sg.auds[i].CheckGraph("shard-build", c.G, false).Err(); err != nil {
+				return depgraph.Stats{}, fmt.Errorf("component %d: %w", i, err)
 			}
 		}
 	}
 
-	eps := p.rc.cfg.Epsilon
+	eps := s.rc.cfg.Epsilon
 	if eps <= 0 {
 		eps = 1e-6
 	}
-	eopts := p.rc.engineOptions()
-	eopts.Interrupt = ctx.Err
 	// Engine-internal tracing and progress stay off: rounds of different
 	// components would interleave on one lane. The orchestrator emits one
 	// span per component run on a per-shard lane instead, and one progress
 	// event per frontier round.
-	tr := o.Tracer()
 	lanes := make([]int64, len(plan.Groups))
-	for s := range lanes {
-		lanes[s] = tr.NextTID()
+	for i := range lanes {
+		lanes[i] = tr.NextTID()
 	}
 
 	engine := make([]depgraph.Stats, len(plan.Comps))
@@ -148,12 +137,12 @@ func (p *Prepared) propagateSharded(ctx context.Context, shards int) (*Result, e
 	runWave := func(comps []int, seeded bool) {
 		byShard := make([][]int, len(plan.Groups))
 		for _, cid := range comps {
-			s := plan.ShardOf[cid]
-			byShard[s] = append(byShard[s], cid)
+			g := plan.ShardOf[cid]
+			byShard[g] = append(byShard[g], cid)
 		}
 		runs += len(comps)
-		parallel.Coarse(len(byShard), len(byShard), func(s int) {
-			for _, cid := range byShard[s] {
+		parallel.Coarse(len(byShard), len(byShard), func(g int) {
+			for _, cid := range byShard[g] {
 				c := plan.Comps[cid]
 				opts := eopts
 				opts.OnFold = c.OnFold
@@ -161,7 +150,7 @@ func (p *Prepared) propagateSharded(ctx context.Context, shards int) (*Result, e
 				if seeded {
 					seed = c.Seed
 				}
-				csp := tr.BeginTID("shard", fmt.Sprintf("component %d", cid), lanes[s])
+				csp := tr.BeginTID("shard", fmt.Sprintf("component %d", cid), lanes[g])
 				st := c.G.Run(seed, opts)
 				csp.EndArgs(map[string]any{
 					"steps": st.Steps, "merges": st.Merges, "folds": st.Folds,
@@ -170,10 +159,6 @@ func (p *Prepared) propagateSharded(ctx context.Context, shards int) (*Result, e
 			}
 		})
 	}
-
-	// The frontier loop. The first wave runs every component from its
-	// seeds; later waves run only components the boundary sync gave work.
-	var base map[reference.ID]int // merged closure after the first wave (audit oracle)
 	stopped := func(comps []int) bool {
 		for _, cid := range comps {
 			if engine[cid].Interrupted || engine[cid].Truncated {
@@ -182,118 +167,69 @@ func (p *Prepared) propagateSharded(ctx context.Context, shards int) (*Result, e
 		}
 		return false
 	}
-	loop := func() {
-		affected := make([]int, len(plan.Comps))
-		for i := range affected {
-			affected[i] = i
-		}
-		seeded := true
-		for len(affected) > 0 {
-			runWave(affected, seeded)
-			if stopped(affected) {
-				return
-			}
-			if seeded && aud != nil {
-				base = shardedAssignment(p.store, plan)
-			}
-			seeded = false
-			var sst shard.SyncStats
-			affected, sst = plan.SyncBoundary(eps)
-			shStats.FrontierRounds++
-			shStats.BoundaryUpdates += sst.Updates
-			shStats.FrontierActivations += sst.Activations
-			shStats.FoldReplays += sst.FoldReplays
-			o.Progressor().Emit(obs.Event{
-				Phase: "frontier", Round: shStats.FrontierRounds,
-				Steps: sst.Updates, Merges: sst.NewlyMerged, Queue: len(affected),
-			})
-		}
+
+	// The frontier loop. The first wave runs every component from its
+	// seeds; later waves run only components the boundary sync gave work.
+	affected := make([]int, len(plan.Comps))
+	for i := range affected {
+		affected[i] = i
 	}
-	if o.Profiling() {
-		obs.Do("propagate", loop)
-	} else {
-		loop()
+	for seeded := true; len(affected) > 0; seeded = false {
+		runWave(affected, seeded)
+		if stopped(affected) {
+			break
+		}
+		if seeded && s.aud != nil {
+			sg.base = shardedAssignment(s.store, plan)
+		}
+		var sst shard.SyncStats
+		affected, sst = plan.SyncBoundary(eps)
+		shStats.FrontierRounds++
+		shStats.BoundaryUpdates += sst.Updates
+		shStats.FrontierActivations += sst.Activations
+		shStats.FoldReplays += sst.FoldReplays
+		o.Progressor().Emit(obs.Event{
+			Phase: "frontier", Round: shStats.FrontierRounds,
+			Steps: sst.Updates, Merges: sst.NewlyMerged, Queue: len(affected),
+		})
 	}
 
 	var agg depgraph.Stats
 	for i := range engine {
 		addEngineStats(&agg, engine[i])
 	}
-	stats.Engine = agg
 	shStats.BoundaryLinks = len(plan.Links)
-	stats.Shard = shStats
-	stats.PropagateTime = time.Since(start)
-	sp.EndArgs(map[string]any{
-		"steps": agg.Steps, "merges": agg.Merges, "folds": agg.Folds,
-		"rounds": agg.Rounds, "components": shStats.Components,
-		"frontierRounds": shStats.FrontierRounds, "runs": runs,
-	})
-	feedEngineCounters(o.Counter(), stats.Engine)
+	s.stats.Shard = shStats
 	feedShardCounters(o.Counter(), shStats, runs)
-	o.Progressor().Emit(obs.Event{
-		Phase: "propagate", Round: stats.Engine.Rounds,
-		Steps: stats.Engine.Steps, Merges: stats.Engine.Merges,
-		Folds: stats.Engine.Folds, Final: true,
-	})
-	if stats.Engine.Interrupted {
-		if c := o.Counter(); c != nil {
-			c.Canceled.Add(1)
-		}
-		return nil, canceled("propagate", ctx.Err())
-	}
+	return agg, nil
+}
 
-	eachReal := func(fn func(*depgraph.Node)) {
-		for _, c := range plan.Comps {
-			c := c
-			c.G.Nodes(func(n *depgraph.Node) {
-				if !plan.IsMirror(c, n) {
-					fn(n)
-				}
-			})
-		}
-	}
-	eachReal(func(n *depgraph.Node) {
-		if n.Status() == depgraph.NonMerge {
-			stats.NonMergeNodes++
-		}
-	})
-	if aud != nil {
-		for i, c := range plan.Comps {
-			if err := auds[i].CheckGraph("shard-propagate", c.G, stats.Engine.Truncated).Err(); err != nil {
-				return nil, fmt.Errorf("component %d: %w", i, err)
+// nodes visits every component's real (non-mirror) nodes in component-id
+// order.
+func (sg *shardedGraph) nodes(fn func(*depgraph.Node)) {
+	for _, c := range sg.plan.Comps {
+		c := c
+		c.G.Nodes(func(n *depgraph.Node) {
+			if !sg.plan.IsMirror(c, n) {
+				fn(n)
 			}
-		}
-		// Frontier coherence: merges only accumulate after the first wave,
-		// so the final unconstrained closure must refine (merge together)
-		// the first wave's groups, never split them.
-		if err := audit.CheckSuperset("frontier", base, shardedAssignment(p.store, plan)).Err(); err != nil {
-			return nil, err
-		}
+		})
 	}
-	if err := ctx.Err(); err != nil {
-		if c := o.Counter(); c != nil {
-			c.Canceled.Add(1)
-		}
-		return nil, canceled("closure", err)
-	}
+}
 
-	spc := o.Tracer().Begin("phase", "closure")
-	cstart := time.Now()
-	res := closureOver(p.store, eachReal, p.rc.cfg.Constraints)
-	stats.ClosureTime = time.Since(cstart)
-	spc.End()
-	o.Progressor().Emit(obs.Event{Phase: "closure", Final: true})
-	if aud != nil {
-		if err := aud.CheckPartitionNodes("closure", p.store, eachReal, res.Partitions, res.Assignment).Err(); err != nil {
-			return nil, err
+// audit checks every component graph with its own auditor and adds their
+// check counts to the session auditor's, which Stats.AuditChecks reports.
+func (sg *shardedGraph) audit(truncated bool) error {
+	for i, c := range sg.plan.Comps {
+		if err := sg.auds[i].CheckGraph("shard-propagate", c.G, truncated).Err(); err != nil {
+			return fmt.Errorf("component %d: %w", i, err)
 		}
-		stats.AuditChecks = aud.TotalChecks
-		for _, ca := range auds {
-			stats.AuditChecks += ca.TotalChecks
-		}
+		sg.s.aud.TotalChecks += sg.auds[i].TotalChecks
 	}
-	res.Stats = stats
-	return res, nil
+	// Frontier coherence: merges only accumulate after the first wave,
+	// so the final unconstrained closure must refine (merge together)
+	// the first wave's groups, never split them.
+	return audit.CheckSuperset("frontier", sg.base, shardedAssignment(sg.s.store, sg.plan)).Err()
 }
 
 // shardedAssignment computes the unconstrained transitive closure of the

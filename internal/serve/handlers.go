@@ -103,6 +103,22 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorDoc{Error: fmt.Sprintf(format, args...)})
 }
 
+// readBody reads a request body already capped by http.MaxBytesReader,
+// answering 413 for one over the cap and 400 for any other read failure.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, "read body: %v", err)
+		return nil, false
+	}
+	return body, true
+}
+
 func snapshotHeader(w http.ResponseWriter, v *View) {
 	if v != nil {
 		w.Header().Set("X-Snapshot-Version", strconv.Itoa(v.Snapshot.Version))
@@ -124,12 +140,12 @@ func (s *Service) handleManifest(w http.ResponseWriter, r *http.Request) {
 // body is also accepted — either the bare queries object or an
 // {"extend": {...}} envelope.
 func (s *Service) handleReconcile(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes) // bounds the form parse too
 	raw := r.FormValue("queries")
 	rawExtend := r.FormValue("extend")
 	if raw == "" && rawExtend == "" && r.Method == http.MethodPost {
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "read body: %v", err)
+		body, ok := readBody(w, r)
+		if !ok {
 			return
 		}
 		var envelope struct {
@@ -276,9 +292,9 @@ func (s *Service) handleExplain(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "read body: %v", err)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	batch, err := decodeIngest(body)

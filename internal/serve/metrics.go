@@ -6,190 +6,25 @@ package serve
 // cmd/reconserve additionally publishes the same view through expvar.
 
 import (
-	"sort"
 	"sync/atomic"
 	"time"
 
 	"refrecon/internal/obs"
 )
 
-// histogram is a lock-free fixed-bucket latency histogram. Buckets are
-// log-spaced; quantiles are estimated as the upper bound of the bucket the
-// target rank falls in (the max tracks the true worst case).
-type histogram struct {
-	boundsMS []float64 // upper bounds, ms
-	counts   []atomic.Int64
-	count    atomic.Int64
-	sumNanos atomic.Int64
-	maxNanos atomic.Int64
-}
-
-func newHistogram() *histogram {
-	// 0.02ms .. ~84s in ×1.5 steps: fine resolution where queries live
-	// (sub-millisecond to tens of milliseconds), coarse at the tail.
-	var bounds []float64
-	for b := 0.02; b < 90_000; b *= 1.5 {
-		bounds = append(bounds, b)
-	}
-	return &histogram{boundsMS: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
-}
-
-func (h *histogram) observe(d time.Duration) {
-	ms := float64(d.Nanoseconds()) / 1e6
-	// Binary search: the bucket array is ~37 entries and observe sits on
-	// the per-query hot path, so a linear scan costs real time at high
-	// request rates.
-	i := sort.SearchFloat64s(h.boundsMS, ms)
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sumNanos.Add(d.Nanoseconds())
-	for {
-		cur := h.maxNanos.Load()
-		if d.Nanoseconds() <= cur || h.maxNanos.CompareAndSwap(cur, d.Nanoseconds()) {
-			break
-		}
-	}
-}
-
-// quantile returns the estimated q-quantile in milliseconds (0 with no
-// observations).
-func (h *histogram) quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := int64(q * float64(total))
-	if target >= total {
-		target = total - 1
-	}
-	var seen int64
-	for i := range h.counts {
-		seen += h.counts[i].Load()
-		if seen > target {
-			if i < len(h.boundsMS) {
-				return h.boundsMS[i]
-			}
-			return float64(h.maxNanos.Load()) / 1e6
-		}
-	}
-	return float64(h.maxNanos.Load()) / 1e6
-}
-
-// LatencySummary is the JSON rendering of a histogram.
-type LatencySummary struct {
-	Count  int64   `json:"count"`
-	MeanMS float64 `json:"meanMs"`
-	P50MS  float64 `json:"p50Ms"`
-	P90MS  float64 `json:"p90Ms"`
-	P99MS  float64 `json:"p99Ms"`
-	MaxMS  float64 `json:"maxMs"`
-}
-
-func (h *histogram) summary() LatencySummary {
-	s := LatencySummary{
-		Count: h.count.Load(),
-		P50MS: h.quantile(0.50),
-		P90MS: h.quantile(0.90),
-		P99MS: h.quantile(0.99),
-		MaxMS: float64(h.maxNanos.Load()) / 1e6,
-	}
-	if s.Count > 0 {
-		s.MeanMS = float64(h.sumNanos.Load()) / 1e6 / float64(s.Count)
-	}
-	return s
-}
-
-// sizeHistogram is a lock-free fixed-bucket histogram over integer sizes
-// (expanded-subgraph node counts). Buckets are powers of two; quantiles
-// are estimated as the bucket upper bound, the max is exact.
-type sizeHistogram struct {
-	bounds []int64
-	counts []atomic.Int64
-	count  atomic.Int64
-	sum    atomic.Int64
-	max    atomic.Int64
-}
-
-func newSizeHistogram() *sizeHistogram {
-	// 1, 2, 4, .. 65536: collective subgraphs are budget-capped (default
-	// 512 pair nodes), so the top buckets only catch raised budgets.
-	var bounds []int64
-	for b := int64(1); b <= 65536; b *= 2 {
-		bounds = append(bounds, b)
-	}
-	return &sizeHistogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
-}
-
-func (h *sizeHistogram) observe(n int) {
-	v := int64(n)
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-}
-
-// quantile returns the estimated q-quantile size (0 with no observations).
-func (h *sizeHistogram) quantile(q float64) int64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := int64(q * float64(total))
-	if target >= total {
-		target = total - 1
-	}
-	var seen int64
-	for i := range h.counts {
-		seen += h.counts[i].Load()
-		if seen > target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.max.Load()
-		}
-	}
-	return h.max.Load()
-}
-
-// SizeSummary is the JSON rendering of a sizeHistogram.
-type SizeSummary struct {
-	Count int64   `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   int64   `json:"p50"`
-	P90   int64   `json:"p90"`
-	P99   int64   `json:"p99"`
-	Max   int64   `json:"max"`
-}
-
-func (h *sizeHistogram) summary() SizeSummary {
-	s := SizeSummary{
-		Count: h.count.Load(),
-		P50:   h.quantile(0.50),
-		P90:   h.quantile(0.90),
-		P99:   h.quantile(0.99),
-		Max:   h.max.Load(),
-	}
-	if s.Count > 0 {
-		s.Mean = float64(h.sum.Load()) / float64(s.Count)
-	}
-	return s
-}
+// LatencySummary and SizeSummary are the JSON renderings of the service's
+// latency and expansion-size histograms.
+type (
+	LatencySummary = obs.LatencySummary
+	SizeSummary    = obs.HistogramSummary
+)
 
 // metrics aggregates the service counters.
 type metrics struct {
 	queries   atomic.Int64 // all reconcile queries, every mode
 	queryErrs atomic.Int64
-	queryLat  *histogram   // attribute-mode latency
-	candRefs  atomic.Int64 // total blocking candidate references across queries
+	queryLat  *obs.Histogram // attribute-mode latency
+	candRefs  atomic.Int64   // total blocking candidate references across queries
 	candLast  atomic.Int64
 	candMax   atomic.Int64
 
@@ -197,8 +32,8 @@ type metrics struct {
 	// latency profiles stay readable side by side.
 	collQueries  atomic.Int64
 	collDegraded atomic.Int64 // queries that fell back to attribute-only scoring
-	collLat      *histogram
-	collSize     *sizeHistogram // expanded-subgraph pair nodes per query
+	collLat      *obs.Histogram
+	collSize     *obs.Histogram // expanded-subgraph pair nodes per query
 
 	// Ecosystem-surface counters: suggest autocompletes, preview flyouts,
 	// and data-extension requests.
@@ -230,10 +65,17 @@ type metrics struct {
 }
 
 func newMetrics() *metrics {
+	// Expansion sizes bucket by powers of two up to 65536: collective
+	// subgraphs are budget-capped (default 512 pair nodes), so the top
+	// buckets only catch raised budgets.
+	var sizes []int64
+	for b := int64(1); b <= 65536; b *= 2 {
+		sizes = append(sizes, b)
+	}
 	return &metrics{
-		queryLat: newHistogram(),
-		collLat:  newHistogram(),
-		collSize: newSizeHistogram(),
+		queryLat: obs.NewLatencyHistogram(),
+		collLat:  obs.NewLatencyHistogram(),
+		collSize: obs.NewHistogram(sizes),
 	}
 }
 
@@ -243,15 +85,10 @@ func (m *metrics) recordQuery(d time.Duration, candRefs int, err bool) {
 		m.queryErrs.Add(1)
 		return
 	}
-	m.queryLat.observe(d)
+	m.queryLat.Observe(d.Nanoseconds())
 	m.candRefs.Add(int64(candRefs))
 	m.candLast.Store(int64(candRefs))
-	for {
-		cur := m.candMax.Load()
-		if int64(candRefs) <= cur || m.candMax.CompareAndSwap(cur, int64(candRefs)) {
-			break
-		}
-	}
+	obs.UpdateMax(&m.candMax, int64(candRefs))
 }
 
 // recordCollective records one collective-mode query: latency and
@@ -264,19 +101,14 @@ func (m *metrics) recordCollective(d time.Duration, candRefs, pairNodes int, deg
 		m.queryErrs.Add(1)
 		return
 	}
-	m.collLat.observe(d)
-	m.collSize.observe(pairNodes)
+	m.collLat.Observe(d.Nanoseconds())
+	m.collSize.Observe(int64(pairNodes))
 	if degraded {
 		m.collDegraded.Add(1)
 	}
 	m.candRefs.Add(int64(candRefs))
 	m.candLast.Store(int64(candRefs))
-	for {
-		cur := m.candMax.Load()
-		if int64(candRefs) <= cur || m.candMax.CompareAndSwap(cur, int64(candRefs)) {
-			break
-		}
-	}
+	obs.UpdateMax(&m.candMax, int64(candRefs))
 }
 
 func (m *metrics) recordIngest(refs int, d time.Duration) {
@@ -370,11 +202,11 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	out := MetricsSnapshot{
 		Queries:             m.queries.Load(),
 		QueryErrors:         m.queryErrs.Load(),
-		QueryLatency:        m.queryLat.summary(),
+		QueryLatency:        m.queryLat.Latency(),
 		CollectiveQueries:   m.collQueries.Load(),
 		CollectiveDegraded:  m.collDegraded.Load(),
-		CollectiveLatency:   m.collLat.summary(),
-		CollectiveExpansion: m.collSize.summary(),
+		CollectiveLatency:   m.collLat.Latency(),
+		CollectiveExpansion: m.collSize.Summary(),
 		SuggestRequests:     m.suggests.Load(),
 		PreviewRequests:     m.previews.Load(),
 		ExtendRequests:      m.extends.Load(),

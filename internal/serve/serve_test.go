@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -304,6 +305,40 @@ func TestServeIngestValidation(t *testing.T) {
 	}
 	if got := svc.View().Snapshot.RefCount(); got != 5 {
 		t.Errorf("snapshot refs = %d, want 5", got)
+	}
+}
+
+// zeros is an endless stream of '0' bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '0'
+	}
+	return len(p), nil
+}
+
+// TestServeBodyTooLarge posts one byte more than the body cap: the
+// request must be refused with 413, not truncated and answered with a
+// parse error.
+func TestServeBodyTooLarge(t *testing.T) {
+	svc, ts := newTestServer(t, personStore())
+	for _, tc := range []struct{ path, contentType string }{
+		{"/reconcile", "application/json"},
+		{"/reconcile", "application/x-www-form-urlencoded"},
+		{"/ingest", "application/json"},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, tc.contentType, io.LimitReader(zeros{}, maxBodyBytes+1))
+		if err != nil {
+			t.Fatalf("%s (%s): %v", tc.path, tc.contentType, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s (%s): status = %d, want 413", tc.path, tc.contentType, resp.StatusCode)
+		}
+	}
+	if got := svc.View().Snapshot.RefCount(); got != 3 {
+		t.Errorf("oversized requests changed the store: %d references", got)
 	}
 }
 

@@ -63,12 +63,6 @@ func TestAlignZeroAllocs(t *testing.T) {
 	})
 }
 
-func TestNGramSimZeroAllocs(t *testing.T) {
-	assertZeroAllocs(t, "TrigramSim", func() {
-		allocSink += TrigramSim("proceedings of the acm sigmod", "proc acm sigmod")
-	})
-}
-
 func TestLCSAndPrefixZeroAllocs(t *testing.T) {
 	assertZeroAllocs(t, "LCSSim", func() {
 		allocSink += LCSSim("very large data bases", "large databases")

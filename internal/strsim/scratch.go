@@ -1,10 +1,6 @@
 package strsim
 
-import (
-	"sync"
-
-	"refrecon/internal/tokenizer"
-)
+import "sync"
 
 // The comparators in this package run inside the propagation engine's
 // serial loop (enrichment re-comparisons) and inside the parallel
@@ -17,13 +13,11 @@ import (
 // scratch aggregates the reusable buffers of one comparator invocation.
 // Each comparator borrows one scratch for its entire computation, so the
 // fields cover the union of the hot paths' needs: two rune buffers for the
-// (normalized) inputs, three DP rows, two match-flag rows, and two gram
-// index lists.
+// (normalized) inputs, three DP rows, and two match-flag rows.
 type scratch struct {
 	ra, rb           []rune
 	row0, row1, row2 []int
 	am, bm           []bool
-	ia, ib           []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -59,83 +53,4 @@ func boolRow(buf *[]bool, n int) []bool {
 		row[i] = false
 	}
 	return row
-}
-
-// appendPaddedGrams appends the '#'-padded normalized rune sequence of s
-// for n-gram extraction (n-1 pad runes each side, mirroring
-// tokenizer.NGrams). An input that normalizes to nothing yields an empty
-// buffer: no grams.
-func appendPaddedGrams(dst []rune, s string, n int) []rune {
-	for i := 0; i < n-1; i++ {
-		dst = append(dst, '#')
-	}
-	mark := len(dst)
-	dst = tokenizer.AppendNormalizedRunes(dst, s)
-	if len(dst) == mark {
-		return dst[:0]
-	}
-	for i := 0; i < n-1; i++ {
-		dst = append(dst, '#')
-	}
-	return dst
-}
-
-// cmpWin lexicographically compares two rune windows of equal length.
-func cmpWin(x, y []rune) int {
-	for i := range x {
-		switch {
-		case x[i] < y[i]:
-			return -1
-		case x[i] > y[i]:
-			return 1
-		}
-	}
-	return 0
-}
-
-// sortGramIdx heap-sorts gram start offsets by their rune windows. A
-// hand-rolled heapsort keeps the hot path free of the interface and
-// closure allocations of the sort package's reflection-based entry points.
-func sortGramIdx(idx []int32, buf []rune, n int) {
-	less := func(a, b int32) bool {
-		return cmpWin(buf[a:int(a)+n], buf[b:int(b)+n]) < 0
-	}
-	siftDown := func(root, hi int) {
-		for {
-			child := 2*root + 1
-			if child >= hi {
-				return
-			}
-			if child+1 < hi && less(idx[child], idx[child+1]) {
-				child++
-			}
-			if !less(idx[root], idx[child]) {
-				return
-			}
-			idx[root], idx[child] = idx[child], idx[root]
-			root = child
-		}
-	}
-	for i := len(idx)/2 - 1; i >= 0; i-- {
-		siftDown(i, len(idx))
-	}
-	for i := len(idx) - 1; i > 0; i-- {
-		idx[0], idx[i] = idx[i], idx[0]
-		siftDown(0, i)
-	}
-}
-
-// dedupGramIdx removes adjacent duplicate grams from a sorted index list.
-func dedupGramIdx(idx []int32, buf []rune, n int) []int32 {
-	if len(idx) == 0 {
-		return idx
-	}
-	w := 1
-	for i := 1; i < len(idx); i++ {
-		if cmpWin(buf[idx[i]:int(idx[i])+n], buf[idx[w-1]:int(idx[w-1])+n]) != 0 {
-			idx[w] = idx[i]
-			w++
-		}
-	}
-	return idx[:w]
 }

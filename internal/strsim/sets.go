@@ -87,67 +87,6 @@ func OverlapTokens(a, b string) float64 {
 	return float64(inter) / float64(m)
 }
 
-// NGramSim returns the Jaccard similarity of the character n-gram multiset
-// signatures of a and b (computed as sets for robustness). Bigrams (n=2)
-// and trigrams (n=3) are the usual choices. The grams never materialize as
-// strings: both inputs are normalized into pooled rune buffers and the
-// distinct-gram sets are represented as sorted window offsets, so the
-// comparison is allocation-free in steady state.
-func NGramSim(a, b string, n int) float64 {
-	if n <= 0 {
-		return 1
-	}
-	sc := getScratch()
-	sc.ra = appendPaddedGrams(sc.ra[:0], a, n)
-	sc.rb = appendPaddedGrams(sc.rb[:0], b, n)
-	ga, gb := sc.ra, sc.rb
-
-	sc.ia = gramIndexes(sc.ia[:0], len(ga), n)
-	sc.ib = gramIndexes(sc.ib[:0], len(gb), n)
-	sortGramIdx(sc.ia, ga, n)
-	sortGramIdx(sc.ib, gb, n)
-	ia := dedupGramIdx(sc.ia, ga, n)
-	ib := dedupGramIdx(sc.ib, gb, n)
-
-	var s float64
-	switch {
-	case len(ia) == 0 && len(ib) == 0:
-		s = 1
-	case len(ia) == 0 || len(ib) == 0:
-		s = 0
-	default:
-		inter, i, j := 0, 0, 0
-		for i < len(ia) && j < len(ib) {
-			switch cmpWin(ga[ia[i]:int(ia[i])+n], gb[ib[j]:int(ib[j])+n]) {
-			case 0:
-				inter++
-				i++
-				j++
-			case -1:
-				i++
-			default:
-				j++
-			}
-		}
-		s = float64(inter) / float64(len(ia)+len(ib)-inter)
-	}
-	putScratch(sc)
-	return s
-}
-
-// gramIndexes appends the start offset of every n-rune window of a padded
-// buffer of the given length.
-func gramIndexes(dst []int32, bufLen, n int) []int32 {
-	for i := 0; i+n <= bufLen; i++ {
-		dst = append(dst, int32(i))
-	}
-	return dst
-}
-
-// TrigramSim is NGramSim with n = 3, the configuration used by the
-// reconciler for generic atomic strings.
-func TrigramSim(a, b string) float64 { return NGramSim(a, b, 3) }
-
 func toSet(toks []string) map[string]bool {
 	if len(toks) == 0 {
 		return nil
@@ -370,31 +309,4 @@ func (c *Corpus) buildVector(s string) tfidfVec {
 	}
 	v.norm = math.Sqrt(n)
 	return v
-}
-
-// TopTokens returns the n most frequent tokens in the corpus, primarily for
-// diagnostics. Ties break lexicographically.
-func (c *Corpus) TopTokens(n int) []string {
-	type tf struct {
-		tok string
-		n   int
-	}
-	all := make([]tf, 0, len(c.docFreq))
-	for t, f := range c.docFreq {
-		all = append(all, tf{t, f})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
-		}
-		return all[i].tok < all[j].tok
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].tok
-	}
-	return out
 }

@@ -53,18 +53,6 @@ func TestOverlapTokens(t *testing.T) {
 	}
 }
 
-func TestNGramSim(t *testing.T) {
-	if got := NGramSim("night", "night", 3); got != 1 {
-		t.Errorf("identical trigram sim = %f", got)
-	}
-	if got := NGramSim("night", "nacht", 3); got <= 0 || got >= 1 {
-		t.Errorf("night/nacht trigram sim should be in (0,1), got %f", got)
-	}
-	if got := TrigramSim("abc", "abc"); got != 1 {
-		t.Errorf("TrigramSim identical = %f", got)
-	}
-}
-
 func TestMongeElkan(t *testing.T) {
 	// Token reorder should score 1 with an exact inner comparator.
 	exact := func(a, b string) float64 {
@@ -134,20 +122,6 @@ func TestCorpusCosineEmpty(t *testing.T) {
 	}
 }
 
-func TestTopTokens(t *testing.T) {
-	c := NewCorpus()
-	c.Add("alpha beta")
-	c.Add("alpha gamma")
-	c.Add("alpha beta")
-	top := c.TopTokens(2)
-	if len(top) != 2 || top[0] != "alpha" || top[1] != "beta" {
-		t.Errorf("TopTokens = %v", top)
-	}
-	if got := c.TopTokens(100); len(got) != 3 {
-		t.Errorf("TopTokens(100) len = %d", len(got))
-	}
-}
-
 // comparators lists every exported [0,1] similarity for generic property
 // testing.
 var comparators = map[string]func(a, b string) float64{
@@ -158,7 +132,6 @@ var comparators = map[string]func(a, b string) float64{
 	"JaccardTokens":  JaccardTokens,
 	"DiceTokens":     DiceTokens,
 	"OverlapTokens":  OverlapTokens,
-	"TrigramSim":     TrigramSim,
 	"LCSSim":         LCSSim,
 	"PrefixSim":      PrefixSim,
 	"MongeElkan":     func(a, b string) float64 { return MongeElkan(a, b, nil) },

@@ -6,15 +6,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-if grep -q '"degraded": true' BENCH_baseline.json 2>/dev/null; then
-    echo "#############################################################"
-    echo "# WARNING: BENCH_baseline.json is DEGRADED: it was recorded #"
-    echo "# on a single-core host (numCPU == 1). Its speedup and      #"
-    echo "# shard-sweep figures time goroutine overhead, not parallel #"
-    echo "# execution — do not quote them; re-record on multi-core.   #"
-    echo "#############################################################"
-fi
-
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -33,7 +24,7 @@ echo "== go test =="
 go test ./...
 
 echo "== go test -race (concurrent packages) =="
-go test -race ./internal/parallel ./internal/recon ./internal/serve ./internal/collective
+go test -race ./internal/parallel ./internal/recon ./internal/serve ./internal/collective ./internal/obs
 
 echo "== go test -race (delta/rescan equivalence) =="
 go test -race -run 'DeltaRescanEquivalence' ./internal/depgraph
@@ -203,5 +194,9 @@ for ds in biblio catalog; do
     wait "$server_pid" 2>/dev/null || true
     server_pid=""
 done
+
+echo "== size (printed, not gated: the number the next diet PR has to beat) =="
+echo "non-test Go lines under internal/ + cmd/: $(find internal cmd -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+echo "exported funcs, methods and types:         $(find internal cmd -name '*.go' -not -name '*_test.go' -print0 | xargs -0 grep -hE '^(func (\([^)]*\) )?|type )[A-Z]' | wc -l)"
 
 echo "CI gate passed."
