@@ -162,29 +162,11 @@ func (w *Workload) cutBatches(store *reference.Store, batchSize int) {
 		}
 		batch := make([]serve.IngestRef, 0, end-start)
 		for i := start; i < end; i++ {
-			batch = append(batch, toIngestRef(refs[i]))
+			batch = append(batch, serve.ToIngestRef(refs[i]))
 		}
 		w.Batches = append(w.Batches, batch)
 		start = end
 	}
-}
-
-// toIngestRef converts a stored reference to the ingest wire shape.
-func toIngestRef(r *reference.Reference) serve.IngestRef {
-	ir := serve.IngestRef{Class: r.Class, Source: r.Source, Entity: r.Entity}
-	if attrs := r.AtomicAttrs(); len(attrs) > 0 {
-		ir.Atomic = make(map[string][]string, len(attrs))
-		for _, a := range attrs {
-			ir.Atomic[a] = append([]string(nil), r.Atomic(a)...)
-		}
-	}
-	if attrs := r.AssocAttrs(); len(attrs) > 0 {
-		ir.Assoc = make(map[string][]reference.ID, len(attrs))
-		for _, a := range attrs {
-			ir.Assoc[a] = append([]reference.ID(nil), r.Assoc(a)...)
-		}
-	}
-	return ir
 }
 
 // sampleQueries builds the query stream. Batch 0 is issued up front; the
@@ -236,7 +218,7 @@ func (w *Workload) buildQuery(rng *rand.Rand, sch *schema.Schema, r *reference.R
 	if rng.Float64() < cfg.Typeless {
 		q.Type = ""
 	}
-	name := nameAttrOf(c)
+	name := serve.NameAttr(c)
 	q.Query = r.FirstAtomic(name)
 	if q.Query == "" {
 		// A reference with no name-like value (e.g. a dropped field):
@@ -276,24 +258,6 @@ func (w *Workload) buildQuery(rng *rand.Rand, sch *schema.Schema, r *reference.R
 		}
 	}
 	return q
-}
-
-// nameAttrOf mirrors the server's free-text binding: name, then title,
-// then the first atomic attribute.
-func nameAttrOf(c *schema.Class) string {
-	if c == nil {
-		return ""
-	}
-	if _, ok := c.Attr(schema.AttrName); ok {
-		return schema.AttrName
-	}
-	if _, ok := c.Attr(schema.AttrTitle); ok {
-		return schema.AttrTitle
-	}
-	if aa := c.AtomicAttrs(); len(aa) > 0 {
-		return aa[0].Name
-	}
-	return ""
 }
 
 // jsonString renders a JSON string literal for a QueryProperty value.

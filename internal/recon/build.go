@@ -2,8 +2,8 @@ package recon
 
 import (
 	"sort"
+	"strconv"
 
-	"refrecon/internal/blocking"
 	"refrecon/internal/depgraph"
 	"refrecon/internal/emailaddr"
 	"refrecon/internal/names"
@@ -11,116 +11,19 @@ import (
 	"refrecon/internal/reference"
 	"refrecon/internal/schema"
 	"refrecon/internal/simfn"
-	"refrecon/internal/tokenizer"
 )
-
-// attrCompare declares one comparable attribute pair (§3.1: values "of the
-// same attribute, or according to the domain knowledge of related
-// attributes, such as a name and an email").
-type attrCompare struct {
-	attrA, attrB string
-	evidence     string
-	// swap is set when Compare expects (attrB, attrA) argument order
-	// (the name-vs-email comparator takes the name first).
-	swap bool
-}
-
-// atomicComparisons returns the comparable attribute pairs for a class at
-// an evidence level.
-func atomicComparisons(class string, level EvidenceLevel) []attrCompare {
-	switch class {
-	case schema.ClassPerson:
-		cmp := []attrCompare{
-			{schema.AttrName, schema.AttrName, simfn.EvName, false},
-			{schema.AttrEmail, schema.AttrEmail, simfn.EvEmail, false},
-		}
-		if level >= EvidenceNameEmail {
-			cmp = append(cmp,
-				attrCompare{schema.AttrName, schema.AttrEmail, simfn.EvNameEmail, false},
-				attrCompare{schema.AttrEmail, schema.AttrName, simfn.EvNameEmail, true},
-			)
-		}
-		return cmp
-	case schema.ClassArticle:
-		return []attrCompare{
-			{schema.AttrTitle, schema.AttrTitle, simfn.EvTitle, false},
-			{schema.AttrYear, schema.AttrYear, simfn.EvYear, false},
-			{schema.AttrPages, schema.AttrPages, simfn.EvPages, false},
-		}
-	case schema.ClassVenue:
-		return []attrCompare{
-			{schema.AttrName, schema.AttrName, simfn.EvVenueName, false},
-			{schema.AttrYear, schema.AttrYear, simfn.EvYear, false},
-			{schema.AttrLocation, schema.AttrLocation, simfn.EvLocation, false},
-		}
-	default:
-		return nil
-	}
-}
-
-// genericComparisons derives same-attribute comparisons for classes the
-// built-in tables don't know, so custom schemas (product catalogs, ...)
-// reconcile with the generic string comparator and the srvGeneric
-// averaging function.
-func genericComparisons(c *schema.Class) []attrCompare {
-	var out []attrCompare
-	for _, a := range c.AtomicAttrs() {
-		out = append(out, attrCompare{a.Name, a.Name, "g:" + a.Name, false})
-	}
-	return out
-}
-
-// elemPrefix namespaces value element keys per attribute domain so that the
-// same string in different attributes is a different element.
-func elemPrefix(attr string) string {
-	switch attr {
-	case schema.AttrName:
-		return "n:"
-	case schema.AttrEmail:
-		return "e:"
-	case schema.AttrTitle:
-		return "t:"
-	case schema.AttrYear:
-		return "y:"
-	case schema.AttrPages:
-		return "p:"
-	case schema.AttrLocation:
-		return "l:"
-	default:
-		return "x:" + attr + ":"
-	}
-}
-
-// elemKey returns the namespaced, normalized element key of one raw
-// attribute value, memoized per (attribute, raw value).
-func (b *builder) elemKey(attr, raw string) string {
-	m := b.elems[attr]
-	if m == nil {
-		m = make(map[string]string)
-		b.elems[attr] = m
-	}
-	if e, ok := m[raw]; ok {
-		return e
-	}
-	e := elemPrefix(attr) + tokenizer.Normalize(raw)
-	m[raw] = e
-	return e
-}
 
 // builder constructs the dependency graph for one dataset. It supports
 // incremental operation: incorporate may be called repeatedly with batches
 // of new references (the paper's §7 future-work direction), each call
 // extending the graph with the new candidate pairs and their dependencies.
 type builder struct {
+	// evidence is the §3.1 model the graph is built from; its library
+	// statistics and blocking indexes are kept across incremental batches.
+	*evidence
 	store *reference.Store
-	sch   *schema.Schema
-	cfg   Config
-	lib   *simfn.Library
 	g     *depgraph.Graph
 
-	// indexes holds the per-class blocking indexes, kept across
-	// incremental batches.
-	indexes map[string]*blocking.Index
 	// fresh accumulates the RefPair nodes created since the last drain;
 	// association wiring and engine seeding work off it.
 	fresh []*depgraph.Node
@@ -136,13 +39,8 @@ type builder struct {
 	// caches of parsed attribute values, keyed by reference id.
 	parsedNames  map[reference.ID][]names.Name
 	parsedEmails map[reference.ID][]emailaddr.Address
-	// cmpTables caches comparisonsFor per class (fixed for the builder's
-	// lifetime); elems caches the prefixed, normalized element key of each
-	// raw attribute value (attr -> raw -> element key) — values repeat
-	// across candidate pairs, so normalization runs once per distinct
-	// value instead of once per pair. simScratch backs scoreVals.
-	cmpTables  map[string][]attrCompare
-	elems      map[string]map[string]string
+	// elems names the graph's value elements; simScratch backs scoreVals.
+	elems      valueElems
 	simScratch []float64
 
 	candidatePairs int
@@ -154,23 +52,15 @@ type builder struct {
 }
 
 func newBuilder(store *reference.Store, sch *schema.Schema, cfg Config) *builder {
-	b := &builder{
+	return &builder{
+		evidence:     newEvidence(sch, cfg),
 		store:        store,
-		sch:          sch,
-		cfg:          cfg,
-		lib:          simfn.NewLibrary(),
 		g:            depgraph.New(),
-		indexes:      make(map[string]*blocking.Index),
 		removed:      make(map[uint64]int),
 		parsedNames:  make(map[reference.ID][]names.Name),
 		parsedEmails: make(map[reference.ID][]emailaddr.Address),
-		cmpTables:    make(map[string][]attrCompare),
-		elems:        make(map[string]map[string]string),
+		elems:        make(valueElems),
 	}
-	if cfg.Obs != nil {
-		b.lib.SetCounters(cfg.Obs.Counters)
-	}
-	return b
 }
 
 // feedCounters reports the construction-phase counters — candidate pairs
@@ -204,30 +94,10 @@ func (b *builder) feedCounters(c *obs.Counters) {
 // dependees before dependents (§3.2).
 func (b *builder) incorporate(newRefs []*reference.Reference) []*depgraph.Node {
 	b.batch++
-	for _, r := range newRefs {
-		for _, t := range r.Atomic(schema.AttrTitle) {
-			b.lib.Titles.Add(t)
-		}
-		switch r.Class {
-		case schema.ClassVenue:
-			for _, v := range r.Atomic(schema.AttrName) {
-				b.lib.Venues.Add(v)
-			}
-		case schema.ClassPerson:
-			for _, v := range r.Atomic(schema.AttrName) {
-				b.lib.AddPersonName(v)
-			}
-		}
-	}
 	newByClass := make(map[string][]reference.ID)
 	for _, r := range newRefs {
+		b.feed(r)
 		newByClass[r.Class] = append(newByClass[r.Class], r.ID)
-		idx, ok := b.indexes[r.Class]
-		if !ok {
-			idx = blocking.New(b.cfg.BucketCap)
-			b.indexes[r.Class] = idx
-		}
-		blockingKeys(r, func(k string) { idx.Add(k, r.ID) })
 	}
 
 	var batch []*depgraph.Node
@@ -281,9 +151,8 @@ func (b *builder) incorporate(newRefs []*reference.Reference) []*depgraph.Node {
 	// created while wiring are themselves wired on the next sweep.
 	for sweep := 0; sweep < 4 && len(b.fresh) > 0; sweep++ {
 		f := drain()
-		b.buildArticleAssociations(f)
+		b.buildAssociations(f)
 		b.buildContactAssociations(f)
-		b.buildGenericAssociations(f)
 	}
 	drain()
 
@@ -369,28 +238,10 @@ func (b *builder) wireScored(r1, r2 *reference.Reference, induced bool, vals []v
 	relax := induced && r1.Class == schema.ClassVenue
 	hasEvidence := false
 	for i, v := range vals {
-		sim := sims[i]
-		thr := simfn.CandidateThreshold(v.cmp.evidence)
-		if relax && thr > 0.05 {
-			thr = 0.05
-		}
-		if sim < thr {
+		if sims[i] < evidenceFloor(v.cmp.evidence, relax) {
 			continue
 		}
-		elemX := b.elemKey(v.cmp.attrA, v.v1)
-		elemY := b.elemKey(v.cmp.attrB, v.v2)
-		n := b.g.AddValuePair(v.cmp.evidence, elemX, elemY, sim)
-		if n.Sim() >= b.cfg.AttrMergeThreshold {
-			// MarkMerged (not a direct Status write) so that incremental
-			// batches keep the maintained evidence digests exact.
-			b.g.MarkMerged(n)
-		}
-		b.g.AddEdge(n, m, depgraph.RealValued, v.cmp.evidence)
-		// Alias learning: merging the references certifies
-		// identifying values as aliases (Figure 2's n6).
-		if simfn.AliasEvidence(v.cmp.evidence) && !v.cmp.swap && v.cmp.attrA == v.cmp.attrB {
-			b.g.AddEdge(m, n, depgraph.StrongBoolean, v.cmp.evidence)
-		}
+		wireValuePair(b.g, m, b.elems, v, sims[i], b.cfg.AttrMergeThreshold)
 		hasEvidence = true
 	}
 	// Constraint-violating pairs are kept even without evidence and marked
@@ -422,59 +273,46 @@ func (b *builder) wireScored(r1, r2 *reference.Reference, induced bool, vals []v
 // association target shared by both references (the paper's (a1, a1) node,
 // §3.1 step 2). Its similarity is 1 by construction.
 func (b *builder) sharedValueNode(target reference.ID) *depgraph.Node {
-	elem := "r:" + refIDString(target)
+	elem := "r:" + strconv.Itoa(int(target))
 	n := b.g.AddValuePair("shared", elem, elem, 1)
 	b.g.MarkMerged(n)
 	return n
 }
 
-func refIDString(id reference.ID) string {
-	// Small positive integers; avoid fmt in this hot path.
-	if id == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for v := int(id); v > 0; v /= 10 {
-		i--
-		buf[i] = byte('0' + v%10)
-	}
-	return string(buf[i:])
-}
-
-// buildArticleAssociations wires author and venue dependencies for the
-// given article pairs: author/venue similarities feed the article pair
-// (real-valued), and the article pair's merge implies its aligned authors
-// and venues merge (strong-boolean, Figure 2).
-func (b *builder) buildArticleAssociations(fresh []*depgraph.Node) {
+// buildAssociations wires, for each fresh pair, the dependencies its
+// class's association rules induce (§3.1 step 2): a shared link target, or
+// the pair of two link targets — created on demand as an induced pair —
+// is evidence for the fresh pair, and where the rule says so the fresh
+// pair's merge pushes the target pair back. The pooled contact rule has
+// its own pass, buildContactAssociations.
+func (b *builder) buildAssociations(fresh []*depgraph.Node) {
 	for _, m := range fresh {
-		if m.Class() != schema.ClassArticle || !m.Alive() {
+		rules := b.rules[m.Class()]
+		if len(rules) == 0 || !m.Alive() {
 			continue
 		}
 		r1 := b.store.Get(m.RefA())
 		r2 := b.store.Get(m.RefB())
-		b.wireAssociation(m, r1.Assoc(schema.AttrAuthoredBy), r2.Assoc(schema.AttrAuthoredBy), simfn.EvAuthors, b.cfg.Evidence >= EvidenceArticle)
-		b.wireAssociation(m, r1.Assoc(schema.AttrPublishedIn), r2.Assoc(schema.AttrPublishedIn), simfn.EvVenue, true)
-	}
-}
-
-// wireAssociation connects one association attribute of an article pair.
-// strongBack controls whether the article's merge pushes the target pairs
-// (disabled for authors below the Article evidence level).
-func (b *builder) wireAssociation(m *depgraph.Node, as1, as2 []reference.ID, evidence string, strongBack bool) {
-	for _, a1 := range as1 {
-		for _, a2 := range as2 {
-			if a1 == a2 {
-				b.g.AddEdge(b.sharedValueNode(a1), m, depgraph.RealValued, evidence)
+		for i := range rules {
+			rule := &rules[i]
+			if rule.attr == contactsAttr {
 				continue
 			}
-			n := b.ensureRefPair(b.store.Get(a1), b.store.Get(a2), true)
-			if n == nil {
-				continue
-			}
-			b.g.AddEdge(n, m, depgraph.RealValued, evidence)
-			if strongBack {
-				b.g.AddEdge(m, n, depgraph.StrongBoolean, simfn.EvArticle)
+			for _, a1 := range r1.Assoc(rule.attr) {
+				for _, a2 := range r2.Assoc(rule.attr) {
+					if a1 == a2 {
+						b.g.AddEdge(b.sharedValueNode(a1), m, rule.dep, rule.evidence)
+						continue
+					}
+					n := b.ensureRefPair(b.store.Get(a1), b.store.Get(a2), true)
+					if n == nil || n == m {
+						continue
+					}
+					b.g.AddEdge(n, m, rule.dep, rule.evidence)
+					if rule.back != "" {
+						b.g.AddEdge(m, n, depgraph.StrongBoolean, rule.back)
+					}
+				}
 			}
 		}
 	}
@@ -485,7 +323,8 @@ func (b *builder) wireAssociation(m *depgraph.Node, as1, as2 []reference.ID, evi
 // existing person-pair nodes participate: a contact pair with no node
 // cannot contribute (the paper's (p4, p7) note).
 func (b *builder) buildContactAssociations(fresh []*depgraph.Node) {
-	if b.cfg.Evidence < EvidenceContact {
+	rule, ok := b.rule(schema.ClassPerson, contactsAttr)
+	if !ok {
 		return
 	}
 	// A contact shared with everyone carries no information: the dataset
@@ -494,11 +333,9 @@ func (b *builder) buildContactAssociations(fresh []*depgraph.Node) {
 	// ones (the paper's §4 suggestion to "consider the relative size of
 	// the value set of an associated attribute").
 	personRefs := b.store.ByClass(schema.ClassPerson)
-	popularity := make(map[reference.ID]int)
 	listers := make(map[reference.ID][]reference.ID)
 	for _, id := range personRefs {
 		for _, c := range contactsOf(b.store.Get(id)) {
-			popularity[c]++
 			listers[c] = append(listers[c], id)
 		}
 	}
@@ -516,7 +353,7 @@ func (b *builder) buildContactAssociations(fresh []*depgraph.Node) {
 		if n.Class() != schema.ClassPerson || !n.Alive() {
 			continue
 		}
-		if popularity[n.RefA()] > popCap || popularity[n.RefB()] > popCap {
+		if len(listers[n.RefA()]) > popCap || len(listers[n.RefB()]) > popCap {
 			continue
 		}
 		for _, r1 := range listers[n.RefA()] {
@@ -525,7 +362,7 @@ func (b *builder) buildContactAssociations(fresh []*depgraph.Node) {
 					continue
 				}
 				if m := b.g.LookupRefPair(r1, r2); m != nil && m != n {
-					b.g.AddEdge(n, m, depgraph.WeakBoolean, simfn.EvContact)
+					b.g.AddEdge(n, m, rule.dep, rule.evidence)
 				}
 			}
 		}
@@ -535,89 +372,25 @@ func (b *builder) buildContactAssociations(fresh []*depgraph.Node) {
 		if m.Class() != schema.ClassPerson || !m.Alive() {
 			continue
 		}
-		// The paper pools co-authors and email contacts into one contact
-		// list (Figure 2(b) relates p5's *co-author* to p8's *email
-		// contact*), so the cross product runs over the union.
 		c1s := contactsOf(b.store.Get(m.RefA()))
 		c2s := contactsOf(b.store.Get(m.RefB()))
 		for _, c1 := range c1s {
-			if popularity[c1] > popCap {
+			if len(listers[c1]) > popCap {
 				continue
 			}
 			for _, c2 := range c2s {
-				if popularity[c2] > popCap {
+				if len(listers[c2]) > popCap {
 					continue
 				}
 				if c1 == c2 {
-					b.g.AddEdge(b.sharedValueNode(c1), m, depgraph.WeakBoolean, simfn.EvContact)
+					b.g.AddEdge(b.sharedValueNode(c1), m, rule.dep, rule.evidence)
 					continue
 				}
 				if c1 == m.RefA() || c1 == m.RefB() || c2 == m.RefA() || c2 == m.RefB() {
 					continue
 				}
 				if n := b.g.LookupRefPair(c1, c2); n != nil && n != m {
-					b.g.AddEdge(n, m, depgraph.WeakBoolean, simfn.EvContact)
-				}
-			}
-		}
-	}
-}
-
-// contactsOf returns the union of a person's co-author and email-contact
-// links, deduplicated, in stable order.
-func contactsOf(r *reference.Reference) []reference.ID {
-	co := r.Assoc(schema.AttrCoAuthor)
-	ec := r.Assoc(schema.AttrEmailContact)
-	if len(ec) == 0 {
-		return co
-	}
-	if len(co) == 0 {
-		return ec
-	}
-	out := make([]reference.ID, 0, len(co)+len(ec))
-	seen := make(map[reference.ID]bool, len(co)+len(ec))
-	for _, lists := range [2][]reference.ID{co, ec} {
-		for _, id := range lists {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
-	}
-	return out
-}
-
-// buildGenericAssociations wires association evidence for custom classes
-// conservatively, in the style of the paper's contact evidence: a shared
-// link target, or a reconciled pair of link targets, adds weak-boolean
-// evidence (γ per link) gated on the pair's own attribute similarity.
-// Built-in classes are handled by their specialized wiring.
-func (b *builder) buildGenericAssociations(fresh []*depgraph.Node) {
-	builtin := map[string]bool{
-		schema.ClassPerson: true, schema.ClassArticle: true, schema.ClassVenue: true,
-	}
-	for _, m := range fresh {
-		if builtin[m.Class()] || !m.Alive() {
-			continue
-		}
-		class, ok := b.sch.Class(m.Class())
-		if !ok || len(class.AssocAttrs()) == 0 {
-			continue
-		}
-		r1 := b.store.Get(m.RefA())
-		r2 := b.store.Get(m.RefB())
-		for _, attr := range class.AssocAttrs() {
-			ev := "ga:" + attr.Name
-			for _, a1 := range r1.Assoc(attr.Name) {
-				for _, a2 := range r2.Assoc(attr.Name) {
-					if a1 == a2 {
-						b.g.AddEdge(b.sharedValueNode(a1), m, depgraph.WeakBoolean, ev)
-						continue
-					}
-					n := b.ensureRefPair(b.store.Get(a1), b.store.Get(a2), true)
-					if n != nil && n != m {
-						b.g.AddEdge(n, m, depgraph.WeakBoolean, ev)
-					}
+					b.g.AddEdge(n, m, rule.dep, rule.evidence)
 				}
 			}
 		}

@@ -16,14 +16,7 @@ import (
 	"refrecon/internal/depgraph"
 	"refrecon/internal/reference"
 	"refrecon/internal/schema"
-	"refrecon/internal/simfn"
-	"refrecon/internal/tokenizer"
 )
-
-// contactsAttr is the pseudo-attribute the collective host pools a
-// person's coAuthor and emailContact links under, mirroring the offline
-// builder's contact union (Figure 2(b)).
-const contactsAttr = "contacts"
 
 // CollectiveStats extends MatchStats with the expansion/propagation
 // telemetry of the collective pass.
@@ -81,104 +74,57 @@ func (cm *CollectiveMatcher) Match(q Query) ([]Candidate, CollectiveStats, error
 // budget degrades the run, it is exactly Matcher.Match.
 func (cm *CollectiveMatcher) MatchConfig(q Query, cc collective.Config) ([]Candidate, CollectiveStats, error) {
 	m := cm.m
-	class, ok := m.sch.Class(q.Class)
-	if !ok {
-		return nil, CollectiveStats{}, fmt.Errorf("recon: unknown query class %q", q.Class)
-	}
-	qr, err := buildQueryRef(class, q)
+	class, qr, err := m.queryRef(q)
 	if err != nil {
 		return nil, CollectiveStats{}, err
 	}
-	assoc, err := cm.validateAssoc(class, q)
-	if err != nil {
+	blockable := !qr.IsEmpty()
+	if err := cm.addAssoc(qr, class, q); err != nil {
 		return nil, CollectiveStats{}, err
 	}
-	if qr.IsEmpty() && len(assoc) == 0 {
+	if !blockable {
+		// Associations alone generate no blocking candidates; nothing to
+		// expand from.
 		return nil, CollectiveStats{}, nil
 	}
 
-	// Attribute-only base, untruncated: the collective pass raises entity
-	// scores, and the final ranking must see every blocked entity, not
-	// the attribute-only top-limit.
-	baseQ := q
-	baseQ.Assoc = nil
-	baseQ.Limit = 1 << 30
-	base, mstats, err := m.Match(baseQ)
-	if err != nil {
-		return nil, CollectiveStats{}, err
-	}
+	// Attribute-only base, unranked and untruncated: the collective pass
+	// raises entity scores, and the final ranking must see every blocked
+	// entity, not the attribute-only top-limit.
+	base, mstats := m.score(qr)
 	st := CollectiveStats{MatchStats: mstats}
 
-	limit := q.Limit
-	if limit <= 0 {
-		limit = 10
-	}
-	finish := func(cands []Candidate) []Candidate {
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].Score != cands[j].Score {
-				return cands[i].Score > cands[j].Score
-			}
-			return cands[i].Entity.Canonical < cands[j].Entity.Canonical
-		})
-		if len(cands) > limit {
-			cands = cands[:limit]
-		}
-		MarkMatches(cands, m.cfg.MergeThreshold)
-		return cands
-	}
-
-	if qr.IsEmpty() {
-		// Associations alone generate no blocking candidates; nothing to
-		// expand from.
-		return nil, st, nil
-	}
-
-	host := newQueryHost(m, qr, assoc, cc.AttrMergeThreshold)
-	res := collective.Resolve(host, collective.Request{Query: host.qid}, cc)
+	host := newQueryHost(m, qr, cc.AttrMergeThreshold)
+	res := collective.Resolve(host, collective.Request{Query: qr.ID}, cc)
 	st.Expansion = res.Stats
 	if res.Stats.Degraded || res.Scores == nil {
-		return finish(base), st, nil
+		return m.Rank(base, q.Limit), st, nil
 	}
 
 	// Entity-level MAX raise: a candidate entity's score becomes the max
 	// of its attribute-only score and the collective similarity of any of
-	// its member references with the query. Candidate ids are visited in
-	// sorted order (MAX is order-independent; the order only pins the
-	// iteration itself).
+	// its member references with the query (MAX is order-independent, so
+	// the map's iteration order does not matter).
 	pos := make(map[int]int, len(base))
 	for i := range base {
 		pos[base[i].Entity.Label] = i
 	}
-	ids := make([]reference.ID, 0, len(res.Scores))
-	for id := range res.Scores {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for id, s := range res.Scores {
 		label, ok := m.snap.assignment[id]
 		if !ok {
 			continue
 		}
-		i, ok := pos[label]
-		if !ok {
-			continue
-		}
-		if s := res.Scores[id]; s > base[i].Score {
+		if i, ok := pos[label]; ok && s > base[i].Score {
 			base[i].Score = s
 		}
 	}
-	return finish(base), st, nil
+	return m.Rank(base, q.Limit), st, nil
 }
 
-// validateAssoc checks the query's association attributes against the
-// class schema and its target ids against the snapshot, returning a
-// normalized copy with sorted, deduplicated target lists.
-func (cm *CollectiveMatcher) validateAssoc(class *schema.Class, q Query) (map[string][]reference.ID, error) {
-	if len(q.Assoc) == 0 {
-		return nil, nil
-	}
-	snap := cm.m.snap
-	out := make(map[string][]reference.ID, len(q.Assoc))
+// addAssoc checks the query's association attributes against the class
+// schema and its target ids against the snapshot, and adds them to the
+// query reference with sorted, deduplicated target lists.
+func (cm *CollectiveMatcher) addAssoc(qr *reference.Reference, class *schema.Class, q Query) error {
 	attrs := make([]string, 0, len(q.Assoc))
 	for a := range q.Assoc {
 		attrs = append(attrs, a)
@@ -187,254 +133,138 @@ func (cm *CollectiveMatcher) validateAssoc(class *schema.Class, q Query) (map[st
 	for _, attr := range attrs {
 		a, ok := class.Attr(attr)
 		if !ok || a.Kind != schema.Association {
-			return nil, fmt.Errorf("recon: class %q has no association attribute %q", q.Class, attr)
+			return fmt.Errorf("recon: class %q has no association attribute %q", q.Class, attr)
 		}
-		seen := make(map[reference.ID]bool, len(q.Assoc[attr]))
-		var ts []reference.ID
-		for _, t := range q.Assoc[attr] {
-			sr, ok := snap.Ref(t)
+		ts := append([]reference.ID(nil), q.Assoc[attr]...)
+		for _, t := range ts {
+			sr, ok := cm.m.snap.Ref(t)
 			if !ok {
-				return nil, fmt.Errorf("recon: association %q target %d is not a stored reference", attr, t)
+				return fmt.Errorf("recon: association %q target %d is not a stored reference", attr, t)
 			}
 			if sr.Class != a.Target {
-				return nil, fmt.Errorf("recon: association %q target %d has class %q, want %q", attr, t, sr.Class, a.Target)
-			}
-			if !seen[t] {
-				seen[t] = true
-				ts = append(ts, t)
+				return fmt.Errorf("recon: association %q target %d has class %q, want %q", attr, t, sr.Class, a.Target)
 			}
 		}
-		if len(ts) > 0 {
-			sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-			out[attr] = ts
+		sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+		for _, t := range ts {
+			qr.AddAssoc(attr, t)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // queryHost adapts one (Matcher, query reference) pair to the
 // collective.Host interface. The query reference gets the first id past
-// the stored id space; everything else resolves through the snapshot.
-// Not safe for concurrent use — each Match call builds its own.
+// the stored id space; everything else resolves through the matcher's
+// stored-reference views, and every evidence decision through its
+// evidence model. Not safe for concurrent use — each Match call builds its
+// own.
 type queryHost struct {
 	m       *Matcher
 	qr      *reference.Reference
-	qid     reference.ID
-	assoc   map[string][]reference.ID
 	attrThr float64
-
-	cands map[reference.ID][]reference.ID
-	cmps  map[string][]attrCompare
-	elems map[string]map[string]string
+	elems   valueElems
 }
 
-func newQueryHost(m *Matcher, qr *reference.Reference, assoc map[string][]reference.ID, attrThr float64) *queryHost {
+func newQueryHost(m *Matcher, qr *reference.Reference, attrThr float64) *queryHost {
+	qr.ID = reference.ID(len(m.refs))
 	return &queryHost{
 		m:       m,
 		qr:      qr,
-		qid:     reference.ID(m.snap.RefCount()),
-		assoc:   assoc,
 		attrThr: attrThr,
-		cands:   make(map[reference.ID][]reference.ID),
-		cmps:    make(map[string][]attrCompare),
-		elems:   make(map[string]map[string]string),
+		elems:   make(valueElems),
 	}
+}
+
+// ref resolves an id to the query reference or a stored one (nil when it
+// is neither).
+func (h *queryHost) ref(id reference.ID) *reference.Reference {
+	if id == h.qr.ID {
+		return h.qr
+	}
+	if id < 0 || int(id) >= len(h.m.refs) {
+		return nil
+	}
+	return &h.m.refs[id]
 }
 
 // ClassOf implements collective.Host.
 func (h *queryHost) ClassOf(id reference.ID) string {
-	if id == h.qid {
-		return h.qr.Class
-	}
-	if sr, ok := h.m.snap.Ref(id); ok {
-		return sr.Class
+	if r := h.ref(id); r != nil {
+		return r.Class
 	}
 	return ""
 }
 
 // Candidates implements collective.Host: blocking-index lookup over the
-// reference's keys, memoized, with the reference itself removed.
+// reference's keys, with the reference itself removed. Resolve asks at
+// most once per reference, so nothing is memoized.
 func (h *queryHost) Candidates(id reference.ID) []reference.ID {
-	if got, ok := h.cands[id]; ok {
-		return got
+	r := h.ref(id)
+	if r == nil {
+		return nil
 	}
-	var keys []string
-	var class string
-	if id == h.qid {
-		class = h.qr.Class
-		blockingKeys(h.qr, func(k string) { keys = append(keys, k) })
-	} else {
-		sr, ok := h.m.snap.Ref(id)
-		if !ok {
-			h.cands[id] = nil
-			return nil
-		}
-		class = sr.Class
-		blockingKeys(sr.detached(), func(k string) { keys = append(keys, k) })
-	}
-	var ids []reference.ID
-	if idx := h.m.idx[class]; idx != nil && len(keys) > 0 {
-		ids = idx.Candidates(keys)
-	}
+	ids := h.m.candidates(r)
 	out := ids[:0]
 	for _, c := range ids {
 		if c != id {
 			out = append(out, c)
 		}
 	}
-	h.cands[id] = out
 	return out
 }
 
-// EachAssoc implements collective.Host. Person references pool coAuthor
-// and emailContact under the contacts pseudo-attribute (the paper relates
-// one reference's co-author to another's email contact); other classes
-// emit their association attributes in sorted order.
+// EachAssoc implements collective.Host: the targets of each association
+// rule of the reference's class, in rule order, so person references
+// expose their pooled contact list. Unlike construction, no popularity
+// cap drops hyper-popular contacts here: the cap is a statistic over the
+// whole person population, and the expansion is already bounded by
+// collective.Config's node and neighbor budgets.
 func (h *queryHost) EachAssoc(id reference.ID, fn func(attr string, targets []reference.ID)) {
-	var assoc map[string][]reference.ID
-	if id == h.qid {
-		assoc = h.assoc
-	} else if sr, ok := h.m.snap.Ref(id); ok {
-		assoc = sr.Assoc
-	}
-	if len(assoc) == 0 {
+	r := h.ref(id)
+	if r == nil {
 		return
 	}
-	if h.ClassOf(id) == schema.ClassPerson {
-		if pooled := pooledContacts(assoc); len(pooled) > 0 {
-			fn(contactsAttr, pooled)
+	rules := h.m.rules[r.Class]
+	for i := range rules {
+		if ts := rules[i].targets(r); len(ts) > 0 {
+			fn(rules[i].attr, ts)
 		}
-		return
-	}
-	attrs := make([]string, 0, len(assoc))
-	for a := range assoc {
-		attrs = append(attrs, a)
-	}
-	sort.Strings(attrs)
-	for _, a := range attrs {
-		fn(a, assoc[a])
 	}
 }
 
-// pooledContacts unions a person's coAuthor and emailContact targets,
-// deduplicated, in stable order (coAuthor first, as contactsOf does).
-func pooledContacts(assoc map[string][]reference.ID) []reference.ID {
-	co := assoc[schema.AttrCoAuthor]
-	ec := assoc[schema.AttrEmailContact]
-	if len(ec) == 0 {
-		return co
-	}
-	if len(co) == 0 {
-		return ec
-	}
-	out := make([]reference.ID, 0, len(co)+len(ec))
-	seen := make(map[reference.ID]bool, len(co)+len(ec))
-	for _, lists := range [2][]reference.ID{co, ec} {
-		for _, id := range lists {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
-	}
-	return out
-}
-
-// AssocEvidence implements collective.Host, mirroring the offline
-// builder's association wiring: author and venue similarities feed an
-// article pair as real-valued evidence (with the strong-boolean back edge
-// of Figure 2 where the evidence level allows), contacts are weak-boolean
-// person evidence, and custom classes get conservative generic
-// weak-boolean links.
+// AssocEvidence implements collective.Host by reading the class's
+// association rule for the attribute.
 func (h *queryHost) AssocEvidence(class, attr string) (string, depgraph.DepType, string, bool) {
-	switch class {
-	case schema.ClassArticle:
-		switch attr {
-		case schema.AttrAuthoredBy:
-			back := ""
-			if h.m.cfg.Evidence >= EvidenceArticle {
-				back = simfn.EvArticle
-			}
-			return simfn.EvAuthors, depgraph.RealValued, back, true
-		case schema.AttrPublishedIn:
-			return simfn.EvVenue, depgraph.RealValued, simfn.EvArticle, true
-		}
-		return "", 0, "", false
-	case schema.ClassPerson:
-		if attr == contactsAttr && h.m.cfg.Evidence >= EvidenceContact {
-			return simfn.EvContact, depgraph.WeakBoolean, "", true
-		}
-		return "", 0, "", false
-	case schema.ClassVenue:
+	rule, ok := h.m.rule(class, attr)
+	if !ok {
 		return "", 0, "", false
 	}
-	if c, ok := h.m.sch.Class(class); ok {
-		if a, ok := c.Attr(attr); ok && a.Kind == schema.Association {
-			return "ga:" + attr, depgraph.WeakBoolean, "", true
-		}
-	}
-	return "", 0, "", false
+	return rule.evidence, rule.dep, rule.back, true
 }
 
-// WireAttrEvidence implements collective.Host: the same value-pair nodes
-// and edges wireScored creates offline, scored against the matcher's
-// frozen corpus statistics.
+// WireAttrEvidence implements collective.Host: the value-pair nodes and
+// edges construction wires, scored against the matcher's frozen corpus
+// statistics. Three things construction does to a pair are deliberately
+// absent. The evidence floor is never relaxed, because no pair here is an
+// induced venue pair in need of nodes to act on (eachScored applies the
+// plain floor). No domain constraint marks the pair non-merge: stored
+// pairs carry their constraint in the frozen decision Resolve applies
+// next, and a partial query reference is not a full description a
+// constraint could be held against. And a pair without any evidence stays
+// in the graph instead of being pruned, since association evidence found
+// later in the expansion may still feed it.
 func (h *queryHost) WireAttrEvidence(g *depgraph.Graph, n *depgraph.Node, a, b reference.ID) bool {
-	class := n.Class()
-	cmps, ok := h.cmps[class]
-	if !ok {
-		cmps = comparisons(h.m.sch, class, h.m.cfg.Evidence)
-		h.cmps[class] = cmps
+	ra, rb := h.ref(a), h.ref(b)
+	if ra == nil || rb == nil {
+		return false
 	}
 	wired := false
-	for _, cmp := range cmps {
-		for _, v1 := range h.atomicOf(a, cmp.attrA) {
-			for _, v2 := range h.atomicOf(b, cmp.attrB) {
-				x, y := v1, v2
-				if cmp.swap {
-					x, y = v2, v1
-				}
-				sim := h.m.lib.Compare(cmp.evidence, x, y)
-				if sim < simfn.CandidateThreshold(cmp.evidence) {
-					continue
-				}
-				vn := g.AddValuePair(cmp.evidence, h.elemKey(cmp.attrA, v1), h.elemKey(cmp.attrB, v2), sim)
-				if vn.Sim() >= h.attrThr && vn.Status() != depgraph.Merged {
-					g.MarkMerged(vn)
-				}
-				g.AddEdge(vn, n, depgraph.RealValued, cmp.evidence)
-				if simfn.AliasEvidence(cmp.evidence) && !cmp.swap && cmp.attrA == cmp.attrB {
-					g.AddEdge(n, vn, depgraph.StrongBoolean, cmp.evidence)
-				}
-				wired = true
-			}
-		}
-	}
+	h.m.eachScored(ra, rb, func(v valCompare, sim float64) {
+		wireValuePair(g, n, h.elems, v, sim, h.attrThr)
+		wired = true
+	})
 	return wired
-}
-
-func (h *queryHost) atomicOf(id reference.ID, attr string) []string {
-	if id == h.qid {
-		return h.qr.Atomic(attr)
-	}
-	if sr, ok := h.m.snap.Ref(id); ok {
-		return sr.Atomic[attr]
-	}
-	return nil
-}
-
-func (h *queryHost) elemKey(attr, raw string) string {
-	m := h.elems[attr]
-	if m == nil {
-		m = make(map[string]string)
-		h.elems[attr] = m
-	}
-	if e, ok := m[raw]; ok {
-		return e
-	}
-	e := elemPrefix(attr) + tokenizer.Normalize(raw)
-	m[raw] = e
-	return e
 }
 
 // Frozen implements collective.Host from the snapshot's pair decisions

@@ -165,3 +165,19 @@ func DefaultConfig() Config {
 		Shards:             1,
 	}
 }
+
+// withDefaults fills the parameters a zero Config leaves unset from
+// DefaultConfig, the one place the published §5.2 values are written.
+func (c Config) withDefaults() Config {
+	d := DefaultConfig()
+	if c.Params == nil {
+		c.Params = d.Params
+	}
+	if c.MergeThreshold == 0 {
+		c.MergeThreshold = d.MergeThreshold
+	}
+	if c.AttrMergeThreshold == 0 {
+		c.AttrMergeThreshold = d.AttrMergeThreshold
+	}
+	return c
+}

@@ -24,16 +24,7 @@ package recon
 import (
 	"refrecon/internal/parallel"
 	"refrecon/internal/reference"
-	"refrecon/internal/schema"
 )
-
-// valCompare is one atomic value comparison of a candidate pair: the
-// attribute comparison it instantiates and the two raw values, in
-// (attrA, attrB) order.
-type valCompare struct {
-	cmp    attrCompare
-	v1, v2 string
-}
 
 // pairItem is the unit of work of the parallel scoring phase: one
 // candidate reference pair with its enumerated value comparisons and
@@ -44,63 +35,17 @@ type pairItem struct {
 	sims   []float64
 }
 
-// comparisonsFor resolves the comparable attribute pairs for a class,
-// falling back to the generic same-attribute table for custom schemas.
-// The table is a pure function of (class, evidence level), both fixed for
-// the builder's lifetime, so it is computed once per class and the cached
-// slice is shared read-only by every candidate pair.
-func (b *builder) comparisonsFor(class string) []attrCompare {
-	if cmp, ok := b.cmpTables[class]; ok {
-		return cmp
-	}
-	cmp := comparisons(b.sch, class, b.cfg.Evidence)
-	b.cmpTables[class] = cmp
-	return cmp
-}
-
-// comparisons is the schema-aware comparison table shared by graph
-// construction and the query-time Matcher.
-func comparisons(sch *schema.Schema, class string, level EvidenceLevel) []attrCompare {
-	cmp := atomicComparisons(class, level)
-	if cmp == nil {
-		if c, ok := sch.Class(class); ok {
-			cmp = genericComparisons(c)
-		}
-	}
-	return cmp
-}
-
 // enumerateVals lists the value comparisons of a candidate pair in the
 // deterministic order the wiring phase evaluates them. The combination
 // count is known up front, so the list is allocated exactly once.
 func (b *builder) enumerateVals(r1, r2 *reference.Reference) []valCompare {
-	cmps := b.comparisonsFor(r1.Class)
-	n := 0
-	for _, cmp := range cmps {
-		n += len(r1.Atomic(cmp.attrA)) * len(r2.Atomic(cmp.attrB))
-	}
+	n := b.countValuePairs(r1, r2)
 	if n == 0 {
 		return nil
 	}
 	vals := make([]valCompare, 0, n)
-	for _, cmp := range cmps {
-		for _, v1 := range r1.Atomic(cmp.attrA) {
-			for _, v2 := range r2.Atomic(cmp.attrB) {
-				vals = append(vals, valCompare{cmp, v1, v2})
-			}
-		}
-	}
+	b.eachValuePair(r1, r2, func(v valCompare) { vals = append(vals, v) })
 	return vals
-}
-
-// compareVal scores one value comparison through the cache-backed
-// similarity library, honoring the comparator's argument order.
-func (b *builder) compareVal(v valCompare) float64 {
-	x, y := v.v1, v.v2
-	if v.cmp.swap {
-		x, y = v.v2, v.v1
-	}
-	return b.lib.Compare(v.cmp.evidence, x, y)
 }
 
 // scoreVals scores a value-comparison list serially (the induced-pair and
@@ -116,7 +61,7 @@ func (b *builder) scoreVals(vals []valCompare) []float64 {
 	}
 	sims := b.simScratch[:len(vals)]
 	for i, v := range vals {
-		sims[i] = b.compareVal(v)
+		sims[i] = b.compare(v)
 	}
 	return sims
 }
@@ -148,7 +93,7 @@ func (b *builder) scoreItems(items []*pairItem) {
 	parallel.ForLabeled(b.cfg.Workers, len(items), phase, func(i int) {
 		it := items[i]
 		for j, v := range it.vals {
-			it.sims[j] = b.compareVal(v)
+			it.sims[j] = b.compare(v)
 		}
 	})
 }

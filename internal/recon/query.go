@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 
-	"refrecon/internal/blocking"
 	"refrecon/internal/reference"
 	"refrecon/internal/schema"
 	"refrecon/internal/simfn"
@@ -57,60 +56,31 @@ type MatchStats struct {
 }
 
 // Matcher answers reconciliation queries against one Snapshot. It owns a
-// per-snapshot similarity library (corpus statistics fed from the
-// snapshot's copied values, never the live session's) and per-class
-// blocking indexes, so concurrent Match calls share nothing mutable with
-// ingest. Build one Matcher per published snapshot; Match is safe for
-// concurrent use.
+// per-snapshot evidence model — corpus statistics and per-class blocking
+// indexes fed from the snapshot's copied values, never the live session's
+// — so concurrent Match calls share nothing mutable with ingest. Build one
+// Matcher per published snapshot; Match is safe for concurrent use.
 type Matcher struct {
-	sch  *schema.Schema
-	cfg  Config
+	*evidence
 	snap *Snapshot
-	lib  *simfn.Library
-	idx  map[string]*blocking.Index
+	// refs are no-copy Reference views over the snapshot's stored
+	// references, indexed by id: the shape the evidence model reads.
+	refs []reference.Reference
 }
 
 // NewMatcher indexes a snapshot for query-time reconciliation. Cost is one
 // pass over the snapshot's references (blocking keys + corpus statistics).
 func NewMatcher(sch *schema.Schema, cfg Config, snap *Snapshot) *Matcher {
-	if cfg.Params == nil {
-		cfg.Params = simfn.PaperParams()
-	}
-	if cfg.MergeThreshold == 0 {
-		cfg.MergeThreshold = 0.85
-	}
 	m := &Matcher{
-		sch:  sch,
-		cfg:  cfg,
-		snap: snap,
-		lib:  simfn.NewLibrary(),
-		idx:  make(map[string]*blocking.Index),
+		evidence: newEvidence(sch, cfg),
+		snap:     snap,
+		refs:     make([]reference.Reference, len(snap.refs)),
 	}
-	if cfg.Obs != nil {
-		m.lib.SetCounters(cfg.Obs.Counters)
+	for i := range snap.refs {
+		sr := &snap.refs[i]
+		m.refs[i] = reference.View(sr.ID, sr.Class, sr.Atomic, sr.Assoc)
+		m.feed(&m.refs[i])
 	}
-	snap.EachRef(func(sr *SnapRef) {
-		for _, t := range sr.Atomic[schema.AttrTitle] {
-			m.lib.Titles.Add(t)
-		}
-		switch sr.Class {
-		case schema.ClassVenue:
-			for _, v := range sr.Atomic[schema.AttrName] {
-				m.lib.Venues.Add(v)
-			}
-		case schema.ClassPerson:
-			for _, v := range sr.Atomic[schema.AttrName] {
-				m.lib.AddPersonName(v)
-			}
-		}
-		idx, ok := m.idx[sr.Class]
-		if !ok {
-			idx = blocking.New(cfg.BucketCap)
-			m.idx[sr.Class] = idx
-		}
-		id := sr.ID
-		blockingKeys(sr.detached(), func(k string) { idx.Add(k, id) })
-	})
 	return m
 }
 
@@ -121,25 +91,18 @@ func (m *Matcher) Snapshot() *Snapshot { return m.snap }
 // entities, and decision-tree scoring of each entity, returning candidates
 // in descending score order (ties broken by canonical id).
 func (m *Matcher) Match(q Query) ([]Candidate, MatchStats, error) {
-	class, ok := m.sch.Class(q.Class)
-	if !ok {
-		return nil, MatchStats{}, fmt.Errorf("recon: unknown query class %q", q.Class)
-	}
-	qr, err := buildQueryRef(class, q)
-	if err != nil {
+	_, qr, err := m.queryRef(q)
+	if err != nil || qr.IsEmpty() {
 		return nil, MatchStats{}, err
 	}
-	if qr.IsEmpty() {
-		return nil, MatchStats{}, nil
-	}
+	cands, stats := m.score(qr)
+	return m.Rank(cands, q.Limit), stats, nil
+}
 
-	var keys []string
-	blockingKeys(qr, func(k string) { keys = append(keys, k) })
-	var ids []reference.ID
-	if idx := m.idx[q.Class]; idx != nil {
-		ids = idx.Candidates(keys)
-	}
-
+// score generates the query reference's blocking candidates, groups them
+// into entities and scores each entity once; the result is unranked.
+func (m *Matcher) score(qr *reference.Reference) ([]Candidate, MatchStats) {
+	ids := m.candidates(qr)
 	seen := make(map[int]bool)
 	var cands []Candidate
 	for _, id := range ids {
@@ -154,29 +117,17 @@ func (m *Matcher) Match(q Query) ([]Candidate, MatchStats, error) {
 		}
 		cands = append(cands, Candidate{Entity: ent, Score: m.scoreEntity(qr, ent)})
 	}
-	stats := MatchStats{CandidateRefs: len(ids), CandidateEntities: len(cands)}
-
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
-		}
-		return cands[i].Entity.Canonical < cands[j].Entity.Canonical
-	})
-	limit := q.Limit
-	if limit <= 0 {
-		limit = 10
-	}
-	if len(cands) > limit {
-		cands = cands[:limit]
-	}
-	MarkMatches(cands, m.cfg.MergeThreshold)
-	return cands, stats, nil
+	return cands, MatchStats{CandidateRefs: len(ids), CandidateEntities: len(cands)}
 }
 
-// buildQueryRef materializes a query's atomic values as a free-standing
-// reference of the class, validating each attribute, with deterministic
+// queryRef materializes a query's atomic values as a free-standing
+// reference of its class, validating each attribute, with deterministic
 // (sorted) attribute order.
-func buildQueryRef(class *schema.Class, q Query) (*reference.Reference, error) {
+func (m *Matcher) queryRef(q Query) (*schema.Class, *reference.Reference, error) {
+	class, ok := m.sch.Class(q.Class)
+	if !ok {
+		return nil, nil, fmt.Errorf("recon: unknown query class %q", q.Class)
+	}
 	qr := reference.New(q.Class)
 	attrs := make([]string, 0, len(q.Atomic))
 	for a := range q.Atomic {
@@ -186,65 +137,56 @@ func buildQueryRef(class *schema.Class, q Query) (*reference.Reference, error) {
 	for _, attr := range attrs {
 		a, ok := class.Attr(attr)
 		if !ok || a.Kind != schema.Atomic {
-			return nil, fmt.Errorf("recon: class %q has no atomic attribute %q", q.Class, attr)
+			return nil, nil, fmt.Errorf("recon: class %q has no atomic attribute %q", q.Class, attr)
 		}
 		for _, v := range q.Atomic[attr] {
 			qr.AddAtomic(attr, v)
 		}
 	}
-	return qr, nil
+	return class, qr, nil
 }
 
-// MarkMatches sets the Match flag on a score-sorted candidate list: the
-// top candidate matches iff it clears the threshold and no runner-up does
-// (an ambiguous result must not auto-match, per the OpenRefine protocol's
-// intent). Exported so callers that re-merge candidate lists across
-// classes can recompute the flag.
-func MarkMatches(cands []Candidate, threshold float64) {
+// Rank is the one candidate ranking: score descending with ties broken by
+// canonical id, truncated to limit (<= 0 means 10), and the Match flag set
+// on the top candidate iff it clears the merge threshold and no runner-up
+// does (an ambiguous result must not auto-match, per the OpenRefine
+// protocol's intent). Callers that merge candidate lists across classes
+// rank the merged list again; flags set by an earlier ranking are cleared.
+func (m *Matcher) Rank(cands []Candidate, limit int) []Candidate {
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].Score != cands[j].Score {
+			return cands[i].Score > cands[j].Score
+		}
+		return cands[i].Entity.Canonical < cands[j].Entity.Canonical
+	})
+	if limit <= 0 {
+		limit = 10
+	}
+	if len(cands) > limit {
+		cands = cands[:limit]
+	}
 	for i := range cands {
 		cands[i].Match = false
 	}
-	if len(cands) > 0 && cands[0].Score >= threshold &&
-		(len(cands) == 1 || cands[1].Score < threshold) {
+	thr := m.cfg.MergeThreshold
+	if len(cands) > 0 && cands[0].Score >= thr && (len(cands) == 1 || cands[1].Score < thr) {
 		cands[0].Match = true
 	}
+	return cands
 }
 
 // scoreEntity scores the query against one entity's unioned attribute
-// values: per comparison, the maximum comparator similarity over the value
-// cross product (gated on the same candidate thresholds construction
-// uses), combined by the class decision tree.
+// values: per evidence label, the maximum comparator similarity over the
+// value cross product (above the same evidence floor construction uses),
+// combined by the class decision tree.
 func (m *Matcher) scoreEntity(qr *reference.Reference, ent *Entity) float64 {
+	union := reference.View(ent.Canonical, ent.Class, ent.Atomic, nil)
 	ev := simfn.Evidence{Real: make(map[string]float64)}
-	for _, cmp := range comparisons(m.sch, qr.Class, m.cfg.Evidence) {
-		qvals := qr.Atomic(cmp.attrA)
-		evals := ent.Atomic[cmp.attrB]
-		if len(qvals) == 0 || len(evals) == 0 {
-			continue
+	m.eachScored(qr, &union, func(v valCompare, sim float64) {
+		if cur, ok := ev.Real[v.cmp.evidence]; !ok || sim > cur {
+			ev.Real[v.cmp.evidence] = sim
 		}
-		thr := simfn.CandidateThreshold(cmp.evidence)
-		best, found := 0.0, false
-		for _, v1 := range qvals {
-			for _, v2 := range evals {
-				x, y := v1, v2
-				if cmp.swap {
-					x, y = v2, v1
-				}
-				s := m.lib.Compare(cmp.evidence, x, y)
-				if s < thr {
-					continue
-				}
-				if !found || s > best {
-					best, found = s, true
-				}
-			}
-		}
-		if found {
-			if cur, ok := ev.Real[cmp.evidence]; !ok || best > cur {
-				ev.Real[cmp.evidence] = best
-			}
-		}
-	}
+	})
 	if len(ev.Real) == 0 {
 		return 0
 	}

@@ -23,16 +23,7 @@ type Reconciler struct {
 
 // New returns a reconciler for the schema with the given configuration.
 func New(sch *schema.Schema, cfg Config) *Reconciler {
-	if cfg.Params == nil {
-		cfg.Params = simfn.PaperParams()
-	}
-	if cfg.MergeThreshold == 0 {
-		cfg.MergeThreshold = 0.85
-	}
-	if cfg.AttrMergeThreshold == 0 {
-		cfg.AttrMergeThreshold = 1.0
-	}
-	return &Reconciler{sch: sch, cfg: cfg}
+	return &Reconciler{sch: sch, cfg: cfg.withDefaults()}
 }
 
 // Stats describes one reconciliation run.

@@ -31,25 +31,6 @@ type SnapRef struct {
 	Assoc map[string][]reference.ID
 }
 
-// detached rebuilds a free-standing reference.Reference carrying the
-// snapshot's copied atomic values — the shape the blocking key functions
-// and comparators expect. The result shares nothing with the live store.
-func (r *SnapRef) detached() *reference.Reference {
-	d := reference.New(r.Class)
-	d.ID = r.ID
-	attrs := make([]string, 0, len(r.Atomic))
-	for a := range r.Atomic {
-		attrs = append(attrs, a)
-	}
-	sort.Strings(attrs)
-	for _, a := range attrs {
-		for _, v := range r.Atomic[a] {
-			d.AddAtomic(a, v)
-		}
-	}
-	return d
-}
-
 // Entity is one canonical enriched entity of a snapshot: a partition with
 // the union of its members' attribute values (the §3.3 enrichment view,
 // materialized). The member with the lowest id is the canonical

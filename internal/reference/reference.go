@@ -44,6 +44,14 @@ func New(class string) *Reference {
 	}
 }
 
+// View returns a read-only reference over existing attribute maps without
+// copying them, so that an immutable snapshot can hand its stored values to
+// code written against Reference. The maps must never change afterwards;
+// a view must not be mutated (AddAtomic, AddAssoc) or added to a Store.
+func View(id ID, class string, atomic map[string][]string, assoc map[string][]ID) Reference {
+	return Reference{ID: id, Class: class, atomic: atomic, assoc: assoc}
+}
+
 // AddAtomic appends a value to the named atomic attribute, skipping empty
 // strings and exact duplicates.
 func (r *Reference) AddAtomic(attr, value string) *Reference {

@@ -12,6 +12,7 @@ import (
 
 	"refrecon/internal/recon"
 	"refrecon/internal/reference"
+	"refrecon/internal/schema"
 )
 
 // TypeRef names one reconciliation type (a schema class).
@@ -240,6 +241,59 @@ type IngestRef struct {
 	Entity string                    `json:"entity,omitempty"`
 	Atomic map[string][]string       `json:"atomic,omitempty"`
 	Assoc  map[string][]reference.ID `json:"assoc,omitempty"`
+}
+
+// ToIngestRef renders a reference in the ingest wire shape. The value
+// slices are shared with the reference, not copied.
+func ToIngestRef(r *reference.Reference) IngestRef {
+	ir := IngestRef{Class: r.Class, Source: r.Source, Entity: r.Entity}
+	if attrs := r.AtomicAttrs(); len(attrs) > 0 {
+		ir.Atomic = make(map[string][]string, len(attrs))
+		for _, a := range attrs {
+			ir.Atomic[a] = r.Atomic(a)
+		}
+	}
+	if attrs := r.AssocAttrs(); len(attrs) > 0 {
+		ir.Assoc = make(map[string][]reference.ID, len(attrs))
+		for _, a := range attrs {
+			ir.Assoc[a] = r.Assoc(a)
+		}
+	}
+	return ir
+}
+
+// toReference is ToIngestRef's inverse: a fresh reference, not yet in any
+// store, carrying the wire values.
+func (ir IngestRef) toReference() *reference.Reference {
+	r := reference.New(ir.Class)
+	r.Source = ir.Source
+	r.Entity = ir.Entity
+	for attr, vals := range ir.Atomic {
+		for _, v := range vals {
+			r.AddAtomic(attr, v)
+		}
+	}
+	for attr, targets := range ir.Assoc {
+		for _, t := range targets {
+			r.AddAssoc(attr, t)
+		}
+	}
+	return r
+}
+
+// NameAttr picks the class's name-like attribute, the one a free-text
+// query binds to: name, then title, then the first atomic attribute.
+func NameAttr(c *schema.Class) string {
+	if _, ok := c.Attr(schema.AttrName); ok {
+		return schema.AttrName
+	}
+	if _, ok := c.Attr(schema.AttrTitle); ok {
+		return schema.AttrTitle
+	}
+	if aa := c.AtomicAttrs(); len(aa) > 0 {
+		return aa[0].Name
+	}
+	return ""
 }
 
 // IngestRequest is the /ingest body: either this envelope or a bare JSON

@@ -74,37 +74,25 @@ func countBatches(recs []durable.Record) int {
 	return n
 }
 
-// encodeStoreBatch renders the store's references from index from onward
-// as an ingest-batch payload — used to log a pre-populated initial store
-// into a fresh data directory.
-func encodeStoreBatch(store *reference.Store, from int) ([]byte, error) {
-	batch := make([]IngestRef, 0, store.Len()-from)
-	for i := from; i < store.Len(); i++ {
-		r := store.Get(reference.ID(i))
-		ir := IngestRef{Class: r.Class, Source: r.Source, Entity: r.Entity}
-		if attrs := r.AtomicAttrs(); len(attrs) > 0 {
-			ir.Atomic = make(map[string][]string, len(attrs))
-			for _, a := range attrs {
-				ir.Atomic[a] = r.Atomic(a)
-			}
-		}
-		if attrs := r.AssocAttrs(); len(attrs) > 0 {
-			ir.Assoc = make(map[string][]reference.ID, len(attrs))
-			for _, a := range attrs {
-				ir.Assoc[a] = r.Assoc(a)
-			}
-		}
-		batch = append(batch, ir)
+// encodeStoreBatch renders a store's references as one ingest-batch
+// payload — used to log a pre-populated initial store into a fresh data
+// directory.
+func encodeStoreBatch(store *reference.Store) ([]byte, error) {
+	batch := make([]IngestRef, 0, store.Len())
+	for _, r := range store.All() {
+		batch = append(batch, ToIngestRef(r))
 	}
 	return json.Marshal(batch)
 }
 
-func decodeBatchPayload(payload []byte) ([]IngestRef, error) {
+// applyRecord appends a logged batch record's references to the store.
+func applyRecord(store *reference.Store, rec durable.Record) error {
 	var batch []IngestRef
-	if err := json.Unmarshal(payload, &batch); err != nil {
-		return nil, err
+	if err := json.Unmarshal(rec.Payload, &batch); err != nil {
+		return fmt.Errorf("batch %d: %w", rec.Ordinal, err)
 	}
-	return batch, nil
+	applyBatch(store, batch)
+	return nil
 }
 
 // recover initializes the service from Config.DataDir: it opens the
@@ -126,7 +114,7 @@ func (s *Service) recover(init *reference.Store) error {
 
 	if len(logRecs) == 0 && ck == nil {
 		if init.Len() > 0 {
-			payload, err := encodeStoreBatch(init, 0)
+			payload, err := encodeStoreBatch(init)
 			if err != nil {
 				return fmt.Errorf("serve: encode initial store: %w", err)
 			}
@@ -218,11 +206,9 @@ func (s *Service) restoreFast(ck *durable.Checkpoint, all []durable.Record) erro
 		if r.Kind != durable.KindBatch {
 			continue
 		}
-		batch, err := decodeBatchPayload(r.Payload)
-		if err != nil {
-			return fmt.Errorf("batch %d: %w", r.Ordinal, err)
+		if err := applyRecord(store, r); err != nil {
+			return err
 		}
-		applyBatch(store, batch)
 	}
 	if err := store.Validate(s.cfg.Schema); err != nil {
 		return err
@@ -241,11 +227,7 @@ func (s *Service) restoreFast(ck *durable.Checkpoint, all []durable.Record) erro
 	s.sess.Poison()
 	s.accepted = maxOrdinal(all)
 	s.committed = uint64(snap.Version)
-	s.view.Store(&View{
-		Snapshot:  snap,
-		Matcher:   recon.NewMatcher(s.cfg.Schema, s.cfg.Recon, snap),
-		Published: time.Now(),
-	})
+	s.view.Store(s.newView(snap))
 	return nil
 }
 
@@ -282,11 +264,9 @@ func (s *Service) replay(all []durable.Record) error {
 	for i, r := range all {
 		switch r.Kind {
 		case durable.KindBatch:
-			batch, err := decodeBatchPayload(r.Payload)
-			if err != nil {
-				return fmt.Errorf("serve: replay batch %d: %w", r.Ordinal, err)
+			if err := applyRecord(store, r); err != nil {
+				return fmt.Errorf("serve: replay %w", err)
 			}
-			applyBatch(store, batch)
 			if r.Ordinal > accepted {
 				accepted = r.Ordinal
 			}

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -215,6 +216,56 @@ func TestDurableCleanShutdownFastRestore(t *testing.T) {
 	}
 	if want := len(batches) + 1; resp2.SnapshotVersion != want {
 		t.Errorf("post-restore ingest version = %d, want %d", resp2.SnapshotVersion, want)
+	}
+}
+
+// TestDurableFastRestoreServesCollective checks that the view a checkpoint
+// restore publishes is a whole view: before any further ingest republishes,
+// a collective-mode query gets the answer it got before the clean shutdown
+// and the manifest still advertises the collective block. (restoreFast
+// once built its view by hand, without the collective matcher, and the
+// first collective query after a clean restart dereferenced nil.)
+func TestDurableFastRestoreServesCollective(t *testing.T) {
+	dir := t.TempDir()
+	svc, err := New(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, svc, durBatches())
+	q := ReconQuery{Query: "Alice Smith", Type: schema.ClassPerson, Mode: ModeCollective}
+	wantCands, err := svc.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wantCands) == 0 {
+		t.Fatal("collective query found no candidate before the restart")
+	}
+	want := toWire(wantCands)
+	wantManifest := svc.Manifest("").Collective
+	if wantManifest == nil {
+		t.Fatal("manifest has no collective block before the restart")
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered, err := New(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	if recovered.recovery.Mode != "checkpoint" {
+		t.Fatalf("recovery mode = %q, want checkpoint", recovered.recovery.Mode)
+	}
+	gotCands, err := recovered.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := toWire(gotCands); !reflect.DeepEqual(got, want) {
+		t.Errorf("collective answer after fast restore:\nwant %+v\ngot  %+v", want, got)
+	}
+	if got := recovered.Manifest("").Collective; !reflect.DeepEqual(got, wantManifest) {
+		t.Errorf("manifest collective block after fast restore = %+v, want %+v", got, wantManifest)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -205,22 +204,26 @@ func (s *Service) publish() error {
 		}
 	}
 	snap.Version = int(s.committed)
+	s.view.Store(s.newView(snap))
+	return nil
+}
+
+// newView is the one place a View is built: the snapshot's matcher, the
+// collective matcher over it, and the publication time. Both a live
+// publish and a checkpoint restore go through it, so every published view
+// answers every query mode.
+func (s *Service) newView(snap *recon.Snapshot) *View {
 	matcher := recon.NewMatcher(s.cfg.Schema, s.cfg.Recon, snap)
-	v := &View{
+	return &View{
 		Snapshot:   snap,
 		Matcher:    matcher,
 		Collective: recon.NewCollectiveMatcher(matcher, s.cfg.Collective),
 		Published:  time.Now(),
 	}
-	s.view.Store(v)
-	return nil
 }
 
 // View returns the currently published read state.
 func (s *Service) View() *View { return s.view.Load() }
-
-// Schema returns the service schema.
-func (s *Service) Schema() *schema.Schema { return s.cfg.Schema }
 
 // validateBatch checks an ingest batch against the schema before any
 // reference is added: store.Add is irreversible, so a batch is applied
@@ -357,20 +360,7 @@ func (s *Service) IngestContext(ctx context.Context, batch []IngestRef) (IngestR
 // applyBatch appends a validated batch's references to the store.
 func applyBatch(store *reference.Store, batch []IngestRef) {
 	for _, ir := range batch {
-		r := reference.New(ir.Class)
-		r.Source = ir.Source
-		r.Entity = ir.Entity
-		for attr, vals := range ir.Atomic {
-			for _, v := range vals {
-				r.AddAtomic(attr, v)
-			}
-		}
-		for attr, targets := range ir.Assoc {
-			for _, t := range targets {
-				r.AddAssoc(attr, t)
-			}
-		}
-		store.Add(r)
+		store.Add(ir.toReference())
 	}
 }
 
@@ -421,110 +411,74 @@ func (s *Service) Close() error {
 
 // Query resolves one reconciliation query against the published view,
 // recording latency and candidate-set size (per mode). An empty Type fans
-// the query out to every class and re-merges the results.
+// the query out to every class and re-merges the results: there a class
+// the query does not fit (an unbindable property, a matcher error) is
+// ruled out silently, while a typed query reports the error. In
+// collective mode the view's CollectiveMatcher scores with bounded
+// expand-and-resolve, under the server's budgets lowered (never raised) by
+// the query's knobs.
 func (s *Service) Query(q ReconQuery) ([]recon.Candidate, error) {
+	coll := false
 	switch q.Mode {
 	case "", ModeAttribute:
-		return s.queryAttribute(q)
 	case ModeCollective:
-		return s.queryCollective(q)
+		coll = true
 	default:
 		s.met.recordQuery(0, 0, true)
 		return nil, fmt.Errorf("unknown query mode %q (want %q or %q)", q.Mode, ModeAttribute, ModeCollective)
 	}
-}
-
-// queryAttribute is the default attribute-only query path.
-func (s *Service) queryAttribute(q ReconQuery) ([]recon.Candidate, error) {
 	v := s.view.Load()
 	start := time.Now()
 	limit := q.Limit
 	if limit <= 0 {
 		limit = s.cfg.DefaultLimit
 	}
-	var all []recon.Candidate
-	totalRefs := 0
-	for _, class := range s.queryClasses(q) {
-		cq := recon.Query{Class: class, Limit: limit}
-		cq.Atomic = s.bindQueryText(class, q)
-		if cq.Atomic == nil {
-			if q.Type != "" {
-				s.met.recordQuery(time.Since(start), 0, true)
-				return nil, fmt.Errorf("unknown type %q", q.Type)
-			}
-			continue
+	var cc collective.Config
+	if coll {
+		cc = v.Collective.Config()
+		if q.MaxNodes > 0 && q.MaxNodes < cc.MaxNodes {
+			cc.MaxNodes = q.MaxNodes
 		}
-		cands, stats, err := v.Matcher.Match(cq)
-		if err != nil {
-			if q.Type != "" {
-				s.met.recordQuery(time.Since(start), 0, true)
-				return nil, err
-			}
-			continue
+		if q.MaxHops > 0 && q.MaxHops < cc.MaxHops {
+			cc.MaxHops = q.MaxHops
 		}
-		totalRefs += stats.CandidateRefs
-		all = append(all, cands...)
-	}
-	sortCandidates(all)
-	if len(all) > limit {
-		all = all[:limit]
-	}
-	recon.MarkMatches(all, mergeThreshold(s.cfg.Recon))
-	s.met.recordQuery(time.Since(start), totalRefs, false)
-	return all, nil
-}
-
-// queryCollective is the collective query path: per class, properties
-// split into atomic constraints and association targets, and the view's
-// CollectiveMatcher scores with bounded expand-and-resolve. Budgets come
-// from the server config, lowered (never raised) by the query's knobs.
-func (s *Service) queryCollective(q ReconQuery) ([]recon.Candidate, error) {
-	v := s.view.Load()
-	start := time.Now()
-	limit := q.Limit
-	if limit <= 0 {
-		limit = s.cfg.DefaultLimit
-	}
-	cc := v.Collective.Config()
-	if q.MaxNodes > 0 && q.MaxNodes < cc.MaxNodes {
-		cc.MaxNodes = q.MaxNodes
-	}
-	if q.MaxHops > 0 && q.MaxHops < cc.MaxHops {
-		cc.MaxHops = q.MaxHops
-	}
-	if q.BudgetMS > 0 {
-		if b := time.Duration(q.BudgetMS * float64(time.Millisecond)); cc.Budget == 0 || b < cc.Budget {
-			cc.Budget = b
+		if q.BudgetMS > 0 {
+			if b := time.Duration(q.BudgetMS * float64(time.Millisecond)); cc.Budget == 0 || b < cc.Budget {
+				cc.Budget = b
+			}
 		}
 	}
 
 	var all []recon.Candidate
 	totalRefs, totalPairs := 0, 0
 	degraded := false
-	fail := func(err error) ([]recon.Candidate, error) {
-		s.met.recordCollective(time.Since(start), 0, 0, false, true)
-		return nil, err
+	record := func(failed bool) {
+		if coll {
+			s.met.recordCollective(time.Since(start), totalRefs, totalPairs, degraded, failed)
+		} else {
+			s.met.recordQuery(time.Since(start), totalRefs, failed)
+		}
 	}
-	for _, class := range s.queryClasses(q) {
-		rq, err := s.bindCollectiveQuery(v, class, q, limit)
-		if rq == nil {
-			if q.Type != "" {
-				return fail(fmt.Errorf("unknown type %q", q.Type))
+	classes := s.classNames
+	if q.Type != "" {
+		classes = []string{q.Type}
+	}
+	for _, class := range classes {
+		rq, err := s.bindQuery(v, class, q, limit, coll)
+		var cands []recon.Candidate
+		var stats recon.CollectiveStats
+		if err == nil {
+			if coll {
+				cands, stats, err = v.Collective.MatchConfig(*rq, cc)
+			} else {
+				cands, stats.MatchStats, err = v.Matcher.Match(*rq)
 			}
-			continue
 		}
 		if err != nil {
 			if q.Type != "" {
-				return fail(err)
+				record(true)
+				return nil, err
 			}
-			continue
-		}
-		cands, stats, err := v.Collective.MatchConfig(*rq, cc)
-		if err != nil {
-			if q.Type != "" {
-				return fail(err)
-			}
-			// Fan-out: a property foreign to this class rules it out.
 			continue
 		}
 		totalRefs += stats.CandidateRefs
@@ -532,137 +486,61 @@ func (s *Service) queryCollective(q ReconQuery) ([]recon.Candidate, error) {
 		degraded = degraded || stats.Expansion.Degraded
 		all = append(all, cands...)
 	}
-	sortCandidates(all)
-	if len(all) > limit {
-		all = all[:limit]
-	}
-	recon.MarkMatches(all, mergeThreshold(s.cfg.Recon))
-	s.met.recordCollective(time.Since(start), totalRefs, totalPairs, degraded, false)
+	all = v.Matcher.Rank(all, limit)
+	record(false)
 	return all, nil
 }
 
-// queryClasses resolves a query's class fan-out: the named type, or every
-// schema class when the type is empty. The returned slice is shared; do
-// not mutate it.
-func (s *Service) queryClasses(q ReconQuery) []string {
-	if q.Type != "" {
-		return []string{q.Type}
-	}
-	return s.classNames
-}
-
-// bindCollectiveQuery builds the recon.Query for one class in collective
-// mode: properties naming an association attribute of the class become
-// association targets (values parsed as stored reference ids), properties
-// naming an atomic attribute stay atomic constraints, and pids foreign to
-// the class are ignored per the OpenRefine spec; the free-text query
-// binds to the class's name-like attribute as in the attribute path.
-// Association ids that don't resolve in the published snapshot — a racing
-// ingest, or evidence from a newer snapshot than the one this query
+// bindQuery builds the recon.Query for one class. The free-text query
+// binds to the class's name-like attribute (NameAttr) and properties
+// naming an atomic attribute become atomic constraints; pids foreign to
+// the class are ignored, as the OpenRefine spec requires — clients send
+// one properties array against heterogeneous types, so an unknown pid is
+// routine, not an error. Properties naming an association attribute count
+// only with assoc set (collective mode), their values parsed as stored
+// reference ids; ids that don't resolve in the published snapshot — a
+// racing ingest, or evidence from a newer snapshot than the one this query
 // landed on — are dropped as unmatched evidence rather than failing the
-// query. Returns (nil, nil) for an unknown class.
-func (s *Service) bindCollectiveQuery(v *View, class string, q ReconQuery, limit int) (*recon.Query, error) {
+// query.
+func (s *Service) bindQuery(v *View, class string, q ReconQuery, limit int, assoc bool) (*recon.Query, error) {
 	c, ok := s.cfg.Schema.Class(class)
 	if !ok {
-		return nil, nil
+		return nil, fmt.Errorf("unknown type %q", class)
 	}
-	rq := recon.Query{Class: class, Atomic: make(map[string][]string), Limit: limit}
+	rq := recon.Query{Class: class, Atomic: make(map[string][]string, len(q.Properties)+1), Limit: limit}
 	for _, p := range q.Properties {
-		vals := p.values()
-		if len(vals) == 0 {
-			continue
-		}
 		a, ok := c.Attr(p.PID)
-		if !ok {
+		if !ok || (a.Kind == schema.Association && !assoc) {
 			continue
 		}
-		if a.Kind == schema.Association {
-			for _, vs := range vals {
-				n, err := strconv.Atoi(vs)
-				if err != nil {
-					return nil, fmt.Errorf("association property %q: value %q is not a stored reference id", p.PID, vs)
-				}
-				sr, ok := v.Snapshot.Ref(reference.ID(n))
-				if !ok || sr.Class != a.Target {
-					continue
-				}
-				if rq.Assoc == nil {
-					rq.Assoc = make(map[string][]reference.ID)
-				}
-				rq.Assoc[p.PID] = append(rq.Assoc[p.PID], reference.ID(n))
+		vals := p.values()
+		if a.Kind == schema.Atomic {
+			if len(vals) > 0 {
+				rq.Atomic[p.PID] = append(rq.Atomic[p.PID], vals...)
 			}
 			continue
 		}
-		rq.Atomic[p.PID] = append(rq.Atomic[p.PID], vals...)
+		for _, vs := range vals {
+			n, err := strconv.Atoi(vs)
+			if err != nil {
+				return nil, fmt.Errorf("association property %q: value %q is not a stored reference id", p.PID, vs)
+			}
+			sr, ok := v.Snapshot.Ref(reference.ID(n))
+			if !ok || sr.Class != a.Target {
+				continue
+			}
+			if rq.Assoc == nil {
+				rq.Assoc = make(map[string][]reference.ID)
+			}
+			rq.Assoc[p.PID] = append(rq.Assoc[p.PID], reference.ID(n))
+		}
 	}
 	if q.Query != "" {
-		if attr := nameAttr(c); attr != "" {
+		if attr := NameAttr(c); attr != "" {
 			rq.Atomic[attr] = append(rq.Atomic[attr], q.Query)
 		}
 	}
 	return &rq, nil
-}
-
-// bindQueryText maps the free-text query string onto the class's
-// name-like attribute (name, then title, then the first atomic
-// attribute) and merges it with the property constraints. Property pids
-// that don't name an atomic attribute of the class are ignored, as the
-// OpenRefine spec requires — clients send one properties array against
-// heterogeneous types, so an unknown pid is routine, not an error. It
-// returns nil for an unknown class.
-func (s *Service) bindQueryText(class string, q ReconQuery) map[string][]string {
-	c, ok := s.cfg.Schema.Class(class)
-	if !ok {
-		return nil
-	}
-	atomic := make(map[string][]string, len(q.Properties)+1)
-	for _, p := range q.Properties {
-		if a, ok := c.Attr(p.PID); ok && a.Kind == schema.Atomic {
-			if vals := p.values(); len(vals) > 0 {
-				atomic[p.PID] = append(atomic[p.PID], vals...)
-			}
-		}
-	}
-	if q.Query != "" {
-		if attr := nameAttr(c); attr != "" {
-			atomic[attr] = append(atomic[attr], q.Query)
-		}
-	}
-	return atomic
-}
-
-// nameAttr picks the class's name-like attribute for free-text binding:
-// name, then title, then the first atomic attribute.
-func nameAttr(c *schema.Class) string {
-	if _, ok := c.Attr(schema.AttrName); ok {
-		return schema.AttrName
-	}
-	if _, ok := c.Attr(schema.AttrTitle); ok {
-		return schema.AttrTitle
-	}
-	if aa := c.AtomicAttrs(); len(aa) > 0 {
-		return aa[0].Name
-	}
-	return ""
-}
-
-// sortCandidates re-sorts a merged candidate list the way Match orders a
-// single class's: score descending, canonical id ascending.
-func sortCandidates(cands []recon.Candidate) {
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
-		}
-		return cands[i].Entity.Canonical < cands[j].Entity.Canonical
-	})
-}
-
-// mergeThreshold mirrors the recon default.
-func mergeThreshold(cfg recon.Config) float64 {
-	if cfg.MergeThreshold != 0 {
-		return cfg.MergeThreshold
-	}
-	return 0.85
 }
 
 // Manifest builds the OpenRefine service manifest.

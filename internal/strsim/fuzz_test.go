@@ -42,8 +42,6 @@ func strsimMetrics() []metric {
 		{"NeedlemanWunsch", NeedlemanWunsch},
 		{"JaccardTokens", JaccardTokens},
 		{"JaccardContentTokens", JaccardContentTokens},
-		{"DiceTokens", DiceTokens},
-		{"OverlapTokens", OverlapTokens},
 		{"MongeElkan", func(a, b string) float64 { return MongeElkan(a, b, nil) }},
 		{"CosineSim", c.CosineSim},
 		{"SoftCosine", func(a, b string) float64 { return c.SoftCosine(a, b, 0.9) }},

@@ -58,35 +58,6 @@ func JaccardContentTokens(a, b string) float64 {
 	return sortedJaccard(tokenSet(tokenizer.ContentWords(a)), tokenSet(tokenizer.ContentWords(b)))
 }
 
-// DiceTokens returns the Sørensen–Dice coefficient 2|A∩B| / (|A|+|B|) over
-// word-token sets.
-func DiceTokens(a, b string) float64 {
-	sa, sb := tokenSet(tokenizer.Words(a)), tokenSet(tokenizer.Words(b))
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	inter := sortedIntersection(sa, sb)
-	return 2 * float64(inter) / float64(len(sa)+len(sb))
-}
-
-// OverlapTokens returns |A ∩ B| / min(|A|,|B|) over word-token sets. It is
-// forgiving of containment: "ACM SIGMOD" vs "SIGMOD" scores 1.
-func OverlapTokens(a, b string) float64 {
-	sa, sb := tokenSet(tokenizer.Words(a)), tokenSet(tokenizer.Words(b))
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	if len(sa) == 0 || len(sb) == 0 {
-		return 0
-	}
-	inter := sortedIntersection(sa, sb)
-	m := len(sa)
-	if len(sb) < m {
-		m = len(sb)
-	}
-	return float64(inter) / float64(m)
-}
-
 func toSet(toks []string) map[string]bool {
 	if len(toks) == 0 {
 		return nil

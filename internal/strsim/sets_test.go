@@ -35,24 +35,6 @@ func TestJaccardContentTokens(t *testing.T) {
 	}
 }
 
-func TestDiceTokens(t *testing.T) {
-	if got := DiceTokens("a b", "b c"); !approx(got, 0.5) {
-		t.Errorf("Dice = %f, want 0.5", got)
-	}
-	if got := DiceTokens("", ""); got != 1 {
-		t.Errorf("Dice empty = %f", got)
-	}
-}
-
-func TestOverlapTokens(t *testing.T) {
-	if got := OverlapTokens("ACM SIGMOD", "SIGMOD"); got != 1 {
-		t.Errorf("containment overlap = %f, want 1", got)
-	}
-	if got := OverlapTokens("x", ""); got != 0 {
-		t.Errorf("one empty = %f, want 0", got)
-	}
-}
-
 func TestMongeElkan(t *testing.T) {
 	// Token reorder should score 1 with an exact inner comparator.
 	exact := func(a, b string) float64 {
@@ -130,8 +112,6 @@ var comparators = map[string]func(a, b string) float64{
 	"Jaro":           Jaro,
 	"JaroWinkler":    JaroWinkler,
 	"JaccardTokens":  JaccardTokens,
-	"DiceTokens":     DiceTokens,
-	"OverlapTokens":  OverlapTokens,
 	"LCSSim":         LCSSim,
 	"PrefixSim":      PrefixSim,
 	"MongeElkan":     func(a, b string) float64 { return MongeElkan(a, b, nil) },

@@ -169,6 +169,15 @@ curl -fsS "$base/metrics" | grep '"recovery":"checkpoint"' >/dev/null
 ver3=$(curl -fsS -D - -o "$tmpdir/entity0.restore.json" "$base/entity/0" | tr -d '\r' | awk -F': ' 'tolower($1)=="x-snapshot-version" {print $2}')
 [ "$ver" = "$ver3" ] || { echo "fast-restore version $ver3 != $ver" >&2; exit 1; }
 cmp -s "$tmpdir/entity0.json" "$tmpdir/entity0.restore.json" || { echo "entity/0 differs after fast restore" >&2; exit 1; }
+# The restored view must be a whole view before any ingest republishes it:
+# the manifest still advertises the collective mode and a collective query
+# is answered (a hand-built restore view once left the collective matcher
+# nil and this query crashed the handler).
+curl -fsS "$base/" | grep '"collective":{"modes":\["attribute","collective"\]' >/dev/null
+curl -fsS "$base/reconcile" \
+    --data-urlencode "queries={\"q0\":{\"query\":\"$name\",\"type\":\"Person\",\"mode\":\"collective\"}}" \
+    | grep '"result":\[{' >/dev/null
+curl -fsS "$base/metrics" | grep '"collectiveQueries":1' >/dev/null
 kill "$server_pid"
 wait "$server_pid" 2>/dev/null || true
 server_pid=""
