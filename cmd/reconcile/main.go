@@ -91,17 +91,8 @@ func main() {
 		default:
 			log.Fatalf("unknown mode %q", *mode)
 		}
-		switch strings.ToLower(*evidence) {
-		case "attr":
-			cfg.Evidence = recon.EvidenceAttrWise
-		case "nameemail":
-			cfg.Evidence = recon.EvidenceNameEmail
-		case "article":
-			cfg.Evidence = recon.EvidenceArticle
-		case "contact":
-			cfg.Evidence = recon.EvidenceContact
-		default:
-			log.Fatalf("unknown evidence level %q", *evidence)
+		if cfg.Evidence, err = recon.ParseEvidenceLevel(*evidence); err != nil {
+			log.Fatal(err)
 		}
 		var observer *obs.Observer
 		if *tracePath != "" || *progress {

@@ -78,17 +78,9 @@ func main() {
 	// Engine counters are atomics, cheap enough to leave on in a serving
 	// process; /metrics and expvar expose them under "engine".
 	cfg.Obs = &obs.Observer{Counters: obs.NewCounters()}
-	switch *evidence {
-	case "attr":
-		cfg.Evidence = recon.EvidenceAttrWise
-	case "nameemail":
-		cfg.Evidence = recon.EvidenceNameEmail
-	case "article":
-		cfg.Evidence = recon.EvidenceArticle
-	case "contact":
-		cfg.Evidence = recon.EvidenceContact
-	default:
-		log.Fatalf("unknown evidence level %q", *evidence)
+	var err error
+	if cfg.Evidence, err = recon.ParseEvidenceLevel(*evidence); err != nil {
+		log.Fatal(err)
 	}
 
 	if *dataDir != "" {

@@ -33,37 +33,32 @@ func (d *Dataset) EntityCount(class string) int {
 	return len(seen)
 }
 
-// Filter builds a new dataset containing the references accepted by keep,
+// filter builds a new dataset containing the references accepted by keep,
 // with ids remapped densely and association links to dropped references
 // removed.
-func (d *Dataset) Filter(name string, keep func(*reference.Reference) bool) *Dataset {
-	out := reference.NewStore()
+func (d *Dataset) filter(name string, keep func(*reference.Reference) bool) *Dataset {
 	mapping := make(map[reference.ID]reference.ID)
-	var kept []*reference.Reference
 	for _, r := range d.Store.All() {
-		if !keep(r) {
+		if keep(r) {
+			mapping[r.ID] = reference.ID(len(mapping))
+		}
+	}
+	out := reference.NewStore()
+	for _, r := range d.Store.All() {
+		if _, ok := mapping[r.ID]; !ok {
 			continue
 		}
-		clone := reference.New(r.Class)
-		clone.Source = r.Source
-		clone.Entity = r.Entity
-		for _, attr := range r.AtomicAttrs() {
-			for _, v := range r.Atomic(attr) {
-				clone.AddAtomic(attr, v)
-			}
-		}
-		mapping[r.ID] = out.Add(clone)
-		kept = append(kept, r)
-	}
-	for _, r := range kept {
-		clone := out.Get(mapping[r.ID])
-		for _, attr := range r.AssocAttrs() {
-			for _, target := range r.Assoc(attr) {
-				if nt, ok := mapping[target]; ok {
-					clone.AddAssoc(attr, nt)
+		rec := r.Record()
+		for attr, targets := range rec.Assoc {
+			kept := targets[:0]
+			for _, t := range targets {
+				if nt, ok := mapping[t]; ok {
+					kept = append(kept, nt)
 				}
 			}
+			rec.Assoc[attr] = kept
 		}
+		out.Add(rec.Reference())
 	}
 	return &Dataset{Name: name, Store: out}
 }
@@ -72,7 +67,7 @@ func (d *Dataset) Filter(name string, keep func(*reference.Reference) bool) *Dat
 // extracted from email, with their mutual contact links. It is a
 // single-class information space with rich associations.
 func (d *Dataset) PEmail() *Dataset {
-	return d.Filter(d.Name+"/PEmail", func(r *reference.Reference) bool {
+	return d.filter(d.Name+"/PEmail", func(r *reference.Reference) bool {
 		return r.Class == schema.ClassPerson && r.Source == extract.SourceEmail
 	})
 }
@@ -81,44 +76,24 @@ func (d *Dataset) PEmail() *Dataset {
 // email-extracted persons — the bibliography world of name-only person
 // references, articles, and venues.
 func (d *Dataset) PArticle() *Dataset {
-	return d.Filter(d.Name+"/PArticle", func(r *reference.Reference) bool {
+	return d.filter(d.Name+"/PArticle", func(r *reference.Reference) bool {
 		return !(r.Class == schema.ClassPerson && r.Source == extract.SourceEmail)
 	})
 }
 
-// jsonRef is the serialized form of one reference.
-type jsonRef struct {
-	ID     reference.ID              `json:"id"`
-	Class  string                    `json:"class"`
-	Source string                    `json:"source,omitempty"`
-	Entity string                    `json:"entity,omitempty"`
-	Atomic map[string][]string       `json:"atomic,omitempty"`
-	Assoc  map[string][]reference.ID `json:"assoc,omitempty"`
-}
-
+// jsonDataset is the file form: the store's records under a name. The
+// "references" array is an ingest batch (serve's POST /ingest takes it
+// verbatim).
 type jsonDataset struct {
-	Name string    `json:"name"`
-	Refs []jsonRef `json:"references"`
+	Name string             `json:"name"`
+	Refs []reference.Record `json:"references"`
 }
 
 // WriteJSON serializes the dataset.
 func (d *Dataset) WriteJSON(w io.Writer) error {
 	out := jsonDataset{Name: d.Name}
 	for _, r := range d.Store.All() {
-		jr := jsonRef{ID: r.ID, Class: r.Class, Source: r.Source, Entity: r.Entity}
-		if attrs := r.AtomicAttrs(); len(attrs) > 0 {
-			jr.Atomic = make(map[string][]string, len(attrs))
-			for _, a := range attrs {
-				jr.Atomic[a] = append([]string(nil), r.Atomic(a)...)
-			}
-		}
-		if attrs := r.AssocAttrs(); len(attrs) > 0 {
-			jr.Assoc = make(map[string][]reference.ID, len(attrs))
-			for _, a := range attrs {
-				jr.Assoc[a] = append([]reference.ID(nil), r.Assoc(a)...)
-			}
-		}
-		out.Refs = append(out.Refs, jr)
+		out.Refs = append(out.Refs, r.Record())
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
@@ -134,34 +109,11 @@ func ReadJSON(r io.Reader) (*Dataset, error) {
 	}
 	sort.Slice(in.Refs, func(i, j int) bool { return in.Refs[i].ID < in.Refs[j].ID })
 	store := reference.NewStore()
-	for i, jr := range in.Refs {
-		if int(jr.ID) != i {
-			return nil, fmt.Errorf("dataset: non-dense reference id %d at position %d", jr.ID, i)
+	for i, rec := range in.Refs {
+		if int(rec.ID) != i {
+			return nil, fmt.Errorf("dataset: non-dense reference id %d at position %d", rec.ID, i)
 		}
-		ref := reference.New(jr.Class)
-		ref.Source = jr.Source
-		ref.Entity = jr.Entity
-		atomicAttrs := make([]string, 0, len(jr.Atomic))
-		for a := range jr.Atomic {
-			atomicAttrs = append(atomicAttrs, a)
-		}
-		sort.Strings(atomicAttrs)
-		for _, a := range atomicAttrs {
-			for _, v := range jr.Atomic[a] {
-				ref.AddAtomic(a, v)
-			}
-		}
-		assocAttrs := make([]string, 0, len(jr.Assoc))
-		for a := range jr.Assoc {
-			assocAttrs = append(assocAttrs, a)
-		}
-		sort.Strings(assocAttrs)
-		for _, a := range assocAttrs {
-			for _, t := range jr.Assoc[a] {
-				ref.AddAssoc(a, t)
-			}
-		}
-		store.Add(ref)
+		store.Add(rec.Reference())
 	}
 	return &Dataset{Name: in.Name, Store: store}, nil
 }

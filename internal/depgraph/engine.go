@@ -22,6 +22,10 @@ type ScorerFunc func(n *Node) float64
 // Score implements Scorer.
 func (f ScorerFunc) Score(n *Node) float64 { return f(n) }
 
+// DefaultEpsilon is the reactivation threshold a run uses when
+// Options.Epsilon is unset.
+const DefaultEpsilon = 1e-6
+
 // Options configure a propagation run.
 type Options struct {
 	// Scorer computes node similarities. Required.
@@ -31,7 +35,7 @@ type Options struct {
 	// attribute-value pairs.)
 	MergeThreshold func(n *Node) float64
 	// Epsilon is the minimum similarity increase that re-activates
-	// neighbors; it guarantees termination (§3.2). Default 1e-6.
+	// neighbors; it guarantees termination (§3.2). Default DefaultEpsilon.
 	Epsilon float64
 	// Propagate enables dependency-driven re-activation (§3.2). When
 	// false, every seeded node is scored exactly once in seed order (the
@@ -111,7 +115,7 @@ func (g *Graph) Run(seed []*Node, opt Options) Stats {
 	}
 	eps := opt.Epsilon
 	if eps <= 0 {
-		eps = 1e-6
+		eps = DefaultEpsilon
 	}
 	maxSteps := opt.MaxSteps
 	if maxSteps <= 0 {

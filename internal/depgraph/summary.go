@@ -56,7 +56,7 @@ func (g *Graph) Summarize() Summary {
 // pass over the graph.
 func (g *Graph) CheckFixedPoint(scorer Scorer, eps float64) []*Node {
 	if eps <= 0 {
-		eps = 1e-6
+		eps = DefaultEpsilon
 	}
 	var bad []*Node
 	g.Nodes(func(n *Node) {

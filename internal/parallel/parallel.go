@@ -44,27 +44,36 @@ func Workers(n int) int {
 // serial behavior. A panic in any fn is re-raised on the calling
 // goroutine after the remaining workers drain.
 func For(workers, n int, fn func(i int)) {
-	if n <= 0 {
-		return
+	if n <= minChunk {
+		workers = 1
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 || n <= minChunk {
+	// Chunk size targets several claims per worker so the tail balances,
+	// floored at minChunk to bound cursor contention.
+	run(workers, n, max(n/(Workers(workers)*4), minChunk), fn)
+}
+
+// Coarse runs fn(i) for every i in [0, n) using up to workers goroutines,
+// claiming indexes one at a time. Unlike For — which inlines small ranges
+// because its work items are tiny — Coarse assumes each item is a large
+// independent task (e.g. one shard's propagation fixed point), so even a
+// handful of items is worth fanning out. workers <= 0 means
+// runtime.NumCPU(); workers == 1 runs inline, preserving exact serial
+// behavior. A panic in any fn is re-raised on the calling goroutine after
+// the remaining workers drain.
+func Coarse(workers, n int, fn func(i int)) {
+	run(workers, n, 1, fn)
+}
+
+// run is the one fork-join loop: up to workers goroutines claim chunk
+// indexes at a time from a shared cursor until [0, n) is exhausted.
+func run(workers, n, chunk int, fn func(i int)) {
+	workers = min(Workers(workers), n)
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
-
-	// Chunk size targets several claims per worker so the tail balances,
-	// floored at minChunk to bound cursor contention.
-	chunk := n / (workers * 4)
-	if chunk < minChunk {
-		chunk = minChunk
-	}
-
 	var (
 		cursor   atomic.Int64
 		wg       sync.WaitGroup
@@ -83,64 +92,10 @@ func For(workers, n int, fn func(i int)) {
 			if start >= n {
 				return
 			}
-			if end > n {
-				end = n
-			}
+			end = min(end, n)
 			for i := start; i < end; i++ {
 				fn(i)
 			}
-		}
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go work()
-	}
-	wg.Wait()
-	if p, ok := panicked.Load().(*workerPanic); ok {
-		panic(p.value)
-	}
-}
-
-// Coarse runs fn(i) for every i in [0, n) using up to workers goroutines,
-// claiming indexes one at a time. Unlike For — which inlines small ranges
-// because its work items are tiny — Coarse assumes each item is a large
-// independent task (e.g. one shard's propagation fixed point), so even a
-// handful of items is worth fanning out. workers <= 0 means
-// runtime.NumCPU(); workers == 1 runs inline, preserving exact serial
-// behavior. A panic in any fn is re-raised on the calling goroutine after
-// the remaining workers drain.
-func Coarse(workers, n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var (
-		cursor   atomic.Int64
-		wg       sync.WaitGroup
-		panicked atomic.Value
-	)
-	work := func() {
-		defer wg.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				panicked.CompareAndSwap(nil, &workerPanic{r})
-			}
-		}()
-		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(i)
 		}
 	}
 	wg.Add(workers)

@@ -9,13 +9,9 @@ package recon
 // fallback is the Matcher, not an approximation of it.
 
 import (
-	"fmt"
-	"sort"
-
 	"refrecon/internal/collective"
 	"refrecon/internal/depgraph"
 	"refrecon/internal/reference"
-	"refrecon/internal/schema"
 )
 
 // CollectiveStats extends MatchStats with the expansion/propagation
@@ -74,15 +70,11 @@ func (cm *CollectiveMatcher) Match(q Query) ([]Candidate, CollectiveStats, error
 // budget degrades the run, it is exactly Matcher.Match.
 func (cm *CollectiveMatcher) MatchConfig(q Query, cc collective.Config) ([]Candidate, CollectiveStats, error) {
 	m := cm.m
-	class, qr, err := m.queryRef(q)
+	qr, err := m.queryRef(q)
 	if err != nil {
 		return nil, CollectiveStats{}, err
 	}
-	blockable := !qr.IsEmpty()
-	if err := cm.addAssoc(qr, class, q); err != nil {
-		return nil, CollectiveStats{}, err
-	}
-	if !blockable {
+	if len(qr.AtomicAttrs()) == 0 {
 		// Associations alone generate no blocking candidates; nothing to
 		// expand from.
 		return nil, CollectiveStats{}, nil
@@ -121,38 +113,6 @@ func (cm *CollectiveMatcher) MatchConfig(q Query, cc collective.Config) ([]Candi
 	return m.Rank(base, q.Limit), st, nil
 }
 
-// addAssoc checks the query's association attributes against the class
-// schema and its target ids against the snapshot, and adds them to the
-// query reference with sorted, deduplicated target lists.
-func (cm *CollectiveMatcher) addAssoc(qr *reference.Reference, class *schema.Class, q Query) error {
-	attrs := make([]string, 0, len(q.Assoc))
-	for a := range q.Assoc {
-		attrs = append(attrs, a)
-	}
-	sort.Strings(attrs)
-	for _, attr := range attrs {
-		a, ok := class.Attr(attr)
-		if !ok || a.Kind != schema.Association {
-			return fmt.Errorf("recon: class %q has no association attribute %q", q.Class, attr)
-		}
-		ts := append([]reference.ID(nil), q.Assoc[attr]...)
-		for _, t := range ts {
-			sr, ok := cm.m.snap.Ref(t)
-			if !ok {
-				return fmt.Errorf("recon: association %q target %d is not a stored reference", attr, t)
-			}
-			if sr.Class != a.Target {
-				return fmt.Errorf("recon: association %q target %d has class %q, want %q", attr, t, sr.Class, a.Target)
-			}
-		}
-		sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-		for _, t := range ts {
-			qr.AddAssoc(attr, t)
-		}
-	}
-	return nil
-}
-
 // queryHost adapts one (Matcher, query reference) pair to the
 // collective.Host interface. The query reference gets the first id past
 // the stored id space; everything else resolves through the matcher's
@@ -185,7 +145,7 @@ func (h *queryHost) ref(id reference.ID) *reference.Reference {
 	if id < 0 || int(id) >= len(h.m.refs) {
 		return nil
 	}
-	return &h.m.refs[id]
+	return h.m.refs[id]
 }
 
 // ClassOf implements collective.Host.

@@ -10,6 +10,9 @@
 package recon
 
 import (
+	"fmt"
+	"strings"
+
 	"refrecon/internal/obs"
 	"refrecon/internal/simfn"
 )
@@ -82,6 +85,17 @@ func (e EvidenceLevel) String() string {
 	}
 }
 
+// ParseEvidenceLevel is String's inverse. It also accepts the command-line
+// spellings attr, nameemail, article and contact, in any letter case.
+func ParseEvidenceLevel(s string) (EvidenceLevel, error) {
+	for e, short := range [...]string{"attr", "nameemail", "article", "contact"} {
+		if strings.EqualFold(s, short) || s == EvidenceLevel(e).String() {
+			return EvidenceLevel(e), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown evidence level %q", s)
+}
+
 // Config collects all tunable parameters. DefaultConfig returns the
 // published §5.2 settings.
 type Config struct {
@@ -123,10 +137,6 @@ type Config struct {
 	// path: components drift and merge across batches, so a per-batch
 	// re-split would forfeit the retained graph the session exists to keep.
 	Shards int
-	// MaxSteps caps engine evaluations (0 = engine default).
-	MaxSteps int
-	// Epsilon is the reactivation threshold (0 = engine default).
-	Epsilon float64
 	// RescanScoring disables delta-maintained evidence digests: every
 	// propagation step rescans the node's full incoming neighborhood, the
 	// pre-optimization reference behavior. Results are bit-identical either

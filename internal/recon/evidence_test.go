@@ -48,11 +48,15 @@ func modelFixture(t *testing.T, sch *schema.Schema, store *reference.Store) (*bu
 	cfg := DefaultConfig()
 	b := newBuilder(store, sch, cfg)
 	seed := b.incorporate(store.All())
-	res, err := New(sch, cfg).Reconcile(store)
+	sess := New(sch, cfg).NewSession(store)
+	if _, err := sess.Reconcile(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := sess.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMatcher(sch, cfg, res.Snapshot(store))
+	m := NewMatcher(sch, cfg, snap)
 	return b, seed, newQueryHost(m, reference.New(sch.Classes()[0].Name), cfg.AttrMergeThreshold)
 }
 
@@ -232,11 +236,7 @@ func TestInducedVenueRelaxation(t *testing.T) {
 	if n := newBuilder(s, schema.PIM(), cfg).ensureRefPair(v1, v2, true); n == nil || !n.Alive() {
 		t.Error("induced venue pair with nothing to compare should be kept")
 	}
-	res, err := New(schema.PIM(), cfg).Reconcile(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := newQueryHost(NewMatcher(schema.PIM(), cfg, res.Snapshot(s)), reference.New(schema.ClassVenue), cfg.AttrMergeThreshold)
+	h := newQueryHost(NewMatcher(schema.PIM(), cfg, snapshotOf(t, s, cfg)), reference.New(schema.ClassVenue), cfg.AttrMergeThreshold)
 	if qn, wired := wireAtQueryTime(h, v1.ID, v2.ID); wired || !qn.Alive() {
 		t.Errorf("query time: wired=%v alive=%v, want nothing wired and the node kept", wired, qn.Alive())
 	}

@@ -208,4 +208,17 @@ func TestModeAndEvidenceStrings(t *testing.T) {
 		EvidenceArticle.String() != "Article" || EvidenceContact.String() != "Contact" {
 		t.Error("evidence strings wrong")
 	}
+	for e := EvidenceAttrWise; e <= EvidenceContact; e++ {
+		if got, err := ParseEvidenceLevel(e.String()); err != nil || got != e {
+			t.Errorf("ParseEvidenceLevel(%q) = %v, %v", e.String(), got, err)
+		}
+	}
+	for flag, want := range map[string]EvidenceLevel{"attr": EvidenceAttrWise, "NameEmail": EvidenceNameEmail, "article": EvidenceArticle, "contact": EvidenceContact} {
+		if got, err := ParseEvidenceLevel(flag); err != nil || got != want {
+			t.Errorf("ParseEvidenceLevel(%q) = %v, %v", flag, got, err)
+		}
+	}
+	if _, err := ParseEvidenceLevel("everything"); err == nil {
+		t.Error("unknown evidence level should error")
+	}
 }

@@ -95,47 +95,63 @@ func (s *Session) Explain(a, b reference.ID) (Explanation, error) {
 		d := describeNode(n)
 		out.Direct = &d
 	}
-	if !out.Same {
-		return out, nil
-	}
-	// BFS over merged pair nodes from a to b.
-	prev := map[reference.ID]*depgraph.Node{a: nil}
-	queue := []reference.ID{a}
-	for len(queue) > 0 && prev[b] == nil {
-		cur := queue[0]
-		queue = queue[1:]
-		nodes := s.g.RefPairNodesOf(cur)
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i].Key() < nodes[j].Key() })
-		for _, n := range nodes {
-			if n.Status() != depgraph.Merged {
-				continue
-			}
-			next := n.Other(cur)
-			if _, seen := prev[next]; seen {
-				continue
-			}
-			prev[next] = n
-			if next == b {
-				break
-			}
-			queue = append(queue, next)
-		}
-	}
-	// The closure may unite a and b even when enrichment folded away the
-	// intermediate nodes; in that case only Direct evidence is available.
-	if prev[b] == nil {
-		return out, nil
-	}
-	var rev []PairDecision
-	for cur := b; cur != a; {
-		n := prev[cur]
-		rev = append(rev, describeNode(n))
-		cur = n.Other(cur)
-	}
-	for i := len(rev) - 1; i >= 0; i-- {
-		out.Path = append(out.Path, rev[i])
+	if out.Same {
+		out.Path = explainPath(a, b, s.mergedLinks)
 	}
 	return out, nil
+}
+
+// mergedLinks lists a reference's merged pair nodes as a snapshot stores
+// them: described, and sorted by the other endpoint.
+func (s *Session) mergedLinks(id reference.ID) []mergedLink {
+	var links []mergedLink
+	for _, n := range s.g.RefPairNodesOf(id) {
+		if n.Status() == depgraph.Merged {
+			d := describeNode(n)
+			links = append(links, mergedLink{n.Other(id), &d})
+		}
+	}
+	sort.Slice(links, func(i, j int) bool { return links[i].other < links[j].other })
+	return links
+}
+
+// explainPath is the one Explain walk: a breadth-first search from a to b
+// over merged pair decisions, returning the connecting chain in a-to-b
+// order. links lists a reference's merged pairs in a fixed order, so the
+// discovered path is deterministic. The closure can unite a and b even
+// when enrichment folded away the intermediate nodes; the path is nil
+// then, and only Direct evidence is available.
+func explainPath(a, b reference.ID, links func(reference.ID) []mergedLink) []PairDecision {
+	type hop struct {
+		from reference.ID
+		d    *PairDecision
+	}
+	prev := map[reference.ID]hop{a: {from: a}}
+	queue := []reference.ID{a}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		if cur == b {
+			break
+		}
+		for _, l := range links(cur) {
+			if _, seen := prev[l.other]; !seen {
+				prev[l.other] = hop{from: cur, d: l.d}
+				queue = append(queue, l.other)
+			}
+		}
+	}
+	if _, ok := prev[b]; !ok {
+		return nil
+	}
+	var path []PairDecision
+	for cur := b; cur != a; cur = prev[cur].from {
+		path = append(path, *prev[cur].d)
+	}
+	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
+		path[i], path[j] = path[j], path[i]
+	}
+	return path
 }
 
 func describeNode(n *depgraph.Node) PairDecision {

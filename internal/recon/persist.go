@@ -15,7 +15,6 @@ import (
 	"sort"
 	"time"
 
-	"refrecon/internal/depgraph"
 	"refrecon/internal/reference"
 )
 
@@ -29,11 +28,7 @@ type snapshotWire struct {
 	Refs       []SnapRef
 	Partitions map[string][][]reference.ID
 	Assignment map[reference.ID]int
-	// Pairs carries the per-pair explain decisions; HasPairs distinguishes
-	// a snapshot with zero pair nodes from one exported without graph data
-	// (a Result snapshot), which must stay pair-less after a round trip.
-	Pairs    []PairDecision
-	HasPairs bool
+	Pairs      []PairDecision
 }
 
 // EncodeSnapshot serializes a snapshot into a self-contained byte blob.
@@ -45,18 +40,15 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 		Refs:       s.refs,
 		Partitions: s.partitions,
 		Assignment: s.assignment,
-		HasPairs:   s.pairs != nil,
 	}
-	if s.pairs != nil {
-		keys := make([]uint64, 0, len(s.pairs))
-		for k := range s.pairs {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		w.Pairs = make([]PairDecision, 0, len(keys))
-		for _, k := range keys {
-			w.Pairs = append(w.Pairs, *s.pairs[k])
-		}
+	keys := make([]uint64, 0, len(s.pairs))
+	for k := range s.pairs {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	w.Pairs = make([]PairDecision, 0, len(keys))
+	for _, k := range keys {
+		w.Pairs = append(w.Pairs, *s.pairs[k])
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
@@ -66,7 +58,9 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 }
 
 // DecodeSnapshot reconstructs a snapshot from EncodeSnapshot's output,
-// rebuilding the derived entity and explain indexes.
+// rebuilding the derived entity and explain indexes. The blob is outside
+// input (a checkpoint file): one that gob accepts but that names references
+// it does not carry is an error, never a snapshot that panics later.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	var w snapshotWire
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
@@ -80,6 +74,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		partitions: w.Partitions,
 		assignment: w.Assignment,
 		byLabel:    make(map[int]*Entity),
+		pairs:      make(map[uint64]*PairDecision, len(w.Pairs)),
 	}
 	// Gob omits empty maps; normalize so decoded snapshots behave like
 	// freshly exported ones (whose maps are always non-nil).
@@ -94,23 +89,25 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 			return nil, fmt.Errorf("recon: decode snapshot: assignment id %d outside %d refs", id, len(snap.refs))
 		}
 	}
-	snap.buildEntities()
-	if w.HasPairs {
-		snap.pairs = make(map[uint64]*PairDecision, len(w.Pairs))
-		snap.merged = make(map[reference.ID][]mergedLink)
-		mergedStatus := depgraph.Merged.String()
-		for i := range w.Pairs {
-			d := &w.Pairs[i]
-			snap.pairs[pairIndex(d.A, d.B)] = d
-			if d.Status == mergedStatus {
-				snap.merged[d.A] = append(snap.merged[d.A], mergedLink{d.B, d})
-				snap.merged[d.B] = append(snap.merged[d.B], mergedLink{d.A, d})
+	for class, parts := range snap.partitions {
+		for _, part := range parts {
+			if len(part) == 0 {
+				return nil, fmt.Errorf("recon: decode snapshot: empty %s partition", class)
+			}
+			for _, id := range part {
+				// An assigned id is in range (checked above), so this covers
+				// the partition ids too.
+				if label, ok := snap.assignment[id]; !ok || label != snap.assignment[part[0]] {
+					return nil, fmt.Errorf("recon: decode snapshot: %s partition member %d is not assigned to it", class, id)
+				}
 			}
 		}
-		for id := range snap.merged {
-			links := snap.merged[id]
-			sort.Slice(links, func(i, j int) bool { return links[i].other < links[j].other })
-		}
 	}
+	snap.buildEntities()
+	for i := range w.Pairs {
+		d := &w.Pairs[i]
+		snap.pairs[pairIndex(d.A, d.B)] = d
+	}
+	snap.linkMerged()
 	return snap, nil
 }

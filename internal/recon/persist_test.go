@@ -91,39 +91,6 @@ func TestSnapshotPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotPersistResultSnapshot checks a pair-less Result snapshot
-// stays pair-less after a round trip (HasPairs discriminates it from a
-// session snapshot with zero pairs).
-func TestSnapshotPersistResultSnapshot(t *testing.T) {
-	store := twoAccountStore()
-	res, err := New(schema.PIM(), DefaultConfig()).Reconcile(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := res.Snapshot(store)
-	blob, err := EncodeSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeSnapshot(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := got.Pair(0, 1); d != nil {
-		t.Errorf("Result snapshot grew pair data through the round trip: %+v", d)
-	}
-	if !got.SameEntity(0, 1) || got.SameEntity(0, 2) {
-		t.Error("decoded Result snapshot partition queries disagree")
-	}
-	exp, err := got.Explain(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !exp.Same || exp.Direct != nil || len(exp.Path) != 0 {
-		t.Errorf("decoded Result snapshot Explain = %+v, want Same with no pair evidence", exp)
-	}
-}
-
 // TestSnapshotPersistRejectsGarbage pins the error contract on corrupt
 // input.
 func TestSnapshotPersistRejectsGarbage(t *testing.T) {

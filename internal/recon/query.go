@@ -63,9 +63,9 @@ type MatchStats struct {
 type Matcher struct {
 	*evidence
 	snap *Snapshot
-	// refs are no-copy Reference views over the snapshot's stored
-	// references, indexed by id: the shape the evidence model reads.
-	refs []reference.Reference
+	// refs are the snapshot's stored references as References, indexed by
+	// id: the shape the evidence model reads.
+	refs []*reference.Reference
 }
 
 // NewMatcher indexes a snapshot for query-time reconciliation. Cost is one
@@ -74,12 +74,12 @@ func NewMatcher(sch *schema.Schema, cfg Config, snap *Snapshot) *Matcher {
 	m := &Matcher{
 		evidence: newEvidence(sch, cfg),
 		snap:     snap,
-		refs:     make([]reference.Reference, len(snap.refs)),
+		refs:     make([]*reference.Reference, len(snap.refs)),
 	}
 	for i := range snap.refs {
-		sr := &snap.refs[i]
-		m.refs[i] = reference.View(sr.ID, sr.Class, sr.Atomic, sr.Assoc)
-		m.feed(&m.refs[i])
+		m.refs[i] = snap.refs[i].Reference()
+		m.refs[i].ID = snap.refs[i].ID
+		m.feed(m.refs[i])
 	}
 	return m
 }
@@ -91,7 +91,8 @@ func (m *Matcher) Snapshot() *Snapshot { return m.snap }
 // entities, and decision-tree scoring of each entity, returning candidates
 // in descending score order (ties broken by canonical id).
 func (m *Matcher) Match(q Query) ([]Candidate, MatchStats, error) {
-	_, qr, err := m.queryRef(q)
+	q.Assoc = nil // the attribute-only matcher reads no associations
+	qr, err := m.queryRef(q)
 	if err != nil || qr.IsEmpty() {
 		return nil, MatchStats{}, err
 	}
@@ -120,30 +121,31 @@ func (m *Matcher) score(qr *reference.Reference) ([]Candidate, MatchStats) {
 	return cands, MatchStats{CandidateRefs: len(ids), CandidateEntities: len(cands)}
 }
 
-// queryRef materializes a query's atomic values as a free-standing
-// reference of its class, validating each attribute, with deterministic
-// (sorted) attribute order.
-func (m *Matcher) queryRef(q Query) (*schema.Class, *reference.Reference, error) {
-	class, ok := m.sch.Class(q.Class)
-	if !ok {
-		return nil, nil, fmt.Errorf("recon: unknown query class %q", q.Class)
-	}
-	qr := reference.New(q.Class)
-	attrs := make([]string, 0, len(q.Atomic))
-	for a := range q.Atomic {
-		attrs = append(attrs, a)
-	}
-	sort.Strings(attrs)
-	for _, attr := range attrs {
-		a, ok := class.Attr(attr)
-		if !ok || a.Kind != schema.Atomic {
-			return nil, nil, fmt.Errorf("recon: class %q has no atomic attribute %q", q.Class, attr)
-		}
-		for _, v := range q.Atomic[attr] {
-			qr.AddAtomic(attr, v)
+// queryRef checks a query against the schema, and its association targets
+// against the snapshot, and materializes it as a free-standing reference
+// of its class. Association target lists are sorted, so permuting them in
+// the query cannot change a collective result.
+func (m *Matcher) queryRef(q Query) (*reference.Reference, error) {
+	rec := reference.Record{Class: q.Class, Atomic: q.Atomic}
+	if len(q.Assoc) > 0 {
+		rec.Assoc = make(map[string][]reference.ID, len(q.Assoc))
+		for attr, ts := range q.Assoc {
+			ts = append([]reference.ID(nil), ts...)
+			sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+			rec.Assoc[attr] = ts
 		}
 	}
-	return class, qr, nil
+	classOf := func(id reference.ID) (string, bool) {
+		sr, ok := m.snap.Ref(id)
+		if !ok {
+			return "", false
+		}
+		return sr.Class, true
+	}
+	if err := rec.Check(m.sch, classOf); err != nil {
+		return nil, fmt.Errorf("recon: query: %w", err)
+	}
+	return rec.Reference(), nil
 }
 
 // Rank is the one candidate ranking: score descending with ties broken by
@@ -180,9 +182,8 @@ func (m *Matcher) Rank(cands []Candidate, limit int) []Candidate {
 // value cross product (above the same evidence floor construction uses),
 // combined by the class decision tree.
 func (m *Matcher) scoreEntity(qr *reference.Reference, ent *Entity) float64 {
-	union := reference.View(ent.Canonical, ent.Class, ent.Atomic, nil)
 	ev := simfn.Evidence{Real: make(map[string]float64)}
-	m.eachScored(qr, &union, func(v valCompare, sim float64) {
+	m.eachScored(qr, ent.union, func(v valCompare, sim float64) {
 		if cur, ok := ev.Real[v.cmp.evidence]; !ok || sim > cur {
 			ev.Real[v.cmp.evidence] = sim
 		}

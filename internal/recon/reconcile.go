@@ -92,10 +92,8 @@ func (rc *Reconciler) engineOptions() depgraph.Options {
 			}
 			return rc.cfg.MergeThreshold
 		},
-		Epsilon:   rc.cfg.Epsilon,
 		Propagate: rc.cfg.Mode.propagate(),
 		Enrich:    rc.cfg.Mode.enrich(),
-		MaxSteps:  rc.cfg.MaxSteps,
 	}
 }
 

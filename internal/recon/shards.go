@@ -119,10 +119,6 @@ func (sg *shardedGraph) run(seed []*depgraph.Node, eopts depgraph.Options) (depg
 		}
 	}
 
-	eps := s.rc.cfg.Epsilon
-	if eps <= 0 {
-		eps = 1e-6
-	}
 	// Engine-internal tracing and progress stay off: rounds of different
 	// components would interleave on one lane. The orchestrator emits one
 	// span per component run on a per-shard lane instead, and one progress
@@ -183,7 +179,7 @@ func (sg *shardedGraph) run(seed []*depgraph.Node, eopts depgraph.Options) (depg
 			sg.base = shardedAssignment(s.store, plan)
 		}
 		var sst shard.SyncStats
-		affected, sst = plan.SyncBoundary(eps)
+		affected, sst = plan.SyncBoundary(depgraph.DefaultEpsilon)
 		shStats.FrontierRounds++
 		shStats.BoundaryUpdates += sst.Updates
 		shStats.FrontierActivations += sst.Activations

@@ -18,18 +18,9 @@ import (
 	"refrecon/internal/reference"
 )
 
-// SnapRef is the deep-copied view of one reference inside a Snapshot.
-type SnapRef struct {
-	ID     reference.ID
-	Class  string
-	Source string
-	Entity string
-	// Atomic maps attribute names to copied value slices. Read-only.
-	Atomic map[string][]string
-	// Assoc maps association attribute names to copied target-id slices.
-	// Read-only.
-	Assoc map[string][]reference.ID
-}
+// SnapRef is one stored reference inside a Snapshot: the snapshot's own
+// deep copy, in record form. Read-only.
+type SnapRef = reference.Record
 
 // Entity is one canonical enriched entity of a snapshot: a partition with
 // the union of its members' attribute values (the §3.3 enrichment view,
@@ -47,6 +38,8 @@ type Entity struct {
 	// Atomic is the union of the members' atomic values, deduplicated,
 	// in member-then-value order. Read-only.
 	Atomic map[string][]string
+	// union is Atomic as a reference, the shape the evidence model scores.
+	union *reference.Reference
 }
 
 // Name returns a display value for the entity: its first name-like
@@ -81,8 +74,7 @@ type mergedLink struct {
 // methods are safe for concurrent use; nothing in a snapshot aliases the
 // live session's mutable state.
 type Snapshot struct {
-	// Version is the session batch ordinal the snapshot was taken after
-	// (0 for snapshots exported from a one-shot Result).
+	// Version is the session batch ordinal the snapshot was taken after.
 	Version int
 	// Taken is the export wall-clock time (informational).
 	Taken time.Time
@@ -95,8 +87,8 @@ type Snapshot struct {
 	entities   []*Entity
 	byLabel    map[int]*Entity
 	// pairs holds one copied decision per RefPair node; merged holds the
-	// merged-pair adjacency for explain path search. Both are nil for
-	// Result-exported snapshots, which carry no graph.
+	// merged-pair adjacency for explain path search, each list sorted by
+	// the other endpoint.
 	pairs  map[uint64]*PairDecision
 	merged map[reference.ID][]mergedLink
 }
@@ -130,9 +122,6 @@ func (s *Snapshot) EachRef(fn func(*SnapRef)) {
 // Partitions returns the class partition map. Read-only.
 func (s *Snapshot) Partitions() map[string][][]reference.ID { return s.partitions }
 
-// PartitionCount returns the number of partitions of a class.
-func (s *Snapshot) PartitionCount(class string) int { return len(s.partitions[class]) }
-
 // SameEntity reports whether two references share a partition.
 func (s *Snapshot) SameEntity(a, b reference.ID) bool {
 	pa, okA := s.assignment[a]
@@ -154,20 +143,14 @@ func (s *Snapshot) EntityOf(id reference.ID) *Entity {
 	return s.byLabel[label]
 }
 
-// EntityByLabel returns the entity with the snapshot-local partition label.
-func (s *Snapshot) EntityByLabel(label int) *Entity { return s.byLabel[label] }
-
 // Pair returns the copied decision for the (a, b) pair node, or nil when
-// the graph had no such node (or the snapshot carries no graph data).
+// the graph had no such node.
 func (s *Snapshot) Pair(a, b reference.ID) *PairDecision {
 	return s.pairs[pairIndex(a, b)]
 }
 
-// Explain mirrors Session.Explain over the snapshot's copied pair
-// decisions: it reports whether a and b share a partition and, when they
-// do, the chain of merged pair decisions connecting them. Snapshots
-// exported from a Result carry no pair data, so Path and Direct stay
-// empty there.
+// Explain reports whether a and b share a partition and, when they do,
+// the chain of merged pair decisions connecting them.
 func (s *Snapshot) Explain(a, b reference.ID) (Explanation, error) {
 	if int(a) >= len(s.refs) || int(b) >= len(s.refs) || a < 0 || b < 0 {
 		return Explanation{}, fmt.Errorf("recon: reference id out of range")
@@ -177,44 +160,8 @@ func (s *Snapshot) Explain(a, b reference.ID) (Explanation, error) {
 		cp := *d
 		out.Direct = &cp
 	}
-	if !out.Same || s.merged == nil {
-		return out, nil
-	}
-	// BFS over merged pair decisions from a to b; adjacency is pre-sorted,
-	// so the discovered path is deterministic.
-	type hop struct {
-		from reference.ID
-		d    *PairDecision
-	}
-	prev := map[reference.ID]hop{a: {from: a}}
-	queue := []reference.ID{a}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur == b {
-			break
-		}
-		for _, l := range s.merged[cur] {
-			if _, seen := prev[l.other]; seen {
-				continue
-			}
-			prev[l.other] = hop{from: cur, d: l.d}
-			queue = append(queue, l.other)
-		}
-	}
-	if _, ok := prev[b]; !ok {
-		// The closure can unite a and b even when enrichment folded away
-		// the intermediate nodes; only Direct evidence is available then.
-		return out, nil
-	}
-	var rev []PairDecision
-	for cur := b; cur != a; {
-		h := prev[cur]
-		rev = append(rev, *h.d)
-		cur = h.from
-	}
-	for i := len(rev) - 1; i >= 0; i-- {
-		out.Path = append(out.Path, rev[i])
+	if out.Same {
+		out.Path = explainPath(a, b, func(id reference.ID) []mergedLink { return s.merged[id] })
 	}
 	return out, nil
 }
@@ -229,14 +176,6 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 		return nil, fmt.Errorf("recon: Snapshot before Reconcile")
 	}
 	return newSnapshot(s.store, s.latest, s.g, s.b.batch), nil
-}
-
-// Snapshot exports the result as a deep, read-only view over the store it
-// was computed from. One-shot results hold no dependency graph, so the
-// snapshot carries partitions and entities but no per-pair explain data;
-// use Session.Snapshot for the full view.
-func (r *Result) Snapshot(store *reference.Store) *Snapshot {
-	return newSnapshot(store, r, nil, 0)
 }
 
 func newSnapshot(store *reference.Store, res *Result, g *depgraph.Graph, version int) *Snapshot {
@@ -261,22 +200,8 @@ func newSnapshot(store *reference.Store, res *Result, g *depgraph.Graph, version
 		covered--
 	}
 	snap.refs = make([]SnapRef, covered)
-	for i := 0; i < covered; i++ {
-		r := store.Get(reference.ID(i))
-		sr := SnapRef{ID: r.ID, Class: r.Class, Source: r.Source, Entity: r.Entity}
-		if attrs := r.AtomicAttrs(); len(attrs) > 0 {
-			sr.Atomic = make(map[string][]string, len(attrs))
-			for _, a := range attrs {
-				sr.Atomic[a] = append([]string(nil), r.Atomic(a)...)
-			}
-		}
-		if attrs := r.AssocAttrs(); len(attrs) > 0 {
-			sr.Assoc = make(map[string][]reference.ID, len(attrs))
-			for _, a := range attrs {
-				sr.Assoc[a] = append([]reference.ID(nil), r.Assoc(a)...)
-			}
-		}
-		snap.refs[i] = sr
+	for i := range snap.refs {
+		snap.refs[i] = store.Get(reference.ID(i)).Record()
 	}
 
 	for class, parts := range res.Partitions {
@@ -293,27 +218,31 @@ func newSnapshot(store *reference.Store, res *Result, g *depgraph.Graph, version
 
 	snap.buildEntities()
 
-	if g != nil {
-		snap.pairs = make(map[uint64]*PairDecision)
-		snap.merged = make(map[reference.ID][]mergedLink)
-		g.Nodes(func(node *depgraph.Node) {
-			if node.Kind() != depgraph.RefPair {
-				return
-			}
+	snap.pairs = make(map[uint64]*PairDecision)
+	g.Nodes(func(node *depgraph.Node) {
+		if node.Kind() == depgraph.RefPair {
 			d := describeNode(node)
-			dp := &d
-			snap.pairs[pairIndex(node.RefA(), node.RefB())] = dp
-			if node.Status() == depgraph.Merged {
-				snap.merged[node.RefA()] = append(snap.merged[node.RefA()], mergedLink{node.RefB(), dp})
-				snap.merged[node.RefB()] = append(snap.merged[node.RefB()], mergedLink{node.RefA(), dp})
-			}
-		})
-		for id := range snap.merged {
-			links := snap.merged[id]
-			sort.Slice(links, func(i, j int) bool { return links[i].other < links[j].other })
+			snap.pairs[pairIndex(d.A, d.B)] = &d
+		}
+	})
+	snap.linkMerged()
+	return snap
+}
+
+// linkMerged derives the merged-pair adjacency Explain searches from the
+// pair decisions.
+func (snap *Snapshot) linkMerged() {
+	snap.merged = make(map[reference.ID][]mergedLink)
+	mergedStatus := depgraph.Merged.String()
+	for _, d := range snap.pairs {
+		if d.Status == mergedStatus {
+			snap.merged[d.A] = append(snap.merged[d.A], mergedLink{d.B, d})
+			snap.merged[d.B] = append(snap.merged[d.B], mergedLink{d.A, d})
 		}
 	}
-	return snap
+	for _, links := range snap.merged {
+		sort.Slice(links, func(i, j int) bool { return links[i].other < links[j].other })
+	}
 }
 
 // buildEntities derives the canonical enriched entities from the
@@ -352,6 +281,7 @@ func (snap *Snapshot) buildEntities() {
 					}
 				}
 			}
+			ent.union = reference.Record{Class: class, Atomic: ent.Atomic}.Reference()
 			snap.entities = append(snap.entities, ent)
 			snap.byLabel[ent.Label] = ent
 		}

@@ -139,40 +139,6 @@ func TestSnapshotExplainMatchesSession(t *testing.T) {
 	}
 }
 
-// TestResultSnapshot covers the one-shot export: partitions and entities
-// are present, pair data is absent.
-func TestResultSnapshot(t *testing.T) {
-	store := twoAccountStore()
-	res, err := New(schema.PIM(), DefaultConfig()).Reconcile(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := res.Snapshot(store)
-	if snap.RefCount() != 3 {
-		t.Fatalf("RefCount = %d, want 3", snap.RefCount())
-	}
-	if !snap.SameEntity(0, 1) {
-		t.Errorf("expected references 0 and 1 merged")
-	}
-	ent := snap.EntityOf(0)
-	if ent == nil || ent.Canonical != 0 || len(ent.Members) != 2 {
-		t.Fatalf("EntityOf(0) = %+v, want canonical 0 with 2 members", ent)
-	}
-	if got := len(ent.Atomic[schema.AttrName]); got != 2 {
-		t.Errorf("enriched entity has %d names, want 2 (union of member values)", got)
-	}
-	if d := snap.Pair(0, 1); d != nil {
-		t.Errorf("Result snapshot unexpectedly carries pair data: %+v", d)
-	}
-	exp, err := snap.Explain(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !exp.Same || exp.Direct != nil || len(exp.Path) != 0 {
-		t.Errorf("Result snapshot Explain = %+v, want Same with no pair evidence", exp)
-	}
-}
-
 // TestSnapshotBeforeReconcile pins the error contract.
 func TestSnapshotBeforeReconcile(t *testing.T) {
 	sess := New(schema.PIM(), DefaultConfig()).NewSession(reference.NewStore())

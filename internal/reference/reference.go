@@ -1,6 +1,7 @@
 // Package reference defines the Reference type — a partial description of a
-// real-world entity extracted from some source — and the Store that holds a
-// dataset's references.
+// real-world entity extracted from some source — the Store that holds a
+// dataset's references, and the Record form a reference takes whenever it
+// crosses a layer boundary (a file, an ingest batch, a log, a snapshot).
 //
 // A reference carries a (possibly empty) *set* of values for each attribute
 // of its class. Multi-valued attributes are fundamental to the paper's
@@ -42,14 +43,6 @@ func New(class string) *Reference {
 		atomic: make(map[string][]string),
 		assoc:  make(map[string][]ID),
 	}
-}
-
-// View returns a read-only reference over existing attribute maps without
-// copying them, so that an immutable snapshot can hand its stored values to
-// code written against Reference. The maps must never change afterwards;
-// a view must not be mutated (AddAtomic, AddAssoc) or added to a Store.
-func View(id ID, class string, atomic map[string][]string, assoc map[string][]ID) Reference {
-	return Reference{ID: id, Class: class, atomic: atomic, assoc: assoc}
 }
 
 // AddAtomic appends a value to the named atomic attribute, skipping empty
@@ -174,39 +167,118 @@ func (s *Store) Classes() []string {
 	return out
 }
 
-// Validate checks every reference against the schema: classes must exist,
-// attributes must be declared with the right kind, and association targets
-// must be in range and of the declared target class.
+// Validate checks every reference against the schema (Record.Check, with
+// association targets resolved inside the store).
 func (s *Store) Validate(sch *schema.Schema) error {
+	classOf := func(id ID) (string, bool) {
+		if id < 0 || int(id) >= len(s.refs) {
+			return "", false
+		}
+		return s.refs[id].Class, true
+	}
 	for _, r := range s.refs {
-		c, ok := sch.Class(r.Class)
+		// A transient record over the reference's own maps: validation runs
+		// over the whole store on every commit and must not copy it.
+		rec := Record{Class: r.Class, Atomic: r.atomic, Assoc: r.assoc}
+		if err := rec.Check(sch, classOf); err != nil {
+			return fmt.Errorf("reference %d: %w", r.ID, err)
+		}
+	}
+	return nil
+}
+
+// Record is the exported form of a reference, the paper's §2 shape written
+// down once: a class plus a set of values per atomic and per association
+// attribute. It is what crosses every layer boundary — a dataset file's
+// "references" array, an ingest batch, a write-ahead-log payload, and a
+// snapshot's stored references are all []Record — so a dataset file can be
+// POSTed to the service's /ingest verbatim. ID is informational on the way
+// in (a store assigns dense ids itself); association targets are ids in
+// the store the record lands in.
+type Record struct {
+	ID     ID                  `json:"id,omitempty"`
+	Class  string              `json:"class"`
+	Source string              `json:"source,omitempty"`
+	Entity string              `json:"entity,omitempty"`
+	Atomic map[string][]string `json:"atomic,omitempty"`
+	Assoc  map[string][]ID     `json:"assoc,omitempty"`
+}
+
+// Record returns the reference's record form. It is a deep copy: nothing
+// in it aliases the reference.
+func (r *Reference) Record() Record {
+	rec := Record{ID: r.ID, Class: r.Class, Source: r.Source, Entity: r.Entity}
+	if len(r.atomic) > 0 {
+		rec.Atomic = make(map[string][]string, len(r.atomic))
+		for a, vs := range r.atomic {
+			rec.Atomic[a] = append([]string(nil), vs...)
+		}
+	}
+	if len(r.assoc) > 0 {
+		rec.Assoc = make(map[string][]ID, len(r.assoc))
+		for a, ts := range r.assoc {
+			rec.Assoc[a] = append([]ID(nil), ts...)
+		}
+	}
+	return rec
+}
+
+// Reference is Record's inverse: a fresh reference, not yet in any store
+// (its ID is unassigned whatever the record's says), built with AddAtomic
+// and AddAssoc — empty values, negative targets and duplicates are
+// dropped, value order is kept.
+func (rec Record) Reference() *Reference {
+	r := New(rec.Class)
+	r.Source = rec.Source
+	r.Entity = rec.Entity
+	for attr, vs := range rec.Atomic {
+		for _, v := range vs {
+			r.AddAtomic(attr, v)
+		}
+	}
+	for attr, ts := range rec.Assoc {
+		for _, t := range ts {
+			r.AddAssoc(attr, t)
+		}
+	}
+	return r
+}
+
+// Check is the one schema check: the class must exist, every attribute
+// must be declared with the kind it is used as, and every association
+// target must resolve — through classOf, which knows the id space the
+// record lives in (a store, a store plus the batch being added, a
+// snapshot) — to a reference of the declared target class. When a record
+// has several violations, which one is reported is unspecified.
+func (rec Record) Check(sch *schema.Schema, classOf func(ID) (string, bool)) error {
+	c, ok := sch.Class(rec.Class)
+	if !ok {
+		return fmt.Errorf("unknown class %q", rec.Class)
+	}
+	for attr := range rec.Atomic {
+		a, ok := c.Attr(attr)
 		if !ok {
-			return fmt.Errorf("reference %d: unknown class %q", r.ID, r.Class)
+			return fmt.Errorf("class %q: unknown attribute %q", rec.Class, attr)
 		}
-		for attr := range r.atomic {
-			a, ok := c.Attr(attr)
-			if !ok {
-				return fmt.Errorf("reference %d (%s): unknown attribute %q", r.ID, r.Class, attr)
-			}
-			if a.Kind != schema.Atomic {
-				return fmt.Errorf("reference %d (%s): attribute %q is not atomic", r.ID, r.Class, attr)
-			}
+		if a.Kind != schema.Atomic {
+			return fmt.Errorf("class %q: attribute %q is not atomic", rec.Class, attr)
 		}
-		for attr, targets := range r.assoc {
-			a, ok := c.Attr(attr)
+	}
+	for attr, targets := range rec.Assoc {
+		a, ok := c.Attr(attr)
+		if !ok {
+			return fmt.Errorf("class %q: unknown attribute %q", rec.Class, attr)
+		}
+		if a.Kind != schema.Association {
+			return fmt.Errorf("class %q: attribute %q is not an association", rec.Class, attr)
+		}
+		for _, t := range targets {
+			got, ok := classOf(t)
 			if !ok {
-				return fmt.Errorf("reference %d (%s): unknown attribute %q", r.ID, r.Class, attr)
+				return fmt.Errorf("class %q: attribute %q links to out-of-range id %d", rec.Class, attr, t)
 			}
-			if a.Kind != schema.Association {
-				return fmt.Errorf("reference %d (%s): attribute %q is not an association", r.ID, r.Class, attr)
-			}
-			for _, t := range targets {
-				if int(t) >= len(s.refs) {
-					return fmt.Errorf("reference %d (%s): attribute %q links to out-of-range id %d", r.ID, r.Class, attr, t)
-				}
-				if got := s.refs[t].Class; got != a.Target {
-					return fmt.Errorf("reference %d (%s): attribute %q links to class %q, want %q", r.ID, r.Class, attr, got, a.Target)
-				}
+			if got != a.Target {
+				return fmt.Errorf("class %q: attribute %q links to class %q (id %d), want %q", rec.Class, attr, got, t, a.Target)
 			}
 		}
 	}

@@ -1,6 +1,12 @@
 package reference
 
 import (
+	"bytes"
+	"encoding/gob"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -139,5 +145,105 @@ func TestValidate(t *testing.T) {
 	bad5.Add(art5)
 	if err := bad5.Validate(sch); err == nil || !strings.Contains(err.Error(), "out-of-range") {
 		t.Errorf("want out-of-range error, got %v", err)
+	}
+}
+
+// randomReference draws a reference with a few multi-valued atomic and
+// association attributes, the way extraction produces them (no empty
+// values, no duplicates, no negative targets — AddAtomic and AddAssoc
+// enforce that).
+func randomReference(rng *rand.Rand) *Reference {
+	r := New([]string{schema.ClassPerson, schema.ClassArticle, schema.ClassVenue}[rng.Intn(3)])
+	r.Source = []string{"", "email", "bibtex"}[rng.Intn(3)]
+	r.Entity = []string{"", "E1", "E2"}[rng.Intn(3)]
+	for a := rng.Intn(4); a > 0; a-- {
+		attr := fmt.Sprintf("attr%d", rng.Intn(5))
+		for v := 1 + rng.Intn(3); v > 0; v-- {
+			r.AddAtomic(attr, fmt.Sprintf("value %d é\"\n", rng.Intn(6)))
+		}
+	}
+	for a := rng.Intn(3); a > 0; a-- {
+		attr := fmt.Sprintf("link%d", rng.Intn(3))
+		for v := 1 + rng.Intn(3); v > 0; v-- {
+			r.AddAssoc(attr, ID(rng.Intn(50)))
+		}
+	}
+	return r
+}
+
+// TestRecordRoundTrip is the property behind every layer boundary:
+// Reference → Record → Reference loses nothing (values keep their order),
+// whether the record crosses in memory, as JSON (dataset files, ingest
+// bodies, the write-ahead log) or as gob (snapshot checkpoints), and the
+// record shares no memory with the reference it came from.
+func TestRecordRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	store := NewStore()
+	for i := 0; i < 300; i++ {
+		r := randomReference(rng)
+		store.Add(r)
+		rec := r.Record()
+		if rec.ID != r.ID {
+			t.Fatalf("record id = %d, want %d", rec.ID, r.ID)
+		}
+
+		viaJSON, viaGob := Record{}, Record{}
+		data, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &viaJSON); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewDecoder(&buf).Decode(&viaGob); err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string]Record{"memory": rec, "json": viaJSON, "gob": viaGob} {
+			if !reflect.DeepEqual(got, rec) {
+				t.Fatalf("ref %d via %s: record %+v, want %+v", i, name, got, rec)
+			}
+			back := got.Reference()
+			if back.ID != -1 {
+				t.Fatalf("ref %d via %s: rebuilt reference has id %d, want unassigned", i, name, back.ID)
+			}
+			back.ID = r.ID
+			if !reflect.DeepEqual(back, r) {
+				t.Fatalf("ref %d via %s: rebuilt %+v, want %+v", i, name, back, r)
+			}
+		}
+
+		for _, vs := range rec.Atomic {
+			vs[0] = "mutated"
+		}
+		for _, ts := range rec.Assoc {
+			ts[0] = -7
+		}
+		if !reflect.DeepEqual(r.Record(), viaJSON) {
+			t.Fatalf("ref %d: mutating its record changed the reference", i)
+		}
+	}
+}
+
+// TestRecordReferenceNormalizes pins the AddAtomic/AddAssoc semantics of
+// the way in: outside input may repeat values or carry empty ones.
+func TestRecordReferenceNormalizes(t *testing.T) {
+	r := Record{
+		ID:     9,
+		Class:  schema.ClassPerson,
+		Atomic: map[string][]string{"name": {"A", "", "B", "A"}, "email": {}},
+		Assoc:  map[string][]ID{"coAuthor": {3, -1, 3, 2}},
+	}.Reference()
+	if got := r.Atomic("name"); !reflect.DeepEqual(got, []string{"A", "B"}) {
+		t.Errorf("name = %v, want [A B]", got)
+	}
+	if got := r.AtomicAttrs(); len(got) != 1 {
+		t.Errorf("atomic attrs = %v, want only name (an attribute without values is absent)", got)
+	}
+	if got := r.Assoc("coAuthor"); !reflect.DeepEqual(got, []ID{3, 2}) {
+		t.Errorf("coAuthor = %v, want [3 2]", got)
 	}
 }

@@ -227,58 +227,21 @@ func toWire(cands []recon.Candidate) ReconResult {
 	return out
 }
 
-// IngestRef is one reference in an ingest batch. The field names match
-// the dataset JSON format (cmd/pimgen, dataset.WriteJSON), so a dataset
-// file's "references" array can be POSTed to /ingest verbatim; the
-// optional "id" field is ignored — the service assigns dense ids — but
-// association targets must be expressed in final id space (prior store
-// size + position for intra-batch links, which a verbatim dataset file
-// ingested into an empty service satisfies).
-type IngestRef struct {
-	ID     reference.ID              `json:"id,omitempty"`
-	Class  string                    `json:"class"`
-	Source string                    `json:"source,omitempty"`
-	Entity string                    `json:"entity,omitempty"`
-	Atomic map[string][]string       `json:"atomic,omitempty"`
-	Assoc  map[string][]reference.ID `json:"assoc,omitempty"`
-}
+// IngestRef is one reference in an ingest batch: the record form every
+// layer shares (reference.Record), so a dataset file's "references" array
+// (cmd/pimgen, dataset.WriteJSON) can be POSTed to /ingest verbatim. The
+// "id" field is ignored — the service assigns dense ids — but association
+// targets must be expressed in final id space (prior store size + position
+// for intra-batch links, which a verbatim dataset file ingested into an
+// empty service satisfies).
+type IngestRef = reference.Record
 
-// ToIngestRef renders a reference in the ingest wire shape. The value
-// slices are shared with the reference, not copied.
+// ToIngestRef renders a reference for ingest: its record without the id,
+// which belongs to the store it came from.
 func ToIngestRef(r *reference.Reference) IngestRef {
-	ir := IngestRef{Class: r.Class, Source: r.Source, Entity: r.Entity}
-	if attrs := r.AtomicAttrs(); len(attrs) > 0 {
-		ir.Atomic = make(map[string][]string, len(attrs))
-		for _, a := range attrs {
-			ir.Atomic[a] = r.Atomic(a)
-		}
-	}
-	if attrs := r.AssocAttrs(); len(attrs) > 0 {
-		ir.Assoc = make(map[string][]reference.ID, len(attrs))
-		for _, a := range attrs {
-			ir.Assoc[a] = r.Assoc(a)
-		}
-	}
-	return ir
-}
-
-// toReference is ToIngestRef's inverse: a fresh reference, not yet in any
-// store, carrying the wire values.
-func (ir IngestRef) toReference() *reference.Reference {
-	r := reference.New(ir.Class)
-	r.Source = ir.Source
-	r.Entity = ir.Entity
-	for attr, vals := range ir.Atomic {
-		for _, v := range vals {
-			r.AddAtomic(attr, v)
-		}
-	}
-	for attr, targets := range ir.Assoc {
-		for _, t := range targets {
-			r.AddAssoc(attr, t)
-		}
-	}
-	return r
+	rec := r.Record()
+	rec.ID = 0
+	return rec
 }
 
 // NameAttr picks the class's name-like attribute, the one a free-text

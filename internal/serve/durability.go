@@ -74,17 +74,6 @@ func countBatches(recs []durable.Record) int {
 	return n
 }
 
-// encodeStoreBatch renders a store's references as one ingest-batch
-// payload — used to log a pre-populated initial store into a fresh data
-// directory.
-func encodeStoreBatch(store *reference.Store) ([]byte, error) {
-	batch := make([]IngestRef, 0, store.Len())
-	for _, r := range store.All() {
-		batch = append(batch, ToIngestRef(r))
-	}
-	return json.Marshal(batch)
-}
-
 // applyRecord appends a logged batch record's references to the store.
 func applyRecord(store *reference.Store, rec durable.Record) error {
 	var batch []IngestRef
@@ -98,9 +87,8 @@ func applyRecord(store *reference.Store, rec durable.Record) error {
 // recover initializes the service from Config.DataDir: it opens the
 // segment log (truncating a torn tail), loads the newest valid
 // checkpoint, and either starts fresh, restores fast from the checkpoint,
-// or replays the history. init may carry references only when the
-// directory has no prior state (it becomes batch ordinal 1).
-func (s *Service) recover(init *reference.Store) error {
+// or replays the history.
+func (s *Service) recover() error {
 	start := time.Now()
 	lg, logRecs, err := durable.OpenLog(s.cfg.DataDir)
 	if err != nil {
@@ -113,26 +101,8 @@ func (s *Service) recover(init *reference.Store) error {
 	}
 
 	if len(logRecs) == 0 && ck == nil {
-		if init.Len() > 0 {
-			payload, err := encodeStoreBatch(init)
-			if err != nil {
-				return fmt.Errorf("serve: encode initial store: %w", err)
-			}
-			rec := durable.Record{Kind: durable.KindBatch, Ordinal: 1, Payload: payload}
-			if err := lg.Append(rec); err != nil {
-				return fmt.Errorf("serve: log initial store: %w", err)
-			}
-			s.history = append(s.history, rec)
-		}
-		if err := s.initLive(init); err != nil {
-			return err
-		}
 		s.recovery = recoveryInfo{Mode: "fresh", Millis: msSince(start)}
-		return nil
-	}
-
-	if init.Len() > 0 {
-		return fmt.Errorf("serve: data dir %q already holds state; the initial store must be empty (remove the directory to reseed)", s.cfg.DataDir)
+		return s.openEmpty()
 	}
 
 	// Merge the checkpoint's history with the log tail. A crash between
@@ -238,13 +208,8 @@ func (s *Service) restoreFast(ck *durable.Checkpoint, all []durable.Record) erro
 // discarded their incremental contribution, and the first commit after it
 // reconciles the whole store exactly as the live rebuild did.
 func (s *Service) replay(all []durable.Record) error {
-	store := reference.NewStore()
-	sess := recon.New(s.cfg.Schema, s.cfg.Recon).NewSession(store)
-	// Mirror the live constructor's initial (empty) reconcile so the
-	// session always has a result to snapshot, even when every recorded
-	// batch was poisoned.
-	if _, err := sess.Reconcile(); err != nil {
-		return fmt.Errorf("serve: replay init: %w", err)
+	if err := s.openSession(); err != nil {
+		return err
 	}
 
 	lastBatch := -1
@@ -264,7 +229,7 @@ func (s *Service) replay(all []durable.Record) error {
 	for i, r := range all {
 		switch r.Kind {
 		case durable.KindBatch:
-			if err := applyRecord(store, r); err != nil {
+			if err := applyRecord(s.store, r); err != nil {
 				return fmt.Errorf("serve: replay %w", err)
 			}
 			if r.Ordinal > accepted {
@@ -276,13 +241,13 @@ func (s *Service) replay(all []durable.Record) error {
 			if i+1 < len(all) && all[i+1].Kind == durable.KindPoison {
 				continue // the live commit was cancelled; replay the cancellation
 			}
-			if _, err := sess.Reconcile(); err != nil {
+			if _, err := s.sess.Reconcile(); err != nil {
 				return fmt.Errorf("serve: replay batch %d: %w", r.Ordinal, err)
 			}
 			committed = r.Ordinal
 		case durable.KindPoison, durable.KindCold:
 			if i > boundary {
-				sess.Poison()
+				s.sess.Poison()
 			}
 		default:
 			return fmt.Errorf("serve: replay: unknown record kind %d at ordinal %d", r.Kind, r.Ordinal)
@@ -290,8 +255,6 @@ func (s *Service) replay(all []durable.Record) error {
 	}
 
 	s.history = all
-	s.store = store
-	s.sess = sess
 	s.accepted = accepted
 	s.committed = committed
 	return s.publish()

@@ -190,22 +190,32 @@ func (s *Service) handleReconcile(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Service) handleEntity(w http.ResponseWriter, r *http.Request) {
+// entityFor resolves the {id} path value — any member reference id — to
+// its entity in the published snapshot. When it cannot, it has answered 400
+// or 404 itself and returns a nil entity.
+func (s *Service) entityFor(w http.ResponseWriter, r *http.Request) (*recon.Entity, *recon.Snapshot) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad entity id %q", r.PathValue("id"))
-		return
+		return nil, nil
 	}
 	v := s.view.Load()
 	snapshotHeader(w, v)
 	snap := v.Snapshot
 	if id < 0 || id >= snap.RefCount() {
 		writeErr(w, http.StatusNotFound, "reference %d not in snapshot (have %d references)", id, snap.RefCount())
-		return
+		return nil, nil
 	}
 	ent := snap.EntityOf(reference.ID(id))
 	if ent == nil {
 		writeErr(w, http.StatusNotFound, "reference %d has no entity assignment", id)
+	}
+	return ent, snap
+}
+
+func (s *Service) handleEntity(w http.ResponseWriter, r *http.Request) {
+	ent, snap := s.entityFor(w, r)
+	if ent == nil {
 		return
 	}
 	writeJSON(w, http.StatusOK, EntityDoc{
@@ -239,21 +249,8 @@ func (s *Service) handleSuggest(w http.ResponseWriter, r *http.Request) {
 // reference id, as returned by reconcile and suggest).
 func (s *Service) handlePreview(w http.ResponseWriter, r *http.Request) {
 	s.met.previews.Add(1)
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad entity id %q", r.PathValue("id"))
-		return
-	}
-	v := s.view.Load()
-	snapshotHeader(w, v)
-	snap := v.Snapshot
-	if id < 0 || id >= snap.RefCount() {
-		writeErr(w, http.StatusNotFound, "reference %d not in snapshot (have %d references)", id, snap.RefCount())
-		return
-	}
-	ent := snap.EntityOf(reference.ID(id))
+	ent, snap := s.entityFor(w, r)
 	if ent == nil {
-		writeErr(w, http.StatusNotFound, "reference %d has no entity assignment", id)
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")

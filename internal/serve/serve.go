@@ -31,6 +31,14 @@ import (
 // a Retry-After hint like a cancelled commit.
 var ErrUnavailable = errors.New("serve: service unavailable")
 
+// Fixed protocol values: the manifest URIs, and the candidate limit of a
+// query that names none.
+const (
+	identifierSpace = "urn:refrecon:entity"
+	schemaSpace     = "urn:refrecon:schema"
+	defaultLimit    = 10
+)
+
 // Config configures a Service.
 type Config struct {
 	// Schema is the information-space schema (required).
@@ -39,13 +47,6 @@ type Config struct {
 	Recon recon.Config
 	// Name is the service name advertised in the manifest.
 	Name string
-	// IdentifierSpace and SchemaSpace are the manifest URIs; defaults
-	// derive from the service name.
-	IdentifierSpace string
-	SchemaSpace     string
-	// DefaultLimit bounds candidates per query when the query doesn't
-	// specify one (default 10).
-	DefaultLimit int
 	// DataDir enables durability: every validated ingest batch is framed,
 	// appended to a segment log under this directory, and fsynced before
 	// the commit runs, and snapshot checkpoints are written periodically.
@@ -116,31 +117,15 @@ type Service struct {
 	publishHook func() error
 }
 
-// New starts a service over an empty store.
+// New starts a service over an empty store and publishes the initial
+// view. With Config.DataDir, the previous state is recovered from the
+// checkpoint and segment log first.
 func New(cfg Config) (*Service, error) {
-	return NewFromStore(cfg, reference.NewStore())
-}
-
-// NewFromStore starts a service over a pre-populated store (reconciling
-// it as the first batch) and publishes the initial view. With
-// Config.DataDir, the store seeds only a fresh data directory (it must be
-// empty when the directory already holds state) and the previous state is
-// recovered from the checkpoint and segment log first.
-func NewFromStore(cfg Config, store *reference.Store) (*Service, error) {
 	if cfg.Schema == nil {
 		return nil, fmt.Errorf("serve: Config.Schema is required")
 	}
 	if cfg.Name == "" {
 		cfg.Name = "refrecon"
-	}
-	if cfg.IdentifierSpace == "" {
-		cfg.IdentifierSpace = "urn:refrecon:entity"
-	}
-	if cfg.SchemaSpace == "" {
-		cfg.SchemaSpace = "urn:refrecon:schema"
-	}
-	if cfg.DefaultLimit <= 0 {
-		cfg.DefaultLimit = 10
 	}
 	if cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = 16
@@ -150,40 +135,69 @@ func NewFromStore(cfg Config, store *reference.Store) (*Service, error) {
 	} else if cfg.Collective.Budget < 0 {
 		cfg.Collective.Budget = 0
 	}
-	if err := store.Validate(cfg.Schema); err != nil {
-		return nil, fmt.Errorf("serve: initial store invalid: %w", err)
-	}
 	s := &Service{cfg: cfg, met: newMetrics(), started: time.Now()}
 	for _, c := range cfg.Schema.Classes() {
 		s.classNames = append(s.classNames, c.Name)
 	}
 	if cfg.DataDir != "" {
-		if err := s.recover(store); err != nil {
+		if err := s.recover(); err != nil {
 			if s.log != nil {
 				s.log.Close()
 			}
 			return nil, err
 		}
-	} else if err := s.initLive(store); err != nil {
+	} else if err := s.openEmpty(); err != nil {
 		return nil, err
 	}
 	s.syncDurabilityGauges()
 	return s, nil
 }
 
-// initLive runs the in-memory initialization path: a session over the
-// (possibly pre-populated) store, an initial reconcile, and the first
-// published view. A non-empty initial store counts as batch ordinal 1.
-func (s *Service) initLive(store *reference.Store) error {
-	s.store = store
-	s.sess = recon.New(s.cfg.Schema, s.cfg.Recon).NewSession(store)
-	if store.Len() > 0 {
-		s.accepted = 1
+// NewFromStore starts a service and ingests the store's references as its
+// first batch: a stored dataset is an ingest batch, so this is New plus one
+// Ingest. With Config.DataDir the store may seed only a fresh directory;
+// against one that already holds state the start is refused (the directory
+// is left as any start followed by a crash leaves it).
+func NewFromStore(cfg Config, store *reference.Store) (*Service, error) {
+	s, err := New(cfg)
+	if err != nil || store.Len() == 0 {
+		return s, err
 	}
+	if len(s.history) > 0 {
+		s.log.Close()
+		return nil, fmt.Errorf("serve: data dir %q already holds state; the initial store must be empty (remove the directory to reseed)", cfg.DataDir)
+	}
+	batch := make([]IngestRef, 0, store.Len())
+	for _, r := range store.All() {
+		batch = append(batch, ToIngestRef(r))
+	}
+	if _, err := s.Ingest(batch); err != nil {
+		if s.log != nil {
+			s.log.Close()
+		}
+		return nil, fmt.Errorf("serve: initial store: %w", err)
+	}
+	return s, nil
+}
+
+// openSession starts the single-writer session over an empty store and
+// runs its initial (empty) reconcile, so the session always has a result
+// to snapshot — on a fresh start, and during replay even when every
+// recorded batch was poisoned.
+func (s *Service) openSession() error {
+	s.store = reference.NewStore()
+	s.sess = recon.New(s.cfg.Schema, s.cfg.Recon).NewSession(s.store)
 	if _, err := s.sess.Reconcile(); err != nil {
 		return fmt.Errorf("serve: initial reconcile: %w", err)
 	}
-	s.committed = s.accepted
+	return nil
+}
+
+// openEmpty is the start with no prior state: an empty session, published.
+func (s *Service) openEmpty() error {
+	if err := s.openSession(); err != nil {
+		return err
+	}
 	return s.publish()
 }
 
@@ -227,11 +241,11 @@ func (s *Service) View() *View { return s.view.Load() }
 
 // validateBatch checks an ingest batch against the schema before any
 // reference is added: store.Add is irreversible, so a batch is applied
-// all-or-nothing. base is the store length the batch lands on;
-// association targets may point at existing references or forward into
-// the batch itself.
-func (s *Service) validateBatch(base int, batch []IngestRef) error {
-	classAt := func(id reference.ID) (string, bool) {
+// all-or-nothing. Association targets may point at existing references or
+// anywhere into the batch itself.
+func (s *Service) validateBatch(batch []IngestRef) error {
+	base := s.store.Len()
+	classOf := func(id reference.ID) (string, bool) {
 		if id < 0 || int(id) >= base+len(batch) {
 			return "", false
 		}
@@ -240,31 +254,9 @@ func (s *Service) validateBatch(base int, batch []IngestRef) error {
 		}
 		return batch[int(id)-base].Class, true
 	}
-	for i, ir := range batch {
-		class, ok := s.cfg.Schema.Class(ir.Class)
-		if !ok {
-			return fmt.Errorf("reference %d: unknown class %q", i, ir.Class)
-		}
-		for attr := range ir.Atomic {
-			a, ok := class.Attr(attr)
-			if !ok || a.Kind != schema.Atomic {
-				return fmt.Errorf("reference %d: class %q has no atomic attribute %q", i, ir.Class, attr)
-			}
-		}
-		for attr, targets := range ir.Assoc {
-			a, ok := class.Attr(attr)
-			if !ok || a.Kind != schema.Association {
-				return fmt.Errorf("reference %d: class %q has no association attribute %q", i, ir.Class, attr)
-			}
-			for _, t := range targets {
-				tc, ok := classAt(t)
-				if !ok {
-					return fmt.Errorf("reference %d: association %q target %d out of range", i, attr, t)
-				}
-				if tc != a.Target {
-					return fmt.Errorf("reference %d: association %q target %d has class %q, want %q", i, attr, t, tc, a.Target)
-				}
-			}
+	for i := range batch {
+		if err := batch[i].Check(s.cfg.Schema, classOf); err != nil {
+			return fmt.Errorf("reference %d: %w", i, err)
 		}
 	}
 	return nil
@@ -307,7 +299,7 @@ func (s *Service) IngestContext(ctx context.Context, batch []IngestRef) (IngestR
 	}
 	start := time.Now()
 	base := s.store.Len()
-	if err := s.validateBatch(base, batch); err != nil {
+	if err := s.validateBatch(batch); err != nil {
 		return IngestResponse{}, fmt.Errorf("%w: %w: %w", recon.ErrBatchRejected, recon.ErrSchemaViolation, err)
 	}
 	ord := s.accepted + 1
@@ -359,8 +351,8 @@ func (s *Service) IngestContext(ctx context.Context, batch []IngestRef) (IngestR
 
 // applyBatch appends a validated batch's references to the store.
 func applyBatch(store *reference.Store, batch []IngestRef) {
-	for _, ir := range batch {
-		store.Add(ir.toReference())
+	for i := range batch {
+		store.Add(batch[i].Reference())
 	}
 }
 
@@ -431,7 +423,7 @@ func (s *Service) Query(q ReconQuery) ([]recon.Candidate, error) {
 	start := time.Now()
 	limit := q.Limit
 	if limit <= 0 {
-		limit = s.cfg.DefaultLimit
+		limit = defaultLimit
 	}
 	var cc collective.Config
 	if coll {
@@ -548,8 +540,8 @@ func (s *Service) Manifest(baseURL string) Manifest {
 	m := Manifest{
 		Versions:        []string{"0.2"},
 		Name:            s.cfg.Name,
-		IdentifierSpace: s.cfg.IdentifierSpace,
-		SchemaSpace:     s.cfg.SchemaSpace,
+		IdentifierSpace: identifierSpace,
+		SchemaSpace:     schemaSpace,
 	}
 	for _, c := range s.cfg.Schema.Classes() {
 		m.DefaultTypes = append(m.DefaultTypes, TypeRef{ID: c.Name, Name: c.Name})

@@ -437,10 +437,11 @@ func TestServeIngestWhileQuerying(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// All batches landed; the duplicate pairs in each batch merged.
+	// All batches landed (the initial store counts as the first); the
+	// duplicate pairs in each batch merged.
 	var m MetricsSnapshot
 	getJSON(t, ts.URL+"/metrics", &m)
-	if m.Ingest.Batches != batches || m.Snapshot.References != 3+2*batches {
+	if m.Ingest.Batches != batches+1 || m.Snapshot.References != 3+2*batches {
 		t.Errorf("metrics after ingest: %+v", m)
 	}
 	if m.Queries == 0 || m.QueryLatency.Count == 0 || m.Candidates.Max == 0 {

@@ -77,7 +77,7 @@ func (s *Service) Suggest(prefix string, limit int) SuggestResult {
 		return out
 	}
 	if limit <= 0 {
-		limit = s.cfg.DefaultLimit
+		limit = defaultLimit
 	}
 	v := s.view.Load()
 	idx := v.suggestIndex()

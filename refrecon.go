@@ -98,9 +98,10 @@ type (
 	// Snapshot is an immutable export of a reconciliation result:
 	// references, entity partitions, merged-pair evidence, and the
 	// similarity statistics queries score against. Obtain one from
-	// Session.Snapshot or Result.Snapshot.
+	// Session.Snapshot.
 	Snapshot = recon.Snapshot
-	// SnapRef is one reference inside a Snapshot.
+	// SnapRef is one reference inside a Snapshot, in the record form a
+	// dataset file and an ingest batch also use.
 	SnapRef = recon.SnapRef
 	// SnapEntity is one resolved entity inside a Snapshot: its member
 	// references, canonical id, and merged attribute values.
