@@ -2,7 +2,9 @@ package recon
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"refrecon/internal/depgraph"
@@ -154,9 +156,16 @@ func explainPath(a, b reference.ID, links func(reference.ID) []mergedLink) []Pai
 	return path
 }
 
+// describeNode copies a pair node's state and evidence. Every publish runs
+// it over every pair node of the graph, so it allocates the evidence list
+// once, at its final size, and nothing else per edge but a pair source's
+// label.
 func describeNode(n *depgraph.Node) PairDecision {
 	d := PairDecision{A: n.RefA(), B: n.RefB(), Sim: n.Sim(), Status: n.Status().String()}
-	for _, e := range n.In() {
+	if deg := n.InDegree(); deg > 0 {
+		d.Evidence = make([]EvidenceItem, 0, deg)
+	}
+	n.EachIn(func(e depgraph.Edge) {
 		src := e.From
 		item := EvidenceItem{
 			Type: e.Evidence,
@@ -166,7 +175,7 @@ func describeNode(n *depgraph.Node) PairDecision {
 		if src.Kind() == depgraph.ValuePair {
 			item.Source = src.Key()
 		} else {
-			item.Source = fmt.Sprintf("pair(%d,%d) %s", src.RefA(), src.RefB(), src.Status())
+			item.Source = "pair(" + strconv.Itoa(int(src.RefA())) + "," + strconv.Itoa(int(src.RefB())) + ") " + src.Status().String()
 		}
 		switch e.Dep {
 		case depgraph.RealValued:
@@ -175,12 +184,22 @@ func describeNode(n *depgraph.Node) PairDecision {
 			item.Counted = src.Status() == depgraph.Merged
 		}
 		d.Evidence = append(d.Evidence, item)
-	}
-	sort.SliceStable(d.Evidence, func(i, j int) bool {
-		if d.Evidence[i].Counted != d.Evidence[j].Counted {
-			return d.Evidence[i].Counted
+	})
+	// Counted evidence first, then by descending similarity; ties keep
+	// edge order.
+	slices.SortStableFunc(d.Evidence, func(x, y EvidenceItem) int {
+		switch {
+		case x.Counted != y.Counted:
+			if x.Counted {
+				return -1
+			}
+			return 1
+		case x.Sim > y.Sim:
+			return -1
+		case x.Sim < y.Sim:
+			return 1
 		}
-		return d.Evidence[i].Sim > d.Evidence[j].Sim
+		return 0
 	})
 	return d
 }

@@ -11,6 +11,7 @@ package recon
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -267,15 +268,11 @@ func (snap *Snapshot) buildEntities() {
 				Atomic:    make(map[string][]string),
 			}
 			for _, id := range part {
-				sr := &snap.refs[id]
-				attrs := make([]string, 0, len(sr.Atomic))
-				for a := range sr.Atomic {
-					attrs = append(attrs, a)
-				}
-				sort.Strings(attrs)
-				for _, a := range attrs {
-					for _, v := range sr.Atomic[a] {
-						if !containsStr(ent.Atomic[a], v) {
+				// Attribute order is immaterial: each attribute's values
+				// are unioned on their own, in member order.
+				for a, vs := range snap.refs[id].Atomic {
+					for _, v := range vs {
+						if !slices.Contains(ent.Atomic[a], v) {
 							ent.Atomic[a] = append(ent.Atomic[a], v)
 						}
 					}
@@ -289,13 +286,4 @@ func (snap *Snapshot) buildEntities() {
 	sort.Slice(snap.entities, func(i, j int) bool {
 		return snap.entities[i].Canonical < snap.entities[j].Canonical
 	})
-}
-
-func containsStr(vs []string, v string) bool {
-	for _, x := range vs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
