@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"refrecon"
 	"refrecon/internal/obs"
@@ -95,13 +96,14 @@ func TestReconcileContextTraceOrdering(t *testing.T) {
 		Counters: obs.NewCounters(),
 		Progress: &obs.Progress{Fn: func(e obs.Event) { events = append(events, e) }},
 	}
-	if _, err := recon.New(schema.PIM(), cfg).ReconcileContext(context.Background(), store); err != nil {
+	traced, err := recon.New(schema.PIM(), cfg).ReconcileContext(context.Background(), store)
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Phase spans present and strictly ordered on the timeline.
 	phases := map[string]obs.TraceEvent{}
-	var rounds []obs.TraceEvent
+	var rounds, stages []obs.TraceEvent
 	for _, e := range tr.Events() {
 		switch e.Cat {
 		case "phase":
@@ -109,6 +111,8 @@ func TestReconcileContextTraceOrdering(t *testing.T) {
 				t.Fatalf("duplicate phase span %q", e.Name)
 			}
 			phases[e.Name] = e
+		case "build":
+			stages = append(stages, e)
 		case "round":
 			rounds = append(rounds, e)
 		}
@@ -123,6 +127,29 @@ func TestReconcileContextTraceOrdering(t *testing.T) {
 	if !(end(build) <= prop.TS && end(prop) <= clos.TS) {
 		t.Errorf("phase spans out of order: build ends %v, propagate [%v,%v], closure starts %v",
 			end(build), prop.TS, end(prop), clos.TS)
+	}
+
+	// The four build stages run in order inside the build span, and Stats
+	// carries the same split.
+	if len(stages) != 4 {
+		t.Fatalf("%d build stage spans, want 4", len(stages))
+	}
+	at := build.TS
+	for i, name := range []string{"build.enumerate", "build.score", "build.wire", "build.associations"} {
+		if st := stages[i]; st.Name != name || st.TS < at || end(st) > end(build) {
+			t.Errorf("stage %d is %q [%v,%v], want %q after %v inside build ending %v",
+				i, st.Name, st.TS, end(st), name, at, end(build))
+		}
+		at = end(stages[i])
+	}
+	st := traced.Stats
+	for _, d := range []time.Duration{st.EnumerateTime, st.ScoreTime, st.WireTime, st.AssociationsTime} {
+		if d <= 0 {
+			t.Errorf("a build stage took no time: %+v", st)
+		}
+	}
+	if sum := st.EnumerateTime + st.ScoreTime + st.WireTime + st.AssociationsTime; sum > st.BuildTime {
+		t.Errorf("build stages add up to %v, more than BuildTime %v", sum, st.BuildTime)
 	}
 
 	// Every round span nests inside the propagate phase span.

@@ -151,6 +151,9 @@ func main() {
 		st := res.Stats
 		fmt.Printf("graph: %d nodes, %d edges from %d candidate pairs (built in %s)\n",
 			st.GraphNodes, st.GraphEdges, st.CandidatePairs, st.BuildTime.Round(time.Millisecond))
+		fmt.Printf("build: enumerate %s, score %s, wire %s, associations %s\n",
+			st.EnumerateTime.Round(time.Millisecond), st.ScoreTime.Round(time.Millisecond),
+			st.WireTime.Round(time.Millisecond), st.AssociationsTime.Round(time.Millisecond))
 		truncated := ""
 		if st.Engine.Truncated {
 			truncated = ", TRUNCATED at step cap"
@@ -166,6 +169,10 @@ func main() {
 		if st.Engine.DeltaHits > 0 || st.Engine.AggBuilds > 0 {
 			fmt.Printf("delta: %d digest hits (full rescans avoided), %d aggregate builds, %d kind rebuilds\n",
 				st.Engine.DeltaHits, st.Engine.AggBuilds, st.Engine.AggRebuilds)
+		}
+		if st.Engine.EdgeAdds > 0 {
+			fmt.Printf("dedup: %d edges examined over %d edge adds (mean %.1f)\n",
+				st.Engine.DedupProbes, st.Engine.EdgeAdds, float64(st.Engine.DedupProbes)/float64(st.Engine.EdgeAdds))
 		}
 		fmt.Printf("closure: %d non-merge constraint nodes honored (closed in %s)\n",
 			st.NonMergeNodes, st.ClosureTime.Round(time.Millisecond))

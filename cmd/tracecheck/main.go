@@ -3,8 +3,10 @@
 // structural rules a trace viewer relies on — well-formed JSON, the
 // traceEvents array, known phase codes, non-negative timestamps and
 // durations — plus the span-model contract of this repository: build,
-// propagate, and closure phase spans present and strictly ordered, and
-// every round span nested inside the propagate phase span. Exits 0 and
+// propagate, and closure phase spans present and strictly ordered, the
+// four build stage spans (enumerate, score, wire, associations) inside the
+// build span in that order, and every round span nested inside the
+// propagate phase span. Exits 0 and
 // prints a one-line summary on success; exits 1 with a diagnostic
 // otherwise. CI runs it as the trace smoke stage.
 //
@@ -43,6 +45,7 @@ func main() {
 	}
 
 	phases := map[string]obs.TraceEvent{}
+	stages := map[string]obs.TraceEvent{}
 	rounds := 0
 	for i, e := range doc.TraceEvents {
 		switch e.Ph {
@@ -62,6 +65,11 @@ func main() {
 				log.Fatalf("duplicate phase span %q", e.Name)
 			}
 			phases[e.Name] = e
+		case "build":
+			if _, dup := stages[e.Name]; dup {
+				log.Fatalf("duplicate build stage span %q", e.Name)
+			}
+			stages[e.Name] = e
 		case "round":
 			rounds++
 		}
@@ -77,6 +85,20 @@ func main() {
 		log.Fatalf("phases out of order: build [%v,%v] propagate [%v,%v] closure [%v,%v]",
 			build.TS, end(build), prop.TS, end(prop), clos.TS, end(clos))
 	}
+	// The stages run one after another inside build; what is left of the
+	// build span beside them is its self time.
+	at := build.TS
+	for _, want := range []string{"build.enumerate", "build.score", "build.wire", "build.associations"} {
+		st, ok := stages[want]
+		if !ok {
+			log.Fatalf("missing build stage span %q", want)
+		}
+		if st.TS < at || end(st) > end(build) {
+			log.Fatalf("build stage %q [%v,%v] out of order or outside build [%v,%v]",
+				want, st.TS, end(st), build.TS, end(build))
+		}
+		at = end(st)
+	}
 	for _, e := range doc.TraceEvents {
 		if e.Cat != "round" {
 			continue
@@ -86,8 +108,8 @@ func main() {
 				e.Name, e.TS, end(e), prop.TS, end(prop))
 		}
 	}
-	fmt.Printf("tracecheck: ok: %d events, %d phases, %d rounds\n",
-		len(doc.TraceEvents), len(phases), rounds)
+	fmt.Printf("tracecheck: ok: %d events, %d phases, %d build stages, %d rounds\n",
+		len(doc.TraceEvents), len(phases), len(stages), rounds)
 }
 
 func end(e obs.TraceEvent) float64 { return e.TS + e.Dur }

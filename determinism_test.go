@@ -46,6 +46,7 @@ func canonPartitions(parts map[string][][]reference.ID) string {
 // differ between runs; everything else must match exactly.
 func comparableStats(st recon.Stats) recon.Stats {
 	st.BuildTime, st.PropagateTime, st.ClosureTime = 0, 0, 0
+	st.EnumerateTime, st.ScoreTime, st.WireTime, st.AssociationsTime = 0, 0, 0, 0
 	return st
 }
 

@@ -120,6 +120,10 @@ func New(mergeThreshold func(*depgraph.Node) float64, constraints bool) *Auditor
 //   - every edge endpoint is a live node and each edge is indexed on the
 //     side it was walked from;
 //   - the per-side edge sums both equal the graph's edge count;
+//   - every span entry's position column points back at it, and no node
+//     has two out-edges with the same target, type and evidence (the
+//     graph keeps no edge index besides the spans, so nothing else would
+//     notice a duplicate);
 //   - every similarity is non-NaN and in [0,1]; non-merge nodes sit at 0;
 //   - every Merged node's similarity clears its merge threshold;
 //   - every maintained evidence aggregate equals a fresh scan of the
@@ -181,6 +185,10 @@ func (a *Auditor) CheckGraph(phase string, g *depgraph.Graph, truncated bool) *R
 			}
 		}
 
+		r.check()
+		if msg := n.CheckAdjacency(); msg != "" {
+			r.violate("graph/adjacency", key, "%s", msg)
+		}
 		r.check()
 		if msg := n.CheckAggregate(); msg != "" {
 			r.violate("graph/aggregate-divergence", key, "%s", msg)

@@ -77,8 +77,9 @@ func TestMutationFoldedPairReAdded(t *testing.T) {
 // TestMutationEdgeDedupAcrossRelocation grows one node's in-adjacency past
 // the inline span capacity so it relocates into the arena's overflow tail,
 // then re-adds every earlier edge: each must still be recognized as a
-// duplicate (the dedup identity is global, not tied to the span's storage
-// location), and new edges must keep inserting cleanly.
+// duplicate (the dedup scan reads the span wherever it now lives, and the
+// position columns are span-relative), and new edges must keep inserting
+// cleanly.
 func TestMutationEdgeDedupAcrossRelocation(t *testing.T) {
 	g := depgraph.New()
 	m := g.AddRefPair(0, 1, "Person")

@@ -104,6 +104,14 @@ type Stats struct {
 	DeltaHits   int
 	AggBuilds   int
 	AggRebuilds int
+
+	// EdgeAdds counts AddEdge calls (enrichment's re-attachments included,
+	// self-edges not) and DedupProbes the edges their duplicate scans
+	// examined, both since the previous Run returned — so a run's figures
+	// include the construction that fed it. DedupProbes / EdgeAdds is the
+	// mean scan length that replaced one probe of a graph-wide edge hash.
+	EdgeAdds    int
+	DedupProbes int
 }
 
 // Run executes the propagation algorithm of Figure 4 over the graph. seed
@@ -302,6 +310,8 @@ func (g *Graph) Run(seed []*Node, opt Options) Stats {
 	st.DeltaHits = int(g.delta.hits - d0.hits)
 	st.AggBuilds = int(g.delta.builds - d0.builds)
 	st.AggRebuilds = int(g.delta.rebuilds - d0.rebuilds)
+	st.EdgeAdds, st.DedupProbes = int(g.dedup.adds), int(g.dedup.probes)
+	g.dedup.adds, g.dedup.probes = 0, 0
 	return st
 }
 

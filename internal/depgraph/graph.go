@@ -38,18 +38,21 @@ type Graph struct {
 	aggSlab  []aggregate
 
 	// Edge columns, indexed by edge id, plus the shared adjacency arena.
-	eFrom, eTo []int32
-	eDep       []DepType
-	eEv        []int32 // interned evidence
-	adj        []int32
+	// eOutPos / eInPos hold the edge's position inside its source's
+	// out-span and its target's in-span. They are span-relative, so a span
+	// relocating in the arena leaves them valid; spanDrop keeps them exact.
+	eFrom, eTo      []int32
+	eDep            []DepType
+	eEv             []int32 // interned evidence
+	eOutPos, eInPos []int32
+	adj             []int32
 
 	deadEdges  int // removed edges still occupying columns
 	adjGarbage int // arena slots abandoned by span relocation
 
-	strs    interner
-	byPair  map[uint64]int32
-	byVal   map[valueIdent]int32
-	edgeSet map[edgeIdent]struct{}
+	strs   interner
+	byPair map[uint64]int32
+	byVal  map[valueIdent]int32
 	// refNodes indexes, for every reference, the RefPair nodes that
 	// mention it; enrichment walks this index.
 	refNodes map[reference.ID][]int32
@@ -70,6 +73,9 @@ type Graph struct {
 	// which keeps direct Status/Sim mutation (tests, construction) safe.
 	maintain bool
 	delta    deltaCounters
+	// dedup tallies hasEdge's traffic since the last Run returned: calls
+	// and edges examined. Run reports and clears it.
+	dedup struct{ adds, probes uint64 }
 }
 
 // New returns an empty graph.
@@ -78,7 +84,6 @@ func New() *Graph {
 		strs:     newInterner(),
 		byPair:   make(map[uint64]int32),
 		byVal:    make(map[valueIdent]int32),
-		edgeSet:  make(map[edgeIdent]struct{}),
 		refNodes: make(map[reference.ID][]int32),
 		queue:    newNodeQueue(64),
 	}
@@ -247,21 +252,47 @@ func (g *Graph) addEdgeIDs(from, to int32, dep DepType, ev int32) bool {
 	if from == to {
 		return false
 	}
-	ident := edgeIdent{from: from, to: to, ev: ev, dep: dep}
-	if _, dup := g.edgeSet[ident]; dup {
+	g.dedup.adds++
+	if g.hasEdge(from, to, dep, ev) {
 		return false
 	}
-	g.edgeSet[ident] = struct{}{}
 	e := int32(len(g.eFrom))
+	if int(e) == cap(g.eFrom) {
+		g.growEdgeColumns()
+	}
 	g.eFrom = append(g.eFrom, from)
 	g.eTo = append(g.eTo, to)
 	g.eDep = append(g.eDep, dep)
 	g.eEv = append(g.eEv, ev)
+	g.eOutPos = append(g.eOutPos, g.outSpan[from].n)
+	g.eInPos = append(g.eInPos, g.inSpan[to].n)
 	g.spanAppend(&g.outSpan[from], e)
 	g.spanAppend(&g.inSpan[to], e)
 	g.edgeCount++
 	g.aggOnAddEdge(e)
 	return true
+}
+
+// hasEdge reports whether the edge (from, to, dep, ev) exists, by scanning
+// the shorter of from's out-span and to's in-span: an edge sits in both,
+// so either side decides. The scan replaces a graph-wide edge hash — a
+// probe costs the smaller neighbourhood instead of a cache miss in a map
+// the size of the graph, and removing an edge leaves nothing to delete.
+// The worst case is a hub value node wired to a high-in-degree pair:
+// min(out-degree, in-degree) edges examined.
+func (g *Graph) hasEdge(from, to int32, dep DepType, ev int32) bool {
+	ids, far, want := g.spanIDs(g.outSpan[from]), g.eTo, to
+	if in := g.inSpan[to]; int(in.n) < len(ids) {
+		ids, far, want = g.spanIDs(in), g.eFrom, from
+	}
+	for i, e := range ids {
+		if far[e] == want && g.eEv[e] == ev && g.eDep[e] == dep {
+			g.dedup.probes += uint64(i) + 1
+			return true
+		}
+	}
+	g.dedup.probes += uint64(len(ids))
+	return false
 }
 
 // RemoveIfIsolated removes a node that has no edges (construction step
@@ -275,22 +306,23 @@ func (g *Graph) RemoveIfIsolated(n *Node) bool {
 }
 
 // removeNode unlinks n from every neighbor and drops it from the indexes.
-// Its own index entries (packed-pair / value / edge identities) are
-// deleted eagerly; the column rows and arena slots it abandons are
-// reclaimed by the next compaction.
+// Its own index entry (packed pair or value identity) is deleted eagerly;
+// its edges leave each neighbor's span in O(1) through the position
+// columns, and the column rows and arena slots it abandons are reclaimed
+// by the next compaction.
 func (g *Graph) removeNode(n *Node) {
 	id := n.id
 	if !g.alive[id] {
 		return
 	}
 	for _, e := range g.spanIDs(g.inSpan[id]) {
-		g.spanDrop(&g.outSpan[g.eFrom[e]], e)
+		g.spanDrop(&g.outSpan[g.eFrom[e]], g.eOutPos, e)
 		g.killEdge(e)
 		g.edgeCount--
 	}
 	for _, e := range g.spanIDs(g.outSpan[id]) {
 		to := g.eTo[e]
-		g.spanDrop(&g.inSpan[to], e)
+		g.spanDrop(&g.inSpan[to], g.eInPos, e)
 		g.aggOnDropSource(g.handles[to], e)
 		g.killEdge(e)
 		g.edgeCount--
@@ -310,9 +342,8 @@ func (g *Graph) removeNode(n *Node) {
 	g.maybeCompact()
 }
 
-// killEdge marks an edge's columns dead and drops its dedup identity.
+// killEdge marks an edge's columns dead.
 func (g *Graph) killEdge(e int32) {
-	delete(g.edgeSet, edgeIdent{from: g.eFrom[e], to: g.eTo[e], ev: g.eEv[e], dep: g.eDep[e]})
 	g.eFrom[e] = -1
 	g.deadEdges++
 }

@@ -1,22 +1,31 @@
 package depgraph
 
+import "fmt"
+
 // This file holds the columnar storage primitives behind Graph: the string
 // interner, the node handle slab, the span-based adjacency arena, the edge
 // columns, and the compaction pass that reclaims storage freed by
 // enrichment folds and node removals.
 //
 // Node state is one slice per field, indexed by a dense int32 id assigned
-// at insertion and never reused or renumbered. Edges are four parallel
-// columns (from, to, dep, interned evidence) indexed by edge id; adjacency
-// is a per-node span of edge ids into one shared arena. Spans are created
-// empty and grow by relocation to the arena tail with doubling capacity —
-// construction appends are contiguous in practice (a node's edges arrive
-// together), and the tail doubles as the overflow region for
-// enrichment-time and incremental-session additions. Compaction rewrites
-// the arena contiguously, drops dead edge columns (renumbering edge ids,
-// which never escape the package), and prunes dead entries from the
-// per-reference index; node ids are stable forever, so handles and queue
-// entries survive compaction untouched.
+// at insertion and never reused or renumbered. Edges are six parallel
+// columns indexed by edge id — from, to, dep, interned evidence, and the
+// edge's position inside its source's out-span and its target's in-span —
+// and adjacency is a per-node span of edge ids into one shared arena. The
+// position columns make removing an edge from a span O(1) (spanDrop), and
+// the spans themselves are the edge index: a duplicate is found by
+// scanning the shorter of the two spans an edge would sit in (hasEdge), so
+// there is no graph-wide edge map to probe, fill or delete from.
+//
+// Spans are created empty and grow by relocation to the arena tail with
+// doubling capacity — construction appends are contiguous in practice (a
+// node's edges arrive together), and the tail doubles as the overflow
+// region for enrichment-time and incremental-session additions. Compaction
+// rewrites the arena contiguously, drops dead edge columns (renumbering
+// edge ids, which never escape the package; positions are span-relative
+// and order is preserved, so they carry over), and prunes dead entries
+// from the per-reference index; node ids are stable forever, so handles
+// and queue entries survive compaction untouched.
 
 // interner maps strings to dense int32 ids and back. Id 0 is reserved for
 // the empty string so the zero value of an interned column is meaningful.
@@ -53,15 +62,6 @@ func (t *interner) str(id int32) string { return t.strs[id] }
 // [off, off+n), with room to grow in place up to cap.
 type span struct {
 	off, n, cap int32
-}
-
-// edgeIdent is the dedup identity of an edge: endpoints, type, and
-// interned evidence. It mirrors the old per-node edge-set keys (only the
-// outgoing-side entry was ever consulted) collapsed into one global map,
-// whose entries are deleted eagerly when edges die.
-type edgeIdent struct {
-	from, to, ev int32
-	dep          DepType
 }
 
 // valueIdent is the dedup identity of a ValuePair node: interned evidence
@@ -159,6 +159,23 @@ func (g *Graph) edgeSlice(s span) []Edge {
 	return out
 }
 
+// growEdgeColumns doubles the capacity of the six edge columns together.
+// Left to append, a large column grows by a quarter at a time and is
+// copied about five times over on its way to any size; doubling copies it
+// twice, which more than pays for the two position columns.
+func (g *Graph) growEdgeColumns() {
+	c := 2 * cap(g.eFrom)
+	if c < 1024 {
+		c = 1024
+	}
+	g.eFrom = append(make([]int32, 0, c), g.eFrom...)
+	g.eTo = append(make([]int32, 0, c), g.eTo...)
+	g.eDep = append(make([]DepType, 0, c), g.eDep...)
+	g.eEv = append(make([]int32, 0, c), g.eEv...)
+	g.eOutPos = append(make([]int32, 0, c), g.eOutPos...)
+	g.eInPos = append(make([]int32, 0, c), g.eInPos...)
+}
+
 // adjReserve extends the arena by n slots and returns their offset.
 func (g *Graph) adjReserve(n int32) int32 {
 	off := int32(len(g.adj))
@@ -190,18 +207,16 @@ func (g *Graph) spanAppend(s *span, e int32) {
 	s.n++
 }
 
-// spanDrop removes edge id e from a span by swap-with-last — the same
-// permutation the pointer layout's dropEdge produced, which the
-// equivalence fingerprints depend on.
-func (g *Graph) spanDrop(s *span, e int32) {
-	ids := g.adj[s.off : s.off+s.n]
-	for i, x := range ids {
-		if x == e {
-			ids[i] = ids[len(ids)-1]
-			s.n--
-			return
-		}
-	}
+// spanDrop removes edge id e from a span by swap-with-last — the
+// permutation the equivalence fingerprints depend on. pos is the position
+// column of the span's side (eOutPos for an out-span, eInPos for an
+// in-span): it says where e sits, and the moved edge's entry is patched.
+func (g *Graph) spanDrop(s *span, pos []int32, e int32) {
+	i := pos[e]
+	last := g.adj[s.off+s.n-1]
+	g.adj[s.off+i] = last
+	pos[last] = i
+	s.n--
 }
 
 // maybeCompact runs the compaction pass once enough edge storage is dead.
@@ -227,6 +242,8 @@ func (g *Graph) compact() {
 	nTo := make([]int32, 0, g.edgeCount)
 	nDep := make([]DepType, 0, g.edgeCount)
 	nEv := make([]int32, 0, g.edgeCount)
+	nOutPos := make([]int32, 0, g.edgeCount)
+	nInPos := make([]int32, 0, g.edgeCount)
 	// Assign new edge ids in (node id, out-adjacency) order: a
 	// deterministic function of graph state.
 	for id := range g.outSpan {
@@ -239,6 +256,8 @@ func (g *Graph) compact() {
 			nTo = append(nTo, g.eTo[e])
 			nDep = append(nDep, g.eDep[e])
 			nEv = append(nEv, g.eEv[e])
+			nOutPos = append(nOutPos, g.eOutPos[e])
+			nInPos = append(nInPos, g.eInPos[e])
 		}
 	}
 	total := 0
@@ -265,6 +284,7 @@ func (g *Graph) compact() {
 		rewrite(&g.inSpan[id])
 	}
 	g.eFrom, g.eTo, g.eDep, g.eEv = nFrom, nTo, nDep, nEv
+	g.eOutPos, g.eInPos = nOutPos, nInPos
 	g.adj = nAdj
 	g.deadEdges = 0
 	g.adjGarbage = 0
@@ -283,4 +303,49 @@ func (g *Graph) compact() {
 			g.refNodes[r] = live
 		}
 	}
+}
+
+// CheckAdjacency verifies the storage invariants that edge removal and
+// deduplication rest on, reporting the first breach ("" when sound): every
+// entry of n's two spans is an edge that names n on that side and whose
+// position column points back at the entry, the edge also sits where its
+// other position column says in the neighbor's span, and no two out-edges
+// share (target, type, evidence). Only hasEdge's scan keeps edges unique,
+// so the invariant auditor (package audit) runs this on every live node.
+func (n *Node) CheckAdjacency() string {
+	g, id := n.g, n.id
+	type outIdent struct {
+		to, ev int32
+		dep    DepType
+	}
+	var seen map[outIdent]struct{} // most nodes have one out-edge: no map
+	if deg := g.outSpan[id].n; deg > 1 {
+		seen = make(map[outIdent]struct{}, deg)
+	}
+	for i, e := range g.spanIDs(g.outSpan[id]) {
+		if g.eFrom[e] != id || g.eOutPos[e] != int32(i) {
+			return fmt.Sprintf("out-span entry %d does not point back (edge %d)", i, e)
+		}
+		if in := g.inSpan[g.eTo[e]]; g.eInPos[e] >= in.n || g.adj[in.off+g.eInPos[e]] != e {
+			return fmt.Sprintf("out-edge %d is not at its position in the target's in-span", e)
+		}
+		if seen == nil {
+			continue
+		}
+		k := outIdent{to: g.eTo[e], ev: g.eEv[e], dep: g.eDep[e]}
+		if _, dup := seen[k]; dup {
+			return fmt.Sprintf("duplicate %s out-edge to %s with evidence %q",
+				k.dep, g.handles[k.to].Key(), g.strs.str(k.ev))
+		}
+		seen[k] = struct{}{}
+	}
+	for i, e := range g.spanIDs(g.inSpan[id]) {
+		if g.eFrom[e] < 0 || g.eTo[e] != id || g.eInPos[e] != int32(i) {
+			return fmt.Sprintf("in-span entry %d does not point back (edge %d)", i, e)
+		}
+		if out := g.outSpan[g.eFrom[e]]; g.eOutPos[e] >= out.n || g.adj[out.off+g.eOutPos[e]] != e {
+			return fmt.Sprintf("in-edge %d is not at its position in the source's out-span", e)
+		}
+	}
+	return ""
 }

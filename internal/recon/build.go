@@ -3,6 +3,7 @@ package recon
 import (
 	"sort"
 	"strconv"
+	"time"
 
 	"refrecon/internal/depgraph"
 	"refrecon/internal/emailaddr"
@@ -49,6 +50,8 @@ type builder struct {
 	// already reported, so incremental batches report deltas, not totals.
 	fedPairs   int
 	fedSkipped int
+	// times accumulates incorporate's four timed stages across batches.
+	times struct{ enumerate, score, wire, associations time.Duration }
 }
 
 func newBuilder(store *reference.Store, sch *schema.Schema, cfg Config) *builder {
@@ -84,6 +87,19 @@ func (b *builder) feedCounters(c *obs.Counters) {
 	}
 	obs.UpdateMax(&c.BlockingKeys, int64(keys))
 	obs.UpdateMax(&c.MaxBucket, int64(maxBucket))
+}
+
+// stage runs fn as one of incorporate's four timed stages: a "build.<name>"
+// span inside the commit's build phase span, its duration added to *total
+// (Stats reports the totals). What incorporate does outside the stages —
+// library statistics, blocking keys, constraint seeding — is the build
+// span's self time.
+func (b *builder) stage(name string, total *time.Duration, fn func()) {
+	sp := b.cfg.Obs.Tracer().Begin("build", "build."+name)
+	start := time.Now()
+	fn()
+	*total += time.Since(start)
+	sp.End()
 }
 
 // incorporate extends the graph with a batch of new references — the two
@@ -124,36 +140,43 @@ func (b *builder) incorporate(newRefs []*reference.Reference) []*depgraph.Node {
 		itemSlab = append(itemSlab, pairItem{r1: r1, r2: r2, vals: vals})
 		return &itemSlab[len(itemSlab)-1]
 	}
-	for _, class := range b.sch.Classes() {
-		ids := newByClass[class.Name]
-		idx := b.indexes[class.Name]
-		if len(ids) == 0 || idx == nil {
-			continue
+	b.stage("enumerate", &b.times.enumerate, func() {
+		for _, class := range b.sch.Classes() {
+			ids := newByClass[class.Name]
+			idx := b.indexes[class.Name]
+			if len(ids) == 0 || idx == nil {
+				continue
+			}
+			idx.PairsInvolving(ids, func(x, y reference.ID) {
+				b.candidatePairs++
+				r1, r2 := b.store.Get(x), b.store.Get(y)
+				if r1.ID == r2.ID || r1.Class != r2.Class {
+					return
+				}
+				if b.g.LookupRefPair(r1.ID, r2.ID) != nil || b.removed[pairIndex(r1.ID, r2.ID)] != 0 {
+					return
+				}
+				items = append(items, newItem(r1, r2, b.enumerateVals(r1, r2)))
+			})
+			b.skippedBuckets += idx.SkippedBuckets()
 		}
-		idx.PairsInvolving(ids, func(x, y reference.ID) {
-			b.candidatePairs++
-			r1, r2 := b.store.Get(x), b.store.Get(y)
-			if r1.ID == r2.ID || r1.Class != r2.Class {
-				return
-			}
-			if b.g.LookupRefPair(r1.ID, r2.ID) != nil || b.removed[pairIndex(r1.ID, r2.ID)] != 0 {
-				return
-			}
-			items = append(items, newItem(r1, r2, b.enumerateVals(r1, r2)))
-		})
-		b.skippedBuckets += idx.SkippedBuckets()
-	}
-	b.scoreItems(items)
-	for _, it := range items {
-		b.wireScored(it.r1, it.r2, false, it.vals, it.sims)
-	}
+	})
+	b.stage("score", &b.times.score, func() { b.scoreItems(items) })
+	b.stage("wire", &b.times.wire, func() {
+		for _, it := range items {
+			b.wireScored(it.r1, it.r2, false, it.vals, it.sims)
+		}
+	})
 	// Pass 2: association dependencies over the fresh pairs; induced pairs
-	// created while wiring are themselves wired on the next sweep.
-	for sweep := 0; sweep < 4 && len(b.fresh) > 0; sweep++ {
-		f := drain()
-		b.buildAssociations(f)
-		b.buildContactAssociations(f)
-	}
+	// created while wiring are themselves wired on the next sweep. Induced
+	// pairs are scored here, serially, as they are discovered.
+	b.stage("associations", &b.times.associations, func() {
+		for sweep := 0; sweep < 4 && len(b.fresh) > 0; sweep++ {
+			f := drain()
+			b.buildAssociations(f)
+			b.buildContactAssociations(f)
+		}
+	})
 	drain()
 
 	// Constraint 1 (co-author distinctness) adds non-merge nodes for the

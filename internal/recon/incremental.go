@@ -148,6 +148,9 @@ func (s *Session) build(ctx context.Context) (seed []*depgraph.Node, idle bool, 
 	labeled(o, "build", func() { seed = s.b.incorporate(newRefs) })
 	s.g = s.b.g
 	s.stats.BuildTime += time.Since(start)
+	t := s.b.times
+	s.stats.EnumerateTime, s.stats.ScoreTime, s.stats.WireTime, s.stats.AssociationsTime =
+		t.enumerate, t.score, t.wire, t.associations
 	s.stats.CandidatePairs = s.b.candidatePairs
 	s.stats.SkippedBuckets = s.b.skippedBuckets
 	s.stats.GraphNodes = s.g.NodeCount()

@@ -51,6 +51,15 @@ type Stats struct {
 	// Incremental sessions accumulate them across batches. Timings are
 	// informational and excluded from determinism comparisons.
 	BuildTime, PropagateTime, ClosureTime time.Duration
+	// EnumerateTime, ScoreTime, WireTime, and AssociationsTime split
+	// BuildTime by construction stage, matching the build.enumerate /
+	// build.score / build.wire / build.associations trace spans: blocking
+	// enumeration of candidate pairs and their value comparisons, the
+	// (parallel) scoring of those comparisons, serial wiring of nodes and
+	// edges, and association wiring, which scores the induced pairs it
+	// discovers serially. The rest of BuildTime is library statistics,
+	// blocking keys, and constraint seeding.
+	EnumerateTime, ScoreTime, WireTime, AssociationsTime time.Duration
 	// AuditChecks counts the invariant assertions evaluated when
 	// Config.Audit is on (zero otherwise). Informational, like the timings.
 	AuditChecks int

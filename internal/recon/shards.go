@@ -257,6 +257,8 @@ func addEngineStats(dst *depgraph.Stats, s depgraph.Stats) {
 	dst.DeltaHits += s.DeltaHits
 	dst.AggBuilds += s.AggBuilds
 	dst.AggRebuilds += s.AggRebuilds
+	dst.EdgeAdds += s.EdgeAdds
+	dst.DedupProbes += s.DedupProbes
 	if s.QueueHighWater > dst.QueueHighWater {
 		dst.QueueHighWater = s.QueueHighWater
 	}

@@ -40,6 +40,7 @@ func canonPartitions(res *Result) string {
 // the rest of a Stats value can be compared bit for bit.
 func comparableStats(s Stats) Stats {
 	s.BuildTime, s.PropagateTime, s.ClosureTime = 0, 0, 0
+	s.EnumerateTime, s.ScoreTime, s.WireTime, s.AssociationsTime = 0, 0, 0, 0
 	return s
 }
 

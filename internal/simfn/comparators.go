@@ -353,7 +353,7 @@ func fuzzyOverlap(ta, tb []string) float64 {
 			if used[j] {
 				continue
 			}
-			if x == y || strsim.JaroWinkler(x, y) >= 0.95 {
+			if x == y || strsim.JaroWinklerTokens(x, y) >= 0.95 {
 				used[j] = true
 				matches++
 				break
@@ -396,7 +396,7 @@ func (l *Library) weightedFuzzyJaccard(ta, tb []string) float64 {
 			if used[j] {
 				continue
 			}
-			if x == y || strsim.JaroWinkler(x, y) >= 0.95 {
+			if x == y || strsim.JaroWinklerTokens(x, y) >= 0.95 {
 				used[j] = true
 				wy := l.venueTokenIDF(y)
 				if wy < w {

@@ -117,49 +117,3 @@ func NeedlemanWunsch(a, b string) float64 {
 	}
 	return (float64(score) + float64(maxLen)) / (2 * float64(maxLen))
 }
-
-// SoftCosine computes the SoftTFIDF-style hybrid of Cohen, Ravikumar and
-// Fienberg: TF-IDF cosine where tokens match softly — two tokens count as
-// shared when their Jaro-Winkler similarity reaches theta (0.9 in the
-// original), weighted by that similarity. It combines token-order
-// robustness with per-token typo tolerance and was the best general
-// name-matcher in their comparison (the paper's reference [10]).
-func (c *Corpus) SoftCosine(a, b string, theta float64) float64 {
-	if theta <= 0 {
-		theta = 0.9
-	}
-	if a == b {
-		// Same ulp hazard as CosineSim: self-dot and norm² sum the same
-		// terms in different orders.
-		return 1
-	}
-	va := c.vectorCached(a)
-	vb := c.vectorCached(b)
-	if len(va.w) == 0 && len(vb.w) == 0 {
-		return 1
-	}
-	if len(va.w) == 0 || len(vb.w) == 0 {
-		return 0
-	}
-	dot := 0.0
-	for i, ta := range va.toks {
-		bestSim, bestTok := 0.0, -1
-		for j, tb := range vb.toks {
-			if s := JaroWinkler(ta, tb); s >= theta && s > bestSim {
-				bestSim, bestTok = s, j
-			}
-		}
-		if bestTok >= 0 {
-			dot += va.w[i] * vb.w[bestTok] * bestSim
-		}
-	}
-	denom := va.norm * vb.norm
-	if denom == 0 {
-		return 0
-	}
-	s := dot / denom
-	if s > 1 {
-		s = 1
-	}
-	return s
-}

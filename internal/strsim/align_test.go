@@ -65,48 +65,3 @@ func TestNeedlemanWunschBoundedSymmetric(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSoftCosine(t *testing.T) {
-	c := NewCorpus()
-	for _, d := range []string{
-		"michael stonebraker", "eugene wong", "robert epstein",
-		"query processing", "jennifer widom",
-	} {
-		c.Add(d)
-	}
-	if s := c.SoftCosine("michael stonebraker", "michael stonebraker", 0.9); !approx(s, 1) {
-		t.Errorf("identical = %f", s)
-	}
-	// Typos within theta still match softly.
-	typo := c.SoftCosine("michael stonebraker", "micheal stonebraker", 0.9)
-	if typo < 0.9 {
-		t.Errorf("typo = %f, want >= 0.9", typo)
-	}
-	// Plain cosine would score the typo pair much lower (token mismatch).
-	hard := c.CosineSim("michael stonebraker", "micheal stonebraker")
-	if !(typo > hard) {
-		t.Errorf("soft %f should beat hard %f", typo, hard)
-	}
-	if s := c.SoftCosine("", "", 0.9); s != 1 {
-		t.Errorf("empty = %f", s)
-	}
-	if s := c.SoftCosine("x", "", 0.9); s != 0 {
-		t.Errorf("one empty = %f", s)
-	}
-	// Default theta kicks in for non-positive values.
-	if s := c.SoftCosine("abc", "abc", 0); !approx(s, 1) {
-		t.Errorf("default theta identical = %f", s)
-	}
-}
-
-func TestSoftCosineBounded(t *testing.T) {
-	c := NewCorpus()
-	c.Add("some seed document")
-	f := func(a, b string) bool {
-		s := c.SoftCosine(a, b, 0.9)
-		return s >= 0 && s <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}

@@ -52,6 +52,9 @@ func TestJaroWinklerZeroAllocs(t *testing.T) {
 	assertZeroAllocs(t, "JaroWinkler", func() {
 		allocSink += JaroWinkler("dixon", "dicksonx")
 	})
+	assertZeroAllocs(t, "JaroWinklerTokens", func() {
+		allocSink += JaroWinklerTokens("dixon", "dicksonx") + JaroWinklerTokens("garcía", "garcia")
+	})
 }
 
 func TestAlignZeroAllocs(t *testing.T) {

@@ -50,9 +50,6 @@ func TestCosineSelfComparisonExact(t *testing.T) {
 		if s := c.CosineSim(d, d); s != 1 {
 			t.Errorf("CosineSim(%q, same) = %v, want exactly 1", d, s)
 		}
-		if s := c.SoftCosine(d, d, 0.9); s != 1 {
-			t.Errorf("SoftCosine(%q, same) = %v, want exactly 1", d, s)
-		}
 	}
 }
 
@@ -75,9 +72,6 @@ func TestCosineEmptyVectorBoundaries(t *testing.T) {
 	for _, cs := range cases {
 		if got := c.CosineSim(cs.a, cs.b); got != cs.want {
 			t.Errorf("CosineSim(%q, %q) = %v, want %v", cs.a, cs.b, got, cs.want)
-		}
-		if got := c.SoftCosine(cs.a, cs.b, 0.9); got != cs.want {
-			t.Errorf("SoftCosine(%q, %q) = %v, want %v", cs.a, cs.b, got, cs.want)
 		}
 	}
 }
@@ -110,18 +104,18 @@ func TestJaroWinklerPrefixBoundaries(t *testing.T) {
 	// The Winkler boost counts at most 4 prefix runes; p is capped at 0.25
 	// so the boost can never push the score past 1.
 	long := "aaaaaaaaaa"
-	if s := JaroWinklerP(long, long+"b", 0.25); s > 1 {
+	if s := jaroWinklerP(long, long+"b", 0.25); s > 1 {
 		t.Errorf("shared 10-rune prefix at p=0.25 overflowed: %v", s)
 	}
-	if s := JaroWinklerP("ab", "cd", -3); s != Jaro("ab", "cd") {
+	if s := jaroWinklerP("ab", "cd", -3); s != Jaro("ab", "cd") {
 		t.Errorf("negative p must degrade to plain Jaro: %v", s)
 	}
-	if got, capped := JaroWinklerP("martha", "marhta", 9), JaroWinklerP("martha", "marhta", 0.25); got != capped {
+	if got, capped := jaroWinklerP("martha", "marhta", 9), jaroWinklerP("martha", "marhta", 0.25); got != capped {
 		t.Errorf("p above 0.25 must be capped: %v vs %v", got, capped)
 	}
 	// Four shared prefix runes and five must produce the same boost.
-	four := JaroWinklerP("abcdxx", "abcdyy", 0.1)
-	five := JaroWinklerP("abcdexx", "abcdeyy", 0.1)
+	four := jaroWinklerP("abcdxx", "abcdyy", 0.1)
+	five := jaroWinklerP("abcdexx", "abcdeyy", 0.1)
 	if five < four-0.1 { // five shares more content, so >=; never a smaller boost class
 		t.Errorf("prefix cap mishandled: len4=%v len5=%v", four, five)
 	}

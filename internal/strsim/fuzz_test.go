@@ -33,7 +33,7 @@ func strsimMetrics() []metric {
 	return []metric{
 		{"Jaro", Jaro},
 		{"JaroWinkler", JaroWinkler},
-		{"JaroWinklerP0.25", func(a, b string) float64 { return JaroWinklerP(a, b, 0.25) }},
+		{"JaroWinklerP0.25", func(a, b string) float64 { return jaroWinklerP(a, b, 0.25) }},
 		{"LevenshteinSim", LevenshteinSim},
 		{"DamerauSim", DamerauSim},
 		{"LCSSim", LCSSim},
@@ -44,7 +44,6 @@ func strsimMetrics() []metric {
 		{"JaccardContentTokens", JaccardContentTokens},
 		{"MongeElkan", func(a, b string) float64 { return MongeElkan(a, b, nil) }},
 		{"CosineSim", c.CosineSim},
-		{"SoftCosine", func(a, b string) float64 { return c.SoftCosine(a, b, 0.9) }},
 		{"EmptyCorpusCosine", NewCorpus().CosineSim},
 	}
 }
@@ -176,6 +175,9 @@ func FuzzStrsim(f *testing.F) {
 	f.Add("the of and", "a an the") // stopwords only
 	f.Add("日本語", "日本")
 	f.Add("x", "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx")
+	// Words output that a second normalization would change: the Angstrom
+	// sign and capital sharp s lower-case into the fold table.
+	f.Add("\u212bngstrom stra\u1e9ee", "angstrom strase")
 	f.Fuzz(func(t *testing.T, a, b string) {
 		// Very long adversarial inputs make the O(n*m) comparators slow
 		// without exercising new code paths.
@@ -207,6 +209,16 @@ func FuzzStrsim(f *testing.F) {
 		}
 		if got, want := Jaro(a, b), naiveJaro(a, b); got != want {
 			t.Fatalf("Jaro(%q, %q) = %v, naive %v", a, b, got, want)
+		}
+
+		// The token path skips normalization where it is the identity; on
+		// Words output it must be the normalizing path to the bit.
+		for _, x := range tokenizer.Words(a) {
+			for _, y := range tokenizer.Words(b) {
+				if got, want := JaroWinklerTokens(x, y), JaroWinkler(x, y); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("JaroWinklerTokens(%q, %q) = %v, JaroWinkler %v", x, y, got, want)
+				}
+			}
 		}
 
 		// Distance-family invariants.

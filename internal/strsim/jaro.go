@@ -70,13 +70,13 @@ func jaroScratch(sc *scratch, ra, rb []rune) float64 {
 // JaroWinkler boosts the Jaro similarity for strings that share a common
 // prefix of up to four runes, using the standard scaling factor p = 0.1.
 func JaroWinkler(a, b string) float64 {
-	return JaroWinklerP(a, b, 0.1)
+	return jaroWinklerP(a, b, 0.1)
 }
 
-// JaroWinklerP is JaroWinkler with an explicit prefix scale p. The result
+// jaroWinklerP is JaroWinkler with an explicit prefix scale p. The result
 // is clamped to [0, 1]; p values above 0.25 would allow scores over 1 and
 // are capped.
-func JaroWinklerP(a, b string, p float64) float64 {
+func jaroWinklerP(a, b string, p float64) float64 {
 	if p < 0 {
 		p = 0
 	}
@@ -86,17 +86,44 @@ func JaroWinklerP(a, b string, p float64) float64 {
 	sc := getScratch()
 	sc.ra = tokenizer.AppendNormalizedRunes(sc.ra[:0], a)
 	sc.rb = tokenizer.AppendNormalizedRunes(sc.rb[:0], b)
+	s := winklerScratch(sc, p)
+	putScratch(sc)
+	return s
+}
+
+// winklerScratch scores the two normalized rune strings in sc.ra and sc.rb.
+func winklerScratch(sc *scratch, p float64) float64 {
 	ra, rb := sc.ra, sc.rb
 	j := jaroScratch(sc, ra, rb)
 	l := 0
 	for l < len(ra) && l < len(rb) && l < 4 && ra[l] == rb[l] {
 		l++
 	}
-	putScratch(sc)
 	s := j + float64(l)*p*(1-j)
 	if s > 1 {
 		s = 1
 	}
+	return s
+}
+
+// JaroWinklerTokens is JaroWinkler for two tokens of tokenizer.Words. An
+// all-ASCII token is already in normal form — lower-case letters and
+// digits — so it is compared as it stands, without the normalization pass
+// that is most of JaroWinkler's cost on short strings. A token with any
+// other rune takes the normalizing path: Words output is not always a
+// fixed point of normalization (U+212B and U+1E9E lower-case into the fold
+// table), and the two paths must agree to the bit.
+func JaroWinklerTokens(x, y string) float64 {
+	sc := getScratch()
+	var okX, okY bool
+	sc.ra, okX = appendASCII(sc.ra[:0], x)
+	sc.rb, okY = appendASCII(sc.rb[:0], y)
+	if !okX || !okY {
+		putScratch(sc)
+		return JaroWinkler(x, y)
+	}
+	s := winklerScratch(sc, 0.1)
+	putScratch(sc)
 	return s
 }
 

@@ -57,13 +57,13 @@ func TestJaroWinklerAtLeastJaro(t *testing.T) {
 
 func TestJaroWinklerPClamping(t *testing.T) {
 	// p > 0.25 is capped; must never exceed 1.
-	if s := JaroWinklerP("prefix", "prefixes", 5.0); s > 1 {
+	if s := jaroWinklerP("prefix", "prefixes", 5.0); s > 1 {
 		t.Errorf("clamped JaroWinklerP exceeded 1: %f", s)
 	}
-	if s := JaroWinklerP("prefix", "prefixes", -1); s < 0 || s > 1 {
+	if s := jaroWinklerP("prefix", "prefixes", -1); s < 0 || s > 1 {
 		t.Errorf("negative p should behave like p=0, got %f", s)
 	}
-	if got, want := JaroWinklerP("martha", "marhta", 0), Jaro("martha", "marhta"); !approx(got, want) {
+	if got, want := jaroWinklerP("martha", "marhta", 0), Jaro("martha", "marhta"); !approx(got, want) {
 		t.Errorf("p=0 should equal Jaro: %f vs %f", got, want)
 	}
 }

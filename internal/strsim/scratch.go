@@ -33,6 +33,18 @@ func appendRunes(dst []rune, s string) []rune {
 	return dst
 }
 
+// appendASCII appends the bytes of s to dst as runes, stopping with ok
+// false at the first byte that is not ASCII.
+func appendASCII(dst []rune, s string) (out []rune, ok bool) {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return dst, false
+		}
+		dst = append(dst, rune(s[i]))
+	}
+	return dst, true
+}
+
 // intRow returns *buf resized to n entries without zeroing (callers
 // initialize the row themselves); the backing array grows monotonically
 // and is reused across calls.

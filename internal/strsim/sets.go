@@ -72,12 +72,12 @@ func toSet(toks []string) map[string]bool {
 // MongeElkan computes the Monge-Elkan hybrid similarity: for each token of
 // the shorter token list, the best inner similarity against the other
 // list's tokens is found, and the scores are averaged. The inner comparator
-// defaults to JaroWinkler when inner is nil. Monge-Elkan tolerates token
+// defaults to Jaro-Winkler when inner is nil. Monge-Elkan tolerates token
 // reordering and per-token typos simultaneously, which suits multi-word
 // names and venue strings.
 func MongeElkan(a, b string, inner func(string, string) float64) float64 {
 	if inner == nil {
-		inner = JaroWinkler
+		inner = JaroWinklerTokens // the tokens below come from Words
 	}
 	ta, tb := tokenizer.Words(a), tokenizer.Words(b)
 	if len(ta) == 0 && len(tb) == 0 {

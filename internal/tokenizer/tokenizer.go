@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Normalize lowercases s, folds common diacritics to their ASCII base
@@ -43,9 +44,23 @@ func Normalize(s string) string {
 func AppendNormalizedRunes(dst []rune, s string) []rune {
 	start := len(dst)
 	prevSpace := false
-	for _, r := range s {
-		r = foldRune(r)
-		if unicode.IsSpace(r) {
+	for i := 0; i < len(s); {
+		r, w, space := rune(s[i]), 1, false
+		if r < utf8.RuneSelf {
+			// ASCII, nearly every rune of the data: the answers of
+			// foldRune, unicode.IsSpace and unicode.ToLower, on the byte.
+			space = r == ' ' || (r >= '\t' && r <= '\r')
+			if r >= 'A' && r <= 'Z' {
+				r += 'a' - 'A'
+			}
+		} else {
+			r, w = utf8.DecodeRuneInString(s[i:])
+			r = foldRune(r)
+			space = unicode.IsSpace(r)
+			r = unicode.ToLower(r)
+		}
+		i += w
+		if space {
 			if !prevSpace && len(dst) > start {
 				dst = append(dst, ' ')
 				prevSpace = true
@@ -53,7 +68,7 @@ func AppendNormalizedRunes(dst []rune, s string) []rune {
 			continue
 		}
 		prevSpace = false
-		dst = append(dst, unicode.ToLower(r))
+		dst = append(dst, r)
 	}
 	if len(dst) > start && dst[len(dst)-1] == ' ' {
 		dst = dst[:len(dst)-1]
@@ -66,6 +81,9 @@ func AppendNormalizedRunes(dst []rune, s string) []rune {
 // Extended-A codepoints, which suffices for the name data this system
 // processes. Unknown runes pass through unchanged.
 func foldRune(r rune) rune {
+	if r < utf8.RuneSelf {
+		return r
+	}
 	switch {
 	case r >= 'À' && r <= 'Å', r >= 'à' && r <= 'å', r == 'Ā', r == 'ā', r == 'Ă', r == 'ă', r == 'Ą', r == 'ą':
 		if unicode.IsUpper(r) {
@@ -142,14 +160,27 @@ func Words(s string) []string {
 	b.Grow(len(s))
 	var bounds []int // flattened (start, end) byte-offset pairs
 	inTok := false
-	for _, r := range s {
-		r = foldRune(r)
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+	for i := 0; i < len(s); {
+		r, w, alnum := rune(s[i]), 1, false
+		if r < utf8.RuneSelf {
+			// ASCII: letter-or-digit and lower-casing decided on the byte.
+			if r >= 'A' && r <= 'Z' {
+				r += 'a' - 'A'
+			}
+			alnum = (r >= 'a' && r <= 'z') || (r >= '0' && r <= '9')
+		} else {
+			r, w = utf8.DecodeRuneInString(s[i:])
+			r = foldRune(r)
+			alnum = unicode.IsLetter(r) || unicode.IsDigit(r)
+			r = unicode.ToLower(r)
+		}
+		i += w
+		if alnum {
 			if !inTok {
 				bounds = append(bounds, b.Len())
 				inTok = true
 			}
-			b.WriteRune(unicode.ToLower(r))
+			b.WriteRune(r)
 		} else if inTok {
 			bounds = append(bounds, b.Len())
 			inTok = false

@@ -204,11 +204,77 @@ func TestAppendNormalizedRunesMatchesNormalize(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-	for _, s := range []string{
+	if err := quick.Check(mostlyASCII(f), nil); err != nil {
+		t.Error(err)
+	}
+	for _, s := range append([]string{
 		"", "   ", "José  García-Molina ", "ACM SIGMOD\t1978", "ß, Ł, Đ",
-	} {
+	}, fastPathInputs()...) {
 		if got := string(AppendNormalizedRunes(nil, s)); got != Normalize(s) {
 			t.Errorf("AppendNormalizedRunes(%q) = %q, want %q", s, got, Normalize(s))
+		}
+	}
+}
+
+// mostlyASCII adapts a string property to random byte strings that are
+// seven-eighths ASCII (quick's own strings almost never are), so runs of
+// fast-path bytes meet multi-byte runes and invalid UTF-8.
+func mostlyASCII(f func(string) bool) func([]byte) bool {
+	return func(b []byte) bool {
+		for i := range b {
+			if b[i]%8 != 0 {
+				b[i] &= 0x7f
+			}
+		}
+		return f(string(b))
+	}
+}
+
+// fastPathInputs are strings chosen to cross the ASCII fast paths of
+// AppendNormalizedRunes and Words: every ASCII byte alone and between
+// letters (all six ASCII spaces, the control bytes next to them, case and
+// digit range ends), ASCII next to multi-byte runes, and invalid UTF-8.
+func fastPathInputs() []string {
+	var all []byte
+	out := []string{"a\x80b", "\xff", "x\xc3", "A\u00a0B\u0085C", "É\tÉ  é", "x\u2003y", "İi", "ǅ1"}
+	for c := 0; c < 0x80; c++ {
+		all = append(all, byte(c))
+		out = append(out, string(rune(c)), "a"+string(rune(c))+"Z", "é"+string(rune(c))+"É")
+	}
+	return append(out, string(all))
+}
+
+// wordsReference is Words without the ASCII fast path: every rune goes
+// through foldRune and the unicode tables.
+func wordsReference(s string) []string {
+	var out []string
+	var tok []rune
+	for _, r := range s {
+		r = foldRune(r)
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			tok = append(tok, unicode.ToLower(r))
+		} else if len(tok) > 0 {
+			out = append(out, string(tok))
+			tok = tok[:0]
+		}
+	}
+	if len(tok) > 0 {
+		out = append(out, string(tok))
+	}
+	return out
+}
+
+func TestWordsMatchesReference(t *testing.T) {
+	f := func(s string) bool { return reflect.DeepEqual(Words(s), wordsReference(s)) }
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	if err := quick.Check(mostlyASCII(f), nil); err != nil {
+		t.Error(err)
+	}
+	for _, s := range fastPathInputs() {
+		if got, want := Words(s), wordsReference(s); !reflect.DeepEqual(got, want) {
+			t.Errorf("Words(%q) = %q, want %q", s, got, want)
 		}
 	}
 }

@@ -37,8 +37,8 @@ go test -race ./internal/shard
 echo "== bench smoke (propagate/fold benchmarks compile and run) =="
 go test -run=NONE -bench='Propagate|EnrichFold' -benchtime=1x .
 
-echo "== alloc regression smoke (columnar storage allocs/op ceilings) =="
-go test -run='ZeroAlloc|AllocsAmortized' -count=1 ./internal/depgraph
+echo "== alloc regression smoke (columnar storage allocs/op ceilings; hub-removal benchmark compiles and runs) =="
+go test -run='ZeroAlloc|AllocsAmortized' -bench='RemoveHubNeighbors' -benchtime=1x -count=1 ./internal/depgraph
 
 echo "== fuzz smoke (10s per target, seed corpora replayed by go test above) =="
 go test -fuzz='^FuzzBibTeX$' -fuzztime 10s ./internal/extract
