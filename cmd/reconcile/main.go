@@ -179,6 +179,11 @@ func main() {
 		if st.AuditChecks > 0 {
 			fmt.Printf("audit: %d invariant checks passed\n", st.AuditChecks)
 		}
+		fmt.Print("largest partition's share of its class:")
+		for _, class := range ds.Store.Classes() {
+			fmt.Printf(" %s %.3f", class, res.LargestShare(class))
+		}
+		fmt.Println()
 		if *explain != "" {
 			var a, b int
 			if _, err := fmt.Sscanf(*explain, "%d,%d", &a, &b); err != nil {

@@ -218,7 +218,7 @@ func (w *Workload) buildQuery(rng *rand.Rand, sch *schema.Schema, r *reference.R
 	if rng.Float64() < cfg.Typeless {
 		q.Type = ""
 	}
-	name := serve.NameAttr(c)
+	name := c.NameAttr()
 	q.Query = r.FirstAtomic(name)
 	if q.Query == "" {
 		// A reference with no name-like value (e.g. a dropped field):

@@ -6,12 +6,9 @@ import (
 	"time"
 
 	"refrecon/internal/depgraph"
-	"refrecon/internal/emailaddr"
-	"refrecon/internal/names"
 	"refrecon/internal/obs"
 	"refrecon/internal/reference"
 	"refrecon/internal/schema"
-	"refrecon/internal/simfn"
 )
 
 // builder constructs the dependency graph for one dataset. It supports
@@ -37,9 +34,9 @@ type builder struct {
 	// batch is the 1-based ordinal of the incorporate call in progress.
 	batch int
 
-	// caches of parsed attribute values, keyed by reference id.
-	parsedNames  map[reference.ID][]names.Name
-	parsedEmails map[reference.ID][]emailaddr.Address
+	// parsed caches the parsed attribute values the person constraint
+	// reads, keyed by reference id.
+	parsed map[reference.ID]*parsedPerson
 	// elems names the graph's value elements; simScratch backs scoreVals.
 	elems      valueElems
 	simScratch []float64
@@ -56,13 +53,12 @@ type builder struct {
 
 func newBuilder(store *reference.Store, sch *schema.Schema, cfg Config) *builder {
 	return &builder{
-		evidence:     newEvidence(sch, cfg),
-		store:        store,
-		g:            depgraph.New(),
-		removed:      make(map[uint64]int),
-		parsedNames:  make(map[reference.ID][]names.Name),
-		parsedEmails: make(map[reference.ID][]emailaddr.Address),
-		elems:        make(valueElems),
+		evidence: newEvidence(sch, cfg),
+		store:    store,
+		g:        depgraph.New(),
+		removed:  make(map[uint64]int),
+		parsed:   make(map[reference.ID]*parsedPerson),
+		elems:    make(valueElems),
 	}
 }
 
@@ -172,17 +168,19 @@ func (b *builder) incorporate(newRefs []*reference.Reference) []*depgraph.Node {
 	// pairs are scored here, serially, as they are discovered.
 	b.stage("associations", &b.times.associations, func() {
 		for sweep := 0; sweep < 4 && len(b.fresh) > 0; sweep++ {
-			f := drain()
-			b.buildAssociations(f)
-			b.buildContactAssociations(f)
+			b.buildAssociations(drain())
 		}
 	})
 	drain()
 
-	// Constraint 1 (co-author distinctness) adds non-merge nodes for the
-	// new articles.
+	// Distinct-target constraints (the co-author rule) add non-merge nodes
+	// for the new references.
 	if b.cfg.Constraints {
-		b.markCoAuthorConstraints(newByClass[schema.ClassArticle])
+		for _, class := range b.sch.Classes() {
+			if attr := b.row(class.Name).distinct; attr != "" {
+				b.markDistinctTargets(class, attr, newByClass[class.Name])
+			}
+		}
 	}
 	drain()
 
@@ -219,8 +217,8 @@ func seedSort(sch *schema.Schema, nodes []*depgraph.Node) []*depgraph.Node {
 // with its atomic-value evidence nodes on first sight. It returns nil when
 // the pair has no comparable evidence at all (the paper removes such nodes,
 // §3.1 step 1(2)). induced marks pairs discovered through associations
-// rather than blocking; induced venue pairs use a relaxed threshold so
-// that article-driven venue reconciliation has nodes to act on.
+// rather than blocking; a class whose row says keepInduced treats those
+// more leniently (wireScored).
 func (b *builder) ensureRefPair(r1, r2 *reference.Reference, induced bool) *depgraph.Node {
 	if r1.ID == r2.ID || r1.Class != r2.Class {
 		return nil
@@ -235,10 +233,10 @@ func (b *builder) ensureRefPair(r1, r2 *reference.Reference, induced bool) *depg
 		}
 		// The pair was pruned for lack of evidence in an earlier batch, but
 		// this batch's associations reach for it: rebuild it. The induced
-		// path keeps relaxed-threshold venue pairs, and the library
+		// path keeps relaxed-threshold pairs (venues), and the library
 		// statistics have grown since the pruning, so the original verdict
 		// no longer stands — a permanent tombstone here made incremental
-		// sessions silently drop article-driven venue evidence that the
+		// sessions silently drop association-driven evidence that the
 		// equivalent batch run wires up.
 		delete(b.removed, key)
 	}
@@ -258,7 +256,8 @@ func (b *builder) wireScored(r1, r2 *reference.Reference, induced bool, vals []v
 	}
 	m := b.g.AddRefPair(r1.ID, r2.ID, r1.Class)
 
-	relax := induced && r1.Class == schema.ClassVenue
+	row := b.row(r1.Class)
+	relax := induced && row.keepInduced
 	hasEvidence := false
 	for i, v := range vals {
 		if sims[i] < evidenceFloor(v.cmp.evidence, relax) {
@@ -272,16 +271,7 @@ func (b *builder) wireScored(r1, r2 *reference.Reference, induced bool, vals []v
 	// negative evidence can propagate (they are what makes the constrained
 	// graph of Table 6 *larger*). A non-merge node is different from a
 	// non-existing node.
-	constrained := false
-	if b.cfg.Constraints {
-		switch r1.Class {
-		case schema.ClassPerson:
-			constrained = b.personConstrained(r1, r2)
-		case schema.ClassVenue:
-			constrained = b.venueConstrained(r1, r2)
-		}
-	}
-	if constrained {
+	if b.cfg.Constraints && row.constrained != nil && row.constrained(b, r1, r2) {
 		b.g.MarkNonMerge(m)
 	} else if !hasEvidence && !relax {
 		b.g.RemoveIfIsolated(m)
@@ -306,11 +296,11 @@ func (b *builder) sharedValueNode(target reference.ID) *depgraph.Node {
 // class's association rules induce (§3.1 step 2): a shared link target, or
 // the pair of two link targets — created on demand as an induced pair —
 // is evidence for the fresh pair, and where the rule says so the fresh
-// pair's merge pushes the target pair back. The pooled contact rule has
-// its own pass, buildContactAssociations.
+// pair's merge pushes the target pair back. Pooled rules are wired in a
+// second pass over the same pairs (wirePooled).
 func (b *builder) buildAssociations(fresh []*depgraph.Node) {
 	for _, m := range fresh {
-		rules := b.rules[m.Class()]
+		rules := b.row(m.Class()).assoc
 		if len(rules) == 0 || !m.Alive() {
 			continue
 		}
@@ -318,7 +308,7 @@ func (b *builder) buildAssociations(fresh []*depgraph.Node) {
 		r2 := b.store.Get(m.RefB())
 		for i := range rules {
 			rule := &rules[i]
-			if rule.attr == contactsAttr {
+			if rule.pool != nil {
 				continue
 			}
 			for _, a1 := range r1.Assoc(rule.attr) {
@@ -339,41 +329,46 @@ func (b *builder) buildAssociations(fresh []*depgraph.Node) {
 			}
 		}
 	}
+	for _, class := range b.sch.Classes() {
+		rules := b.row(class.Name).assoc
+		for i := range rules {
+			if rules[i].pool != nil {
+				b.wirePooled(class.Name, &rules[i], fresh)
+			}
+		}
+	}
 }
 
-// buildContactAssociations adds the weak-boolean contact/co-author
-// dependencies between person pairs (§3.1 step 2, Figure 2(b)). Only
-// existing person-pair nodes participate: a contact pair with no node
-// cannot contribute (the paper's (p4, p7) note).
-func (b *builder) buildContactAssociations(fresh []*depgraph.Node) {
-	rule, ok := b.rule(schema.ClassPerson, contactsAttr)
-	if !ok {
-		return
-	}
+// wirePooled adds the dependencies of one pooled rule between pairs of its
+// class — the weak-boolean contact/co-author dependencies between person
+// pairs (§3.1 step 2, Figure 2(b)). Only existing pair nodes participate:
+// a contact pair with no node cannot contribute (the paper's (p4, p7)
+// note).
+func (b *builder) wirePooled(class string, rule *assocRule, fresh []*depgraph.Node) {
 	// A contact shared with everyone carries no information: the dataset
 	// owner appears in every contact list, and mailing lists relate all
 	// their recipients. Weight contacts by discarding the hyper-popular
 	// ones (the paper's §4 suggestion to "consider the relative size of
 	// the value set of an associated attribute").
-	personRefs := b.store.ByClass(schema.ClassPerson)
+	refs := b.store.ByClass(class)
 	listers := make(map[reference.ID][]reference.ID)
-	for _, id := range personRefs {
-		for _, c := range contactsOf(b.store.Get(id)) {
+	for _, id := range refs {
+		for _, c := range rule.targets(b.store.Get(id)) {
 			listers[c] = append(listers[c], id)
 		}
 	}
-	popCap := len(personRefs) / 50
+	popCap := len(refs) / 50
 	if popCap < 12 {
 		popCap = 12
 	}
 
-	// Inverse wiring: a fresh person pair is itself contact evidence for
-	// every existing pair whose references list its two members. In batch
+	// Inverse wiring: a fresh pair is itself contact evidence for every
+	// existing pair whose references list its two members. In batch
 	// construction this duplicates the forward pass (edges dedupe); in
 	// incremental batches it is what connects new contact decisions to
 	// pre-existing pairs.
 	for _, n := range fresh {
-		if n.Class() != schema.ClassPerson || !n.Alive() {
+		if n.Class() != class || !n.Alive() {
 			continue
 		}
 		if len(listers[n.RefA()]) > popCap || len(listers[n.RefB()]) > popCap {
@@ -392,11 +387,11 @@ func (b *builder) buildContactAssociations(fresh []*depgraph.Node) {
 	}
 
 	for _, m := range fresh {
-		if m.Class() != schema.ClassPerson || !m.Alive() {
+		if m.Class() != class || !m.Alive() {
 			continue
 		}
-		c1s := contactsOf(b.store.Get(m.RefA()))
-		c2s := contactsOf(b.store.Get(m.RefB()))
+		c1s := rule.targets(b.store.Get(m.RefA()))
+		c2s := rule.targets(b.store.Get(m.RefB()))
 		for _, c1 := range c1s {
 			if len(listers[c1]) > popCap {
 				continue
@@ -420,113 +415,22 @@ func (b *builder) buildContactAssociations(fresh []*depgraph.Node) {
 	}
 }
 
-// markCoAuthorConstraints enforces constraint 1 of §5.3 for the given
-// article references: the authors of one article are distinct persons.
-// Missing pair nodes are created (constraints add nodes to the graph,
-// Table 6) and marked non-merge.
-func (b *builder) markCoAuthorConstraints(articles []reference.ID) {
-	for _, id := range articles {
-		authors := b.store.Get(id).Assoc(schema.AttrAuthoredBy)
-		for i := 0; i < len(authors); i++ {
-			for j := i + 1; j < len(authors); j++ {
-				n := b.g.LookupRefPair(authors[i], authors[j])
+// markDistinctTargets enforces a row's distinct-targets constraint for the
+// given references of one class — constraint 1 of §5.3: the authors of one
+// article are distinct persons. Missing pair nodes are created (constraints
+// add nodes to the graph, Table 6) and marked non-merge.
+func (b *builder) markDistinctTargets(class *schema.Class, attr string, ids []reference.ID) {
+	a, _ := class.Attr(attr)
+	for _, id := range ids {
+		targets := b.store.Get(id).Assoc(attr)
+		for i := 0; i < len(targets); i++ {
+			for j := i + 1; j < len(targets); j++ {
+				n := b.g.LookupRefPair(targets[i], targets[j])
 				if n == nil {
-					n = b.g.AddRefPair(authors[i], authors[j], schema.ClassPerson)
+					n = b.g.AddRefPair(targets[i], targets[j], a.Target)
 				}
 				b.g.MarkNonMerge(n)
 			}
 		}
 	}
-}
-
-// personConstrained reports constraints 2 and 3 of §5.3 on a person pair:
-//
-//  2. incompatible names (same first, completely different last, or vice
-//     versa) make the references distinct unless they share an email;
-//  3. two different accounts on the same email server belong to different
-//     persons.
-func (b *builder) personConstrained(r1, r2 *reference.Reference) bool {
-	e1 := b.emailsOf(r1)
-	e2 := b.emailsOf(r2)
-	for _, a1 := range e1 {
-		for _, a2 := range e2 {
-			if a1.Key() != "" && a1.Key() == a2.Key() {
-				return false // shared account: hard positive key beats both constraints
-			}
-		}
-	}
-	for _, a1 := range e1 {
-		for _, a2 := range e2 {
-			if a1.Server() != "" && a1.Server() == a2.Server() && a1.Local != a2.Local {
-				return true
-			}
-		}
-	}
-	n1 := b.namesOf(r1)
-	n2 := b.namesOf(r2)
-	anyIncompatible, anyCompatibleFull := false, false
-	for _, x := range n1 {
-		for _, y := range n2 {
-			if names.Incompatible(x, y) {
-				anyIncompatible = true
-			} else if x.IsFull() && y.IsFull() && names.Compatible(x, y) {
-				anyCompatibleFull = true
-			}
-		}
-	}
-	return anyIncompatible && !anyCompatibleFull
-}
-
-// venueConstrained reports the venue domain constraint: a venue
-// reference denotes one *edition*, and an edition has a unique year, so two
-// references whose years are flatly incompatible (differ by more than the
-// off-by-one citation noise YearSim tolerates) are guaranteed distinct.
-// Without this rule a single noisy cross-edition merge lets reference
-// enrichment union the evidence of whole year ranges — the MAX rule then
-// sees some agreeing year pair in every cluster and the editions collapse.
-func (b *builder) venueConstrained(r1, r2 *reference.Reference) bool {
-	y1 := r1.Atomic(schema.AttrYear)
-	y2 := r2.Atomic(schema.AttrYear)
-	if len(y1) == 0 || len(y2) == 0 {
-		return false
-	}
-	// The constraint tolerates a gap of 2: citations misprint years by
-	// one in either direction, so two mentions of one edition can be two
-	// apart. A false constraint is costly — it permanently splits the
-	// edition at the constrained closure — so this stays conservative.
-	minGap, seen := 0, false
-	for _, a := range y1 {
-		for _, c := range y2 {
-			if g, ok := simfn.YearGap(a, c); ok && (!seen || g < minGap) {
-				minGap, seen = g, true
-			}
-		}
-	}
-	return seen && minGap > 2
-}
-
-func (b *builder) namesOf(r *reference.Reference) []names.Name {
-	if ns, ok := b.parsedNames[r.ID]; ok {
-		return ns
-	}
-	var ns []names.Name
-	for _, raw := range r.Atomic(schema.AttrName) {
-		ns = append(ns, names.Parse(raw))
-	}
-	b.parsedNames[r.ID] = ns
-	return ns
-}
-
-func (b *builder) emailsOf(r *reference.Reference) []emailaddr.Address {
-	if es, ok := b.parsedEmails[r.ID]; ok {
-		return es
-	}
-	var es []emailaddr.Address
-	for _, raw := range r.Atomic(schema.AttrEmail) {
-		if a, ok := emailaddr.Parse(raw); ok {
-			es = append(es, a)
-		}
-	}
-	b.parsedEmails[r.ID] = es
-	return es
 }

@@ -185,7 +185,7 @@ func (h *queryHost) EachAssoc(id reference.ID, fn func(attr string, targets []re
 	if r == nil {
 		return
 	}
-	rules := h.m.rules[r.Class]
+	rules := h.m.row(r.Class).assoc
 	for i := range rules {
 		if ts := rules[i].targets(r); len(ts) > 0 {
 			fn(rules[i].attr, ts)
@@ -196,11 +196,13 @@ func (h *queryHost) EachAssoc(id reference.ID, fn func(attr string, targets []re
 // AssocEvidence implements collective.Host by reading the class's
 // association rule for the attribute.
 func (h *queryHost) AssocEvidence(class, attr string) (string, depgraph.DepType, string, bool) {
-	rule, ok := h.m.rule(class, attr)
-	if !ok {
-		return "", 0, "", false
+	rules := h.m.row(class).assoc
+	for i := range rules {
+		if rule := &rules[i]; rule.attr == attr {
+			return rule.evidence, rule.dep, rule.back, true
+		}
 	}
-	return rule.evidence, rule.dep, rule.back, true
+	return "", 0, "", false
 }
 
 // WireAttrEvidence implements collective.Host: the value-pair nodes and

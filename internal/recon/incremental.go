@@ -272,6 +272,12 @@ func (s *Session) finish(ctx context.Context, seed []*depgraph.Node, shards int)
 		}
 		s.stats.AuditChecks = s.aud.TotalChecks
 	}
+	s.stats.OverMergeClass, s.stats.OverMergeShare = "", 0
+	for _, c := range s.rc.sch.Classes() {
+		if share := res.LargestShare(c.Name); share > s.stats.OverMergeShare {
+			s.stats.OverMergeClass, s.stats.OverMergeShare = c.Name, share
+		}
+	}
 	res.Stats = s.stats
 	s.latest = res
 	return res, nil

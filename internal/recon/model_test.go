@@ -1,0 +1,96 @@
+package recon
+
+import (
+	"reflect"
+	"testing"
+
+	"refrecon/internal/depgraph"
+	"refrecon/internal/schema"
+)
+
+// TestRowsNameDeclaredAttributes: a misspelt attribute in a row compares,
+// keys or links nothing, silently. Every attribute a literal row names must
+// be declared with the right kind by the PIM schema, with the right kind
+// wherever Cora (which declares a subset) declares it, and conversely every
+// attribute those schemas declare on the class must be one the row reads.
+func TestRowsNameDeclaredAttributes(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		sch      *schema.Schema
+		complete bool
+	}{{"PIM", schema.PIM(), true}, {"Cora", schema.Cora(), false}} {
+		for class, row := range classModels {
+			c, ok := tc.sch.Class(class)
+			if !ok {
+				t.Errorf("%s: no class %s for its row", tc.name, class)
+				continue
+			}
+			used := make(map[string]bool)
+			check := func(what, attr string, kind schema.AttrKind) {
+				used[attr] = true
+				a, ok := c.Attr(attr)
+				if ok && a.Kind != kind {
+					t.Errorf("%s %s: %s names %q, declared %s", tc.name, class, what, attr, a.Kind)
+				}
+				if !ok && tc.complete {
+					t.Errorf("%s %s: %s names undeclared attribute %q", tc.name, class, what, attr)
+				}
+			}
+			for _, cmp := range row.compare {
+				check("comparison", cmp.attrA, schema.Atomic)
+				check("comparison", cmp.attrB, schema.Atomic)
+				if (cmp.keys != nil || cmp.stat != nil) && (cmp.attrA != cmp.attrB || cmp.from != 0) {
+					t.Errorf("%s: keys or statistics on %+v, which is not an unconditional same-attribute row", class, cmp)
+				}
+			}
+			for _, rule := range row.assoc {
+				if rule.pool == nil {
+					check("association rule", rule.attr, schema.Association)
+				}
+				for _, p := range rule.pool {
+					check("association pool", p, schema.Association)
+				}
+			}
+			if row.distinct != "" {
+				check("distinct-targets constraint", row.distinct, schema.Association)
+			}
+			for _, a := range c.Attrs {
+				if !used[a.Name] {
+					t.Errorf("%s %s: declared attribute %q is read by no rule of the row", tc.name, class, a.Name)
+				}
+			}
+		}
+	}
+}
+
+// TestDefaultRow: a class without a literal row gets genericComparisons
+// (each atomic attribute with itself, keyed on content words, no
+// statistics), one weak-boolean rule per association, and nothing else.
+func TestDefaultRow(t *testing.T) {
+	for _, c := range schema.Catalog().Classes() {
+		m := modelFor(c)
+		want := genericComparisons(c)
+		if len(m.compare) != len(want) || len(want) != len(c.AtomicAttrs()) {
+			t.Fatalf("%s: %d comparisons, genericComparisons has %d", c.Name, len(m.compare), len(want))
+		}
+		for i, cmp := range m.compare {
+			a := c.AtomicAttrs()[i].Name
+			if cmp.attrA != a || cmp.attrB != a || cmp.evidence != want[i].evidence || cmp.swap || cmp.from != 0 || cmp.keys == nil || cmp.stat != nil {
+				t.Errorf("%s: comparison %+v is not the generic one for %q", c.Name, cmp, a)
+			}
+		}
+		var rules []assocRule
+		for _, a := range c.AssocAttrs() {
+			rules = append(rules, assocRule{attr: a.Name, evidence: "ga:" + a.Name, dep: depgraph.WeakBoolean})
+		}
+		if !reflect.DeepEqual(m.assoc, rules) {
+			t.Errorf("%s: association rules %+v, want %+v", c.Name, m.assoc, rules)
+		}
+		if m.constrained != nil || m.distinct != "" || m.keepInduced {
+			t.Errorf("%s: default row carries a constraint: %+v", c.Name, m)
+		}
+		if at := m.at(EvidenceAttrWise); len(at.compare) != len(m.compare) || !reflect.DeepEqual(at.assoc, m.assoc) {
+			t.Errorf("%s: the default row depends on the evidence level", c.Name)
+		}
+	}
+}

@@ -26,6 +26,7 @@ type snapshotWire struct {
 	Taken      time.Time
 	Stats      Stats
 	Refs       []SnapRef
+	NameAttrs  map[string]string
 	Partitions map[string][][]reference.ID
 	Assignment map[reference.ID]int
 	Pairs      []PairDecision
@@ -38,6 +39,7 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 		Taken:      s.Taken,
 		Stats:      s.Stats,
 		Refs:       s.refs,
+		NameAttrs:  s.nameAttrs,
 		Partitions: s.partitions,
 		Assignment: s.assignment,
 	}
@@ -71,6 +73,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		Taken:      w.Taken,
 		Stats:      w.Stats,
 		refs:       w.Refs,
+		nameAttrs:  w.NameAttrs,
 		partitions: w.Partitions,
 		assignment: w.Assignment,
 		byLabel:    make(map[int]*Entity),

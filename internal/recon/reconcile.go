@@ -63,6 +63,12 @@ type Stats struct {
 	// AuditChecks counts the invariant assertions evaluated when
 	// Config.Audit is on (zero otherwise). Informational, like the timings.
 	AuditChecks int
+	// OverMergeClass and OverMergeShare are an over-merge alarm that needs
+	// no gold labels: the class with the highest Result.LargestShare (the
+	// first in schema order on a tie) and that share. A class that has
+	// collapsed into one entity reads close to 1.
+	OverMergeClass string
+	OverMergeShare float64
 }
 
 // Result is the outcome of a reconciliation.
@@ -80,6 +86,20 @@ type Result struct {
 // PartitionCount returns the number of partitions for a class (the Table
 // 4/5 metric).
 func (r *Result) PartitionCount(class string) int { return len(r.Partitions[class]) }
+
+// LargestShare returns the share of the class's references that its
+// largest partition holds (0 for a class without references).
+func (r *Result) LargestShare(class string) float64 {
+	largest, total := 0, 0
+	for _, part := range r.Partitions[class] {
+		total += len(part)
+		largest = max(largest, len(part))
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(largest) / float64(total)
+}
 
 // SameEntity reports whether two references landed in the same partition.
 func (r *Result) SameEntity(a, b reference.ID) bool {

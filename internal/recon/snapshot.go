@@ -17,6 +17,7 @@ import (
 
 	"refrecon/internal/depgraph"
 	"refrecon/internal/reference"
+	"refrecon/internal/schema"
 )
 
 // SnapRef is one stored reference inside a Snapshot: the snapshot's own
@@ -41,16 +42,16 @@ type Entity struct {
 	Atomic map[string][]string
 	// union is Atomic as a reference, the shape the evidence model scores.
 	union *reference.Reference
+	// nameAttr is the class's name-like attribute (schema.Class.NameAttr).
+	nameAttr string
 }
 
-// Name returns a display value for the entity: its first name-like
-// attribute value ("name", then "title"), falling back to the first value
-// of the alphabetically first attribute, then to the canonical id.
+// Name returns a display value for the entity: its first value of the
+// class's name-like attribute; for an entity without one, the first value
+// of its alphabetically first attribute, then the canonical id.
 func (e *Entity) Name() string {
-	for _, attr := range []string{"name", "title"} {
-		if vs := e.Atomic[attr]; len(vs) > 0 {
-			return vs[0]
-		}
+	if vs := e.Atomic[e.nameAttr]; len(vs) > 0 {
+		return vs[0]
 	}
 	attrs := make([]string, 0, len(e.Atomic))
 	for a := range e.Atomic {
@@ -82,7 +83,10 @@ type Snapshot struct {
 	// Stats are the accumulated run statistics at export time.
 	Stats Stats
 
-	refs       []SnapRef
+	refs []SnapRef
+	// nameAttrs maps each schema class to its name-like attribute, so that
+	// entity labels follow the schema without the snapshot holding one.
+	nameAttrs  map[string]string
 	partitions map[string][][]reference.ID
 	assignment map[reference.ID]int
 	entities   []*Entity
@@ -176,17 +180,22 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 	if s.latest == nil || s.g == nil {
 		return nil, fmt.Errorf("recon: Snapshot before Reconcile")
 	}
-	return newSnapshot(s.store, s.latest, s.g, s.b.batch), nil
+	return newSnapshot(s.store, s.rc.sch, s.latest, s.g, s.b.batch), nil
 }
 
-func newSnapshot(store *reference.Store, res *Result, g *depgraph.Graph, version int) *Snapshot {
+func newSnapshot(store *reference.Store, sch *schema.Schema, res *Result, g *depgraph.Graph, version int) *Snapshot {
 	snap := &Snapshot{
 		Version:    version,
 		Taken:      time.Now(),
 		Stats:      res.Stats,
+		nameAttrs:  make(map[string]string),
 		partitions: make(map[string][][]reference.ID, len(res.Partitions)),
 		assignment: make(map[reference.ID]int, len(res.Assignment)),
 		byLabel:    make(map[int]*Entity),
+	}
+
+	for _, c := range sch.Classes() {
+		snap.nameAttrs[c.Name] = c.NameAttr()
 	}
 
 	// Deep-copy the references. Snapshots cover the store prefix the result
@@ -266,6 +275,7 @@ func (snap *Snapshot) buildEntities() {
 				Canonical: part[0],
 				Members:   part,
 				Atomic:    make(map[string][]string),
+				nameAttr:  snap.nameAttrs[class],
 			}
 			for _, id := range part {
 				// Attribute order is immaterial: each attribute's values

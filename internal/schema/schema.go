@@ -79,6 +79,24 @@ func (c *Class) AssocAttrs() []Attribute {
 	return out
 }
 
+// NameAttr returns the class's name-like attribute — the one a free-text
+// query binds to, an entity is labelled by and autocomplete indexes: name,
+// then title, then the first declared atomic attribute ("" for a class
+// with none).
+func (c *Class) NameAttr() string {
+	pick := ""
+	for _, a := range c.Attrs {
+		switch {
+		case a.Kind != Atomic:
+		case a.Name == AttrName:
+			return AttrName
+		case a.Name == AttrTitle, pick == "":
+			pick = a.Name
+		}
+	}
+	return pick
+}
+
 // Schema is a set of classes.
 type Schema struct {
 	classes map[string]*Class

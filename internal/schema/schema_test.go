@@ -103,3 +103,27 @@ func TestAttrKindString(t *testing.T) {
 		t.Error("AttrKind.String wrong")
 	}
 }
+
+func TestNameAttr(t *testing.T) {
+	atomic := func(names ...string) []Attribute {
+		var out []Attribute
+		for _, n := range names {
+			out = append(out, Attribute{Name: n, Kind: Atomic})
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		attrs []Attribute
+		want  string
+	}{
+		{atomic("code", "title", "name"), AttrName},
+		{atomic("code", "title"), AttrTitle},
+		{atomic("zeta", "alpha"), "zeta"},
+		{[]Attribute{{Name: AttrName, Kind: Association, Target: "X"}, {Name: "code", Kind: Atomic}}, "code"},
+		{nil, ""},
+	} {
+		if got := (&Class{Name: "X", Attrs: tc.attrs}).NameAttr(); got != tc.want {
+			t.Errorf("NameAttr(%v) = %q, want %q", tc.attrs, got, tc.want)
+		}
+	}
+}

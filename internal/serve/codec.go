@@ -12,7 +12,6 @@ import (
 
 	"refrecon/internal/recon"
 	"refrecon/internal/reference"
-	"refrecon/internal/schema"
 )
 
 // TypeRef names one reconciliation type (a schema class).
@@ -242,21 +241,6 @@ func ToIngestRef(r *reference.Reference) IngestRef {
 	rec := r.Record()
 	rec.ID = 0
 	return rec
-}
-
-// NameAttr picks the class's name-like attribute, the one a free-text
-// query binds to: name, then title, then the first atomic attribute.
-func NameAttr(c *schema.Class) string {
-	if _, ok := c.Attr(schema.AttrName); ok {
-		return schema.AttrName
-	}
-	if _, ok := c.Attr(schema.AttrTitle); ok {
-		return schema.AttrTitle
-	}
-	if aa := c.AtomicAttrs(); len(aa) > 0 {
-		return aa[0].Name
-	}
-	return ""
 }
 
 // IngestRequest is the /ingest body: either this envelope or a bare JSON

@@ -196,6 +196,9 @@ type SnapshotInfo struct {
 	AgeSeconds float64 `json:"ageSeconds"`
 	References int     `json:"references"`
 	Entities   int     `json:"entities"`
+	// OverMergeClass / OverMergeShare are recon.Stats' over-merge alarm.
+	OverMergeClass string  `json:"overMergeClass"`
+	OverMergeShare float64 `json:"overMergeShare"`
 }
 
 func (m *metrics) snapshot() MetricsSnapshot {

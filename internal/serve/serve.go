@@ -484,8 +484,8 @@ func (s *Service) Query(q ReconQuery) ([]recon.Candidate, error) {
 }
 
 // bindQuery builds the recon.Query for one class. The free-text query
-// binds to the class's name-like attribute (NameAttr) and properties
-// naming an atomic attribute become atomic constraints; pids foreign to
+// binds to the class's name-like attribute (schema.Class.NameAttr) and
+// properties naming an atomic attribute become atomic constraints; pids foreign to
 // the class are ignored, as the OpenRefine spec requires — clients send
 // one properties array against heterogeneous types, so an unknown pid is
 // routine, not an error. Properties naming an association attribute count
@@ -528,7 +528,7 @@ func (s *Service) bindQuery(v *View, class string, q ReconQuery, limit int, asso
 		}
 	}
 	if q.Query != "" {
-		if attr := NameAttr(c); attr != "" {
+		if attr := c.NameAttr(); attr != "" {
 			rq.Atomic[attr] = append(rq.Atomic[attr], q.Query)
 		}
 	}
@@ -577,10 +577,12 @@ func (s *Service) Metrics() MetricsSnapshot {
 	}
 	if v := s.view.Load(); v != nil {
 		out.Snapshot = SnapshotInfo{
-			Version:    v.Snapshot.Version,
-			AgeSeconds: time.Since(v.Published).Seconds(),
-			References: v.Snapshot.RefCount(),
-			Entities:   len(v.Snapshot.Entities()),
+			Version:        v.Snapshot.Version,
+			AgeSeconds:     time.Since(v.Published).Seconds(),
+			References:     v.Snapshot.RefCount(),
+			Entities:       len(v.Snapshot.Entities()),
+			OverMergeClass: v.Snapshot.Stats.OverMergeClass,
+			OverMergeShare: v.Snapshot.Stats.OverMergeShare,
 		}
 		out.StoreReferences = v.Snapshot.RefCount()
 	}

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"refrecon/internal/datagen/cora"
+	"refrecon/internal/reference"
 	"refrecon/internal/schema"
 )
 
@@ -273,5 +274,45 @@ func TestServeDataExtensionCora(t *testing.T) {
 	}
 	if n := svc.Metrics().ExtendRequests; n != 2 {
 		t.Errorf("extendRequests = %d, want 2", n)
+	}
+}
+
+// TestNameLikeAttributeIsOneRule: on a schema with neither a name nor a
+// title attribute, the attribute a free-text query binds to, the one an
+// entity is labelled by and the one autocomplete indexes are the same —
+// schema.Class.NameAttr, here the first declared atomic attribute, which
+// is not the alphabetically first.
+func TestNameLikeAttributeIsOneRule(t *testing.T) {
+	part := &schema.Class{Name: "Part", Attrs: []schema.Attribute{
+		{Name: "label", Kind: schema.Atomic},
+		{Name: "code", Kind: schema.Atomic},
+	}}
+	if got := part.NameAttr(); got != "label" {
+		t.Fatalf("NameAttr = %q, want the first declared atomic attribute", got)
+	}
+	store := reference.NewStore()
+	store.Add(reference.New("Part").AddAtomic("label", "Widget Prime").AddAtomic("code", "AAA-1"))
+	store.Add(reference.New("Part").AddAtomic("label", "Gadget Deluxe").AddAtomic("code", "BBB-2"))
+	svc, err := NewFromStore(Config{Schema: schema.MustNew(part)}, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cands, err := svc.Query(ReconQuery{Query: "Widget Prime", Type: "Part"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cands) == 0 || cands[0].Entity.Canonical != 0 || cands[0].Score < 0.99 {
+		t.Fatalf("free-text query did not bind to label: %+v", cands)
+	}
+	if got := cands[0].Entity.Name(); got != "Widget Prime" {
+		t.Errorf("Entity.Name = %q, want the label the query bound to", got)
+	}
+	hits := svc.Suggest("widg", 0).Result
+	if len(hits) != 1 || hits[0].ID != "0" || hits[0].Name != "Widget Prime" {
+		t.Errorf("suggest 'widg' = %+v, want entity 0 under its label", hits)
+	}
+	if hits := svc.Suggest("aaa", 0).Result; len(hits) != 0 {
+		t.Errorf("suggest 'aaa' = %+v: the code is not the name-like attribute", hits)
 	}
 }

@@ -32,10 +32,10 @@ type suggestEntry struct {
 }
 
 // suggestIndex returns the view's autocomplete index, building it on
-// first use. Each entity is indexed under every value of its name-like
-// attribute (plus its display name), lowercased, so "A. Smith" and
-// "Alice Smith" both complete to the same entity.
-func (v *View) suggestIndex() []suggestEntry {
+// first use. Each entity is indexed under every value of its class's
+// name-like attribute (plus its display name), lowercased, so "A. Smith"
+// and "Alice Smith" both complete to the same entity.
+func (v *View) suggestIndex(sch *schema.Schema) []suggestEntry {
 	v.suggestOnce.Do(func() {
 		var idx []suggestEntry
 		for _, ent := range v.Snapshot.Entities() {
@@ -49,8 +49,8 @@ func (v *View) suggestIndex() []suggestEntry {
 				idx = append(idx, suggestEntry{key: k, ent: ent})
 			}
 			add(ent.Name())
-			for _, attr := range []string{schema.AttrName, schema.AttrTitle} {
-				for _, val := range ent.Atomic[attr] {
+			if c, ok := sch.Class(ent.Class); ok {
+				for _, val := range ent.Atomic[c.NameAttr()] {
 					add(val)
 				}
 			}
@@ -80,7 +80,7 @@ func (s *Service) Suggest(prefix string, limit int) SuggestResult {
 		limit = defaultLimit
 	}
 	v := s.view.Load()
-	idx := v.suggestIndex()
+	idx := v.suggestIndex(s.cfg.Schema)
 	seen := make(map[reference.ID]bool)
 	for i := sort.Search(len(idx), func(i int) bool { return idx[i].key >= p }); i < len(idx); i++ {
 		if !strings.HasPrefix(idx[i].key, p) {

@@ -17,12 +17,16 @@ type ClassParams struct {
 	Gamma float64
 }
 
+// defaultParams are the published Person and Article settings (§5.2), which
+// a class without parameters of its own is scored with too.
+var defaultParams = ClassParams{TRV: 0.7, Beta: 0.1, Gamma: 0.05}
+
 // PaperParams returns the published parameter set (§5.2): β = 0.1 (0.2 for
 // Venue), γ = 0.05, t_rv = 0.7 for Person and Article, 0.1 for Venue.
 func PaperParams() map[string]ClassParams {
 	return map[string]ClassParams{
-		schema.ClassPerson:  {TRV: 0.7, Beta: 0.1, Gamma: 0.05},
-		schema.ClassArticle: {TRV: 0.7, Beta: 0.1, Gamma: 0.05},
+		schema.ClassPerson:  defaultParams,
+		schema.ClassArticle: defaultParams,
 		schema.ClassVenue:   {TRV: 0.1, Beta: 0.2, Gamma: 0.05},
 	}
 }
@@ -151,8 +155,7 @@ func (s *Scorer) Score(n *depgraph.Node) float64 {
 	srv := srvClass(n.Class(), view)
 	p, ok := s.Params[n.Class()]
 	if !ok {
-		// Custom classes default to the Person/Article settings.
-		p = ClassParams{TRV: 0.7, Beta: 0.1, Gamma: 0.05}
+		p = defaultParams
 	}
 	total := srv
 	if srv >= p.TRV {
