@@ -260,7 +260,7 @@ func (b *builder) wireScored(r1, r2 *reference.Reference, induced bool, vals []v
 	relax := induced && row.keepInduced
 	hasEvidence := false
 	for i, v := range vals {
-		if sims[i] < evidenceFloor(v.cmp.evidence, relax) {
+		if sims[i] < evidenceFloor(v.cmp.by, relax) {
 			continue
 		}
 		wireValuePair(b.g, m, b.elems, v, sims[i], b.cfg.AttrMergeThreshold)

@@ -89,9 +89,9 @@ func (e *evidence) row(class string) *classModel {
 func (e *evidence) feed(r *reference.Reference) {
 	row := e.row(r.Class)
 	for _, cmp := range row.compare {
-		if cmp.stat != nil {
+		if cmp.by.Feed != nil {
 			for _, v := range r.Atomic(cmp.attrA) {
-				cmp.stat(e.lib, v)
+				cmp.by.Feed(e.lib, v)
 			}
 		}
 	}
@@ -158,18 +158,17 @@ func (e *evidence) compare(v valCompare) float64 {
 	if v.cmp.swap {
 		x, y = y, x
 	}
-	return e.lib.Compare(v.cmp.evidence, x, y)
+	return e.lib.CompareBy(v.cmp.by, v.cmp.evidence, x, y)
 }
 
-// evidenceFloor is the similarity below which a compared value pair is no
-// evidence at all (§3.1 step 1(2) leaves it out of the graph). relaxed
+// evidenceFloor is the similarity below which a value pair the row compared
+// is no evidence at all (§3.1 step 1(2) leaves it out of the graph). relaxed
 // lowers the floor for an induced pair of a class whose row keeps those.
-func evidenceFloor(evidence string, relaxed bool) float64 {
-	thr := simfn.CandidateThreshold(evidence)
-	if relaxed && thr > 0.05 {
-		thr = 0.05
+func evidenceFloor(by *simfn.Comparator, relaxed bool) float64 {
+	if relaxed && by.Floor > 0.05 {
+		return 0.05
 	}
-	return thr
+	return by.Floor
 }
 
 // eachScored streams, scored, the value pairs of two references that reach
@@ -177,7 +176,7 @@ func evidenceFloor(evidence string, relaxed bool) float64 {
 // filter, with nothing materialized.
 func (e *evidence) eachScored(a, b *reference.Reference, fn func(v valCompare, sim float64)) {
 	e.eachValuePair(a, b, func(v valCompare) {
-		if sim := e.compare(v); sim >= evidenceFloor(v.cmp.evidence, false) {
+		if sim := e.compare(v); sim >= v.cmp.by.Floor {
 			fn(v, sim)
 		}
 	})
@@ -216,7 +215,7 @@ func wireValuePair(g *depgraph.Graph, m *depgraph.Node, elems valueElems, v valC
 	g.AddEdge(n, m, depgraph.RealValued, v.cmp.evidence)
 	// Alias learning: merging the references certifies identifying
 	// values as aliases (Figure 2's n6).
-	if simfn.AliasEvidence(v.cmp.evidence) && !v.cmp.swap && v.cmp.attrA == v.cmp.attrB {
+	if v.cmp.by.Alias && v.cmp.attrA == v.cmp.attrB {
 		g.AddEdge(m, n, depgraph.StrongBoolean, v.cmp.evidence)
 	}
 }

@@ -216,10 +216,10 @@ func TestQueryWiringIsConstructionWiring(t *testing.T) {
 // reached through an article pair more leniently than a blocked one: the
 // evidence floor drops to 0.05 and the pair survives even with nothing to
 // compare. Venue comparisons have no floor today
-// (simfn.CandidateThreshold is 0 for all three), so only the second half
+// (the simfn rows' Floor is 0 for all three), so only the second half
 // shows. Query time has one behaviour for every pair: the plain floor.
 func TestInducedVenueRelaxation(t *testing.T) {
-	if relaxed, plain := evidenceFloor(simfn.EvTitle, true), evidenceFloor(simfn.EvTitle, false); relaxed != 0.05 || plain != simfn.CandidateThreshold(simfn.EvTitle) {
+	if relaxed, plain := evidenceFloor(simfn.ByTitle, true), evidenceFloor(simfn.ByTitle, false); relaxed != 0.05 || plain != simfn.ByTitle.Floor {
 		t.Errorf("evidenceFloor(title) = %v relaxed, %v plain", relaxed, plain)
 	}
 	s := reference.NewStore()

@@ -41,17 +41,21 @@ type classModel struct {
 // attributes, such as a name and an email").
 type attrCompare struct {
 	attrA, attrB string
-	evidence     string
-	// swap is set when Compare expects (attrB, attrA) argument order
-	// (the name-vs-email comparator takes the name first).
+	// by is the comparator-table row that scores the values, sets their
+	// evidence floor and alias rule, and feeds the statistics it reads.
+	by *simfn.Comparator
+	// evidence labels the value-pair nodes and their edges: by.Name, filled
+	// in by at, unless the row says otherwise (simfn.Generic serves one
+	// label per attribute).
+	evidence string
+	// swap is set when by expects (attrB, attrA) argument order (the
+	// name-vs-email comparator takes the name first).
 	swap bool
 	// from is the lowest evidence level at which the comparison is made.
 	from EvidenceLevel
-	// keys and stat, on the row that compares an attribute with itself, say
-	// how each of its values is keyed for blocking (keys.go) and counted in
-	// the corpus statistics the comparators read; nil for not at all.
+	// keys, on the row that compares an attribute with itself, says how each
+	// of its values is keyed for blocking (keys.go); nil for not at all.
 	keys func(attr, value string, emit func(string))
-	stat func(lib *simfn.Library, value string)
 }
 
 // assocRule declares the dependency one association attribute of a class
@@ -98,10 +102,10 @@ func contactsOf(r *reference.Reference) []reference.ID {
 var classModels = map[string]*classModel{
 	schema.ClassPerson: {
 		compare: []attrCompare{
-			{attrA: schema.AttrName, attrB: schema.AttrName, evidence: simfn.EvName, keys: personNameKeys, stat: (*simfn.Library).AddPersonName},
-			{attrA: schema.AttrEmail, attrB: schema.AttrEmail, evidence: simfn.EvEmail, keys: emailKeys},
-			{attrA: schema.AttrName, attrB: schema.AttrEmail, evidence: simfn.EvNameEmail, from: EvidenceNameEmail},
-			{attrA: schema.AttrEmail, attrB: schema.AttrName, evidence: simfn.EvNameEmail, swap: true, from: EvidenceNameEmail},
+			{attrA: schema.AttrName, attrB: schema.AttrName, by: simfn.ByName, keys: personNameKeys},
+			{attrA: schema.AttrEmail, attrB: schema.AttrEmail, by: simfn.ByEmail, keys: emailKeys},
+			{attrA: schema.AttrName, attrB: schema.AttrEmail, by: simfn.ByNameEmail, from: EvidenceNameEmail},
+			{attrA: schema.AttrEmail, attrB: schema.AttrName, by: simfn.ByNameEmail, swap: true, from: EvidenceNameEmail},
 		},
 		assoc: []assocRule{contactRule},
 		// Constraints 2 and 3 of §5.3.
@@ -109,9 +113,9 @@ var classModels = map[string]*classModel{
 	},
 	schema.ClassArticle: {
 		compare: []attrCompare{
-			{attrA: schema.AttrTitle, attrB: schema.AttrTitle, evidence: simfn.EvTitle, keys: titleKeys, stat: func(lib *simfn.Library, v string) { lib.Titles.Add(v) }},
-			{attrA: schema.AttrYear, attrB: schema.AttrYear, evidence: simfn.EvYear},
-			{attrA: schema.AttrPages, attrB: schema.AttrPages, evidence: simfn.EvPages},
+			{attrA: schema.AttrTitle, attrB: schema.AttrTitle, by: simfn.ByTitle, keys: titleKeys},
+			{attrA: schema.AttrYear, attrB: schema.AttrYear, by: simfn.ByYear},
+			{attrA: schema.AttrPages, attrB: schema.AttrPages, by: simfn.ByPages},
 		},
 		assoc: []assocRule{
 			{attr: schema.AttrAuthoredBy, evidence: simfn.EvAuthors, dep: depgraph.RealValued, back: simfn.EvArticle, backFrom: EvidenceArticle},
@@ -123,9 +127,9 @@ var classModels = map[string]*classModel{
 	},
 	schema.ClassVenue: {
 		compare: []attrCompare{
-			{attrA: schema.AttrName, attrB: schema.AttrName, evidence: simfn.EvVenueName, keys: venueNameKeys, stat: func(lib *simfn.Library, v string) { lib.Venues.Add(v) }},
-			{attrA: schema.AttrYear, attrB: schema.AttrYear, evidence: simfn.EvYear},
-			{attrA: schema.AttrLocation, attrB: schema.AttrLocation, evidence: simfn.EvLocation},
+			{attrA: schema.AttrName, attrB: schema.AttrName, by: simfn.ByVenueName, keys: venueNameKeys},
+			{attrA: schema.AttrYear, attrB: schema.AttrYear, by: simfn.ByYear},
+			{attrA: schema.AttrLocation, attrB: schema.AttrLocation, by: simfn.ByLocation},
 		},
 		constrained: (*builder).venueConstrained,
 		// Article-driven venue reconciliation needs venue pairs to act on.
@@ -151,20 +155,25 @@ func modelFor(c *schema.Class) *classModel {
 
 // genericComparisons derives the default row's comparisons: every atomic
 // attribute with itself by the generic string comparator (the class is
-// scored by srvGeneric), keyed on content words, no statistics.
+// scored by srvGeneric), keyed on content words.
 func genericComparisons(c *schema.Class) []attrCompare {
 	var out []attrCompare
 	for _, a := range c.AtomicAttrs() {
-		out = append(out, attrCompare{attrA: a.Name, attrB: a.Name, evidence: "g:" + a.Name, keys: wordKeys})
+		out = append(out, attrCompare{attrA: a.Name, attrB: a.Name, by: simfn.Generic, evidence: "g:" + a.Name, keys: wordKeys})
 	}
 	return out
 }
 
 // at returns the row without the comparisons, rules and back edges that
-// apply only above the evidence level.
+// apply only above the evidence level, every comparison labelled.
 func (m *classModel) at(level EvidenceLevel) *classModel {
 	out := *m
 	out.compare = slices.DeleteFunc(slices.Clone(m.compare), func(c attrCompare) bool { return level < c.from })
+	for i := range out.compare {
+		if c := &out.compare[i]; c.evidence == "" {
+			c.evidence = c.by.Name
+		}
+	}
 	out.assoc = slices.DeleteFunc(slices.Clone(m.assoc), func(r assocRule) bool { return level < r.from })
 	for i := range out.assoc {
 		if level < out.assoc[i].backFrom {

@@ -6,6 +6,7 @@ import (
 
 	"refrecon/internal/depgraph"
 	"refrecon/internal/schema"
+	"refrecon/internal/simfn"
 )
 
 // TestRowsNameDeclaredAttributes: a misspelt attribute in a row compares,
@@ -39,8 +40,8 @@ func TestRowsNameDeclaredAttributes(t *testing.T) {
 			for _, cmp := range row.compare {
 				check("comparison", cmp.attrA, schema.Atomic)
 				check("comparison", cmp.attrB, schema.Atomic)
-				if (cmp.keys != nil || cmp.stat != nil) && (cmp.attrA != cmp.attrB || cmp.from != 0) {
-					t.Errorf("%s: keys or statistics on %+v, which is not an unconditional same-attribute row", class, cmp)
+				if (cmp.keys != nil || cmp.by.Feed != nil) && (cmp.attrA != cmp.attrB || cmp.from != 0) {
+					t.Errorf("%s: keys or a statistics feed on %+v, which is not an unconditional same-attribute row", class, cmp)
 				}
 			}
 			for _, rule := range row.assoc {
@@ -63,10 +64,30 @@ func TestRowsNameDeclaredAttributes(t *testing.T) {
 	}
 }
 
+// TestLiteralRowsBindNamedComparators: every comparison of a literal row
+// binds a comparator-table row of its own — never the generic one, which has
+// no statistics, floor or alias rule of the attribute's — and its edge label
+// is that row's name at every evidence level.
+func TestLiteralRowsBindNamedComparators(t *testing.T) {
+	for class, row := range classModels {
+		for level := EvidenceAttrWise; level <= EvidenceContact; level++ {
+			for _, cmp := range row.at(level).compare {
+				if cmp.by == nil || cmp.by == simfn.Generic || simfn.Lookup(cmp.by.Name) != cmp.by || cmp.evidence != cmp.by.Name {
+					t.Errorf("%s at %s: comparison %s x %s labelled %q binds %+v", class, level, cmp.attrA, cmp.attrB, cmp.evidence, cmp.by)
+				}
+			}
+		}
+	}
+}
+
 // TestDefaultRow: a class without a literal row gets genericComparisons
-// (each atomic attribute with itself, keyed on content words, no
-// statistics), one weak-boolean rule per association, and nothing else.
+// (each atomic attribute with itself by the generic comparator, which feeds
+// no statistics, keyed on content words), one weak-boolean rule per
+// association, and nothing else.
 func TestDefaultRow(t *testing.T) {
+	if simfn.Generic.Feed != nil {
+		t.Error("the generic comparator feeds a statistic")
+	}
 	for _, c := range schema.Catalog().Classes() {
 		m := modelFor(c)
 		want := genericComparisons(c)
@@ -75,7 +96,7 @@ func TestDefaultRow(t *testing.T) {
 		}
 		for i, cmp := range m.compare {
 			a := c.AtomicAttrs()[i].Name
-			if cmp.attrA != a || cmp.attrB != a || cmp.evidence != want[i].evidence || cmp.swap || cmp.from != 0 || cmp.keys == nil || cmp.stat != nil {
+			if cmp.attrA != a || cmp.attrB != a || cmp.by != simfn.Generic || cmp.evidence != want[i].evidence || cmp.evidence != "g:"+a || cmp.swap || cmp.from != 0 || cmp.keys == nil {
 				t.Errorf("%s: comparison %+v is not the generic one for %q", c.Name, cmp, a)
 			}
 		}

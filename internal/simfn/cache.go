@@ -75,8 +75,6 @@ type pairCache struct {
 	shards [cacheShards]pairShard
 }
 
-func newPairCache() *pairCache { return &pairCache{} }
-
 func (c *pairCache) shard(k pairKey) *pairShard {
 	return &c.shards[fnv1a(k.evidence, k.a, k.b)&(cacheShards-1)]
 }
@@ -129,8 +127,6 @@ type parseCache struct {
 	names  [cacheShards]nameShard
 	emails [cacheShards]addrShard
 }
-
-func newParseCache() *parseCache { return &parseCache{} }
 
 func (c *parseCache) name(raw string) names.Name {
 	s := &c.names[fnv1a(raw)&(cacheShards-1)]

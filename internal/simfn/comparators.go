@@ -10,10 +10,11 @@
 //   - S_wb adds γ for every merged weak-boolean incoming neighbor (shared
 //     contacts and co-authors), gated the same way.
 //
-// The package also defines the elementary value comparators — one per
-// evidence type — and the liberal candidate thresholds used during graph
-// construction (§3.1: "we use a relatively low similarity threshold in
-// order not to lose important nodes").
+// The package also defines the elementary value comparators: one
+// Comparator row per evidence type, holding its function, the liberal floor
+// used during graph construction (§3.1: "we use a relatively low similarity
+// threshold in order not to lose important nodes"), whether merged
+// references alias its values, and the corpus statistic they feed.
 package simfn
 
 import (
@@ -89,8 +90,8 @@ func NewLibrary() *Library {
 		surnameInitials: make(map[string]map[byte]bool),
 		surnameFirsts:   make(map[string]map[string]bool),
 		givenSurnames:   make(map[string]map[string]bool),
-		pairs:           newPairCache(),
-		parsed:          newParseCache(),
+		pairs:           &pairCache{},
+		parsed:          &parseCache{},
 	}
 }
 
@@ -204,19 +205,79 @@ func (l *Library) NameRarity(initial, surname string) float64 {
 	}
 }
 
-// Compare scores two raw attribute values under an evidence type, in
-// [0,1]. Unknown evidence types fall back to a generic string similarity.
-//
-// Results are memoized in a bounded cache keyed by (evidence, a, b) and
-// tagged with the library's statistics generation, so repeated value pairs
-// are scored once per statistics epoch. Compare is safe for concurrent use
-// as long as the library's statistics are not mutated concurrently.
+// Comparator is one row of the comparator table: everything decided per
+// value evidence type. Rows are read-only.
+type Comparator struct {
+	// Name is the evidence label the row answers to (an Ev* constant).
+	Name string
+	// sim scores two raw values, uncached and unclamped; l may be nil.
+	sim func(l *Library, a, b string) float64
+	// Floor is the liberal similarity from which a value pair earns a node
+	// in the dependency graph (§3.1's "relatively low similarity
+	// threshold"). Venue evidence has none: its similarity function
+	// renormalizes over *present* evidence, so a pruned low-similarity node
+	// would pass for a missing attribute and a same-year pair of unrelated
+	// venues score 1.0 on year alone. Year and location nodes are shared
+	// across many pairs, so recording them all is cheap.
+	Floor float64
+	// Alias is set when merging two references certifies their values of
+	// this type as aliases (the strong-boolean edge back from the reference
+	// pair, n6 in Figure 2): only where a value identifies one entity — an
+	// email address, a venue name. "Wei Li" and "Li, W." on one person say
+	// nothing about the *other* Wei Lis, and aliasing them collapses every
+	// person sharing those presentations.
+	Alias bool
+	// Feed counts one value of this type in the corpus statistics the
+	// comparators read; nil when it enters none.
+	Feed func(l *Library, value string)
+}
+
+// The comparator table. ByNameEmail takes the name first.
+var (
+	ByName = &Comparator{Name: EvName, sim: func(l *Library, a, b string) float64 {
+		return names.ParsedSimilarity(l.parseName(a), l.parseName(b))
+	}, Floor: 0.5, Feed: (*Library).AddPersonName}
+	ByEmail     = &Comparator{Name: EvEmail, sim: (*Library).emailSim, Floor: 0.55, Alias: true}
+	ByNameEmail = &Comparator{Name: EvNameEmail, sim: (*Library).nameEmailSim, Floor: 0.45}
+	ByTitle     = &Comparator{Name: EvTitle, sim: (*Library).titleSim, Floor: 0.45, Feed: func(l *Library, v string) { l.Titles.Add(v) }}
+	ByYear      = &Comparator{Name: EvYear, sim: func(_ *Library, a, b string) float64 { return YearSim(a, b) }}
+	ByPages     = &Comparator{Name: EvPages, sim: func(_ *Library, a, b string) float64 { return PagesSim(a, b) }, Floor: 0.35}
+	ByVenueName = &Comparator{Name: EvVenueName, sim: (*Library).venueNameSim, Alias: true, Feed: func(l *Library, v string) { l.Venues.Add(v) }}
+	ByLocation  = &Comparator{Name: EvLocation, sim: func(_ *Library, a, b string) float64 { return strsim.JaccardTokens(a, b) }}
+	// Generic is the row every other label resolves to.
+	Generic = &Comparator{Name: "generic", sim: func(_ *Library, a, b string) float64 { return strsim.MongeElkan(a, b, nil) }, Floor: 0.5}
+)
+
+var comparators = [...]*Comparator{ByName, ByEmail, ByNameEmail, ByTitle, ByYear, ByPages, ByVenueName, ByLocation, Generic}
+
+// Lookup returns the row an evidence label names, Generic for any other
+// label (such as recon's per-attribute "g:<attr>").
+func Lookup(label string) *Comparator {
+	for _, c := range comparators {
+		if c.Name == label {
+			return c
+		}
+	}
+	return Generic
+}
+
+// Compare scores two raw attribute values under an evidence label, in
+// [0,1], by the row the label names.
 func (l *Library) Compare(evidence, a, b string) float64 {
+	return l.CompareBy(Lookup(evidence), evidence, a, b)
+}
+
+// CompareBy is Compare for a caller that holds the row. Results are
+// memoized in a bounded cache keyed by (label, a, b) — Generic serves one
+// label per attribute — and tagged with the library's statistics generation,
+// so repeated value pairs are scored once per statistics epoch. Safe for
+// concurrent use as long as the statistics are not mutated concurrently.
+func (l *Library) CompareBy(c *Comparator, label, a, b string) float64 {
 	if l == nil || l.pairs == nil {
-		return clamp01(l.compare(evidence, a, b))
+		return clamp01(c.sim(l, a, b))
 	}
 	gen := l.generation()
-	k := pairKey{evidence, a, b}
+	k := pairKey{label, a, b}
 	if v, ok := l.pairs.get(gen, k); ok {
 		if l.ctr != nil {
 			l.ctr.SimfnCacheHits.Add(1)
@@ -226,7 +287,7 @@ func (l *Library) Compare(evidence, a, b string) float64 {
 	if l.ctr != nil {
 		l.ctr.SimfnCacheMisses.Add(1)
 	}
-	v := clamp01(l.compare(evidence, a, b))
+	v := clamp01(c.sim(l, a, b))
 	l.pairs.put(gen, k, v)
 	return v
 }
@@ -261,38 +322,21 @@ func (l *Library) parseEmail(raw string) (emailaddr.Address, bool) {
 	return l.parsed.email(raw)
 }
 
-// compare is the uncached comparator dispatch behind Compare.
-func (l *Library) compare(evidence, a, b string) float64 {
-	switch evidence {
-	case EvName:
-		return names.ParsedSimilarity(l.parseName(a), l.parseName(b))
-	case EvEmail:
-		ea, okA := l.parseEmail(a)
-		eb, okB := l.parseEmail(b)
-		if !okA || !okB {
-			return 0
-		}
-		return emailaddr.SimRarity(ea, eb, l.LocalRarity)
-	case EvNameEmail:
-		// By convention a is the name and b is the address.
-		eb, ok := l.parseEmail(b)
-		if !ok {
-			return 0
-		}
-		return emailaddr.NameSimRarity(a, eb, l.NameRarity)
-	case EvTitle:
-		return l.titleSim(a, b)
-	case EvYear:
-		return YearSim(a, b)
-	case EvPages:
-		return PagesSim(a, b)
-	case EvVenueName:
-		return l.venueNameSim(a, b)
-	case EvLocation:
-		return strsim.JaccardTokens(a, b)
-	default:
-		return strsim.MongeElkan(a, b, nil)
+func (l *Library) emailSim(a, b string) float64 {
+	ea, okA := l.parseEmail(a)
+	eb, okB := l.parseEmail(b)
+	if !okA || !okB {
+		return 0
 	}
+	return emailaddr.SimRarity(ea, eb, l.LocalRarity)
+}
+
+func (l *Library) nameEmailSim(name, addr string) float64 {
+	eb, ok := l.parseEmail(addr)
+	if !ok {
+		return 0
+	}
+	return emailaddr.NameSimRarity(name, eb, l.NameRarity)
 }
 
 func (l *Library) titleSim(a, b string) float64 {
@@ -586,50 +630,4 @@ func AcronymSim(a, b string) float64 {
 		return x
 	}
 	return score(b, a)
-}
-
-// CandidateThreshold returns the liberal similarity above which a value
-// pair earns a node in the dependency graph (§3.1's "relatively low
-// similarity threshold").
-func CandidateThreshold(evidence string) float64 {
-	switch evidence {
-	case EvName:
-		return 0.5
-	case EvEmail:
-		return 0.55
-	case EvNameEmail:
-		return 0.45
-	case EvTitle:
-		return 0.45
-	case EvVenueName, EvYear, EvLocation:
-		// Venue evidence is recorded unconditionally: its similarity
-		// function renormalizes over *present* evidence, so a pruned
-		// low-similarity node would masquerade as a missing attribute and
-		// inflate the remaining evidence (a same-year pair of unrelated
-		// venues must not score 1.0 on year alone). Year and location
-		// nodes are shared across many pairs, so this is cheap.
-		return 0
-	case EvPages:
-		return 0.35
-	default:
-		return 0.5
-	}
-}
-
-// AliasEvidence reports whether merged references imply their values of
-// this evidence type are aliases of one another (the strong-boolean edge
-// from a reference pair back to its value pairs, e.g. n6 in Figure 2: once
-// conferences c1 and c2 merge, their names are known aliases). Alias
-// learning applies only to attributes whose values identify a single
-// entity: email addresses (keys) and venue names. Person names are
-// excluded — "Wei Li" and "Li, W." co-occurring on one person says nothing
-// about the *other* Wei Lis in the corpus, and aliasing them collapses
-// every person sharing those presentations.
-func AliasEvidence(evidence string) bool {
-	switch evidence {
-	case EvEmail, EvVenueName:
-		return true
-	default:
-		return false
-	}
 }

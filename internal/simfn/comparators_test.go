@@ -2,6 +2,8 @@ package simfn
 
 import (
 	"testing"
+
+	"refrecon/internal/strsim"
 )
 
 func TestCompareName(t *testing.T) {
@@ -140,30 +142,48 @@ func TestVenueNameSim(t *testing.T) {
 	}
 }
 
+// valueEvidence lists the Ev* constants that label value comparisons (the
+// others label association evidence and have no comparator).
+var valueEvidence = []string{EvName, EvEmail, EvNameEmail, EvTitle, EvYear, EvPages, EvVenueName, EvLocation}
+
 func TestCandidateThresholdsLiberal(t *testing.T) {
-	// Every candidate threshold must be well below the merge threshold
-	// 0.85; venue evidence is recorded unconditionally (threshold 0).
-	for _, ev := range []string{EvName, EvEmail, EvNameEmail, EvTitle, EvVenueName, EvYear, EvPages, EvLocation, "other"} {
-		if th := CandidateThreshold(ev); th < 0 || th >= 0.85 {
-			t.Errorf("CandidateThreshold(%s) = %f not liberal", ev, th)
+	// The table is complete: every value-typed constant names its own row,
+	// and the rows are those plus Generic, which any other label reaches.
+	if len(comparators) != len(valueEvidence)+1 {
+		t.Errorf("%d rows for %d value evidence types + generic", len(comparators), len(valueEvidence))
+	}
+	for _, ev := range valueEvidence {
+		if c := Lookup(ev); c == Generic || c.Name != ev {
+			t.Errorf("Lookup(%s) = row %q", ev, c.Name)
 		}
 	}
-	for _, ev := range []string{EvVenueName, EvYear, EvLocation} {
-		if CandidateThreshold(ev) != 0 {
-			t.Errorf("CandidateThreshold(%s) should be unconditional", ev)
+	for _, ev := range []string{"other", "g:name", "", EvAuthors, EvContact} {
+		if Lookup(ev) != Generic {
+			t.Errorf("Lookup(%q) = row %q, want generic", ev, Lookup(ev).Name)
+		}
+	}
+	if Generic.Floor != 0.5 || Generic.sim(nil, "ab cd", "ab ce") != strsim.MongeElkan("ab cd", "ab ce", nil) {
+		t.Errorf("generic row: floor %v, not MongeElkan", Generic.Floor)
+	}
+	// Every floor must be well below the merge threshold 0.85; venue
+	// evidence is recorded unconditionally (floor 0): the renormalising
+	// Venue tree needs absent != dissimilar.
+	for _, c := range comparators {
+		if c.sim == nil || c.Floor < 0 || c.Floor >= 0.85 {
+			t.Errorf("row %s: sim %v, floor %f not liberal", c.Name, c.sim != nil, c.Floor)
+		}
+	}
+	for _, c := range []*Comparator{ByVenueName, ByYear, ByLocation} {
+		if c.Floor != 0 {
+			t.Errorf("row %s should be unconditional, floor %f", c.Name, c.Floor)
 		}
 	}
 }
 
 func TestAliasEvidence(t *testing.T) {
-	for _, ev := range []string{EvEmail, EvVenueName} {
-		if !AliasEvidence(ev) {
-			t.Errorf("%s should be alias evidence", ev)
-		}
-	}
-	for _, ev := range []string{EvName, EvTitle, EvYear, EvPages, EvNameEmail} {
-		if AliasEvidence(ev) {
-			t.Errorf("%s should not be alias evidence", ev)
+	for _, c := range comparators {
+		if want := c == ByEmail || c == ByVenueName; c.Alias != want {
+			t.Errorf("row %s: alias = %v, want %v", c.Name, c.Alias, want)
 		}
 	}
 }

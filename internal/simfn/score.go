@@ -79,9 +79,6 @@ func Gather(n *depgraph.Node) Evidence {
 	return ev
 }
 
-// Has reports whether any real-valued evidence of the type is present.
-func (ev Evidence) Has(t string) bool { _, ok := ev.Real[t]; return ok }
-
 // EvidenceView is the read-only evidence access the decision trees consume.
 // Two implementations exist: Evidence (a full rescan of the incoming edges,
 // the reference semantics) and depgraph.EvidenceDigest (the delta-maintained

@@ -169,7 +169,7 @@ func TestGatherNonMerge(t *testing.T) {
 	g.MarkNonMerge(v)
 	g.AddEdge(v, n, depgraph.RealValued, EvEmail)
 	ev := Gather(n)
-	if ev.Has(EvEmail) {
+	if _, ok := ev.Real[EvEmail]; ok {
 		t.Error("non-merge source should not contribute real evidence")
 	}
 	if !ev.NonMergeReal[EvEmail] {
