@@ -23,9 +23,9 @@
 // result and the (equally deterministic) fallback.
 //
 // The package is deliberately ignorant of how references are stored and
-// scored: the Host interface supplies candidate lookup, association
-// structure, attribute-evidence wiring, and frozen pair decisions.
-// internal/recon adapts a Snapshot+Matcher pair to it.
+// scored: the Host interface supplies candidates, associations, evidence
+// wiring, frozen pair decisions, and the scorer and merge thresholds of the
+// fixed point. internal/recon adapts a Snapshot+Matcher pair to it.
 package collective
 
 import (
@@ -34,7 +34,6 @@ import (
 	"refrecon/internal/depgraph"
 	"refrecon/internal/obs"
 	"refrecon/internal/reference"
-	"refrecon/internal/simfn"
 )
 
 // Host supplies the reference universe Resolve expands over. All methods
@@ -74,10 +73,16 @@ type Host interface {
 	// ok is false when the snapshot holds no information on the pair
 	// (including when either id is not a stored reference).
 	Frozen(a, b reference.ID) (sim float64, merged, nonMerge, ok bool)
+
+	// EngineOptions returns the propagation-engine options offline
+	// reconciliation ran with. Resolve takes the scorer and the merge
+	// thresholds from them, so the local fixed point is the offline model
+	// on a neighborhood.
+	EngineOptions() depgraph.Options
 }
 
-// Config bounds and parameterizes a Resolve call. The zero value is
-// usable: WithDefaults fills every unset field.
+// Config bounds a Resolve call. The zero value is usable: WithDefaults
+// fills every unset field.
 type Config struct {
 	// MaxHops bounds the expansion depth, counted in reference-pair hops
 	// from the query: hop 0 is (query, candidate), hop 1 the association
@@ -106,16 +111,6 @@ type Config struct {
 	// engine default (1000 × node count). Exceeding it degrades.
 	MaxSteps int
 
-	// MergeThreshold and AttrMergeThreshold are the reference-pair and
-	// value-pair merge thresholds (paper: 0.85 and 1.0). Zero values take
-	// the paper defaults.
-	MergeThreshold     float64
-	AttrMergeThreshold float64
-
-	// Params weight the similarity recomputation; nil uses
-	// simfn.PaperParams().
-	Params map[string]simfn.ClassParams
-
 	// Epsilon is the minimum similarity increase that re-activates
 	// neighbors; 0 uses the engine default.
 	Epsilon float64
@@ -135,15 +130,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.MaxNeighbors <= 0 {
 		c.MaxNeighbors = 8
-	}
-	if c.MergeThreshold <= 0 {
-		c.MergeThreshold = 0.85
-	}
-	if c.AttrMergeThreshold <= 0 {
-		c.AttrMergeThreshold = 1.0
-	}
-	if c.Params == nil {
-		c.Params = simfn.PaperParams()
 	}
 	return c
 }

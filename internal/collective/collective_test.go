@@ -9,6 +9,7 @@ import (
 
 	"refrecon/internal/depgraph"
 	"refrecon/internal/reference"
+	"refrecon/internal/simfn"
 )
 
 // frozenDec scripts one stored pair's snapshot decision.
@@ -72,6 +73,20 @@ func (h *fakeHost) Frozen(a, b reference.ID) (float64, bool, bool, bool) {
 	return d.sim, d.merged, d.nonMerge, true
 }
 
+// EngineOptions scores the "Thing" pairs by simfn's generic row and keeps
+// merges out of the way (threshold 0.95) so scores stay directly readable.
+func (h *fakeHost) EngineOptions() depgraph.Options {
+	return depgraph.Options{
+		Scorer: &simfn.Scorer{},
+		MergeThreshold: func(n *depgraph.Node) float64 {
+			if n.Kind() == depgraph.ValuePair {
+				return 1
+			}
+			return 0.95
+		},
+	}
+}
+
 // boostWorld builds the canonical test fixture: query 100 with two
 // candidates 1 and 2 at equal attribute similarity 0.8; the query links to
 // target 10, candidate 1 links to 11 (frozen merged with 10), candidate 2
@@ -102,10 +117,9 @@ func boostWorld() *fakeHost {
 	return h
 }
 
-// testConfig keeps merges out of the way (threshold 0.95) so scores stay
-// directly readable, with no time budget.
+// testConfig is the default budgets, with no time budget.
 func testConfig() Config {
-	return Config{MergeThreshold: 0.95}.WithDefaults()
+	return Config{}.WithDefaults()
 }
 
 func TestResolveRelationalBoost(t *testing.T) {

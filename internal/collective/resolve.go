@@ -9,7 +9,6 @@ import (
 	"refrecon/internal/depgraph"
 	"refrecon/internal/obs"
 	"refrecon/internal/reference"
-	"refrecon/internal/simfn"
 )
 
 // errBudget is the sentinel the round-boundary Interrupt hook returns
@@ -293,21 +292,16 @@ func resolve(h Host, req Request, cfg Config, tr *obs.Tracer) Result {
 			return nil
 		}
 	}
-	es := g.Run(seed, depgraph.Options{
-		Scorer: &simfn.Scorer{Params: cfg.Params},
-		MergeThreshold: func(n *depgraph.Node) float64 {
-			if n.Kind() == depgraph.ValuePair {
-				return cfg.AttrMergeThreshold
-			}
-			return cfg.MergeThreshold
-		},
-		Epsilon:   cfg.Epsilon,
-		Propagate: true,
-		Enrich:    true,
-		MaxSteps:  cfg.MaxSteps,
-		Interrupt: interrupt,
-		OnFold:    func(l, m *depgraph.Node) { fwd[l] = m },
-	})
+	// The host's scorer and thresholds under this call's budgets. Collective
+	// resolution is propagation plus enrichment whatever mode the offline
+	// run ablated to.
+	opts := h.EngineOptions()
+	opts.Epsilon = cfg.Epsilon
+	opts.Propagate, opts.Enrich = true, true
+	opts.MaxSteps = cfg.MaxSteps
+	opts.Interrupt = interrupt
+	opts.OnFold = func(l, m *depgraph.Node) { fwd[l] = m }
+	es := g.Run(seed, opts)
 	st.Rounds, st.Steps, st.Merges, st.Folds = es.Rounds, es.Steps, es.Merges, es.Folds
 	st.ResolveMS = float64(time.Since(resolveStart).Microseconds()) / 1000
 	spResolve.EndArgs(map[string]any{

@@ -77,25 +77,29 @@ func New(sch *schema.Schema, cfg Config) *Reconciler {
 	return &Reconciler{sch: sch, cfg: cfg}
 }
 
-// attrEvidence lists the same-attribute comparisons per class.
-var attrEvidence = map[string][]struct {
-	attr     string
-	evidence string
+// attrCompare is one same-attribute comparison and its evidence label.
+type attrCompare struct{ attr, evidence string }
+
+// attrEvidence lists, per class, the same-attribute comparisons and the
+// score row that combines them.
+var attrEvidence = map[string]struct {
+	score   *simfn.ClassScore
+	compare []attrCompare
 }{
-	schema.ClassPerson: {
+	schema.ClassPerson: {simfn.ScorePerson, []attrCompare{
 		{schema.AttrName, simfn.EvName},
 		{schema.AttrEmail, simfn.EvEmail},
-	},
-	schema.ClassArticle: {
+	}},
+	schema.ClassArticle: {simfn.ScoreArticle, []attrCompare{
 		{schema.AttrTitle, simfn.EvTitle},
 		{schema.AttrYear, simfn.EvYear},
 		{schema.AttrPages, simfn.EvPages},
-	},
-	schema.ClassVenue: {
+	}},
+	schema.ClassVenue: {simfn.ScoreVenue, []attrCompare{
 		{schema.AttrName, simfn.EvVenueName},
 		{schema.AttrYear, simfn.EvYear},
 		{schema.AttrLocation, simfn.EvLocation},
-	},
+	}},
 }
 
 // Reconcile partitions the store's references attribute-wise.
@@ -177,8 +181,12 @@ func (rc *Reconciler) Reconcile(store *reference.Store) (*Result, error) {
 // decision trees (the baseline gets the same missing-value and key-
 // attribute treatment as DepGraph, §5.4).
 func (rc *Reconciler) pairSim(lib *simfn.Library, r1, r2 *reference.Reference) float64 {
+	row, ok := attrEvidence[r1.Class]
+	if !ok {
+		return 0 // the baseline compares nothing of other classes
+	}
 	ev := simfn.Evidence{Real: make(map[string]float64)}
-	for _, ae := range attrEvidence[r1.Class] {
+	for _, ae := range row.compare {
 		best, seen := 0.0, false
 		for _, v1 := range r1.Atomic(ae.attr) {
 			for _, v2 := range r2.Atomic(ae.attr) {
@@ -192,7 +200,7 @@ func (rc *Reconciler) pairSim(lib *simfn.Library, r1, r2 *reference.Reference) f
 			ev.Real[ae.evidence] = best
 		}
 	}
-	return simfn.SRV(r1.Class, ev)
+	return row.score.SRV(ev)
 }
 
 // blockKeysAttrWise emits blocking keys from same-attribute values only,

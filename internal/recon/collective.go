@@ -32,19 +32,10 @@ type CollectiveMatcher struct {
 	cc collective.Config
 }
 
-// NewCollectiveMatcher wraps a Matcher. Unset collective thresholds and
-// parameters inherit the Matcher's reconciliation Config, so the local
-// fixed point agrees with the offline one.
+// NewCollectiveMatcher wraps a Matcher. cc holds budgets only: the local
+// fixed point runs with the Matcher's own engine options, which are the
+// offline ones.
 func NewCollectiveMatcher(m *Matcher, cc collective.Config) *CollectiveMatcher {
-	if cc.Params == nil {
-		cc.Params = m.cfg.Params
-	}
-	if cc.MergeThreshold == 0 {
-		cc.MergeThreshold = m.cfg.MergeThreshold
-	}
-	if cc.AttrMergeThreshold == 0 {
-		cc.AttrMergeThreshold = m.cfg.AttrMergeThreshold
-	}
 	if cc.Obs == nil {
 		cc.Obs = m.cfg.Obs
 	}
@@ -86,7 +77,7 @@ func (cm *CollectiveMatcher) MatchConfig(q Query, cc collective.Config) ([]Candi
 	base, mstats := m.score(qr)
 	st := CollectiveStats{MatchStats: mstats}
 
-	host := newQueryHost(m, qr, cc.AttrMergeThreshold)
+	host := newQueryHost(m, qr)
 	res := collective.Resolve(host, collective.Request{Query: qr.ID}, cc)
 	st.Expansion = res.Stats
 	if res.Stats.Degraded || res.Scores == nil {
@@ -120,21 +111,19 @@ func (cm *CollectiveMatcher) MatchConfig(q Query, cc collective.Config) ([]Candi
 // evidence model. Not safe for concurrent use — each Match call builds its
 // own.
 type queryHost struct {
-	m       *Matcher
-	qr      *reference.Reference
-	attrThr float64
-	elems   valueElems
+	m     *Matcher
+	qr    *reference.Reference
+	elems valueElems
 }
 
-func newQueryHost(m *Matcher, qr *reference.Reference, attrThr float64) *queryHost {
+func newQueryHost(m *Matcher, qr *reference.Reference) *queryHost {
 	qr.ID = reference.ID(len(m.refs))
-	return &queryHost{
-		m:       m,
-		qr:      qr,
-		attrThr: attrThr,
-		elems:   make(valueElems),
-	}
+	return &queryHost{m: m, qr: qr, elems: make(valueElems)}
 }
+
+// EngineOptions implements collective.Host with the matcher's own: the
+// scorer and thresholds offline reconciliation ran with.
+func (h *queryHost) EngineOptions() depgraph.Options { return h.m.engineOptions() }
 
 // ref resolves an id to the query reference or a stored one (nil when it
 // is neither).
@@ -223,7 +212,7 @@ func (h *queryHost) WireAttrEvidence(g *depgraph.Graph, n *depgraph.Node, a, b r
 	}
 	wired := false
 	h.m.eachScored(ra, rb, func(v valCompare, sim float64) {
-		wireValuePair(g, n, h.elems, v, sim, h.attrThr)
+		wireValuePair(g, n, h.elems, v, sim, h.m.cfg.AttrMergeThreshold)
 		wired = true
 	})
 	return wired

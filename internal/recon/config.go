@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"refrecon/internal/obs"
-	"refrecon/internal/simfn"
 )
 
 // Mode selects which of the two decision-coupling mechanisms run (the §5.3
@@ -104,8 +103,6 @@ type Config struct {
 	// AttrMergeThreshold is the attribute-value-pair merge threshold
 	// (paper: 1.0 — only identical values start out merged).
 	AttrMergeThreshold float64
-	// Params are the per-class t_rv, β, γ settings.
-	Params map[string]simfn.ClassParams
 	// Mode selects propagation/enrichment (default ModeFull).
 	Mode Mode
 	// Evidence selects the evidence level (default EvidenceContact).
@@ -167,7 +164,6 @@ func DefaultConfig() Config {
 	return Config{
 		MergeThreshold:     0.85,
 		AttrMergeThreshold: 1.0,
-		Params:             simfn.PaperParams(),
 		Mode:               ModeFull,
 		Evidence:           EvidenceContact,
 		Constraints:        true,
@@ -180,9 +176,6 @@ func DefaultConfig() Config {
 // DefaultConfig, the one place the published §5.2 values are written.
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
-	if c.Params == nil {
-		c.Params = d.Params
-	}
 	if c.MergeThreshold == 0 {
 		c.MergeThreshold = d.MergeThreshold
 	}

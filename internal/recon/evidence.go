@@ -55,6 +55,9 @@ type evidence struct {
 	lib     *simfn.Library
 	indexes map[string]*blocking.Index
 	model   map[string]*classModel
+	// scores is each class's score row, resolved once for the engine's
+	// scorer.
+	scores map[string]*simfn.ClassScore
 }
 
 func newEvidence(sch *schema.Schema, cfg Config) *evidence {
@@ -65,14 +68,38 @@ func newEvidence(sch *schema.Schema, cfg Config) *evidence {
 		lib:     simfn.NewLibrary(),
 		indexes: make(map[string]*blocking.Index),
 		model:   make(map[string]*classModel),
+		scores:  make(map[string]*simfn.ClassScore),
 	}
 	if cfg.Obs != nil {
 		e.lib.SetCounters(cfg.Obs.Counters)
 	}
 	for _, c := range sch.Classes() {
-		e.model[c.Name] = modelFor(c).at(cfg.Evidence)
+		row := modelFor(c).at(cfg.Evidence)
+		e.model[c.Name], e.scores[c.Name] = row, row.score
 	}
 	return e
+}
+
+// engineOptions is the one place the propagation engine's scorer and merge
+// thresholds are built: one-shot and incremental reconciliation and the
+// query-time collective pass all run with it. The scorer reads the
+// delta-maintained evidence digests unless Config.RescanScoring forces the
+// reference full-rescan path.
+func (e *evidence) engineOptions() depgraph.Options {
+	return depgraph.Options{
+		Scorer:         &simfn.Scorer{Rows: e.scores, Rescan: e.cfg.RescanScoring},
+		MergeThreshold: e.mergeThreshold,
+		Propagate:      e.cfg.Mode.propagate(),
+		Enrich:         e.cfg.Mode.enrich(),
+	}
+}
+
+// mergeThreshold is the similarity at which a node merges (§5.2).
+func (e *evidence) mergeThreshold(n *depgraph.Node) float64 {
+	if n.Kind() == depgraph.ValuePair {
+		return e.cfg.AttrMergeThreshold
+	}
+	return e.cfg.MergeThreshold
 }
 
 // row returns the class's row at the configured evidence level; an empty
@@ -81,7 +108,7 @@ func (e *evidence) row(class string) *classModel {
 	if m := e.model[class]; m != nil {
 		return m
 	}
-	return &classModel{}
+	return &classModel{score: simfn.ScoreGeneric}
 }
 
 // feed enters one reference into the corpus statistics the comparators

@@ -136,7 +136,7 @@ func (s *Session) build(ctx context.Context) (seed []*depgraph.Node, idle bool, 
 	}
 	s.seen = s.store.Len()
 	if s.aud == nil {
-		s.aud = s.rc.newAuditor()
+		s.aud = s.newAuditor()
 	}
 	o := s.rc.cfg.Obs
 	if c := o.Counter(); c != nil {
@@ -212,7 +212,7 @@ func (s *Session) finish(ctx context.Context, seed []*depgraph.Node, shards int)
 		fp = &shardedGraph{s: s, shards: shards}
 	}
 	o := s.rc.cfg.Obs
-	eopts := s.rc.engineOptions()
+	eopts := s.b.engineOptions()
 	eopts.Interrupt = ctx.Err
 
 	sp := o.Tracer().Begin("phase", "propagate")

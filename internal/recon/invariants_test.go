@@ -179,7 +179,7 @@ func TestFullModeReachesFixedPoint(t *testing.T) {
 	cfg := DefaultConfig()
 	b := newBuilder(g.Store, schema.PIM(), cfg)
 	graph, seed := b.g, b.incorporate(g.Store.All())
-	scorer := &simfn.Scorer{Params: cfg.Params}
+	scorer := &simfn.Scorer{Rows: b.scores}
 	graph.Run(seed, depgraph.Options{
 		Scorer: scorer,
 		MergeThreshold: func(n *depgraph.Node) float64 {

@@ -34,6 +34,9 @@ type classModel struct {
 	// attribute evidence, and lowers its evidence floor to 0.05, so that
 	// the association has a node to act on.
 	keepInduced bool
+	// score is the score-table row (simfn.ClassScore) the class's pairs are
+	// scored with: the S_rv tree over the labels above and t_rv, β, γ.
+	score *simfn.ClassScore
 }
 
 // attrCompare declares one comparable attribute pair (§3.1: values "of the
@@ -110,6 +113,7 @@ var classModels = map[string]*classModel{
 		assoc: []assocRule{contactRule},
 		// Constraints 2 and 3 of §5.3.
 		constrained: (*builder).personConstrained,
+		score:       simfn.ScorePerson,
 	},
 	schema.ClassArticle: {
 		compare: []attrCompare{
@@ -124,6 +128,7 @@ var classModels = map[string]*classModel{
 		// Constraint 1 of §5.3: the authors of one article are distinct
 		// persons.
 		distinct: schema.AttrAuthoredBy,
+		score:    simfn.ScoreArticle,
 	},
 	schema.ClassVenue: {
 		compare: []attrCompare{
@@ -134,19 +139,21 @@ var classModels = map[string]*classModel{
 		constrained: (*builder).venueConstrained,
 		// Article-driven venue reconciliation needs venue pairs to act on.
 		keepInduced: true,
+		score:       simfn.ScoreVenue,
 	},
 }
 
 // modelFor returns the class's row. A class without a literal row gets the
-// default one: genericComparisons, no constraints, and conservative links
-// in the style of the paper's contact evidence — a shared link target, or
-// a reconciled pair of link targets, adds weak-boolean evidence (γ per
-// link) gated on the pair's own attribute similarity.
+// default one: genericComparisons scored by simfn.ScoreGeneric, no
+// constraints, and conservative links in the style of the paper's contact
+// evidence — a shared link target, or a reconciled pair of link targets,
+// adds weak-boolean evidence (γ per link) gated on the pair's own attribute
+// similarity.
 func modelFor(c *schema.Class) *classModel {
 	if m, ok := classModels[c.Name]; ok {
 		return m
 	}
-	m := &classModel{compare: genericComparisons(c)}
+	m := &classModel{compare: genericComparisons(c), score: simfn.ScoreGeneric}
 	for _, a := range c.AssocAttrs() {
 		m.assoc = append(m.assoc, assocRule{attr: a.Name, evidence: "ga:" + a.Name, dep: depgraph.WeakBoolean})
 	}
@@ -154,8 +161,8 @@ func modelFor(c *schema.Class) *classModel {
 }
 
 // genericComparisons derives the default row's comparisons: every atomic
-// attribute with itself by the generic string comparator (the class is
-// scored by srvGeneric), keyed on content words.
+// attribute with itself by the generic string comparator, keyed on content
+// words.
 func genericComparisons(c *schema.Class) []attrCompare {
 	var out []attrCompare
 	for _, a := range c.AtomicAttrs() {

@@ -2,6 +2,7 @@ package recon
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"refrecon/internal/depgraph"
@@ -80,10 +81,39 @@ func TestLiteralRowsBindNamedComparators(t *testing.T) {
 	}
 }
 
+// TestLiteralRowsBindScoreRows: every literal row binds a score-table row
+// of its own, the one the engine's scorer resolves for the class, and every
+// real-valued evidence label its comparisons and association rules can emit
+// is one that row's tree reads — a label the tree ignores is dead evidence.
+// (Boolean labels are counted by dependency type, not read by name.)
+func TestLiteralRowsBindScoreRows(t *testing.T) {
+	scores := newEvidence(schema.PIM(), DefaultConfig()).scores
+	for class, row := range classModels {
+		if row.score == nil || row.score == simfn.ScoreGeneric || scores[class] != row.score {
+			t.Fatalf("%s: row binds score row %p, scorer resolves %p", class, row.score, scores[class])
+		}
+		at := row.at(EvidenceContact)
+		var labels []string
+		for _, cmp := range at.compare {
+			labels = append(labels, cmp.evidence)
+		}
+		for _, rule := range at.assoc {
+			if rule.dep == depgraph.RealValued {
+				labels = append(labels, rule.evidence)
+			}
+		}
+		for _, l := range labels {
+			if !slices.Contains(row.score.Reads, l) {
+				t.Errorf("%s: the row emits real-valued evidence %q, which its tree (reading %v) ignores", class, l, row.score.Reads)
+			}
+		}
+	}
+}
+
 // TestDefaultRow: a class without a literal row gets genericComparisons
 // (each atomic attribute with itself by the generic comparator, which feeds
-// no statistics, keyed on content words), one weak-boolean rule per
-// association, and nothing else.
+// no statistics, keyed on content words) scored by the generic score row,
+// one weak-boolean rule per association, and nothing else.
 func TestDefaultRow(t *testing.T) {
 	if simfn.Generic.Feed != nil {
 		t.Error("the generic comparator feeds a statistic")
@@ -109,6 +139,9 @@ func TestDefaultRow(t *testing.T) {
 		}
 		if m.constrained != nil || m.distinct != "" || m.keepInduced {
 			t.Errorf("%s: default row carries a constraint: %+v", c.Name, m)
+		}
+		if m.score != simfn.ScoreGeneric {
+			t.Errorf("%s: default row is not scored by ScoreGeneric", c.Name)
 		}
 		if at := m.at(EvidenceAttrWise); len(at.compare) != len(m.compare) || !reflect.DeepEqual(at.assoc, m.assoc) {
 			t.Errorf("%s: the default row depends on the evidence level", c.Name)

@@ -191,5 +191,5 @@ func (m *Matcher) scoreEntity(qr *reference.Reference, ent *Entity) float64 {
 	if len(ev.Real) == 0 {
 		return 0
 	}
-	return simfn.SRV(qr.Class, ev)
+	return m.row(qr.Class).score.SRV(ev)
 }

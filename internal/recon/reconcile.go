@@ -11,7 +11,6 @@ import (
 	"refrecon/internal/obs"
 	"refrecon/internal/reference"
 	"refrecon/internal/schema"
-	"refrecon/internal/simfn"
 	"refrecon/internal/unionfind"
 )
 
@@ -108,31 +107,13 @@ func (r *Result) SameEntity(a, b reference.ID) bool {
 	return okA && okB && pa == pb
 }
 
-// engineOptions assembles the propagation-engine configuration shared by
-// one-shot and incremental reconciliation. The scorer reads the
-// delta-maintained evidence digests unless Config.RescanScoring forces the
-// reference full-rescan path.
-func (rc *Reconciler) engineOptions() depgraph.Options {
-	return depgraph.Options{
-		Scorer: &simfn.Scorer{Params: rc.cfg.Params, Rescan: rc.cfg.RescanScoring},
-		MergeThreshold: func(n *depgraph.Node) float64 {
-			if n.Kind() == depgraph.ValuePair {
-				return rc.cfg.AttrMergeThreshold
-			}
-			return rc.cfg.MergeThreshold
-		},
-		Propagate: rc.cfg.Mode.propagate(),
-		Enrich:    rc.cfg.Mode.enrich(),
-	}
-}
-
-// newAuditor returns an invariant auditor matching the reconciler's engine
+// newAuditor returns an invariant auditor matching the session's engine
 // configuration, or nil when Config.Audit is off.
-func (rc *Reconciler) newAuditor() *audit.Auditor {
-	if !rc.cfg.Audit {
+func (s *Session) newAuditor() *audit.Auditor {
+	if !s.rc.cfg.Audit {
 		return nil
 	}
-	return audit.New(rc.engineOptions().MergeThreshold, rc.cfg.Constraints)
+	return audit.New(s.b.mergeThreshold, s.rc.cfg.Constraints)
 }
 
 // Prepared is a one-shot reconciliation paused at the build/propagate

@@ -112,7 +112,7 @@ func (sg *shardedGraph) run(seed []*depgraph.Node, eopts depgraph.Options) (depg
 		}
 		sg.auds = make([]*audit.Auditor, len(plan.Comps))
 		for i, c := range plan.Comps {
-			sg.auds[i] = s.rc.newAuditor()
+			sg.auds[i] = s.newAuditor()
 			if err := sg.auds[i].CheckGraph("shard-build", c.G, false).Err(); err != nil {
 				return depgraph.Stats{}, fmt.Errorf("component %d: %w", i, err)
 			}

@@ -163,8 +163,9 @@ func (s *Service) handleReconcile(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "parse extend: %v", err)
 			return
 		}
-		snapshotHeader(w, s.view.Load())
-		writeJSON(w, http.StatusOK, s.Extend(req))
+		v := s.view.Load()
+		snapshotHeader(w, v)
+		writeJSON(w, http.StatusOK, s.extend(v, req))
 		return
 	}
 	if raw == "" {
@@ -180,7 +181,7 @@ func (s *Service) handleReconcile(w http.ResponseWriter, r *http.Request) {
 	snapshotHeader(w, v)
 	out := make(map[string]any, len(batch))
 	for key, q := range batch {
-		cands, err := s.Query(q)
+		cands, err := s.query(v, q)
 		if err != nil {
 			out[key] = map[string]string{"error": err.Error()}
 			continue
@@ -241,8 +242,9 @@ func (s *Service) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	snapshotHeader(w, s.view.Load())
-	writeJSON(w, http.StatusOK, s.Suggest(r.FormValue("prefix"), limit))
+	v := s.view.Load()
+	snapshotHeader(w, v)
+	writeJSON(w, http.StatusOK, s.suggest(v, r.FormValue("prefix"), limit))
 }
 
 // handlePreview serves the HTML flyout for one entity id (a canonical

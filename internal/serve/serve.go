@@ -401,15 +401,21 @@ func (s *Service) Close() error {
 	return err
 }
 
-// Query resolves one reconciliation query against the published view,
-// recording latency and candidate-set size (per mode). An empty Type fans
-// the query out to every class and re-merges the results: there a class
-// the query does not fit (an unbindable property, a matcher error) is
-// ruled out silently, while a typed query reports the error. In
+// Query resolves one reconciliation query against the published view.
+func (s *Service) Query(q ReconQuery) ([]recon.Candidate, error) {
+	return s.query(s.view.Load(), q)
+}
+
+// query resolves one reconciliation query against the view the request
+// loaded — one request answers from one snapshot, whatever ingest publishes
+// meanwhile — recording latency and candidate-set size (per mode). An empty
+// Type fans the query out to every class and re-merges the results: there
+// a class the query does not fit (an unbindable property, a matcher error)
+// is ruled out silently, while a typed query reports the error. In
 // collective mode the view's CollectiveMatcher scores with bounded
 // expand-and-resolve, under the server's budgets lowered (never raised) by
 // the query's knobs.
-func (s *Service) Query(q ReconQuery) ([]recon.Candidate, error) {
+func (s *Service) query(v *View, q ReconQuery) ([]recon.Candidate, error) {
 	coll := false
 	switch q.Mode {
 	case "", ModeAttribute:
@@ -419,7 +425,6 @@ func (s *Service) Query(q ReconQuery) ([]recon.Candidate, error) {
 		s.met.recordQuery(0, 0, true)
 		return nil, fmt.Errorf("unknown query mode %q (want %q or %q)", q.Mode, ModeAttribute, ModeCollective)
 	}
-	v := s.view.Load()
 	start := time.Now()
 	limit := q.Limit
 	if limit <= 0 {

@@ -308,11 +308,62 @@ func TestNameLikeAttributeIsOneRule(t *testing.T) {
 	if got := cands[0].Entity.Name(); got != "Widget Prime" {
 		t.Errorf("Entity.Name = %q, want the label the query bound to", got)
 	}
-	hits := svc.Suggest("widg", 0).Result
+	hits := svc.suggest(svc.View(), "widg", 0).Result
 	if len(hits) != 1 || hits[0].ID != "0" || hits[0].Name != "Widget Prime" {
 		t.Errorf("suggest 'widg' = %+v, want entity 0 under its label", hits)
 	}
-	if hits := svc.Suggest("aaa", 0).Result; len(hits) != 0 {
+	if hits := svc.suggest(svc.View(), "aaa", 0).Result; len(hits) != 0 {
 		t.Errorf("suggest 'aaa' = %+v: the code is not the name-like attribute", hits)
+	}
+}
+
+// TestRequestAnswersFromOneSnapshot: a request loads the view once and its
+// query, extend and suggest answers all come from that view, even when an
+// ingest publishes a newer snapshot with a matching entity before they run
+// (canonical ids are only meaningful against the version that produced
+// them, and the X-Snapshot-Version header names the loaded view's).
+func TestRequestAnswersFromOneSnapshot(t *testing.T) {
+	part := &schema.Class{Name: "Part", Attrs: []schema.Attribute{{Name: "label", Kind: schema.Atomic}}}
+	store := reference.NewStore()
+	store.Add(reference.New("Part").AddAtomic("label", "Widget Prime"))
+	svc, err := NewFromStore(Config{Schema: schema.MustNew(part)}, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := svc.View()
+	if _, err := svc.Ingest([]IngestRef{{Class: "Part", Atomic: map[string][]string{"label": {"Widget Deluxe"}}}}); err != nil {
+		t.Fatal(err)
+	}
+	live := svc.View()
+	if live.Snapshot.Version <= pinned.Snapshot.Version {
+		t.Fatalf("ingest did not publish: version %d after %d", live.Snapshot.Version, pinned.Snapshot.Version)
+	}
+
+	q := ReconQuery{Query: "Widget Deluxe", Type: "Part"}
+	ext := ExtendRequest{IDs: []string{"1"}, Properties: []ExtendProperty{{ID: "label"}}}
+	for _, tc := range []struct {
+		name     string
+		v        *View
+		entities int
+	}{{"pinned", pinned, 1}, {"live", live, 2}} {
+		cands, err := svc.query(tc.v, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cands) != tc.entities {
+			t.Errorf("%s query: %d candidates, want %d", tc.name, len(cands), tc.entities)
+		}
+		for _, c := range cands {
+			if tc.v.Snapshot.EntityOf(c.Entity.Canonical) != c.Entity {
+				t.Errorf("%s query: candidate %d is not an entity of version %d", tc.name, c.Entity.Canonical, tc.v.Snapshot.Version)
+			}
+		}
+		if hits := svc.suggest(tc.v, "widg", 0).Result; len(hits) != tc.entities {
+			t.Errorf("%s suggest: %d hits, want %d", tc.name, len(hits), tc.entities)
+		}
+		// Reference 1 exists only in the newer snapshot.
+		if cells := svc.extend(tc.v, ext).Rows["1"]["label"]; len(cells) != tc.entities-1 {
+			t.Errorf("%s extend of the ingested reference: %d cells, want %d", tc.name, len(cells), tc.entities-1)
+		}
 	}
 }

@@ -66,10 +66,11 @@ func (v *View) suggestIndex(sch *schema.Schema) []suggestEntry {
 	return v.suggestIdx
 }
 
-// Suggest resolves a prefix-autocomplete request against the published
-// view: case-insensitive prefix match over entity labels, deduplicated by
-// entity, in label order. A limit <= 0 takes the service default.
-func (s *Service) Suggest(prefix string, limit int) SuggestResult {
+// suggest resolves a prefix-autocomplete request against the view the
+// request loaded: case-insensitive prefix match over entity labels,
+// deduplicated by entity, in label order. A limit <= 0 takes the service
+// default.
+func (s *Service) suggest(v *View, prefix string, limit int) SuggestResult {
 	s.met.suggests.Add(1)
 	out := SuggestResult{Result: []SuggestCandidate{}}
 	p := strings.ToLower(strings.TrimSpace(prefix))
@@ -79,7 +80,6 @@ func (s *Service) Suggest(prefix string, limit int) SuggestResult {
 	if limit <= 0 {
 		limit = defaultLimit
 	}
-	v := s.view.Load()
 	idx := v.suggestIndex(s.cfg.Schema)
 	seen := make(map[reference.ID]bool)
 	for i := sort.Search(len(idx), func(i int) bool { return idx[i].key >= p }); i < len(idx); i++ {
@@ -103,14 +103,14 @@ func (s *Service) Suggest(prefix string, limit int) SuggestResult {
 	return out
 }
 
-// Extend resolves a data-extension request: for each requested entity id
-// (a canonical reference id from a reconcile response) and property id,
-// the unioned member-attribute values from the snapshot. Unknown ids get
-// an empty row and unknown property ids an empty cell — extension follows
-// reconciliation, so holes are expected, not errors.
-func (s *Service) Extend(req ExtendRequest) ExtendResponse {
+// extend resolves a data-extension request against the view the request
+// loaded: for each requested entity id (a canonical reference id from a
+// reconcile response) and property id, the unioned member-attribute values
+// from the snapshot. Unknown ids get an empty row and unknown property ids
+// an empty cell — extension follows reconciliation, so holes are expected,
+// not errors.
+func (s *Service) extend(v *View, req ExtendRequest) ExtendResponse {
 	s.met.extends.Add(1)
-	v := s.view.Load()
 	snap := v.Snapshot
 	out := ExtendResponse{
 		Meta: make([]TypeRef, 0, len(req.Properties)),

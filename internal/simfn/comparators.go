@@ -10,6 +10,10 @@
 //   - S_wb adds γ for every merged weak-boolean incoming neighbor (shared
 //     contacts and co-authors), gated the same way.
 //
+// Each instantiation — a tree with its t_rv, β and γ — is one ClassScore
+// row of the table in score.go; Scorer applies the template to whichever
+// row a class is bound to.
+//
 // The package also defines the elementary value comparators: one
 // Comparator row per evidence type, holding its function, the liberal floor
 // used during graph construction (§3.1: "we use a relatively low similarity

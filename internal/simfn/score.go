@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"refrecon/internal/depgraph"
-	"refrecon/internal/schema"
 )
 
 // ClassParams are the per-class tuning constants of §4/§5.2.
@@ -18,18 +17,62 @@ type ClassParams struct {
 }
 
 // defaultParams are the published Person and Article settings (§5.2), which
-// a class without parameters of its own is scored with too.
+// the generic row shares.
 var defaultParams = ClassParams{TRV: 0.7, Beta: 0.1, Gamma: 0.05}
 
-// PaperParams returns the published parameter set (§5.2): β = 0.1 (0.2 for
-// Venue), γ = 0.05, t_rv = 0.7 for Person and Article, 0.1 for Venue.
-func PaperParams() map[string]ClassParams {
-	return map[string]ClassParams{
-		schema.ClassPerson:  defaultParams,
-		schema.ClassArticle: defaultParams,
-		schema.ClassVenue:   {TRV: 0.1, Beta: 0.2, Gamma: 0.05},
-	}
+// ClassScore is one instantiation of the §4 template: the S_rv decision
+// tree a class is scored with and the constants of its boolean terms. The
+// rows below are the whole table; a class row of recon's model binds one by
+// pointer, and nothing else says how a class is scored.
+type ClassScore struct {
+	ClassParams
+	// Reads lists the real-valued evidence labels the tree reads by name;
+	// nil for a tree that takes whatever evidence is present.
+	Reads []string
+	// weights, parallel to Reads, are the coefficients of a tree that is a
+	// weighted average over the present evidence; nil for a tree with
+	// coefficients of its own.
+	weights []float64
+	tree    func(c *ClassScore, ev EvidenceView) float64
 }
+
+// SRV computes the row's S_rv decision tree over the evidence. The trees are
+// monotone in the evidence values (§3.2's termination argument), with one
+// pinned exception at the Article title gate; TestScoreRowsMonotone walks
+// the table.
+func (c *ClassScore) SRV(ev EvidenceView) float64 { return c.tree(c, ev) }
+
+// The score rows. The published constants (§5.2): β = 0.1 (0.2 for Venue),
+// γ = 0.05, t_rv = 0.7 (0.1 for Venue).
+var (
+	ScorePerson = &ClassScore{
+		ClassParams: defaultParams,
+		Reads:       []string{EvName, EvEmail, EvNameEmail},
+		tree:        srvPerson,
+	}
+	ScoreArticle = &ClassScore{
+		ClassParams: defaultParams,
+		Reads:       []string{EvTitle, EvAuthors, EvVenue, EvYear, EvPages},
+		weights:     []float64{0.75, 0.10, 0.07, 0.04, 0.04},
+		tree:        srvArticle,
+	}
+	// ScoreVenue is the plain weighted average. A venue reference denotes an
+	// *edition* — Figure 1's c1 and c2 are both SIGMOD'78 — so the year
+	// carries as much weight as the name: two mentions with compatible names
+	// and the same year are probably the same edition, while an identical
+	// name with a different year is a different edition. Venue t_rv is very
+	// low, so article reconciliations readily push edition pairs over the
+	// threshold (the paper's venue-recall machinery, and on noisy citation
+	// data also its venue-precision cost).
+	ScoreVenue = &ClassScore{
+		ClassParams: ClassParams{TRV: 0.1, Beta: 0.2, Gamma: 0.05},
+		Reads:       []string{EvVenueName, EvYear, EvLocation},
+		weights:     []float64{0.40, 0.50, 0.10},
+		tree:        (*ClassScore).weightedPresent,
+	}
+	// ScoreGeneric scores a class without a row of its own.
+	ScoreGeneric = &ClassScore{ClassParams: defaultParams, tree: srvGeneric}
+)
 
 // Evidence is the digest of a node's incoming edges: per evidence type, the
 // maximum similarity among real-valued sources (§4's MAX rule for
@@ -126,7 +169,9 @@ func (ev Evidence) WeakMergedCount() int { return ev.WeakMerged }
 // Scorer scores dependency-graph nodes with the paper's similarity
 // template. It implements depgraph.Scorer.
 type Scorer struct {
-	Params map[string]ClassParams
+	// Rows maps each class to its score row; a class without an entry is
+	// scored by ScoreGeneric.
+	Rows map[string]*ClassScore
 	// Rescan forces the reference scoring path: every Score call digests
 	// the node's full incoming neighborhood with Gather. When false (the
 	// default) Score reads the node's delta-maintained evidence digest,
@@ -134,9 +179,6 @@ type Scorer struct {
 	// produce bit-identical similarities; the equivalence tests enforce it.
 	Rescan bool
 }
-
-// NewScorer returns a Scorer with the published parameters.
-func NewScorer() *Scorer { return &Scorer{Params: PaperParams()} }
 
 // Score implements depgraph.Scorer.
 func (s *Scorer) Score(n *depgraph.Node) float64 {
@@ -149,15 +191,15 @@ func (s *Scorer) Score(n *depgraph.Node) float64 {
 	} else {
 		view = n.Digest()
 	}
-	srv := srvClass(n.Class(), view)
-	p, ok := s.Params[n.Class()]
-	if !ok {
-		p = defaultParams
+	row := s.Rows[n.Class()]
+	if row == nil {
+		row = ScoreGeneric
 	}
+	srv := row.SRV(view)
 	total := srv
-	if srv >= p.TRV {
-		total += p.Beta * float64(view.StrongMergedCount())
-		total += p.Gamma * float64(view.WeakMergedCount())
+	if srv >= row.TRV {
+		total += row.Beta * float64(view.StrongMergedCount())
+		total += row.Gamma * float64(view.WeakMergedCount())
 	}
 	if total > 1 {
 		total = 1
@@ -190,24 +232,6 @@ func scoreValuePair(n *depgraph.Node) float64 {
 	return s
 }
 
-// SRV computes the class-specific S_rv decision tree over the gathered
-// evidence. Every branch is monotone in the evidence values.
-func SRV(class string, ev Evidence) float64 { return srvClass(class, ev) }
-
-// srvClass dispatches the class decision tree over any evidence view.
-func srvClass(class string, ev EvidenceView) float64 {
-	switch class {
-	case schema.ClassPerson:
-		return srvPerson(ev)
-	case schema.ClassArticle:
-		return srvArticle(ev)
-	case schema.ClassVenue:
-		return srvVenue(ev)
-	default:
-		return srvGeneric(ev)
-	}
-}
-
 // srvPerson is the Person decision tree:
 //
 //	key branch:   identical email address ⇒ 1 (email is a key attribute);
@@ -220,7 +244,7 @@ func srvClass(class string, ev EvidenceView) float64 {
 // The branches are alternatives; the best applicable one wins, which keeps
 // the function monotone and avoids penalizing missing or multi-valued
 // attributes (§4).
-func srvPerson(ev EvidenceView) float64 {
+func srvPerson(_ *ClassScore, ev EvidenceView) float64 {
 	name, hasName := ev.RealEvidence(EvName)
 	email, hasEmail := ev.RealEvidence(EvEmail)
 	cross, hasCross := ev.RealEvidence(EvNameEmail)
@@ -251,7 +275,7 @@ func srvPerson(ev EvidenceView) float64 {
 // evidence types that are present (missing attributes are excluded rather
 // than scored 0, §4), with title dominating. An exact title plus exact
 // pages acts as a key.
-func srvArticle(ev EvidenceView) float64 {
+func srvArticle(c *ClassScore, ev EvidenceView) float64 {
 	title, hasTitle := ev.RealEvidence(EvTitle)
 	pages, hasPages := ev.RealEvidence(EvPages)
 	if hasTitle && title >= 1 && hasPages && pages >= 1 {
@@ -260,48 +284,19 @@ func srvArticle(ev EvidenceView) float64 {
 	// Titles gate everything: agreeing authors, venue, and year are
 	// routine for *different* articles (same group, same conference), so
 	// corroborating evidence only counts once the titles are already
-	// close. The branch structure stays monotone: raising the title
-	// similarity can only raise the score.
+	// close. Each side of the gate is monotone; a title raised across it
+	// next to dissimilar other evidence lands lower, which
+	// TestArticleTitleGateIsNotMonotone pins.
 	if !hasTitle || title < 0.75 {
 		return title
 	}
-	weights := []struct {
-		t string
-		w float64
-	}{
-		{EvTitle, 0.75},
-		{EvAuthors, 0.10},
-		{EvVenue, 0.07},
-		{EvYear, 0.04},
-		{EvPages, 0.04},
-	}
-	return weightedPresent(ev, weights)
+	return c.weightedPresent(ev)
 }
 
-// srvVenue is the Venue decision tree. A venue reference denotes an
-// *edition* — Figure 1's c1 and c2 are both SIGMOD'78 — so the year
-// carries as much weight as the name: two mentions with compatible names
-// and the same year are probably the same edition, while an identical name
-// with a different year is a different edition. Venue t_rv is very low
-// (0.1), so article reconciliations readily push edition pairs over the
-// threshold (the paper's venue-recall machinery, and on noisy citation
-// data also its venue-precision cost).
-func srvVenue(ev EvidenceView) float64 {
-	weights := []struct {
-		t string
-		w float64
-	}{
-		{EvVenueName, 0.40},
-		{EvYear, 0.50},
-		{EvLocation, 0.10},
-	}
-	return weightedPresent(ev, weights)
-}
-
-// srvGeneric averages whatever evidence is present with equal weight; used
-// for classes without a specialized function. Kinds are accumulated in the
-// view's sorted enumeration order so both evidence views round identically.
-func srvGeneric(ev EvidenceView) float64 {
+// srvGeneric averages whatever evidence is present with equal weight. Kinds
+// are accumulated in the view's sorted enumeration order so both evidence
+// views round identically.
+func srvGeneric(_ *ClassScore, ev EvidenceView) float64 {
 	sum, count := 0.0, 0
 	ev.EachRealEvidence(func(_ string, v float64) {
 		sum += v
@@ -313,15 +308,15 @@ func srvGeneric(ev EvidenceView) float64 {
 	return sum / float64(count)
 }
 
-func weightedPresent(ev EvidenceView, weights []struct {
-	t string
-	w float64
-}) float64 {
+// weightedPresent is the row's weighted average over the evidence types
+// that are present: a missing attribute is excluded rather than scored 0
+// (§4), so the weights renormalize.
+func (c *ClassScore) weightedPresent(ev EvidenceView) float64 {
 	num, den := 0.0, 0.0
-	for _, wt := range weights {
-		if v, ok := ev.RealEvidence(wt.t); ok {
-			num += wt.w * v
-			den += wt.w
+	for i, label := range c.Reads {
+		if v, ok := ev.RealEvidence(label); ok {
+			num += c.weights[i] * v
+			den += c.weights[i]
 		}
 	}
 	if den == 0 {

@@ -66,15 +66,6 @@ func TestAlignZeroAllocs(t *testing.T) {
 	})
 }
 
-func TestLCSAndPrefixZeroAllocs(t *testing.T) {
-	assertZeroAllocs(t, "LCSSim", func() {
-		allocSink += LCSSim("very large data bases", "large databases")
-	})
-	assertZeroAllocs(t, "PrefixSim", func() {
-		allocSink += PrefixSim("proceedings", "proc")
-	})
-}
-
 func TestEachNGramZeroAllocs(t *testing.T) {
 	// The callback is bound outside the measured closure so the measurement
 	// sees only EachNGram's own behavior.

@@ -142,97 +142,6 @@ func editSim(dist, la, lb int) float64 {
 	return 1 - float64(dist)/float64(m)
 }
 
-// LongestCommonSubstring returns the length of the longest contiguous
-// substring shared by the normalized forms of a and b.
-func LongestCommonSubstring(a, b string) int {
-	sc := getScratch()
-	sc.ra = tokenizer.AppendNormalizedRunes(sc.ra[:0], a)
-	sc.rb = tokenizer.AppendNormalizedRunes(sc.rb[:0], b)
-	best := lcsScratch(sc, sc.ra, sc.rb)
-	putScratch(sc)
-	return best
-}
-
-func lcsScratch(sc *scratch, ra, rb []rune) int {
-	if len(ra) == 0 || len(rb) == 0 {
-		return 0
-	}
-	prev := intRow(&sc.row0, len(rb)+1)
-	cur := intRow(&sc.row1, len(rb)+1)
-	for j := range prev {
-		prev[j] = 0
-	}
-	cur[0] = 0
-	best := 0
-	for i := 1; i <= len(ra); i++ {
-		for j := 1; j <= len(rb); j++ {
-			if ra[i-1] == rb[j-1] {
-				cur[j] = prev[j-1] + 1
-				if cur[j] > best {
-					best = cur[j]
-				}
-			} else {
-				cur[j] = 0
-			}
-		}
-		prev, cur = cur, prev
-	}
-	return best
-}
-
-// LCSSim normalizes LongestCommonSubstring by the length of the shorter
-// string, yielding 1 when one normalized string contains the other.
-func LCSSim(a, b string) float64 {
-	sc := getScratch()
-	sc.ra = tokenizer.AppendNormalizedRunes(sc.ra[:0], a)
-	sc.rb = tokenizer.AppendNormalizedRunes(sc.rb[:0], b)
-	na, nb := sc.ra, sc.rb
-	var s float64
-	switch {
-	case len(na) == 0 && len(nb) == 0:
-		s = 1
-	case len(na) == 0 || len(nb) == 0:
-		s = 0
-	default:
-		short := len(na)
-		if len(nb) < short {
-			short = len(nb)
-		}
-		s = float64(lcsScratch(sc, na, nb)) / float64(short)
-	}
-	putScratch(sc)
-	return s
-}
-
-// PrefixSim measures how much of the shorter normalized string is a prefix
-// of the longer one, in [0,1]. Useful for abbreviation evidence
-// ("proc" vs "proceedings").
-func PrefixSim(a, b string) float64 {
-	sc := getScratch()
-	na := tokenizer.AppendNormalizedRunes(sc.ra[:0], a)
-	nb := tokenizer.AppendNormalizedRunes(sc.rb[:0], b)
-	sc.ra, sc.rb = na, nb
-	var s float64
-	switch {
-	case len(na) == 0 && len(nb) == 0:
-		s = 1
-	case len(na) == 0 || len(nb) == 0:
-		s = 0
-	default:
-		short, long := na, nb
-		if len(short) > len(long) {
-			short, long = long, short
-		}
-		n := 0
-		for n < len(short) && short[n] == long[n] {
-			n++
-		}
-		s = float64(n) / float64(len(short))
-	}
-	putScratch(sc)
-	return s
-}
-
 func minInt(xs ...int) int {
 	m := xs[0]
 	for _, x := range xs[1:] {

@@ -91,51 +91,3 @@ func TestLevenshteinSim(t *testing.T) {
 		t.Errorf("case-insensitive equality should be 1, got %f", s)
 	}
 }
-
-func TestLongestCommonSubstring(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"abc", "", 0},
-		{"abcdef", "zcdefz", 4},
-		{"sigmod", "acm sigmod", 6},
-		{"aaa", "aa", 2},
-	}
-	for _, c := range cases {
-		if got := LongestCommonSubstring(c.a, c.b); got != c.want {
-			t.Errorf("LCS(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestLCSSim(t *testing.T) {
-	if s := LCSSim("SIGMOD", "ACM SIGMOD"); s != 1 {
-		t.Errorf("containment should give 1, got %f", s)
-	}
-	if s := LCSSim("", ""); s != 1 {
-		t.Errorf("both empty should give 1, got %f", s)
-	}
-	if s := LCSSim("", "x"); s != 0 {
-		t.Errorf("one empty should give 0, got %f", s)
-	}
-}
-
-func TestPrefixSim(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want float64
-	}{
-		{"proc", "proceedings", 1},
-		{"proceedings", "proc", 1},
-		{"conf", "journal", 0}, // no shared prefix
-		{"", "", 1},
-		{"", "abc", 0},
-	}
-	for _, c := range cases {
-		if got := PrefixSim(c.a, c.b); got != c.want {
-			t.Errorf("PrefixSim(%q,%q) = %f, want %f", c.a, c.b, got, c.want)
-		}
-	}
-}

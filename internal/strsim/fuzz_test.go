@@ -36,8 +36,6 @@ func strsimMetrics() []metric {
 		{"JaroWinklerP0.25", func(a, b string) float64 { return jaroWinklerP(a, b, 0.25) }},
 		{"LevenshteinSim", LevenshteinSim},
 		{"DamerauSim", DamerauSim},
-		{"LCSSim", LCSSim},
-		{"PrefixSim", PrefixSim},
 		{"SmithWaterman", SmithWaterman},
 		{"NeedlemanWunsch", NeedlemanWunsch},
 		{"JaccardTokens", JaccardTokens},

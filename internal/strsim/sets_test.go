@@ -112,8 +112,6 @@ var comparators = map[string]func(a, b string) float64{
 	"Jaro":           Jaro,
 	"JaroWinkler":    JaroWinkler,
 	"JaccardTokens":  JaccardTokens,
-	"LCSSim":         LCSSim,
-	"PrefixSim":      PrefixSim,
 	"MongeElkan":     func(a, b string) float64 { return MongeElkan(a, b, nil) },
 }
 
