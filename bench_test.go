@@ -330,82 +330,62 @@ func benchPropagateDatasets() []struct {
 	}
 }
 
-// benchScoringModes pairs the delta-scoring default against the
-// full-rescan reference path, the axis these benchmarks exist to compare.
-var benchScoringModes = []struct {
-	name   string
-	rescan bool
-}{
-	{"delta", false},
-	{"rescan", true},
-}
-
 // BenchmarkPropagate times the propagation fixed point (Run plus the
 // constrained closure) in isolation: graph construction happens outside
-// the timer via BuildRetained. The delta/rescan sub-benchmarks measure the
-// delta-scoring optimization directly — identical graphs, identical
-// results, different per-step evidence access.
+// the timer via BuildRetained. Every step gathers its node's evidence from
+// the in-edges afresh, so this is the per-step scoring cost.
 func BenchmarkPropagate(b *testing.B) {
 	for _, d := range benchPropagateDatasets() {
-		for _, mode := range benchScoringModes {
-			b.Run(d.name+"/"+mode.name, func(b *testing.B) {
-				cfg := recon.DefaultConfig()
-				cfg.RescanScoring = mode.rescan
-				rc := recon.New(schema.PIM(), cfg)
-				var st recon.Stats
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					p, err := rc.BuildRetained(d.store)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					res, err := p.Propagate()
-					if err != nil {
-						b.Fatal(err)
-					}
-					st = res.Stats
+		b.Run(d.name, func(b *testing.B) {
+			rc := recon.New(schema.PIM(), recon.DefaultConfig())
+			var st recon.Stats
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p, err := rc.BuildRetained(d.store)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(st.Engine.Steps), "steps")
-				b.ReportMetric(float64(st.Engine.DeltaHits), "delta-hits")
-				b.ReportMetric(float64(st.PropagateTime.Nanoseconds()), "propagate-ns")
-			})
-		}
+				b.StartTimer()
+				res, err := p.Propagate()
+				if err != nil {
+					b.Fatal(err)
+				}
+				st = res.Stats
+			}
+			b.ReportMetric(float64(st.Engine.Steps), "steps")
+			b.ReportMetric(float64(st.PropagateTime.Nanoseconds()), "propagate-ns")
+		})
 	}
 }
 
 // BenchmarkEnrichFold times the reference-enrichment path (§3.3): the
 // engine runs in Merge mode — enrichment folds without propagation-driven
-// reactivation — so fold bookkeeping (edge moves, aggregate invalidation,
-// per-kind rebuilds) dominates the measurement.
+// reactivation — so fold bookkeeping (edge moves, node removal) dominates
+// the measurement.
 func BenchmarkEnrichFold(b *testing.B) {
 	for _, d := range benchPropagateDatasets() {
-		for _, mode := range benchScoringModes {
-			b.Run(d.name+"/"+mode.name, func(b *testing.B) {
-				cfg := recon.DefaultConfig()
-				cfg.Mode = recon.ModeMerge
-				cfg.RescanScoring = mode.rescan
-				rc := recon.New(schema.PIM(), cfg)
-				var st recon.Stats
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					p, err := rc.BuildRetained(d.store)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					res, err := p.Propagate()
-					if err != nil {
-						b.Fatal(err)
-					}
-					st = res.Stats
+		b.Run(d.name, func(b *testing.B) {
+			cfg := recon.DefaultConfig()
+			cfg.Mode = recon.ModeMerge
+			rc := recon.New(schema.PIM(), cfg)
+			var st recon.Stats
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p, err := rc.BuildRetained(d.store)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(st.Engine.Folds), "folds")
-				b.ReportMetric(float64(st.Engine.AggRebuilds), "agg-rebuilds")
-			})
-		}
+				b.StartTimer()
+				res, err := p.Propagate()
+				if err != nil {
+					b.Fatal(err)
+				}
+				st = res.Stats
+			}
+			b.ReportMetric(float64(st.Engine.Folds), "folds")
+		})
 	}
 }
 

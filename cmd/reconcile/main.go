@@ -166,10 +166,6 @@ func main() {
 				sh.Shards, sh.Components, sh.LargestComponent, sh.BoundaryLinks,
 				sh.FrontierRounds, sh.BoundaryUpdates, sh.FoldReplays)
 		}
-		if st.Engine.DeltaHits > 0 || st.Engine.AggBuilds > 0 {
-			fmt.Printf("delta: %d digest hits (full rescans avoided), %d aggregate builds, %d kind rebuilds\n",
-				st.Engine.DeltaHits, st.Engine.AggBuilds, st.Engine.AggRebuilds)
-		}
 		if st.Engine.EdgeAdds > 0 {
 			fmt.Printf("dedup: %d edges examined over %d edge adds (mean %.1f)\n",
 				st.Engine.DedupProbes, st.Engine.EdgeAdds, float64(st.Engine.DedupProbes)/float64(st.Engine.EdgeAdds))

@@ -158,139 +158,3 @@ func TestWorkerCountDeterminismSession(t *testing.T) {
 		}
 	}
 }
-
-// comparableEngineStats additionally zeroes the delta-scoring counters,
-// which are legitimately zero on a rescan run (it never touches
-// aggregates) and positive on a delta run; everything else — steps,
-// merges, folds, reactivations — must match bit for bit.
-func comparableEngineStats(st recon.Stats) recon.Stats {
-	st = comparableStats(st)
-	st.Engine.DeltaHits, st.Engine.AggBuilds, st.Engine.AggRebuilds = 0, 0, 0
-	return st
-}
-
-// checkRescanEquivalence reconciles the store twice — delta-scored (the
-// default) and with RescanScoring forcing full neighborhood rescans — and
-// requires identical partitions and identical engine counters. This is the
-// correctness contract of the delta-scoring optimization: it must be a pure
-// performance change.
-func checkRescanEquivalence(t *testing.T, name string, store *reference.Store) {
-	t.Helper()
-	type run struct {
-		partitions string
-		stats      recon.Stats
-		deltaHits  int
-	}
-	runWith := func(rescan bool) run {
-		cfg := recon.DefaultConfig()
-		cfg.RescanScoring = rescan
-		res, err := recon.New(schema.PIM(), cfg).Reconcile(store)
-		if err != nil {
-			t.Fatalf("%s rescan=%v: %v", name, rescan, err)
-		}
-		return run{
-			partitions: canonPartitions(res.Partitions),
-			stats:      comparableEngineStats(res.Stats),
-			deltaHits:  res.Stats.Engine.DeltaHits,
-		}
-	}
-	delta, rescan := runWith(false), runWith(true)
-	if delta.partitions != rescan.partitions {
-		t.Errorf("%s: delta-scored partitions differ from rescan-scored partitions", name)
-	}
-	if delta.stats != rescan.stats {
-		t.Errorf("%s: delta stats %+v differ from rescan stats %+v", name, delta.stats, rescan.stats)
-	}
-	if delta.deltaHits == 0 {
-		t.Errorf("%s: delta run served no digest hits (optimization inactive)", name)
-	}
-	if rescan.deltaHits != 0 {
-		t.Errorf("%s: rescan run unexpectedly used digests (%d hits)", name, rescan.deltaHits)
-	}
-}
-
-// TestRescanEquivalencePIM checks delta-vs-rescan equivalence on all four
-// PIM datasets.
-func TestRescanEquivalencePIM(t *testing.T) {
-	for _, d := range []string{"A", "B", "C", "D"} {
-		checkRescanEquivalence(t, "PIM-"+d, suite().PIM(d).Store)
-	}
-}
-
-// TestRescanEquivalenceCora repeats the check on Cora, which exercises the
-// article/venue decision trees and heavy enrichment folding.
-func TestRescanEquivalenceCora(t *testing.T) {
-	checkRescanEquivalence(t, "Cora", suite().Cora().Store)
-}
-
-// TestRescanEquivalenceSession checks the incremental path: a two-batch
-// session must produce identical partitions and engine counters whether
-// the second batch is delta-scored against the maintained aggregates
-// (which must survive the first run's folds and the between-run builder
-// mutations) or fully rescanned.
-func TestRescanEquivalenceSession(t *testing.T) {
-	full := suite().PIM("B").Store
-	refs := full.All()
-	cut := len(refs) / 2
-
-	type outcome struct {
-		partitions string
-		stats      recon.Stats
-	}
-	runWith := func(rescan bool) outcome {
-		store := refrecon.NewStore()
-		remap := make(map[refrecon.ID]refrecon.ID, len(refs))
-		clones := make([]*refrecon.Reference, len(refs))
-		copyRef := func(j int) {
-			r := refs[j]
-			c := refrecon.NewReference(r.Class)
-			c.Source = r.Source
-			c.Entity = r.Entity
-			for _, attr := range r.AtomicAttrs() {
-				for _, v := range r.Atomic(attr) {
-					c.AddAtomic(attr, v)
-				}
-			}
-			clones[j] = c
-			remap[r.ID] = store.Add(c)
-		}
-		addAssocs := func(from, to int) {
-			for j := from; j < to; j++ {
-				for _, attr := range refs[j].AssocAttrs() {
-					for _, tgt := range refs[j].Assoc(attr) {
-						if nt, ok := remap[tgt]; ok {
-							clones[j].AddAssoc(attr, nt)
-						}
-					}
-				}
-			}
-		}
-		cfg := refrecon.DefaultConfig()
-		cfg.RescanScoring = rescan
-		sess := refrecon.New(refrecon.PIMSchema(), cfg).NewSession(store)
-		for j := 0; j < cut; j++ {
-			copyRef(j)
-		}
-		addAssocs(0, cut)
-		if _, err := sess.Reconcile(); err != nil {
-			t.Fatalf("rescan=%v first batch: %v", rescan, err)
-		}
-		for j := cut; j < len(refs); j++ {
-			copyRef(j)
-		}
-		addAssocs(cut, len(refs))
-		res, err := sess.Reconcile()
-		if err != nil {
-			t.Fatalf("rescan=%v second batch: %v", rescan, err)
-		}
-		return outcome{canonPartitions(res.Partitions), comparableEngineStats(res.Stats)}
-	}
-	delta, rescan := runWith(false), runWith(true)
-	if delta.partitions != rescan.partitions {
-		t.Error("incremental session: delta-scored partitions differ from rescan-scored partitions")
-	}
-	if delta.stats != rescan.stats {
-		t.Errorf("incremental session: delta stats %+v differ from rescan stats %+v",
-			delta.stats, rescan.stats)
-	}
-}

@@ -1,11 +1,10 @@
 // Package audit implements a structural invariant auditor for the
 // reconciliation engine. The perf work on the dependency graph (parallel
-// construction, delta-maintained evidence aggregates, incremental sessions)
-// rests on invariants that are easy to violate silently: node similarities
-// must stay in [0,1] and grow monotonically, merged decisions must never be
-// demoted, memoized evidence digests must equal a fresh scan of the
-// in-edges, and the final partitioning must honor every non-merge
-// constraint. The auditor re-derives each of those properties from first
+// construction, columnar storage, incremental sessions) rests on invariants
+// that are easy to violate silently: node similarities must stay in [0,1]
+// and grow monotonically, merged decisions must never be demoted, the
+// adjacency spans must stay consistent, and the final partitioning must
+// honor every non-merge constraint. The auditor re-derives each of those properties from first
 // principles after any engine phase and reports every violation, so a
 // regression surfaces in CI (or under `reconcile -audit`) instead of in a
 // production partition.
@@ -126,16 +125,13 @@ func New(mergeThreshold func(*depgraph.Node) float64, constraints bool) *Auditor
 //     notice a duplicate);
 //   - every similarity is non-NaN and in [0,1]; non-merge nodes sit at 0;
 //   - every Merged node's similarity clears its merge threshold;
-//   - every maintained evidence aggregate equals a fresh scan of the
-//     node's in-edges (the delta-scoring contract);
 //   - against the previous checkpoint: similarities never decreased, a
 //     Merged node was never demoted (it may only turn NonMerge under a
 //     constraint fold), and a NonMerge node stayed NonMerge.
 //
 // truncated relaxes the demotion check for runs that hit the MaxSteps
 // safety net, where re-seeded nodes can legitimately be left mid-flight.
-// Cost is one full scan of nodes and edges plus one in-edge scan per
-// maintained aggregate.
+// Cost is one full scan of nodes and edges.
 func (a *Auditor) CheckGraph(phase string, g *depgraph.Graph, truncated bool) *Report {
 	r := &Report{Phase: phase}
 	next := make(map[string]snapshot, len(a.prev))
@@ -188,10 +184,6 @@ func (a *Auditor) CheckGraph(phase string, g *depgraph.Graph, truncated bool) *R
 		r.check()
 		if msg := n.CheckAdjacency(); msg != "" {
 			r.violate("graph/adjacency", key, "%s", msg)
-		}
-		r.check()
-		if msg := n.CheckAggregate(); msg != "" {
-			r.violate("graph/aggregate-divergence", key, "%s", msg)
 		}
 
 		if p, ok := a.prev[key]; ok {

@@ -8,7 +8,7 @@ import (
 
 // Mutation edge-case tests for the columnar storage layer: each scenario
 // drives the graph through a structurally awkward mutation sequence —
-// enrichment folds, span relocation, aggregate patches — and then asserts
+// enrichment folds, span relocation, fold rewiring — and then asserts
 // the full invariant battery via the auditor's CheckGraph, so a storage
 // bug surfaces as a named invariant violation rather than a wrong score.
 
@@ -21,8 +21,8 @@ func enrichOptions() depgraph.Options {
 // TestMutationFoldedPairReAdded removes a node through an enrichment fold,
 // then re-adds the same reference pair with fresh evidence in a later
 // session batch — exercising the eager reclamation of the packed-pair
-// index entry (a stale entry would alias the dead node) and the maintained
-// aggregates across the re-add + re-fold cycle.
+// index entry (a stale entry would alias the dead node) across the re-add
+// + re-fold cycle.
 func TestMutationFoldedPairReAdded(t *testing.T) {
 	g := depgraph.New()
 	n01 := g.AddRefPair(0, 1, "Person")
@@ -93,7 +93,7 @@ func TestMutationEdgeDedupAcrossRelocation(t *testing.T) {
 	}
 	seed := []*depgraph.Node{m}
 	aud := auditorFor()
-	g.Run(seed, testOptions()) // turns on maintained aggregates
+	g.Run(seed, testOptions())
 	if rep := aud.CheckGraph("run", g, false); !rep.Ok() {
 		t.Fatalf("after run: %v", rep.Err())
 	}
@@ -117,10 +117,9 @@ func TestMutationEdgeDedupAcrossRelocation(t *testing.T) {
 
 // TestMutationAggregateAfterFoldEdgeLoss drives a fold that removes a node
 // holding an out-edge into a value node: the value node loses an in-edge
-// source (aggOnDropSource) and gains the rewired one, and its maintained
-// evidence aggregate must still equal a fresh scan — CheckGraph's
-// aggregate-divergence probe is the assertion. A follow-up status flip on
-// the absorbing node re-patches the same aggregate.
+// source and gains the rewired one, no dead source may survive in its
+// in-span, and CheckGraph's adjacency battery must pass. A follow-up status
+// flip on the absorbing node must leave the graph as sound.
 func TestMutationAggregateAfterFoldEdgeLoss(t *testing.T) {
 	g := depgraph.New()
 	n01 := g.AddRefPair(0, 1, "Person")
@@ -156,8 +155,8 @@ func TestMutationAggregateAfterFoldEdgeLoss(t *testing.T) {
 		t.Fatal("fold should rewire (1,2)->shared onto (0,2)->shared")
 	}
 
-	// Status flip on the absorbing node patches shared's aggregate again;
-	// the auditor proves maintained == fresh either way.
+	// Status flip on the absorbing node: shared's evidence is re-read from
+	// its in-edges on its next score, so there is nothing to patch.
 	g.MarkNonMerge(n02)
 	if rep := aud.CheckGraph("post-nonmerge", g, false); !rep.Ok() {
 		t.Fatalf("after MarkNonMerge: %v", rep.Err())

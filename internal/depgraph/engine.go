@@ -58,7 +58,7 @@ type Options struct {
 	// Interrupt, if set, is polled at propagation-round boundaries. A
 	// non-nil return stops the run before the fixed point: Stats.Interrupted
 	// is set and the graph is left self-consistent (the interrupted node is
-	// re-queued, maintained aggregates are exact) but not converged.
+	// re-queued) but not converged.
 	// Callers typically pass ctx.Err for cooperative cancellation.
 	Interrupt func() error
 	// Trace, if set, records one span per propagation round (nested inside
@@ -86,8 +86,8 @@ type Stats struct {
 	// RequeueReal / RequeueStrong / RequeueWeak split Reactivate by the
 	// dependency type that pushed the re-activation. Interrupted is set
 	// when Options.Interrupt stopped the run before the fixed point.
-	// All of these are deterministic: identical across worker counts and
-	// across delta/rescan scoring (the determinism tests compare them).
+	// All of these are deterministic: identical across worker counts (the
+	// determinism tests compare them).
 	Rounds         int
 	QueueHighWater int
 	RequeueReal    int
@@ -95,14 +95,10 @@ type Stats struct {
 	RequeueWeak    int
 	Interrupted    bool
 
-	// Delta-scoring counters (zero when the scorer rescans neighborhoods
-	// instead of reading digests). DeltaHits counts scores served from a
-	// memoized aggregate — each one a full neighborhood rescan avoided;
-	// AggBuilds counts aggregates built by a first-touch full scan;
-	// AggRebuilds counts per-evidence-kind rebuilds forced by enrichment
-	// folds and NonMerge transitions.
+	// DeltaHits and AggRebuilds are always zero: every step scores from a
+	// fresh scan of its in-edges. They stay only because the frozen bench
+	// adapter reads them (ROADMAP item 16).
 	DeltaHits   int
-	AggBuilds   int
 	AggRebuilds int
 
 	// EdgeAdds counts AddEdge calls (enrichment's re-attachments included,
@@ -130,11 +126,6 @@ func (g *Graph) Run(seed []*Node, opt Options) Stats {
 		maxSteps = 1000 * (g.liveNodes + 1)
 	}
 	var st Stats
-
-	// From the first Run on, every evidence-changing mutation is hooked, so
-	// digests built now stay exact — including across incremental sessions.
-	g.maintain = true
-	d0 := g.delta
 	if opt.OnFold != nil {
 		g.onFold = opt.OnFold
 		defer func() { g.onFold = nil }()
@@ -142,12 +133,8 @@ func (g *Graph) Run(seed []*Node, opt Options) Stats {
 
 	for _, n := range seed {
 		if g.alive[n.id] && g.status[n.id] != NonMerge {
-			if g.status[n.id] == Merged {
-				// Re-seeding demotes a previously merged node to Active; its
-				// boolean contribution disappears until it re-merges, and
-				// maintained dependents must see that immediately.
-				g.aggOnDemoted(n)
-			}
+			// Re-seeding demotes a previously merged node to Active; its
+			// boolean contribution disappears until it re-merges.
 			g.status[n.id] = Active
 			g.queue.pushBack(n)
 		}
@@ -236,11 +223,7 @@ func (g *Graph) Run(seed []*Node, opt Options) Stats {
 		if s > 1 {
 			s = 1
 		}
-		if s > g.sim[id] {
-			// raiseSim also bumps the per-kind running maxima of maintained
-			// dependents, the delta patch that replaces their rescans.
-			g.raiseSim(n, s)
-		}
+		g.raiseSim(n, s)
 		increased := g.sim[id] > old+eps
 
 		if g.sim[id] >= opt.MergeThreshold(n) {
@@ -249,9 +232,6 @@ func (g *Graph) Run(seed []*Node, opt Options) Stats {
 			g.status[id] = Inactive
 		}
 		newlyMerged := g.status[id] == Merged && !wasMerged
-		if newlyMerged {
-			g.aggOnMerged(n)
-		}
 
 		if opt.Propagate && increased {
 			for _, e := range g.spanIDs(g.outSpan[id]) {
@@ -307,9 +287,6 @@ func (g *Graph) Run(seed []*Node, opt Options) Stats {
 	if checkpoints && round > startRound && !st.Interrupted {
 		closeRound(g.queue.len())
 	}
-	st.DeltaHits = int(g.delta.hits - d0.hits)
-	st.AggBuilds = int(g.delta.builds - d0.builds)
-	st.AggRebuilds = int(g.delta.rebuilds - d0.rebuilds)
 	st.EdgeAdds, st.DedupProbes = int(g.dedup.adds), int(g.dedup.probes)
 	g.dedup.adds, g.dedup.probes = 0, 0
 	return st
@@ -328,24 +305,23 @@ func (g *Graph) Activate(n *Node) bool { return g.activate(n) }
 func (g *Graph) ActivateFront(n *Node) bool { return g.activateFront(n) }
 
 // RaiseSim raises n's similarity to sim, a no-op unless sim is strictly
-// higher than the current value or n is constrained NonMerge. It routes
-// through the maintained-aggregate hook, so external evidence injection —
-// the sharded boundary sync pushing a source pair's similarity into its
-// mirror — keeps dependents' digests exact. The value is clamped to 1.
+// higher than the current value and n is not constrained NonMerge: the
+// external evidence injection of the sharded boundary sync, which pushes a
+// source pair's similarity into its mirror. The value is clamped to 1.
 func (g *Graph) RaiseSim(n *Node, sim float64) {
 	if sim > 1 {
 		sim = 1
 	}
-	if sim > g.sim[n.id] && g.status[n.id] != NonMerge {
+	if g.status[n.id] != NonMerge {
 		g.raiseSim(n, sim)
 	}
 }
 
 // FoldInto applies the enrichment fold "l absorbs into m" outside the
-// engine's own pop path: l's edges move onto m (deduplicated, aggregates
-// patched), l's NonMerge status or higher similarity is inherited, l is
-// removed, and targets that gained evidence are re-queued — exactly the
-// mechanics of §3.3's fold. The sharded boundary sync uses it to replay an
+// engine's own pop path: l's edges move onto m (deduplicated), l's
+// NonMerge status or higher similarity is inherited, l is removed, and
+// targets that gained evidence are re-queued — exactly the mechanics of
+// §3.3's fold. The sharded boundary sync uses it to replay an
 // owner component's folds onto the mirror copies other components hold, so
 // duplicate boolean evidence collapses the same way it does in the
 // monolithic graph. No-op unless both nodes are alive and distinct.

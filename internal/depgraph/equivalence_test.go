@@ -11,13 +11,14 @@ import (
 	"refrecon/internal/reference"
 )
 
-// This file holds the equivalence property test for delta scoring: random
-// merge/enrich sequences scored through the delta-maintained evidence
-// digests must be bit-identical — similarities, statuses, merge sets, and
-// engine counters — to the same sequences scored by a full-rescan
-// reference scorer. The two scorers below implement the same similarity
-// template (a generic S_rv average plus gated boolean boosts, mirroring
-// the simfn scoring shape); only their evidence access differs.
+// This file holds the twin-graph determinism property test: random
+// merge/enrich sequences applied to two identically constructed graphs and
+// scored by the one scorer below must leave them bit-identical —
+// similarities, statuses, merge sets, and engine counters — so an engine
+// decision that leaks map iteration order (or any other nondeterminism)
+// fails it. The scorer implements the simfn template's shape (a generic
+// S_rv average plus gated boolean boosts) over a fresh scan of the
+// in-edges, as every propagation step does.
 
 const (
 	eqTRV   = 0.3
@@ -40,10 +41,10 @@ func eqScoreTemplate(sum float64, count, strong, weak int) float64 {
 	return total
 }
 
-// eqRescanScore is the retained reference scorer: a full scan of the
-// incoming edges on every call, accumulating evidence kinds in sorted
-// order so float rounding matches the digest path exactly.
-func eqRescanScore(n *Node) float64 {
+// eqScore scans the incoming edges afresh on every call, accumulating
+// evidence kinds in sorted order so float rounding never depends on
+// adjacency or map order.
+func eqScore(n *Node) float64 {
 	if n.Kind() == ValuePair {
 		for _, e := range n.In() {
 			if e.Dep == StrongBoolean && e.From.Status() == Merged {
@@ -83,23 +84,6 @@ func eqRescanScore(n *Node) float64 {
 		sum += maxBy[k]
 	}
 	return eqScoreTemplate(sum, len(kinds), strong, weak)
-}
-
-// eqDigestScore reads the delta-maintained digest instead of rescanning.
-func eqDigestScore(n *Node) float64 {
-	d := n.Digest()
-	if n.Kind() == ValuePair {
-		if d.StrongMergedCount() > 0 {
-			return 1
-		}
-		return n.Sim()
-	}
-	sum, count := 0.0, 0
-	d.EachRealEvidence(func(_ string, max float64) {
-		sum += max
-		count++
-	})
-	return eqScoreTemplate(sum, count, d.StrongMergedCount(), d.WeakMergedCount())
 }
 
 func eqOptions(scorer func(*Node) float64) Options {
@@ -173,60 +157,37 @@ func eqSnapshot(g *Graph) string {
 	return strings.Join(lines, "\n")
 }
 
-// eqComparable zeroes the delta counters: the rescan run never touches
-// aggregates, so only the shared engine counters are compared.
-func eqComparable(st Stats) Stats {
-	st.DeltaHits, st.AggBuilds, st.AggRebuilds = 0, 0, 0
-	return st
-}
-
-func eqCheckAggregates(t *testing.T, g *Graph, seed int64, phase string) {
-	t.Helper()
-	g.Nodes(func(n *Node) {
-		if msg := n.CheckAggregate(); msg != "" {
-			t.Fatalf("seed %d %s: node %s aggregate inconsistent: %s", seed, phase, n.Key(), msg)
-		}
-	})
-}
-
 // TestDeltaRescanEquivalence drives pairs of identically constructed
-// random graphs — one scored via delta-maintained digests, one via the
-// full-rescan reference scorer — through a propagation run, an incremental
-// second construction batch, and a second run. After every phase the two
-// graphs must agree exactly, and every maintained aggregate must equal a
-// fresh scan of its in-edges.
+// random graphs, both scored by eqScore, through a propagation run, an
+// incremental second construction batch, and a second run. After every
+// phase the twins must agree exactly — stats and Float64bits snapshots —
+// and both must pass the graph invariants. (The name predates the removal
+// of the delta-maintained scorer this once compared against.)
 func TestDeltaRescanEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
-		gDelta, gRescan := New(), New()
-		rngD := rand.New(rand.NewSource(seed))
-		rngR := rand.New(rand.NewSource(seed))
+		gA, gB := New(), New()
+		rngA := rand.New(rand.NewSource(seed))
+		rngB := rand.New(rand.NewSource(seed))
 
 		for batch, refHi := range []int{24, 40} {
 			phase := fmt.Sprintf("batch %d", batch)
-			seedD := eqBuildPhase(gDelta, rngD, refHi)
-			seedR := eqBuildPhase(gRescan, rngR, refHi)
-			if len(seedD) != len(seedR) {
+			seedA := eqBuildPhase(gA, rngA, refHi)
+			seedB := eqBuildPhase(gB, rngB, refHi)
+			if len(seedA) != len(seedB) {
 				t.Fatalf("seed %d %s: construction diverged", seed, phase)
 			}
-			stD := gDelta.Run(seedD, eqOptions(eqDigestScore))
-			stR := gRescan.Run(seedR, eqOptions(eqRescanScore))
+			stA := gA.Run(seedA, eqOptions(eqScore))
+			stB := gB.Run(seedB, eqOptions(eqScore))
 
-			if got, want := eqComparable(stD), eqComparable(stR); got != want {
-				t.Errorf("seed %d %s: delta stats %+v != rescan stats %+v", seed, phase, got, want)
+			if stA != stB {
+				t.Errorf("seed %d %s: twin stats %+v != %+v", seed, phase, stA, stB)
 			}
-			if stR.DeltaHits != 0 || stR.AggBuilds != 0 || stR.AggRebuilds != 0 {
-				t.Errorf("seed %d %s: rescan run reported aggregate activity: %+v", seed, phase, stR)
+			if snapA, snapB := eqSnapshot(gA), eqSnapshot(gB); snapA != snapB {
+				t.Fatalf("seed %d %s: twins diverged\n--- A ---\n%s\n--- B ---\n%s",
+					seed, phase, snapA, snapB)
 			}
-			if stD.DeltaHits == 0 {
-				t.Errorf("seed %d %s: delta run served no digest hits", seed, phase)
-			}
-			if snapD, snapR := eqSnapshot(gDelta), eqSnapshot(gRescan); snapD != snapR {
-				t.Fatalf("seed %d %s: graphs diverged\n--- delta ---\n%s\n--- rescan ---\n%s",
-					seed, phase, snapD, snapR)
-			}
-			eqCheckAggregates(t, gDelta, seed, phase)
-			checkInvariants(t, gDelta, seed)
-			checkInvariants(t, gRescan, seed)
+			checkInvariants(t, gA, seed)
+			checkInvariants(t, gB, seed)
 		}
 	}
 }

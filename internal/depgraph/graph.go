@@ -29,13 +29,11 @@ type Graph struct {
 	alive   []bool
 	queued  []bool
 	qgen    []uint64
-	agg     []*aggregate
 	inSpan  []span
 	outSpan []span
 
 	handles  []*Node // the stable public handle per node id
 	nodeSlab []Node
-	aggSlab  []aggregate
 
 	// Edge columns, indexed by edge id, plus the shared adjacency arena.
 	// eOutPos / eInPos hold the edge's position inside its source's
@@ -65,14 +63,6 @@ type Graph struct {
 	// enrichment fold l -> m just before l is removed.
 	onFold func(l, m *Node)
 
-	// maintain turns on delta-maintenance of per-node evidence aggregates.
-	// It is set by the first Run and stays on: from then every mutation
-	// that can change a node's evidence goes through a hook in
-	// aggregate.go, so memoized digests remain exact across incremental
-	// sessions. Outside maintained mode Digest falls back to a full scan,
-	// which keeps direct Status/Sim mutation (tests, construction) safe.
-	maintain bool
-	delta    deltaCounters
 	// dedup tallies hasEdge's traffic since the last Run returned: calls
 	// and edges examined. Run reports and clears it.
 	dedup struct{ adds, probes uint64 }
@@ -221,7 +211,7 @@ func (g *Graph) AddValuePair(evidence, elemX, elemY string, sim float64) *Node {
 			if y, ok := g.strs.lookup(elemY); ok {
 				if id, ok := g.byVal[valueIdent{ev: evID, x: x, y: y}]; ok {
 					n := g.handles[id]
-					if sim > g.sim[id] && g.status[id] != NonMerge {
+					if g.status[id] != NonMerge {
 						g.raiseSim(n, sim)
 					}
 					return n
@@ -269,7 +259,6 @@ func (g *Graph) addEdgeIDs(from, to int32, dep DepType, ev int32) bool {
 	g.spanAppend(&g.outSpan[from], e)
 	g.spanAppend(&g.inSpan[to], e)
 	g.edgeCount++
-	g.aggOnAddEdge(e)
 	return true
 }
 
@@ -321,16 +310,13 @@ func (g *Graph) removeNode(n *Node) {
 		g.edgeCount--
 	}
 	for _, e := range g.spanIDs(g.outSpan[id]) {
-		to := g.eTo[e]
-		g.spanDrop(&g.inSpan[to], g.eInPos, e)
-		g.aggOnDropSource(g.handles[to], e)
+		g.spanDrop(&g.inSpan[g.eTo[e]], g.eInPos, e)
 		g.killEdge(e)
 		g.edgeCount--
 	}
 	g.adjGarbage += int(g.inSpan[id].cap) + int(g.outSpan[id].cap)
 	g.inSpan[id] = span{}
 	g.outSpan[id] = span{}
-	g.agg[id] = nil
 	g.alive[id] = false
 	if g.kind[id] == RefPair {
 		delete(g.byPair, packPair(g.refA[id], g.refB[id]))
@@ -355,25 +341,27 @@ func (g *Graph) MarkNonMerge(n *Node) {
 	if g.status[id] == NonMerge {
 		return
 	}
-	wasMerged := g.status[id] == Merged
 	g.status[id] = NonMerge
 	g.sim[id] = 0
 	g.queue.remove(n)
-	g.aggOnNonMerge(n, wasMerged)
 }
 
-// MarkMerged marks the node as merged, patching dependents' evidence
-// aggregates. All Merged transitions outside the engine's own pop path
-// (e.g. value pairs that clear their merge threshold at construction time)
-// must go through here rather than writing Status directly, or maintained
-// digests would go stale.
+// MarkMerged marks the node as merged (e.g. a value pair that clears its
+// merge threshold at construction time). A NonMerge node stays NonMerge.
 func (g *Graph) MarkMerged(n *Node) {
-	id := n.id
-	if g.status[id] == Merged || g.status[id] == NonMerge {
-		return
+	if g.status[n.id] != NonMerge {
+		g.status[n.id] = Merged
 	}
-	g.status[id] = Merged
-	g.aggOnMerged(n)
+}
+
+// raiseSim raises n's similarity, never lowering it. Every similarity
+// increase — engine scoring, fold inheritance, AddValuePair on an existing
+// node, RaiseSim — goes through here, which is what keeps similarities
+// monotone (§3.2's termination argument).
+func (g *Graph) raiseSim(n *Node, sim float64) {
+	if sim > g.sim[n.id] {
+		g.sim[n.id] = sim
+	}
 }
 
 // Nodes invokes fn for every live node, in insertion order.

@@ -23,7 +23,7 @@
 //
 // Node and edge state lives in columnar arrays on the Graph, indexed by
 // dense int32 ids: one flat slice per field (kind, status, sim, refs,
-// class, flags, aggregate) instead of one heap object per node, and one
+// class, flags) instead of one heap object per node, and one
 // slice per edge field (endpoints, dependency type, interned evidence)
 // instead of one heap object per edge. Adjacency is a CSR-style layout:
 // per-node spans of edge ids into a shared arena, appended in place while
@@ -188,15 +188,11 @@ func (n *Node) Sim() float64 { return n.g.sim[n.id] }
 // Status is the propagation state.
 func (n *Node) Status() Status { return n.g.status[n.id] }
 
-// SetSim writes the similarity directly. Safe during construction and in
-// tests; once the graph is in maintained mode (from the first Run on),
-// similarity increases must go through the graph's internal raiseSim hook
-// instead, which this bypasses.
+// SetSim writes the similarity directly, bypassing the monotone raise the
+// engine uses (construction and tests).
 func (n *Node) SetSim(v float64) { n.g.sim[n.id] = v }
 
-// SetStatus writes the propagation state directly. Safe during
-// construction and in tests; in maintained mode use MarkMerged /
-// MarkNonMerge so dependents' evidence digests stay exact.
+// SetStatus writes the propagation state directly (construction and tests).
 func (n *Node) SetStatus(s Status) { n.g.status[n.id] = s }
 
 // In returns the incoming edges, materialized into a fresh slice. Prefer

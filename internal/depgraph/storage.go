@@ -72,7 +72,6 @@ type valueIdent struct {
 
 const (
 	nodeSlabSize = 512
-	aggSlabSize  = 256
 	spanMinCap   = 4
 )
 
@@ -85,18 +84,6 @@ func (g *Graph) newHandle(id int32) *Node {
 	g.nodeSlab = g.nodeSlab[1:]
 	h.g, h.id = g, id
 	return h
-}
-
-// newAggregate carves one aggregate from the slab, with its kinds slice
-// backed by the inline array (no further allocation for typical nodes).
-func (g *Graph) newAggregate() *aggregate {
-	if len(g.aggSlab) == 0 {
-		g.aggSlab = make([]aggregate, aggSlabSize)
-	}
-	a := &g.aggSlab[0]
-	g.aggSlab = g.aggSlab[1:]
-	a.kinds = a.inline[:0]
-	return a
 }
 
 // newNode appends one row to every node column and returns its id.
@@ -114,7 +101,6 @@ func (g *Graph) newNode(kind Kind) int32 {
 	g.alive = append(g.alive, true)
 	g.queued = append(g.queued, false)
 	g.qgen = append(g.qgen, 0)
-	g.agg = append(g.agg, nil)
 	g.inSpan = append(g.inSpan, span{})
 	g.outSpan = append(g.outSpan, span{})
 	g.handles = append(g.handles, g.newHandle(id))

@@ -185,7 +185,7 @@ func (rc *Reconciler) pairSim(lib *simfn.Library, r1, r2 *reference.Reference) f
 	if !ok {
 		return 0 // the baseline compares nothing of other classes
 	}
-	ev := simfn.Evidence{Real: make(map[string]float64)}
+	var ev simfn.Evidence
 	for _, ae := range row.compare {
 		best, seen := 0.0, false
 		for _, v1 := range r1.Atomic(ae.attr) {
@@ -197,10 +197,10 @@ func (rc *Reconciler) pairSim(lib *simfn.Library, r1, r2 *reference.Reference) f
 			}
 		}
 		if seen {
-			ev.Real[ae.evidence] = best
+			ev.Observe(ae.evidence, best)
 		}
 	}
-	return row.score.SRV(ev)
+	return row.score.SRV(&ev)
 }
 
 // blockKeysAttrWise emits blocking keys from same-attribute values only,

@@ -6,7 +6,7 @@ import "sync/atomic"
 // incrementing one is a single uncontended atomic add, and reading them
 // never locks — so they are cheap enough to leave enabled on a serving
 // path. Hot loops that run millions of times per reconcile (strsim,
-// digest scoring) must still gate on a nil *Counters: with observability
+// node scoring) must still gate on a nil *Counters: with observability
 // off, the cost of the whole layer is that one pointer comparison.
 //
 // Counters accumulate monotonically for the lifetime of the struct; a
@@ -33,11 +33,6 @@ type Counters struct {
 	RequeueStrong  atomic.Int64
 	RequeueWeak    atomic.Int64
 	QueueHighWater atomic.Int64 // max, not sum
-
-	// Delta-scoring effectiveness (digest hits vs aggregate builds).
-	DeltaHits   atomic.Int64
-	AggBuilds   atomic.Int64
-	AggRebuilds atomic.Int64
 
 	// Sharded reconciliation (zero under the monolithic path): component
 	// engine runs, partition shape, boundary-frontier traffic.
@@ -92,9 +87,6 @@ type CounterSnapshot struct {
 	RequeueStrong          int64 `json:"requeueStrong"`
 	RequeueWeak            int64 `json:"requeueWeak"`
 	QueueHighWater         int64 `json:"queueHighWater"`
-	DeltaHits              int64 `json:"deltaHits"`
-	AggBuilds              int64 `json:"aggBuilds"`
-	AggRebuilds            int64 `json:"aggRebuilds"`
 	ShardRuns              int64 `json:"shardRuns"`
 	ShardComponents        int64 `json:"shardComponents"`
 	LargestComponent       int64 `json:"largestComponent"`
@@ -131,9 +123,6 @@ func (c *Counters) Snapshot() CounterSnapshot {
 		RequeueStrong:          c.RequeueStrong.Load(),
 		RequeueWeak:            c.RequeueWeak.Load(),
 		QueueHighWater:         c.QueueHighWater.Load(),
-		DeltaHits:              c.DeltaHits.Load(),
-		AggBuilds:              c.AggBuilds.Load(),
-		AggRebuilds:            c.AggRebuilds.Load(),
 		ShardRuns:              c.ShardRuns.Load(),
 		ShardComponents:        c.ShardComponents.Load(),
 		LargestComponent:       c.LargestComponent.Load(),

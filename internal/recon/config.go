@@ -134,20 +134,12 @@ type Config struct {
 	// path: components drift and merge across batches, so a per-batch
 	// re-split would forfeit the retained graph the session exists to keep.
 	Shards int
-	// RescanScoring disables delta-maintained evidence digests: every
-	// propagation step rescans the node's full incoming neighborhood, the
-	// pre-optimization reference behavior. Results are bit-identical either
-	// way (the determinism tests enforce it); the flag exists for
-	// benchmarking the delta scorer against its baseline and as an escape
-	// hatch.
-	RescanScoring bool
 	// Audit runs the structural invariant auditor (package audit) at every
 	// phase boundary — after graph construction, after the propagation
 	// fixed point, and after the transitive closure. A violation aborts the
 	// run with a descriptive error. The graph checks cost one extra scan of
-	// nodes, edges, and maintained aggregates per phase; leave Audit off in
-	// production-scale runs and on in CI and while bisecting a suspected
-	// consistency bug.
+	// nodes and edges per phase; leave Audit off in production-scale runs
+	// and on in CI and while bisecting a suspected consistency bug.
 	Audit bool
 	// Obs attaches the observability layer (package obs): span tracing,
 	// counters, progress events, pprof phase labels. Nil — the default —

@@ -82,12 +82,10 @@ func newEvidence(sch *schema.Schema, cfg Config) *evidence {
 
 // engineOptions is the one place the propagation engine's scorer and merge
 // thresholds are built: one-shot and incremental reconciliation and the
-// query-time collective pass all run with it. The scorer reads the
-// delta-maintained evidence digests unless Config.RescanScoring forces the
-// reference full-rescan path.
+// query-time collective pass all run with it.
 func (e *evidence) engineOptions() depgraph.Options {
 	return depgraph.Options{
-		Scorer:         &simfn.Scorer{Rows: e.scores, Rescan: e.cfg.RescanScoring},
+		Scorer:         &simfn.Scorer{Rows: e.scores},
 		MergeThreshold: e.mergeThreshold,
 		Propagate:      e.cfg.Mode.propagate(),
 		Enrich:         e.cfg.Mode.enrich(),
@@ -235,8 +233,6 @@ func (k valueElems) elemKey(attr, raw string) string {
 func wireValuePair(g *depgraph.Graph, m *depgraph.Node, elems valueElems, v valCompare, sim, attrMerge float64) {
 	n := g.AddValuePair(v.cmp.evidence, elems.elemKey(v.cmp.attrA, v.v1), elems.elemKey(v.cmp.attrB, v.v2), sim)
 	if n.Sim() >= attrMerge {
-		// MarkMerged (not a direct Status write) so that incremental
-		// batches keep the maintained evidence digests exact.
 		g.MarkMerged(n)
 	}
 	g.AddEdge(n, m, depgraph.RealValued, v.cmp.evidence)

@@ -180,16 +180,11 @@ func (m *Matcher) Rank(cands []Candidate, limit int) []Candidate {
 // scoreEntity scores the query against one entity's unioned attribute
 // values: per evidence label, the maximum comparator similarity over the
 // value cross product (above the same evidence floor construction uses),
-// combined by the class decision tree.
+// combined by the class decision tree (every tree scores no evidence 0).
 func (m *Matcher) scoreEntity(qr *reference.Reference, ent *Entity) float64 {
-	ev := simfn.Evidence{Real: make(map[string]float64)}
+	var ev simfn.Evidence
 	m.eachScored(qr, ent.union, func(v valCompare, sim float64) {
-		if cur, ok := ev.Real[v.cmp.evidence]; !ok || sim > cur {
-			ev.Real[v.cmp.evidence] = sim
-		}
+		ev.Observe(v.cmp.evidence, sim)
 	})
-	if len(ev.Real) == 0 {
-		return 0
-	}
-	return m.row(qr.Class).score.SRV(ev)
+	return m.row(qr.Class).score.SRV(&ev)
 }

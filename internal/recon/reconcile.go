@@ -176,9 +176,6 @@ func feedEngineCounters(c *obs.Counters, e depgraph.Stats) {
 	c.RequeueReal.Add(int64(e.RequeueReal))
 	c.RequeueStrong.Add(int64(e.RequeueStrong))
 	c.RequeueWeak.Add(int64(e.RequeueWeak))
-	c.DeltaHits.Add(int64(e.DeltaHits))
-	c.AggBuilds.Add(int64(e.AggBuilds))
-	c.AggRebuilds.Add(int64(e.AggRebuilds))
 	obs.UpdateMax(&c.QueueHighWater, int64(e.QueueHighWater))
 }
 

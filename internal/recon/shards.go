@@ -4,7 +4,7 @@ package recon
 // exactly as the monolithic path does (so the candidate set, node and edge
 // shapes, and their stats are identical by construction), then package
 // shard splits it into blocking-connected components, each with a private
-// columnar graph, evidence aggregates, and queue. Components are grouped
+// columnar graph and queue. Components are grouped
 // into Config.Shards balanced groups and one propagation engine runs per
 // group concurrently; after every wave the serial boundary sync pushes
 // cross-component evidence (association and contact edges between
@@ -254,9 +254,6 @@ func addEngineStats(dst *depgraph.Stats, s depgraph.Stats) {
 	dst.RequeueReal += s.RequeueReal
 	dst.RequeueStrong += s.RequeueStrong
 	dst.RequeueWeak += s.RequeueWeak
-	dst.DeltaHits += s.DeltaHits
-	dst.AggBuilds += s.AggBuilds
-	dst.AggRebuilds += s.AggRebuilds
 	dst.EdgeAdds += s.EdgeAdds
 	dst.DedupProbes += s.DedupProbes
 	if s.QueueHighWater > dst.QueueHighWater {

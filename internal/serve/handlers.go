@@ -6,6 +6,7 @@ package serve
 // response is echoed in the X-Snapshot-Version header.
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -301,13 +302,16 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	resp, err := s.IngestContext(r.Context(), batch)
+	// net/http cancels r.Context() when the client hangs up. By then the
+	// batch may be logged and stored, and a cancelled commit would poison
+	// the session and make the next ingest rebuild the whole store — so the
+	// ingest runs to completion whoever is still listening.
+	resp, err := s.IngestContext(context.WithoutCancel(r.Context()), batch)
 	if err != nil {
 		code := statusFor(err)
 		if code == http.StatusServiceUnavailable {
-			// A cancelled commit poisoned the session (the next ingest
-			// rebuilds it) and a closing service is about to restart:
-			// either way a prompt retry is expected to succeed.
+			// A closing service (ErrUnavailable) is about to restart: a
+			// prompt retry is expected to succeed.
 			w.Header().Set("Retry-After", "1")
 		}
 		writeErr(w, code, "%v", err)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -305,6 +306,34 @@ func TestServeIngestValidation(t *testing.T) {
 	}
 	if got := svc.View().Snapshot.RefCount(); got != 5 {
 		t.Errorf("snapshot refs = %d, want 5", got)
+	}
+}
+
+// TestServeIngestClientHangUp sends an ingest whose request context is
+// already cancelled — net/http's signal that the client hung up. The batch
+// is stored either way, so the commit must run to completion instead of
+// poisoning the session and forcing the next ingest to rebuild the store.
+func TestServeIngestClientHangUp(t *testing.T) {
+	svc, err := NewFromStore(Config{Schema: schema.PIM(), Name: "refrecon-test"}, personStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := svc.View().Snapshot.Version
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/ingest", ingestBody([]IngestRef{
+		{Class: schema.ClassPerson, Atomic: map[string][]string{schema.AttrName: {"Dana White"}}},
+	})).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("hung-up ingest status = %d, want 200: %s", rec.Code, rec.Body)
+	}
+	if got := svc.Metrics().SessionPoisoned; got != 0 {
+		t.Errorf("sessionPoisoned = %d, want 0", got)
+	}
+	if got, want := rec.Header().Get("X-Snapshot-Version"), strconv.Itoa(before+1); got != want {
+		t.Errorf("X-Snapshot-Version = %q, want %q", got, want)
 	}
 }
 

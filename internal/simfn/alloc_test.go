@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"refrecon/internal/obs"
+	"refrecon/internal/schema"
 )
 
 // Compare's memoized path is the hottest call in graph construction: every
@@ -44,5 +45,18 @@ func TestCompareCacheHitZeroAllocsWithCounters(t *testing.T) {
 	})
 	if c.SimfnCacheHits.Load() == 0 {
 		t.Fatal("counters attached but no cache hits recorded")
+	}
+}
+
+// Every propagation step gathers the node's evidence afresh, so Score's
+// allocation count is a per-step cost. A RefPair node with up to four
+// evidence labels fits Evidence's inline storage: the one allocation left
+// is the Evidence itself, which escapes because the score row's tree is an
+// indirect call.
+func TestScoreAllocsPerStep(t *testing.T) {
+	s := paperScorer()
+	n := buildNode(schema.ClassPerson, map[string]float64{EvName: 0.8, EvEmail: 0.7, EvNameEmail: 0.6, EvContact: 0.5}, 2, 1)
+	if allocs := testing.AllocsPerRun(200, func() { allocSink += s.Score(n) }); allocs > 1 {
+		t.Errorf("Scorer.Score: %.1f allocs/op, want <= 1", allocs)
 	}
 }

@@ -1,10 +1,6 @@
 package simfn
 
-import (
-	"sort"
-
-	"refrecon/internal/depgraph"
-)
+import "refrecon/internal/depgraph"
 
 // ClassParams are the per-class tuning constants of §4/§5.2.
 type ClassParams struct {
@@ -33,14 +29,14 @@ type ClassScore struct {
 	// weighted average over the present evidence; nil for a tree with
 	// coefficients of its own.
 	weights []float64
-	tree    func(c *ClassScore, ev EvidenceView) float64
+	tree    func(c *ClassScore, ev *Evidence) float64
 }
 
 // SRV computes the row's S_rv decision tree over the evidence. The trees are
 // monotone in the evidence values (§3.2's termination argument), with one
 // pinned exception at the Article title gate; TestScoreRowsMonotone walks
 // the table.
-func (c *ClassScore) SRV(ev EvidenceView) float64 { return c.tree(c, ev) }
+func (c *ClassScore) SRV(ev *Evidence) float64 { return c.tree(c, ev) }
 
 // The score rows. The published constants (§5.2): β = 0.1 (0.2 for Venue),
 // γ = 0.05, t_rv = 0.7 (0.1 for Venue).
@@ -74,97 +70,84 @@ var (
 	ScoreGeneric = &ClassScore{ClassParams: defaultParams, tree: srvGeneric}
 )
 
-// Evidence is the digest of a node's incoming edges: per evidence type, the
-// maximum similarity among real-valued sources (§4's MAX rule for
-// multi-valued attributes), plus the counts of merged boolean-valued
-// sources.
+// Evidence is the digest of a node's incoming edges: per real-valued
+// evidence label, the maximum similarity among the present sources (§4's
+// MAX rule for multi-valued attributes), plus the counts of merged
+// boolean-valued sources. The labels are kept sorted in a small slice with
+// inline storage, so the trees enumerate them in one deterministic order
+// and a node with a handful of labels costs no allocation beyond the
+// Evidence itself. An Evidence must not be copied once filled.
 type Evidence struct {
-	Real         map[string]float64
 	StrongMerged int
 	WeakMerged   int
-	// NonMergeReal marks evidence types for which some incoming
-	// real-valued source is a non-merge node (hard negative evidence the
-	// decision tree must respect, §4).
-	NonMergeReal map[string]bool
+	labels       []labelMax // sorted by label
+	inline       [4]labelMax
 }
 
-// Gather digests the incoming edges of a reference-pair node.
-func Gather(n *depgraph.Node) Evidence {
-	ev := Evidence{Real: make(map[string]float64)}
-	for _, e := range n.In() {
-		src := e.From
+// labelMax is one evidence label's running maximum.
+type labelMax struct {
+	label string
+	max   float64
+}
+
+// Gather digests a node's incoming edges afresh. Every propagation step
+// scores from it: nothing about a neighbourhood is memoised between steps.
+func Gather(n *depgraph.Node) *Evidence {
+	ev := new(Evidence)
+	n.EachIn(func(e depgraph.Edge) {
 		switch e.Dep {
 		case depgraph.RealValued:
-			if src.Status() == depgraph.NonMerge {
-				if ev.NonMergeReal == nil {
-					ev.NonMergeReal = make(map[string]bool)
-				}
-				ev.NonMergeReal[e.Evidence] = true
-				continue
-			}
-			// Presence matters even at similarity zero: an evidence type
-			// that was compared and found dissimilar must not masquerade
-			// as a missing attribute (the renormalizing similarity
-			// functions would otherwise inflate the remaining evidence).
-			if cur, ok := ev.Real[e.Evidence]; !ok || src.Sim() > cur {
-				ev.Real[e.Evidence] = src.Sim()
+			// A NonMerge source is constrained distinct: no evidence.
+			if e.From.Status() != depgraph.NonMerge {
+				ev.Observe(e.Evidence, e.From.Sim())
 			}
 		case depgraph.StrongBoolean:
-			if src.Status() == depgraph.Merged {
+			if e.From.Status() == depgraph.Merged {
 				ev.StrongMerged++
 			}
 		case depgraph.WeakBoolean:
-			if src.Status() == depgraph.Merged {
+			if e.From.Status() == depgraph.Merged {
 				ev.WeakMerged++
 			}
 		}
-	}
+	})
 	return ev
 }
 
-// EvidenceView is the read-only evidence access the decision trees consume.
-// Two implementations exist: Evidence (a full rescan of the incoming edges,
-// the reference semantics) and depgraph.EvidenceDigest (the delta-maintained
-// aggregate, O(changed neighbors) per step). The contract for bit-identical
-// scores: both enumerate present evidence kinds in lexicographic order and
-// expose the same per-kind maxima and boolean counts.
-type EvidenceView interface {
-	// RealEvidence returns the maximum similarity among real-valued sources
-	// of the kind and whether any such source is present.
-	RealEvidence(kind string) (float64, bool)
-	// EachRealEvidence visits the present kinds in lexicographic order.
-	EachRealEvidence(fn func(kind string, max float64))
-	// StrongMergedCount returns the number of merged strong-boolean sources.
-	StrongMergedCount() int
-	// WeakMergedCount returns the number of merged weak-boolean sources.
-	WeakMergedCount() int
-}
-
-// RealEvidence implements EvidenceView.
-func (ev Evidence) RealEvidence(kind string) (float64, bool) {
-	v, ok := ev.Real[kind]
-	return v, ok
-}
-
-// EachRealEvidence implements EvidenceView: kinds are visited in sorted
-// order so that accumulation order (and thus float rounding) matches the
-// digest path bit for bit.
-func (ev Evidence) EachRealEvidence(fn func(kind string, max float64)) {
-	kinds := make([]string, 0, len(ev.Real))
-	for k := range ev.Real {
-		kinds = append(kinds, k)
+// Observe folds one present real-valued source of the label into the
+// label's maximum. Presence matters even at similarity zero: an evidence
+// type that was compared and found dissimilar must not masquerade as a
+// missing attribute (the renormalizing trees would otherwise inflate the
+// remaining evidence).
+func (ev *Evidence) Observe(label string, sim float64) {
+	i := 0
+	for i < len(ev.labels) && ev.labels[i].label < label {
+		i++
 	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
-		fn(k, ev.Real[k])
+	if i < len(ev.labels) && ev.labels[i].label == label {
+		if sim > ev.labels[i].max {
+			ev.labels[i].max = sim
+		}
+		return
 	}
+	if ev.labels == nil {
+		ev.labels = ev.inline[:0]
+	}
+	ev.labels = append(ev.labels, labelMax{})
+	copy(ev.labels[i+1:], ev.labels[i:])
+	ev.labels[i] = labelMax{label, sim}
 }
 
-// StrongMergedCount implements EvidenceView.
-func (ev Evidence) StrongMergedCount() int { return ev.StrongMerged }
-
-// WeakMergedCount implements EvidenceView.
-func (ev Evidence) WeakMergedCount() int { return ev.WeakMerged }
+// max returns the label's maximum similarity and whether any source of it
+// is present.
+func (ev *Evidence) max(label string) (float64, bool) {
+	for _, l := range ev.labels {
+		if l.label == label {
+			return l.max, true
+		}
+	}
+	return 0, false
+}
 
 // Scorer scores dependency-graph nodes with the paper's similarity
 // template. It implements depgraph.Scorer.
@@ -172,64 +155,34 @@ type Scorer struct {
 	// Rows maps each class to its score row; a class without an entry is
 	// scored by ScoreGeneric.
 	Rows map[string]*ClassScore
-	// Rescan forces the reference scoring path: every Score call digests
-	// the node's full incoming neighborhood with Gather. When false (the
-	// default) Score reads the node's delta-maintained evidence digest,
-	// making each propagation step O(changed neighbors). Both paths
-	// produce bit-identical similarities; the equivalence tests enforce it.
-	Rescan bool
 }
 
-// Score implements depgraph.Scorer.
+// Score implements depgraph.Scorer over the node's freshly gathered
+// evidence. A value pair's similarity is its precomputed score, raised to 1
+// once a strong-boolean source has merged — alias learning: two venue names
+// become known aliases when a reference pair they identify reconciles.
 func (s *Scorer) Score(n *depgraph.Node) float64 {
+	ev := Gather(n)
 	if n.Kind() == depgraph.ValuePair {
-		return s.scoreValuePairNode(n)
-	}
-	var view EvidenceView
-	if s.Rescan {
-		view = Gather(n)
-	} else {
-		view = n.Digest()
+		if ev.StrongMerged > 0 {
+			return 1
+		}
+		return n.Sim()
 	}
 	row := s.Rows[n.Class()]
 	if row == nil {
 		row = ScoreGeneric
 	}
-	srv := row.SRV(view)
+	srv := row.SRV(ev)
 	total := srv
 	if srv >= row.TRV {
-		total += row.Beta * float64(view.StrongMergedCount())
-		total += row.Gamma * float64(view.WeakMergedCount())
+		total += row.Beta * float64(ev.StrongMerged)
+		total += row.Gamma * float64(ev.WeakMerged)
 	}
 	if total > 1 {
 		total = 1
 	}
 	return total
-}
-
-// scoreValuePairNode implements alias learning: a value pair's similarity
-// is its precomputed score, raised to 1 once any reference pair it
-// identifies (an incoming strong-boolean neighbor) has merged — e.g. two
-// venue names become known aliases when their venues reconcile.
-func (s *Scorer) scoreValuePairNode(n *depgraph.Node) float64 {
-	if s.Rescan {
-		return scoreValuePair(n)
-	}
-	if n.Digest().StrongMergedCount() > 0 {
-		return 1
-	}
-	return n.Sim()
-}
-
-// scoreValuePair is the rescan form of alias learning.
-func scoreValuePair(n *depgraph.Node) float64 {
-	s := n.Sim()
-	for _, e := range n.In() {
-		if e.Dep == depgraph.StrongBoolean && e.From.Status() == depgraph.Merged {
-			return 1
-		}
-	}
-	return s
 }
 
 // srvPerson is the Person decision tree:
@@ -244,10 +197,10 @@ func scoreValuePair(n *depgraph.Node) float64 {
 // The branches are alternatives; the best applicable one wins, which keeps
 // the function monotone and avoids penalizing missing or multi-valued
 // attributes (§4).
-func srvPerson(_ *ClassScore, ev EvidenceView) float64 {
-	name, hasName := ev.RealEvidence(EvName)
-	email, hasEmail := ev.RealEvidence(EvEmail)
-	cross, hasCross := ev.RealEvidence(EvNameEmail)
+func srvPerson(_ *ClassScore, ev *Evidence) float64 {
+	name, hasName := ev.max(EvName)
+	email, hasEmail := ev.max(EvEmail)
+	cross, hasCross := ev.max(EvNameEmail)
 
 	if hasEmail && email >= 1 {
 		return 1 // key attribute agreement
@@ -275,9 +228,9 @@ func srvPerson(_ *ClassScore, ev EvidenceView) float64 {
 // evidence types that are present (missing attributes are excluded rather
 // than scored 0, §4), with title dominating. An exact title plus exact
 // pages acts as a key.
-func srvArticle(c *ClassScore, ev EvidenceView) float64 {
-	title, hasTitle := ev.RealEvidence(EvTitle)
-	pages, hasPages := ev.RealEvidence(EvPages)
+func srvArticle(c *ClassScore, ev *Evidence) float64 {
+	title, hasTitle := ev.max(EvTitle)
+	pages, hasPages := ev.max(EvPages)
 	if hasTitle && title >= 1 && hasPages && pages >= 1 {
 		return 1
 	}
@@ -293,28 +246,27 @@ func srvArticle(c *ClassScore, ev EvidenceView) float64 {
 	return c.weightedPresent(ev)
 }
 
-// srvGeneric averages whatever evidence is present with equal weight. Kinds
-// are accumulated in the view's sorted enumeration order so both evidence
-// views round identically.
-func srvGeneric(_ *ClassScore, ev EvidenceView) float64 {
-	sum, count := 0.0, 0
-	ev.EachRealEvidence(func(_ string, v float64) {
-		sum += v
-		count++
-	})
-	if count == 0 {
+// srvGeneric averages whatever evidence is present with equal weight,
+// accumulated in sorted label order so the rounding is one fixed function
+// of the evidence.
+func srvGeneric(_ *ClassScore, ev *Evidence) float64 {
+	if len(ev.labels) == 0 {
 		return 0
 	}
-	return sum / float64(count)
+	sum := 0.0
+	for _, l := range ev.labels {
+		sum += l.max
+	}
+	return sum / float64(len(ev.labels))
 }
 
 // weightedPresent is the row's weighted average over the evidence types
 // that are present: a missing attribute is excluded rather than scored 0
 // (§4), so the weights renormalize.
-func (c *ClassScore) weightedPresent(ev EvidenceView) float64 {
+func (c *ClassScore) weightedPresent(ev *Evidence) float64 {
 	num, den := 0.0, 0.0
 	for i, label := range c.Reads {
-		if v, ok := ev.RealEvidence(label); ok {
+		if v, ok := ev.max(label); ok {
 			num += c.weights[i] * v
 			den += c.weights[i]
 		}

@@ -10,8 +10,12 @@ import (
 	"refrecon/internal/schema"
 )
 
-func evWith(real map[string]float64) Evidence {
-	return Evidence{Real: real}
+func evWith(real map[string]float64) *Evidence {
+	ev := new(Evidence)
+	for label, v := range real {
+		ev.Observe(label, v)
+	}
+	return ev
 }
 
 func TestSRVPersonKeyBranch(t *testing.T) {
@@ -186,12 +190,8 @@ func TestGatherNonMerge(t *testing.T) {
 	v := g.AddValuePair(EvEmail, "a@s.edu", "b@s.edu", 0.3)
 	g.MarkNonMerge(v)
 	g.AddEdge(v, n, depgraph.RealValued, EvEmail)
-	ev := Gather(n)
-	if _, ok := ev.Real[EvEmail]; ok {
+	if _, ok := Gather(n).max(EvEmail); ok {
 		t.Error("non-merge source should not contribute real evidence")
-	}
-	if !ev.NonMergeReal[EvEmail] {
-		t.Error("non-merge source should be flagged")
 	}
 }
 
