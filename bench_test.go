@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"refrecon"
+	"refrecon/internal/datagen/catalog"
 	"refrecon/internal/experiments"
 	"refrecon/internal/recon"
 	"refrecon/internal/reference"
@@ -433,6 +434,45 @@ func BenchmarkSimfnCompare(b *testing.B) {
 			lib.Compare(simfn.EvName, "Alon Y. Halevy", "A. Halevy "+string(rune('a'+i%26)))
 		}
 	})
+}
+
+// BenchmarkMatchCatalog measures one query-time Matcher.Match on a product
+// catalog, the default row's serving path: 200 fixed queries, each the
+// atomic values of one stored listing, cycled over a snapshot of
+// catalog.Default(2000, 1). Nearly all of a query is Monge-Elkan scoring
+// of the candidate entity's values.
+func BenchmarkMatchCatalog(b *testing.B) {
+	cat, err := catalog.Generate(catalog.Default(2000, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sch, cfg := schema.Catalog(), recon.DefaultConfig()
+	sess := recon.New(sch, cfg).NewSession(cat.Store)
+	if _, err := sess.Reconcile(); err != nil {
+		b.Fatal(err)
+	}
+	snap, err := sess.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := recon.NewMatcher(sch, cfg, snap)
+	refs := cat.Store.All()
+	queries := make([]recon.Query, 200)
+	for i := range queries {
+		r := refs[i*len(refs)/len(queries)]
+		q := recon.Query{Class: r.Class, Atomic: map[string][]string{}}
+		for _, a := range r.AtomicAttrs() {
+			q.Atomic[a] = r.Atomic(a)
+		}
+		queries[i] = q
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := m.Match(queries[i%len(queries)]); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkReconcileIndepDec measures baseline throughput on dataset A.

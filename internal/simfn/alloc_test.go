@@ -29,9 +29,11 @@ func TestCompareCacheHitZeroAllocs(t *testing.T) {
 	// Prime the cache; the measured loop then hits it every time.
 	allocSink += l.Compare(EvName, "Michael Stonebraker", "M. Stonebraker")
 	allocSink += l.Compare(EvTitle, "reference reconciliation", "refernce reconcilation")
+	allocSink += l.Compare("g:title", "Acme FA 7310 drill", "ACME FA-4730 Drill")
 	assertZeroAllocs(t, "Compare/cache-hit", func() {
 		allocSink += l.Compare(EvName, "Michael Stonebraker", "M. Stonebraker")
 		allocSink += l.Compare(EvTitle, "reference reconciliation", "refernce reconcilation")
+		allocSink += l.Compare("g:title", "Acme FA 7310 drill", "ACME FA-4730 Drill")
 	})
 }
 

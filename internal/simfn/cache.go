@@ -13,9 +13,9 @@ import (
 //     value pair that recurs across many reference pairs — ubiquitous in
 //     PIM and Cora data, where a handful of name spellings and venue
 //     strings cover most references — is scored once;
-//   - memoization of parsed names and email addresses keyed by the raw
-//     value, so a value shared by many *distinct* pairs is parsed once
-//     instead of once per comparison.
+//   - memoization of parsed names, email addresses and word-token lists
+//     keyed by the raw value, so a value shared by many *distinct* pairs
+//     is parsed once instead of once per comparison.
 //
 // Both caches are safe for concurrent readers and writers: the parallel
 // scoring phase of graph construction calls Compare from many goroutines,
@@ -25,10 +25,10 @@ import (
 // Corpus-sensitive comparators (TF-IDF titles, venue IDF, name-population
 // rarity) change meaning when library statistics grow, so pair-score
 // entries are tagged with the library's statistics generation and a stale
-// shard is discarded wholesale on first access after the statistics
-// change. Within one construction batch the statistics are frozen (all
-// Add* calls precede all Compare calls), so the tag is stable exactly when
-// cache hits are sound. Parsed names and addresses are pure functions of
+// shard is emptied wholesale on first write after the statistics change.
+// Within one construction batch the statistics are frozen (all Add* calls
+// precede all Compare calls), so the tag is stable exactly when cache hits
+// are sound. Parsed names, addresses and token lists are pure functions of
 // the raw string and never invalidate.
 
 const (
@@ -91,16 +91,20 @@ func (c *pairCache) get(gen uint64, k pairKey) (float64, bool) {
 	return v, ok
 }
 
-// put records the score for k under generation gen, resetting the shard if
-// it was filled under an older generation or has hit its bound.
+// put records the score for k under generation gen, emptying the shard if
+// it was filled under an older generation or has hit its bound. An emptied
+// shard keeps its buckets: on a workload with few repeated pairs shards
+// refill constantly, and a fresh map would re-grow through every rehash.
 func (c *pairCache) put(gen uint64, k pairKey, v float64) {
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.gen != gen || s.m == nil || len(s.m) >= pairShardCap {
+	if s.m == nil {
 		s.m = make(map[pairKey]float64, 64)
-		s.gen = gen
+	} else if s.gen != gen || len(s.m) >= pairShardCap {
+		clear(s.m)
 	}
+	s.gen = gen
 	s.m[k] = v
 }
 
@@ -110,56 +114,44 @@ type parsedAddr struct {
 	ok   bool
 }
 
-type nameShard struct {
-	mu sync.RWMutex
-	m  map[string]names.Name
+func parseAddr(raw string) parsedAddr {
+	a, ok := emailaddr.Parse(raw)
+	return parsedAddr{a, ok}
 }
 
-type addrShard struct {
+type memoShard[V any] struct {
 	mu sync.RWMutex
-	m  map[string]parsedAddr
+	m  map[string]V
 }
 
-// parseCache memoizes parsed person names and email addresses by raw
-// string. Parsing is pure, so entries never invalidate; shards reset when
-// they hit their bound.
+// memo memoizes a pure function of a raw string. Entries never invalidate;
+// a shard is emptied when it hits its bound.
+type memo[V any] [cacheShards]memoShard[V]
+
+func (c *memo[V]) get(raw string, f func(string) V) V {
+	s := &c[fnv1a(raw)&(cacheShards-1)]
+	s.mu.RLock()
+	v, ok := s.m[raw]
+	s.mu.RUnlock()
+	if ok {
+		return v
+	}
+	v = f(raw)
+	s.mu.Lock()
+	if s.m == nil {
+		s.m = make(map[string]V, 64)
+	} else if len(s.m) >= parseShardCap {
+		clear(s.m)
+	}
+	s.m[raw] = v
+	s.mu.Unlock()
+	return v
+}
+
+// parseCache memoizes parsed person names, email addresses and word-token
+// lists by raw string. Token lists are shared: callers only read them.
 type parseCache struct {
-	names  [cacheShards]nameShard
-	emails [cacheShards]addrShard
-}
-
-func (c *parseCache) name(raw string) names.Name {
-	s := &c.names[fnv1a(raw)&(cacheShards-1)]
-	s.mu.RLock()
-	n, ok := s.m[raw]
-	s.mu.RUnlock()
-	if ok {
-		return n
-	}
-	n = names.Parse(raw)
-	s.mu.Lock()
-	if s.m == nil || len(s.m) >= parseShardCap {
-		s.m = make(map[string]names.Name, 64)
-	}
-	s.m[raw] = n
-	s.mu.Unlock()
-	return n
-}
-
-func (c *parseCache) email(raw string) (emailaddr.Address, bool) {
-	s := &c.emails[fnv1a(raw)&(cacheShards-1)]
-	s.mu.RLock()
-	p, ok := s.m[raw]
-	s.mu.RUnlock()
-	if ok {
-		return p.addr, p.ok
-	}
-	a, aok := emailaddr.Parse(raw)
-	s.mu.Lock()
-	if s.m == nil || len(s.m) >= parseShardCap {
-		s.m = make(map[string]parsedAddr, 64)
-	}
-	s.m[raw] = parsedAddr{a, aok}
-	s.mu.Unlock()
-	return a, aok
+	names  memo[names.Name]
+	emails memo[parsedAddr]
+	words  memo[[]string]
 }

@@ -249,7 +249,9 @@ var (
 	ByVenueName = &Comparator{Name: EvVenueName, sim: (*Library).venueNameSim, Alias: true, Feed: func(l *Library, v string) { l.Venues.Add(v) }}
 	ByLocation  = &Comparator{Name: EvLocation, sim: func(_ *Library, a, b string) float64 { return strsim.JaccardTokens(a, b) }}
 	// Generic is the row every other label resolves to.
-	Generic = &Comparator{Name: "generic", sim: func(_ *Library, a, b string) float64 { return strsim.MongeElkan(a, b, nil) }, Floor: 0.5}
+	Generic = &Comparator{Name: "generic", sim: func(l *Library, a, b string) float64 {
+		return strsim.MongeElkanTokens(l.words(a), l.words(b))
+	}, Floor: 0.5}
 )
 
 var comparators = [...]*Comparator{ByName, ByEmail, ByNameEmail, ByTitle, ByYear, ByPages, ByVenueName, ByLocation, Generic}
@@ -315,7 +317,7 @@ func (l *Library) parseName(raw string) names.Name {
 	if l == nil || l.parsed == nil {
 		return names.Parse(raw)
 	}
-	return l.parsed.name(raw)
+	return l.parsed.names.get(raw, names.Parse)
 }
 
 // parseEmail memoizes emailaddr.Parse per raw value.
@@ -323,7 +325,18 @@ func (l *Library) parseEmail(raw string) (emailaddr.Address, bool) {
 	if l == nil || l.parsed == nil {
 		return emailaddr.Parse(raw)
 	}
-	return l.parsed.email(raw)
+	p := l.parsed.emails.get(raw, parseAddr)
+	return p.addr, p.ok
+}
+
+// words memoizes tokenizer.Words per raw value. The slice may be shared
+// with other callers and must not be modified (strsim's set comparators
+// sort theirs in place).
+func (l *Library) words(raw string) []string {
+	if l == nil || l.parsed == nil {
+		return tokenizer.Words(raw)
+	}
+	return l.parsed.words.get(raw, tokenizer.Words)
 }
 
 func (l *Library) emailSim(a, b string) float64 {

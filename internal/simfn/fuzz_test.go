@@ -1,6 +1,8 @@
 package simfn
 
 import (
+	"fmt"
+	"maps"
 	"math"
 	"testing"
 
@@ -48,8 +50,37 @@ func FuzzComparators(f *testing.F) {
 	l.SetCounters(ctr)
 	bare := *l
 	bare.pairs, bare.parsed, bare.ctr = nil, nil, nil
+	// full is a words-memo shard at its bound; its keys all differ from
+	// "filler".
+	full := make(map[string][]string, parseShardCap)
+	for i := 0; i < parseShardCap; i++ {
+		full[fmt.Sprintf("filler %d", i)] = nil
+	}
 
 	f.Fuzz(func(t *testing.T, a, b string) {
+		// Generic reads its token lists from the library's memo: cold, warm,
+		// and after the memo shard holding a was emptied at its bound, it
+		// scores what a memo-less call scores, to the bit. Every label is a
+		// pair-cache miss.
+		want := math.Float64bits(clamp01(Generic.sim(nil, a, b)))
+		g := NewLibrary()
+		s := &g.parsed.words[fnv1a(a)&(cacheShards-1)]
+		for _, label := range []string{"g:cold", "g:warm", "g:reset"} {
+			if label == "g:reset" {
+				s.m = maps.Clone(full) // full, and without a
+				if _, ok := s.m[a]; ok {
+					delete(s.m, a)
+					s.m["filler"] = nil
+				}
+			}
+			if got := g.Compare(label, a, b); math.Float64bits(got) != want {
+				t.Fatalf("generic(%q, %q) %s = %v, memo-less %v", a, b, label, got, math.Float64frombits(want))
+			}
+		}
+		if len(s.m) > 2 {
+			t.Fatalf("memo shard of %q holds %d entries after its reset", a, len(s.m))
+		}
+
 		for _, c := range comparators {
 			label := c.Name
 			if c == Generic {

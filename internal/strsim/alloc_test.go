@@ -57,6 +57,17 @@ func TestJaroWinklerZeroAllocs(t *testing.T) {
 	})
 }
 
+// TestMongeElkanTokensZeroAllocs pins the kernel on pre-split tokens: the
+// per-token best scores live in pooled scratch, and equal, ASCII and
+// non-ASCII token pairs take all three inner branches.
+func TestMongeElkanTokensZeroAllocs(t *testing.T) {
+	ta := []string{"michael", "stonebraker", "garcía"}
+	tb := []string{"stonebroker", "m", "garcia", "michael"}
+	assertZeroAllocs(t, "MongeElkanTokens", func() {
+		allocSink += MongeElkanTokens(ta, tb)
+	})
+}
+
 func TestAlignZeroAllocs(t *testing.T) {
 	assertZeroAllocs(t, "SmithWaterman", func() {
 		allocSink += SmithWaterman("dept of computer science stanford", "stanford computer science department")

@@ -115,16 +115,22 @@ func winklerScratch(sc *scratch, p float64) float64 {
 // table), and the two paths must agree to the bit.
 func JaroWinklerTokens(x, y string) float64 {
 	sc := getScratch()
+	s := winklerTokens(sc, x, y)
+	putScratch(sc)
+	return s
+}
+
+// winklerTokens is JaroWinklerTokens on a borrowed scratch; it uses only
+// the rune buffers and match flags.
+func winklerTokens(sc *scratch, x, y string) float64 {
 	var okX, okY bool
 	sc.ra, okX = appendASCII(sc.ra[:0], x)
 	sc.rb, okY = appendASCII(sc.rb[:0], y)
 	if !okX || !okY {
-		putScratch(sc)
-		return JaroWinkler(x, y)
+		sc.ra = tokenizer.AppendNormalizedRunes(sc.ra[:0], x)
+		sc.rb = tokenizer.AppendNormalizedRunes(sc.rb[:0], y)
 	}
-	s := winklerScratch(sc, 0.1)
-	putScratch(sc)
-	return s
+	return winklerScratch(sc, 0.1)
 }
 
 func maxInt(a, b int) int {

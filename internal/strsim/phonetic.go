@@ -1,10 +1,6 @@
 package strsim
 
-import (
-	"strings"
-
-	"refrecon/internal/tokenizer"
-)
+import "refrecon/internal/tokenizer"
 
 // Soundex returns the classic 4-character Soundex code of the first
 // alphabetic token of s ("Robert" -> "R163"). Soundex groups consonants by
@@ -65,103 +61,4 @@ func Soundex(s string) string {
 		out = append(out, '0')
 	}
 	return string(out)
-}
-
-// SoundexEqual reports whether two strings share a Soundex code.
-func SoundexEqual(a, b string) bool {
-	ca, cb := Soundex(a), Soundex(b)
-	return ca != "" && ca == cb
-}
-
-// NYSIIS returns the NYSIIS phonetic key of the first alphabetic token of
-// s — a finer-grained alternative to Soundex developed for the New York
-// State Identification and Intelligence System. An input with no letters
-// yields "".
-func NYSIIS(s string) string {
-	norm := tokenizer.Normalize(s)
-	var w []byte
-	for i := 0; i < len(norm); i++ {
-		c := norm[i]
-		if c >= 'a' && c <= 'z' {
-			w = append(w, c)
-		} else if len(w) > 0 {
-			break
-		}
-	}
-	if len(w) == 0 {
-		return ""
-	}
-	str := string(w)
-	// Leading transformations.
-	for _, tr := range [][2]string{
-		{"mac", "mcc"}, {"kn", "nn"}, {"k", "c"}, {"ph", "ff"}, {"pf", "ff"}, {"sch", "sss"},
-	} {
-		if strings.HasPrefix(str, tr[0]) {
-			str = tr[1] + str[len(tr[0]):]
-			break
-		}
-	}
-	// Trailing transformations.
-	for _, tr := range [][2]string{
-		{"ee", "y"}, {"ie", "y"}, {"dt", "d"}, {"rt", "d"}, {"rd", "d"}, {"nt", "d"}, {"nd", "d"},
-	} {
-		if strings.HasSuffix(str, tr[0]) {
-			str = str[:len(str)-len(tr[0])] + tr[1]
-			break
-		}
-	}
-	b := []byte(str)
-	key := []byte{b[0]}
-	isVowel := func(c byte) bool {
-		return c == 'a' || c == 'e' || c == 'i' || c == 'o' || c == 'u'
-	}
-	for i := 1; i < len(b); i++ {
-		c := b[i]
-		var repl string
-		switch {
-		case c == 'e' && i+1 < len(b) && b[i+1] == 'v':
-			repl = "af"
-		case isVowel(c):
-			repl = "a"
-		case c == 'q':
-			repl = "g"
-		case c == 'z':
-			repl = "s"
-		case c == 'm':
-			repl = "n"
-		case c == 'k':
-			if i+1 < len(b) && b[i+1] == 'n' {
-				repl = "n"
-			} else {
-				repl = "c"
-			}
-		case c == 's' && i+2 < len(b) && b[i+1] == 'c' && b[i+2] == 'h':
-			repl = "sss"
-		case c == 'p' && i+1 < len(b) && b[i+1] == 'h':
-			repl = "ff"
-		case c == 'h' && (i+1 >= len(b) || !isVowel(b[i-1]) || !isVowel(b[i+1])):
-			repl = string(b[i-1])
-		case c == 'w' && isVowel(b[i-1]):
-			repl = string(b[i-1])
-		default:
-			repl = string(c)
-		}
-		for j := 0; j < len(repl); j++ {
-			if key[len(key)-1] != repl[j] {
-				key = append(key, repl[j])
-			}
-		}
-	}
-	// Trailing cleanup: drop trailing s, convert trailing ay -> y, drop
-	// trailing a.
-	if len(key) > 1 && key[len(key)-1] == 's' {
-		key = key[:len(key)-1]
-	}
-	if len(key) > 2 && key[len(key)-2] == 'a' && key[len(key)-1] == 'y' {
-		key = append(key[:len(key)-2], 'y')
-	}
-	if len(key) > 1 && key[len(key)-1] == 'a' {
-		key = key[:len(key)-1]
-	}
-	return strings.ToUpper(string(key))
 }

@@ -29,18 +29,6 @@ func TestSoundexKnownCodes(t *testing.T) {
 	}
 }
 
-func TestSoundexEqual(t *testing.T) {
-	if !SoundexEqual("Smith", "Smyth") {
-		t.Error("Smith/Smyth should collide")
-	}
-	if SoundexEqual("Smith", "Jones") {
-		t.Error("Smith/Jones should not collide")
-	}
-	if SoundexEqual("", "") {
-		t.Error("empty inputs should not be equal")
-	}
-}
-
 func TestSoundexShape(t *testing.T) {
 	f := func(s string) bool {
 		c := Soundex(s)
@@ -60,34 +48,6 @@ func TestSoundexShape(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNYSIISCollisions(t *testing.T) {
-	// The point of a phonetic key is that spelling variants collide.
-	pairs := [][2]string{
-		{"Knight", "Night"},
-		{"Phillips", "Filips"},
-		{"Diaz", "Dias"},
-		{"MacDonald", "McDonald"},
-	}
-	for _, p := range pairs {
-		if NYSIIS(p[0]) != NYSIIS(p[1]) {
-			t.Errorf("NYSIIS(%q)=%q should equal NYSIIS(%q)=%q", p[0], NYSIIS(p[0]), p[1], NYSIIS(p[1]))
-		}
-	}
-	if NYSIIS("Smith") == NYSIIS("Jones") {
-		t.Error("distinct names should not collide")
-	}
-	if NYSIIS("") != "" || NYSIIS("42") != "" {
-		t.Error("letterless input should give empty key")
-	}
-}
-
-func TestNYSIISDeterministicNonEmpty(t *testing.T) {
-	f := func(s string) bool { return NYSIIS(s) == NYSIIS(s) }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}

@@ -13,11 +13,13 @@ import "sync"
 // scratch aggregates the reusable buffers of one comparator invocation.
 // Each comparator borrows one scratch for its entire computation, so the
 // fields cover the union of the hot paths' needs: two rune buffers for the
-// (normalized) inputs, three DP rows, and two match-flag rows.
+// (normalized) inputs, three DP rows, two match-flag rows, and Monge-Elkan's
+// per-token best scores.
 type scratch struct {
 	ra, rb           []rune
 	row0, row1, row2 []int
 	am, bm           []bool
+	fa, fb           []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -64,5 +66,15 @@ func boolRow(buf *[]bool, n int) []bool {
 	for i := range row {
 		row[i] = false
 	}
+	return row
+}
+
+// floatRow returns *buf resized to n zeroed entries.
+func floatRow(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	row := (*buf)[:n]
+	clear(row)
 	return row
 }

@@ -69,41 +69,68 @@ func toSet(toks []string) map[string]bool {
 	return s
 }
 
-// MongeElkan computes the Monge-Elkan hybrid similarity: for each token of
-// the shorter token list, the best inner similarity against the other
-// list's tokens is found, and the scores are averaged. The inner comparator
-// defaults to Jaro-Winkler when inner is nil. Monge-Elkan tolerates token
-// reordering and per-token typos simultaneously, which suits multi-word
-// names and venue strings.
+// MongeElkan computes the Monge-Elkan hybrid similarity over the word
+// tokens of a and b: for each token of one list, the best inner similarity
+// against the other list's tokens is found, and the scores are averaged.
+// The inner comparator defaults to Jaro-Winkler when inner is nil; a
+// caller-supplied one must be symmetric, since each token pair is scored
+// once for both directions. Monge-Elkan tolerates token reordering and
+// per-token typos simultaneously, which suits multi-word names and venue
+// strings.
 func MongeElkan(a, b string, inner func(string, string) float64) float64 {
-	if inner == nil {
-		inner = JaroWinklerTokens // the tokens below come from Words
-	}
-	ta, tb := tokenizer.Words(a), tokenizer.Words(b)
+	return mongeElkan(tokenizer.Words(a), tokenizer.Words(b), inner)
+}
+
+// MongeElkanTokens is MongeElkan with Jaro-Winkler over two token lists of
+// tokenizer.Words, for callers that already hold them. The lists are only
+// read.
+func MongeElkanTokens(ta, tb []string) float64 {
+	return mongeElkan(ta, tb, nil)
+}
+
+// mongeElkan scores every token pair once, keeping the best score of each
+// token of ta (row maxima) and of tb (column maxima); a nil inner is
+// Jaro-Winkler, under which equal tokens score exactly 1 without a call.
+func mongeElkan(ta, tb []string, inner func(string, string) float64) float64 {
 	if len(ta) == 0 && len(tb) == 0 {
 		return 1
 	}
 	if len(ta) == 0 || len(tb) == 0 {
 		return 0
 	}
+	sc := getScratch()
+	rowMax, colMax := floatRow(&sc.fa, len(ta)), floatRow(&sc.fb, len(tb))
+	for i, x := range ta {
+		for j, y := range tb {
+			var s float64
+			switch {
+			case inner != nil:
+				s = inner(x, y)
+			case x == y:
+				s = 1
+			default:
+				s = winklerTokens(sc, x, y)
+			}
+			if s > rowMax[i] {
+				rowMax[i] = s
+			}
+			if s > colMax[j] {
+				colMax[j] = s
+			}
+		}
+	}
+	sumA, sumB := 0.0, 0.0
+	for _, s := range rowMax {
+		sumA += s
+	}
+	for _, s := range colMax {
+		sumB += s
+	}
+	putScratch(sc)
 	// Symmetrize: average of both directions, so the measure stays
 	// symmetric like every other comparator in this package. Clamp: a
 	// caller-supplied inner comparator may stray outside [0,1].
-	return clamp01((mongeElkanDir(ta, tb, inner) + mongeElkanDir(tb, ta, inner)) / 2)
-}
-
-func mongeElkanDir(ta, tb []string, inner func(string, string) float64) float64 {
-	sum := 0.0
-	for _, x := range ta {
-		best := 0.0
-		for _, y := range tb {
-			if s := inner(x, y); s > best {
-				best = s
-			}
-		}
-		sum += best
-	}
-	return sum / float64(len(ta))
+	return clamp01((sumA/float64(len(ta)) + sumB/float64(len(tb))) / 2)
 }
 
 // Corpus accumulates document frequencies for TF-IDF weighted comparisons.
