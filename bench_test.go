@@ -475,11 +475,12 @@ func BenchmarkMatchCatalog(b *testing.B) {
 	}
 }
 
-// BenchmarkReconcileIndepDec measures baseline throughput on dataset A.
+// BenchmarkReconcileIndepDec measures the baseline cell's throughput on
+// dataset A.
 func BenchmarkReconcileIndepDec(b *testing.B) {
 	s := suite()
 	d := s.PIM("A")
-	r := refrecon.NewBaseline(refrecon.PIMSchema(), refrecon.DefaultBaselineConfig())
+	r := refrecon.New(refrecon.PIMSchema(), refrecon.IndepDecConfig())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.Reconcile(d.Store); err != nil {

@@ -4,11 +4,13 @@
 //
 // Usage:
 //
-//	reconcile -in dataset.json [-algo depgraph|indepdec] [-mode full|traditional|propagation|merge]
+//	reconcile -in dataset.json [-mode full|traditional|propagation|merge]
 //	          [-evidence attr|nameemail|article|contact] [-constraints=true] [-workers N] [-shards N]
 //	          [-dump partitions.json] [-trace trace.json] [-progress]
 //
 // The input is the JSON format written by cmd/pimgen (or dataset.WriteJSON).
+// The INDEPDEC baseline of §5.2 is -mode traditional -evidence attr
+// -constraints=false.
 // With -trace, the run records phase/round/enrichment spans and writes
 // them as Chrome trace-event JSON (load the file in chrome://tracing or
 // Perfetto); -progress renders round-by-round progress to stderr.
@@ -24,7 +26,6 @@ import (
 	"time"
 
 	"refrecon/internal/dataset"
-	"refrecon/internal/indepdec"
 	"refrecon/internal/metrics"
 	"refrecon/internal/obs"
 	"refrecon/internal/recon"
@@ -36,19 +37,18 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("reconcile: ")
 	in := flag.String("in", "", "input dataset JSON (required)")
-	algo := flag.String("algo", "depgraph", "algorithm: depgraph or indepdec")
-	mode := flag.String("mode", "full", "depgraph mode: full, traditional, propagation, merge")
+	mode := flag.String("mode", "full", "mode: full, traditional, propagation, merge")
 	evidence := flag.String("evidence", "contact", "evidence level: attr, nameemail, article, contact")
 	constraints := flag.Bool("constraints", true, "enforce negative-evidence constraints")
 	workers := flag.Int("workers", 0, "goroutines scoring candidate pairs (0 = NumCPU, 1 = serial; results are identical at any setting)")
-	shards := flag.Int("shards", 1, "reconcile blocking-connected components in N concurrent shards (0 = one per CPU, 1 = single monolithic run; depgraph only)")
+	shards := flag.Int("shards", 1, "reconcile blocking-connected components in N concurrent shards (0 = one per CPU, 1 = single monolithic run)")
 	bucketCap := flag.Int("bucketcap", 0, "override the blocking bucket cap (0 = keep the default; lower caps tame saturated buckets on large scaled corpora)")
-	auditFlag := flag.Bool("audit", false, "verify structural invariants at every phase boundary (depgraph only; slower, aborts on the first violation)")
+	auditFlag := flag.Bool("audit", false, "verify structural invariants at every phase boundary (slower, aborts on the first violation)")
 	dump := flag.String("dump", "", "write partitions as JSON to this file")
-	explain := flag.String("explain", "", "explain a pair decision, e.g. -explain 12,45 (depgraph only)")
-	dot := flag.String("dot", "", "write the dependency graph in Graphviz DOT format to this file (depgraph only)")
-	tracePath := flag.String("trace", "", "write phase/round spans as Chrome trace-event JSON to this file (depgraph only)")
-	progress := flag.Bool("progress", false, "render round-by-round progress to stderr (depgraph only)")
+	explain := flag.String("explain", "", "explain a pair decision, e.g. -explain 12,45")
+	dot := flag.String("dot", "", "write the dependency graph in Graphviz DOT format to this file")
+	tracePath := flag.String("trace", "", "write phase/round spans as Chrome trace-event JSON to this file")
+	progress := flag.Bool("progress", false, "render round-by-round progress to stderr")
 	flag.Parse()
 	if *in == "" {
 		flag.Usage()
@@ -71,160 +71,144 @@ func main() {
 	}
 	fmt.Printf("dataset %s: %d references\n", ds.Name, ds.Store.Len())
 
-	var partitions map[string][][]reference.ID
 	start := time.Now()
-	switch *algo {
-	case "depgraph":
-		cfg := recon.DefaultConfig()
-		cfg.Constraints = *constraints
-		cfg.Workers = *workers
-		cfg.Audit = *auditFlag
-		switch strings.ToLower(*mode) {
-		case "full":
-			cfg.Mode = recon.ModeFull
-		case "traditional":
-			cfg.Mode = recon.ModeTraditional
-		case "propagation":
-			cfg.Mode = recon.ModePropagation
-		case "merge":
-			cfg.Mode = recon.ModeMerge
-		default:
-			log.Fatalf("unknown mode %q", *mode)
-		}
-		if cfg.Evidence, err = recon.ParseEvidenceLevel(*evidence); err != nil {
-			log.Fatal(err)
-		}
-		var observer *obs.Observer
-		if *tracePath != "" || *progress {
-			observer = &obs.Observer{Counters: obs.NewCounters()}
-			if *tracePath != "" {
-				observer.Trace = obs.NewTracer()
-				observer.Profile = true
-			}
-			if *progress {
-				observer.Progress = obs.NewProgress(os.Stderr, 250*time.Millisecond)
-			}
-			cfg.Obs = observer
-		}
-		cfg.Shards = *shards
-		if *bucketCap > 0 {
-			cfg.BucketCap = *bucketCap
-		}
-		rc := recon.New(schema.PIM(), cfg)
-		// -explain and -dot read the propagated graph, which only a session
-		// retains; sessions propagate monolithically (sharded propagation
-		// runs on per-component copies).
-		var res *recon.Result
-		var sess *recon.Session
-		if *explain != "" || *dot != "" {
-			if *shards != 1 {
-				log.Fatal("-explain and -dot need the session graph; use -shards 1")
-			}
-			sess = rc.NewSession(ds.Store)
-			res, err = sess.Reconcile()
-		} else {
-			res, err = rc.Reconcile(ds.Store)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		if observer != nil {
-			c := observer.Counters.Snapshot()
-			fmt.Printf("obs: %d rounds, queue high-water %d, requeues %d real / %d strong / %d weak, simfn cache %d hits / %d misses\n",
-				c.Rounds, c.QueueHighWater, c.RequeueReal, c.RequeueStrong, c.RequeueWeak,
-				c.SimfnCacheHits, c.SimfnCacheMisses)
-		}
-		if *tracePath != "" {
-			tf, err := os.Create(*tracePath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := observer.Trace.WriteJSON(tf); err != nil {
-				log.Fatal(err)
-			}
-			if err := tf.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("trace written to %s (%d events)\n", *tracePath, len(observer.Trace.Events()))
-		}
-		partitions = res.Partitions
-		st := res.Stats
-		fmt.Printf("graph: %d nodes, %d edges from %d candidate pairs (built in %s)\n",
-			st.GraphNodes, st.GraphEdges, st.CandidatePairs, st.BuildTime.Round(time.Millisecond))
-		fmt.Printf("build: enumerate %s, score %s, wire %s, associations %s\n",
-			st.EnumerateTime.Round(time.Millisecond), st.ScoreTime.Round(time.Millisecond),
-			st.WireTime.Round(time.Millisecond), st.AssociationsTime.Round(time.Millisecond))
-		truncated := ""
-		if st.Engine.Truncated {
-			truncated = ", TRUNCATED at step cap"
-		}
-		fmt.Printf("engine: %d steps, %d merges, %d folds, %d reactivations%s (propagated in %s)\n",
-			st.Engine.Steps, st.Engine.Merges, st.Engine.Folds, st.Engine.Reactivate, truncated,
-			st.PropagateTime.Round(time.Millisecond))
-		if sh := st.Shard; sh.Components > 0 {
-			fmt.Printf("shards: %d groups over %d components (largest weight %d), %d boundary links, %d frontier rounds, %d boundary updates, %d fold replays\n",
-				sh.Shards, sh.Components, sh.LargestComponent, sh.BoundaryLinks,
-				sh.FrontierRounds, sh.BoundaryUpdates, sh.FoldReplays)
-		}
-		if st.Engine.EdgeAdds > 0 {
-			fmt.Printf("dedup: %d edges examined over %d edge adds (mean %.1f)\n",
-				st.Engine.DedupProbes, st.Engine.EdgeAdds, float64(st.Engine.DedupProbes)/float64(st.Engine.EdgeAdds))
-		}
-		fmt.Printf("closure: %d non-merge constraint nodes honored (closed in %s)\n",
-			st.NonMergeNodes, st.ClosureTime.Round(time.Millisecond))
-		if st.AuditChecks > 0 {
-			fmt.Printf("audit: %d invariant checks passed\n", st.AuditChecks)
-		}
-		fmt.Print("largest partition's share of its class:")
-		for _, class := range ds.Store.Classes() {
-			fmt.Printf(" %s %.3f", class, res.LargestShare(class))
-		}
-		fmt.Println()
-		if *explain != "" {
-			var a, b int
-			if _, err := fmt.Sscanf(*explain, "%d,%d", &a, &b); err != nil {
-				log.Fatalf("bad -explain %q (want \"id,id\"): %v", *explain, err)
-			}
-			exp, err := sess.Explain(reference.ID(a), reference.ID(b))
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Print(exp.String())
-		}
-		if *dot != "" {
-			f, err := os.Create(*dot)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := sess.WriteDOT(f, nil); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("dependency graph written to %s\n", *dot)
-		}
-	case "indepdec":
-		if *explain != "" || *dot != "" || *auditFlag || *tracePath != "" || *progress || *shards != 1 {
-			log.Fatal("-explain, -dot, -audit, -trace, -progress, and -shards require -algo depgraph")
-		}
-		res, err := indepdec.New(schema.PIM(), indepdec.DefaultConfig()).Reconcile(ds.Store)
-		if err != nil {
-			log.Fatal(err)
-		}
-		partitions = res.Partitions
+	cfg := recon.DefaultConfig()
+	cfg.Constraints = *constraints
+	cfg.Workers = *workers
+	cfg.Audit = *auditFlag
+	switch strings.ToLower(*mode) {
+	case "full":
+		cfg.Mode = recon.ModeFull
+	case "traditional":
+		cfg.Mode = recon.ModeTraditional
+	case "propagation":
+		cfg.Mode = recon.ModePropagation
+	case "merge":
+		cfg.Mode = recon.ModeMerge
 	default:
-		log.Fatalf("unknown algorithm %q", *algo)
+		log.Fatalf("unknown mode %q", *mode)
+	}
+	if cfg.Evidence, err = recon.ParseEvidenceLevel(*evidence); err != nil {
+		log.Fatal(err)
+	}
+	var observer *obs.Observer
+	if *tracePath != "" || *progress {
+		observer = &obs.Observer{Counters: obs.NewCounters()}
+		if *tracePath != "" {
+			observer.Trace = obs.NewTracer()
+			observer.Profile = true
+		}
+		if *progress {
+			observer.Progress = obs.NewProgress(os.Stderr, 250*time.Millisecond)
+		}
+		cfg.Obs = observer
+	}
+	cfg.Shards = *shards
+	if *bucketCap > 0 {
+		cfg.BucketCap = *bucketCap
+	}
+	rc := recon.New(schema.PIM(), cfg)
+	// -explain and -dot read the propagated graph, which only a session
+	// retains; sessions propagate monolithically (sharded propagation
+	// runs on per-component copies).
+	var res *recon.Result
+	var sess *recon.Session
+	if *explain != "" || *dot != "" {
+		if *shards != 1 {
+			log.Fatal("-explain and -dot need the session graph; use -shards 1")
+		}
+		sess = rc.NewSession(ds.Store)
+		res, err = sess.Reconcile()
+	} else {
+		res, err = rc.Reconcile(ds.Store)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	if observer != nil {
+		c := observer.Counters.Snapshot()
+		fmt.Printf("obs: %d rounds, queue high-water %d, requeues %d real / %d strong / %d weak, simfn cache %d hits / %d misses\n",
+			c.Rounds, c.QueueHighWater, c.RequeueReal, c.RequeueStrong, c.RequeueWeak,
+			c.SimfnCacheHits, c.SimfnCacheMisses)
+	}
+	if *tracePath != "" {
+		tf, err := os.Create(*tracePath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := observer.Trace.WriteJSON(tf); err != nil {
+			log.Fatal(err)
+		}
+		if err := tf.Close(); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("trace written to %s (%d events)\n", *tracePath, len(observer.Trace.Events()))
+	}
+	st := res.Stats
+	fmt.Printf("graph: %d nodes, %d edges from %d candidate pairs (built in %s)\n",
+		st.GraphNodes, st.GraphEdges, st.CandidatePairs, st.BuildTime.Round(time.Millisecond))
+	fmt.Printf("build: enumerate %s, score %s, wire %s, associations %s\n",
+		st.EnumerateTime.Round(time.Millisecond), st.ScoreTime.Round(time.Millisecond),
+		st.WireTime.Round(time.Millisecond), st.AssociationsTime.Round(time.Millisecond))
+	truncated := ""
+	if st.Engine.Truncated {
+		truncated = ", TRUNCATED at step cap"
+	}
+	fmt.Printf("engine: %d steps, %d merges, %d folds, %d reactivations%s (propagated in %s)\n",
+		st.Engine.Steps, st.Engine.Merges, st.Engine.Folds, st.Engine.Reactivate, truncated,
+		st.PropagateTime.Round(time.Millisecond))
+	if sh := st.Shard; sh.Components > 0 {
+		fmt.Printf("shards: %d groups over %d components (largest weight %d), %d boundary links, %d frontier rounds, %d boundary updates, %d fold replays\n",
+			sh.Shards, sh.Components, sh.LargestComponent, sh.BoundaryLinks,
+			sh.FrontierRounds, sh.BoundaryUpdates, sh.FoldReplays)
+	}
+	if st.Engine.EdgeAdds > 0 {
+		fmt.Printf("dedup: %d edges examined over %d edge adds (mean %.1f)\n",
+			st.Engine.DedupProbes, st.Engine.EdgeAdds, float64(st.Engine.DedupProbes)/float64(st.Engine.EdgeAdds))
+	}
+	fmt.Printf("closure: %d non-merge constraint nodes honored (closed in %s)\n",
+		st.NonMergeNodes, st.ClosureTime.Round(time.Millisecond))
+	if st.AuditChecks > 0 {
+		fmt.Printf("audit: %d invariant checks passed\n", st.AuditChecks)
+	}
+	fmt.Print("largest partition's share of its class:")
+	for _, class := range ds.Store.Classes() {
+		fmt.Printf(" %s %.3f", class, res.LargestShare(class))
+	}
+	fmt.Println()
+	if *explain != "" {
+		var a, b int
+		if _, err := fmt.Sscanf(*explain, "%d,%d", &a, &b); err != nil {
+			log.Fatalf("bad -explain %q (want \"id,id\"): %v", *explain, err)
+		}
+		exp, err := sess.Explain(reference.ID(a), reference.ID(b))
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Print(exp.String())
+	}
+	if *dot != "" {
+		f, err := os.Create(*dot)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := sess.WriteDOT(f, nil); err != nil {
+			log.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("dependency graph written to %s\n", *dot)
 	}
 	elapsed := time.Since(start).Round(time.Millisecond)
 
 	for _, class := range ds.Store.Classes() {
-		rep := metrics.Evaluate(ds.Store, class, partitions[class])
+		rep := metrics.Evaluate(ds.Store, class, res.Partitions[class])
 		if rep.References > 0 {
 			fmt.Printf("%-10s %4d partitions  P=%.3f R=%.3f F=%.3f (over %d labeled refs, %d entities)\n",
-				class, len(partitions[class]), rep.Precision, rep.Recall, rep.F1, rep.References, rep.Entities)
+				class, len(res.Partitions[class]), rep.Precision, rep.Recall, rep.F1, rep.References, rep.Entities)
 		} else {
-			fmt.Printf("%-10s %4d partitions (no gold labels)\n", class, len(partitions[class]))
+			fmt.Printf("%-10s %4d partitions (no gold labels)\n", class, len(res.Partitions[class]))
 		}
 	}
 	fmt.Printf("reconciled in %s\n", elapsed)
@@ -236,7 +220,7 @@ func main() {
 		}
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", " ")
-		if err := enc.Encode(partitions); err != nil {
+		if err := enc.Encode(res.Partitions); err != nil {
 			log.Fatal(err)
 		}
 		if err := out.Close(); err != nil {

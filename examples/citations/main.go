@@ -29,7 +29,7 @@ func main() {
 	fmt.Printf("citation corpus at scale %.2f: %d references (%d papers, %d authors)\n\n",
 		*scale, store.Len(), g.Papers, g.Authors)
 
-	base, err := refrecon.NewBaseline(refrecon.PIMSchema(), refrecon.DefaultBaselineConfig()).Reconcile(store)
+	base, err := refrecon.New(refrecon.PIMSchema(), refrecon.IndepDecConfig()).Reconcile(store)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func main() {
 	store := g.Store
 	fmt.Printf("dataset A at scale %.2f: %d references\n\n", *scale, store.Len())
 
-	base, err := refrecon.NewBaseline(refrecon.PIMSchema(), refrecon.DefaultBaselineConfig()).Reconcile(store)
+	base, err := refrecon.New(refrecon.PIMSchema(), refrecon.IndepDecConfig()).Reconcile(store)
 	if err != nil {
 		log.Fatal(err)
 	}

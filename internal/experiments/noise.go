@@ -4,8 +4,6 @@ import (
 	"io"
 
 	"refrecon/internal/datagen/corrupt"
-	"refrecon/internal/dataset"
-	"refrecon/internal/indepdec"
 	"refrecon/internal/metrics"
 	"refrecon/internal/recon"
 	"refrecon/internal/schema"
@@ -35,22 +33,14 @@ func (s *Suite) NoiseSweep(name string, rates []float64) []NoiseRow {
 	var out []NoiseRow
 	for _, rate := range rates {
 		noisy := corrupt.Store(d.Store, 0x5EED, rate, nil)
-		nd := &dataset.Dataset{Name: d.Name, Store: noisy}
-
-		ind, err := indepdec.New(schema.PIM(), indepdec.DefaultConfig()).Reconcile(nd.Store)
-		if err != nil {
-			panic(err)
+		personF := func(cfg recon.Config) float64 {
+			res, err := recon.New(schema.PIM(), cfg).Reconcile(noisy)
+			if err != nil {
+				panic(err)
+			}
+			return metrics.Evaluate(noisy, schema.ClassPerson, res.Partitions[schema.ClassPerson]).F1
 		}
-		dep, err := recon.New(schema.PIM(), recon.DefaultConfig()).Reconcile(nd.Store)
-		if err != nil {
-			panic(err)
-		}
-		row := NoiseRow{
-			Rate:      rate,
-			IndepDecF: metrics.Evaluate(noisy, schema.ClassPerson, ind.Partitions[schema.ClassPerson]).F1,
-			DepGraphF: metrics.Evaluate(noisy, schema.ClassPerson, dep.Partitions[schema.ClassPerson]).F1,
-		}
-		out = append(out, row)
+		out = append(out, NoiseRow{Rate: rate, IndepDecF: personF(IndepDec()), DepGraphF: personF(DepGraph())})
 	}
 	return out
 }

@@ -30,9 +30,10 @@ type Suite struct {
 	// Scale multiplies the paper-scale dataset sizes (1.0 reproduces
 	// Table 1's reference counts; the test suite uses ~0.1).
 	Scale float64
-	// Workers overrides recon.Config.Workers for every depgraph run whose
-	// Algo left it at the default (0 = NumCPU). Results are identical at
-	// any worker count; this only steers wall-clock measurements.
+	// Workers overrides recon.Config.Workers for every run whose
+	// configuration left it at the default (0 = NumCPU). Results are
+	// identical at any worker count; this only steers wall-clock
+	// measurements.
 	Workers int
 
 	mu       sync.Mutex
@@ -120,38 +121,29 @@ func (s *Suite) CoraFreeText() *dataset.Dataset {
 	return s.coraFree
 }
 
-// Algo identifies one reconciliation configuration for caching.
-type Algo struct {
-	// Name is "indepdec" or "depgraph".
-	Name string
-	// Config applies to depgraph runs only.
-	Config recon.Config
-}
-
 // DepGraph returns the full published configuration.
-func DepGraph() Algo { return Algo{Name: "depgraph", Config: recon.DefaultConfig()} }
+func DepGraph() recon.Config { return recon.DefaultConfig() }
 
 // DepGraphWith customizes the configuration.
-func DepGraphWith(f func(*recon.Config)) Algo {
+func DepGraphWith(f func(*recon.Config)) recon.Config {
 	cfg := recon.DefaultConfig()
 	f(&cfg)
-	return Algo{Name: "depgraph", Config: cfg}
+	return cfg
 }
 
-// IndepDec returns the baseline configuration.
-func IndepDec() Algo { return Algo{Name: "indepdec"} }
+// IndepDec returns the baseline: the engine in Table 5's top-left cell.
+func IndepDec() recon.Config { return indepdec.Config() }
 
-func (a Algo) key(ds string) string {
-	if a.Name == "indepdec" {
-		return ds + "/indepdec"
-	}
-	return fmt.Sprintf("%s/depgraph/m=%s/e=%s/c=%v", ds, a.Config.Mode, a.Config.Evidence, a.Config.Constraints)
+// runKey names a cached run: the dataset and the ablation coordinates, the
+// only fields the suite's configurations differ in.
+func runKey(ds string, cfg recon.Config) string {
+	return fmt.Sprintf("%s/m=%s/e=%s/c=%v", ds, cfg.Mode, cfg.Evidence, cfg.Constraints)
 }
 
-// Run reconciles a dataset under an algorithm and returns per-class
+// Run reconciles a dataset under a configuration and returns per-class
 // reports, cached per (dataset, configuration).
-func (s *Suite) Run(d *dataset.Dataset, a Algo) map[string]metrics.Report {
-	key := a.key(d.Name)
+func (s *Suite) Run(d *dataset.Dataset, cfg recon.Config) map[string]metrics.Report {
+	key := runKey(d.Name, cfg)
 	s.mu.Lock()
 	if r, ok := s.runs[key]; ok {
 		s.mu.Unlock()
@@ -159,36 +151,21 @@ func (s *Suite) Run(d *dataset.Dataset, a Algo) map[string]metrics.Report {
 	}
 	s.mu.Unlock()
 
+	if cfg.Workers == 0 {
+		cfg.Workers = s.Workers
+	}
+	res, err := recon.New(schema.PIM(), cfg).Reconcile(d.Store)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: reconcile %s: %v", key, err))
+	}
 	reports := make(map[string]metrics.Report)
-	var st recon.Stats
-	switch a.Name {
-	case "indepdec":
-		res, err := indepdec.New(schema.PIM(), indepdec.DefaultConfig()).Reconcile(d.Store)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: indepdec on %s: %v", d.Name, err))
-		}
-		for _, class := range Classes {
-			reports[class] = metrics.Evaluate(d.Store, class, res.Partitions[class])
-		}
-	case "depgraph":
-		if a.Config.Workers == 0 {
-			a.Config.Workers = s.Workers
-		}
-		res, err := recon.New(schema.PIM(), a.Config).Reconcile(d.Store)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: depgraph on %s: %v", d.Name, err))
-		}
-		st = res.Stats
-		for _, class := range Classes {
-			reports[class] = metrics.Evaluate(d.Store, class, res.Partitions[class])
-		}
-	default:
-		panic("experiments: unknown algorithm " + a.Name)
+	for _, class := range Classes {
+		reports[class] = metrics.Evaluate(d.Store, class, res.Partitions[class])
 	}
 
 	s.mu.Lock()
 	s.runs[key] = reports
-	s.stats[key] = st
+	s.stats[key] = res.Stats
 	s.mu.Unlock()
 	return reports
 }
@@ -202,13 +179,12 @@ func (s *Suite) ClearRuns() {
 	s.stats = make(map[string]recon.Stats)
 }
 
-// RunStats returns the recon.Stats of a cached depgraph run (zero value
-// for indepdec or uncached runs).
-func (s *Suite) RunStats(d *dataset.Dataset, a Algo) recon.Stats {
-	s.Run(d, a)
+// RunStats returns the recon.Stats of a run, reconciling on first use.
+func (s *Suite) RunStats(d *dataset.Dataset, cfg recon.Config) recon.Stats {
+	s.Run(d, cfg)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats[a.key(d.Name)]
+	return s.stats[runKey(d.Name, cfg)]
 }
 
 // fprintf writes formatted output, ignoring errors (experiment printing is

@@ -183,17 +183,19 @@ type Table5 struct {
 }
 
 // Table5Ablation reproduces Table 5 (and the Figure 6 series) on the given
-// PIM dataset (the paper uses A).
+// PIM dataset (the paper uses A). The grid runs from IndepDec, the
+// top-left cell (constraints off, §5.2), to DepGraph, the bottom-right
+// one, so its corners are Table 4's two runs.
 func (s *Suite) Table5Ablation(name string) Table5 {
 	d := s.PIM(name)
 	out := Table5{Dataset: name}
 	for i, mode := range AblationModes {
 		for j, ev := range AblationEvidence {
-			mode, ev := mode, ev
-			rep := s.Run(d, DepGraphWith(func(c *recon.Config) {
-				c.Mode = mode
-				c.Evidence = ev
-			}))[schema.ClassPerson]
+			cfg := DepGraphWith(func(c *recon.Config) { c.Mode, c.Evidence = mode, ev })
+			if i == 0 && j == 0 {
+				cfg = IndepDec()
+			}
+			rep := s.Run(d, cfg)[schema.ClassPerson]
 			out.Partitions[i][j] = rep.Partitions
 			out.Entities = rep.Entities
 			out.References = rep.References

@@ -147,6 +147,14 @@ func TestTable5Shape(t *testing.T) {
 	if red := grid.OverallReduction(); red < 30 {
 		t.Errorf("overall reduction %.1f%% too small", red)
 	}
+	// The corners are Table 4's two algorithms on the same dataset, as in
+	// the paper (3159 and 1873 on its A in both tables).
+	for _, r := range testSuite().Table4() {
+		if r.Dataset == "A" && (grid.Partitions[trad][attr] != r.IndepDec.Partitions || grid.Partitions[full][contact] != r.DepGraph.Partitions) {
+			t.Errorf("grid corners %d/%d, Table 4 IndepDec/DepGraph %d/%d",
+				grid.Partitions[trad][attr], grid.Partitions[full][contact], r.IndepDec.Partitions, r.DepGraph.Partitions)
+		}
+	}
 	var buf bytes.Buffer
 	FprintTable5(&buf, grid)
 	FprintFigure6(&buf, grid)

@@ -3,6 +3,7 @@ package indepdec
 import (
 	"testing"
 
+	"refrecon/internal/recon"
 	"refrecon/internal/reference"
 	"refrecon/internal/schema"
 )
@@ -12,6 +13,15 @@ func person(s *reference.Store, name, email string) reference.ID {
 	r.AddAtomic(schema.AttrName, name)
 	r.AddAtomic(schema.AttrEmail, email)
 	return s.Add(r)
+}
+
+func reconcile(t *testing.T, s *reference.Store, cfg recon.Config) *recon.Result {
+	t.Helper()
+	res, err := recon.New(schema.PIM(), cfg).Reconcile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestAttrWiseMerges(t *testing.T) {
@@ -25,10 +35,7 @@ func TestAttrWiseMerges(t *testing.T) {
 	full1 := person(s, "Jeffrey Naughton", "")
 	full2 := person(s, "Jeffrey Naughton", "")
 
-	res, err := New(schema.PIM(), DefaultConfig()).Reconcile(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := reconcile(t, s, Config())
 	if !res.SameEntity(full1, full2) {
 		t.Error("identical full names should merge attribute-wise")
 	}
@@ -49,7 +56,7 @@ func TestAttrWiseMerges(t *testing.T) {
 	if res.SameEntity(c, d) {
 		t.Error("IndepDec must not merge name-only with email-only references")
 	}
-	if res.ComparedPairs == 0 {
+	if res.Stats.CandidatePairs == 0 {
 		t.Error("expected candidate pairs")
 	}
 }
@@ -70,10 +77,7 @@ func TestNoAssociationEvidence(t *testing.T) {
 		a.AddAssoc(schema.AttrPublishedIn, reference.ID(i))
 		s.Add(a)
 	}
-	res, err := New(schema.PIM(), DefaultConfig()).Reconcile(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := reconcile(t, s, Config())
 	if res.SameEntity(id1, id2) {
 		t.Error("venues must not merge without name similarity")
 	}
@@ -87,10 +91,7 @@ func TestTransitiveClosure(t *testing.T) {
 	a := person(s, "", "x@y.edu")
 	person(s, "Alice Cooper", "x@y.edu")
 	c := person(s, "Alice Cooper", "")
-	res, err := New(schema.PIM(), DefaultConfig()).Reconcile(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := reconcile(t, s, Config())
 	// a~b via email key, b~c via name: closure joins a and c.
 	if !res.SameEntity(a, c) {
 		t.Error("transitive closure should join a and c")
@@ -118,12 +119,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 		s.Add(r)
 	}
 	canonical := func(workers int) string {
-		cfg := DefaultConfig()
+		cfg := Config()
 		cfg.Workers = workers
-		res, err := New(schema.PIM(), cfg).Reconcile(s)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := reconcile(t, s, cfg)
 		out := ""
 		for i := 0; i < s.Len(); i++ {
 			for j := i + 1; j < s.Len(); j++ {
@@ -147,7 +145,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 func TestInvalidStoreRejected(t *testing.T) {
 	s := reference.NewStore()
 	s.Add(reference.New("Nope"))
-	if _, err := New(schema.PIM(), DefaultConfig()).Reconcile(s); err == nil {
+	if _, err := recon.New(schema.PIM(), Config()).Reconcile(s); err == nil {
 		t.Error("invalid store should be rejected")
 	}
 }

@@ -203,45 +203,46 @@ func TestFullModeReachesFixedPoint(t *testing.T) {
 }
 
 // TestEvidenceLevelGating checks that lower evidence levels really omit
-// their evidence: Attr-wise builds no cross name/email value nodes and no
-// contact edges.
+// their evidence: Attr-wise builds no cross name/email value nodes, and
+// both attribute-only levels (Attr-wise, Name&Email) wire no association
+// edge of any class — the baseline's cell compares attribute values and
+// nothing else — while Article adds the article associations and Contact
+// the contact edges.
 func TestEvidenceLevelGating(t *testing.T) {
 	g, err := pim.Generate(pim.DatasetA(0.03))
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := func(ev EvidenceLevel) (cross, contact int) {
+	// count returns the cross name/email value nodes and the edges per
+	// evidence label.
+	count := func(ev EvidenceLevel) (cross int, edges map[string]int) {
 		cfg := DefaultConfig()
 		cfg.Evidence = ev
 		b := newBuilder(g.Store, schema.PIM(), cfg)
 		b.incorporate(g.Store.All())
-		graph := b.g
-		graph.Nodes(func(n *depgraph.Node) {
-			if n.Kind() == depgraph.ValuePair && n.Class() == "nameEmail" {
+		edges = make(map[string]int)
+		b.g.Nodes(func(n *depgraph.Node) {
+			if n.Kind() == depgraph.ValuePair && n.Class() == simfn.EvNameEmail {
 				cross++
 			}
 			for _, e := range n.Out() {
-				if e.Evidence == "contact" {
-					contact++
-				}
+				edges[e.Evidence]++
 			}
 		})
-		return cross, contact
+		return cross, edges
 	}
-	crossAttr, contactAttr := count(EvidenceAttrWise)
-	if crossAttr != 0 || contactAttr != 0 {
-		t.Errorf("Attr-wise must have no cross/contact evidence: %d/%d", crossAttr, contactAttr)
-	}
-	crossNE, contactNE := count(EvidenceNameEmail)
-	if crossNE == 0 {
-		t.Error("Name&Email should add cross value nodes")
-	}
-	if contactNE != 0 {
-		t.Errorf("Name&Email must not add contact edges: %d", contactNE)
-	}
-	crossC, contactC := count(EvidenceContact)
-	if crossC == 0 || contactC == 0 {
-		t.Errorf("Contact level should have both: %d/%d", crossC, contactC)
+	assoc := []string{simfn.EvAuthors, simfn.EvVenue, simfn.EvArticle, simfn.EvContact}
+	for _, ev := range []EvidenceLevel{EvidenceAttrWise, EvidenceNameEmail, EvidenceArticle, EvidenceContact} {
+		cross, edges := count(ev)
+		if (cross > 0) != (ev >= EvidenceNameEmail) {
+			t.Errorf("%s: %d cross name/email value nodes", ev, cross)
+		}
+		for _, label := range assoc {
+			want := ev >= EvidenceArticle && (label != simfn.EvContact || ev >= EvidenceContact)
+			if (edges[label] > 0) != want {
+				t.Errorf("%s: %d %q edges, want them present: %v", ev, edges[label], label, want)
+			}
+		}
 	}
 }
 

@@ -75,11 +75,12 @@ type assocRule struct {
 	pool     []string
 	evidence string
 	dep      depgraph.DepType
-	// back labels the strong-boolean back edge ("" for none), wired from
-	// evidence level backFrom up.
-	back     string
-	backFrom EvidenceLevel
-	// from is the lowest evidence level at which the rule applies.
+	// back labels the strong-boolean back edge ("" for none).
+	back string
+	// from is the lowest evidence level at which the rule applies. The
+	// literal rows' associations enter at EvidenceArticle: the two levels
+	// below compare attribute values only, and the lowest is the INDEPDEC
+	// baseline's.
 	from EvidenceLevel
 }
 
@@ -122,8 +123,8 @@ var classModels = map[string]*classModel{
 			{attrA: schema.AttrPages, attrB: schema.AttrPages, by: simfn.ByPages},
 		},
 		assoc: []assocRule{
-			{attr: schema.AttrAuthoredBy, evidence: simfn.EvAuthors, dep: depgraph.RealValued, back: simfn.EvArticle, backFrom: EvidenceArticle},
-			{attr: schema.AttrPublishedIn, evidence: simfn.EvVenue, dep: depgraph.RealValued, back: simfn.EvArticle},
+			{attr: schema.AttrAuthoredBy, evidence: simfn.EvAuthors, dep: depgraph.RealValued, back: simfn.EvArticle, from: EvidenceArticle},
+			{attr: schema.AttrPublishedIn, evidence: simfn.EvVenue, dep: depgraph.RealValued, back: simfn.EvArticle, from: EvidenceArticle},
 		},
 		// Constraint 1 of §5.3: the authors of one article are distinct
 		// persons.
@@ -171,8 +172,8 @@ func genericComparisons(c *schema.Class) []attrCompare {
 	return out
 }
 
-// at returns the row without the comparisons, rules and back edges that
-// apply only above the evidence level, every comparison labelled.
+// at returns the row without the comparisons and rules that apply only
+// above the evidence level, every comparison labelled.
 func (m *classModel) at(level EvidenceLevel) *classModel {
 	out := *m
 	out.compare = slices.DeleteFunc(slices.Clone(m.compare), func(c attrCompare) bool { return level < c.from })
@@ -182,11 +183,6 @@ func (m *classModel) at(level EvidenceLevel) *classModel {
 		}
 	}
 	out.assoc = slices.DeleteFunc(slices.Clone(m.assoc), func(r assocRule) bool { return level < r.from })
-	for i := range out.assoc {
-		if level < out.assoc[i].backFrom {
-			out.assoc[i].back = ""
-		}
-	}
 	return &out
 }
 

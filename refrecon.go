@@ -9,9 +9,9 @@
 // algorithm: a dependency graph over pairwise similarity decisions with
 // typed dependency edges, similarity propagation to a fixed point,
 // reference enrichment, and negative-evidence constraints; plus the
-// attribute-wise INDEPDEC baseline, a metrics package, extractors for
-// BibTeX and email corpora, and synthetic dataset generators reproducing
-// the paper's evaluation.
+// attribute-wise INDEPDEC baseline as one of its configurations, a metrics
+// package, extractors for BibTeX and email corpora, and synthetic dataset
+// generators reproducing the paper's evaluation.
 //
 // # Quick start
 //
@@ -66,12 +66,6 @@ type (
 	EvidenceLevel = recon.EvidenceLevel
 	// Result is the reconciliation outcome.
 	Result = recon.Result
-	// Baseline is the attribute-wise INDEPDEC reconciler.
-	Baseline = indepdec.Reconciler
-	// BaselineConfig tunes the baseline.
-	BaselineConfig = indepdec.Config
-	// BaselineResult is the baseline's outcome.
-	BaselineResult = indepdec.Result
 	// Report is a pairwise precision/recall evaluation.
 	Report = metrics.Report
 	// BCubedReport is a B-cubed (per-reference) evaluation.
@@ -199,11 +193,11 @@ func New(sch *Schema, cfg Config) *Reconciler { return recon.New(sch, cfg) }
 // (0.1 for venues), full mode, all evidence, constraints on.
 func DefaultConfig() Config { return recon.DefaultConfig() }
 
-// NewBaseline returns the INDEPDEC baseline reconciler.
-func NewBaseline(sch *Schema, cfg BaselineConfig) *Baseline { return indepdec.New(sch, cfg) }
-
-// DefaultBaselineConfig returns the baseline's published settings.
-func DefaultBaselineConfig() BaselineConfig { return indepdec.DefaultConfig() }
+// IndepDecConfig returns the attribute-wise INDEPDEC baseline of §5.2 as a
+// DepGraph configuration: Attr-wise evidence, Traditional mode, no
+// constraints, the published thresholds. Reconcile with New(sch,
+// IndepDecConfig()).
+func IndepDecConfig() Config { return indepdec.Config() }
 
 // Evaluate scores predicted partitions of one class against the gold
 // entity labels carried by the references.

@@ -52,6 +52,14 @@ if find internal/simfn -name '*.go' -not -name '*_test.go' -print0 |
     exit 1
 fi
 
+echo "== one pipeline gate (INDEPDEC is a cell of the ablation grid that recon runs, not a pipeline of its own) =="
+if find internal/indepdec -name '*.go' -not -name '*_test.go' -print0 |
+    xargs -0 grep -h '"refrecon/' | grep -v '"refrecon/internal/recon"' ||
+    grep -rn 'flag\.String("algo"' cmd; then
+    echo "the baseline is indepdec.Config(), a recon.Config reconciled by recon.New like every other cell" >&2
+    exit 1
+fi
+
 echo "== go build =="
 go build ./...
 
@@ -276,11 +284,11 @@ cfgfields() { awk '/^type Config struct \{/{on=1; next} on && /^\}/{on=0} on && 
 knobs=$(( $(cfgfields internal/recon/config.go) + $(cfgfields internal/serve/serve.go) + $(cfgfields internal/collective/collective.go) \
     + $(grep -rhoE 'flag\.(String|Int|Int64|Bool|Float64|Duration)\(' cmd | wc -l) ))
 design=$(wc -c <DESIGN.md)
-echo "non-test Go lines under internal/ + cmd/: $lines (ceiling 20569)"
-echo "exported funcs, methods and types:         $exported (ceiling 554)"
-echo "knobs (Config fields + cmd flags):         $knobs (ceiling 74)"
-echo "DESIGN.md bytes:                           $design (ceiling 70062)"
-if [ "$lines" -gt 20569 ] || [ "$exported" -gt 554 ] || [ "$knobs" -gt 74 ] || [ "$design" -gt 70062 ]; then
+echo "non-test Go lines under internal/ + cmd/: $lines (ceiling 20325)"
+echo "exported funcs, methods and types:         $exported (ceiling 546)"
+echo "knobs (Config fields + cmd flags):         $knobs (ceiling 73)"
+echo "DESIGN.md bytes:                           $design (ceiling 69952)"
+if [ "$lines" -gt 20325 ] || [ "$exported" -gt 546 ] || [ "$knobs" -gt 73 ] || [ "$design" -gt 69952 ]; then
     echo "size ceiling exceeded" >&2
     exit 1
 fi
