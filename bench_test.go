@@ -290,27 +290,29 @@ func BenchmarkReconcileDepGraph(b *testing.B) {
 }
 
 // BenchmarkBuildGraph measures dependency-graph construction (blocking,
-// candidate scoring, wiring) on dataset A at several worker counts. The
-// graphs produced are identical at every count; only wall-clock changes.
+// candidate scoring, wiring, association wiring) over the propagation
+// datasets at several worker counts. The graphs produced are identical at
+// every count; only wall-clock changes.
 func BenchmarkBuildGraph(b *testing.B) {
-	s := suite()
-	d := s.PIM("A")
 	counts := []int{1, 2, 4}
 	if n := runtime.NumCPU(); n != 1 && n != 2 && n != 4 {
 		counts = append(counts, n)
 	}
-	for _, w := range counts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			cfg := refrecon.DefaultConfig()
-			cfg.Workers = w
-			r := refrecon.New(refrecon.PIMSchema(), cfg)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.BuildRetained(d.Store); err != nil {
-					b.Fatal(err)
+	for _, d := range benchPropagateDatasets() {
+		for _, w := range counts {
+			b.Run(fmt.Sprintf("%s/workers=%d", d.name, w), func(b *testing.B) {
+				cfg := refrecon.DefaultConfig()
+				cfg.Workers = w
+				r := refrecon.New(refrecon.PIMSchema(), cfg)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := r.BuildRetained(d.store); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -142,6 +142,25 @@ func TestReconcileContextTraceOrdering(t *testing.T) {
 		}
 		at = end(stages[i])
 	}
+	// The associations stage splits its induced requests by outcome, and the
+	// memo answers some of them; re-enrichment reports even an idle scan.
+	arg := func(e obs.TraceEvent, k string) int { v, _ := e.Args[k].(int); return v }
+	assoc := stages[3]
+	if req, found, hits, eval, kept := arg(assoc, "requests"), arg(assoc, "found"), arg(assoc, "memoHits"), arg(assoc, "evaluated"), arg(assoc, "kept"); hits == 0 || kept == 0 || kept > eval || found+hits+eval > req {
+		t.Errorf("build.associations args %v: want memo hits, and found + memoHits + evaluated ≤ requests, kept ≤ evaluated", assoc.Args)
+	}
+	reenrich := 0
+	for _, e := range tr.Events() {
+		if e.Name == "reenrich" {
+			reenrich++
+			if _, ok := e.Args["scanned"]; !ok {
+				t.Errorf("reenrich span without a scanned count: %v", e.Args)
+			}
+		}
+	}
+	if reenrich != 1 {
+		t.Errorf("%d reenrich spans in one commit, want 1", reenrich)
+	}
 	st := traced.Stats
 	for _, d := range []time.Duration{st.EnumerateTime, st.ScoreTime, st.WireTime, st.AssociationsTime} {
 		if d <= 0 {

@@ -145,10 +145,10 @@ func (g *Graph) Run(seed []*Node, opt Options) Stats {
 		if opt.Trace != nil {
 			begin = time.Now()
 		}
-		folds := g.reenrich()
+		folds, scanned := g.reenrich()
 		st.Folds += folds
-		if opt.Trace != nil && folds > 0 {
-			opt.Trace.Complete("enrich", "reenrich", begin, map[string]any{"folds": folds})
+		if opt.Trace != nil {
+			opt.Trace.Complete("enrich", "reenrich", begin, map[string]any{"folds": folds, "scanned": scanned})
 		}
 	}
 
@@ -375,9 +375,9 @@ func (g *Graph) eligible(m *Node) bool {
 // concentrates on one node. Folding eagerly at Run start restores the
 // enrichment fixed point. Iterates until no fold applies; every fold
 // removes a node, so the loop terminates. Node collection follows the
-// graph's deterministic insertion order.
-func (g *Graph) reenrich() int {
-	total := 0
+// graph's deterministic insertion order. It returns the folds and the
+// merged pairs its scans collected, summed over its passes.
+func (g *Graph) reenrich() (total, scanned int) {
 	for {
 		var merged []*Node
 		g.Nodes(func(n *Node) {
@@ -385,6 +385,7 @@ func (g *Graph) reenrich() int {
 				merged = append(merged, n)
 			}
 		})
+		scanned += len(merged)
 		folds := 0
 		for _, n := range merged {
 			if g.alive[n.id] {
@@ -393,7 +394,7 @@ func (g *Graph) reenrich() int {
 		}
 		total += folds
 		if folds == 0 {
-			return total
+			return total, scanned
 		}
 	}
 }

@@ -284,16 +284,6 @@ func (g *Graph) hasEdge(from, to int32, dep DepType, ev int32) bool {
 	return false
 }
 
-// RemoveIfIsolated removes a node that has no edges (construction step
-// 1(2) of §3.1). It reports whether the node was removed.
-func (g *Graph) RemoveIfIsolated(n *Node) bool {
-	if g.inSpan[n.id].n == 0 && g.outSpan[n.id].n == 0 {
-		g.removeNode(n)
-		return true
-	}
-	return false
-}
-
 // removeNode unlinks n from every neighbor and drops it from the indexes.
 // Its own index entry (packed pair or value identity) is deleted eagerly;
 // its edges leave each neighbor's span in O(1) through the position

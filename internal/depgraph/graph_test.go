@@ -76,29 +76,6 @@ func TestAddEdgeDedup(t *testing.T) {
 	}
 }
 
-func TestRemoveIfIsolated(t *testing.T) {
-	g := New()
-	a := g.AddRefPair(0, 1, "Person")
-	b := g.AddRefPair(2, 3, "Person")
-	g.AddEdge(a, b, RealValued, "x")
-	if g.RemoveIfIsolated(a) {
-		t.Error("connected node removed")
-	}
-	c := g.AddRefPair(4, 5, "Person")
-	if !g.RemoveIfIsolated(c) {
-		t.Error("isolated node kept")
-	}
-	if c.Alive() {
-		t.Error("removed node still alive")
-	}
-	if g.Lookup(c.Key()) != nil {
-		t.Error("removed node still in index")
-	}
-	if g.NodeCount() != 2 {
-		t.Errorf("NodeCount = %d", g.NodeCount())
-	}
-}
-
 func TestRemoveNodeCleansEdges(t *testing.T) {
 	g := New()
 	a := g.AddRefPair(0, 1, "Person")

@@ -1,6 +1,7 @@
 package recon
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 	"time"
@@ -25,20 +26,30 @@ type builder struct {
 	// fresh accumulates the RefPair nodes created since the last drain;
 	// association wiring and engine seeding work off it.
 	fresh []*depgraph.Node
-	// removed remembers pairs pruned for lack of evidence so they are not
-	// rebuilt during the association pass, mapped to the batch ordinal
-	// that pruned them. Within one batch the tombstone is final; an
-	// association-induced request from a later batch may rebuild the pair
-	// (see ensureRefPair).
-	removed map[uint64]int
-	// batch is the 1-based ordinal of the incorporate call in progress.
+	// removed tombstones the blocked pairs the wire stage pruned, so
+	// association wiring does not rebuild them under the induced path's
+	// relaxed rules. bare holds the ordered signature pairs (sigOf(r1)<<32 |
+	// sigOf(r2)) of induced requests found without evidence or constraint: a
+	// verdict reads only the two references' values, in that order, and the
+	// library statistics, so a repeat costs one map hit. Both live for one
+	// batch, because the statistics grow between batches.
+	removed, bare map[uint64]struct{}
+	// sigs is each reference's value-signature id (0: not yet assigned);
+	// sigIDs interns the signatures.
+	sigs    []uint32
+	sigIDs  map[string]uint32
+	induced inducedCounts
+	// batch is the 1-based ordinal of the incorporate call in progress (a
+	// snapshot's version).
 	batch int
 
 	// parsed caches the parsed attribute values the person constraint
 	// reads, keyed by reference id.
 	parsed map[reference.ID]*parsedPerson
-	// elems names the graph's value elements; simScratch backs scoreVals.
+	// elems names the graph's value elements; valScratch and simScratch
+	// back the induced path's value comparisons and their scores.
 	elems      valueElems
+	valScratch []valCompare
 	simScratch []float64
 
 	candidatePairs int
@@ -51,12 +62,20 @@ type builder struct {
 	times struct{ enumerate, score, wire, associations time.Duration }
 }
 
+// inducedCounts splits a batch's ensureRefPair requests for the
+// build.associations span: found an existing node, hit the bare memo, or
+// were evaluated, of which kept got a node. The rest were self, cross-class
+// or tombstoned.
+type inducedCounts struct{ requests, found, memoHits, evaluated, kept int }
+
 func newBuilder(store *reference.Store, sch *schema.Schema, cfg Config) *builder {
 	return &builder{
 		evidence: newEvidence(sch, cfg),
 		store:    store,
 		g:        depgraph.New(),
-		removed:  make(map[uint64]int),
+		removed:  make(map[uint64]struct{}),
+		bare:     make(map[uint64]struct{}),
+		sigIDs:   make(map[string]uint32),
 		parsed:   make(map[reference.ID]*parsedPerson),
 		elems:    make(valueElems),
 	}
@@ -87,15 +106,15 @@ func (b *builder) feedCounters(c *obs.Counters) {
 
 // stage runs fn as one of incorporate's four timed stages: a "build.<name>"
 // span inside the commit's build phase span, its duration added to *total
-// (Stats reports the totals). What incorporate does outside the stages —
-// library statistics, blocking keys, constraint seeding — is the build
-// span's self time.
-func (b *builder) stage(name string, total *time.Duration, fn func()) {
+// (Stats reports the totals), and fn's result as the span's args (nil for
+// none). What incorporate does outside the stages — library statistics,
+// blocking keys, constraint seeding — is the build span's self time.
+func (b *builder) stage(name string, total *time.Duration, fn func() map[string]any) {
 	sp := b.cfg.Obs.Tracer().Begin("build", "build."+name)
 	start := time.Now()
-	fn()
+	args := fn()
 	*total += time.Since(start)
-	sp.End()
+	sp.EndArgs(args)
 }
 
 // incorporate extends the graph with a batch of new references — the two
@@ -106,6 +125,9 @@ func (b *builder) stage(name string, total *time.Duration, fn func()) {
 // dependees before dependents (§3.2).
 func (b *builder) incorporate(newRefs []*reference.Reference) []*depgraph.Node {
 	b.batch++
+	clear(b.removed)
+	clear(b.bare)
+	b.induced = inducedCounts{}
 	newByClass := make(map[string][]reference.ID)
 	for _, r := range newRefs {
 		b.feed(r)
@@ -136,39 +158,49 @@ func (b *builder) incorporate(newRefs []*reference.Reference) []*depgraph.Node {
 		itemSlab = append(itemSlab, pairItem{r1: r1, r2: r2, vals: vals})
 		return &itemSlab[len(itemSlab)-1]
 	}
-	b.stage("enumerate", &b.times.enumerate, func() {
+	b.stage("enumerate", &b.times.enumerate, func() map[string]any {
 		for _, class := range b.sch.Classes() {
 			ids := newByClass[class.Name]
 			idx := b.indexes[class.Name]
 			if len(ids) == 0 || idx == nil {
 				continue
 			}
+			// No tombstone to consult: blocking emits only pairs involving a
+			// new reference, and this batch's tombstones are laid by the wire
+			// stage, which runs after enumeration.
 			idx.PairsInvolving(ids, func(x, y reference.ID) {
 				b.candidatePairs++
 				r1, r2 := b.store.Get(x), b.store.Get(y)
-				if r1.ID == r2.ID || r1.Class != r2.Class {
+				if r1.ID == r2.ID || r1.Class != r2.Class || b.g.LookupRefPair(r1.ID, r2.ID) != nil {
 					return
 				}
-				if b.g.LookupRefPair(r1.ID, r2.ID) != nil || b.removed[pairIndex(r1.ID, r2.ID)] != 0 {
-					return
-				}
-				items = append(items, newItem(r1, r2, b.enumerateVals(r1, r2)))
+				vals := b.appendVals(make([]valCompare, 0, b.countValuePairs(r1, r2)), r1, r2)
+				items = append(items, newItem(r1, r2, vals))
 			})
 			b.skippedBuckets += idx.SkippedBuckets()
 		}
+		return nil
 	})
-	b.stage("score", &b.times.score, func() { b.scoreItems(items) })
-	b.stage("wire", &b.times.wire, func() {
+	b.stage("score", &b.times.score, func() map[string]any { b.scoreItems(items); return nil })
+	b.stage("wire", &b.times.wire, func() map[string]any {
 		for _, it := range items {
-			b.wireScored(it.r1, it.r2, false, it.vals, it.sims)
+			if b.wireScored(it.r1, it.r2, false, it.vals, it.sims) == nil {
+				b.removed[pairIndex(it.r1.ID, it.r2.ID)] = struct{}{}
+			}
 		}
+		return nil
 	})
 	// Pass 2: association dependencies over the fresh pairs; induced pairs
 	// created while wiring are themselves wired on the next sweep. Induced
 	// pairs are scored here, serially, as they are discovered.
-	b.stage("associations", &b.times.associations, func() {
+	b.stage("associations", &b.times.associations, func() map[string]any {
 		for sweep := 0; sweep < 4 && len(b.fresh) > 0; sweep++ {
 			b.buildAssociations(drain())
+		}
+		in := b.induced
+		return map[string]any{
+			"requests": in.requests, "found": in.found, "memoHits": in.memoHits,
+			"evaluated": in.evaluated, "kept": in.kept,
 		}
 	})
 	drain()
@@ -216,67 +248,101 @@ func seedSort(sch *schema.Schema, nodes []*depgraph.Node) []*depgraph.Node {
 // ensureRefPair returns the RefPair node for (r1, r2), creating it together
 // with its atomic-value evidence nodes on first sight. It returns nil when
 // the pair has no comparable evidence at all (the paper removes such nodes,
-// §3.1 step 1(2)). induced marks pairs discovered through associations
-// rather than blocking; a class whose row says keepInduced treats those
-// more leniently (wireScored).
+// §3.1 step 1(2)) or the wire stage pruned it this batch. induced marks
+// pairs discovered through associations rather than blocking; a class whose
+// row says keepInduced treats those more leniently (wireScored). An induced
+// request whose value signatures were found bare earlier in the batch is
+// answered from the memo without enumerating anything.
 func (b *builder) ensureRefPair(r1, r2 *reference.Reference, induced bool) *depgraph.Node {
+	b.induced.requests++
 	if r1.ID == r2.ID || r1.Class != r2.Class {
 		return nil
 	}
-	key := pairIndex(r1.ID, r2.ID)
 	if n := b.g.LookupRefPair(r1.ID, r2.ID); n != nil {
+		b.induced.found++
 		return n
 	}
-	if prunedIn, ok := b.removed[key]; ok {
-		if !induced || prunedIn == b.batch {
+	if _, ok := b.removed[pairIndex(r1.ID, r2.ID)]; ok {
+		return nil
+	}
+	var sig uint64
+	if induced {
+		sig = uint64(b.sigOf(r1))<<32 | uint64(b.sigOf(r2))
+		if _, ok := b.bare[sig]; ok {
+			b.induced.memoHits++
 			return nil
 		}
-		// The pair was pruned for lack of evidence in an earlier batch, but
-		// this batch's associations reach for it: rebuild it. The induced
-		// path keeps relaxed-threshold pairs (venues), and the library
-		// statistics have grown since the pruning, so the original verdict
-		// no longer stands — a permanent tombstone here made incremental
-		// sessions silently drop association-driven evidence that the
-		// equivalent batch run wires up.
-		delete(b.removed, key)
 	}
-	vals := b.enumerateVals(r1, r2)
-	return b.wireScored(r1, r2, induced, vals, b.scoreVals(vals))
+	b.induced.evaluated++
+	b.valScratch = b.appendVals(b.valScratch[:0], r1, r2)
+	n := b.wireScored(r1, r2, induced, b.valScratch, b.scoreVals(b.valScratch))
+	switch {
+	case n != nil:
+		b.induced.kept++
+	case induced:
+		b.bare[sig] = struct{}{}
+	}
+	return n
 }
 
-// wireScored is the serial wiring phase behind ensureRefPair: it creates
-// the RefPair node for (r1, r2) together with its atomic-value evidence
-// nodes from the precomputed similarities (sims is indexed like vals).
-// Callers have already screened the pair (distinct ids, same class, not
-// present, not removed); duplicates are still tolerated and return the
-// existing node.
-func (b *builder) wireScored(r1, r2 *reference.Reference, induced bool, vals []valCompare, sims []float64) *depgraph.Node {
-	if n := b.g.LookupRefPair(r1.ID, r2.ID); n != nil {
-		return n
+// sigOf returns the reference's value-signature id: two references share
+// one exactly when they have the same class and the same values, in stored
+// order, under every atomic attribute — all that a pair's comparisons and
+// its constraint read of a reference; a row whose verdict read more would
+// have to extend it. Ids are dense from 1, assigned on first request and
+// kept for the builder's lifetime.
+func (b *builder) sigOf(r *reference.Reference) uint32 {
+	if int(r.ID) >= len(b.sigs) {
+		b.sigs = append(b.sigs, make([]uint32, b.store.Len()-len(b.sigs))...)
 	}
-	m := b.g.AddRefPair(r1.ID, r2.ID, r1.Class)
+	if b.sigs[r.ID] == 0 {
+		// Quoting keeps the concatenation unambiguous.
+		key := strconv.Quote(r.Class)
+		for _, attr := range r.AtomicAttrs() {
+			key += fmt.Sprintf("%q%q", attr, r.Atomic(attr))
+		}
+		if b.sigIDs[key] == 0 {
+			b.sigIDs[key] = uint32(len(b.sigIDs) + 1)
+		}
+		b.sigs[r.ID] = b.sigIDs[key]
+	}
+	return b.sigs[r.ID]
+}
 
+// wireScored is the serial wiring phase behind ensureRefPair. It decides
+// from the precomputed similarities (sims is indexed like vals), the
+// evidence floors and the row's pair constraint whether the pair belongs in
+// the graph, and only then creates the RefPair node together with its
+// atomic-value evidence nodes; a pruned pair gets no node and wireScored
+// returns nil. Callers have already screened the pair: distinct ids, same
+// class, no node yet (blocking emits each pair once), not removed.
+func (b *builder) wireScored(r1, r2 *reference.Reference, induced bool, vals []valCompare, sims []float64) *depgraph.Node {
 	row := b.row(r1.Class)
 	relax := induced && row.keepInduced
 	hasEvidence := false
 	for i, v := range vals {
-		if sims[i] < evidenceFloor(v.cmp.by, relax) {
-			continue
+		if sims[i] >= evidenceFloor(v.cmp.by, relax) {
+			hasEvidence = true
+			break
 		}
-		wireValuePair(b.g, m, b.elems, v, sims[i], b.cfg.AttrMergeThreshold)
-		hasEvidence = true
 	}
 	// Constraint-violating pairs are kept even without evidence and marked
 	// non-merge: §3.4 requires constrained nodes to exist in the graph so
 	// negative evidence can propagate (they are what makes the constrained
 	// graph of Table 6 *larger*). A non-merge node is different from a
 	// non-existing node.
-	if b.cfg.Constraints && row.constrained != nil && row.constrained(b, r1, r2) {
-		b.g.MarkNonMerge(m)
-	} else if !hasEvidence && !relax {
-		b.g.RemoveIfIsolated(m)
-		b.removed[pairIndex(r1.ID, r2.ID)] = b.batch
+	constrained := b.cfg.Constraints && row.constrained != nil && row.constrained(b, r1, r2)
+	if !hasEvidence && !relax && !constrained {
 		return nil
+	}
+	m := b.g.AddRefPair(r1.ID, r2.ID, r1.Class)
+	for i, v := range vals {
+		if sims[i] >= evidenceFloor(v.cmp.by, relax) {
+			wireValuePair(b.g, m, b.elems, v, sims[i], b.cfg.AttrMergeThreshold)
+		}
+	}
+	if constrained {
+		b.g.MarkNonMerge(m)
 	}
 	b.fresh = append(b.fresh, m)
 	return m

@@ -91,12 +91,12 @@ func TestEnsureRefPairPrunesNoEvidence(t *testing.T) {
 	if n := b.ensureRefPair(r1, r2, false); n != nil {
 		t.Errorf("dissimilar pair should be pruned, got %v", n)
 	}
-	// Pruned pairs are remembered and not rebuilt.
+	// A pruned pair is decided before it is built: it never takes a row.
 	if n := b.ensureRefPair(r1, r2, false); n != nil {
 		t.Error("pruned pair resurrected")
 	}
-	if b.g.NodeCount() != 0 {
-		t.Errorf("graph should be empty, has %d nodes", b.g.NodeCount())
+	if b.g.NodeIDBound() != 0 {
+		t.Errorf("graph should be empty, has %d node rows", b.g.NodeIDBound())
 	}
 }
 

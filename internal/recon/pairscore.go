@@ -35,17 +35,14 @@ type pairItem struct {
 	sims   []float64
 }
 
-// enumerateVals lists the value comparisons of a candidate pair in the
-// deterministic order the wiring phase evaluates them. The combination
-// count is known up front, so the list is allocated exactly once.
-func (b *builder) enumerateVals(r1, r2 *reference.Reference) []valCompare {
-	n := b.countValuePairs(r1, r2)
-	if n == 0 {
-		return nil
-	}
-	vals := make([]valCompare, 0, n)
-	b.eachValuePair(r1, r2, func(v valCompare) { vals = append(vals, v) })
-	return vals
+// appendVals appends the value comparisons of a candidate pair to dst in
+// the deterministic order the wiring phase evaluates them. A blocked pair's
+// list is kept until its item is wired, so enumeration sizes it exactly
+// (countValuePairs); the induced path consumes its list at once and reuses
+// one builder-owned buffer.
+func (b *builder) appendVals(dst []valCompare, r1, r2 *reference.Reference) []valCompare {
+	b.eachValuePair(r1, r2, func(v valCompare) { dst = append(dst, v) })
+	return dst
 }
 
 // scoreVals scores a value-comparison list serially (the induced-pair and

@@ -263,17 +263,5 @@ func FuzzStrsim(f *testing.F) {
 		if la, lb := len([]rune(a)), len([]rune(b)); lev > maxInt(la, lb) {
 			t.Fatalf("Levenshtein %d exceeds max length for (%q, %q)", lev, a, b)
 		}
-
-		// Phonetic key: a letter and three digits.
-		if sx := Soundex(a); sx != "" {
-			if len(sx) != 4 || sx[0] < 'A' || sx[0] > 'Z' {
-				t.Fatalf("Soundex(%q) = %q, want letter + 3 digits", a, sx)
-			}
-			for _, c := range sx[1:] {
-				if c < '0' || c > '9' {
-					t.Fatalf("Soundex(%q) = %q, want letter + 3 digits", a, sx)
-				}
-			}
-		}
 	})
 }

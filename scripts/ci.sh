@@ -77,8 +77,8 @@ echo "== go test -race (sharded equivalence) =="
 go test -race -run 'TestShard' ./internal/recon
 go test -race ./internal/shard
 
-echo "== bench smoke (propagate/fold/catalog-match benchmarks compile and run) =="
-go test -run=NONE -bench='Propagate|EnrichFold|MatchCatalog' -benchtime=1x .
+echo "== bench smoke (build/propagate/fold/catalog-match benchmarks compile and run) =="
+go test -run=NONE -bench='BuildGraph|Propagate|EnrichFold|MatchCatalog' -benchtime=1x .
 
 echo "== alloc regression smoke (columnar storage allocs/op ceilings; hub-removal benchmark compiles and runs; comparator kernels and cache hits at zero) =="
 go test -run='ZeroAlloc|AllocsAmortized' -bench='RemoveHubNeighbors' -benchtime=1x -count=1 ./internal/depgraph
@@ -284,11 +284,11 @@ cfgfields() { awk '/^type Config struct \{/{on=1; next} on && /^\}/{on=0} on && 
 knobs=$(( $(cfgfields internal/recon/config.go) + $(cfgfields internal/serve/serve.go) + $(cfgfields internal/collective/collective.go) \
     + $(grep -rhoE 'flag\.(String|Int|Int64|Bool|Float64|Duration)\(' cmd | wc -l) ))
 design=$(wc -c <DESIGN.md)
-echo "non-test Go lines under internal/ + cmd/: $lines (ceiling 20325)"
-echo "exported funcs, methods and types:         $exported (ceiling 546)"
+echo "non-test Go lines under internal/ + cmd/: $lines (ceiling 20315)"
+echo "exported funcs, methods and types:         $exported (ceiling 544)"
 echo "knobs (Config fields + cmd flags):         $knobs (ceiling 73)"
-echo "DESIGN.md bytes:                           $design (ceiling 69952)"
-if [ "$lines" -gt 20325 ] || [ "$exported" -gt 546 ] || [ "$knobs" -gt 73 ] || [ "$design" -gt 69952 ]; then
+echo "DESIGN.md bytes:                           $design (ceiling 69828)"
+if [ "$lines" -gt 20315 ] || [ "$exported" -gt 544 ] || [ "$knobs" -gt 73 ] || [ "$design" -gt 69828 ]; then
     echo "size ceiling exceeded" >&2
     exit 1
 fi
