@@ -4,19 +4,19 @@
 //
 // Usage:
 //
-//	benchtables [-scale 0.25] [-table N] [-ablations] [-workers N]
+//	benchtables [-scale 0.25] [-table N] [-ablations]
 //
 // -scale multiplies the paper-scale dataset sizes (1.0 reproduces the
 // Table 1 reference counts but takes correspondingly longer); -table
 // restricts output to one table (1..7; 5 also prints the Figure 6
-// series). Without -table, everything is printed. -workers sets the
-// graph-construction worker count for every run (0 = NumCPU; results
-// are identical at any setting).
+// series). Without -table, everything is printed. A -scale ≤ 0 or a
+// -table outside 0..7 exits 2.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"time"
 
@@ -27,11 +27,15 @@ func main() {
 	scale := flag.Float64("scale", 0.25, "dataset scale factor (1.0 = paper scale)")
 	table := flag.Int("table", 0, "print only this table (1-7; 0 = all)")
 	ablations := flag.Bool("ablations", false, "also print the repository's design-choice ablations (blocking coverage)")
-	workers := flag.Int("workers", 0, "graph-construction worker count for all runs (0 = NumCPU)")
 	flag.Parse()
+	log.SetFlags(0)
+	log.SetPrefix("benchtables: ")
+	if *scale <= 0 || *table < 0 || *table > 7 {
+		log.Printf("-scale takes a factor > 0 and -table a number in 0..7 (got -scale %g -table %d)", *scale, *table)
+		os.Exit(2)
+	}
 
 	s := experiments.NewSuite(*scale)
-	s.Workers = *workers
 	w := os.Stdout
 	want := func(n int) bool { return *table == 0 || *table == n }
 	start := time.Now()

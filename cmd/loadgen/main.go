@@ -19,6 +19,9 @@
 // measured from the intended arrival, so queueing delay counts). The
 // same -dataset/-refs/-queries/-seed always produce the identical
 // request stream.
+//
+// User errors exit 2 before any load: an unknown -dataset, a negative
+// -rate, and -clients with -rate but no -target (nothing to size).
 package main
 
 import (
@@ -43,16 +46,23 @@ func main() {
 	rate := flag.Float64("rate", 0, "open-loop arrival rate in queries/sec (0: closed loop)")
 	batch := flag.Int("batch", 256, "target ingest batch size")
 	collective := flag.Float64("collective", 0.25, "fraction of queries in collective mode")
-	properties := flag.Float64("properties", 0.5, "fraction of queries carrying property filters")
-	typeless := flag.Float64("typeless", 0.1, "fraction of queries without a type")
 	out := flag.String("o", "", "report output file (default stdout)")
 	flag.Parse()
+	if _, err := loadgen.SchemaFor(*dataset); err != nil {
+		usageErrorf("unknown -dataset %q (want biblio or catalog)", *dataset)
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "clients" && *rate > 0 && *target == "" {
+			usageErrorf("-clients sizes the closed loop or -target's connection pool; an in-process -rate run has neither")
+		}
+	})
+	if *rate < 0 {
+		usageErrorf("-rate takes queries/sec >= 0 (0: closed loop)")
+	}
 
 	cfg := loadgen.Defaults(*dataset, *refs, *queries, *seed)
 	cfg.BatchSize = *batch
 	cfg.Collective = *collective
-	cfg.Properties = *properties
-	cfg.Typeless = *typeless
 
 	w, err := loadgen.Build(cfg)
 	if err != nil {
@@ -84,16 +94,16 @@ func main() {
 
 	w2 := os.Stdout
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+		if w2, err = os.Create(*out); err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
-		w2 = f
 	}
 	enc := json.NewEncoder(w2)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
+		log.Fatal(err)
+	}
+	if err := w2.Close(); err != nil { // stdout too: a failed write shows here
 		log.Fatal(err)
 	}
 	if rep.TransportErrors > 0 || rep.QueryErrors > 0 {
@@ -101,3 +111,6 @@ func main() {
 		os.Exit(1)
 	}
 }
+
+// usageErrorf reports a user error and exits 2, as flag does for a malformed flag.
+func usageErrorf(format string, args ...any) { log.Printf(format, args...); os.Exit(2) }

@@ -7,12 +7,15 @@
 //	pimgen -dataset cora [-scale 1.0]
 //	pimgen -refs 100000 [-dup 3.5] [-assoc 0.2] [-seed 1] [-o big.json]
 //
-// With -refs, pimgen ignores -dataset/-scale and generates a corpus
-// calibrated to approximately that many references (100k–1M is the
-// intended range), with -dup controlling the duplicate rate (average
-// references per real person) and -assoc the cross-class association
-// density (fraction of references from the bibliography side). The same
-// -refs/-dup/-assoc/-seed always produce the same corpus.
+// With -refs, pimgen generates a corpus calibrated to approximately that
+// many references (100k–1M is the intended range), with -dup controlling
+// the duplicate rate (average references per real person) and -assoc the
+// cross-class association density (fraction of references from the
+// bibliography side). The same -refs/-dup/-assoc/-seed always produce the
+// same corpus.
+//
+// User errors exit 2: an unknown -dataset or -format, -dataset or -scale
+// with -refs, and -dup, -assoc or -seed without it.
 package main
 
 import (
@@ -39,6 +42,19 @@ func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	format := flag.String("format", "json", "output format: json or csv")
 	flag.Parse()
+	if *format != "json" && *format != "csv" {
+		usageErrorf("unknown -format %q (want json or csv)", *format)
+	}
+	set := make(map[string]bool)
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	switch {
+	case set["refs"] && *refs < 1:
+		usageErrorf("-refs takes a count >= 1")
+	case set["refs"] && (set["dataset"] || set["scale"]):
+		usageErrorf("-dataset and -scale name a fixed dataset; -refs generates a scaled corpus instead")
+	case !set["refs"] && (set["dup"] || set["assoc"] || set["seed"]):
+		usageErrorf("-dup, -assoc and -seed apply only with -refs")
+	}
 
 	var ds *dataset.Dataset
 	if *refs > 0 {
@@ -50,32 +66,22 @@ func main() {
 		writeDataset(ds, *out, *format)
 		return
 	}
-	switch *name {
-	case "A", "B", "C", "D":
-		var p pim.Profile
-		switch *name {
-		case "A":
-			p = pim.DatasetA(*scale)
-		case "B":
-			p = pim.DatasetB(*scale)
-		case "C":
-			p = pim.DatasetC(*scale)
-		case "D":
-			p = pim.DatasetD(*scale)
-		}
-		g, err := pim.Generate(p)
+	profiles := map[string]func(float64) pim.Profile{"A": pim.DatasetA, "B": pim.DatasetB, "C": pim.DatasetC, "D": pim.DatasetD}
+	switch profile := profiles[*name]; {
+	case profile != nil:
+		g, err := pim.Generate(profile(*scale))
 		if err != nil {
 			log.Fatal(err)
 		}
 		ds = &dataset.Dataset{Name: *name, Store: g.Store}
-	case "cora":
+	case *name == "cora":
 		g, err := cora.Generate(cora.Default(*scale))
 		if err != nil {
 			log.Fatal(err)
 		}
 		ds = &dataset.Dataset{Name: "Cora", Store: g.Store}
 	default:
-		log.Fatalf("unknown dataset %q (want A, B, C, D, or cora)", *name)
+		usageErrorf("unknown -dataset %q (want A, B, C, D, or cora)", *name)
 	}
 
 	writeDataset(ds, *out, *format)
@@ -95,17 +101,15 @@ func writeDataset(ds *dataset.Dataset, out, format string) {
 		}()
 		w = f
 	}
-	var writeErr error
-	switch format {
-	case "json":
-		writeErr = ds.WriteJSON(w)
-	case "csv":
-		writeErr = ds.WriteCSV(w)
-	default:
-		log.Fatalf("unknown format %q (want json or csv)", format)
+	write := ds.WriteJSON
+	if format == "csv" {
+		write = ds.WriteCSV
 	}
-	if writeErr != nil {
-		log.Fatal(writeErr)
+	if err := write(w); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "pimgen: wrote %d references\n", ds.Store.Len())
 }
+
+// usageErrorf reports a user error and exits 2, as flag does for a malformed flag.
+func usageErrorf(format string, args ...any) { log.Printf(format, args...); os.Exit(2) }

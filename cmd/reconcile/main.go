@@ -5,8 +5,10 @@
 // Usage:
 //
 //	reconcile -in dataset.json [-mode full|traditional|propagation|merge]
-//	          [-evidence attr|nameemail|article|contact] [-constraints=true] [-workers N] [-shards N]
-//	          [-dump partitions.json] [-trace trace.json] [-progress]
+//	          [-evidence attr|nameemail|article|contact] [-constraints=true]
+//	          [-workers N] [-shards N] [-bucketcap N] [-audit]
+//	          [-dump partitions.json] [-explain id,id] [-dot graph.dot]
+//	          [-trace trace.json] [-progress]
 //
 // The input is the JSON format written by cmd/pimgen (or dataset.WriteJSON).
 // The INDEPDEC baseline of §5.2 is -mode traditional -evidence attr
@@ -14,6 +16,9 @@
 // With -trace, the run records phase/round/enrichment spans and writes
 // them as Chrome trace-event JSON (load the file in chrome://tracing or
 // Perfetto); -progress renders round-by-round progress to stderr.
+//
+// User errors exit 2 before any work: an unknown -mode or -evidence, a
+// negative count, a malformed -explain, -explain or -dot with -shards ≠ 1.
 package main
 
 import (
@@ -54,6 +59,36 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	cfg := recon.DefaultConfig()
+	cfg.Constraints = *constraints
+	cfg.Workers = *workers
+	cfg.Audit = *auditFlag
+	cfg.Shards = *shards
+	modes := map[string]recon.Mode{"full": recon.ModeFull, "traditional": recon.ModeTraditional,
+		"propagation": recon.ModePropagation, "merge": recon.ModeMerge}
+	var ok bool
+	if cfg.Mode, ok = modes[strings.ToLower(*mode)]; !ok {
+		usageErrorf("unknown -mode %q (want full, traditional, propagation or merge)", *mode)
+	}
+	var err error
+	if cfg.Evidence, err = recon.ParseEvidenceLevel(*evidence); err != nil {
+		usageErrorf("-evidence: %v", err)
+	}
+	if *workers < 0 || *shards < 0 || *bucketCap < 0 {
+		usageErrorf("-workers, -shards and -bucketcap take a count >= 0")
+	}
+	if *bucketCap > 0 {
+		cfg.BucketCap = *bucketCap
+	}
+	var explainA, explainB int
+	if _, err := fmt.Sscanf(*explain, "%d,%d", &explainA, &explainB); *explain != "" && err != nil {
+		usageErrorf("bad -explain %q (want \"id,id\"): %v", *explain, err)
+	}
+	// -explain and -dot read the propagated graph, which only a session
+	// retains; sessions propagate monolithically.
+	if (*explain != "" || *dot != "") && *shards != 1 {
+		usageErrorf("-explain and -dot need the session graph; use them with -shards 1")
+	}
 
 	f, err := os.Open(*in)
 	if err != nil {
@@ -72,25 +107,6 @@ func main() {
 	fmt.Printf("dataset %s: %d references\n", ds.Name, ds.Store.Len())
 
 	start := time.Now()
-	cfg := recon.DefaultConfig()
-	cfg.Constraints = *constraints
-	cfg.Workers = *workers
-	cfg.Audit = *auditFlag
-	switch strings.ToLower(*mode) {
-	case "full":
-		cfg.Mode = recon.ModeFull
-	case "traditional":
-		cfg.Mode = recon.ModeTraditional
-	case "propagation":
-		cfg.Mode = recon.ModePropagation
-	case "merge":
-		cfg.Mode = recon.ModeMerge
-	default:
-		log.Fatalf("unknown mode %q", *mode)
-	}
-	if cfg.Evidence, err = recon.ParseEvidenceLevel(*evidence); err != nil {
-		log.Fatal(err)
-	}
 	var observer *obs.Observer
 	if *tracePath != "" || *progress {
 		observer = &obs.Observer{Counters: obs.NewCounters()}
@@ -103,20 +119,10 @@ func main() {
 		}
 		cfg.Obs = observer
 	}
-	cfg.Shards = *shards
-	if *bucketCap > 0 {
-		cfg.BucketCap = *bucketCap
-	}
 	rc := recon.New(schema.PIM(), cfg)
-	// -explain and -dot read the propagated graph, which only a session
-	// retains; sessions propagate monolithically (sharded propagation
-	// runs on per-component copies).
 	var res *recon.Result
 	var sess *recon.Session
 	if *explain != "" || *dot != "" {
-		if *shards != 1 {
-			log.Fatal("-explain and -dot need the session graph; use -shards 1")
-		}
 		sess = rc.NewSession(ds.Store)
 		res, err = sess.Reconcile()
 	} else {
@@ -177,11 +183,7 @@ func main() {
 	}
 	fmt.Println()
 	if *explain != "" {
-		var a, b int
-		if _, err := fmt.Sscanf(*explain, "%d,%d", &a, &b); err != nil {
-			log.Fatalf("bad -explain %q (want \"id,id\"): %v", *explain, err)
-		}
-		exp, err := sess.Explain(reference.ID(a), reference.ID(b))
+		exp, err := sess.Explain(reference.ID(explainA), reference.ID(explainB))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -229,3 +231,6 @@ func main() {
 		fmt.Printf("partitions written to %s\n", *dump)
 	}
 }
+
+// usageErrorf reports a user error and exits 2, as flag does for a malformed flag.
+func usageErrorf(format string, args ...any) { log.Printf(format, args...); os.Exit(2) }

@@ -7,7 +7,7 @@
 //	reconserve [-addr :8080] [-in dataset.json] [-name refrecon]
 //	           [-schema pim|catalog]
 //	           [-evidence attr|nameemail|article|contact] [-constraints=true]
-//	           [-workers N] [-audit] [-data-dir DIR] [-checkpoint-every N]
+//	           [-audit] [-data-dir DIR [-checkpoint-every N]]
 //	           [-collective-max-nodes N] [-collective-max-hops N]
 //	           [-collective-budget-ms MS]
 //
@@ -20,6 +20,9 @@
 // the log, after a clean shutdown from the final checkpoint. The server
 // shuts down gracefully on SIGINT/SIGTERM: in-flight ingest drains, a
 // final checkpoint is written, and the log is closed before exit.
+//
+// User errors exit 2 before the service starts: an unknown -schema or
+// -evidence, -checkpoint-every without -data-dir, a collective bound < 1.
 package main
 
 import (
@@ -62,7 +65,6 @@ func main() {
 	schemaName := flag.String("schema", "pim", "information-space schema: pim (Person/Article/Venue) or catalog (Product/Manufacturer)")
 	evidence := flag.String("evidence", "contact", "evidence level: attr, nameemail, article, contact")
 	constraints := flag.Bool("constraints", true, "enforce negative-evidence constraints")
-	workers := flag.Int("workers", 0, "goroutines scoring candidate pairs (0 = NumCPU)")
 	auditFlag := flag.Bool("audit", false, "verify structural invariants after every batch (slower)")
 	dataDir := flag.String("data-dir", "", "durability directory: write-ahead batch log + snapshot checkpoints (empty = in-memory only)")
 	ckptEvery := flag.Int("checkpoint-every", 16, "write a checkpoint every N committed batches (requires -data-dir; negative disables periodic checkpoints)")
@@ -73,14 +75,35 @@ func main() {
 
 	cfg := recon.DefaultConfig()
 	cfg.Constraints = *constraints
-	cfg.Workers = *workers
 	cfg.Audit = *auditFlag
 	// Engine counters are atomics, cheap enough to leave on in a serving
 	// process; /metrics and expvar expose them under "engine".
 	cfg.Obs = &obs.Observer{Counters: obs.NewCounters()}
 	var err error
 	if cfg.Evidence, err = recon.ParseEvidenceLevel(*evidence); err != nil {
-		log.Fatal(err)
+		usageErrorf("-evidence: %v", err)
+	}
+	var sch *schema.Schema
+	switch *schemaName {
+	case "pim":
+		sch = schema.PIM()
+	case "catalog":
+		sch = schema.Catalog()
+	default:
+		usageErrorf("unknown -schema %q (want pim or catalog)", *schemaName)
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "checkpoint-every" && *dataDir == "" {
+			usageErrorf("-checkpoint-every needs -data-dir: an in-memory service writes no checkpoints")
+		}
+	})
+	if *collNodes < 1 || *collHops < 1 || *collBudget == 0 {
+		usageErrorf("-collective-max-nodes and -collective-max-hops take a count >= 1, -collective-budget-ms a nonzero time (negative disables the budget)")
+	}
+	collCfg := collective.Config{
+		MaxNodes: *collNodes,
+		MaxHops:  *collHops,
+		Budget:   time.Duration(*collBudget * float64(time.Millisecond)), // serve maps negative to "no time budget"
 	}
 
 	if *dataDir != "" {
@@ -105,26 +128,6 @@ func main() {
 	}
 
 	start := time.Now()
-	collCfg := collective.Config{
-		MaxNodes: *collNodes,
-		MaxHops:  *collHops,
-	}
-	switch {
-	case *collBudget < 0:
-		collCfg.Budget = -1 // serve maps negative to "no time budget"
-	case *collBudget > 0:
-		collCfg.Budget = time.Duration(*collBudget * float64(time.Millisecond))
-	}
-	var sch *schema.Schema
-	switch *schemaName {
-	case "pim":
-		sch = schema.PIM()
-	case "catalog":
-		sch = schema.Catalog()
-	default:
-		log.Fatalf("unknown schema %q (want pim or catalog)", *schemaName)
-	}
-
 	svc, err := serve.NewFromStore(serve.Config{
 		Schema:          sch,
 		Recon:           cfg,
@@ -184,3 +187,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "reconserve: served %d queries (%d errors), %d ingest batches\n",
 		m.Queries, m.QueryErrors, m.Ingest.Batches)
 }
+
+// usageErrorf reports a user error and exits 2, as flag does for a malformed flag.
+func usageErrorf(format string, args ...any) { log.Printf(format, args...); os.Exit(2) }

@@ -81,6 +81,11 @@ type Host interface {
 	EngineOptions() depgraph.Options
 }
 
+// MaxNeighbors caps the blocking candidates considered per association
+// target during sibling expansion (the sorted candidate list is
+// truncated).
+const MaxNeighbors = 8
+
 // Config bounds a Resolve call. The zero value is usable: WithDefaults
 // fills every unset field.
 type Config struct {
@@ -96,11 +101,6 @@ type Config struct {
 	// degrades the query. Default 512.
 	MaxNodes int
 
-	// MaxNeighbors caps the blocking candidates considered per
-	// association target during sibling expansion (the sorted candidate
-	// list is truncated). Default 8.
-	MaxNeighbors int
-
 	// Budget is the wall-clock limit for the whole expand-and-resolve; 0
 	// means no time limit. The deadline is checked at expansion steps and
 	// propagation-round boundaries, so the overshoot is one round at
@@ -110,10 +110,6 @@ type Config struct {
 	// MaxSteps caps propagation-engine node evaluations; 0 uses the
 	// engine default (1000 × node count). Exceeding it degrades.
 	MaxSteps int
-
-	// Epsilon is the minimum similarity increase that re-activates
-	// neighbors; 0 uses the engine default.
-	Epsilon float64
 
 	// Obs receives counters and per-query trace spans. Nil disables
 	// observability.
@@ -127,9 +123,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.MaxNodes <= 0 {
 		c.MaxNodes = 512
-	}
-	if c.MaxNeighbors <= 0 {
-		c.MaxNeighbors = 8
 	}
 	return c
 }

@@ -179,8 +179,8 @@ func resolve(h Host, req Request, cfg Config, tr *obs.Tracer) Result {
 		}
 		sibDone[t] = struct{}{}
 		cands := h.Candidates(t)
-		if len(cands) > cfg.MaxNeighbors {
-			cands = cands[:cfg.MaxNeighbors]
+		if len(cands) > MaxNeighbors {
+			cands = cands[:MaxNeighbors]
 		}
 		for _, t2 := range cands {
 			if _, ok := push(t, t2, hop); !ok {
@@ -296,7 +296,6 @@ func resolve(h Host, req Request, cfg Config, tr *obs.Tracer) Result {
 	// resolution is propagation plus enrichment whatever mode the offline
 	// run ablated to.
 	opts := h.EngineOptions()
-	opts.Epsilon = cfg.Epsilon
 	opts.Propagate, opts.Enrich = true, true
 	opts.MaxSteps = cfg.MaxSteps
 	opts.Interrupt = interrupt

@@ -40,18 +40,18 @@ func WriteCheckpoint(dir string, c *Checkpoint) (int64, error) {
 	w := bufio.NewWriterSize(f, 1<<20)
 	var meta [8]byte
 	binary.LittleEndian.PutUint64(meta[:], uint64(len(c.Records)))
-	werr := AppendRecord(w, Record{Kind: kindCkptMeta, Ordinal: c.Ordinal, Payload: meta[:]})
+	werr := appendRecord(w, Record{Kind: kindCkptMeta, Ordinal: c.Ordinal, Payload: meta[:]})
 	for _, r := range c.Records {
 		if werr != nil {
 			break
 		}
-		werr = AppendRecord(w, r)
+		werr = appendRecord(w, r)
 	}
 	if werr == nil {
-		werr = AppendRecord(w, Record{Kind: kindCkptSnapshot, Ordinal: c.Ordinal, Payload: c.Snapshot})
+		werr = appendRecord(w, Record{Kind: kindCkptSnapshot, Ordinal: c.Ordinal, Payload: c.Snapshot})
 	}
 	if werr == nil {
-		werr = AppendRecord(w, Record{Kind: kindCkptFooter, Ordinal: c.Ordinal, Payload: meta[:]})
+		werr = appendRecord(w, Record{Kind: kindCkptFooter, Ordinal: c.Ordinal, Payload: meta[:]})
 	}
 	if werr == nil {
 		werr = w.Flush()
@@ -81,16 +81,16 @@ func WriteCheckpoint(dir string, c *Checkpoint) (int64, error) {
 	return st.Size(), nil
 }
 
-// ReadCheckpoint decodes and validates one checkpoint file: every record
+// readCheckpoint decodes and validates one checkpoint file: every record
 // checksum must hold, the structure must be meta/history/snapshot/footer,
 // and the footer must agree with the meta header (a truncated file is
 // missing it).
-func ReadCheckpoint(path string) (*Checkpoint, error) {
+func readCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	recs, _, err := DecodeRecords(data)
+	recs, _, err := decodeRecords(data)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint %s: %w", filepath.Base(path), err)
 	}
@@ -142,7 +142,7 @@ func LatestCheckpoint(dir string) (*Checkpoint, error) {
 		return nil, err
 	}
 	for _, name := range names {
-		c, err := ReadCheckpoint(filepath.Join(dir, name))
+		c, err := readCheckpoint(filepath.Join(dir, name))
 		if err == nil {
 			return c, nil
 		}

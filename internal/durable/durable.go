@@ -75,8 +75,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // the torn tail instead of failing.
 var ErrTorn = errors.New("durable: torn record")
 
-// AppendRecord frames and writes one record. It does not sync.
-func AppendRecord(w io.Writer, r Record) error {
+// appendRecord frames and writes one record. It does not sync.
+func appendRecord(w io.Writer, r Record) error {
 	if len(r.Payload) > MaxPayload {
 		return fmt.Errorf("durable: payload %d exceeds limit %d", len(r.Payload), MaxPayload)
 	}
@@ -97,12 +97,12 @@ func AppendRecord(w io.Writer, r Record) error {
 // recordSize returns the framed size of a record.
 func recordSize(r Record) int64 { return int64(headerSize + len(r.Payload)) }
 
-// DecodeRecords decodes a byte stream of framed records. It returns the
+// decodeRecords decodes a byte stream of framed records. It returns the
 // fully decoded records and the byte offset of the clean prefix. When the
 // stream ends mid-record or the trailing record fails its checksum, err
 // wraps ErrTorn and the returned offset points at the start of the torn
 // record — everything before it is intact.
-func DecodeRecords(data []byte) (recs []Record, clean int, err error) {
+func decodeRecords(data []byte) (recs []Record, clean int, err error) {
 	off := 0
 	for off < len(data) {
 		rest := data[off:]

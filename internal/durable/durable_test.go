@@ -27,7 +27,7 @@ func encodeAll(t *testing.T, recs []Record) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	for _, r := range recs {
-		if err := AppendRecord(&buf, r); err != nil {
+		if err := appendRecord(&buf, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -37,7 +37,7 @@ func encodeAll(t *testing.T, recs []Record) []byte {
 func TestRecordRoundTrip(t *testing.T) {
 	want := sampleRecords(7)
 	data := encodeAll(t, want)
-	got, clean, err := DecodeRecords(data)
+	got, clean, err := decodeRecords(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestDecodeTornTail(t *testing.T) {
 	data := encodeAll(t, recs)
 	prefix := encodeAll(t, recs[:len(recs)-1])
 	for cut := len(prefix) + 1; cut < len(data); cut++ {
-		got, clean, err := DecodeRecords(data[:cut])
+		got, clean, err := decodeRecords(data[:cut])
 		if !errors.Is(err, ErrTorn) {
 			t.Fatalf("cut %d: err = %v, want ErrTorn", cut, err)
 		}
@@ -92,7 +92,7 @@ func TestDecodeCorruption(t *testing.T) {
 	for off := len(one); off < len(one)+headerSize+4; off++ {
 		data := encodeAll(t, recs)
 		data[off] ^= 0x41
-		got, clean, err := DecodeRecords(data)
+		got, clean, err := decodeRecords(data)
 		if !errors.Is(err, ErrTorn) {
 			t.Fatalf("flip at %d: err = %v, want ErrTorn", off, err)
 		}
@@ -107,7 +107,7 @@ func TestDecodeImplausibleLength(t *testing.T) {
 	// Corrupt the length field to a huge value; decode must reject it
 	// before allocating, with ErrTorn.
 	data[9], data[10], data[11], data[12] = 0xff, 0xff, 0xff, 0x7f
-	if _, _, err := DecodeRecords(data); !errors.Is(err, ErrTorn) {
+	if _, _, err := decodeRecords(data); !errors.Is(err, ErrTorn) {
 		t.Fatalf("err = %v, want ErrTorn", err)
 	}
 }

@@ -15,9 +15,9 @@ import (
 // on that.
 func FuzzSegmentDecode(f *testing.F) {
 	var seed bytes.Buffer
-	AppendRecord(&seed, Record{Kind: KindBatch, Ordinal: 1, Payload: []byte(`[{"class":"Person"}]`)})
-	AppendRecord(&seed, Record{Kind: KindPoison, Ordinal: 1})
-	AppendRecord(&seed, Record{Kind: KindBatch, Ordinal: 2, Payload: []byte("second")})
+	appendRecord(&seed, Record{Kind: KindBatch, Ordinal: 1, Payload: []byte(`[{"class":"Person"}]`)})
+	appendRecord(&seed, Record{Kind: KindPoison, Ordinal: 1})
+	appendRecord(&seed, Record{Kind: KindBatch, Ordinal: 2, Payload: []byte("second")})
 	f.Add(seed.Bytes())
 	f.Add(seed.Bytes()[:seed.Len()-3]) // torn tail
 	f.Add([]byte{})
@@ -25,7 +25,7 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0}, headerSize))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, clean, err := DecodeRecords(data)
+		recs, clean, err := decodeRecords(data)
 		if clean < 0 || clean > len(data) {
 			t.Fatalf("clean offset %d outside [0, %d]", clean, len(data))
 		}
@@ -37,7 +37,7 @@ func FuzzSegmentDecode(f *testing.F) {
 		}
 		var enc bytes.Buffer
 		for _, r := range recs {
-			if err := AppendRecord(&enc, r); err != nil {
+			if err := appendRecord(&enc, r); err != nil {
 				t.Fatalf("re-encode: %v", err)
 			}
 		}
@@ -45,7 +45,7 @@ func FuzzSegmentDecode(f *testing.F) {
 			t.Fatalf("re-encoded %d records != clean prefix (%d vs %d bytes)",
 				len(recs), enc.Len(), clean)
 		}
-		again, clean2, err2 := DecodeRecords(data[:clean])
+		again, clean2, err2 := decodeRecords(data[:clean])
 		if err2 != nil || clean2 != clean || len(again) != len(recs) {
 			t.Fatalf("decode not idempotent over clean prefix: %d/%d records, err %v",
 				len(again), len(recs), err2)

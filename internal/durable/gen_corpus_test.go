@@ -34,7 +34,7 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		{Kind: KindCold, Ordinal: 2},
 		{Kind: KindBatch, Ordinal: 3, Payload: nil},
 	} {
-		if err := AppendRecord(&stream, r); err != nil {
+		if err := appendRecord(&stream, r); err != nil {
 			t.Fatal(err)
 		}
 	}

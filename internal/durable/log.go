@@ -73,7 +73,7 @@ func OpenLog(dir string) (*Log, []Record, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		recs, clean, derr := DecodeRecords(data)
+		recs, clean, derr := decodeRecords(data)
 		if derr != nil {
 			if i != len(segs)-1 {
 				return nil, nil, fmt.Errorf("durable: segment %s corrupt mid-log: %w", name, derr)
@@ -157,7 +157,7 @@ func (l *Log) Append(r Record) error {
 			return err
 		}
 	}
-	if err := AppendRecord(l.f, r); err != nil {
+	if err := appendRecord(l.f, r); err != nil {
 		// A partial frame may be on disk; cut back to the boundary so the
 		// live file stays clean for future appends.
 		if terr := l.f.Truncate(l.size); terr != nil {

@@ -30,11 +30,6 @@ type Suite struct {
 	// Scale multiplies the paper-scale dataset sizes (1.0 reproduces
 	// Table 1's reference counts; the test suite uses ~0.1).
 	Scale float64
-	// Workers overrides recon.Config.Workers for every run whose
-	// configuration left it at the default (0 = NumCPU). Results are
-	// identical at any worker count; this only steers wall-clock
-	// measurements.
-	Workers int
 
 	mu       sync.Mutex
 	pimSets  map[string]*dataset.Dataset
@@ -44,11 +39,8 @@ type Suite struct {
 	stats    map[string]recon.Stats
 }
 
-// NewSuite returns a suite at the given scale (<= 0 means 1.0).
+// NewSuite returns a suite at the given scale.
 func NewSuite(scale float64) *Suite {
-	if scale <= 0 {
-		scale = 1
-	}
 	return &Suite{
 		Scale:   scale,
 		pimSets: make(map[string]*dataset.Dataset),
@@ -151,9 +143,6 @@ func (s *Suite) Run(d *dataset.Dataset, cfg recon.Config) map[string]metrics.Rep
 	}
 	s.mu.Unlock()
 
-	if cfg.Workers == 0 {
-		cfg.Workers = s.Workers
-	}
 	res, err := recon.New(schema.PIM(), cfg).Reconcile(d.Store)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: reconcile %s: %v", key, err))

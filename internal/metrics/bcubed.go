@@ -65,7 +65,7 @@ func BCubed(store *reference.Store, class string, partitions [][]reference.ID) B
 	} else {
 		rep.Precision, rep.Recall = 1, 1
 	}
-	rep.F1 = FMeasure(rep.Precision, rep.Recall)
+	rep.F1 = fMeasure(rep.Precision, rep.Recall)
 	return rep
 }
 

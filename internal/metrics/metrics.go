@@ -94,12 +94,12 @@ func Evaluate(store *reference.Store, class string, partitions [][]reference.ID)
 
 	rep.Precision = ratio(rep.CorrectPairs, rep.PredictedPairs)
 	rep.Recall = ratio(rep.CorrectPairs, rep.TruePairs)
-	rep.F1 = FMeasure(rep.Precision, rep.Recall)
+	rep.F1 = fMeasure(rep.Precision, rep.Recall)
 	return rep
 }
 
-// FMeasure is the harmonic mean of precision and recall.
-func FMeasure(prec, rec float64) float64 {
+// fMeasure is the harmonic mean of precision and recall.
+func fMeasure(prec, rec float64) float64 {
 	if prec+rec == 0 {
 		return 0
 	}
@@ -136,7 +136,7 @@ func Average(reports []Report) Report {
 	n := float64(len(reports))
 	out.Precision /= n
 	out.Recall /= n
-	out.F1 = FMeasure(out.Precision, out.Recall)
+	out.F1 = fMeasure(out.Precision, out.Recall)
 	return out
 }
 

@@ -86,14 +86,14 @@ func TestEvaluateIgnoresOtherClasses(t *testing.T) {
 }
 
 func TestFMeasure(t *testing.T) {
-	if FMeasure(0, 0) != 0 {
+	if fMeasure(0, 0) != 0 {
 		t.Error("F(0,0) should be 0")
 	}
-	if !approx(FMeasure(1, 1), 1) {
+	if !approx(fMeasure(1, 1), 1) {
 		t.Error("F(1,1) should be 1")
 	}
-	if !approx(FMeasure(0.5, 1), 2.0/3) {
-		t.Errorf("F(0.5,1) = %f", FMeasure(0.5, 1))
+	if !approx(fMeasure(0.5, 1), 2.0/3) {
+		t.Errorf("F(0.5,1) = %f", fMeasure(0.5, 1))
 	}
 }
 

@@ -338,7 +338,7 @@ func (b *builder) wireScored(r1, r2 *reference.Reference, induced bool, vals []v
 	m := b.g.AddRefPair(r1.ID, r2.ID, r1.Class)
 	for i, v := range vals {
 		if sims[i] >= evidenceFloor(v.cmp.by, relax) {
-			wireValuePair(b.g, m, b.elems, v, sims[i], b.cfg.AttrMergeThreshold)
+			wireValuePair(b.g, m, b.elems, v, sims[i], attrMergeThreshold)
 		}
 	}
 	if constrained {

@@ -212,7 +212,7 @@ func (h *queryHost) WireAttrEvidence(g *depgraph.Graph, n *depgraph.Node, a, b r
 	}
 	wired := false
 	h.m.eachScored(ra, rb, func(v valCompare, sim float64) {
-		wireValuePair(g, n, h.elems, v, sim, h.m.cfg.AttrMergeThreshold)
+		wireValuePair(g, n, h.elems, v, sim, attrMergeThreshold)
 		wired = true
 	})
 	return wired

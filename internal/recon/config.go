@@ -95,14 +95,13 @@ func ParseEvidenceLevel(s string) (EvidenceLevel, error) {
 	return 0, fmt.Errorf("unknown evidence level %q", s)
 }
 
+// The merge thresholds of §5.2, fixed settings of the algorithm: a reference
+// pair merges at 0.85, an attribute-value pair at 1.0 (identical values only).
+const refMergeThreshold, attrMergeThreshold = 0.85, 1.0
+
 // Config collects all tunable parameters. DefaultConfig returns the
 // published §5.2 settings.
 type Config struct {
-	// MergeThreshold is the reference-pair merge threshold (paper: 0.85).
-	MergeThreshold float64
-	// AttrMergeThreshold is the attribute-value-pair merge threshold
-	// (paper: 1.0 — only identical values start out merged).
-	AttrMergeThreshold float64
 	// Mode selects propagation/enrichment (default ModeFull).
 	Mode Mode
 	// Evidence selects the evidence level (default EvidenceContact).
@@ -154,25 +153,10 @@ type Config struct {
 // DefaultConfig returns the full algorithm with the published parameters.
 func DefaultConfig() Config {
 	return Config{
-		MergeThreshold:     0.85,
-		AttrMergeThreshold: 1.0,
-		Mode:               ModeFull,
-		Evidence:           EvidenceContact,
-		Constraints:        true,
-		BucketCap:          512,
-		Shards:             1,
+		Mode:        ModeFull,
+		Evidence:    EvidenceContact,
+		Constraints: true,
+		BucketCap:   512,
+		Shards:      1,
 	}
-}
-
-// withDefaults fills the parameters a zero Config leaves unset from
-// DefaultConfig, the one place the published §5.2 values are written.
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.MergeThreshold == 0 {
-		c.MergeThreshold = d.MergeThreshold
-	}
-	if c.AttrMergeThreshold == 0 {
-		c.AttrMergeThreshold = d.AttrMergeThreshold
-	}
-	return c
 }

@@ -61,7 +61,6 @@ type evidence struct {
 }
 
 func newEvidence(sch *schema.Schema, cfg Config) *evidence {
-	cfg = cfg.withDefaults()
 	e := &evidence{
 		sch:     sch,
 		cfg:     cfg,
@@ -86,18 +85,18 @@ func newEvidence(sch *schema.Schema, cfg Config) *evidence {
 func (e *evidence) engineOptions() depgraph.Options {
 	return depgraph.Options{
 		Scorer:         &simfn.Scorer{Rows: e.scores},
-		MergeThreshold: e.mergeThreshold,
+		MergeThreshold: mergeThreshold,
 		Propagate:      e.cfg.Mode.propagate(),
 		Enrich:         e.cfg.Mode.enrich(),
 	}
 }
 
 // mergeThreshold is the similarity at which a node merges (§5.2).
-func (e *evidence) mergeThreshold(n *depgraph.Node) float64 {
+func mergeThreshold(n *depgraph.Node) float64 {
 	if n.Kind() == depgraph.ValuePair {
-		return e.cfg.AttrMergeThreshold
+		return attrMergeThreshold
 	}
-	return e.cfg.MergeThreshold
+	return refMergeThreshold
 }
 
 // row returns the class's row at the configured evidence level; an empty

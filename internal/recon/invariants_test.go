@@ -181,15 +181,10 @@ func TestFullModeReachesFixedPoint(t *testing.T) {
 	graph, seed := b.g, b.incorporate(g.Store.All())
 	scorer := &simfn.Scorer{Rows: b.scores}
 	graph.Run(seed, depgraph.Options{
-		Scorer: scorer,
-		MergeThreshold: func(n *depgraph.Node) float64 {
-			if n.Kind() == depgraph.ValuePair {
-				return cfg.AttrMergeThreshold
-			}
-			return cfg.MergeThreshold
-		},
-		Propagate: true,
-		Enrich:    true,
+		Scorer:         scorer,
+		MergeThreshold: mergeThreshold,
+		Propagate:      true,
+		Enrich:         true,
 	})
 	if bad := graph.CheckFixedPoint(scorer, 1e-6); len(bad) != 0 {
 		for i, n := range bad {

@@ -170,8 +170,7 @@ func (m *Matcher) Rank(cands []Candidate, limit int) []Candidate {
 	for i := range cands {
 		cands[i].Match = false
 	}
-	thr := m.cfg.MergeThreshold
-	if len(cands) > 0 && cands[0].Score >= thr && (len(cands) == 1 || cands[1].Score < thr) {
+	if len(cands) > 0 && cands[0].Score >= refMergeThreshold && (len(cands) == 1 || cands[1].Score < refMergeThreshold) {
 		cands[0].Match = true
 	}
 	return cands

@@ -22,7 +22,7 @@ type Reconciler struct {
 
 // New returns a reconciler for the schema with the given configuration.
 func New(sch *schema.Schema, cfg Config) *Reconciler {
-	return &Reconciler{sch: sch, cfg: cfg.withDefaults()}
+	return &Reconciler{sch: sch, cfg: cfg}
 }
 
 // Stats describes one reconciliation run.
@@ -113,7 +113,7 @@ func (s *Session) newAuditor() *audit.Auditor {
 	if !s.rc.cfg.Audit {
 		return nil
 	}
-	return audit.New(s.b.mergeThreshold, s.rc.cfg.Constraints)
+	return audit.New(mergeThreshold, s.rc.cfg.Constraints)
 }
 
 // Prepared is a one-shot reconciliation paused at the build/propagate

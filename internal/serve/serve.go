@@ -563,7 +563,7 @@ func (s *Service) Manifest(baseURL string) Manifest {
 			Modes:        []string{ModeAttribute, ModeCollective},
 			MaxNodes:     cc.MaxNodes,
 			MaxHops:      cc.MaxHops,
-			MaxNeighbors: cc.MaxNeighbors,
+			MaxNeighbors: collective.MaxNeighbors,
 			BudgetMS:     float64(cc.Budget.Nanoseconds()) / 1e6,
 		}
 	}
