@@ -38,8 +38,9 @@ import (
 
 // Host supplies the reference universe Resolve expands over. All methods
 // must be deterministic for a fixed snapshot: slices come back in a
-// stable order, and repeated calls agree. Implementations need not be
-// safe for concurrent use; Resolve is single-threaded.
+// stable order, repeated calls agree, and Resolve only reads them (a host
+// may share them between queries). Implementations need not be safe for
+// concurrent use; Resolve is single-threaded.
 type Host interface {
 	// Candidates returns the blocking candidates of id (stored references
 	// sharing a blocking key), sorted ascending, excluding id itself.

@@ -191,6 +191,50 @@ func TestResolveNodeBudgetDegrades(t *testing.T) {
 	}
 }
 
+// countingHost counts the Host calls only building a graph makes.
+type countingHost struct {
+	*fakeHost
+	wires, frozen int
+}
+
+func (h *countingHost) WireAttrEvidence(g *depgraph.Graph, n *depgraph.Node, a, b reference.ID) bool {
+	h.wires++
+	return h.fakeHost.WireAttrEvidence(g, n, a, b)
+}
+
+func (h *countingHost) Frozen(a, b reference.ID) (float64, bool, bool, bool) {
+	h.frozen++
+	return h.fakeHost.Frozen(a, b)
+}
+
+// TestResolveDegradeBuildsNothing pins the plan-then-build split: a query
+// over the node budget degrades on the id-only walk, before any node is
+// built, any value compared or any frozen decision read, with the Stats
+// the interleaved expansion reported; a query that fits wires attribute
+// evidence once per RefPair node.
+func TestResolveDegradeBuildsNothing(t *testing.T) {
+	for _, tc := range []struct{ max, hop int }{{1, 0}, {2, 0}, {3, 1}} {
+		h := &countingHost{fakeHost: boostWorld()}
+		cfg := testConfig()
+		cfg.MaxNodes = tc.max
+		st := Resolve(h, Request{Query: 100}, cfg).Stats
+		st.ExpandMS = 0
+		want := Stats{Candidates: 2, PairNodes: tc.max, MaxHop: tc.hop, Degraded: true, Reason: "nodes"}
+		if st != want || h.wires != 0 || h.frozen != 0 {
+			t.Errorf("MaxNodes=%d: %d wires, %d frozen reads, stats %+v; want none and %+v",
+				tc.max, h.wires, h.frozen, st, want)
+		}
+	}
+	h := &countingHost{fakeHost: boostWorld()}
+	cfg := testConfig()
+	cfg.MaxNodes = 4
+	res := Resolve(h, Request{Query: 100}, cfg)
+	if res.Stats.Degraded || h.wires != res.Stats.PairNodes {
+		t.Errorf("MaxNodes=4: degraded %v, %d wires for %d pair nodes",
+			res.Stats.Degraded, h.wires, res.Stats.PairNodes)
+	}
+}
+
 func TestResolveStepBudgetDegrades(t *testing.T) {
 	h := boostWorld()
 	cfg := testConfig()

@@ -1,8 +1,9 @@
 package collective
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -35,13 +36,6 @@ func Resolve(h Host, req Request, cfg Config) Result {
 	return res
 }
 
-// pend is one materialized RefPair awaiting association expansion.
-type pend struct {
-	n    *depgraph.Node
-	a, b reference.ID
-	hop  int
-}
-
 func resolve(h Host, req Request, cfg Config, tr *obs.Tracer) Result {
 	q := req.Query
 	st := &Stats{}
@@ -55,8 +49,7 @@ func resolve(h Host, req Request, cfg Config, tr *obs.Tracer) Result {
 		return !deadline.IsZero() && time.Now().After(deadline)
 	}
 	degrade := func(reason string) Result {
-		st.Degraded = true
-		st.Reason = reason
+		st.Degraded, st.Reason = true, reason
 		return Result{Stats: *st}
 	}
 
@@ -73,67 +66,9 @@ func resolve(h Host, req Request, cfg Config, tr *obs.Tracer) Result {
 		})
 	}
 	degradeExpand := func(reason string) Result {
-		st.Degraded = true
-		st.Reason = reason
+		st.Degraded, st.Reason = true, reason
 		endExpand()
 		return Result{Stats: *st}
-	}
-
-	g := depgraph.New()
-	refs := make(map[reference.ID]struct{})
-	seen := make(map[uint64]struct{})
-	var made []pend // every materialized pair, in creation order
-
-	// ensure materializes the RefPair (a, b) at hop if it does not exist
-	// yet: attribute evidence wired, frozen decision applied. created
-	// reports a fresh node; ok is false when the node budget is
-	// exhausted (the whole query degrades — a partial neighborhood would
-	// make scores depend on where the cap happened to land).
-	ensure := func(a, b reference.ID, hop int) (n *depgraph.Node, created, ok bool) {
-		if a == b {
-			return nil, false, true
-		}
-		key := pairKey(a, b)
-		if _, dup := seen[key]; dup {
-			return g.LookupRefPair(a, b), false, true
-		}
-		if st.PairNodes >= cfg.MaxNodes {
-			return nil, false, false
-		}
-		class := h.ClassOf(a)
-		if class == "" || class != h.ClassOf(b) {
-			seen[key] = struct{}{}
-			return nil, false, true
-		}
-		seen[key] = struct{}{}
-		n = g.AddRefPair(a, b, class)
-		st.PairNodes++
-		if hop > st.MaxHop {
-			st.MaxHop = hop
-		}
-		if a != q {
-			refs[a] = struct{}{}
-		}
-		if b != q {
-			refs[b] = struct{}{}
-		}
-		h.WireAttrEvidence(g, n, a, b)
-		if a != q && b != q {
-			if sim, merged, nonMerge, has := h.Frozen(a, b); has {
-				switch {
-				case nonMerge:
-					g.MarkNonMerge(n)
-				default:
-					if sim > 0 {
-						g.RaiseSim(n, sim)
-					}
-					if merged {
-						g.MarkMerged(n)
-					}
-				}
-			}
-		}
-		return n, true, true
 	}
 
 	cand0 := h.Candidates(q)
@@ -143,108 +78,15 @@ func resolve(h Host, req Request, cfg Config, tr *obs.Tracer) Result {
 		return Result{Scores: map[reference.ID]float64{}, Stats: *st}
 	}
 
-	hop0 := make(map[reference.ID]*depgraph.Node, len(cand0))
-	var queue []pend
-	push := func(a, b reference.ID, hop int) (*depgraph.Node, bool) {
-		n, created, ok := ensure(a, b, hop)
-		if !ok {
-			return nil, false
-		}
-		if created {
-			p := pend{n: n, a: a, b: b, hop: hop}
-			made = append(made, p)
-			queue = append(queue, p)
-		}
-		return n, true
+	// Plan over ids, then build: the node budget depends on the walk
+	// alone, so an over-budget query degrades before any node is built or
+	// any value compared.
+	pl := &plan{h: h, q: q, cfg: cfg, st: st, seen: map[uint64]int32{}, hop0: map[reference.ID]int32{},
+		refs: map[reference.ID]struct{}{}, sibDone: map[reference.ID]struct{}{}}
+	if reason := pl.walk(cand0, expired); reason != "" {
+		return degradeExpand(reason)
 	}
-
-	for _, c := range cand0 {
-		n, ok := push(q, c, 0)
-		if !ok {
-			return degradeExpand("nodes")
-		}
-		if n != nil {
-			hop0[c] = n
-		}
-	}
-
-	// Sibling expansion: an association target first seen as evidence for
-	// a parent pair gets its own blocking candidates materialized one
-	// level deeper, so the local fixed point can discover merges among
-	// the neighbors themselves (and enrichment can fold their pairs).
-	sibDone := make(map[reference.ID]struct{})
-	expandSiblings := func(t reference.ID, hop int) bool {
-		if _, done := sibDone[t]; done {
-			return true
-		}
-		sibDone[t] = struct{}{}
-		cands := h.Candidates(t)
-		if len(cands) > MaxNeighbors {
-			cands = cands[:MaxNeighbors]
-		}
-		for _, t2 := range cands {
-			if _, ok := push(t, t2, hop); !ok {
-				return false
-			}
-		}
-		return true
-	}
-
-	// Breadth-first association expansion: each materialized pair whose
-	// hop is still inside the budget aligns its two references'
-	// association attributes and wires the induced evidence edges.
-	for i := 0; i < len(queue); i++ {
-		if expired() {
-			return degradeExpand("time")
-		}
-		p := queue[i]
-		if p.hop >= cfg.MaxHops {
-			continue
-		}
-		aT := assocOf(h, p.a)
-		bT := assocOf(h, p.b)
-		for _, ae := range aT {
-			be, ok := findAssoc(bT, ae.attr)
-			if !ok {
-				continue
-			}
-			ev, dep, backEv, ok := h.AssocEvidence(p.n.Class(), ae.attr)
-			if !ok {
-				continue
-			}
-			for _, t1 := range ae.targets {
-				for _, t2 := range be.targets {
-					if t1 == t2 {
-						// A shared target is direct relational evidence:
-						// a merged value node, as the offline builder
-						// wires shared association endpoints.
-						sn := g.AddValuePair("shared", sharedElem(t1), sharedElem(t1), 1)
-						g.MarkMerged(sn)
-						g.AddEdge(sn, p.n, dep, ev)
-						continue
-					}
-					child, ok := push(t1, t2, p.hop+1)
-					if !ok {
-						return degradeExpand("nodes")
-					}
-					if child == nil || child == p.n {
-						continue
-					}
-					g.AddEdge(child, p.n, dep, ev)
-					if backEv != "" {
-						g.AddEdge(p.n, child, depgraph.StrongBoolean, backEv)
-					}
-					if p.hop+1 < cfg.MaxHops {
-						if !expandSiblings(t1, p.hop+2) || !expandSiblings(t2, p.hop+2) {
-							return degradeExpand("nodes")
-						}
-					}
-				}
-			}
-		}
-	}
-
-	st.ExpandedRefs = len(refs)
+	g, nodes := pl.build()
 	st.ValueNodes = g.NodeCount() - st.PairNodes
 	endExpand()
 	if expired() {
@@ -255,25 +97,19 @@ func resolve(h Host, req Request, cfg Config, tr *obs.Tracer) Result {
 	// total-order tie-break on the id pair so propagation order cannot
 	// depend on expansion history. Frozen merged pairs are excluded —
 	// seeding a merged node demotes it — and frozen non-merges stay dead.
-	seedable := made[:0]
-	for _, p := range made {
-		if s := p.n.Status(); s == depgraph.Merged || s == depgraph.NonMerge {
-			continue
+	var seedable []int
+	for i, n := range nodes {
+		if s := n.Status(); s != depgraph.Merged && s != depgraph.NonMerge {
+			seedable = append(seedable, i)
 		}
-		seedable = append(seedable, p)
 	}
-	sort.Slice(seedable, func(i, j int) bool {
-		if seedable[i].hop != seedable[j].hop {
-			return seedable[i].hop > seedable[j].hop
-		}
-		if seedable[i].n.RefA() != seedable[j].n.RefA() {
-			return seedable[i].n.RefA() < seedable[j].n.RefA()
-		}
-		return seedable[i].n.RefB() < seedable[j].n.RefB()
+	slices.SortFunc(seedable, func(a, b int) int {
+		return cmp.Or(cmp.Compare(pl.pairs[b].hop, pl.pairs[a].hop),
+			cmp.Compare(nodes[a].RefA(), nodes[b].RefA()), cmp.Compare(nodes[a].RefB(), nodes[b].RefB()))
 	})
 	seed := make([]*depgraph.Node, len(seedable))
-	for i, p := range seedable {
-		seed[i] = p.n
+	for i, k := range seedable {
+		seed[i] = nodes[k]
 	}
 
 	resolveStart := time.Now()
@@ -283,22 +119,20 @@ func resolve(h Host, req Request, cfg Config, tr *obs.Tracer) Result {
 	// they fold away (merging (r1,r2) folds (r2,r3) into (r1,r3); when q
 	// itself merges, (q,c) can fold into a stored-stored pair).
 	fwd := make(map[*depgraph.Node]*depgraph.Node)
-	var interrupt func() error
-	if !deadline.IsZero() {
-		interrupt = func() error {
-			if time.Now().After(deadline) {
-				return errBudget
-			}
-			return nil
-		}
-	}
 	// The host's scorer and thresholds under this call's budgets. Collective
 	// resolution is propagation plus enrichment whatever mode the offline
 	// run ablated to.
 	opts := h.EngineOptions()
 	opts.Propagate, opts.Enrich = true, true
-	opts.MaxSteps = cfg.MaxSteps
-	opts.Interrupt = interrupt
+	opts.MaxSteps, opts.Interrupt = cfg.MaxSteps, nil
+	if !deadline.IsZero() {
+		opts.Interrupt = func() error {
+			if expired() {
+				return errBudget
+			}
+			return nil
+		}
+	}
 	opts.OnFold = func(l, m *depgraph.Node) { fwd[l] = m }
 	es := g.Run(seed, opts)
 	st.Rounds, st.Steps, st.Merges, st.Folds = es.Rounds, es.Steps, es.Merges, es.Folds
@@ -315,18 +149,197 @@ func resolve(h Host, req Request, cfg Config, tr *obs.Tracer) Result {
 		return degrade("steps")
 	}
 
-	scores := make(map[reference.ID]float64, len(hop0))
-	for c, n := range hop0 {
-		for {
-			m, folded := fwd[n]
-			if !folded {
-				break
-			}
+	scores := make(map[reference.ID]float64, len(pl.hop0))
+	for c, i := range pl.hop0 {
+		n := nodes[i]
+		for m, folded := fwd[n]; folded; m, folded = fwd[n] {
 			n = m
 		}
 		scores[c] = n.Sim()
 	}
 	return Result{Scores: scores, Stats: *st}
+}
+
+// plan is one query's neighbourhood over ids alone: the RefPairs it holds
+// and the graph operations that build them, in the order the breadth-first
+// walk met them. seen maps a pair key to its index in pairs (-1: no node).
+type plan struct {
+	h             Host
+	q             reference.ID
+	cfg           Config
+	st            *Stats
+	pairs         []pairPlan
+	ops           []op
+	seen          map[uint64]int32
+	hop0          map[reference.ID]int32
+	refs, sibDone map[reference.ID]struct{}
+}
+
+type pairPlan struct {
+	a, b  reference.ID
+	class string
+	hop   int
+}
+
+// op is one graph operation: build RefPair p (opPair), wire shared target
+// t as evidence for p (opShared), or the association edge c → p and its
+// back edge (opAssoc).
+type op struct {
+	kind     uint8
+	p, c     int32
+	t        reference.ID
+	dep      depgraph.DepType
+	ev, back string
+}
+
+const (
+	opPair = iota
+	opShared
+	opAssoc
+)
+
+// push plans the RefPair (a, b) at hop unless the walk has met it. It
+// returns the pair's index (-1 when the pair gets no node: a self pair or
+// a cross-class one) and false when the node budget is exhausted — the
+// whole query degrades, as a partial neighbourhood would make scores
+// depend on where the cap happened to land.
+func (pl *plan) push(a, b reference.ID, hop int) (int32, bool) {
+	if a == b {
+		return -1, true
+	}
+	key := pairKey(a, b)
+	if i, dup := pl.seen[key]; dup {
+		return i, true
+	}
+	if len(pl.pairs) >= pl.cfg.MaxNodes {
+		return -1, false
+	}
+	i := int32(-1)
+	if class := pl.h.ClassOf(a); class != "" && class == pl.h.ClassOf(b) {
+		i = int32(len(pl.pairs))
+		pl.pairs = append(pl.pairs, pairPlan{a: a, b: b, class: class, hop: hop})
+		pl.ops = append(pl.ops, op{kind: opPair, p: i})
+		pl.st.PairNodes++
+		pl.st.MaxHop = max(pl.st.MaxHop, hop)
+		pl.refs[a], pl.refs[b] = struct{}{}, struct{}{}
+	}
+	pl.seen[key] = i
+	return i, true
+}
+
+// siblings plans the first MaxNeighbors blocking candidates of t as pairs
+// at hop: an association target first seen as evidence for a parent pair
+// gets its own candidates one level deeper, so the local fixed point can
+// discover merges among the neighbors themselves (and enrichment can fold
+// their pairs).
+func (pl *plan) siblings(t reference.ID, hop int) bool {
+	if _, done := pl.sibDone[t]; done {
+		return true
+	}
+	pl.sibDone[t] = struct{}{}
+	cands := pl.h.Candidates(t)
+	for _, t2 := range cands[:min(len(cands), MaxNeighbors)] {
+		if _, ok := pl.push(t, t2, hop); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// walk plans the neighbourhood: the hop-0 candidate pairs, then, breadth
+// first, each planned pair inside the hop budget aligns its references'
+// association attributes into shared targets, target pairs and those
+// targets' sibling candidates. It returns why the query degrades ("nodes"
+// or "time"), or "" when the plan fits.
+func (pl *plan) walk(cand0 []reference.ID, expired func() bool) string {
+	for _, c := range cand0 {
+		i, ok := pl.push(pl.q, c, 0)
+		if !ok {
+			return "nodes"
+		}
+		if i >= 0 {
+			pl.hop0[c] = i
+		}
+	}
+	for i := int32(0); int(i) < len(pl.pairs); i++ {
+		if expired() {
+			return "time"
+		}
+		p := pl.pairs[i]
+		if p.hop >= pl.cfg.MaxHops {
+			continue
+		}
+		bT := assocOf(pl.h, p.b)
+		for _, ae := range assocOf(pl.h, p.a) {
+			j := slices.IndexFunc(bT, func(e assocEntry) bool { return e.attr == ae.attr })
+			ev, dep, back, ok := pl.h.AssocEvidence(p.class, ae.attr)
+			if j < 0 || !ok {
+				continue
+			}
+			for _, t1 := range ae.targets {
+				for _, t2 := range bT[j].targets {
+					if t1 == t2 {
+						pl.ops = append(pl.ops, op{kind: opShared, p: i, t: t1, dep: dep, ev: ev})
+						continue
+					}
+					c, ok := pl.push(t1, t2, p.hop+1)
+					if !ok {
+						return "nodes"
+					}
+					if c < 0 || c == i {
+						continue
+					}
+					pl.ops = append(pl.ops, op{kind: opAssoc, p: i, c: c, dep: dep, ev: ev, back: back})
+					if p.hop+1 < pl.cfg.MaxHops && (!pl.siblings(t1, p.hop+2) || !pl.siblings(t2, p.hop+2)) {
+						return "nodes"
+					}
+				}
+			}
+		}
+	}
+	delete(pl.refs, pl.q)
+	pl.st.ExpandedRefs = len(pl.refs)
+	return ""
+}
+
+// build replays the plan's operations in walk order, so the graph, its
+// node and edge order included, is the one an interleaved expansion would
+// make.
+func (pl *plan) build() (*depgraph.Graph, []*depgraph.Node) {
+	h, g := pl.h, depgraph.New()
+	nodes := make([]*depgraph.Node, len(pl.pairs))
+	for _, o := range pl.ops {
+		switch o.kind {
+		case opPair:
+			p := &pl.pairs[o.p]
+			n := g.AddRefPair(p.a, p.b, p.class)
+			nodes[o.p] = n
+			h.WireAttrEvidence(g, n, p.a, p.b)
+			// A frozen decision (never one for the query, which is not
+			// stored): a non-merge stays dead, anything else floors the
+			// pair at its converged similarity.
+			if sim, merged, nonMerge, has := h.Frozen(p.a, p.b); has && nonMerge {
+				g.MarkNonMerge(n)
+			} else if has {
+				g.RaiseSim(n, sim)
+				if merged {
+					g.MarkMerged(n)
+				}
+			}
+		case opShared:
+			// A shared target is direct relational evidence: a merged
+			// value node, as the offline builder wires it.
+			sn := g.AddValuePair("shared", sharedElem(o.t), sharedElem(o.t), 1)
+			g.MarkMerged(sn)
+			g.AddEdge(sn, nodes[o.p], o.dep, o.ev)
+		case opAssoc:
+			g.AddEdge(nodes[o.c], nodes[o.p], o.dep, o.ev)
+			if o.back != "" {
+				g.AddEdge(nodes[o.p], nodes[o.c], depgraph.StrongBoolean, o.back)
+			}
+		}
+	}
+	return g, nodes
 }
 
 // pairKey packs an unordered id pair into a map key.
@@ -357,13 +370,4 @@ func assocOf(h Host, id reference.ID) []assocEntry {
 		}
 	})
 	return out
-}
-
-func findAssoc(entries []assocEntry, attr string) (assocEntry, bool) {
-	for _, e := range entries {
-		if e.attr == attr {
-			return e, true
-		}
-	}
-	return assocEntry{}, false
 }

@@ -15,7 +15,7 @@ import (
 func (w *world) renderBibliography(acc *extract.Accumulator) error {
 	store := acc.Store()
 	for _, a := range w.articles {
-		cites := 1 + w.rng.Intn(maxInt(1, w.p.MaxCitations))
+		cites := 1 + w.rng.Intn(max(1, w.p.MaxCitations))
 		for c := 0; c < cites; c++ {
 			text := w.renderBibEntry(a, c)
 			refs, err := acc.AddBibTeX(text)
@@ -245,13 +245,6 @@ func titleCase(s string) string {
 		return s
 	}
 	return strings.ToUpper(s[:1]) + s[1:]
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Validate is a convenience wrapper checking the generated store against

@@ -248,12 +248,12 @@ func seedSort(sch *schema.Schema, nodes []*depgraph.Node) []*depgraph.Node {
 // ensureRefPair returns the RefPair node for (r1, r2), creating it together
 // with its atomic-value evidence nodes on first sight. It returns nil when
 // the pair has no comparable evidence at all (the paper removes such nodes,
-// §3.1 step 1(2)) or the wire stage pruned it this batch. induced marks
-// pairs discovered through associations rather than blocking; a class whose
-// row says keepInduced treats those more leniently (wireScored). An induced
-// request whose value signatures were found bare earlier in the batch is
-// answered from the memo without enumerating anything.
-func (b *builder) ensureRefPair(r1, r2 *reference.Reference, induced bool) *depgraph.Node {
+// §3.1 step 1(2)) or the wire stage pruned it this batch. Every request is
+// an induced pair, discovered through associations rather than blocking; a
+// class whose row says keepInduced treats those more leniently
+// (wireScored). A request whose value signatures were found bare earlier in
+// the batch is answered from the memo without enumerating anything.
+func (b *builder) ensureRefPair(r1, r2 *reference.Reference) *depgraph.Node {
 	b.induced.requests++
 	if r1.ID == r2.ID || r1.Class != r2.Class {
 		return nil
@@ -265,21 +265,18 @@ func (b *builder) ensureRefPair(r1, r2 *reference.Reference, induced bool) *depg
 	if _, ok := b.removed[pairIndex(r1.ID, r2.ID)]; ok {
 		return nil
 	}
-	var sig uint64
-	if induced {
-		sig = uint64(b.sigOf(r1))<<32 | uint64(b.sigOf(r2))
-		if _, ok := b.bare[sig]; ok {
-			b.induced.memoHits++
-			return nil
-		}
+	sig := uint64(b.sigOf(r1))<<32 | uint64(b.sigOf(r2))
+	if _, ok := b.bare[sig]; ok {
+		b.induced.memoHits++
+		return nil
 	}
 	b.induced.evaluated++
 	b.valScratch = b.appendVals(b.valScratch[:0], r1, r2)
-	n := b.wireScored(r1, r2, induced, b.valScratch, b.scoreVals(b.valScratch))
+	n := b.wireScored(r1, r2, true, b.valScratch, b.scoreVals(b.valScratch))
 	switch {
 	case n != nil:
 		b.induced.kept++
-	case induced:
+	default:
 		b.bare[sig] = struct{}{}
 	}
 	return n
@@ -383,7 +380,7 @@ func (b *builder) buildAssociations(fresh []*depgraph.Node) {
 						b.g.AddEdge(b.sharedValueNode(a1), m, rule.dep, rule.evidence)
 						continue
 					}
-					n := b.ensureRefPair(b.store.Get(a1), b.store.Get(a2), true)
+					n := b.ensureRefPair(b.store.Get(a1), b.store.Get(a2))
 					if n == nil || n == m {
 						continue
 					}

@@ -88,11 +88,11 @@ func TestEnsureRefPairPrunesNoEvidence(t *testing.T) {
 	r1 := personRef(s, "Alice Johnson", "")
 	r2 := personRef(s, "Zoltan Brachnik", "")
 	b := newBuilder(s, schema.PIM(), DefaultConfig())
-	if n := b.ensureRefPair(r1, r2, false); n != nil {
+	if n := b.ensureRefPair(r1, r2); n != nil {
 		t.Errorf("dissimilar pair should be pruned, got %v", n)
 	}
 	// A pruned pair is decided before it is built: it never takes a row.
-	if n := b.ensureRefPair(r1, r2, false); n != nil {
+	if n := b.ensureRefPair(r1, r2); n != nil {
 		t.Error("pruned pair resurrected")
 	}
 	if b.g.NodeIDBound() != 0 {
@@ -107,10 +107,10 @@ func TestEnsureRefPairRejectsMixedClasses(t *testing.T) {
 	v.AddAtomic(schema.AttrName, "SIGMOD")
 	s.Add(v)
 	b := newBuilder(s, schema.PIM(), DefaultConfig())
-	if n := b.ensureRefPair(p, v, false); n != nil {
+	if n := b.ensureRefPair(p, v); n != nil {
 		t.Error("cross-class pair created")
 	}
-	if n := b.ensureRefPair(p, p, false); n != nil {
+	if n := b.ensureRefPair(p, p); n != nil {
 		t.Error("self pair created")
 	}
 }
@@ -120,7 +120,7 @@ func TestPersonConstraintSameServer(t *testing.T) {
 	r1 := personRef(s, "Jane Doe", "jane@cs.example.edu")
 	r2 := personRef(s, "Jane Doe", "jdoe@cs.example.edu")
 	b := newBuilder(s, schema.PIM(), DefaultConfig())
-	n := b.ensureRefPair(r1, r2, false)
+	n := b.ensureRefPair(r1, r2)
 	if n == nil {
 		t.Fatal("pair should exist (same names)")
 	}
@@ -135,7 +135,7 @@ func TestPersonConstraintSharedEmailOverrides(t *testing.T) {
 	r1 := personRef(s, "Jane Smith", "j@x.edu")
 	r2 := personRef(s, "Jane Rodriguez", "j@x.edu") // married-name style
 	b := newBuilder(s, schema.PIM(), DefaultConfig())
-	n := b.ensureRefPair(r1, r2, false)
+	n := b.ensureRefPair(r1, r2)
 	if n == nil {
 		t.Fatal("pair should exist")
 	}
@@ -149,7 +149,7 @@ func TestPersonConstraintIncompatibleNames(t *testing.T) {
 	r1 := personRef(s, "Matt Stonebraker", "")
 	r2 := personRef(s, "Michael Stonebraker", "")
 	b := newBuilder(s, schema.PIM(), DefaultConfig())
-	n := b.ensureRefPair(r1, r2, false)
+	n := b.ensureRefPair(r1, r2)
 	if n == nil {
 		t.Fatal("pair should exist (same surname)")
 	}
@@ -174,11 +174,11 @@ func TestVenueConstraintIncompatibleYears(t *testing.T) {
 	s.Add(v3)
 
 	b := newBuilder(s, schema.PIM(), DefaultConfig())
-	far := b.ensureRefPair(v1, v2, false)
+	far := b.ensureRefPair(v1, v2)
 	if far == nil || far.Status() != depgraph.NonMerge {
 		t.Errorf("editions 8 years apart must be non-merge: %v", far)
 	}
-	near := b.ensureRefPair(v1, v3, false)
+	near := b.ensureRefPair(v1, v3)
 	if near == nil || near.Status() == depgraph.NonMerge {
 		t.Errorf("adjacent years tolerate citation noise: %v", near)
 	}
@@ -196,7 +196,7 @@ func TestConstraintsDisabled(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Constraints = false
 	b := newBuilder(s, schema.PIM(), cfg)
-	if n := b.ensureRefPair(r1, r2, false); n != nil {
+	if n := b.ensureRefPair(r1, r2); n != nil {
 		t.Errorf("pair without evidence should be pruned when unconstrained: %v", n)
 	}
 }

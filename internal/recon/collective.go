@@ -9,6 +9,8 @@ package recon
 // fallback is the Matcher, not an approximation of it.
 
 import (
+	"sync/atomic"
+
 	"refrecon/internal/collective"
 	"refrecon/internal/depgraph"
 	"refrecon/internal/reference"
@@ -146,40 +148,64 @@ func (h *queryHost) ClassOf(id reference.ID) string {
 }
 
 // Candidates implements collective.Host: blocking-index lookup over the
-// reference's keys, with the reference itself removed. Resolve asks at
-// most once per reference, so nothing is memoized.
+// reference's keys, with the reference itself removed. Neighbourhoods
+// overlap across queries, so a stored reference's list is memoized.
 func (h *queryHost) Candidates(id reference.ID) []reference.ID {
 	r := h.ref(id)
 	if r == nil {
 		return nil
 	}
-	ids := h.m.candidates(r)
-	out := ids[:0]
-	for _, c := range ids {
-		if c != id {
-			out = append(out, c)
+	return memo(h, h.m.cands, r, func() []reference.ID {
+		ids := h.m.candidates(r)
+		out := ids[:0]
+		for _, c := range ids {
+			if c != id {
+				out = append(out, c)
+			}
 		}
-	}
-	return out
+		return out[:len(out):len(out)]
+	})
 }
 
 // EachAssoc implements collective.Host: the targets of each association
-// rule of the reference's class, in rule order, so person references
-// expose their pooled contact list. Unlike construction, no popularity
-// cap drops hyper-popular contacts here: the cap is a statistic over the
-// whole person population, and the expansion is already bounded by
-// collective.Config's node and neighbor budgets.
+// rule of the reference's class, in rule order (memoized like Candidates),
+// so person references expose their pooled contact list. Unlike
+// construction, no popularity cap drops hyper-popular contacts here: the
+// cap is a statistic over the whole person population, and the expansion
+// is already bounded by collective.Config's node and neighbor budgets.
 func (h *queryHost) EachAssoc(id reference.ID, fn func(attr string, targets []reference.ID)) {
 	r := h.ref(id)
 	if r == nil {
 		return
 	}
 	rules := h.m.row(r.Class).assoc
+	ts := memo(h, h.m.assocs, r, func() [][]reference.ID {
+		ts := make([][]reference.ID, len(rules))
+		for i := range rules {
+			ts[i] = rules[i].targets(r)
+		}
+		return ts
+	})
 	for i := range rules {
-		if ts := rules[i].targets(r); len(ts) > 0 {
-			fn(rules[i].attr, ts)
+		if len(ts[i]) > 0 {
+			fn(rules[i].attr, ts[i])
 		}
 	}
+}
+
+// memo returns compute(), memoized per stored reference in slots (filled
+// on first use; racing first uses compute equal values) and computed
+// afresh for the query reference.
+func memo[T any](h *queryHost, slots []atomic.Pointer[T], r *reference.Reference, compute func() T) T {
+	if r == h.qr {
+		return compute()
+	}
+	if p := slots[r.ID].Load(); p != nil {
+		return *p
+	}
+	v := compute()
+	slots[r.ID].Store(&v)
+	return v
 }
 
 // AssocEvidence implements collective.Host by reading the class's

@@ -230,10 +230,12 @@ func TestInducedVenueRelaxation(t *testing.T) {
 	v2.AddAtomic(schema.AttrYear, "1995")
 	s.Add(v2)
 	cfg := DefaultConfig()
-	if n := newBuilder(s, schema.PIM(), cfg).ensureRefPair(v1, v2, false); n != nil {
+	b := newBuilder(s, schema.PIM(), cfg)
+	vals := b.appendVals(nil, v1, v2)
+	if n := b.wireScored(v1, v2, false, vals, b.scoreVals(vals)); n != nil {
 		t.Errorf("blocked venue pair with nothing to compare should be pruned, got %s", n.Key())
 	}
-	if n := newBuilder(s, schema.PIM(), cfg).ensureRefPair(v1, v2, true); n == nil || !n.Alive() {
+	if n := newBuilder(s, schema.PIM(), cfg).ensureRefPair(v1, v2); n == nil || !n.Alive() {
 		t.Error("induced venue pair with nothing to compare should be kept")
 	}
 	h := newQueryHost(NewMatcher(schema.PIM(), cfg, snapshotOf(t, s, cfg)), reference.New(schema.ClassVenue))

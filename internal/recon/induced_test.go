@@ -178,7 +178,7 @@ func TestBareMemoKeyIsOrdered(t *testing.T) {
 	p := inducedPersons(s, "Alice Johnson", "Zoltan Brachnik", "Alice Johnson", "Zoltan Brachnik")
 	b := newBuilder(s, schema.PIM(), DefaultConfig())
 	for _, req := range [][2]int{{0, 1}, {1, 0}, {2, 3}, {3, 2}} {
-		if n := b.ensureRefPair(p[req[0]], p[req[1]], true); n != nil {
+		if n := b.ensureRefPair(p[req[0]], p[req[1]]); n != nil {
 			t.Fatalf("request %v: dissimilar pair built", req)
 		}
 	}

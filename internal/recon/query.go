@@ -12,6 +12,7 @@ package recon
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"refrecon/internal/reference"
 	"refrecon/internal/schema"
@@ -66,6 +67,10 @@ type Matcher struct {
 	// refs are the snapshot's stored references as References, indexed by
 	// id: the shape the evidence model reads.
 	refs []*reference.Reference
+	// cands and assocs memoize queryHost's answers per stored reference,
+	// filled on first use: a publish costs two zeroed slices.
+	cands  []atomic.Pointer[[]reference.ID]
+	assocs []atomic.Pointer[[][]reference.ID]
 }
 
 // NewMatcher indexes a snapshot for query-time reconciliation. Cost is one
@@ -75,6 +80,8 @@ func NewMatcher(sch *schema.Schema, cfg Config, snap *Snapshot) *Matcher {
 		evidence: newEvidence(sch, cfg),
 		snap:     snap,
 		refs:     make([]*reference.Reference, len(snap.refs)),
+		cands:    make([]atomic.Pointer[[]reference.ID], len(snap.refs)),
+		assocs:   make([]atomic.Pointer[[][]reference.ID], len(snap.refs)),
 	}
 	for i := range snap.refs {
 		m.refs[i] = snap.refs[i].Reference()

@@ -55,7 +55,7 @@ func levenshteinScratch(sc *scratch, ra, rb []rune) int {
 			if ra[i-1] == rb[j-1] {
 				cost = 0
 			}
-			cur[j] = minInt(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
 		}
 		prev, cur = cur, prev
 	}
@@ -97,7 +97,7 @@ func damerauScratch(sc *scratch, ra, rb []rune) int {
 			if ra[i-1] == rb[j-1] {
 				cost = 0
 			}
-			cur[j] = minInt(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
 			if i > 1 && j > 1 && ra[i-1] == rb[j-2] && ra[i-2] == rb[j-1] {
 				if t := prev2[j-2] + 1; t < cur[j] {
 					cur[j] = t
@@ -135,19 +135,5 @@ func editSim(dist, la, lb int) float64 {
 	if la == 0 && lb == 0 {
 		return 1
 	}
-	m := la
-	if lb > m {
-		m = lb
-	}
-	return 1 - float64(dist)/float64(m)
-}
-
-func minInt(xs ...int) int {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
+	return 1 - float64(dist)/float64(max(la, lb))
 }

@@ -63,7 +63,7 @@ func naiveLevenshtein(a, b string) int {
 			if ra[i-1] == rb[j-1] {
 				cost = 0
 			}
-			d[i][j] = minInt(d[i-1][j]+1, d[i][j-1]+1, d[i-1][j-1]+cost)
+			d[i][j] = min(d[i-1][j]+1, d[i][j-1]+1, d[i-1][j-1]+cost)
 		}
 	}
 	return d[len(ra)][len(rb)]
@@ -86,7 +86,7 @@ func naiveDamerau(a, b string) int {
 			if ra[i-1] == rb[j-1] {
 				cost = 0
 			}
-			d[i][j] = minInt(d[i-1][j]+1, d[i][j-1]+1, d[i-1][j-1]+cost)
+			d[i][j] = min(d[i-1][j]+1, d[i][j-1]+1, d[i-1][j-1]+cost)
 			if i > 1 && j > 1 && ra[i-1] == rb[j-2] && ra[i-2] == rb[j-1] {
 				if t := d[i-2][j-2] + 1; t < d[i][j] {
 					d[i][j] = t
@@ -127,14 +127,14 @@ func naiveJaro(a, b string) float64 {
 	if la == 0 || lb == 0 {
 		return 0
 	}
-	window := maxInt(la, lb)/2 - 1
+	window := max(la, lb)/2 - 1
 	if window < 0 {
 		window = 0
 	}
 	aM, bM := make([]bool, la), make([]bool, lb)
 	matches := 0
 	for i := 0; i < la; i++ {
-		lo, hi := maxInt(0, i-window), minInt2(lb-1, i+window)
+		lo, hi := max(0, i-window), min(lb-1, i+window)
 		for j := lo; j <= hi; j++ {
 			if bM[j] || ra[i] != rb[j] {
 				continue
@@ -260,7 +260,7 @@ func FuzzStrsim(f *testing.F) {
 		if dam > lev {
 			t.Fatalf("Damerau %d exceeds Levenshtein %d for (%q, %q)", dam, lev, a, b)
 		}
-		if la, lb := len([]rune(a)), len([]rune(b)); lev > maxInt(la, lb) {
+		if la, lb := len([]rune(a)), len([]rune(b)); lev > max(la, lb) {
 			t.Fatalf("Levenshtein %d exceeds max length for (%q, %q)", lev, a, b)
 		}
 	})

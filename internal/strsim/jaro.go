@@ -24,7 +24,7 @@ func jaroScratch(sc *scratch, ra, rb []rune) float64 {
 	if la == 0 || lb == 0 {
 		return 0
 	}
-	window := maxInt(la, lb)/2 - 1
+	window := max(la, lb)/2 - 1
 	if window < 0 {
 		window = 0
 	}
@@ -32,8 +32,8 @@ func jaroScratch(sc *scratch, ra, rb []rune) float64 {
 	bMatched := boolRow(&sc.bm, lb)
 	matches := 0
 	for i := 0; i < la; i++ {
-		lo := maxInt(0, i-window)
-		hi := minInt2(lb-1, i+window)
+		lo := max(0, i-window)
+		hi := min(lb-1, i+window)
 		for j := lo; j <= hi; j++ {
 			if bMatched[j] || ra[i] != rb[j] {
 				continue
@@ -131,18 +131,4 @@ func winklerTokens(sc *scratch, x, y string) float64 {
 		sc.rb = tokenizer.AppendNormalizedRunes(sc.rb[:0], y)
 	}
 	return winklerScratch(sc, 0.1)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

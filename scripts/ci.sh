@@ -69,9 +69,9 @@ go test ./...
 echo "== go test -race (concurrent packages) =="
 go test -race ./internal/parallel ./internal/recon ./internal/serve ./internal/collective ./internal/obs
 
-echo "== go test -race (twin-graph and worker-count determinism, golden outputs) =="
+echo "== go test -race (twin-graph and worker-count determinism, golden outputs, collective answers over a shared memo) =="
 go test -race -run 'DeltaRescanEquivalence' ./internal/depgraph
-go test -race -run 'WorkerCountDeterminism|GoldenOutputs' .
+go test -race -run 'WorkerCountDeterminism|GoldenOutputs|CollectiveAnswersUnchanged' .
 
 echo "== go test -race (sharded equivalence) =="
 go test -race -run 'TestShard' ./internal/recon
