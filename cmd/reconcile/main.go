@@ -18,7 +18,8 @@
 // Perfetto); -progress renders round-by-round progress to stderr.
 //
 // User errors exit 2 before any work: an unknown -mode or -evidence, a
-// negative count, a malformed -explain, -explain or -dot with -shards ≠ 1.
+// negative count, a malformed -explain, -explain or -dot with -shards ≠ 1,
+// an -in dataset that is not PIM-schema (a catalog file, say).
 package main
 
 import (
@@ -46,7 +47,7 @@ func main() {
 	evidence := flag.String("evidence", "contact", "evidence level: attr, nameemail, article, contact")
 	constraints := flag.Bool("constraints", true, "enforce negative-evidence constraints")
 	workers := flag.Int("workers", 0, "goroutines scoring candidate pairs (0 = NumCPU, 1 = serial; results are identical at any setting)")
-	shards := flag.Int("shards", 1, "reconcile blocking-connected components in N concurrent shards (0 = one per CPU, 1 = single monolithic run)")
+	shards := flag.Int("shards", 1, "reconcile closed components in N concurrent shards, with the monolithic answer (0 = one per CPU, 1 = single monolithic run)")
 	bucketCap := flag.Int("bucketcap", 0, "override the blocking bucket cap (0 = keep the default; lower caps tame saturated buckets on large scaled corpora)")
 	auditFlag := flag.Bool("audit", false, "verify structural invariants at every phase boundary (slower, aborts on the first violation)")
 	dump := flag.String("dump", "", "write partitions as JSON to this file")
@@ -103,6 +104,9 @@ func main() {
 	f.Close()
 	if err != nil {
 		log.Fatal(err)
+	}
+	if err := ds.Store.Validate(schema.PIM()); err != nil {
+		usageErrorf("-in %s is not a PIM-schema dataset (Person/Article/Venue): %v", *in, err)
 	}
 	fmt.Printf("dataset %s: %d references\n", ds.Name, ds.Store.Len())
 
@@ -164,9 +168,8 @@ func main() {
 		st.Engine.Steps, st.Engine.Merges, st.Engine.Folds, st.Engine.Reactivate, truncated,
 		st.PropagateTime.Round(time.Millisecond))
 	if sh := st.Shard; sh.Components > 0 {
-		fmt.Printf("shards: %d groups over %d components (largest weight %d), %d boundary links, %d frontier rounds, %d boundary updates, %d fold replays\n",
-			sh.Shards, sh.Components, sh.LargestComponent, sh.BoundaryLinks,
-			sh.FrontierRounds, sh.BoundaryUpdates, sh.FoldReplays)
+		fmt.Printf("shards: %d groups over %d closed components (largest weight %d), %d constant value copies\n",
+			sh.Shards, sh.Components, sh.LargestComponent, sh.ValueReplicas)
 	}
 	if st.Engine.EdgeAdds > 0 {
 		fmt.Printf("dedup: %d edges examined over %d edge adds (mean %.1f)\n",

@@ -22,7 +22,8 @@
 // final checkpoint is written, and the log is closed before exit.
 //
 // User errors exit 2 before the service starts: an unknown -schema or
-// -evidence, -checkpoint-every without -data-dir, a collective bound < 1.
+// -evidence, -checkpoint-every without -data-dir, a collective bound < 1,
+// -in against a -data-dir that already holds state.
 package main
 
 import (
@@ -136,6 +137,9 @@ func main() {
 		CheckpointEvery: *ckptEvery,
 		Collective:      collCfg,
 	}, store)
+	if errors.Is(err, serve.ErrReseed) {
+		usageErrorf("-in %s cannot seed -data-dir %s: %v", *in, *dataDir, err)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -238,9 +238,8 @@ func (a *Auditor) CheckPartition(phase string, store *reference.Store, g *depgra
 }
 
 // CheckPartitionNodes is CheckPartition over an arbitrary node iterator, so
-// the sharded path can audit its result against the union of per-component
-// graphs (the iterator must yield each decision-bearing RefPair node once;
-// mirror copies are harmless duplicates — they carry the same references).
+// the sharded path can audit its result against its per-component graphs
+// (the iterator must yield each decision-bearing RefPair node once).
 func (a *Auditor) CheckPartitionNodes(phase string, store *reference.Store, each func(func(*depgraph.Node)),
 	partitions map[string][][]reference.ID, assignment map[reference.ID]int) *Report {
 	r := &Report{Phase: phase}
@@ -312,84 +311,54 @@ func (a *Auditor) CheckPartitionNodes(phase string, store *reference.Store, each
 }
 
 // CheckSharding audits a shard.Split plan against the global graph it was
-// derived from, immediately after the split (before any propagation
-// mutates either side):
+// cut from, immediately after the split (before any propagation mutates
+// either side):
 //
-//   - every live candidate pair of the global graph is owned by exactly
-//     one component — the one owning its references — and no component
-//     owns a pair the global graph lacks;
-//   - every mirror copy a component holds corresponds to a live pair of
-//     its claimed source component, and the boundary link is registered on
-//     both sides (the mirror appears in Plan.Links with matching source
-//     and destination).
+//   - every candidate pair of the global graph is held by exactly one
+//     component, and the components hold no other pair;
+//   - no global edge joins two components: its target's component holds
+//     its source, as the source's own component or as a copy of a
+//     constant value.
 //
-// Cost is one scan of the global graph plus one scan of every component
-// graph.
+// Cost is one scan of the global graph's nodes and edges.
 func (a *Auditor) CheckSharding(phase string, plan *shard.Plan, g *depgraph.Graph) *Report {
 	r := &Report{Phase: phase}
-
-	global := make(map[string]struct{})
-	globalPairs := 0
+	pairs := 0
 	g.Nodes(func(n *depgraph.Node) {
-		if n.Kind() == depgraph.RefPair {
-			global[n.Key()] = struct{}{}
-			globalPairs++
+		if n.Kind() != depgraph.RefPair {
+			return
+		}
+		pairs++
+		c := plan.CompOf(n)
+		r.check()
+		if c < 0 || plan.Comps[c].G.LookupRefPair(n.RefA(), n.RefB()) == nil {
+			r.violate("shard/coverage", n.Key(), "no component holds the pair (component %d)", c)
 		}
 	})
-
-	linked := make(map[*depgraph.Node]shard.Link, len(plan.Links))
-	for _, l := range plan.Links {
-		linked[l.Mirror] = l
-	}
-
-	owned := make(map[string]int, globalPairs)
-	total := 0
+	held := 0
 	for _, c := range plan.Comps {
 		c.G.Nodes(func(n *depgraph.Node) {
-			if n.Kind() != depgraph.RefPair {
-				return
-			}
-			key := n.Key()
-			if !plan.IsMirror(c, n) {
-				total++
-				r.check()
-				if _, ok := global[key]; !ok {
-					r.violate("shard/unknown-pair", key, "component %d owns a pair the global graph lacks", c.ID)
-				}
-				r.check()
-				if prior, dup := owned[key]; dup {
-					r.violate("shard/multi-owner", key, "owned by components %d and %d", prior, c.ID)
-				}
-				owned[key] = c.ID
-				return
-			}
-			srcComp := plan.CompOfRef(n.RefA())
-			r.check()
-			if srcComp < 0 || srcComp >= len(plan.Comps) || srcComp == c.ID {
-				r.violate("shard/mirror-source", key, "mirror in component %d claims source component %d", c.ID, srcComp)
-				return
-			}
-			r.check()
-			if plan.Comps[srcComp].G.LookupRefPair(n.RefA(), n.RefB()) == nil {
-				r.violate("shard/mirror-orphan", key, "mirror in component %d has no source pair in component %d", c.ID, srcComp)
-			}
-			l, ok := linked[n]
-			r.check()
-			if !ok {
-				r.violate("shard/mirror-unlinked", key, "mirror in component %d has no boundary link", c.ID)
-				return
-			}
-			r.check()
-			if l.SrcComp != srcComp || l.DstComp != c.ID || !l.Src.Alive() {
-				r.violate("shard/link-mismatch", key, "link (%d -> %d, src alive %v) disagrees with mirror in component %d from %d",
-					l.SrcComp, l.DstComp, l.Src.Alive(), c.ID, srcComp)
+			if n.Kind() == depgraph.RefPair {
+				held++
 			}
 		})
 	}
 	r.check()
-	if total != globalPairs {
-		r.violate("shard/coverage", "", "components own %d of %d candidate pairs", total, globalPairs)
+	if held != pairs {
+		r.violate("shard/coverage", "", "components hold %d pairs, the global graph %d", held, pairs)
 	}
+	g.Edges(func(e depgraph.Edge) {
+		from, to := plan.CompOf(e.From), plan.CompOf(e.To)
+		r.check()
+		switch {
+		case to < 0:
+			r.violate("shard/crossing-edge", e.To.Key(), "edge from %s into a constant", e.From.Key())
+		case from >= 0 && from != to:
+			r.violate("shard/crossing-edge", e.To.Key(), "edge from %s joins components %d and %d", e.From.Key(), from, to)
+		case from < 0 && plan.Comps[to].G.Lookup(e.From.Key()) == nil:
+			r.violate("shard/crossing-edge", e.To.Key(), "component %d reads constant %s without a copy", to, e.From.Key())
+		}
+	})
 	a.TotalChecks += r.Checks
 	return r
 }

@@ -48,9 +48,9 @@ type Options struct {
 	// merged. The reconciler uses it to feed its union-find.
 	OnMerge func(n *Node)
 	// OnFold, if set, is invoked whenever enrichment folds node l into node
-	// m, just before l is removed. The sharded orchestrator uses it to keep
-	// forwarding maps so boundary links survive folds. The hook stays
-	// installed for the duration of the Run only.
+	// m, just before l is removed. The query-time collective pass uses it to
+	// follow its query pairs through folds. The hook stays installed for
+	// the duration of the Run only.
 	OnFold func(l, m *Node)
 	// MaxSteps caps the number of node evaluations as a safety net
 	// against non-monotone scorers. 0 means 1000 * initial node count.
@@ -292,22 +292,10 @@ func (g *Graph) Run(seed []*Node, opt Options) Stats {
 	return st
 }
 
-// Activate pushes n to the back of the propagation queue if it is
-// eligible, reporting whether it was pushed. It is the public face of the
-// engine's weak-boolean/real-valued re-activation rule, exposed so the
-// sharded boundary sync can replicate the monolithic engine's behavior
-// when cross-shard evidence raises a mirror node.
-func (g *Graph) Activate(n *Node) bool { return g.activate(n) }
-
-// ActivateFront pushes n to the front of the propagation queue if
-// eligible (the strong-boolean activation rule), reporting whether it was
-// pushed.
-func (g *Graph) ActivateFront(n *Node) bool { return g.activateFront(n) }
-
 // RaiseSim raises n's similarity to sim, a no-op unless sim is strictly
 // higher than the current value and n is not constrained NonMerge: the
-// external evidence injection of the sharded boundary sync, which pushes a
-// source pair's similarity into its mirror. The value is clamped to 1.
+// query-time collective pass floors a pair of its private graph at the
+// stored decision's similarity. The value is clamped to 1.
 func (g *Graph) RaiseSim(n *Node, sim float64) {
 	if sim > 1 {
 		sim = 1
@@ -315,22 +303,6 @@ func (g *Graph) RaiseSim(n *Node, sim float64) {
 	if g.status[n.id] != NonMerge {
 		g.raiseSim(n, sim)
 	}
-}
-
-// FoldInto applies the enrichment fold "l absorbs into m" outside the
-// engine's own pop path: l's edges move onto m (deduplicated), l's
-// NonMerge status or higher similarity is inherited, l is removed, and
-// targets that gained evidence are re-queued — exactly the mechanics of
-// §3.3's fold. The sharded boundary sync uses it to replay an
-// owner component's folds onto the mirror copies other components hold, so
-// duplicate boolean evidence collapses the same way it does in the
-// monolithic graph. No-op unless both nodes are alive and distinct.
-// Options.OnFold is not invoked (the caller already knows the fold).
-func (g *Graph) FoldInto(l, m *Node) {
-	if l == m || !g.alive[l.id] || !g.alive[m.id] {
-		return
-	}
-	g.fold(l, m)
 }
 
 // activate pushes m to the back of the queue if it is eligible for

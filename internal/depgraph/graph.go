@@ -363,6 +363,18 @@ func (g *Graph) Nodes(fn func(*Node)) {
 	}
 }
 
+// Edges invokes fn for every live edge in creation order. Edge ids are
+// assigned in creation order and renumbered only by the compaction that
+// follows removals, so on a graph nothing was ever removed from each
+// node's in- and out-edges arrive in the order its spans hold them.
+func (g *Graph) Edges(fn func(Edge)) {
+	for e := range g.eFrom {
+		if g.eFrom[e] >= 0 {
+			fn(g.edgeAt(int32(e)))
+		}
+	}
+}
+
 // RefPairNodesOf returns the live RefPair nodes that mention r. The caller
 // must not retain the slice across graph mutations.
 func (g *Graph) RefPairNodesOf(r reference.ID) []*Node {

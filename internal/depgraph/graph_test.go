@@ -122,6 +122,26 @@ func TestNodesIteration(t *testing.T) {
 	}
 }
 
+// Edges walks live edges in creation order and skips the ones a node
+// removal killed.
+func TestEdgesCreationOrder(t *testing.T) {
+	g := New()
+	a := g.AddRefPair(0, 1, "Person")
+	b := g.AddRefPair(2, 3, "Person")
+	c := g.AddRefPair(4, 5, "Person")
+	g.AddEdge(c, a, WeakBoolean, "w")
+	g.AddEdge(a, b, RealValued, "x")
+	g.AddEdge(b, c, StrongBoolean, "y")
+	g.AddEdge(a, c, RealValued, "z")
+	g.removeNode(b)
+	var got []string
+	g.Edges(func(e Edge) { got = append(got, e.From.Key()+">"+e.To.Key()+":"+e.Evidence) })
+	want := []string{"r4|r5>r0|r1:w", "r0|r1>r4|r5:z"}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("Edges = %v, want %v", got, want)
+	}
+}
+
 func TestRefPairNodesOf(t *testing.T) {
 	g := New()
 	a := g.AddRefPair(0, 1, "Person")

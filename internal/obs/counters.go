@@ -34,15 +34,6 @@ type Counters struct {
 	RequeueWeak    atomic.Int64
 	QueueHighWater atomic.Int64 // max, not sum
 
-	// Sharded reconciliation (zero under the monolithic path): component
-	// engine runs, partition shape, boundary-frontier traffic.
-	ShardRuns           atomic.Int64
-	ShardComponents     atomic.Int64
-	LargestComponent    atomic.Int64 // max, not sum
-	BoundaryLinks       atomic.Int64
-	FrontierRounds      atomic.Int64
-	FrontierActivations atomic.Int64
-
 	// Query-time collective reconciliation: queries run, queries that
 	// degraded to the attribute-only fallback, RefPair nodes materialized
 	// across all expansions, and the largest single expansion.
@@ -87,12 +78,6 @@ type CounterSnapshot struct {
 	RequeueStrong          int64 `json:"requeueStrong"`
 	RequeueWeak            int64 `json:"requeueWeak"`
 	QueueHighWater         int64 `json:"queueHighWater"`
-	ShardRuns              int64 `json:"shardRuns"`
-	ShardComponents        int64 `json:"shardComponents"`
-	LargestComponent       int64 `json:"largestComponent"`
-	BoundaryLinks          int64 `json:"boundaryLinks"`
-	FrontierRounds         int64 `json:"frontierRounds"`
-	FrontierActivations    int64 `json:"frontierActivations"`
 	CollectiveQueries      int64 `json:"collectiveQueries"`
 	CollectiveDegraded     int64 `json:"collectiveDegraded"`
 	CollectivePairNodes    int64 `json:"collectivePairNodes"`
@@ -123,12 +108,6 @@ func (c *Counters) Snapshot() CounterSnapshot {
 		RequeueStrong:          c.RequeueStrong.Load(),
 		RequeueWeak:            c.RequeueWeak.Load(),
 		QueueHighWater:         c.QueueHighWater.Load(),
-		ShardRuns:              c.ShardRuns.Load(),
-		ShardComponents:        c.ShardComponents.Load(),
-		LargestComponent:       c.LargestComponent.Load(),
-		BoundaryLinks:          c.BoundaryLinks.Load(),
-		FrontierRounds:         c.FrontierRounds.Load(),
-		FrontierActivations:    c.FrontierActivations.Load(),
 		CollectiveQueries:      c.CollectiveQueries.Load(),
 		CollectiveDegraded:     c.CollectiveDegraded.Load(),
 		CollectivePairNodes:    c.CollectivePairNodes.Load(),

@@ -119,19 +119,16 @@ type Config struct {
 	// on one goroutine.
 	Workers int
 	// Shards controls sharded reconciliation of Reconcile /
-	// ReconcileContext: the candidate-pair graph is partitioned into
-	// blocking-connected components, the components are grouped into this
-	// many balanced shards, and one propagation engine runs per shard
-	// concurrently, with cross-shard evidence resolved by a boundary
-	// frontier to a global fixed point (package shard; decisions agree
-	// with the monolithic run on >= 99.9% of pairs — see DESIGN.md,
-	// "Sharded reconciliation"). 1 — the
-	// default — is the exact legacy single-graph path, 0 resolves to
-	// runtime.GOMAXPROCS(0), and any value >= 2 produces identical
-	// partitions and stats for every other value >= 2 (grouping only
-	// affects scheduling). Incremental Sessions always run the monolithic
-	// path: components drift and merge across batches, so a per-batch
-	// re-split would forfeit the retained graph the session exists to keep.
+	// ReconcileContext: the freshly built graph is cut into closed
+	// components, which share no evidence during propagation (package
+	// shard), the components are grouped into this many balanced shards,
+	// and one propagation engine runs per shard concurrently. Every value
+	// gives the monolithic answer (see DESIGN.md, "Sharded
+	// reconciliation"); 1 — the default — runs one engine over the whole
+	// graph, and 0 resolves to runtime.GOMAXPROCS(0). Incremental Sessions
+	// always run the monolithic path: components drift and merge across
+	// batches, so a per-batch re-split would forfeit the retained graph the
+	// session exists to keep.
 	Shards int
 	// Audit runs the structural invariant auditor (package audit) at every
 	// phase boundary — after graph construction, after the propagation

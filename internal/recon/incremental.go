@@ -171,8 +171,7 @@ func (s *Session) build(ctx context.Context) (seed []*depgraph.Node, idle bool, 
 
 // fixedPoint is the propagate step of the pipeline, the one step with two
 // implementations: a single engine over the session graph (wholeGraph), or
-// one engine per blocking-connected component joined by a boundary
-// frontier (shardedGraph, shards.go).
+// one engine per closed component (shardedGraph, shards.go).
 type fixedPoint interface {
 	// run iterates similarities to the fixed point from the seeds.
 	run(seed []*depgraph.Node, opts depgraph.Options) (depgraph.Stats, error)
@@ -229,7 +228,7 @@ func (s *Session) finish(ctx context.Context, seed []*depgraph.Node, shards int)
 		"folds": engine.Folds, "rounds": engine.Rounds,
 	}
 	if sh := s.stats.Shard; sh.Components > 0 {
-		args["components"], args["frontierRounds"] = sh.Components, sh.FrontierRounds
+		args["components"] = sh.Components
 	}
 	sp.EndArgs(args)
 	feedEngineCounters(o.Counter(), engine)

@@ -189,8 +189,7 @@ func feedEngineCounters(c *obs.Counters, e depgraph.Stats) {
 // — by revoking the least-certain link on any constraint-violating path.
 //
 // each is the propagate step's node iterator: the session graph's nodes
-// or, under sharding, every component's real (non-mirror) pairs in
-// component-id order, which visits each global pair exactly once.
+// or, under sharding, each global node's decision in global id order.
 func closure(store *reference.Store, each func(func(*depgraph.Node)), constrained bool) *Result {
 	uf := unionfind.New(store.Len())
 	if !constrained {

@@ -153,6 +153,10 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
+// ErrReseed is NewFromStore's refusal to seed a data dir that already
+// holds state.
+var ErrReseed = errors.New("already holds state")
+
 // NewFromStore starts a service and ingests the store's references as its
 // first batch: a stored dataset is an ingest batch, so this is New plus one
 // Ingest. With Config.DataDir the store may seed only a fresh directory;
@@ -165,7 +169,7 @@ func NewFromStore(cfg Config, store *reference.Store) (*Service, error) {
 	}
 	if len(s.history) > 0 {
 		s.log.Close()
-		return nil, fmt.Errorf("serve: data dir %q already holds state; the initial store must be empty (remove the directory to reseed)", cfg.DataDir)
+		return nil, fmt.Errorf("serve: data dir %q %w; the initial store must be empty (remove the directory to reseed)", cfg.DataDir, ErrReseed)
 	}
 	batch := make([]IngestRef, 0, store.Len())
 	for _, r := range store.All() {

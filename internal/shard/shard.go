@@ -1,59 +1,44 @@
-// Package shard partitions a fully built dependency graph into
-// independent per-component graphs so the propagation fixed point can run
-// concurrently, one engine per shard, without sharing any mutable state.
+// Package shard cuts a freshly built dependency graph into closed
+// components — subgraphs that share no evidence during propagation — so
+// the fixed point can run concurrently, one engine per shard, with nothing
+// to synchronize and exactly the monolithic answer.
 //
-// The unit of partitioning is the connected component of the *reference*
-// graph induced by blocking: two references are connected when some
-// candidate RefPair node mentions both. Pairs are same-class, so a
-// component never spans classes, and every enrichment fold — which
-// rewrites pairs sharing a reference — is intra-component by construction.
-// Association and contact edges between pairs of different components
-// (article evidence feeding person pairs, shared-contact links, …) are the
-// cross-component dependencies; they become boundary links.
+// A node's score reads only its in-edges (§3.2) and enrichment folds only
+// pairs that share a reference (§3.3), so the nodes that can influence one
+// another during Run are joined by:
 //
-// Split copies each component's nodes and edges into a private
-// depgraph.Graph:
+//   - two RefPair nodes sharing a reference (enrichment);
+//   - an edge between two nodes that can change (a pair→pair association
+//     or back edge, a pair→value alias edge and the value's edges out);
+//   - a value node with an in-edge, which Run can raise to an alias: it
+//     joins every one of its peers.
 //
-//   - a RefPair node lands in the component owning its references;
-//   - a ValuePair node is replicated into every component that holds one
-//     of its edge peers (peers are always RefPairs, so value evidence is
-//     purely local); replicas of alias-learnable values — those with a
-//     strong-boolean in-edge that can raise them to similarity 1 — are
-//     registered in a ValueGroup so learned aliases propagate;
-//   - a cross-component RefPair -> RefPair edge is rewired through a
-//     *mirror*: a read-only copy of the source pair materialized in the
-//     destination component, carrying the edge into the local graph. A
-//     mirror has no incoming edges and is never queued; it only changes
-//     when the boundary sync pushes the owner's state into it.
+// A value node with no in-edge (and not seeded) is never queued, so it is
+// a constant during Run: Split copies it into every component that reads
+// it instead of joining them.
 //
-// Mirror references are disjoint from the destination component's own
-// references, so mirrors can never fold with local pairs; they fold only
-// with other mirrors of the same owner component, replaying exactly the
-// folds the owner performed (SyncBoundary does this explicitly, so
-// duplicate boolean evidence collapses the way the monolithic graph's
-// edge dedup collapses it).
-//
-// After every round of per-component fixed points, SyncBoundary pushes
-// each link's source state (similarity, Merged, NonMerge) into its mirror
-// and levels value-replica groups, applying the engine's own activation
-// rules to the dependents that gained evidence. Components that gained
-// work are re-run; the loop terminates because similarities and statuses
-// only ever go up. The global result coincides with the monolithic fixed
-// point by the confluence of monotone propagation.
+// Split copies nodes in global id order and edges in global creation
+// order, so every copy keeps the global node's in- and out-edge order
+// (a constant keeps its out-edges' order restricted to the component).
+// Enrichment's swap-with-last removals make later activation order depend
+// on that order; with it preserved, each component's run is the
+// monolithic queue restricted to the component — the queue is a deque and
+// no operation on one component's entries moves another's — so every
+// decision, and every count but the per-queue ones (rounds, high water,
+// dedup traffic), equals the monolithic run's.
 package shard
 
 import (
+	"fmt"
 	"sort"
 
 	"refrecon/internal/depgraph"
-	"refrecon/internal/reference"
 )
 
-// Component is one connected component's private graph plus the
-// bookkeeping the boundary sync needs.
+// Component is one closed component's private graph.
 type Component struct {
 	// ID is the component's dense index in Plan.Comps, assigned in the
-	// deterministic order components are first seen during node iteration.
+	// order components are first seen in global node id order.
 	ID int
 	// G is the component's private dependency graph.
 	G *depgraph.Graph
@@ -62,269 +47,156 @@ type Component struct {
 	// Weight is the scheduling weight (nodes + edges) used to balance
 	// components across shards.
 	Weight int
-
-	// fwd records enrichment folds (l -> m) performed by this component's
-	// runs, so boundary links survive folds on either side.
-	fwd map[*depgraph.Node]*depgraph.Node
-	// foldLog is the ordered list of folds since the last sync; the sync
-	// replays them onto mirror copies held by other components.
-	foldLog []foldRec
 }
 
-type foldRec struct{ l, m *depgraph.Node }
-
-// OnFold is the depgraph.Options.OnFold hook for this component's runs.
-// It must only be invoked by the engine run that owns the component (the
-// orchestrator runs components on separate goroutines, but each hook
-// touches only its own component's state).
-func (c *Component) OnFold(l, m *depgraph.Node) {
-	if c.fwd == nil {
-		c.fwd = make(map[*depgraph.Node]*depgraph.Node)
-	}
-	c.fwd[l] = m
-	c.foldLog = append(c.foldLog, foldRec{l, m})
-}
-
-// Resolve follows the component's fold-forwarding chain to the node that
-// currently absorbs n's identity.
-func (c *Component) Resolve(n *depgraph.Node) *depgraph.Node {
-	for {
-		m, ok := c.fwd[n]
-		if !ok {
-			return n
-		}
-		n = m
-	}
-}
-
-// Link is one cross-component dependency: the destination component holds
-// Mirror, a copy of the source pair Src, and the sync pushes Src's state
-// into it after every round.
-type Link struct {
-	SrcComp int
-	Src     *depgraph.Node
-	DstComp int
-	Mirror  *depgraph.Node
-}
-
-// Replica locates one copy of a replicated value node.
-type Replica struct {
-	Comp int
-	N    *depgraph.Node
-}
-
-// ValueGroup ties together the replicas of one alias-learnable value node
-// so a similarity learned in one component reaches the others.
-type ValueGroup struct {
-	Reps []Replica
-}
-
-// Plan is the result of Split: the per-component graphs, their grouping
-// into shards, and the boundary structures the sync operates on.
+// Plan is the result of Split: the per-component graphs and their
+// grouping into shards.
 type Plan struct {
 	Comps []*Component
 	// Groups lists, per shard, the component ids assigned to it (LPT
-	// balanced by Component.Weight). Grouping affects scheduling only —
-	// results are identical for every shard count >= 2.
+	// balanced by Component.Weight). Grouping affects scheduling only.
 	Groups [][]int
 	// ShardOf maps component id -> shard index.
 	ShardOf []int
-	// Links are the boundary links, in deterministic creation order. The
-	// sync may append to this list when a fold replay materializes a new
-	// mirror.
-	Links []Link
-	// Values are the alias-learnable value-replica groups.
-	Values []ValueGroup
-	// ValueReplicas counts extra value-node copies created by replication.
+	// ValueReplicas counts the extra copies of constant value nodes read
+	// by more than one component.
 	ValueReplicas int
 
-	compOfRef []int32
-	// mirrors indexes, for a source node (the owner component's copy), the
-	// mirrors other components hold of it. Fold replay consults it.
-	mirrors map[*depgraph.Node][]Replica
+	// compOf maps a global node id to its component, -1 for a constant.
+	compOf []int32
+	// decided maps a global node id to the node holding its decision: the
+	// component copy, or the global node itself for a constant (every copy
+	// of a constant stays equal to it).
+	decided []*depgraph.Node
 }
 
-// CompOfRef returns the id of the component owning reference r, or -1 when
-// r appears in no candidate pair.
-func (p *Plan) CompOfRef(r reference.ID) int {
-	if int(r) < 0 || int(r) >= len(p.compOfRef) {
-		return -1
+// CompOf returns the component holding global node n, or -1 when n is a
+// constant copied into its readers.
+func (p *Plan) CompOf(n *depgraph.Node) int { return int(p.compOf[n.ID()]) }
+
+// Nodes visits the decision of every global node once, in global id order,
+// skipping nodes enrichment removed: after the components run, this is
+// the walk the monolithic graph's Nodes gives after its run.
+func (p *Plan) Nodes(fn func(*depgraph.Node)) {
+	for _, n := range p.decided {
+		if n.Alive() {
+			fn(n)
+		}
 	}
-	return int(p.compOfRef[r])
 }
 
-// IsMirror reports whether n (a node of component c's graph) is a mirror
-// copy of another component's pair rather than one of c's own.
-func (p *Plan) IsMirror(c *Component, n *depgraph.Node) bool {
-	return n.Kind() == depgraph.RefPair && p.CompOfRef(n.RefA()) != c.ID
-}
-
-// Split partitions g into per-component graphs grouped into the given
-// number of shards. numRefs bounds the reference-id space (store.Len()).
-// The global graph is left untouched; seed is the global seed order.
+// Split cuts g into closed components grouped into the given number of
+// shards. numRefs bounds the reference-id space (store.Len()); seed is the
+// global seed order. g must be freshly built — no node ever removed, and
+// so no edge (edges die only with their nodes) — because edge-id order is
+// creation order only until a removal; Split panics otherwise. The global
+// graph is left untouched.
 func Split(g *depgraph.Graph, seed []*depgraph.Node, numRefs, shards int) *Plan {
-	if shards < 1 {
-		shards = 1
+	if g.NodeCount() != g.NodeIDBound() {
+		panic(fmt.Sprintf("shard: Split needs a freshly built graph (%d of %d nodes alive)", g.NodeCount(), g.NodeIDBound()))
 	}
-	p := &Plan{
-		compOfRef: make([]int32, numRefs),
-		mirrors:   make(map[*depgraph.Node][]Replica),
+	bound := g.NodeIDBound()
+	all := make([]*depgraph.Node, 0, bound)
+	g.Nodes(func(n *depgraph.Node) { all = append(all, n) })
+	seeded := make([]bool, bound)
+	for _, n := range seed {
+		seeded[n.ID()] = true
 	}
-	for i := range p.compOfRef {
-		p.compOfRef[i] = -1
+	constant := func(n *depgraph.Node) bool {
+		return n.Kind() == depgraph.ValuePair && n.InDegree() == 0 && !seeded[n.ID()]
 	}
 
-	// Union references connected by a candidate pair; every pair —
-	// including NonMerge constraint pairs — colocates its endpoints.
-	parent := make([]int32, numRefs)
+	// Union the nodes that can influence one another.
+	parent := make([]int32, bound)
 	for i := range parent {
 		parent[i] = int32(i)
 	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	g.Nodes(func(n *depgraph.Node) {
-		if n.Kind() != depgraph.RefPair {
-			return
-		}
-		ra, rb := find(int32(n.RefA())), find(int32(n.RefB()))
-		if ra != rb {
+	union := func(a, b int32) {
+		if ra, rb := find(a), find(b); ra != rb {
 			parent[rb] = ra
 		}
-	})
-
-	// Assign component ids in the deterministic order roots are first seen
-	// while walking nodes in insertion order.
-	compOfRoot := make(map[int32]int32)
-	g.Nodes(func(n *depgraph.Node) {
-		if n.Kind() != depgraph.RefPair {
-			return
-		}
-		root := find(int32(n.RefA()))
-		cid, ok := compOfRoot[root]
-		if !ok {
-			cid = int32(len(p.Comps))
-			compOfRoot[root] = cid
-			p.Comps = append(p.Comps, &Component{ID: int(cid), G: depgraph.New()})
-		}
-		p.compOfRef[n.RefA()] = cid
-		p.compOfRef[n.RefB()] = cid
-	})
-
-	// Pass A: copy nodes. copyOf maps a global node id to its copy in the
-	// owning component; value nodes may have several copies (valCopies).
-	copyOf := make([]*depgraph.Node, g.NodeIDBound())
-	valCopies := make(map[int32][]Replica)
-	g.Nodes(func(n *depgraph.Node) {
-		if n.Kind() == depgraph.RefPair {
-			c := p.Comps[p.compOfRef[n.RefA()]]
-			cp := c.G.AddRefPair(n.RefA(), n.RefB(), n.Class())
-			cp.SetSim(n.Sim())
-			cp.SetStatus(n.Status())
-			copyOf[n.ID()] = cp
-			return
-		}
-		// A value node is replicated into every component holding an edge
-		// peer. Peers are RefPairs (the builder creates no value-value
-		// edges), so each replica's evidence stays component-local.
-		var comps []int32
-		aliasable := false
-		addPeer := func(peer *depgraph.Node) {
-			if peer.Kind() != depgraph.RefPair {
-				return
-			}
-			cid := p.compOfRef[peer.RefA()]
-			for _, c := range comps {
-				if c == cid {
-					return
-				}
-			}
-			comps = append(comps, cid)
-		}
-		n.EachIn(func(e depgraph.Edge) {
-			if e.Dep == depgraph.StrongBoolean {
-				aliasable = true
-			}
-			addPeer(e.From)
-		})
-		n.EachOut(func(e depgraph.Edge) { addPeer(e.To) })
-		if len(comps) == 0 {
-			return
-		}
-		x, y := n.ValueElems()
-		var reps []Replica
-		for _, cid := range comps {
-			cp := p.Comps[cid].G.AddValuePair(n.Class(), x, y, n.Sim())
-			cp.SetStatus(n.Status())
-			reps = append(reps, Replica{Comp: int(cid), N: cp})
-		}
-		valCopies[n.ID()] = reps
-		p.ValueReplicas += len(reps) - 1
-		if len(reps) > 1 && aliasable {
-			p.Values = append(p.Values, ValueGroup{Reps: reps})
-		}
-	})
-
-	// valCopy returns v's replica in component cid (it exists whenever the
-	// component holds one of v's peers).
-	valCopy := func(v *depgraph.Node, cid int32) *depgraph.Node {
-		for _, r := range valCopies[v.ID()] {
-			if r.Comp == int(cid) {
-				return r.N
-			}
-		}
-		return nil
 	}
-
-	// Pass B: copy edges; cross-component pair edges go through mirrors.
-	g.Nodes(func(n *depgraph.Node) {
-		n.EachOut(func(e depgraph.Edge) {
-			src, dst := e.From, e.To
-			switch {
-			case src.Kind() == depgraph.RefPair && dst.Kind() == depgraph.RefPair:
-				cs, cd := p.compOfRef[src.RefA()], p.compOfRef[dst.RefA()]
-				if cs == cd {
-					p.Comps[cs].G.AddEdge(copyOf[src.ID()], copyOf[dst.ID()], e.Dep, e.Evidence)
-					return
-				}
-				m := p.mirrorIn(int(cd), int(cs), copyOf[src.ID()], src.Sim(), src.Status(), src.RefA(), src.RefB(), src.Class())
-				p.Comps[cd].G.AddEdge(m, copyOf[dst.ID()], e.Dep, e.Evidence)
-			case src.Kind() == depgraph.ValuePair && dst.Kind() == depgraph.RefPair:
-				cd := p.compOfRef[dst.RefA()]
-				p.Comps[cd].G.AddEdge(valCopy(src, cd), copyOf[dst.ID()], e.Dep, e.Evidence)
-			case src.Kind() == depgraph.RefPair && dst.Kind() == depgraph.ValuePair:
-				cs := p.compOfRef[src.RefA()]
-				p.Comps[cs].G.AddEdge(copyOf[src.ID()], valCopy(dst, cs), e.Dep, e.Evidence)
-			default:
-				// Value-value edges do not occur; replicate defensively into
-				// every component holding both replicas.
-				for _, rs := range valCopies[src.ID()] {
-					if rd := valCopy(dst, int32(rs.Comp)); rd != nil {
-						p.Comps[rs.Comp].G.AddEdge(rs.N, rd, e.Dep, e.Evidence)
-					}
-				}
-			}
-		})
-	})
-
-	// Seeds: the global order restricted to each component.
-	for _, n := range seed {
-		if n.Kind() == depgraph.RefPair {
-			cid := p.compOfRef[n.RefA()]
-			c := p.Comps[cid]
-			c.Seed = append(c.Seed, copyOf[n.ID()])
+	pairOfRef := make([]int32, numRefs)
+	for i := range pairOfRef {
+		pairOfRef[i] = -1
+	}
+	for _, n := range all {
+		if n.Kind() != depgraph.RefPair {
 			continue
 		}
-		for _, r := range valCopies[n.ID()] {
-			p.Comps[r.Comp].Seed = append(p.Comps[r.Comp].Seed, r.N)
+		for _, r := range [2]int{int(n.RefA()), int(n.RefB())} {
+			if pairOfRef[r] < 0 {
+				pairOfRef[r] = n.ID()
+			} else {
+				union(pairOfRef[r], n.ID())
+			}
+		}
+	}
+	g.Edges(func(e depgraph.Edge) {
+		if !constant(e.From) {
+			union(e.From.ID(), e.To.ID())
+		}
+	})
+
+	// Number the components in the order their first node appears, then
+	// copy the changeable nodes in global id order, and each constant into
+	// every component that reads it, in the order its out-edges reach them.
+	p := &Plan{compOf: make([]int32, bound), decided: make([]*depgraph.Node, bound)}
+	compOfRoot := make(map[int32]int32)
+	for _, n := range all {
+		id := n.ID()
+		if constant(n) {
+			p.compOf[id] = -1
+			continue
+		}
+		cid, ok := compOfRoot[find(id)]
+		if !ok {
+			cid = int32(len(p.Comps))
+			compOfRoot[find(id)] = cid
+			p.Comps = append(p.Comps, &Component{ID: int(cid), G: depgraph.New()})
+		}
+		p.compOf[id] = cid
+	}
+	copies := make(map[[2]int32]*depgraph.Node) // (constant id, component) -> copy
+	for _, n := range all {
+		id := n.ID()
+		if cid := p.compOf[id]; cid >= 0 {
+			p.decided[id] = copyNode(p.Comps[cid].G, n)
+			continue
+		}
+		p.decided[id] = n
+		before := len(copies)
+		n.EachOut(func(e depgraph.Edge) {
+			if k := [2]int32{id, p.compOf[e.To.ID()]}; copies[k] == nil {
+				copies[k] = copyNode(p.Comps[k[1]].G, n)
+			}
+		})
+		if extra := len(copies) - before - 1; extra > 0 {
+			p.ValueReplicas += extra
 		}
 	}
 
+	// Copy the edges in creation order, so every span keeps its order.
+	g.Edges(func(e depgraph.Edge) {
+		cid := p.compOf[e.To.ID()]
+		from := p.decided[e.From.ID()]
+		if p.compOf[e.From.ID()] < 0 {
+			from = copies[[2]int32{e.From.ID(), cid}]
+		}
+		p.Comps[cid].G.AddEdge(from, p.decided[e.To.ID()], e.Dep, e.Evidence)
+	})
+
+	for _, n := range seed {
+		c := p.Comps[p.compOf[n.ID()]]
+		c.Seed = append(c.Seed, p.decided[n.ID()])
+	}
 	for _, c := range p.Comps {
 		c.Weight = c.G.NodeCount() + c.G.EdgeCount()
 	}
@@ -332,21 +204,18 @@ func Split(g *depgraph.Graph, seed []*depgraph.Node, numRefs, shards int) *Plan 
 	return p
 }
 
-// mirrorIn returns (creating if absent) the mirror of source pair src in
-// component cd, registering the boundary link and the mirror index entry.
-func (p *Plan) mirrorIn(cd, cs int, src *depgraph.Node, sim float64, status depgraph.Status, a, b reference.ID, class string) *depgraph.Node {
-	dg := p.Comps[cd].G
-	if m := dg.LookupRefPair(a, b); m != nil {
-		// The destination's own pairs use disjoint references, so any hit
-		// is an existing mirror of the same source.
-		return m
+// copyNode adds a copy of n, with its similarity and status, to g.
+func copyNode(g *depgraph.Graph, n *depgraph.Node) *depgraph.Node {
+	var cp *depgraph.Node
+	if n.Kind() == depgraph.RefPair {
+		cp = g.AddRefPair(n.RefA(), n.RefB(), n.Class())
+	} else {
+		x, y := n.ValueElems()
+		cp = g.AddValuePair(n.Class(), x, y, n.Sim())
 	}
-	m := dg.AddRefPair(a, b, class)
-	m.SetSim(sim)
-	m.SetStatus(status)
-	p.Links = append(p.Links, Link{SrcComp: cs, Src: src, DstComp: cd, Mirror: m})
-	p.mirrors[src] = append(p.mirrors[src], Replica{Comp: cd, N: m})
-	return m
+	cp.SetSim(n.Sim())
+	cp.SetStatus(n.Status())
+	return cp
 }
 
 // group assigns components to shards with longest-processing-time-first
@@ -354,7 +223,7 @@ func (p *Plan) mirrorIn(cd, cs int, src *depgraph.Node, sim float64, status depg
 // tie-breaks (component id, then shard index). The assignment affects
 // scheduling only, never results.
 func (p *Plan) group(shards int) {
-	if shards > len(p.Comps) && len(p.Comps) > 0 {
+	if shards > len(p.Comps) {
 		shards = len(p.Comps)
 	}
 	if shards < 1 {
@@ -401,175 +270,4 @@ func (p *Plan) LargestComponent() int {
 		}
 	}
 	return max
-}
-
-// SyncStats reports what one SyncBoundary pass did.
-type SyncStats struct {
-	// Updates counts mirror/replica state changes applied (similarity
-	// raises, merges, non-merge propagations).
-	Updates int
-	// Activations counts dependents re-queued by boundary evidence.
-	Activations int
-	// NewlyMerged counts mirrors/replicas that became Merged.
-	NewlyMerged int
-	// FoldReplays counts owner-component folds replayed onto mirrors.
-	FoldReplays int
-}
-
-// SyncBoundary runs one serial boundary-synchronization pass after a round
-// of per-component fixed points: owner folds are replayed onto mirrors,
-// every link pushes its source's state into its mirror, and value-replica
-// groups are leveled to their maximum similarity. Activation follows the
-// engine's own rules — real-valued dependents re-queue on a similarity
-// increase above eps, strong-boolean dependents jump the queue on a merge,
-// weak-boolean dependents go to the back. It returns the ids of components
-// that gained work, in ascending order.
-func (p *Plan) SyncBoundary(eps float64) ([]int, SyncStats) {
-	var st SyncStats
-	mark := make([]bool, len(p.Comps))
-
-	// Replay folds recorded by the components' last runs onto the mirror
-	// copies other components hold, so duplicate evidence collapses exactly
-	// like the monolithic graph's edge dedup. Components in id order, each
-	// log in record order.
-	for _, c := range p.Comps {
-		for _, f := range c.foldLog {
-			ml := p.mirrors[f.l]
-			if len(ml) == 0 {
-				continue
-			}
-			// The absorbing node m may be folded again later in the same
-			// log; resolve to its current identity.
-			m := c.Resolve(f.m)
-			for _, rl := range ml {
-				dst := p.Comps[rl.Comp]
-				lm := dst.Resolve(rl.N)
-				if !lm.Alive() {
-					continue
-				}
-				// Materialize the absorber's mirror if the destination has
-				// none yet (the monolithic fold would have re-pointed the
-				// boundary edge at m).
-				mm := dst.G.LookupRefPair(m.RefA(), m.RefB())
-				if mm == nil {
-					mm = p.mirrorIn(rl.Comp, c.ID, m, m.Sim(), m.Status(), m.RefA(), m.RefB(), m.Class())
-				} else {
-					mm = dst.Resolve(mm)
-				}
-				if mm == lm || !mm.Alive() {
-					continue
-				}
-				dst.G.FoldInto(lm, mm)
-				if dst.fwd == nil {
-					dst.fwd = make(map[*depgraph.Node]*depgraph.Node)
-				}
-				dst.fwd[lm] = mm
-				st.FoldReplays++
-				mark[rl.Comp] = true
-			}
-		}
-		c.foldLog = c.foldLog[:0]
-	}
-
-	for i := 0; i < len(p.Links); i++ {
-		l := p.Links[i]
-		src := p.Comps[l.SrcComp].Resolve(l.Src)
-		dst := p.Comps[l.DstComp]
-		mir := dst.Resolve(l.Mirror)
-		if !src.Alive() || !mir.Alive() {
-			continue
-		}
-		if p.syncNode(dst, src.Sim(), src.Status(), mir, eps, &st) {
-			mark[l.DstComp] = true
-		}
-	}
-
-	for _, vg := range p.Values {
-		max := 0.0
-		merged := false
-		for _, r := range vg.Reps {
-			if s := r.N.Sim(); s > max {
-				max = s
-			}
-			if r.N.Status() == depgraph.Merged {
-				merged = true
-			}
-		}
-		status := depgraph.Inactive
-		if merged {
-			status = depgraph.Merged
-		}
-		for _, r := range vg.Reps {
-			if p.syncNode(p.Comps[r.Comp], max, status, r.N, eps, &st) {
-				mark[r.Comp] = true
-			}
-		}
-	}
-
-	var affected []int
-	for cid, m := range mark {
-		if m {
-			affected = append(affected, cid)
-		}
-	}
-	return affected, st
-}
-
-// syncNode pushes (sim, status) from a link source or replica group into
-// the local copy n, applying the engine's activation rules to n's
-// dependents. It reports whether the owning component gained work.
-func (p *Plan) syncNode(c *Component, sim float64, status depgraph.Status, n *depgraph.Node, eps float64, st *SyncStats) bool {
-	dg := c.G
-	if status == depgraph.NonMerge {
-		// Constraint propagation: the monolithic graph would have frozen
-		// this exact node. No activation — NonMerge removes evidence, and
-		// the engine reconsiders dependents only through its own rebuild
-		// paths, which MarkNonMerge already patches.
-		if n.Status() != depgraph.NonMerge {
-			dg.MarkNonMerge(n)
-			st.Updates++
-		}
-		return false
-	}
-	old := n.Sim()
-	if sim > old {
-		dg.RaiseSim(n, sim)
-	}
-	increased := n.Sim() > old+eps
-	newlyMerged := status == depgraph.Merged &&
-		n.Status() != depgraph.Merged && n.Status() != depgraph.NonMerge
-	if newlyMerged {
-		dg.MarkMerged(n)
-	}
-	if !increased && !newlyMerged {
-		return false
-	}
-	st.Updates++
-	if newlyMerged {
-		st.NewlyMerged++
-	}
-	acts := 0
-	if increased {
-		n.EachOut(func(e depgraph.Edge) {
-			if e.Dep == depgraph.RealValued && dg.Activate(e.To) {
-				acts++
-			}
-		})
-	}
-	if newlyMerged {
-		n.EachOut(func(e depgraph.Edge) {
-			if e.Dep == depgraph.StrongBoolean && dg.ActivateFront(e.To) {
-				acts++
-			}
-		})
-		n.EachOut(func(e depgraph.Edge) {
-			if e.Dep == depgraph.WeakBoolean && dg.Activate(e.To) {
-				acts++
-			}
-		})
-	}
-	st.Activations += acts
-	// A newly merged pair must re-run even with no queue activity: the next
-	// run's re-enrichment folds its duplicates.
-	return acts > 0 || newlyMerged
 }

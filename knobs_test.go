@@ -59,6 +59,13 @@ type knobRow struct {
 // pimA is the tiny corpus every cmd row runs on (written by the rig).
 const pimA = "a.json"
 
+// catalogFile is a one-reference catalog dataset, and seededDir a data
+// dir already seeded with pimA (both written by the rig).
+const (
+	catalogFile = "catalog.json"
+	seededDir   = "seeded"
+)
+
 func knobTable() []knobRow {
 	// stat, served, resolved: an in-process run at DefaultConfig (or the
 	// service's defaults) and at the changed setting.
@@ -147,7 +154,7 @@ func knobTable() []knobRow {
 		{knob: "collective.Config.MaxSteps", changes: resolved(collective.Config{MaxSteps: 1})},
 		{knob: "collective.Config.Obs", changes: resolved(collective.Config{Obs: &obs.Observer{Counters: obs.NewCounters()}})},
 
-		{knob: "reconcile -in", smoke: "ci.sh: invariant audit"},
+		{knob: "reconcile -in", smoke: "ci.sh: invariant audit", refuses: refused([]string{"reconcile", "-in", catalogFile})},
 		{knob: "reconcile -mode", changes: output("engine:", reconcile(), reconcile("-mode", "traditional")),
 			refuses: refused(reconcile("-mode", "bogus"))},
 		{knob: "reconcile -evidence", changes: output("graph:", reconcile(), reconcile("-evidence", "attr")),
@@ -168,7 +175,8 @@ func knobTable() []knobRow {
 		{knob: "reconcile -progress", smoke: "ci.sh: trace smoke"},
 
 		{knob: "reconserve -addr", smoke: "ci.sh: serve smoke"},
-		{knob: "reconserve -in", smoke: "ci.sh: durability smoke"},
+		{knob: "reconserve -in", smoke: "ci.sh: durability smoke",
+			refuses: refused(reconserve("-in", pimA, "-data-dir", seededDir))},
 		{knob: "reconserve -name", changes: listening(`"name"`, nil, []string{"-name", "other"})},
 		{knob: "reconserve -schema", changes: listening(`"defaultTypes"`, nil, []string{"-schema", "catalog"}),
 			refuses: refused(reconserve("-schema", "bogus"))},
@@ -438,6 +446,18 @@ func newKnobRig(t *testing.T) *knobRig {
 		t.Fatal(err)
 	}
 	r.store = g.Store
+	catalog := `{"name":"catalog","references":[{"class":"Product","atomic":{"title":["widget"]}}]}`
+	if err := os.WriteFile(filepath.Join(r.dir, catalogFile), []byte(catalog), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seeded, err := serve.NewFromStore(serve.Config{Schema: schema.PIM(), Recon: recon.DefaultConfig(),
+		DataDir: filepath.Join(r.dir, seededDir)}, r.store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seeded.Close(); err != nil {
+		t.Fatal(err)
+	}
 	return r
 }
 
