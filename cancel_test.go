@@ -149,6 +149,9 @@ func TestReconcileContextTraceOrdering(t *testing.T) {
 	if req, found, hits, eval, kept := arg(assoc, "requests"), arg(assoc, "found"), arg(assoc, "memoHits"), arg(assoc, "evaluated"), arg(assoc, "kept"); hits == 0 || kept == 0 || kept > eval || found+hits+eval > req {
 		t.Errorf("build.associations args %v: want memo hits, and found + memoHits + evaluated ≤ requests, kept ≤ evaluated", assoc.Args)
 	}
+	if arg(assoc, "probes") == 0 {
+		t.Errorf("build.associations args %v: want the contact join's probes", assoc.Args)
+	}
 	reenrich := 0
 	for _, e := range tr.Events() {
 		if e.Name == "reenrich" {

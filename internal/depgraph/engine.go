@@ -379,9 +379,11 @@ func (g *Graph) reenrich() (total, scanned int) {
 func (g *Graph) enrich(n *Node) int {
 	r1, r2 := g.refA[n.id], g.refB[n.id]
 	folds := 0
-	// Copy the index slice: fold mutates g.refNodes via removeNode.
-	for _, l := range g.RefPairNodesOf(r2) {
-		if l == n || !g.alive[l.id] {
+	// Copy the index entries: fold mutates g.refNodes via removeNode.
+	g.enrichIDs = append(g.enrichIDs[:0], g.refNodes[r2]...)
+	for _, id := range g.enrichIDs {
+		l := g.handles[id]
+		if l == n || !g.alive[id] {
 			continue
 		}
 		r3 := l.Other(r2)

@@ -54,7 +54,9 @@ type Graph struct {
 	// refNodes indexes, for every reference, the RefPair nodes that
 	// mention it; enrichment walks this index.
 	refNodes map[reference.ID][]int32
-	queue    *nodeQueue
+	// enrichIDs is enrich's reused copy of one reference's index entries.
+	enrichIDs []int32
+	queue     *nodeQueue
 
 	liveNodes int
 	edgeCount int
@@ -375,15 +377,18 @@ func (g *Graph) Edges(fn func(Edge)) {
 	}
 }
 
-// RefPairNodesOf returns the live RefPair nodes that mention r. The caller
-// must not retain the slice across graph mutations.
-func (g *Graph) RefPairNodesOf(r reference.ID) []*Node {
-	all := g.refNodes[r]
-	var out []*Node
-	for _, id := range all {
+// RefPairDegree returns the number of RefPair nodes indexed under r: the
+// live ones EachRefPair visits plus removed ones the next compaction
+// prunes. It is what a walk of r's pairs costs.
+func (g *Graph) RefPairDegree(r reference.ID) int { return len(g.refNodes[r]) }
+
+// EachRefPair calls fn for every live RefPair node n that mentions r, in
+// the order they were added, with n's other reference. fn must not add or
+// remove nodes.
+func (g *Graph) EachRefPair(r reference.ID, fn func(other reference.ID, n *Node)) {
+	for _, id := range g.refNodes[r] {
 		if g.alive[id] {
-			out = append(out, g.handles[id])
+			fn(g.refA[id]^g.refB[id]^r, g.handles[id])
 		}
 	}
-	return out
 }

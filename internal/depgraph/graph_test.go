@@ -2,6 +2,8 @@ package depgraph
 
 import (
 	"testing"
+
+	"refrecon/internal/reference"
 )
 
 func TestRefPairNodeDedup(t *testing.T) {
@@ -142,19 +144,36 @@ func TestEdgesCreationOrder(t *testing.T) {
 	}
 }
 
+// TestRefPairNodesOf pins the per-reference visitor: live pairs in the
+// order they were added, removed ones skipped but still counted by the
+// degree until a compaction prunes them.
 func TestRefPairNodesOf(t *testing.T) {
 	g := New()
 	a := g.AddRefPair(0, 1, "Person")
 	b := g.AddRefPair(1, 2, "Person")
 	g.AddRefPair(3, 4, "Person")
-	got := g.RefPairNodesOf(1)
-	if len(got) != 2 {
-		t.Fatalf("RefPairNodesOf(1) = %v", got)
+	pairsOf := func(r reference.ID) (out []*Node) {
+		g.EachRefPair(r, func(other reference.ID, n *Node) {
+			if other != n.Other(r) {
+				t.Errorf("EachRefPair(%d) reports %d as the other reference of %v", r, other, n)
+			}
+			out = append(out, n)
+		})
+		return out
+	}
+	if got := pairsOf(1); len(got) != 2 || got[0] != a || got[1] != b || g.RefPairDegree(1) != 2 {
+		t.Fatalf("EachRefPair(1) = %v, degree %d", got, g.RefPairDegree(1))
 	}
 	g.removeNode(a)
-	got = g.RefPairNodesOf(1)
-	if len(got) != 1 || got[0] != b {
-		t.Errorf("after removal RefPairNodesOf(1) = %v", got)
+	if got := pairsOf(1); len(got) != 1 || got[0] != b {
+		t.Errorf("after removal EachRefPair(1) = %v", got)
+	}
+	if d := g.RefPairDegree(1); d != 2 {
+		t.Errorf("after removal RefPairDegree(1) = %d, want 2 until compaction", d)
+	}
+	g.compact()
+	if d := g.RefPairDegree(1); d != 1 {
+		t.Errorf("after compaction RefPairDegree(1) = %d, want 1", d)
 	}
 }
 

@@ -86,9 +86,18 @@ func (g *Graph) newHandle(id int32) *Node {
 	return h
 }
 
-// newNode appends one row to every node column and returns its id.
+// newNode appends one row to every node column and returns its id. The
+// columns grow together by doubling, as the edge columns do.
 func (g *Graph) newNode(kind Kind) int32 {
 	id := int32(len(g.kind))
+	if int(id) == cap(g.kind) {
+		c := max(2*cap(g.kind), 64)
+		g.kind, g.status, g.sim = grown(g.kind, c), grown(g.status, c), grown(g.sim, c)
+		g.refA, g.refB, g.classID = grown(g.refA, c), grown(g.refB, c), grown(g.classID, c)
+		g.valX, g.valY, g.key = grown(g.valX, c), grown(g.valY, c), grown(g.key, c)
+		g.alive, g.queued, g.qgen = grown(g.alive, c), grown(g.queued, c), grown(g.qgen, c)
+		g.inSpan, g.outSpan, g.handles = grown(g.inSpan, c), grown(g.outSpan, c), grown(g.handles, c)
+	}
 	g.kind = append(g.kind, kind)
 	g.status = append(g.status, Inactive)
 	g.sim = append(g.sim, 0)
@@ -106,6 +115,9 @@ func (g *Graph) newNode(kind Kind) int32 {
 	g.handles = append(g.handles, g.newHandle(id))
 	return id
 }
+
+// grown returns s copied into a fresh backing array of capacity c.
+func grown[T any](s []T, c int) []T { return append(make([]T, 0, c), s...) }
 
 // buildKey materializes the canonical string key for a node.
 func (g *Graph) buildKey(id int32) string {
@@ -150,26 +162,20 @@ func (g *Graph) edgeSlice(s span) []Edge {
 // copied about five times over on its way to any size; doubling copies it
 // twice, which more than pays for the two position columns.
 func (g *Graph) growEdgeColumns() {
-	c := 2 * cap(g.eFrom)
-	if c < 1024 {
-		c = 1024
-	}
-	g.eFrom = append(make([]int32, 0, c), g.eFrom...)
-	g.eTo = append(make([]int32, 0, c), g.eTo...)
-	g.eDep = append(make([]DepType, 0, c), g.eDep...)
-	g.eEv = append(make([]int32, 0, c), g.eEv...)
-	g.eOutPos = append(make([]int32, 0, c), g.eOutPos...)
-	g.eInPos = append(make([]int32, 0, c), g.eInPos...)
+	c := max(2*cap(g.eFrom), 1024)
+	g.eFrom, g.eTo, g.eDep = grown(g.eFrom, c), grown(g.eTo, c), grown(g.eDep, c)
+	g.eEv, g.eOutPos, g.eInPos = grown(g.eEv, c), grown(g.eOutPos, c), grown(g.eInPos, c)
 }
 
-// adjReserve extends the arena by n slots and returns their offset.
+// adjReserve extends the arena by n slots and returns their offset; the
+// arena doubles when it runs out.
 func (g *Graph) adjReserve(n int32) int32 {
 	off := int32(len(g.adj))
-	if need := int(off) + int(n); need <= cap(g.adj) {
-		g.adj = g.adj[:need]
-	} else {
-		g.adj = append(g.adj, make([]int32, n)...)
+	need := int(off) + int(n)
+	if need > cap(g.adj) {
+		g.adj = grown(g.adj, max(2*cap(g.adj), need, 1024))
 	}
+	g.adj = g.adj[:need]
 	return off
 }
 

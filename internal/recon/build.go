@@ -1,8 +1,9 @@
 package recon
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -60,6 +61,18 @@ type builder struct {
 	fedSkipped int
 	// times accumulates incorporate's four timed stages across batches.
 	times struct{ enumerate, score, wire, associations time.Duration }
+
+	// contacts is each pooled rule's contact index for the batch in
+	// progress: the store does not change inside one incorporate.
+	contacts map[*assocRule]*contactIndex
+	// joinPos and hits are the contact join's reused buffers (rowHits);
+	// probes counts its pair lookups and walked pair nodes.
+	joinPos []int32
+	hits    []contactHit
+	probes  int
+	// pooled, set only by tests, replaces the two contact passes of
+	// wirePooled.
+	pooled func(class string, rule *assocRule, fresh []*depgraph.Node, ci *contactIndex)
 }
 
 // inducedCounts splits a batch's ensureRefPair requests for the
@@ -78,6 +91,7 @@ func newBuilder(store *reference.Store, sch *schema.Schema, cfg Config) *builder
 		sigIDs:   make(map[string]uint32),
 		parsed:   make(map[reference.ID]*parsedPerson),
 		elems:    make(valueElems),
+		contacts: make(map[*assocRule]*contactIndex),
 	}
 }
 
@@ -127,7 +141,8 @@ func (b *builder) incorporate(newRefs []*reference.Reference) []*depgraph.Node {
 	b.batch++
 	clear(b.removed)
 	clear(b.bare)
-	b.induced = inducedCounts{}
+	clear(b.contacts)
+	b.induced, b.probes = inducedCounts{}, 0
 	newByClass := make(map[string][]reference.ID)
 	for _, r := range newRefs {
 		b.feed(r)
@@ -200,7 +215,7 @@ func (b *builder) incorporate(newRefs []*reference.Reference) []*depgraph.Node {
 		in := b.induced
 		return map[string]any{
 			"requests": in.requests, "found": in.found, "memoHits": in.memoHits,
-			"evaluated": in.evaluated, "kept": in.kept,
+			"evaluated": in.evaluated, "kept": in.kept, "probes": b.probes,
 		}
 	})
 	drain()
@@ -222,26 +237,29 @@ func (b *builder) incorporate(newRefs []*reference.Reference) []*depgraph.Node {
 // seedSort orders nodes by class rank with an explicit total-order
 // tie-break on the reference-id pair, so seed order (and therefore
 // propagation order) cannot depend on map iteration, creation history, or
-// scheduling. The sort is stable; the tie-break already induces a total
-// order on RefPair nodes (a pair appears at most once), so stability only
-// matters for hypothetical duplicate entries.
+// scheduling. The key is computed once per node; the reference pair
+// already makes it a total order on RefPair nodes (a pair appears at most
+// once), and the batch position settles hypothetical duplicate entries as
+// a stable sort would.
 func seedSort(sch *schema.Schema, nodes []*depgraph.Node) []*depgraph.Node {
-	rankOf := func(n *depgraph.Node) int {
-		if c, ok := sch.Class(n.Class()); ok {
-			return c.Rank
-		}
-		return 0
+	type seedKey struct {
+		rank, pos int
+		a, b      reference.ID
+		n         *depgraph.Node
 	}
-	sort.SliceStable(nodes, func(i, j int) bool {
-		ri, rj := rankOf(nodes[i]), rankOf(nodes[j])
-		if ri != rj {
-			return ri < rj
+	keys := make([]seedKey, len(nodes))
+	for i, n := range nodes {
+		keys[i] = seedKey{pos: i, a: n.RefA(), b: n.RefB(), n: n}
+		if c, ok := sch.Class(n.Class()); ok {
+			keys[i].rank = c.Rank
 		}
-		if nodes[i].RefA() != nodes[j].RefA() {
-			return nodes[i].RefA() < nodes[j].RefA()
-		}
-		return nodes[i].RefB() < nodes[j].RefB()
+	}
+	slices.SortFunc(keys, func(x, y seedKey) int {
+		return cmp.Or(cmp.Compare(x.rank, y.rank), cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b), cmp.Compare(x.pos, y.pos))
 	})
+	for i, k := range keys {
+		nodes[i] = k.n
+	}
 	return nodes
 }
 
@@ -402,27 +420,72 @@ func (b *builder) buildAssociations(fresh []*depgraph.Node) {
 	}
 }
 
+// contactIndex is, for one pooled rule and one batch, who lists each
+// reference of the store as a contact (listers) and each reference's
+// contacts under the popularity cap, in target order
+// (admitted[off[r]:off[r+1]]).
+type contactIndex struct {
+	listers  [][]reference.ID
+	popCap   int
+	admitted []reference.ID
+	off      []int32
+}
+
+// contactIndexFor returns the rule's contact index for the batch in
+// progress, building it on the batch's first association sweep. A contact
+// shared with everyone carries no information: the dataset owner appears
+// in every contact list, and mailing lists relate all their recipients.
+// Contacts are weighted by discarding the hyper-popular ones (the paper's
+// §4 suggestion to "consider the relative size of the value set of an
+// associated attribute").
+func (b *builder) contactIndexFor(class string, rule *assocRule) *contactIndex {
+	if ci := b.contacts[rule]; ci != nil {
+		return ci
+	}
+	refs := b.store.ByClass(class)
+	ci := &contactIndex{
+		listers: make([][]reference.ID, b.store.Len()),
+		popCap:  max(len(refs)/50, 12),
+		off:     make([]int32, b.store.Len()+1),
+	}
+	for _, id := range refs {
+		for _, c := range rule.targets(b.store.Get(id)) {
+			ci.listers[c] = append(ci.listers[c], id)
+		}
+	}
+	for id, r := range b.store.All() {
+		if r.Class == class {
+			for _, c := range rule.targets(r) {
+				if len(ci.listers[c]) <= ci.popCap {
+					ci.admitted = append(ci.admitted, c)
+				}
+			}
+		}
+		ci.off[id+1] = int32(len(ci.admitted))
+	}
+	b.contacts[rule] = ci
+	return ci
+}
+
+// admittedOf returns r's contacts under the popularity cap.
+func (ci *contactIndex) admittedOf(r reference.ID) []reference.ID {
+	return ci.admitted[ci.off[r]:ci.off[r+1]:ci.off[r+1]]
+}
+
 // wirePooled adds the dependencies of one pooled rule between pairs of its
 // class — the weak-boolean contact/co-author dependencies between person
 // pairs (§3.1 step 2, Figure 2(b)). Only existing pair nodes participate:
 // a contact pair with no node cannot contribute (the paper's (p4, p7)
-// note).
+// note). Both passes walk a product of two reference lists for existing
+// pairs; rowHits joins them.
 func (b *builder) wirePooled(class string, rule *assocRule, fresh []*depgraph.Node) {
-	// A contact shared with everyone carries no information: the dataset
-	// owner appears in every contact list, and mailing lists relate all
-	// their recipients. Weight contacts by discarding the hyper-popular
-	// ones (the paper's §4 suggestion to "consider the relative size of
-	// the value set of an associated attribute").
-	refs := b.store.ByClass(class)
-	listers := make(map[reference.ID][]reference.ID)
-	for _, id := range refs {
-		for _, c := range rule.targets(b.store.Get(id)) {
-			listers[c] = append(listers[c], id)
-		}
+	ci := b.contactIndexFor(class, rule)
+	if len(b.joinPos) < b.store.Len() {
+		b.joinPos = make([]int32, b.store.Len())
 	}
-	popCap := len(refs) / 50
-	if popCap < 12 {
-		popCap = 12
+	if b.pooled != nil {
+		b.pooled(class, rule, fresh, ci)
+		return
 	}
 
 	// Inverse wiring: a fresh pair is itself contact evidence for every
@@ -434,48 +497,98 @@ func (b *builder) wirePooled(class string, rule *assocRule, fresh []*depgraph.No
 		if n.Class() != class || !n.Alive() {
 			continue
 		}
-		if len(listers[n.RefA()]) > popCap || len(listers[n.RefB()]) > popCap {
+		l1, l2 := ci.listers[n.RefA()], ci.listers[n.RefB()]
+		if len(l1) > ci.popCap || len(l2) > ci.popCap {
 			continue
 		}
-		for _, r1 := range listers[n.RefA()] {
-			for _, r2 := range listers[n.RefB()] {
-				if r1 == r2 || r1 == n.RefA() || r1 == n.RefB() || r2 == n.RefA() || r2 == n.RefB() {
-					continue
-				}
-				if m := b.g.LookupRefPair(r1, r2); m != nil && m != n {
-					b.g.AddEdge(n, m, rule.dep, rule.evidence)
+		b.markJoin(l2, true)
+		for _, r1 := range l1 {
+			for _, h := range b.rowHits(n, r1, l2) {
+				if h.n != nil {
+					b.g.AddEdge(n, h.n, rule.dep, rule.evidence)
 				}
 			}
 		}
+		b.markJoin(l2, false)
 	}
 
+	// Forward wiring: for every admitted contact c1 of the fresh pair's
+	// first reference and c2 of its second, in that nested order, a shared
+	// contact (c1 = c2) adds the shared value node as evidence, even when
+	// it is one of the pair's references, and an existing pair node (c1,
+	// c2) adds an edge.
 	for _, m := range fresh {
 		if m.Class() != class || !m.Alive() {
 			continue
 		}
-		c1s := rule.targets(b.store.Get(m.RefA()))
-		c2s := rule.targets(b.store.Get(m.RefB()))
-		for _, c1 := range c1s {
-			if len(listers[c1]) > popCap {
-				continue
-			}
-			for _, c2 := range c2s {
-				if len(listers[c2]) > popCap {
-					continue
+		c2s := ci.admittedOf(m.RefB())
+		b.markJoin(c2s, true)
+		for _, c1 := range ci.admittedOf(m.RefA()) {
+			for _, h := range b.rowHits(m, c1, c2s) {
+				src := h.n
+				if src == nil {
+					src = b.sharedValueNode(c1)
 				}
-				if c1 == c2 {
-					b.g.AddEdge(b.sharedValueNode(c1), m, rule.dep, rule.evidence)
-					continue
-				}
-				if c1 == m.RefA() || c1 == m.RefB() || c2 == m.RefA() || c2 == m.RefB() {
-					continue
-				}
-				if n := b.g.LookupRefPair(c1, c2); n != nil && n != m {
-					b.g.AddEdge(n, m, rule.dep, rule.evidence)
-				}
+				b.g.AddEdge(src, m, rule.dep, rule.evidence)
 			}
 		}
+		b.markJoin(c2s, false)
 	}
+}
+
+// contactHit is one cell of a contact row: the position in ys it answers,
+// 1-based, and the existing pair node there (nil: ys holds x itself).
+type contactHit struct {
+	pos int32
+	n   *depgraph.Node
+}
+
+// markJoin sets (on) or clears each reference's 1-based position in ys
+// for rowHits. No list it marks holds a reference twice: AddAssoc and
+// targets deduplicate contact lists, and a reference lists a contact once.
+func (b *builder) markJoin(ys []reference.ID, on bool) {
+	for j, y := range ys {
+		b.joinPos[y] = 0
+		if on {
+			b.joinPos[y] = int32(j + 1)
+		}
+	}
+}
+
+// rowHits returns, in ys order, the cells of row x of the product x × ys
+// that matter to the pair m: ys holding x itself, and an existing pair
+// node (x, y) where neither x nor y is one of m's references. Probing
+// every cell costs the product, nearly all misses; with ys marked
+// (markJoin), rowHits walks x's own live pair nodes instead, unless x's
+// pair degree is at least len(ys). Sorting the hits by position puts them
+// in the probe loop's order: the edge creation order that the engine's
+// adjacency, and therefore its activation order, depends on.
+func (b *builder) rowHits(m *depgraph.Node, x reference.ID, ys []reference.ID) []contactHit {
+	ra, rb := m.RefA(), m.RefB()
+	b.hits = b.hits[:0]
+	if j := b.joinPos[x]; j != 0 {
+		b.hits = append(b.hits, contactHit{pos: j})
+	}
+	if x == ra || x == rb {
+		return b.hits
+	}
+	keep := func(y reference.ID, n *depgraph.Node) {
+		b.probes++
+		if j := b.joinPos[y]; j != 0 && n != nil && y != ra && y != rb {
+			b.hits = append(b.hits, contactHit{pos: j, n: n})
+		}
+	}
+	if b.g.RefPairDegree(x) >= len(ys) {
+		for _, y := range ys {
+			if y != x && y != ra && y != rb {
+				keep(y, b.g.LookupRefPair(x, y))
+			}
+		}
+	} else {
+		b.g.EachRefPair(x, keep)
+	}
+	slices.SortFunc(b.hits, func(p, q contactHit) int { return cmp.Compare(p.pos, q.pos) })
+	return b.hits
 }
 
 // markDistinctTargets enforces a row's distinct-targets constraint for the

@@ -107,12 +107,12 @@ func (s *Session) Explain(a, b reference.ID) (Explanation, error) {
 // them: described, and sorted by the other endpoint.
 func (s *Session) mergedLinks(id reference.ID) []mergedLink {
 	var links []mergedLink
-	for _, n := range s.g.RefPairNodesOf(id) {
+	s.g.EachRefPair(id, func(other reference.ID, n *depgraph.Node) {
 		if n.Status() == depgraph.Merged {
 			d := describeNode(n)
-			links = append(links, mergedLink{n.Other(id), &d})
+			links = append(links, mergedLink{other, &d})
 		}
-	}
+	})
 	sort.Slice(links, func(i, j int) bool { return links[i].other < links[j].other })
 	return links
 }

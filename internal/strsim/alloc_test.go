@@ -26,19 +26,19 @@ func assertZeroAllocs(t *testing.T, name string, fn func()) {
 
 func TestLevenshteinZeroAllocs(t *testing.T) {
 	assertZeroAllocs(t, "Levenshtein", func() {
-		allocSink += float64(Levenshtein("reference reconciliation", "refernce reconcilation"))
+		allocSink += float64(levenshtein("reference reconciliation", "refernce reconcilation"))
 	})
 }
 
 func TestLevenshteinSimZeroAllocs(t *testing.T) {
 	assertZeroAllocs(t, "LevenshteinSim", func() {
-		allocSink += LevenshteinSim("José García-Molina", "Jose Garcia Molina")
+		allocSink += levenshteinSim("José García-Molina", "Jose Garcia Molina")
 	})
 }
 
 func TestDamerauZeroAllocs(t *testing.T) {
 	assertZeroAllocs(t, "DamerauLevenshtein", func() {
-		allocSink += float64(DamerauLevenshtein("michael stonebraker", "micheal stonebraker"))
+		allocSink += float64(damerau("michael stonebraker", "micheal stonebraker"))
 	})
 	assertZeroAllocs(t, "DamerauSim", func() {
 		allocSink += DamerauSim("michael stonebraker", "micheal stonebraker")
@@ -47,7 +47,7 @@ func TestDamerauZeroAllocs(t *testing.T) {
 
 func TestJaroWinklerZeroAllocs(t *testing.T) {
 	assertZeroAllocs(t, "Jaro", func() {
-		allocSink += Jaro("martha", "marhta")
+		allocSink += jaro("martha", "marhta")
 	})
 	assertZeroAllocs(t, "JaroWinkler", func() {
 		allocSink += JaroWinkler("dixon", "dicksonx")
@@ -70,10 +70,10 @@ func TestMongeElkanTokensZeroAllocs(t *testing.T) {
 
 func TestAlignZeroAllocs(t *testing.T) {
 	assertZeroAllocs(t, "SmithWaterman", func() {
-		allocSink += SmithWaterman("dept of computer science stanford", "stanford computer science department")
+		allocSink += smithWaterman("dept of computer science stanford", "stanford computer science department")
 	})
 	assertZeroAllocs(t, "NeedlemanWunsch", func() {
-		allocSink += NeedlemanWunsch("sigmod conference", "sigmod record")
+		allocSink += needlemanWunsch("sigmod conference", "sigmod record")
 	})
 }
 

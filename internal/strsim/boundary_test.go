@@ -107,7 +107,7 @@ func TestJaroWinklerPrefixBoundaries(t *testing.T) {
 	if s := jaroWinklerP(long, long+"b", 0.25); s > 1 {
 		t.Errorf("shared 10-rune prefix at p=0.25 overflowed: %v", s)
 	}
-	if s := jaroWinklerP("ab", "cd", -3); s != Jaro("ab", "cd") {
+	if s := jaroWinklerP("ab", "cd", -3); s != jaro("ab", "cd") {
 		t.Errorf("negative p must degrade to plain Jaro: %v", s)
 	}
 	if got, capped := jaroWinklerP("martha", "marhta", 9), jaroWinklerP("martha", "marhta", 0.25); got != capped {

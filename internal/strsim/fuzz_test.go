@@ -31,13 +31,13 @@ func strsimMetrics() []metric {
 		c.Add(doc)
 	}
 	return []metric{
-		{"Jaro", Jaro},
+		{"Jaro", jaro},
 		{"JaroWinkler", JaroWinkler},
 		{"JaroWinklerP0.25", func(a, b string) float64 { return jaroWinklerP(a, b, 0.25) }},
-		{"LevenshteinSim", LevenshteinSim},
+		{"LevenshteinSim", levenshteinSim},
 		{"DamerauSim", DamerauSim},
-		{"SmithWaterman", SmithWaterman},
-		{"NeedlemanWunsch", NeedlemanWunsch},
+		{"SmithWaterman", smithWaterman},
+		{"NeedlemanWunsch", needlemanWunsch},
 		{"JaccardTokens", JaccardTokens},
 		{"JaccardContentTokens", JaccardContentTokens},
 		{"MongeElkan", func(a, b string) float64 { return MongeElkan(a, b, nil) }},
@@ -72,13 +72,13 @@ func naiveLevenshtein(a, b string) int {
 // naiveDamerau is the full-matrix optimal-string-alignment distance.
 func naiveDamerau(a, b string) int {
 	ra, rb := []rune(a), []rune(b)
-	d := make([][]int, len(ra)+1)
-	for i := range d {
-		d[i] = make([]int, len(rb)+1)
-		d[i][0] = i
+	w := len(rb) + 1
+	d := make([]int, (len(ra)+1)*w) // d[i*w+j]: distance of ra[:i] and rb[:j]
+	for i := 0; i <= len(ra); i++ {
+		d[i*w] = i
 	}
 	for j := 0; j <= len(rb); j++ {
-		d[0][j] = j
+		d[j] = j
 	}
 	for i := 1; i <= len(ra); i++ {
 		for j := 1; j <= len(rb); j++ {
@@ -86,15 +86,15 @@ func naiveDamerau(a, b string) int {
 			if ra[i-1] == rb[j-1] {
 				cost = 0
 			}
-			d[i][j] = min(d[i-1][j]+1, d[i][j-1]+1, d[i-1][j-1]+cost)
+			d[i*w+j] = min(d[(i-1)*w+j]+1, d[i*w+j-1]+1, d[(i-1)*w+j-1]+cost)
 			if i > 1 && j > 1 && ra[i-1] == rb[j-2] && ra[i-2] == rb[j-1] {
-				if t := d[i-2][j-2] + 1; t < d[i][j] {
-					d[i][j] = t
+				if t := d[(i-2)*w+j-2] + 1; t < d[i*w+j] {
+					d[i*w+j] = t
 				}
 			}
 		}
 	}
-	return d[len(ra)][len(rb)]
+	return d[len(ra)*w+len(rb)]
 }
 
 // naiveJaccardTokens recomputes JaccardTokens with map-based sets.
@@ -222,16 +222,16 @@ func FuzzStrsim(f *testing.F) {
 		}
 
 		// Optimized implementations vs naive references.
-		if got, want := Levenshtein(a, b), naiveLevenshtein(a, b); got != want {
+		if got, want := levenshtein(a, b), naiveLevenshtein(a, b); got != want {
 			t.Fatalf("Levenshtein(%q, %q) = %d, naive %d", a, b, got, want)
 		}
-		if got, want := DamerauLevenshtein(a, b), naiveDamerau(a, b); got != want {
+		if got, want := damerau(a, b), naiveDamerau(a, b); got != want {
 			t.Fatalf("DamerauLevenshtein(%q, %q) = %d, naive %d", a, b, got, want)
 		}
 		if got, want := JaccardTokens(a, b), naiveJaccardTokens(a, b); got != want {
 			t.Fatalf("JaccardTokens(%q, %q) = %v, naive %v", a, b, got, want)
 		}
-		if got, want := Jaro(a, b), naiveJaro(a, b); got != want {
+		if got, want := jaro(a, b), naiveJaro(a, b); got != want {
 			t.Fatalf("Jaro(%q, %q) = %v, naive %v", a, b, got, want)
 		}
 		// One pass over the token pairs, read in both directions, must be
@@ -255,8 +255,8 @@ func FuzzStrsim(f *testing.F) {
 		}
 
 		// Distance-family invariants.
-		lev := Levenshtein(a, b)
-		dam := DamerauLevenshtein(a, b)
+		lev := levenshtein(a, b)
+		dam := damerau(a, b)
 		if dam > lev {
 			t.Fatalf("Damerau %d exceeds Levenshtein %d for (%q, %q)", dam, lev, a, b)
 		}

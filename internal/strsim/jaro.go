@@ -2,20 +2,11 @@ package strsim
 
 import "refrecon/internal/tokenizer"
 
-// Jaro returns the Jaro similarity of the normalized forms of a and b.
-// Jaro similarity counts matching runes within a sliding window of half the
+// jaroScratch returns the Jaro similarity of two rune strings. Jaro
+// similarity counts matching runes within a sliding window of half the
 // longer string's length and penalizes transpositions; it behaves well on
 // short strings such as personal names, which is why it (and its Winkler
 // extension) is the de-facto standard comparator in record linkage.
-func Jaro(a, b string) float64 {
-	sc := getScratch()
-	sc.ra = tokenizer.AppendNormalizedRunes(sc.ra[:0], a)
-	sc.rb = tokenizer.AppendNormalizedRunes(sc.rb[:0], b)
-	s := jaroScratch(sc, sc.ra, sc.rb)
-	putScratch(sc)
-	return s
-}
-
 func jaroScratch(sc *scratch, ra, rb []rune) float64 {
 	la, lb := len(ra), len(rb)
 	if la == 0 && lb == 0 {

@@ -22,7 +22,7 @@ func TestJaroKnownValues(t *testing.T) {
 		{"abc", "xyz", 0},
 	}
 	for _, c := range cases {
-		if got := Jaro(c.a, c.b); !approx(got, c.want) {
+		if got := jaro(c.a, c.b); !approx(got, c.want) {
 			t.Errorf("Jaro(%q,%q) = %.10f, want %.10f", c.a, c.b, got, c.want)
 		}
 	}
@@ -47,7 +47,7 @@ func TestJaroWinklerKnownValues(t *testing.T) {
 
 func TestJaroWinklerAtLeastJaro(t *testing.T) {
 	f := func(a, b string) bool {
-		j, jw := Jaro(a, b), JaroWinkler(a, b)
+		j, jw := jaro(a, b), JaroWinkler(a, b)
 		return jw >= j-1e-12 && jw <= 1+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -63,13 +63,13 @@ func TestJaroWinklerPClamping(t *testing.T) {
 	if s := jaroWinklerP("prefix", "prefixes", -1); s < 0 || s > 1 {
 		t.Errorf("negative p should behave like p=0, got %f", s)
 	}
-	if got, want := jaroWinklerP("martha", "marhta", 0), Jaro("martha", "marhta"); !approx(got, want) {
+	if got, want := jaroWinklerP("martha", "marhta", 0), jaro("martha", "marhta"); !approx(got, want) {
 		t.Errorf("p=0 should equal Jaro: %f vs %f", got, want)
 	}
 }
 
 func TestJaroCaseInsensitive(t *testing.T) {
-	if !approx(Jaro("MARTHA", "marhta"), Jaro("martha", "marhta")) {
+	if !approx(jaro("MARTHA", "marhta"), jaro("martha", "marhta")) {
 		t.Error("Jaro should normalize case")
 	}
 }

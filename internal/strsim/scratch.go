@@ -6,34 +6,31 @@ import "sync"
 // serial loop (enrichment re-comparisons) and inside the parallel
 // construction workers, so their per-call garbage is pure overhead. Every
 // hot path borrows a scratch struct from a pool instead of allocating rune
-// conversions, DP rows, and match flags per call; after the first few
+// conversions, match tables and match flags per call; after the first few
 // calls the buffers reach a steady capacity and the comparators allocate
 // nothing (the alloc regression tests pin this at exactly zero).
 
 // scratch aggregates the reusable buffers of one comparator invocation.
 // Each comparator borrows one scratch for its entire computation, so the
 // fields cover the union of the hot paths' needs: two rune buffers for the
-// (normalized) inputs, three DP rows, two match-flag rows, and Monge-Elkan's
-// per-token best scores.
+// (normalized) inputs, two match-flag rows, Monge-Elkan's per-token best
+// scores, and the Damerau kernel's match table and blocks.
 type scratch struct {
-	ra, rb           []rune
-	row0, row1, row2 []int
-	am, bm           []bool
-	fa, fb           []float64
+	ra, rb []rune
+	am, bm []bool
+	fa, fb []float64
+
+	// The Damerau kernel's match table (osaMatch) and block states.
+	peq      []uint64
+	peqRunes []rune
+	peqASCII [128]int32
+	osa      []osaBlock
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 func getScratch() *scratch  { return scratchPool.Get().(*scratch) }
 func putScratch(s *scratch) { scratchPool.Put(s) }
-
-// appendRunes appends the raw runes of s to dst.
-func appendRunes(dst []rune, s string) []rune {
-	for _, r := range s {
-		dst = append(dst, r)
-	}
-	return dst
-}
 
 // appendASCII appends the bytes of s to dst as runes, stopping with ok
 // false at the first byte that is not ASCII.
@@ -45,16 +42,6 @@ func appendASCII(dst []rune, s string) (out []rune, ok bool) {
 		dst = append(dst, rune(s[i]))
 	}
 	return dst, true
-}
-
-// intRow returns *buf resized to n entries without zeroing (callers
-// initialize the row themselves); the backing array grows monotonically
-// and is reused across calls.
-func intRow(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
-	}
-	return (*buf)[:n]
 }
 
 // boolRow returns *buf resized to n cleared entries.

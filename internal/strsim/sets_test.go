@@ -107,9 +107,9 @@ func TestCorpusCosineEmpty(t *testing.T) {
 // comparators lists every exported [0,1] similarity for generic property
 // testing.
 var comparators = map[string]func(a, b string) float64{
-	"LevenshteinSim": LevenshteinSim,
+	"LevenshteinSim": levenshteinSim,
 	"DamerauSim":     DamerauSim,
-	"Jaro":           Jaro,
+	"Jaro":           jaro,
 	"JaroWinkler":    JaroWinkler,
 	"JaccardTokens":  JaccardTokens,
 	"MongeElkan":     func(a, b string) float64 { return MongeElkan(a, b, nil) },
