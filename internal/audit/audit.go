@@ -160,7 +160,7 @@ func (a *Auditor) CheckGraph(phase string, g *depgraph.Graph, truncated bool) *R
 
 		inSum += n.InDegree()
 		outSum += n.OutDegree()
-		for _, e := range n.In() {
+		n.EachIn(func(e depgraph.Edge) {
 			r.check()
 			if e.To != n {
 				r.violate("graph/edge-endpoint", key, "in-edge from %s targets %s", e.From.Key(), e.To.Key())
@@ -169,8 +169,8 @@ func (a *Auditor) CheckGraph(phase string, g *depgraph.Graph, truncated bool) *R
 			if !e.From.Alive() {
 				r.violate("graph/edge-liveness", key, "in-edge from dead node %s", e.From.Key())
 			}
-		}
-		for _, e := range n.Out() {
+		})
+		n.EachOut(func(e depgraph.Edge) {
 			r.check()
 			if e.From != n {
 				r.violate("graph/edge-endpoint", key, "out-edge to %s claims source %s", e.To.Key(), e.From.Key())
@@ -179,8 +179,7 @@ func (a *Auditor) CheckGraph(phase string, g *depgraph.Graph, truncated bool) *R
 			if !e.To.Alive() {
 				r.violate("graph/edge-liveness", key, "out-edge to dead node %s", e.To.Key())
 			}
-		}
-
+		})
 		r.check()
 		if msg := n.CheckAdjacency(); msg != "" {
 			r.violate("graph/adjacency", key, "%s", msg)

@@ -143,7 +143,7 @@ func TestMutationAggregateAfterFoldEdgeLoss(t *testing.T) {
 		t.Fatal("(1,2) should have folded into (0,2)")
 	}
 	foundRewired := false
-	for _, e := range shared.In() {
+	for _, e := range inEdges(shared) {
 		if !e.From.Alive() {
 			t.Fatalf("dead in-edge source %s survived the fold", e.From.Key())
 		}
@@ -161,4 +161,11 @@ func TestMutationAggregateAfterFoldEdgeLoss(t *testing.T) {
 	if rep := aud.CheckGraph("post-nonmerge", g, false); !rep.Ok() {
 		t.Fatalf("after MarkNonMerge: %v", rep.Err())
 	}
+}
+
+// inEdges materializes n's incoming edges.
+func inEdges(n *depgraph.Node) []depgraph.Edge {
+	var out []depgraph.Edge
+	n.EachIn(func(e depgraph.Edge) { out = append(out, e) })
+	return out
 }

@@ -50,9 +50,9 @@ func (g *Graph) WriteDOT(w io.Writer, filter func(*Node) bool) error {
 	}
 	var lines []string
 	for _, n := range nodes {
-		for _, e := range n.Out() {
+		n.EachOut(func(e Edge) {
 			if !included[e.To] {
-				continue
+				return
 			}
 			style := "solid"
 			switch e.Dep {
@@ -63,7 +63,7 @@ func (g *Graph) WriteDOT(w io.Writer, filter func(*Node) bool) error {
 			}
 			lines = append(lines, fmt.Sprintf("  %s -> %s [style=%s label=%s];",
 				dotID(n.Key()), dotID(e.To.Key()), style, dotString(e.Evidence)))
-		}
+		})
 	}
 	sort.Strings(lines)
 	for _, l := range lines {

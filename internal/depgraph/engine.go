@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"refrecon/internal/obs"
+	"refrecon/internal/reference"
 )
 
 // Scorer computes a node's similarity from its incoming edges. Score must
@@ -287,6 +288,9 @@ func (g *Graph) Run(seed []*Node, opt Options) Stats {
 	if checkpoints && round > startRound && !st.Interrupted {
 		closeRound(g.queue.len())
 	}
+	if opt.Enrich {
+		g.settled = int32(len(g.kind))
+	}
 	st.EdgeAdds, st.DedupProbes = int(g.dedup.adds), int(g.dedup.probes)
 	g.dedup.adds, g.dedup.probes = 0, 0
 	return st
@@ -339,36 +343,41 @@ func (g *Graph) eligible(m *Node) bool {
 }
 
 // reenrich re-applies reference enrichment for pairs that merged in a
-// previous Run. A pair created by a later incremental batch may duplicate
-// an existing pair of an already-merged reference — the merge event that
-// would have folded it fired before the node existed — leaving several live
-// nodes for the same (merged cluster, counterpart) relationship, each
-// holding a scattered fraction of the evidence a single-batch run
-// concentrates on one node. Folding eagerly at Run start restores the
-// enrichment fixed point. Iterates until no fold applies; every fold
-// removes a node, so the loop terminates. Node collection follows the
-// graph's deterministic insertion order. It returns the folds and the
-// merged pairs its scans collected, summed over its passes.
-func (g *Graph) reenrich() (total, scanned int) {
-	for {
-		var merged []*Node
-		g.Nodes(func(n *Node) {
-			if g.kind[n.id] == RefPair && g.status[n.id] == Merged {
-				merged = append(merged, n)
-			}
-		})
-		scanned += len(merged)
-		folds := 0
-		for _, n := range merged {
-			if g.alive[n.id] {
-				folds += g.enrich(n)
-			}
-		}
-		total += folds
-		if folds == 0 {
-			return total, scanned
+// previous Run. A pair created since may duplicate an existing pair of an
+// already-merged reference — the merge event that would have folded it
+// fired before the node existed — leaving several live nodes for the same
+// (merged cluster, counterpart) relationship, each holding a scattered
+// fraction of the evidence a single-batch run concentrates on one node.
+// Folding eagerly at Run start restores the enrichment fixed point.
+//
+// Only a merged pair sharing a reference with a node created since the
+// last enriching Run (an id at or above settled) can fold: when (r1, r2)
+// merged, enrich left no r3 with both (r2, r3) and (r1, r3) alive, and a
+// fold only removes nodes, so a fold needs a new (r1, r3) or (r2, r3).
+// Those pairs are enriched once each, in node order; a second pass would
+// fold nothing, as nothing merges here and enrich leaves no fold behind.
+// It returns the folds and the merged pairs it enriched.
+func (g *Graph) reenrich() (folds, scanned int) {
+	var touched []bool // by reference id: in a pair created since settled
+	for id := int(g.settled); id < len(g.kind); id++ {
+		if b := int(g.refB[id]); g.kind[id] == RefPair {
+			touched = append(touched, make([]bool, max(0, b+1-len(touched)))...)
+			touched[g.refA[id]], touched[b] = true, true
 		}
 	}
+	hit := func(r reference.ID) bool { return int(r) < len(touched) && touched[r] }
+	var merged []*Node
+	for id, st := range g.status {
+		if st == Merged && g.kind[id] == RefPair && g.alive[id] && (hit(g.refA[id]) || hit(g.refB[id])) {
+			merged = append(merged, g.handles[id])
+		}
+	}
+	for _, n := range merged {
+		if g.alive[n.id] {
+			folds += g.enrich(n)
+		}
+	}
+	return folds, len(merged)
 }
 
 // enrich implements §3.3: after merging n = (r1, r2), every node (r2, r3)

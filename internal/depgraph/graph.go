@@ -8,13 +8,9 @@ import (
 
 // Graph is the dependency graph plus the machinery to run similarity
 // propagation over it. Construct with New, add nodes and edges, then call
-// Run. Graph is not safe for concurrent use.
-//
-// Storage is columnar (see storage.go): node fields live in flat parallel
-// slices indexed by dense int32 ids, adjacency is spans of edge ids into a
-// shared arena, and the hot-path indexes key on packed reference pairs and
-// interned strings rather than the canonical key strings, which are
-// materialized lazily at the API boundary.
+// Run. Graph is not safe for concurrent use. Storage is columnar (see
+// storage.go); the hot-path indexes key on packed reference pairs and
+// interned strings, and canonical key strings are built lazily.
 type Graph struct {
 	// Node columns, indexed by node id.
 	kind    []Kind
@@ -60,6 +56,9 @@ type Graph struct {
 
 	liveNodes int
 	edgeCount int
+	// settled is the node-id bound when the last enriching Run returned:
+	// the next Run's reenrich looks only at pairs touching newer nodes.
+	settled int32
 
 	// onFold, when set (by Run, from Options.OnFold), observes every
 	// enrichment fold l -> m just before l is removed.

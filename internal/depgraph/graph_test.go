@@ -211,3 +211,20 @@ func TestStatusAndKindStrings(t *testing.T) {
 		t.Error("DepType strings wrong")
 	}
 }
+
+// In and Out return n's edges, materialized: test conveniences, since
+// production code walks them with EachIn and EachOut.
+func (n *Node) In() []Edge  { return n.g.edgeSlice(n.g.inSpan[n.id]) }
+func (n *Node) Out() []Edge { return n.g.edgeSlice(n.g.outSpan[n.id]) }
+
+// edgeSlice materializes a span into a fresh []Edge.
+func (g *Graph) edgeSlice(s span) []Edge {
+	if s.n == 0 {
+		return nil
+	}
+	out := make([]Edge, s.n)
+	for i, e := range g.spanIDs(s) {
+		out[i] = g.edgeAt(e)
+	}
+	return out
+}

@@ -21,27 +21,16 @@
 //
 // # Storage layout
 //
-// Node and edge state lives in columnar arrays on the Graph, indexed by
-// dense int32 ids: one flat slice per field (kind, status, sim, refs,
-// class, flags) instead of one heap object per node, and one
-// slice per edge field (endpoints, dependency type, interned evidence)
-// instead of one heap object per edge. Adjacency is a CSR-style layout:
-// per-node spans of edge ids into a shared arena, appended in place while
-// capacity lasts and relocated to the arena tail (the overflow region)
-// when it runs out; a compaction pass periodically rewrites the arena
-// contiguously and drops dead edges. Strings leave the hot path: pair
-// lookups key on packed (refA, refB) integers, value-pair lookups on
-// interned element ids, and the canonical Key strings are materialized
-// lazily for the API boundary (audit, DOT export, explanations).
-//
-// The public surface keeps pointer semantics: *Node is a thin, stable
-// handle (graph pointer + id) allocated from slabs, so pointer equality
-// still identifies a node, and Edge is a value struct materialized during
-// iteration.
+// Node and edge state lives in columnar arrays indexed by dense int32 ids,
+// adjacency is per-node spans of edge ids into a shared arena, and strings
+// leave the hot path (storage.go). The public surface keeps pointer
+// semantics: *Node is a stable handle, so pointer equality identifies a
+// node, and Edge is a value materialized during iteration.
 package depgraph
 
 import (
 	"fmt"
+	"math"
 
 	"refrecon/internal/reference"
 )
@@ -195,14 +184,6 @@ func (n *Node) SetSim(v float64) { n.g.sim[n.id] = v }
 // SetStatus writes the propagation state directly (construction and tests).
 func (n *Node) SetStatus(s Status) { n.g.status[n.id] = s }
 
-// In returns the incoming edges, materialized into a fresh slice. Prefer
-// EachIn on hot paths.
-func (n *Node) In() []Edge { return n.g.edgeSlice(n.g.inSpan[n.id]) }
-
-// Out returns the outgoing edges, materialized into a fresh slice. Prefer
-// EachOut on hot paths.
-func (n *Node) Out() []Edge { return n.g.edgeSlice(n.g.outSpan[n.id]) }
-
 // EachIn invokes fn for every incoming edge, in adjacency order, without
 // materializing a slice.
 func (n *Node) EachIn(fn func(Edge)) {
@@ -210,6 +191,22 @@ func (n *Node) EachIn(fn func(Edge)) {
 	for _, e := range g.spanIDs(g.inSpan[n.id]) {
 		fn(g.edgeAt(e))
 	}
+}
+
+// AppendInputs appends to dst, as words, n's similarity and status, then
+// per in-edge in span order the source id, interned evidence and
+// dependency, and the source's similarity and status: all a description
+// of n and its evidence reads, since ids are never reused and a node's key
+// never changes. Nothing is materialized: it reads the in-span columns.
+func (n *Node) AppendInputs(dst []uint64) []uint64 {
+	g := n.g
+	dst = append(dst, math.Float64bits(g.sim[n.id]), uint64(g.status[n.id]))
+	for _, e := range g.spanIDs(g.inSpan[n.id]) {
+		f := g.eFrom[e]
+		dst = append(dst, uint64(uint32(f))<<32|uint64(uint32(g.eEv[e])),
+			math.Float64bits(g.sim[f]), uint64(g.eDep[e])<<8|uint64(g.status[f]))
+	}
+	return dst
 }
 
 // EachOut invokes fn for every outgoing edge, in adjacency order, without

@@ -145,18 +145,6 @@ func (g *Graph) edgeAt(e int32) Edge {
 	}
 }
 
-// edgeSlice materializes a span into a fresh []Edge.
-func (g *Graph) edgeSlice(s span) []Edge {
-	if s.n == 0 {
-		return nil
-	}
-	out := make([]Edge, s.n)
-	for i, e := range g.spanIDs(s) {
-		out[i] = g.edgeAt(e)
-	}
-	return out
-}
-
 // growEdgeColumns doubles the capacity of the six edge columns together.
 // Left to append, a large column grows by a quarter at a time and is
 // copied about five times over on its way to any size; doubling copies it

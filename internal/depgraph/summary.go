@@ -1,54 +1,5 @@
 package depgraph
 
-// Summary aggregates the graph's state after a run: node populations by
-// kind and status, and dependency-edge counts by type. The reconciler
-// surfaces it for diagnostics; Table 6 reads the node totals.
-type Summary struct {
-	RefPairs, ValuePairs                    int
-	Merged, NonMerge, Inactive, ActiveNodes int
-	RealEdges, StrongEdges, WeakEdges       int
-	MaxInDegree, MaxOutDegree               int
-}
-
-// Summarize walks the live graph and returns its Summary.
-func (g *Graph) Summarize() Summary {
-	var s Summary
-	g.Nodes(func(n *Node) {
-		if n.Kind() == RefPair {
-			s.RefPairs++
-		} else {
-			s.ValuePairs++
-		}
-		switch n.Status() {
-		case Merged:
-			s.Merged++
-		case NonMerge:
-			s.NonMerge++
-		case Active:
-			s.ActiveNodes++
-		default:
-			s.Inactive++
-		}
-		for _, e := range n.Out() {
-			switch e.Dep {
-			case RealValued:
-				s.RealEdges++
-			case StrongBoolean:
-				s.StrongEdges++
-			case WeakBoolean:
-				s.WeakEdges++
-			}
-		}
-		if d := n.InDegree(); d > s.MaxInDegree {
-			s.MaxInDegree = d
-		}
-		if d := n.OutDegree(); d > s.MaxOutDegree {
-			s.MaxOutDegree = d
-		}
-	})
-	return s
-}
-
 // CheckFixedPoint verifies that no live, unconstrained node's similarity
 // would increase by more than eps if rescored — the termination property
 // §3.2 promises. It returns the offending nodes (nil when the graph is at

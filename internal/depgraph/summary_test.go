@@ -2,6 +2,54 @@ package depgraph
 
 import "testing"
 
+// Summary aggregates the graph's state after a run: node populations by
+// kind and status, and dependency-edge counts by type.
+type Summary struct {
+	RefPairs, ValuePairs                    int
+	Merged, NonMerge, Inactive, ActiveNodes int
+	RealEdges, StrongEdges, WeakEdges       int
+	MaxInDegree, MaxOutDegree               int
+}
+
+// Summarize walks the live graph and returns its Summary.
+func (g *Graph) Summarize() Summary {
+	var s Summary
+	g.Nodes(func(n *Node) {
+		if n.Kind() == RefPair {
+			s.RefPairs++
+		} else {
+			s.ValuePairs++
+		}
+		switch n.Status() {
+		case Merged:
+			s.Merged++
+		case NonMerge:
+			s.NonMerge++
+		case Active:
+			s.ActiveNodes++
+		default:
+			s.Inactive++
+		}
+		n.EachOut(func(e Edge) {
+			switch e.Dep {
+			case RealValued:
+				s.RealEdges++
+			case StrongBoolean:
+				s.StrongEdges++
+			case WeakBoolean:
+				s.WeakEdges++
+			}
+		})
+		if d := n.InDegree(); d > s.MaxInDegree {
+			s.MaxInDegree = d
+		}
+		if d := n.OutDegree(); d > s.MaxOutDegree {
+			s.MaxOutDegree = d
+		}
+	})
+	return s
+}
+
 func TestSummarize(t *testing.T) {
 	g := New()
 	a := g.AddRefPair(0, 1, "Person")

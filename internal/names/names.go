@@ -27,6 +27,8 @@ type Name struct {
 	Middle []string // middle names or initials, in order
 	Last   string   // family name ("epstein"); may be multi-word ("van gogh")
 	Raw    string   // the normalized full input
+	words  []string // tokenizer.Words(Raw), for ParsedSimilarity
+	canon  string   // String(), for ParsedSimilarity
 }
 
 // suffixes dropped during parsing.
@@ -50,6 +52,12 @@ var particles = map[string]bool{
 // (treated as a first name, since emails usually show given names or
 // nicknames). An empty or punctuation-only input yields a zero Name.
 func Parse(raw string) Name {
+	n := parse(raw)
+	n.words, n.canon = tokenizer.Words(n.Raw), n.String()
+	return n
+}
+
+func parse(raw string) Name {
 	n := Name{Raw: tokenizer.Normalize(raw)}
 	if i := strings.IndexByte(raw, ','); i >= 0 {
 		// "Last, First M."
@@ -320,7 +328,7 @@ func ParsedSimilarity(a, b Name) float64 {
 	if a.Raw != "" && a.Raw == b.Raw {
 		return 1
 	}
-	if a.String() == b.String() {
+	if a.canon == b.canon {
 		return 1
 	}
 	if Incompatible(a, b) {
@@ -329,7 +337,7 @@ func ParsedSimilarity(a, b Name) float64 {
 	}
 	if !Compatible(a, b) {
 		// Not contradictory enough for the constraint, but no agreement.
-		return 0.3 * strsim.MongeElkan(a.Raw, b.Raw, nil)
+		return 0.3 * strsim.MongeElkanTokens(a.words, b.words)
 	}
 	// Compatible names: score by how much affirmative agreement exists.
 	switch {

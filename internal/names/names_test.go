@@ -1,8 +1,14 @@
 package names
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"refrecon/internal/strsim"
 )
 
 func TestParseNaturalOrder(t *testing.T) {
@@ -209,4 +215,55 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
+}
+
+// TestParsedTokensMatchRetokenizing pins the parsed name's cached forms to
+// what ParsedSimilarity used to recompute on every call: the Monge-Elkan
+// score over the stored tokens equals the one that re-tokenises Raw, and
+// the canonical string compare equals comparing String(), over every pair
+// of this file's names and FuzzStrsim's seeds.
+func TestParsedTokensMatchRetokenizing(t *testing.T) {
+	corpus := []string{
+		"Robert S. Epstein", "Michael Stonebraker", "Eugene Wong", "mike", "Vincent van Gogh",
+		"Hector Garcia-Molina", "Jean-Pierre Serre", "Ludwig von Beethoven", "John Ronald Reuel Tolkien",
+		"", "  .,  ", "Epstein, R.S.", "Stonebraker, M.", "Wong, E.", "van Gogh, Vincent",
+		"Garcia-Molina, H.", "Last,", "Martin Luther King Jr.", "micheal stonebraker", "Matt Stonebraker",
+		"Michael Carey", "Wong, J.", "Anyone", "Matt", "Wong", "Jane Smith", "John Doe", "Jennifer Widom",
+		"Angela", "stonebraker", "stonebroker", "Proc. of SIGMOD", "Proceedings of the ACM SIGMOD Conference",
+		"the of and", "a an the", "日本語", "日本", "x", "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+		"Ångstrom straẞe", "angstrom strase",
+	}
+	seeds, err := filepath.Glob("../strsim/testdata/fuzz/FuzzStrsim/*")
+	if err != nil || len(seeds) == 0 {
+		t.Fatalf("no FuzzStrsim seed files: %v", err)
+	}
+	for _, f := range seeds {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(raw), "\n") {
+			if arg, ok := strings.CutPrefix(line, "string("); ok {
+				s, err := strconv.Unquote(strings.TrimSuffix(arg, ")"))
+				if err != nil {
+					t.Fatalf("%s: %v", f, err)
+				}
+				corpus = append(corpus, s)
+			}
+		}
+	}
+	parsed := make([]Name, len(corpus))
+	for i, raw := range corpus {
+		parsed[i] = Parse(raw)
+	}
+	for _, a := range parsed {
+		for _, b := range parsed {
+			if fast, slow := strsim.MongeElkanTokens(a.words, b.words), strsim.MongeElkan(a.Raw, b.Raw, nil); fast != slow {
+				t.Errorf("Monge-Elkan(%q, %q) over stored tokens %v, re-tokenised %v", a.Raw, b.Raw, fast, slow)
+			}
+			if (a.canon == b.canon) != (a.String() == b.String()) {
+				t.Errorf("canonical compare of %q and %q disagrees with String()", a.Raw, b.Raw)
+			}
+		}
+	}
 }

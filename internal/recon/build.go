@@ -35,6 +35,9 @@ type builder struct {
 	// library statistics, so a repeat costs one map hit. Both live for one
 	// batch, because the statistics grow between batches.
 	removed, bare map[uint64]struct{}
+	// keys is each fed reference's blocking keys, by id: append-only, so a
+	// snapshot shares its prefix.
+	keys [][]string
 	// sigs is each reference's value-signature id (0: not yet assigned);
 	// sigIDs interns the signatures.
 	sigs    []uint32
@@ -145,7 +148,7 @@ func (b *builder) incorporate(newRefs []*reference.Reference) []*depgraph.Node {
 	b.induced, b.probes = inducedCounts{}, 0
 	newByClass := make(map[string][]reference.ID)
 	for _, r := range newRefs {
-		b.feed(r)
+		b.keys = append(b.keys, b.feed(r, nil))
 		newByClass[r.Class] = append(newByClass[r.Class], r.ID)
 	}
 

@@ -206,7 +206,7 @@ func TestContactJoinCases(t *testing.T) {
 	key := func(x, y string) string { return join.g.LookupRefPair(cs.id[x], cs.id[y]).Key() }
 	shared := func(x string) string { return fmt.Sprintf("shared|r:%d|r:%d", cs.id[x], cs.id[x]) }
 	var into []string
-	for _, e := range join.g.LookupRefPair(cs.id["A"], cs.id["B"]).In() {
+	for _, e := range inEdges(join.g.LookupRefPair(cs.id["A"], cs.id["B"])) {
 		into = append(into, e.From.Key())
 	}
 	want := []string{
@@ -243,7 +243,7 @@ func TestContactJoinProbes(t *testing.T) {
 	if b.probes > bound || bound >= 20*20 {
 		t.Errorf("%d probes, want at most %d (the contacts' pair degrees; the product is %d)", b.probes, bound, 20*20)
 	}
-	if n := len(b.g.LookupRefPair(cs.id["A"], cs.id["B"]).In()); n != 2 {
+	if n := len(inEdges(b.g.LookupRefPair(cs.id["A"], cs.id["B"]))); n != 2 {
 		t.Errorf("(A, B) has %d contact edges, want 2", n)
 	}
 }

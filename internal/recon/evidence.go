@@ -109,8 +109,9 @@ func (e *evidence) row(class string) *classModel {
 }
 
 // feed enters one reference into the corpus statistics the comparators
-// read and into its class's blocking index.
-func (e *evidence) feed(r *reference.Reference) {
+// read and into its class's blocking index, under keys, or under the keys
+// its row derives when keys is nil. It returns the keys.
+func (e *evidence) feed(r *reference.Reference, keys []string) []string {
 	row := e.row(r.Class)
 	for _, cmp := range row.compare {
 		if cmp.by.Feed != nil {
@@ -124,7 +125,13 @@ func (e *evidence) feed(r *reference.Reference) {
 		idx = blocking.New(e.cfg.BucketCap)
 		e.indexes[r.Class] = idx
 	}
-	row.blockingKeys(r, func(k string) { idx.Add(k, r.ID) })
+	if keys == nil {
+		row.blockingKeys(r, func(k string) { keys = append(keys, k) })
+	}
+	for _, k := range keys {
+		idx.Add(k, r.ID)
+	}
+	return keys
 }
 
 // candidates returns the fed references of r's class that share a

@@ -29,10 +29,10 @@ func attrEvidence(n *depgraph.Node) []string {
 		out = append(out, fmt.Sprintf("%s|%s|%s sim=%v merged=%v %s %s/%s",
 			v.Class(), x, y, v.Sim(), v.Status() == depgraph.Merged, dir, e.Dep, e.Evidence))
 	}
-	for _, e := range n.In() {
+	for _, e := range inEdges(n) {
 		line(e.From, "in", e)
 	}
-	for _, e := range n.Out() {
+	for _, e := range outEdges(n) {
 		line(e.To, "out", e)
 	}
 	sort.Strings(out)
@@ -78,7 +78,7 @@ func assocEdges(g *depgraph.Graph) map[string]bool {
 		if n.Kind() != depgraph.RefPair {
 			return
 		}
-		for _, e := range n.In() {
+		for _, e := range inEdges(n) {
 			switch {
 			case e.From.Kind() == depgraph.RefPair:
 				out[fmt.Sprintf("%s <- %s %s/%s", n.Class(), e.From.Class(), e.Dep, e.Evidence)] = true
@@ -157,7 +157,7 @@ func TestQueryWiringIsConstructionWiring(t *testing.T) {
 			b, seed, h := modelFixture(t, tc.sch, tc.store)
 			compared, constrained := 0, 0
 			for _, n := range seed {
-				if len(n.In())+len(n.Out()) == 0 && n.Status() == depgraph.NonMerge {
+				if len(inEdges(n))+len(outEdges(n)) == 0 && n.Status() == depgraph.NonMerge {
 					continue // a bare co-author constraint node, never compared
 				}
 				want := attrEvidence(n)
@@ -267,7 +267,7 @@ func differencePopularityCap(t *testing.T, b *builder, h *queryHost) {
 		t.Fatal("no contact exceeds construction's popularity cap; the fixture cannot show difference 3")
 	}
 	if n := b.g.Lookup("shared|r:" + fmt.Sprint(popular) + "|r:" + fmt.Sprint(popular)); n != nil {
-		for _, e := range n.Out() {
+		for _, e := range outEdges(n) {
 			if e.Evidence == simfn.EvContact {
 				t.Errorf("construction wired capped contact %d as contact evidence for %s", popular, e.To.Key())
 			}
@@ -304,5 +304,18 @@ func keys(m map[string]bool) []string {
 		out = append(out, k)
 	}
 	sort.Strings(out)
+	return out
+}
+
+// inEdges and outEdges materialize n's edges.
+func inEdges(n *depgraph.Node) []depgraph.Edge {
+	var out []depgraph.Edge
+	n.EachIn(func(e depgraph.Edge) { out = append(out, e) })
+	return out
+}
+
+func outEdges(n *depgraph.Node) []depgraph.Edge {
+	var out []depgraph.Edge
+	n.EachOut(func(e depgraph.Edge) { out = append(out, e) })
 	return out
 }

@@ -3,7 +3,6 @@ package recon
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -84,7 +83,8 @@ func writeDecision(b *strings.Builder, indent string, d PairDecision) {
 
 // Explain reports why references a and b were or were not reconciled in
 // the session's latest result. It returns an error before the first
-// Reconcile call.
+// Reconcile call. It answers through a snapshot, which inside a session
+// re-describes only the pairs changed since the last one.
 func (s *Session) Explain(a, b reference.ID) (Explanation, error) {
 	if s.latest == nil || s.g == nil {
 		return Explanation{}, fmt.Errorf("recon: Explain before Reconcile")
@@ -92,51 +92,30 @@ func (s *Session) Explain(a, b reference.ID) (Explanation, error) {
 	if int(a) >= s.store.Len() || int(b) >= s.store.Len() || a < 0 || b < 0 {
 		return Explanation{}, fmt.Errorf("recon: reference id out of range")
 	}
-	out := Explanation{A: a, B: b, Same: s.latest.SameEntity(a, b)}
-	if n := s.g.LookupRefPair(a, b); n != nil {
-		d := describeNode(n)
-		out.Direct = &d
+	snap, err := s.Snapshot()
+	if err != nil {
+		return Explanation{}, err
 	}
-	if out.Same {
-		out.Path = explainPath(a, b, s.mergedLinks)
-	}
-	return out, nil
-}
-
-// mergedLinks lists a reference's merged pair nodes as a snapshot stores
-// them: described, and sorted by the other endpoint.
-func (s *Session) mergedLinks(id reference.ID) []mergedLink {
-	var links []mergedLink
-	s.g.EachRefPair(id, func(other reference.ID, n *depgraph.Node) {
-		if n.Status() == depgraph.Merged {
-			d := describeNode(n)
-			links = append(links, mergedLink{other, &d})
-		}
-	})
-	sort.Slice(links, func(i, j int) bool { return links[i].other < links[j].other })
-	return links
+	return snap.explain(a, b), nil
 }
 
 // explainPath is the one Explain walk: a breadth-first search from a to b
 // over merged pair decisions, returning the connecting chain in a-to-b
-// order. links lists a reference's merged pairs in a fixed order, so the
-// discovered path is deterministic. The closure can unite a and b even
-// when enrichment folded away the intermediate nodes; the path is nil
-// then, and only Direct evidence is available.
-func explainPath(a, b reference.ID, links func(reference.ID) []mergedLink) []PairDecision {
+// order. links lists each reference's merged pairs sorted by the other
+// endpoint, so the discovered path is deterministic. The closure can unite
+// a and b even when enrichment folded away the intermediate nodes; the
+// path is nil then, and only Direct evidence is available.
+func explainPath(a, b reference.ID, links map[reference.ID][]mergedLink) []PairDecision {
 	type hop struct {
 		from reference.ID
 		d    *PairDecision
 	}
 	prev := map[reference.ID]hop{a: {from: a}}
 	queue := []reference.ID{a}
-	for len(queue) > 0 {
+	for len(queue) > 0 && queue[0] != b {
 		cur := queue[0]
 		queue = queue[1:]
-		if cur == b {
-			break
-		}
-		for _, l := range links(cur) {
+		for _, l := range links[cur] {
 			if _, seen := prev[l.other]; !seen {
 				prev[l.other] = hop{from: cur, d: l.d}
 				queue = append(queue, l.other)
@@ -150,16 +129,14 @@ func explainPath(a, b reference.ID, links func(reference.ID) []mergedLink) []Pai
 	for cur := b; cur != a; cur = prev[cur].from {
 		path = append(path, *prev[cur].d)
 	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
+	slices.Reverse(path)
 	return path
 }
 
 // describeNode copies a pair node's state and evidence. Every publish runs
-// it over every pair node of the graph, so it allocates the evidence list
-// once, at its final size, and nothing else per edge but a pair source's
-// label.
+// it over every pair node whose inputs changed, so it allocates the
+// evidence list once, at its final size, and nothing else per edge but a
+// pair source's label.
 func describeNode(n *depgraph.Node) PairDecision {
 	d := PairDecision{A: n.RefA(), B: n.RefB(), Sim: n.Sim(), Status: n.Status().String()}
 	if deg := n.InDegree(); deg > 0 {

@@ -47,6 +47,9 @@ type Session struct {
 	// checks (monotone similarities, merged-never-demoted) also hold
 	// across batch boundaries.
 	aud *audit.Auditor
+	// pub is what the last Snapshot exported, so the next copies only
+	// what changed (snapshot.go). It resets with the graph.
+	pub publication
 	// poisoned is set when a commit was cancelled after it started
 	// mutating the session graph. A cancellation can land mid-propagation,
 	// leaving the graph short of its fixed point; rather than reason about
@@ -316,6 +319,7 @@ func (s *Session) reset() {
 	s.stats = Stats{}
 	s.latest = nil
 	s.aud = nil
+	s.pub = publication{}
 	s.poisoned = false
 }
 

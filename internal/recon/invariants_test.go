@@ -220,7 +220,7 @@ func TestEvidenceLevelGating(t *testing.T) {
 			if n.Kind() == depgraph.ValuePair && n.Class() == simfn.EvNameEmail {
 				cross++
 			}
-			for _, e := range n.Out() {
+			for _, e := range outEdges(n) {
 				edges[e.Evidence]++
 			}
 		})

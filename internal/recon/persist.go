@@ -78,6 +78,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		assignment: w.Assignment,
 		byLabel:    make(map[int]*Entity),
 		pairs:      make(map[uint64]*PairDecision, len(w.Pairs)),
+		keys:       make([][]string, len(w.Refs)),
 	}
 	// Gob omits empty maps; normalize so decoded snapshots behave like
 	// freshly exported ones (whose maps are always non-nil).
@@ -105,6 +106,10 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 				}
 			}
 		}
+	}
+	for _, rec := range snap.refs {
+		snap.forms = append(snap.forms, rec.Reference())
+		snap.forms[len(snap.forms)-1].ID = rec.ID
 	}
 	snap.buildEntities()
 	for i := range w.Pairs {

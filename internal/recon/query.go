@@ -65,7 +65,7 @@ type Matcher struct {
 	*evidence
 	snap *Snapshot
 	// refs are the snapshot's stored references as References, indexed by
-	// id: the shape the evidence model reads.
+	// id: the shape the evidence model reads. Shared, read-only.
 	refs []*reference.Reference
 	// cands and assocs memoize queryHost's answers per stored reference,
 	// filled on first use: a publish costs two zeroed slices.
@@ -74,19 +74,18 @@ type Matcher struct {
 }
 
 // NewMatcher indexes a snapshot for query-time reconciliation. Cost is one
-// pass over the snapshot's references (blocking keys + corpus statistics).
+// pass over the snapshot's references (corpus statistics, and blocking
+// keys, which a session's snapshot carries and a decoded one derives).
 func NewMatcher(sch *schema.Schema, cfg Config, snap *Snapshot) *Matcher {
 	m := &Matcher{
 		evidence: newEvidence(sch, cfg),
 		snap:     snap,
-		refs:     make([]*reference.Reference, len(snap.refs)),
+		refs:     snap.forms,
 		cands:    make([]atomic.Pointer[[]reference.ID], len(snap.refs)),
 		assocs:   make([]atomic.Pointer[[][]reference.ID], len(snap.refs)),
 	}
-	for i := range snap.refs {
-		m.refs[i] = snap.refs[i].Reference()
-		m.refs[i].ID = snap.refs[i].ID
-		m.feed(m.refs[i])
+	for i, r := range m.refs {
+		m.feed(r, snap.keys[i])
 	}
 	return m
 }

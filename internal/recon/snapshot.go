@@ -11,13 +11,13 @@ package recon
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"time"
 
 	"refrecon/internal/depgraph"
 	"refrecon/internal/reference"
-	"refrecon/internal/schema"
 )
 
 // SnapRef is one stored reference inside a Snapshot: the snapshot's own
@@ -84,6 +84,8 @@ type Snapshot struct {
 	Stats Stats
 
 	refs []SnapRef
+	// forms are refs as References, ids set: the evidence model's shape.
+	forms []*reference.Reference
 	// nameAttrs maps each schema class to its name-like attribute, so that
 	// entity labels follow the schema without the snapshot holding one.
 	nameAttrs  map[string]string
@@ -96,6 +98,9 @@ type Snapshot struct {
 	// the other endpoint.
 	pairs  map[uint64]*PairDecision
 	merged map[reference.ID][]mergedLink
+	// keys holds each reference's blocking keys as the session's builder
+	// derived them; all nil in a decoded snapshot, whose matcher derives them.
+	keys [][]string
 }
 
 // pairIndex packs an unordered reference-id pair into one map key.
@@ -160,32 +165,36 @@ func (s *Snapshot) Explain(a, b reference.ID) (Explanation, error) {
 	if int(a) >= len(s.refs) || int(b) >= len(s.refs) || a < 0 || b < 0 {
 		return Explanation{}, fmt.Errorf("recon: reference id out of range")
 	}
+	return s.explain(a, b), nil
+}
+
+// explain is Explain without the range check: an id the snapshot does not
+// cover is in no partition and no pair.
+func (s *Snapshot) explain(a, b reference.ID) Explanation {
 	out := Explanation{A: a, B: b, Same: s.SameEntity(a, b)}
 	if d := s.Pair(a, b); d != nil {
 		cp := *d
 		out.Direct = &cp
 	}
 	if out.Same {
-		out.Path = explainPath(a, b, func(id reference.ID) []mergedLink { return s.merged[id] })
+		out.Path = explainPath(a, b, s.merged)
 	}
-	return out, nil
+	return out
 }
 
 // Snapshot exports a deep, read-only view of the session's latest state:
 // references, partitions, canonical enriched entities, and per-pair
-// explain data. It errors before the first Reconcile. The export walks the
-// store and the dependency graph once; the result shares no mutable state
-// with the session, so later batches never disturb it.
+// explain data. It errors before the first Reconcile. The result shares no
+// mutable state with the session, so later batches never disturb it: what
+// it shares with earlier exports is never written again.
 func (s *Session) Snapshot() (*Snapshot, error) {
 	if s.latest == nil || s.g == nil {
 		return nil, fmt.Errorf("recon: Snapshot before Reconcile")
 	}
-	return newSnapshot(s.store, s.rc.sch, s.latest, s.g, s.b.batch), nil
-}
-
-func newSnapshot(store *reference.Store, sch *schema.Schema, res *Result, g *depgraph.Graph, version int) *Snapshot {
+	sp := s.rc.cfg.Obs.Tracer().Begin("publish", "snapshot")
+	res := s.latest
 	snap := &Snapshot{
-		Version:    version,
+		Version:    s.b.batch,
 		Taken:      time.Now(),
 		Stats:      res.Stats,
 		nameAttrs:  make(map[string]string),
@@ -194,25 +203,30 @@ func newSnapshot(store *reference.Store, sch *schema.Schema, res *Result, g *dep
 		byLabel:    make(map[int]*Entity),
 	}
 
-	for _, c := range sch.Classes() {
+	for _, c := range s.rc.sch.Classes() {
 		snap.nameAttrs[c.Name] = c.NameAttr()
 	}
 
-	// Deep-copy the references. Snapshots cover the store prefix the result
-	// was computed over: references added to the store after the result's
-	// Reconcile (but before export) have no partition assignment yet and
-	// are excluded, keeping refs and partitions mutually consistent.
-	covered := store.Len()
+	// Snapshots cover the store prefix the result was computed over:
+	// references added to the store after the result's Reconcile (but
+	// before export) have no partition assignment yet and are excluded,
+	// keeping refs and partitions mutually consistent. Records are copied
+	// once, and snapshots share the prefix, as they share blocking keys.
+	covered := s.store.Len()
 	for covered > 0 {
 		if _, ok := res.Assignment[reference.ID(covered-1)]; ok {
 			break
 		}
 		covered--
 	}
-	snap.refs = make([]SnapRef, covered)
-	for i := range snap.refs {
-		snap.refs[i] = store.Get(reference.ID(i)).Record()
+	p := &s.pub
+	for i := len(p.refs); i < covered; i++ {
+		p.refs = append(p.refs, s.store.Get(reference.ID(i)).Record())
+		p.forms = append(p.forms, p.refs[i].Reference())
+		p.forms[i].ID = p.refs[i].ID
 	}
+	snap.refs, snap.forms = p.refs[:covered:covered], p.forms[:covered:covered]
+	snap.keys = s.b.keys[:covered:covered]
 
 	for class, parts := range res.Partitions {
 		cp := make([][]reference.ID, len(parts))
@@ -227,16 +241,69 @@ func newSnapshot(store *reference.Store, sch *schema.Schema, res *Result, g *dep
 	}
 
 	snap.buildEntities()
-
-	snap.pairs = make(map[uint64]*PairDecision)
-	g.Nodes(func(node *depgraph.Node) {
-		if node.Kind() == depgraph.RefPair {
-			d := describeNode(node)
-			snap.pairs[pairIndex(d.A, d.B)] = &d
-		}
-	})
+	described := p.describe(s.g)
+	snap.pairs = p.pairs
 	snap.linkMerged()
-	return snap
+	sp.EndArgs(map[string]any{"pairs": len(snap.pairs), "described": described})
+	return snap, nil
+}
+
+// publication is what a session's last export leaves for the next: the
+// record copies in both forms, the decision map, and per pair-node id the
+// decision exported with the inputs it was described from. It resets with
+// the graph.
+type publication struct {
+	refs    []SnapRef
+	forms   []*reference.Reference
+	pairs   map[uint64]*PairDecision
+	memo    []pairMemo
+	scratch []uint64
+}
+
+type pairMemo struct {
+	d  *PairDecision
+	in []uint64 // depgraph.Node.AppendInputs when d was described
+}
+
+// describe brings a clone of the last decision map up to date with g and
+// returns how many pairs it described. A PairDecision is a pure function
+// of the inputs AppendInputs lists, so a node whose inputs equal its memo
+// keeps its decision. Live nodes arrive in id order and a removed pair can
+// only come back as a newer node, so dropping a removed node's entry when
+// the walk passes its id never hides a successor's.
+func (p *publication) describe(g *depgraph.Graph) (described int) {
+	p.memo = append(p.memo, make([]pairMemo, g.NodeIDBound()-len(p.memo))...)
+	pairs, next := maps.Clone(p.pairs), 0
+	if pairs == nil {
+		pairs = make(map[uint64]*PairDecision)
+	}
+	drop := func(end int) {
+		for ; next < end; next++ {
+			if d := p.memo[next].d; d != nil {
+				delete(pairs, pairIndex(d.A, d.B))
+				p.memo[next] = pairMemo{}
+			}
+		}
+	}
+	g.Nodes(func(n *depgraph.Node) {
+		id := int(n.ID())
+		drop(id)
+		next = id + 1
+		if n.Kind() != depgraph.RefPair {
+			return
+		}
+		m := &p.memo[id]
+		if p.scratch = n.AppendInputs(p.scratch[:0]); m.d != nil && slices.Equal(m.in, p.scratch) {
+			return
+		}
+		d := describeNode(n)
+		m.d, m.in = &d, append(m.in[:0], p.scratch...)
+		pairs[pairIndex(d.A, d.B)] = &d
+		described++
+	})
+	drop(len(p.memo))
+	p.pairs = pairs
+	return described
 }
 
 // linkMerged derives the merged-pair adjacency Explain searches from the

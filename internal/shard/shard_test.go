@@ -94,10 +94,10 @@ func TestSplitStructure(t *testing.T) {
 			if plan.CompOf(n) < 0 {
 				keep = func(to *depgraph.Node) bool { return plan.CompOf(to) == cid }
 			}
-			if got, want := fmt.Sprint(edgeList(cp.In(), nil)), fmt.Sprint(edgeList(n.In(), nil)); got != want {
+			if got, want := fmt.Sprint(edgeList(inEdges(cp), nil)), fmt.Sprint(edgeList(inEdges(n), nil)); got != want {
 				t.Errorf("%s in component %d: in-edges %s, want %s", n.Key(), cid, got, want)
 			}
-			if got, want := fmt.Sprint(edgeList(cp.Out(), nil)), fmt.Sprint(edgeList(n.Out(), keep)); got != want {
+			if got, want := fmt.Sprint(edgeList(outEdges(cp), nil)), fmt.Sprint(edgeList(outEdges(n), keep)); got != want {
 				t.Errorf("%s in component %d: out-edges %s, want %s", n.Key(), cid, got, want)
 			}
 		}
@@ -185,4 +185,17 @@ func TestLargestComponent(t *testing.T) {
 	if got := plan.LargestComponent(); got != max || got == 0 {
 		t.Fatalf("LargestComponent = %d, want %d (nonzero)", got, max)
 	}
+}
+
+// inEdges and outEdges materialize n's edges.
+func inEdges(n *depgraph.Node) []depgraph.Edge {
+	var out []depgraph.Edge
+	n.EachIn(func(e depgraph.Edge) { out = append(out, e) })
+	return out
+}
+
+func outEdges(n *depgraph.Node) []depgraph.Edge {
+	var out []depgraph.Edge
+	n.EachOut(func(e depgraph.Edge) { out = append(out, e) })
+	return out
 }

@@ -209,9 +209,6 @@ var stopwords = map[string]bool{
 	"with": true, "via": true,
 }
 
-// IsStopword reports whether the (already normalized) token is a stopword.
-func IsStopword(tok string) bool { return stopwords[tok] }
-
 // ContentWords returns Words(s) with stopwords removed. If every token is a
 // stopword, the full token list is returned instead so that short strings
 // like "of" are still comparable.
@@ -238,7 +235,7 @@ var runeBufPool = sync.Pool{New: func() any { return new([]rune) }}
 // gram slice is a window into a pooled buffer: it is valid only for the
 // duration of the callback and must be copied to be retained. EachNGram
 // itself allocates nothing in steady state; it is the zero-allocation core
-// that NGrams and the n-gram comparators are built on.
+// that the n-gram comparators are built on.
 func EachNGram(s string, n int, fn func(gram []rune)) {
 	if n <= 0 {
 		return
@@ -260,27 +257,6 @@ func EachNGram(s string, n int, fn func(gram []rune)) {
 	}
 	*bp = buf
 	runeBufPool.Put(bp)
-}
-
-// NGrams returns the character n-grams of the normalized form of s,
-// including leading and trailing padded grams (using '#') so that string
-// boundaries contribute evidence. For n <= 0 or an empty string it returns
-// nil.
-func NGrams(s string, n int) []string {
-	var out []string
-	EachNGram(s, n, func(g []rune) { out = append(out, string(g)) })
-	return out
-}
-
-// Initial returns the first letter of the normalized token, or 0 if the
-// token has no letters.
-func Initial(tok string) rune {
-	for _, r := range Normalize(tok) {
-		if unicode.IsLetter(r) {
-			return r
-		}
-	}
-	return 0
 }
 
 // EqualFolded reports whether two strings are identical after Normalize.

@@ -8,6 +8,32 @@ import (
 	"unicode"
 )
 
+// IsStopword, NGrams and Initial are helpers only these tests call.
+
+// IsStopword reports whether the (already normalized) token is a stopword.
+func IsStopword(tok string) bool { return stopwords[tok] }
+
+// NGrams returns the character n-grams of the normalized form of s,
+// including leading and trailing padded grams (using '#') so that string
+// boundaries contribute evidence. For n <= 0 or an empty string it returns
+// nil.
+func NGrams(s string, n int) []string {
+	var out []string
+	EachNGram(s, n, func(g []rune) { out = append(out, string(g)) })
+	return out
+}
+
+// Initial returns the first letter of the normalized token, or 0 if the
+// token has no letters.
+func Initial(tok string) rune {
+	for _, r := range Normalize(tok) {
+		if unicode.IsLetter(r) {
+			return r
+		}
+	}
+	return 0
+}
+
 func TestNormalize(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"", ""},
