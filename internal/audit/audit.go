@@ -100,7 +100,7 @@ type Auditor struct {
 	// function the engine ran with). When nil the merged-above-threshold
 	// check is skipped.
 	MergeThreshold func(*depgraph.Node) float64
-	// Constraints mirrors the engine configuration: when true, CheckPartition
+	// Constraints mirrors the engine configuration: when true, CheckPartitionNodes
 	// requires every non-merge pair to land in different partitions.
 	Constraints bool
 	// TotalChecks accumulates Report.Checks across every pass.
@@ -217,28 +217,14 @@ func (a *Auditor) CheckGraph(phase string, g *depgraph.Graph, truncated bool) *R
 	return r
 }
 
-// CheckPartition audits a reconciliation result against the graph it came
-// from:
-//
-//   - partitions are disjoint, cover the whole store, and never mix
-//     classes; Assignment agrees with Partitions;
-//   - when constraints are on, the closure respects every non-merge pair
-//     (its references land in different partitions);
-//   - when constraints are off, every merged reference pair's references
-//     land in the same partition (with constraints the closure may revoke
-//     the least-certain link on a violating path, so only the constrained
-//     separation is asserted).
-//
-// Cost is one scan of the store, the partitions, and the graph's RefPair
-// nodes.
-func (a *Auditor) CheckPartition(phase string, store *reference.Store, g *depgraph.Graph,
-	partitions map[string][][]reference.ID, assignment map[reference.ID]int) *Report {
-	return a.CheckPartitionNodes(phase, store, g.Nodes, partitions, assignment)
-}
-
-// CheckPartitionNodes is CheckPartition over an arbitrary node iterator, so
-// the sharded path can audit its result against its per-component graphs
-// (the iterator must yield each decision-bearing RefPair node once).
+// CheckPartitionNodes audits a reconciliation result against the graph it
+// came from, whose decision-bearing RefPair nodes each yields once (the
+// sharded path walks its component graphs): partitions are disjoint, cover
+// the store, never mix classes and agree with the assignment; with
+// constraints on, every non-merge pair's references land apart; with them
+// off, every merged pair's land together (the constrained closure may
+// revoke the least-certain link on a violating path). Cost is one scan of
+// the store, the partitions and the graph's RefPair nodes.
 func (a *Auditor) CheckPartitionNodes(phase string, store *reference.Store, each func(func(*depgraph.Node)),
 	partitions map[string][][]reference.ID, assignment map[reference.ID]int) *Report {
 	r := &Report{Phase: phase}
@@ -359,35 +345,5 @@ func (a *Auditor) CheckSharding(phase string, plan *shard.Plan, g *depgraph.Grap
 		}
 	})
 	a.TotalChecks += r.Checks
-	return r
-}
-
-// CheckSuperset asserts the incremental/batch coherence property: every
-// pair of references the base run placed together must also be together in
-// the refined run — the refined (incremental) merges form a superset of the
-// base (batch) merges. The check is O(n): each base partition must map to a
-// single refined label.
-func CheckSuperset(phase string, base, refined map[reference.ID]int) *Report {
-	r := &Report{Phase: phase}
-	groupLabel := make(map[int]int)
-	groupFirst := make(map[int]reference.ID)
-	for id, g := range base {
-		lab, ok := refined[id]
-		r.check()
-		if !ok {
-			r.violate("refine/missing-ref", "", "reference %d absent from refined assignment", id)
-			continue
-		}
-		first, seen := groupLabel[g]
-		if !seen {
-			groupLabel[g] = lab
-			groupFirst[g] = id
-			continue
-		}
-		r.check()
-		if first != lab {
-			r.violate("refine/split", "", "references %d and %d merged in base but split in refined run", groupFirst[g], id)
-		}
-	}
 	return r
 }

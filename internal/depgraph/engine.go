@@ -389,7 +389,7 @@ func (g *Graph) enrich(n *Node) int {
 	r1, r2 := g.refA[n.id], g.refB[n.id]
 	folds := 0
 	// Copy the index entries: fold mutates g.refNodes via removeNode.
-	g.enrichIDs = append(g.enrichIDs[:0], g.refNodes[r2]...)
+	g.enrichIDs = append(g.enrichIDs[:0], g.pairsOf(r2)...)
 	for _, id := range g.enrichIDs {
 		l := g.handles[id]
 		if l == n || !g.alive[id] {

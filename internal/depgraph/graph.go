@@ -47,9 +47,9 @@ type Graph struct {
 	strs   interner
 	byPair map[uint64]int32
 	byVal  map[valueIdent]int32
-	// refNodes indexes, for every reference, the RefPair nodes that
-	// mention it; enrichment walks this index.
-	refNodes map[reference.ID][]int32
+	// refNodes indexes, by reference id, the RefPair nodes that mention
+	// the reference; enrichment walks this index.
+	refNodes [][]int32
 	// enrichIDs is enrich's reused copy of one reference's index entries.
 	enrichIDs []int32
 	queue     *nodeQueue
@@ -72,11 +72,10 @@ type Graph struct {
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{
-		strs:     newInterner(),
-		byPair:   make(map[uint64]int32),
-		byVal:    make(map[valueIdent]int32),
-		refNodes: make(map[reference.ID][]int32),
-		queue:    newNodeQueue(64),
+		strs:   newInterner(),
+		byPair: make(map[uint64]int32),
+		byVal:  make(map[valueIdent]int32),
+		queue:  newNodeQueue(64),
 	}
 }
 
@@ -194,6 +193,9 @@ func (g *Graph) AddRefPair(a, b reference.ID, class string) *Node {
 	g.classID[id] = g.strs.intern(class)
 	g.byPair[pk] = id
 	g.liveNodes++
+	if n := int(b) + 1 - len(g.refNodes); n > 0 {
+		g.refNodes = append(g.refNodes, make([][]int32, n)...)
+	}
 	g.refNodes[a] = append(g.refNodes[a], id)
 	g.refNodes[b] = append(g.refNodes[b], id)
 	return g.handles[id]
@@ -204,28 +206,30 @@ func (g *Graph) AddRefPair(a, b reference.ID, class string) *Node {
 // similarity. elemX and elemY are the canonical element keys of the two
 // values.
 func (g *Graph) AddValuePair(evidence, elemX, elemY string, sim float64) *Node {
-	if elemY < elemX {
-		elemX, elemY = elemY, elemX
+	return g.AddValuePairIDs(g.strs.intern(evidence), g.strs.intern(elemX), g.strs.intern(elemY), sim)
+}
+
+// Intern returns the graph's id for an evidence label or element key.
+func (g *Graph) Intern(s string) int32 { return g.strs.intern(s) }
+
+// AddValuePairIDs is AddValuePair over interned ids; the elements are
+// ordered by their strings.
+func (g *Graph) AddValuePairIDs(ev, x, y int32, sim float64) *Node {
+	if g.strs.str(y) < g.strs.str(x) {
+		x, y = y, x
 	}
-	if evID, ok := g.strs.lookup(evidence); ok {
-		if x, ok := g.strs.lookup(elemX); ok {
-			if y, ok := g.strs.lookup(elemY); ok {
-				if id, ok := g.byVal[valueIdent{ev: evID, x: x, y: y}]; ok {
-					n := g.handles[id]
-					if g.status[id] != NonMerge {
-						g.raiseSim(n, sim)
-					}
-					return n
-				}
-			}
+	vi := valueIdent{ev: ev, x: x, y: y}
+	if id, ok := g.byVal[vi]; ok {
+		n := g.handles[id]
+		if g.status[id] != NonMerge {
+			g.raiseSim(n, sim)
 		}
+		return n
 	}
 	id := g.newNode(ValuePair)
-	g.classID[id] = g.strs.intern(evidence)
-	g.valX[id] = g.strs.intern(elemX)
-	g.valY[id] = g.strs.intern(elemY)
+	g.classID[id], g.valX[id], g.valY[id] = ev, x, y
 	g.sim[id] = sim
-	g.byVal[valueIdent{ev: g.classID[id], x: g.valX[id], y: g.valY[id]}] = id
+	g.byVal[vi] = id
 	g.liveNodes++
 	return g.handles[id]
 }
@@ -235,6 +239,11 @@ func (g *Graph) AddValuePair(evidence, elemX, elemY string, sim float64) *Node {
 // a new edge was inserted.
 func (g *Graph) AddEdge(from, to *Node, dep DepType, evidence string) bool {
 	return g.addEdgeIDs(from.id, to.id, dep, g.strs.intern(evidence))
+}
+
+// AddEdgeID is AddEdge with the evidence label interned (Intern).
+func (g *Graph) AddEdgeID(from, to *Node, dep DepType, ev int32) bool {
+	return g.addEdgeIDs(from.id, to.id, dep, ev)
 }
 
 // addEdgeIDs is AddEdge over raw ids with pre-interned evidence (the fold
@@ -379,13 +388,21 @@ func (g *Graph) Edges(fn func(Edge)) {
 // RefPairDegree returns the number of RefPair nodes indexed under r: the
 // live ones EachRefPair visits plus removed ones the next compaction
 // prunes. It is what a walk of r's pairs costs.
-func (g *Graph) RefPairDegree(r reference.ID) int { return len(g.refNodes[r]) }
+func (g *Graph) RefPairDegree(r reference.ID) int { return len(g.pairsOf(r)) }
+
+// pairsOf returns r's index entries (nil for a reference no pair names).
+func (g *Graph) pairsOf(r reference.ID) []int32 {
+	if r < 0 || int(r) >= len(g.refNodes) {
+		return nil
+	}
+	return g.refNodes[r]
+}
 
 // EachRefPair calls fn for every live RefPair node n that mentions r, in
 // the order they were added, with n's other reference. fn must not add or
 // remove nodes.
 func (g *Graph) EachRefPair(r reference.ID, fn func(other reference.ID, n *Node)) {
-	for _, id := range g.refNodes[r] {
+	for _, id := range g.pairsOf(r) {
 		if g.alive[id] {
 			fn(g.refA[id]^g.refB[id]^r, g.handles[id])
 		}

@@ -6,6 +6,15 @@ import (
 	"refrecon/internal/reference"
 )
 
+// ValuePairKey builds the canonical key for a value pair under an evidence
+// type. The two element keys are ordered so (x,y) and (y,x) collide.
+func ValuePairKey(evidence, x, y string) string {
+	if y < x {
+		x, y = y, x
+	}
+	return evidence + "|" + x + "|" + y
+}
+
 func TestRefPairNodeDedup(t *testing.T) {
 	g := New()
 	n1 := g.AddRefPair(2, 1, "Person")

@@ -22,10 +22,9 @@
 // # Storage layout
 //
 // Node and edge state lives in columnar arrays indexed by dense int32 ids,
-// adjacency is per-node spans of edge ids into a shared arena, and strings
-// leave the hot path (storage.go). The public surface keeps pointer
-// semantics: *Node is a stable handle, so pointer equality identifies a
-// node, and Edge is a value materialized during iteration.
+// adjacency in per-node spans of an arena, strings off the hot path
+// (storage.go). *Node is a stable handle, so pointer equality identifies a
+// node; Edge is a value materialized during iteration.
 package depgraph
 
 import (
@@ -251,15 +250,6 @@ func RefPairKey(a, b reference.ID) string {
 		a, b = b, a
 	}
 	return fmt.Sprintf("r%d|r%d", a, b)
-}
-
-// ValuePairKey builds the canonical key for a value pair under an evidence
-// type. The two element keys are ordered so (x,y) and (y,x) collide.
-func ValuePairKey(evidence, x, y string) string {
-	if y < x {
-		x, y = y, x
-	}
-	return evidence + "|" + x + "|" + y
 }
 
 // packPair packs a canonical (a < b) reference pair into one map key.

@@ -17,15 +17,12 @@ import "fmt"
 // scanning the shorter of the two spans an edge would sit in (hasEdge), so
 // there is no graph-wide edge map to probe, fill or delete from.
 //
-// Spans are created empty and grow by relocation to the arena tail with
-// doubling capacity — construction appends are contiguous in practice (a
-// node's edges arrive together), and the tail doubles as the overflow
-// region for enrichment-time and incremental-session additions. Compaction
-// rewrites the arena contiguously, drops dead edge columns (renumbering
-// edge ids, which never escape the package; positions are span-relative
-// and order is preserved, so they carry over), and prunes dead entries
-// from the per-reference index; node ids are stable forever, so handles
-// and queue entries survive compaction untouched.
+// Spans start empty and grow by relocation to the arena tail with doubling
+// capacity (a node's edges mostly arrive together). Compaction rewrites
+// the arena contiguously, drops dead edge columns (renumbering edge ids,
+// which never escape the package; positions are span-relative and carry
+// over) and prunes dead entries from the per-reference index; node ids are
+// stable forever, so handles and queue entries survive it.
 
 // interner maps strings to dense int32 ids and back. Id 0 is reserved for
 // the empty string so the zero value of an interned column is meaningful.
@@ -277,11 +274,7 @@ func (g *Graph) compact() {
 				live = append(live, id)
 			}
 		}
-		if len(live) == 0 {
-			delete(g.refNodes, r)
-		} else {
-			g.refNodes[r] = live
-		}
+		g.refNodes[r] = live
 	}
 }
 

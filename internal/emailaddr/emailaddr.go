@@ -185,18 +185,12 @@ func SimRarity(x, y Address, rarity LocalRarityFunc) float64 {
 // from gluing together everyone sharing a common family name.
 type RarityFunc func(initial, surname string) float64
 
-// NameSim scores a person name string against an address in [0,1],
+// NameSimRarity scores a person name string against an address in [0,1],
 // implementing the paper's name-vs-email evidence: the local part is
 // matched against the parsed name's components. "Stonebraker, M." vs
 // "stonebraker@csail.mit.edu" scores high because the local part equals the
-// surname; "mike" vs the same address scores low. Every surname is treated
-// as fully identifying; use NameSimRarity when population statistics are
-// available.
-func NameSim(rawName string, a Address) float64 {
-	return NameSimRarity(rawName, a, nil)
-}
-
-// NameSimRarity is NameSim with rarity weighting (nil means rarity 1).
+// surname; "mike" vs the same address scores low. rarity weighs how
+// identifying a surname is (nil: every surname fully identifying).
 func NameSimRarity(rawName string, a Address, rarity RarityFunc) float64 {
 	if rarity == nil {
 		rarity = func(string, string) float64 { return 1 }

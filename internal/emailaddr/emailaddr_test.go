@@ -5,6 +5,11 @@ import (
 	"testing/quick"
 )
 
+// NameSim is NameSimRarity with every surname fully identifying.
+func NameSim(rawName string, a Address) float64 {
+	return NameSimRarity(rawName, a, nil)
+}
+
 func TestParse(t *testing.T) {
 	cases := []struct {
 		in      string

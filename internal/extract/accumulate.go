@@ -144,9 +144,6 @@ func (a *Accumulator) AddBibTeX(src string) ([]BibRefs, error) {
 	return out, nil
 }
 
-// AddMailbox exposes single-mailbox extraction (e.g. for address books).
-func (a *Accumulator) AddMailbox(mb Mailbox) reference.ID { return a.emailPerson(mb) }
-
 // AddCitation extracts an article, its authors, and its venue from a
 // segmented free-text citation (see ParseCitation). The second return
 // value is false when the citation is missing a title and nothing was

@@ -7,6 +7,9 @@ import (
 	"refrecon/internal/schema"
 )
 
+// AddMailbox exposes single-mailbox extraction (e.g. for address books).
+func (a *Accumulator) AddMailbox(mb Mailbox) reference.ID { return a.emailPerson(mb) }
+
 func TestAddMessageDedupAndContacts(t *testing.T) {
 	store := reference.NewStore()
 	acc := NewAccumulator(store)

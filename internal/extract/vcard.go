@@ -3,9 +3,6 @@ package extract
 import (
 	"fmt"
 	"strings"
-
-	"refrecon/internal/reference"
-	"refrecon/internal/schema"
 )
 
 // VCard is one parsed address-book card (the "contacts" source the paper
@@ -107,21 +104,4 @@ func ParseVCards(src string) ([]VCard, error) {
 		return nil, fmt.Errorf("vcard: unterminated card at end of input")
 	}
 	return cards, nil
-}
-
-// AddVCard extracts one person reference from a card: display name plus
-// every email address (a multi-valued attribute — precisely the situation
-// the paper's §2.2 highlights). Cards with no identity yield -1.
-func (a *Accumulator) AddVCard(v VCard) reference.ID {
-	name := strings.TrimSpace(v.DisplayName())
-	if name == "" && len(v.Emails) == 0 {
-		return -1
-	}
-	r := reference.New(schema.ClassPerson)
-	r.Source = SourceContacts
-	r.AddAtomic(schema.AttrName, name)
-	for _, e := range v.Emails {
-		r.AddAtomic(schema.AttrEmail, e)
-	}
-	return a.store.Add(r)
 }

@@ -293,7 +293,7 @@ func lastNameClose(a, b string) bool {
 	return strsim.JaroWinkler(a, b) >= 0.92
 }
 
-// Similarity scores two raw name strings in [0,1] with name-specific
+// ParsedSimilarity scores two parsed names in [0,1] with name-specific
 // semantics layered over generic string similarity:
 //
 //   - exact normalized equality scores 1;
@@ -302,12 +302,6 @@ func lastNameClose(a, b string) bool {
 //     agreement;
 //   - incompatible names score near 0 regardless of surface similarity
 //     ("Matt" vs "Michael Stonebraker").
-func Similarity(rawA, rawB string) float64 {
-	a, b := Parse(rawA), Parse(rawB)
-	return ParsedSimilarity(a, b)
-}
-
-// ParsedSimilarity is Similarity over already-parsed names.
 func ParsedSimilarity(a, b Name) float64 {
 	if a.IsEmpty() && b.IsEmpty() {
 		return 1

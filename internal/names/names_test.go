@@ -11,6 +11,12 @@ import (
 	"refrecon/internal/strsim"
 )
 
+// Similarity is ParsedSimilarity over two raw name strings.
+func Similarity(rawA, rawB string) float64 {
+	a, b := Parse(rawA), Parse(rawB)
+	return ParsedSimilarity(a, b)
+}
+
 func TestParseNaturalOrder(t *testing.T) {
 	cases := []struct {
 		in          string

@@ -9,6 +9,20 @@ import (
 	"time"
 )
 
+// Instant records a zero-duration marker event on the main lane.
+func (t *Tracer) Instant(cat, name string, args map[string]any) {
+	if t == nil {
+		return
+	}
+	now := time.Now()
+	t.mu.Lock()
+	t.events = append(t.events, TraceEvent{
+		Name: name, Cat: cat, Ph: "i",
+		TS: t.since(now), PID: 1, TID: 1, Args: args,
+	})
+	t.mu.Unlock()
+}
+
 func TestTracerSpansAndJSON(t *testing.T) {
 	tr := NewTracer()
 	outer := tr.Begin("phase", "propagate")

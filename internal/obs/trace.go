@@ -95,20 +95,6 @@ func (t *Tracer) Complete(cat, name string, begin time.Time, args map[string]any
 	t.record(cat, name, 1, begin, time.Now(), args)
 }
 
-// Instant records a zero-duration marker event on the main lane.
-func (t *Tracer) Instant(cat, name string, args map[string]any) {
-	if t == nil {
-		return
-	}
-	now := time.Now()
-	t.mu.Lock()
-	t.events = append(t.events, TraceEvent{
-		Name: name, Cat: cat, Ph: "i",
-		TS: t.since(now), PID: 1, TID: 1, Args: args,
-	})
-	t.mu.Unlock()
-}
-
 func (t *Tracer) record(cat, name string, tid int64, begin, end time.Time, args map[string]any) {
 	t.mu.Lock()
 	t.events = append(t.events, TraceEvent{

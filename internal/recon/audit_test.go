@@ -1,6 +1,7 @@
 package recon
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -189,7 +190,7 @@ func TestDifferentialIncrementalVsBatch(t *testing.T) {
 					chosen = append(chosen, b)
 				}
 				inc := replayInBatches(t, store, chosen)
-				if rep := audit.CheckSuperset("incremental-vs-batch", batch.Assignment, inc.Assignment); !rep.Ok() {
+				if rep := checkSuperset("incremental-vs-batch", batch.Assignment, inc.Assignment); !rep.Ok() {
 					var msgs []string
 					for i, v := range rep.Violations {
 						if i == 3 {
@@ -239,7 +240,7 @@ func sessionFixture(t *testing.T) (*Session, *reference.Store, map[string]refere
 // value, no re-seeded engine work, no accumulated stats or timings.
 func TestSessionEmptyBatchNoOp(t *testing.T) {
 	sess, _, _ := sessionFixture(t)
-	first := sess.Latest()
+	first := sess.latest
 	again, err := sess.Reconcile()
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +299,7 @@ func TestSessionRetryAfterValidateFailure(t *testing.T) {
 // refinement property still holds.
 func TestSessionBatchOfAlreadyMerged(t *testing.T) {
 	sess, store, ids := sessionFixture(t)
-	if !sess.Latest().SameEntity(ids["widom1"], ids["widom2"]) {
+	if !sess.latest.SameEntity(ids["widom1"], ids["widom2"]) {
 		t.Fatal("setup: widom mentions should merge in round 1")
 	}
 	d1 := reference.New(schema.ClassPerson)
@@ -321,7 +322,7 @@ func TestSessionBatchOfAlreadyMerged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := audit.CheckSuperset("already-merged", batch.Assignment, res.Assignment); !rep.Ok() {
+	if rep := checkSuperset("already-merged", batch.Assignment, res.Assignment); !rep.Ok() {
 		t.Fatalf("refinement property violated: %v", rep.Violations)
 	}
 }
@@ -332,7 +333,7 @@ func TestSessionBatchOfAlreadyMerged(t *testing.T) {
 // transition, and the result must match the batch run on the same data.
 func TestSessionInterleavedConstraintMarks(t *testing.T) {
 	sess, store, ids := sessionFixture(t)
-	if !sess.Latest().SameEntity(ids["widom1"], ids["widom2"]) {
+	if !sess.latest.SameEntity(ids["widom1"], ids["widom2"]) {
 		t.Fatal("setup: widom mentions should merge in round 1")
 	}
 
@@ -389,4 +390,30 @@ func TestAuditCatchesCorruption(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "graph/sim-range") {
 		t.Fatalf("expected an audit sim-range error, got %v", err)
 	}
+}
+
+// checkSuperset reports the references the base run placed together that
+// the refined run separates or lacks: the refined merges must be a
+// superset of the base merges. Each base partition must map to a single
+// refined label.
+func checkSuperset(phase string, base, refined map[reference.ID]int) *audit.Report {
+	r := &audit.Report{Phase: phase}
+	first := make(map[int]reference.ID) // base label -> first member the refined run has
+	for id, g := range base {
+		r.Checks++
+		lab, ok := refined[id]
+		if !ok {
+			r.Violations = append(r.Violations, audit.Violation{Check: "refine/missing-ref",
+				Detail: fmt.Sprintf("reference %d absent from refined assignment", id)})
+			continue
+		}
+		f, seen := first[g]
+		if !seen {
+			first[g] = id
+		} else if refined[f] != lab {
+			r.Violations = append(r.Violations, audit.Violation{Check: "refine/split",
+				Detail: fmt.Sprintf("references %d and %d merged in base but split in refined run", f, id)})
+		}
+	}
+	return r
 }

@@ -18,8 +18,8 @@ import (
 // of new references (the paper's §7 future-work direction), each call
 // extending the graph with the new candidate pairs and their dependencies.
 type builder struct {
-	// evidence is the §3.1 model the graph is built from; its library
-	// statistics and blocking indexes are kept across incremental batches.
+	// evidence is the §3.1 model the graph is built from; its statistics,
+	// dictionary, value rows and blocking indexes outlive a batch.
 	*evidence
 	store *reference.Store
 	g     *depgraph.Graph
@@ -27,13 +27,11 @@ type builder struct {
 	// fresh accumulates the RefPair nodes created since the last drain;
 	// association wiring and engine seeding work off it.
 	fresh []*depgraph.Node
-	// removed tombstones the blocked pairs the wire stage pruned, so
-	// association wiring does not rebuild them under the induced path's
-	// relaxed rules. bare holds the ordered signature pairs (sigOf(r1)<<32 |
-	// sigOf(r2)) of induced requests found without evidence or constraint: a
-	// verdict reads only the two references' values, in that order, and the
-	// library statistics, so a repeat costs one map hit. Both live for one
-	// batch, because the statistics grow between batches.
+	// removed tombstones the blocked pairs the wire stage pruned, so the
+	// induced path does not rebuild them. bare holds the ordered signature
+	// pairs (sigOf(r1)<<32 | sigOf(r2)) of induced requests found without
+	// evidence or constraint, a verdict of the two references' values and
+	// the statistics, which grow between batches: both live for one batch.
 	removed, bare map[uint64]struct{}
 	// keys is each fed reference's blocking keys, by id: append-only, so a
 	// snapshot shares its prefix.
@@ -50,9 +48,9 @@ type builder struct {
 	// parsed caches the parsed attribute values the person constraint
 	// reads, keyed by reference id.
 	parsed map[reference.ID]*parsedPerson
-	// elems names the graph's value elements; valScratch and simScratch
-	// back the induced path's value comparisons and their scores.
-	elems      valueElems
+	// elems names the graph's value elements (rowOf); valScratch and
+	// simScratch back the induced path's value comparisons and scores.
+	elems      elemTable
 	valScratch []valCompare
 	simScratch []float64
 
@@ -85,7 +83,7 @@ type builder struct {
 type inducedCounts struct{ requests, found, memoHits, evaluated, kept int }
 
 func newBuilder(store *reference.Store, sch *schema.Schema, cfg Config) *builder {
-	return &builder{
+	b := &builder{
 		evidence: newEvidence(sch, cfg),
 		store:    store,
 		g:        depgraph.New(),
@@ -93,9 +91,31 @@ func newBuilder(store *reference.Store, sch *schema.Schema, cfg Config) *builder
 		bare:     make(map[uint64]struct{}),
 		sigIDs:   make(map[string]uint32),
 		parsed:   make(map[reference.ID]*parsedPerson),
-		elems:    make(valueElems),
 		contacts: make(map[*assocRule]*contactIndex),
 	}
+	b.elems = newElemTable(b.evidence, b.g)
+	return b
+}
+
+// rowOf returns r's value row, made on first sight, its values interned
+// and their graph elements named: at feed, or for a reference no batch fed
+// (a unit test's) when a pair of it is first requested.
+func (b *builder) rowOf(r *reference.Reference) valueRow {
+	if int(r.ID) < len(b.rows) && b.rows[r.ID] != nil {
+		return b.rows[r.ID]
+	}
+	row := b.valueRow(r)
+	for k, ids := range row {
+		vs := r.Atomic(b.attrs[k])
+		for i, id := range ids {
+			b.elems.elem(k, id, vs[i])
+		}
+	}
+	if n := int(r.ID) + 1 - len(b.rows); n > 0 {
+		b.rows = append(b.rows, make([]valueRow, n)...)
+	}
+	b.rows[r.ID] = row
+	return row
 }
 
 // feedCounters reports the construction-phase counters — candidate pairs
@@ -148,6 +168,7 @@ func (b *builder) incorporate(newRefs []*reference.Reference) []*depgraph.Node {
 	b.induced, b.probes = inducedCounts{}, 0
 	newByClass := make(map[string][]reference.ID)
 	for _, r := range newRefs {
+		b.rowOf(r)
 		b.keys = append(b.keys, b.feed(r, nil))
 		newByClass[r.Class] = append(newByClass[r.Class], r.ID)
 	}
@@ -164,18 +185,9 @@ func (b *builder) incorporate(newRefs []*reference.Reference) []*depgraph.Node {
 	// three phases — serial enumeration of per-pair value comparisons,
 	// parallel scoring over the worker pool, and serial wiring of nodes
 	// and edges (the graph is single-writer). See pairscore.go.
-	var items []*pairItem
-	// Work items are carved from slab chunks: one allocation per 512
-	// candidate pairs instead of one each. Pointers into a chunk stay
-	// valid because a full chunk is retired, never regrown.
-	var itemSlab []pairItem
-	newItem := func(r1, r2 *reference.Reference, vals []valCompare) *pairItem {
-		if len(itemSlab) == cap(itemSlab) {
-			itemSlab = make([]pairItem, 0, 512)
-		}
-		itemSlab = append(itemSlab, pairItem{r1: r1, r2: r2, vals: vals})
-		return &itemSlab[len(itemSlab)-1]
-	}
+	var items []pairItem
+	var vals []valCompare
+	var sims []float64
 	b.stage("enumerate", &b.times.enumerate, func() map[string]any {
 		for _, class := range b.sch.Classes() {
 			ids := newByClass[class.Name]
@@ -192,17 +204,18 @@ func (b *builder) incorporate(newRefs []*reference.Reference) []*depgraph.Node {
 				if r1.ID == r2.ID || r1.Class != r2.Class || b.g.LookupRefPair(r1.ID, r2.ID) != nil {
 					return
 				}
-				vals := b.appendVals(make([]valCompare, 0, b.countValuePairs(r1, r2)), r1, r2)
-				items = append(items, newItem(r1, r2, vals))
+				lo := len(vals)
+				vals = b.appendVals(vals, r1, r2)
+				items = append(items, pairItem{r1, r2, lo, len(vals)})
 			})
 			b.skippedBuckets += idx.SkippedBuckets()
 		}
 		return nil
 	})
-	b.stage("score", &b.times.score, func() map[string]any { b.scoreItems(items); return nil })
+	b.stage("score", &b.times.score, func() map[string]any { sims = b.scoreItems(items, vals); return nil })
 	b.stage("wire", &b.times.wire, func() map[string]any {
 		for _, it := range items {
-			if b.wireScored(it.r1, it.r2, false, it.vals, it.sims) == nil {
+			if b.wireScored(it.r1, it.r2, false, vals[it.lo:it.hi], sims[it.lo:it.hi]) == nil {
 				b.removed[pairIndex(it.r1.ID, it.r2.ID)] = struct{}{}
 			}
 		}
@@ -339,7 +352,7 @@ func (b *builder) wireScored(r1, r2 *reference.Reference, induced bool, vals []v
 	relax := induced && row.keepInduced
 	hasEvidence := false
 	for i, v := range vals {
-		if sims[i] >= evidenceFloor(v.cmp.by, relax) {
+		if sims[i] >= evidenceFloor(b.cmps[v.row].by, relax) {
 			hasEvidence = true
 			break
 		}
@@ -355,8 +368,8 @@ func (b *builder) wireScored(r1, r2 *reference.Reference, induced bool, vals []v
 	}
 	m := b.g.AddRefPair(r1.ID, r2.ID, r1.Class)
 	for i, v := range vals {
-		if sims[i] >= evidenceFloor(v.cmp.by, relax) {
-			wireValuePair(b.g, m, b.elems, v, sims[i], attrMergeThreshold)
+		if cmp := b.cmps[v.row]; sims[i] >= evidenceFloor(cmp.by, relax) {
+			b.elems.wire(m, v, b.elems.ids[cmp.ea][v.x], b.elems.ids[cmp.eb][v.y], sims[i])
 		}
 	}
 	if constrained {

@@ -9,6 +9,12 @@ import (
 	"refrecon/internal/simfn"
 )
 
+// contactsOf returns the union of a person's co-author and email-contact
+// links, deduplicated, in stable order.
+func contactsOf(r *reference.Reference) []reference.ID {
+	return contactRule.targets(r)
+}
+
 func personRef(s *reference.Store, name, email string) *reference.Reference {
 	r := reference.New(schema.ClassPerson)
 	r.AddAtomic(schema.AttrName, name)

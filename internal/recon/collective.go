@@ -76,10 +76,11 @@ func (cm *CollectiveMatcher) MatchConfig(q Query, cc collective.Config) ([]Candi
 	// Attribute-only base, unranked and untruncated: the collective pass
 	// raises entity scores, and the final ranking must see every blocked
 	// entity, not the attribute-only top-limit.
-	base, mstats := m.score(qr)
+	qrow := m.valueRow(qr)
+	base, mstats := m.score(qr, qrow)
 	st := CollectiveStats{MatchStats: mstats}
 
-	host := newQueryHost(m, qr)
+	host := newQueryHost(m, qr, qrow)
 	res := collective.Resolve(host, collective.Request{Query: qr.ID}, cc)
 	st.Expansion = res.Stats
 	if res.Stats.Degraded || res.Scores == nil {
@@ -108,19 +109,27 @@ func (cm *CollectiveMatcher) MatchConfig(q Query, cc collective.Config) ([]Candi
 
 // queryHost adapts one (Matcher, query reference) pair to the
 // collective.Host interface. The query reference gets the first id past
-// the stored id space; everything else resolves through the matcher's
-// stored-reference views, and every evidence decision through its
-// evidence model. Not safe for concurrent use — each Match call builds its
-// own.
+// the stored id space, its value row kept outside the stored ones;
+// everything else resolves through the matcher's stored-reference views,
+// and every evidence decision through its evidence model. Not safe for
+// concurrent use — each Match call builds its own.
 type queryHost struct {
 	m     *Matcher
 	qr    *reference.Reference
-	elems valueElems
+	qrow  valueRow
+	elems elemTable
 }
 
-func newQueryHost(m *Matcher, qr *reference.Reference) *queryHost {
+func newQueryHost(m *Matcher, qr *reference.Reference, qrow valueRow) *queryHost {
 	qr.ID = reference.ID(len(m.refs))
-	return &queryHost{m: m, qr: qr, elems: make(valueElems)}
+	return &queryHost{m: m, qr: qr, qrow: qrow}
+}
+
+func (h *queryHost) rowOf(r *reference.Reference) valueRow {
+	if r == h.qr {
+		return h.qrow
+	}
+	return h.m.rows[r.ID]
 }
 
 // EngineOptions implements collective.Host with the matcher's own: the
@@ -222,23 +231,24 @@ func (h *queryHost) AssocEvidence(class, attr string) (string, depgraph.DepType,
 
 // WireAttrEvidence implements collective.Host: the value-pair nodes and
 // edges construction wires, scored against the matcher's frozen corpus
-// statistics. Three things construction does to a pair are deliberately
-// absent. The evidence floor is never relaxed, because no pair here is an
-// induced venue pair in need of nodes to act on (eachScored applies the
-// plain floor). No domain constraint marks the pair non-merge: stored
-// pairs carry their constraint in the frozen decision Resolve applies
-// next, and a partial query reference is not a full description a
-// constraint could be held against. And a pair without any evidence stays
-// in the graph instead of being pruned, since association evidence found
-// later in the expansion may still feed it.
+// statistics, less three things construction does. The floor is never
+// relaxed: no pair here is an induced venue pair in need of nodes. No
+// domain constraint marks the pair non-merge: stored pairs carry theirs in
+// the frozen decision Resolve applies next, and a partial query is no full
+// description to hold one against. And a pair without evidence stays, as
+// association evidence found later in the expansion may still feed it.
 func (h *queryHost) WireAttrEvidence(g *depgraph.Graph, n *depgraph.Node, a, b reference.ID) bool {
 	ra, rb := h.ref(a), h.ref(b)
 	if ra == nil || rb == nil {
 		return false
 	}
+	if h.elems.g != g {
+		h.elems = newElemTable(h.m.evidence, g)
+	}
 	wired := false
-	h.m.eachScored(ra, rb, func(v valCompare, sim float64) {
-		wireValuePair(g, n, h.elems, v, sim, attrMergeThreshold)
+	h.m.eachScored(ra, rb, h.rowOf(ra), h.rowOf(rb), func(v valCompare, va, vb string, sim float64) {
+		cmp := h.m.cmps[v.row]
+		h.elems.wire(n, v, h.elems.elem(cmp.ea, v.x, va), h.elems.elem(cmp.eb, v.y, vb), sim)
 		wired = true
 	})
 	return wired

@@ -56,11 +56,12 @@ func candidateFingerprint(cands []Candidate) string {
 // sampleRefs picks every strideth reference with any content.
 func sampleRefs(snap *Snapshot, stride int) []*SnapRef {
 	var out []*SnapRef
-	snap.EachRef(func(sr *SnapRef) {
+	for i := range snap.refs {
+		sr := &snap.refs[i]
 		if int(sr.ID)%stride == 0 && len(sr.Atomic) > 0 {
 			out = append(out, sr)
 		}
-	})
+	}
 	return out
 }
 

@@ -1,14 +1,13 @@
 package recon
 
 // The evidence model of §3.1, stated once: the class rows of model.go bound
-// to a schema and configuration, how their comparisons are streamed and
+// to a schema and configuration, how their comparisons are listed and
 // scored, how a scored value pair hangs under a reference-pair node, and
-// how a reference enters the corpus statistics and the blocking index.
-// Graph construction (builder), entity scoring (Matcher) and query-time
-// collective wiring (queryHost) are its three callers; none of them
-// restates a rule. Where query time deliberately departs from
-// construction, the departure is an argument or a comment at the call site
-// (DESIGN.md, "Evidence model", lists the four).
+// how a reference enters the corpus statistics, the value dictionary and
+// the blocking index. Its three callers — graph construction (builder),
+// entity scoring (Matcher), collective wiring (queryHost) — restate no
+// rule; where query time departs from construction, the departure is an
+// argument or a comment at the call site (DESIGN.md, "Evidence model").
 
 import (
 	"slices"
@@ -58,25 +57,62 @@ type evidence struct {
 	// scores is each class's score row, resolved once for the engine's
 	// scorer.
 	scores map[string]*simfn.ClassScore
+	// cmps lists every row's comparisons (attrCompare.idx indexes it);
+	// attrs every attribute the unfiltered rows compare, in first-use
+	// order, which depends on the schema alone (attrCompare.ea, eb).
+	cmps  []*attrCompare
+	attrs []string
+	// rows is each fed reference's valueRow by id, its ids issued by lib's
+	// dictionary: append-only, so a snapshot shares its prefix.
+	rows []valueRow
 }
+
+// valueRow is one reference's atomic values as dictionary ids, one list
+// per attribute of evidence.attrs, in value order; a value a fork's
+// dictionary lacks (a query's) is simfn.NoValue.
+type valueRow [][]uint32
 
 func newEvidence(sch *schema.Schema, cfg Config) *evidence {
 	e := &evidence{
 		sch:     sch,
 		cfg:     cfg,
-		lib:     simfn.NewLibrary(),
 		indexes: make(map[string]*blocking.Index),
 		model:   make(map[string]*classModel),
 		scores:  make(map[string]*simfn.ClassScore),
 	}
-	if cfg.Obs != nil {
+	if e.lib = simfn.NewLibrary(); cfg.Obs != nil {
 		e.lib.SetCounters(cfg.Obs.Counters)
 	}
 	for _, c := range sch.Classes() {
-		row := modelFor(c).at(cfg.Evidence)
+		m := modelFor(c)
+		for _, cmp := range m.compare {
+			for _, a := range []string{cmp.attrA, cmp.attrB} {
+				if !slices.Contains(e.attrs, a) {
+					e.attrs = append(e.attrs, a)
+				}
+			}
+		}
+		row := m.at(cfg.Evidence)
+		for i := range row.compare {
+			cmp := &row.compare[i]
+			cmp.idx = uint32(len(e.cmps))
+			cmp.ea, cmp.eb = slices.Index(e.attrs, cmp.attrA), slices.Index(e.attrs, cmp.attrB)
+			e.cmps = append(e.cmps, cmp)
+		}
 		e.model[c.Name], e.scores[c.Name] = row, row.score
 	}
 	return e
+}
+
+// valueRow returns r's values as dictionary ids (simfn.Library.ValueID).
+func (e *evidence) valueRow(r *reference.Reference) valueRow {
+	row := make(valueRow, len(e.attrs))
+	for k, attr := range e.attrs {
+		for _, v := range r.Atomic(attr) {
+			row[k] = append(row[k], e.lib.ValueID(v))
+		}
+	}
+	return row
 }
 
 // engineOptions is the one place the propagation engine's scorer and merge
@@ -146,50 +182,41 @@ func (e *evidence) candidates(r *reference.Reference) []reference.ID {
 	return idx.Candidates(keys)
 }
 
-// valCompare is one atomic value comparison of a reference pair: the
-// attribute comparison it instantiates and the two raw values, in
-// (attrA, attrB) order.
+// valCompare is one value comparison of a reference pair: the comparison
+// (evidence.cmps index) and the two value ids, in (attrA, attrB) order. It
+// holds no pointer: a build lists about a million.
 type valCompare struct {
-	cmp    *attrCompare
-	v1, v2 string
+	row, x, y uint32
 }
 
-// countValuePairs is the number of comparisons eachValuePair will stream.
-func (e *evidence) countValuePairs(a, b *reference.Reference) int {
-	n := 0
-	for _, cmp := range e.row(a.Class).compare {
-		n += len(a.Atomic(cmp.attrA)) * len(b.Atomic(cmp.attrB))
-	}
-	return n
-}
-
-// eachValuePair streams the comparable value pairs of two references of
-// one class in the model's deterministic order: comparison table order,
-// then a's values, then b's.
-func (e *evidence) eachValuePair(a, b *reference.Reference, fn func(valCompare)) {
-	cmps := e.row(a.Class).compare
+// appendVals appends the value comparisons of two references of one class
+// to dst in the model's deterministic order: comparison table order, then
+// a's values, then b's.
+func (e *evidence) appendVals(dst []valCompare, class string, ra, rb valueRow) []valCompare {
+	cmps := e.row(class).compare
 	for i := range cmps {
 		cmp := &cmps[i]
-		v2s := b.Atomic(cmp.attrB)
-		if len(v2s) == 0 {
+		ys := rb[cmp.eb]
+		if len(ys) == 0 {
 			continue
 		}
-		for _, v1 := range a.Atomic(cmp.attrA) {
-			for _, v2 := range v2s {
-				fn(valCompare{cmp, v1, v2})
+		for _, x := range ra[cmp.ea] {
+			for _, y := range ys {
+				dst = append(dst, valCompare{cmp.idx, x, y})
 			}
 		}
 	}
+	return dst
 }
 
-// compare scores one value comparison through the cache-backed similarity
-// library, honoring the comparator's argument order.
+// compare scores one value comparison through the library's id-keyed
+// cache, honoring the comparator's argument order.
 func (e *evidence) compare(v valCompare) float64 {
-	x, y := v.v1, v.v2
-	if v.cmp.swap {
-		x, y = y, x
+	cmp := e.cmps[v.row]
+	if cmp.swap {
+		return e.lib.CompareIDs(cmp.by, v.y, v.x)
 	}
-	return e.lib.CompareBy(v.cmp.by, v.cmp.evidence, x, y)
+	return e.lib.CompareIDs(cmp.by, v.x, v.y)
 }
 
 // evidenceFloor is the similarity below which a value pair the row compared
@@ -202,49 +229,85 @@ func evidenceFloor(by *simfn.Comparator, relaxed bool) float64 {
 	return by.Floor
 }
 
-// eachScored streams, scored, the value pairs of two references that reach
-// the unrelaxed evidence floor — the query-time form of enumerate, score,
-// filter, with nothing materialized.
-func (e *evidence) eachScored(a, b *reference.Reference, fn func(v valCompare, sim float64)) {
-	e.eachValuePair(a, b, func(v valCompare) {
-		if sim := e.compare(v); sim >= v.cmp.by.Floor {
-			fn(v, sim)
+// eachScored streams, scored and with their raw values, the value pairs of
+// two references that reach the unrelaxed floor — the query-time form of
+// enumerate, score, filter; a pair with a NoValue is scored uncached.
+func (e *evidence) eachScored(a, b *reference.Reference, ra, rb valueRow, fn func(v valCompare, va, vb string, sim float64)) {
+	cmps := e.row(a.Class).compare
+	for c := range cmps {
+		cmp := &cmps[c]
+		ys := rb[cmp.eb]
+		if len(ys) == 0 {
+			continue
 		}
-	})
+		as, bs := a.Atomic(cmp.attrA), b.Atomic(cmp.attrB)
+		for i, x := range ra[cmp.ea] {
+			for j, y := range ys {
+				v := valCompare{cmp.idx, x, y}
+				var sim float64
+				switch {
+				case x != simfn.NoValue && y != simfn.NoValue:
+					sim = e.compare(v)
+				case cmp.swap:
+					sim = e.lib.CompareBy(cmp.by, cmp.evidence, bs[j], as[i])
+				default:
+					sim = e.lib.CompareBy(cmp.by, cmp.evidence, as[i], bs[j])
+				}
+				if sim >= cmp.by.Floor {
+					fn(v, as[i], bs[j], sim)
+				}
+			}
+		}
+	}
 }
 
-// valueElems memoizes the namespaced, normalized element key of each raw
-// attribute value (attr -> raw -> key): values repeat across pairs, so
-// normalization runs once per distinct value instead of once per pair.
-type valueElems map[string]map[string]string
-
-func (k valueElems) elemKey(attr, raw string) string {
-	m := k[attr]
-	if m == nil {
-		m = make(map[string]string)
-		k[attr] = m
-	}
-	if e, ok := m[raw]; ok {
-		return e
-	}
-	e := elemPrefix(attr) + tokenizer.Normalize(raw)
-	m[raw] = e
-	return e
+// elemTable holds one graph's ids of value element keys, by attribute index
+// and value id (0: not yet derived), and of evidence labels, by comparison.
+type elemTable struct {
+	e      *evidence
+	g      *depgraph.Graph
+	ids    [][]int32
+	labels []int32
 }
 
-// wireValuePair hangs one scored value comparison under the RefPair node
-// m: the value-pair node (shared by every pair comparing the same two
-// elements), merged outright at the value merge threshold, its real-valued
-// edge into m, and the alias back edge.
-func wireValuePair(g *depgraph.Graph, m *depgraph.Node, elems valueElems, v valCompare, sim, attrMerge float64) {
-	n := g.AddValuePair(v.cmp.evidence, elems.elemKey(v.cmp.attrA, v.v1), elems.elemKey(v.cmp.attrB, v.v2), sim)
-	if n.Sim() >= attrMerge {
-		g.MarkMerged(n)
+func newElemTable(e *evidence, g *depgraph.Graph) elemTable {
+	t := elemTable{e: e, g: g, ids: make([][]int32, len(e.attrs)), labels: make([]int32, len(e.cmps))}
+	for i, cmp := range e.cmps {
+		t.labels[i] = g.Intern(cmp.evidence)
 	}
-	g.AddEdge(n, m, depgraph.RealValued, v.cmp.evidence)
+	return t
+}
+
+// elem returns the element id of attribute k's value raw, of id id.
+func (t *elemTable) elem(k int, id uint32, raw string) int32 {
+	if id == simfn.NoValue {
+		return t.g.Intern(elemPrefix(t.e.attrs[k]) + tokenizer.Normalize(raw))
+	}
+	ids := t.ids[k]
+	if n := int(id) + 1 - len(ids); n > 0 {
+		ids = append(ids, make([]int32, n)...)
+		t.ids[k] = ids
+	}
+	if ids[id] == 0 {
+		ids[id] = t.g.Intern(elemPrefix(t.e.attrs[k]) + tokenizer.Normalize(raw))
+	}
+	return ids[id]
+}
+
+// wire hangs one scored value comparison, of elements x and y, under the
+// RefPair node m: the value-pair node (shared by every pair comparing the
+// same two elements), merged outright at the value merge threshold, its
+// real-valued edge into m, and the alias back edge.
+func (t *elemTable) wire(m *depgraph.Node, v valCompare, x, y int32, sim float64) {
+	cmp, ev := t.e.cmps[v.row], t.labels[v.row]
+	n := t.g.AddValuePairIDs(ev, x, y, sim)
+	if n.Sim() >= attrMergeThreshold {
+		t.g.MarkMerged(n)
+	}
+	t.g.AddEdgeID(n, m, depgraph.RealValued, ev)
 	// Alias learning: merging the references certifies identifying
 	// values as aliases (Figure 2's n6).
-	if v.cmp.by.Alias && v.cmp.attrA == v.cmp.attrB {
-		g.AddEdge(m, n, depgraph.StrongBoolean, v.cmp.evidence)
+	if cmp.by.Alias && cmp.attrA == cmp.attrB {
+		t.g.AddEdgeID(m, n, depgraph.StrongBoolean, ev)
 	}
 }

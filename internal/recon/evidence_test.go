@@ -57,7 +57,8 @@ func modelFixture(t *testing.T, sch *schema.Schema, store *reference.Store) (*bu
 		t.Fatal(err)
 	}
 	m := NewMatcher(sch, cfg, snap)
-	return b, seed, newQueryHost(m, reference.New(sch.Classes()[0].Name))
+	qr := reference.New(sch.Classes()[0].Name)
+	return b, seed, newQueryHost(m, qr, m.valueRow(qr))
 }
 
 // wireAtQueryTime wires the stored pair (a, b) on an empty graph through
@@ -238,7 +239,8 @@ func TestInducedVenueRelaxation(t *testing.T) {
 	if n := newBuilder(s, schema.PIM(), cfg).ensureRefPair(v1, v2); n == nil || !n.Alive() {
 		t.Error("induced venue pair with nothing to compare should be kept")
 	}
-	h := newQueryHost(NewMatcher(schema.PIM(), cfg, snapshotOf(t, s, cfg)), reference.New(schema.ClassVenue))
+	m, qr := NewMatcher(schema.PIM(), cfg, snapshotOf(t, s, cfg)), reference.New(schema.ClassVenue)
+	h := newQueryHost(m, qr, m.valueRow(qr))
 	if qn, wired := wireAtQueryTime(h, v1.ID, v2.ID); wired || !qn.Alive() {
 		t.Errorf("query time: wired=%v alive=%v, want nothing wired and the node kept", wired, qn.Alive())
 	}

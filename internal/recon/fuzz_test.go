@@ -93,7 +93,6 @@ func TestDecodeSnapshotRejectsIncoherent(t *testing.T) {
 // builds over every snapshot it publishes.
 func exerciseSnapshot(t *testing.T, s *Snapshot) {
 	n := reference.ID(s.RefCount())
-	s.EachRef(func(*SnapRef) {})
 	for _, parts := range s.Partitions() {
 		for _, part := range parts {
 			if s.EntityOf(part[0]) == nil {

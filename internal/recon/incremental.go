@@ -332,13 +332,6 @@ func (s *Session) reset() {
 // identically to the live one.
 func (s *Session) Poison() { s.poisoned = true }
 
-// Poisoned reports whether the next commit will discard the incremental
-// state and reconcile the whole store from scratch.
-func (s *Session) Poisoned() bool { return s.poisoned }
-
-// Latest returns the most recent result (nil before the first Reconcile).
-func (s *Session) Latest() *Result { return s.latest }
-
 // WriteDOT renders the session's dependency graph in Graphviz DOT format
 // (see depgraph.Graph.WriteDOT). It errors before the first Reconcile.
 func (s *Session) WriteDOT(w io.Writer, filter func(*depgraph.Node) bool) error {

@@ -108,7 +108,7 @@ func TestSessionIncrementalExample1(t *testing.T) {
 			}
 		}
 	}
-	if sess.Latest() != res2 {
+	if sess.latest != res2 {
 		t.Error("Latest should return the newest result")
 	}
 }

@@ -55,13 +55,12 @@ func bareFromScratch(b *builder, r1, r2 *reference.Reference) bool {
 	if row.keepInduced || b.cfg.Constraints && row.constrained != nil && row.constrained(b, r1, r2) {
 		return false
 	}
-	bare := true
-	b.eachValuePair(r1, r2, func(v valCompare) {
-		if b.compare(v) >= v.cmp.by.Floor {
-			bare = false
+	for _, v := range b.appendVals(nil, r1, r2) {
+		if b.compare(v) >= b.cmps[v.row].by.Floor {
+			return false
 		}
-	})
-	return bare
+	}
+	return true
 }
 
 // checkUnbuiltTargetsBare is the oracle for the bare memo: every

@@ -186,7 +186,7 @@ func TestFullModeReachesFixedPoint(t *testing.T) {
 		Propagate:      true,
 		Enrich:         true,
 	})
-	if bad := graph.CheckFixedPoint(scorer, 1e-6); len(bad) != 0 {
+	if bad := checkFixedPoint(graph, scorer, 1e-6); len(bad) != 0 {
 		for i, n := range bad {
 			if i == 5 {
 				break
@@ -262,4 +262,16 @@ func TestModesAllTerminate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkFixedPoint returns the live, unconstrained nodes whose similarity
+// would rise by more than eps if rescored: none at §3.2's fixed point.
+func checkFixedPoint(g *depgraph.Graph, scorer depgraph.Scorer, eps float64) []*depgraph.Node {
+	var bad []*depgraph.Node
+	g.Nodes(func(n *depgraph.Node) {
+		if n.Status() != depgraph.NonMerge && min(scorer.Score(n), 1) > n.Sim()+eps {
+			bad = append(bad, n)
+		}
+	})
+	return bad
 }

@@ -59,6 +59,10 @@ type attrCompare struct {
 	// keys, on the row that compares an attribute with itself, says how each
 	// of its values is keyed for blocking (keys.go); nil for not at all.
 	keys func(attr, value string, emit func(string))
+	// idx is the comparison's index in evidence.cmps, and ea and eb those of
+	// attrA and attrB in evidence.attrs; newEvidence fills them in.
+	idx    uint32
+	ea, eb int
 }
 
 // assocRule declares the dependency one association attribute of a class
@@ -94,12 +98,6 @@ const contactsAttr = "contacts"
 var contactRule = assocRule{
 	attr: contactsAttr, pool: []string{schema.AttrCoAuthor, schema.AttrEmailContact},
 	evidence: simfn.EvContact, dep: depgraph.WeakBoolean, from: EvidenceContact,
-}
-
-// contactsOf returns the union of a person's co-author and email-contact
-// links, deduplicated, in stable order.
-func contactsOf(r *reference.Reference) []reference.ID {
-	return contactRule.targets(r)
 }
 
 // classModels holds the literal rows.

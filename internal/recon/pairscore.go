@@ -1,48 +1,36 @@
 package recon
 
 // Three-phase candidate-pair evaluation. The dominant cost of graph
-// construction is not the fixed-point loop but the atomic attribute
-// similarities (Jaro-Winkler names, TF-IDF titles, fuzzy venue Jaccard)
-// computed for every blocked candidate pair. Those comparisons are pure
-// functions of the two values and the (frozen-per-batch) library
-// statistics, so they parallelize perfectly; everything that touches the
-// graph does not, because the graph is single-writer. incorporate
-// therefore splits pass 1 into:
-//
-//  1. serial enumeration — blocking emits candidate pairs and each pair's
-//     value comparisons are listed in deterministic order;
-//  2. parallel scoring — the work items fan out over the
-//     internal/parallel pool, each writing similarities into its own
-//     slots (results are independent of scheduling, so any worker count
-//     yields bit-identical output; Workers=1 runs inline);
-//  3. serial wiring — nodes and edges are created from the precomputed
-//     scores in the exact order the serial path would have used.
-//
-// Induced pairs discovered later during association wiring still score
-// serially through the same cache-backed comparators.
+// construction is the atomic attribute similarities of every blocked
+// candidate pair: pure functions of two values and the frozen-per-batch
+// library statistics, so they parallelize perfectly, while the graph is
+// single-writer. incorporate therefore splits pass 1 into serial
+// enumeration (each pair's value comparisons listed in deterministic
+// order), parallel scoring over the internal/parallel pool (each item
+// writes its own slots, so any worker count yields bit-identical output),
+// and serial wiring in the order the serial path would have used. Induced
+// pairs found later during association wiring score serially through the
+// same cache.
 
 import (
+	"slices"
+
 	"refrecon/internal/parallel"
 	"refrecon/internal/reference"
 )
 
 // pairItem is the unit of work of the parallel scoring phase: one
-// candidate reference pair with its enumerated value comparisons and
-// (after scoring) their similarities, indexed like vals.
+// candidate reference pair and the range [lo, hi) its value comparisons
+// take in the batch's list, and their similarities in the scored one.
 type pairItem struct {
 	r1, r2 *reference.Reference
-	vals   []valCompare
-	sims   []float64
+	lo, hi int
 }
 
 // appendVals appends the value comparisons of a candidate pair to dst in
-// the deterministic order the wiring phase evaluates them. A blocked pair's
-// list is kept until its item is wired, so enumeration sizes it exactly
-// (countValuePairs); the induced path consumes its list at once and reuses
-// one builder-owned buffer.
+// the deterministic order the wiring phase evaluates them.
 func (b *builder) appendVals(dst []valCompare, r1, r2 *reference.Reference) []valCompare {
-	b.eachValuePair(r1, r2, func(v valCompare) { dst = append(dst, v) })
-	return dst
+	return b.evidence.appendVals(dst, r1.Class, b.rowOf(r1), b.rowOf(r2))
 }
 
 // scoreVals scores a value-comparison list serially (the induced-pair and
@@ -50,47 +38,28 @@ func (b *builder) appendVals(dst []valCompare, r1, r2 *reference.Reference) []va
 // it is consumed within the caller's wiring pass and never retained, so
 // one buffer serves every induced pair.
 func (b *builder) scoreVals(vals []valCompare) []float64 {
-	if len(vals) == 0 {
-		return nil
-	}
-	if cap(b.simScratch) < len(vals) {
-		b.simScratch = make([]float64, len(vals)*2)
-	}
-	sims := b.simScratch[:len(vals)]
+	b.simScratch = slices.Grow(b.simScratch[:0], len(vals))[:len(vals)]
 	for i, v := range vals {
-		sims[i] = b.compare(v)
+		b.simScratch[i] = b.compare(v)
 	}
-	return sims
+	return b.simScratch
 }
 
-// scoreItems fans a batch's value comparisons out over the worker pool.
-// Each item writes only its own sims slice, so the result is independent
-// of scheduling; Workers=1 runs inline on the calling goroutine. When the
-// observer requests profiling, workers run under a "build" pprof label so
-// CPU profiles attribute the scoring fan-out to the construction phase.
-func (b *builder) scoreItems(items []*pairItem) {
+// scoreItems fans a batch's value comparisons out over the worker pool and
+// returns their similarities, indexed like vals. Each item writes only its
+// own range, so the result is independent of scheduling; Workers=1 runs
+// inline. When the observer requests profiling, workers run under a
+// "build" pprof label.
+func (b *builder) scoreItems(items []pairItem, vals []valCompare) []float64 {
 	phase := ""
 	if b.cfg.Obs.Profiling() {
 		phase = "build"
 	}
-	// Carve every item's sims out of one arena up front (serially), so the
-	// parallel phase allocates nothing: each worker only writes through its
-	// item's pre-sliced, capacity-clamped window.
-	total := 0
-	for _, it := range items {
-		total += len(it.vals)
-	}
-	arena := make([]float64, total)
-	off := 0
-	for _, it := range items {
-		n := len(it.vals)
-		it.sims = arena[off : off+n : off+n]
-		off += n
-	}
+	sims := make([]float64, len(vals))
 	parallel.ForLabeled(b.cfg.Workers, len(items), phase, func(i int) {
-		it := items[i]
-		for j, v := range it.vals {
-			it.sims[j] = b.compare(v)
+		for j := items[i].lo; j < items[i].hi; j++ {
+			sims[j] = b.compare(vals[j])
 		}
 	})
+	return sims
 }

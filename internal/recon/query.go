@@ -1,16 +1,16 @@
 package recon
 
-// Query-time reconciliation, after Bhattacharya & Getoor's query-time
-// entity resolution: instead of re-running the batch algorithm, a single
-// query reference is resolved against an immutable Snapshot by generating
+// Query-time reconciliation, after Bhattacharya & Getoor: a query
+// reference is resolved against an immutable Snapshot by generating
 // candidates through the blocking index (never an O(n) scan) and scoring
-// each candidate *entity* with the same simfn comparators and class
-// decision trees graph construction uses. The entity's unioned attribute
-// values stand in for reference enrichment: the MAX rule over the union is
-// exactly what the enriched canonical reference would expose.
+// each candidate *entity* with the comparators and class decision trees
+// construction uses. The entity's unioned values stand in for reference
+// enrichment: the MAX rule over the union is what the enriched canonical
+// reference would expose.
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -67,6 +67,8 @@ type Matcher struct {
 	// refs are the snapshot's stored references as References, indexed by
 	// id: the shape the evidence model reads. Shared, read-only.
 	refs []*reference.Reference
+	// unions is each entity's union's value row, by Entity.pos.
+	unions []valueRow
 	// cands and assocs memoize queryHost's answers per stored reference,
 	// filled on first use: a publish costs two zeroed slices.
 	cands  []atomic.Pointer[[]reference.ID]
@@ -75,17 +77,38 @@ type Matcher struct {
 
 // NewMatcher indexes a snapshot for query-time reconciliation. Cost is one
 // pass over the snapshot's references (corpus statistics, and blocking
-// keys, which a session's snapshot carries and a decoded one derives).
+// keys, which a session's snapshot carries and a decoded one derives). So
+// are the value rows: the matcher reads a session snapshot's ids through a
+// fork of the session's library, interning nothing, and interns a decoded
+// snapshot's values here, once.
 func NewMatcher(sch *schema.Schema, cfg Config, snap *Snapshot) *Matcher {
 	m := &Matcher{
 		evidence: newEvidence(sch, cfg),
 		snap:     snap,
 		refs:     snap.forms,
+		unions:   make([]valueRow, len(snap.entities)),
 		cands:    make([]atomic.Pointer[[]reference.ID], len(snap.refs)),
 		assocs:   make([]atomic.Pointer[[][]reference.ID], len(snap.refs)),
 	}
+	if snap.vals != nil && slices.Equal(snap.attrs, m.attrs) {
+		m.rows, m.lib = snap.rows, snap.vals
+	} else {
+		m.rows = make([]valueRow, len(m.refs))
+		for i, r := range m.refs {
+			m.rows[i] = m.valueRow(r)
+		}
+	}
+	m.lib = m.lib.Fork()
+	if cfg.Obs != nil {
+		m.lib.SetCounters(cfg.Obs.Counters)
+	}
 	for i, r := range m.refs {
 		m.feed(r, snap.keys[i])
+	}
+	for i, ent := range snap.entities {
+		if m.unions[i] = m.rows[ent.Canonical]; len(ent.Members) > 1 {
+			m.unions[i] = m.valueRow(ent.union)
+		}
 	}
 	return m
 }
@@ -102,13 +125,14 @@ func (m *Matcher) Match(q Query) ([]Candidate, MatchStats, error) {
 	if err != nil || qr.IsEmpty() {
 		return nil, MatchStats{}, err
 	}
-	cands, stats := m.score(qr)
+	cands, stats := m.score(qr, m.valueRow(qr))
 	return m.Rank(cands, q.Limit), stats, nil
 }
 
 // score generates the query reference's blocking candidates, groups them
-// into entities and scores each entity once; the result is unranked.
-func (m *Matcher) score(qr *reference.Reference) ([]Candidate, MatchStats) {
+// into entities and scores each entity once; the result is unranked. qrow
+// is the query's value row, looked up, never interned.
+func (m *Matcher) score(qr *reference.Reference, qrow valueRow) ([]Candidate, MatchStats) {
 	ids := m.candidates(qr)
 	seen := make(map[int]bool)
 	var cands []Candidate
@@ -122,7 +146,7 @@ func (m *Matcher) score(qr *reference.Reference) ([]Candidate, MatchStats) {
 		if ent == nil {
 			continue
 		}
-		cands = append(cands, Candidate{Entity: ent, Score: m.scoreEntity(qr, ent)})
+		cands = append(cands, Candidate{Entity: ent, Score: m.scoreEntity(qr, qrow, ent)})
 	}
 	return cands, MatchStats{CandidateRefs: len(ids), CandidateEntities: len(cands)}
 }
@@ -186,10 +210,10 @@ func (m *Matcher) Rank(cands []Candidate, limit int) []Candidate {
 // values: per evidence label, the maximum comparator similarity over the
 // value cross product (above the same evidence floor construction uses),
 // combined by the class decision tree (every tree scores no evidence 0).
-func (m *Matcher) scoreEntity(qr *reference.Reference, ent *Entity) float64 {
+func (m *Matcher) scoreEntity(qr *reference.Reference, qrow valueRow, ent *Entity) float64 {
 	var ev simfn.Evidence
-	m.eachScored(qr, ent.union, func(v valCompare, sim float64) {
-		ev.Observe(v.cmp.evidence, sim)
+	m.eachScored(qr, ent.union, qrow, m.unions[ent.pos], func(v valCompare, _, _ string, sim float64) {
+		ev.Observe(m.cmps[v.row].evidence, sim)
 	})
 	return m.row(qr.Class).score.SRV(&ev)
 }

@@ -18,6 +18,7 @@ import (
 
 	"refrecon/internal/depgraph"
 	"refrecon/internal/reference"
+	"refrecon/internal/simfn"
 )
 
 // SnapRef is one stored reference inside a Snapshot: the snapshot's own
@@ -44,6 +45,7 @@ type Entity struct {
 	union *reference.Reference
 	// nameAttr is the class's name-like attribute (schema.Class.NameAttr).
 	nameAttr string
+	pos      int // position in Snapshot.Entities
 }
 
 // Name returns a display value for the entity: its first value of the
@@ -101,6 +103,12 @@ type Snapshot struct {
 	// keys holds each reference's blocking keys as the session's builder
 	// derived them; all nil in a decoded snapshot, whose matcher derives them.
 	keys [][]string
+	// rows holds each reference's value row as the session's builder made
+	// it, laid out by attrs, its ids issued by vals, the builder's library;
+	// all nil in a decoded snapshot, whose matcher interns its values.
+	rows  []valueRow
+	vals  *simfn.Library
+	attrs []string
 }
 
 // pairIndex packs an unordered reference-id pair into one map key.
@@ -120,13 +128,6 @@ func (s *Snapshot) Ref(id reference.ID) (*SnapRef, bool) {
 		return nil, false
 	}
 	return &s.refs[id], true
-}
-
-// EachRef visits every reference in id order.
-func (s *Snapshot) EachRef(fn func(*SnapRef)) {
-	for i := range s.refs {
-		fn(&s.refs[i])
-	}
 }
 
 // Partitions returns the class partition map. Read-only.
@@ -227,6 +228,7 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 	}
 	snap.refs, snap.forms = p.refs[:covered:covered], p.forms[:covered:covered]
 	snap.keys = s.b.keys[:covered:covered]
+	snap.rows, snap.vals, snap.attrs = s.b.rows[:covered:covered], s.b.lib, s.b.attrs
 
 	for class, parts := range res.Partitions {
 		cp := make([][]reference.ID, len(parts))
@@ -363,4 +365,7 @@ func (snap *Snapshot) buildEntities() {
 	sort.Slice(snap.entities, func(i, j int) bool {
 		return snap.entities[i].Canonical < snap.entities[j].Canonical
 	})
+	for i, ent := range snap.entities {
+		ent.pos = i
+	}
 }

@@ -15,9 +15,10 @@ import (
 func snapshotFingerprint(t *testing.T, s *Snapshot) string {
 	t.Helper()
 	out := fmt.Sprintf("version=%d refs=%d\n", s.Version, s.RefCount())
-	s.EachRef(func(r *SnapRef) {
+	for i := range s.refs {
+		r := &s.refs[i]
 		out += fmt.Sprintf("ref %d %s %v %v\n", r.ID, r.Class, r.Atomic, r.Assoc)
-	})
+	}
 	classes := make([]string, 0, len(s.Partitions()))
 	for c := range s.Partitions() {
 		classes = append(classes, c)

@@ -37,6 +37,18 @@ func TestCompareCacheHitZeroAllocs(t *testing.T) {
 	})
 }
 
+// TestCompareIDsCacheHitZeroAllocs pins the id path graph construction
+// scores through: a hit is one packed key, no string hashed.
+func TestCompareIDsCacheHitZeroAllocs(t *testing.T) {
+	l := NewLibrary()
+	x, y := l.ValueID("Michael Stonebraker"), l.ValueID("M. Stonebraker")
+	t1, t2 := l.ValueID("reference reconciliation"), l.ValueID("refernce reconcilation")
+	allocSink += l.CompareIDs(ByName, x, y) + l.CompareIDs(ByTitle, t1, t2)
+	assertZeroAllocs(t, "CompareIDs/cache-hit", func() {
+		allocSink += l.CompareIDs(ByName, x, y) + l.CompareIDs(ByTitle, t1, t2)
+	})
+}
+
 func TestCompareCacheHitZeroAllocsWithCounters(t *testing.T) {
 	l := NewLibrary()
 	c := obs.NewCounters()

@@ -2,110 +2,123 @@ package simfn
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"refrecon/internal/emailaddr"
 	"refrecon/internal/names"
 )
 
-// This file implements the two cache layers backing Library.Compare:
-//
-//   - a bounded, sharded pair-score cache keyed by (evidence, a, b), so a
-//     value pair that recurs across many reference pairs — ubiquitous in
-//     PIM and Cora data, where a handful of name spellings and venue
-//     strings cover most references — is scored once;
-//   - memoization of parsed names, email addresses and word-token lists
-//     keyed by the raw value, so a value shared by many *distinct* pairs
-//     is parsed once instead of once per comparison.
-//
-// Both caches are safe for concurrent readers and writers: the parallel
-// scoring phase of graph construction calls Compare from many goroutines,
-// and the serial association/enrichment wiring path re-compares values
-// through the same entry points.
-//
-// Corpus-sensitive comparators (TF-IDF titles, venue IDF, name-population
-// rarity) change meaning when library statistics grow, so pair-score
-// entries are tagged with the library's statistics generation and a stale
-// shard is emptied wholesale on first write after the statistics change.
-// Within one construction batch the statistics are frozen (all Add* calls
-// precede all Compare calls), so the tag is stable exactly when cache hits
-// are sound. Parsed names, addresses and token lists are pure functions of
-// the raw string and never invalidate.
+// This file implements the value dictionary (a dense uint32 id per
+// distinct raw value, in first-intern order) and the caches behind
+// Library.Compare: a bounded, sharded pair-score cache keyed by one uint64
+// of comparator row and two value ids — a value pair recurring across
+// many reference pairs, as a handful of name spellings and venue strings
+// do in PIM and Cora data, is scored once, hashing no string — and memos
+// of parsed forms keyed by the raw value, so a value shared by many
+// distinct pairs is parsed once. All are safe for concurrent readers and
+// writers. A pair-score entry is a hit only under the generation of the
+// statistics its row reads (Comparator.Gen), which are frozen within a
+// construction batch; parsed forms never invalidate.
 
 const (
-	// cacheShards spreads lock contention; a power of two so the shard
-	// index is a mask.
-	cacheShards = 32
-	// pairShardCap bounds each pair-score shard. When a shard fills it is
+	cacheShardBits = 5 // shards spread lock contention
+	cacheShards    = 1 << cacheShardBits
+	// pairShardCap and parseShardCap bound each shard. A full shard is
 	// reset rather than evicted entry-by-entry: the population of repeated
-	// value pairs in one dataset is far below the bound, so resets only
-	// guard against adversarial value diversity.
-	pairShardCap = 4096
-	// parseShardCap bounds each parse-memo shard.
+	// values in one dataset is far below the bound, so resets only guard
+	// against adversarial value diversity.
+	pairShardCap  = 4096
 	parseShardCap = 4096
+	idBits        = 30 // per value id in a pair-score key; a wider one is not cached
 )
 
-// fnv1a hashes the cache key strings (FNV-1a over all parts with a
-// separator, to shard uniformly without allocating a joined key).
-func fnv1a(parts ...string) uint32 {
+// dict is an append-only dictionary of raw values, safe to read while one
+// writer interns: the id-to-value column is republished after each append,
+// and its prefix is never written again.
+type dict struct {
+	mu   sync.RWMutex
+	ids  map[string]uint32
+	vals atomic.Pointer[[]string]
+}
+
+func newDict() *dict {
+	d := &dict{ids: make(map[string]uint32)}
+	d.vals.Store(new([]string))
+	return d
+}
+
+func (d *dict) lookup(v string) (uint32, bool) {
+	d.mu.RLock()
+	id, ok := d.ids[v]
+	d.mu.RUnlock()
+	return id, ok
+}
+
+func (d *dict) intern(v string) uint32 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	id, ok := d.ids[v]
+	if !ok {
+		vals := append(*d.vals.Load(), v)
+		id = uint32(len(vals) - 1)
+		d.ids[v] = id
+		d.vals.Store(&vals)
+	}
+	return id
+}
+
+// value returns the raw value of an id the dictionary issued.
+func (d *dict) value(id uint32) string { return (*d.vals.Load())[id] }
+
+// fnv1a hashes a memo key (FNV-1a) to pick its shard.
+func fnv1a(s string) uint32 {
 	h := uint32(2166136261)
-	for _, p := range parts {
-		for i := 0; i < len(p); i++ {
-			h ^= uint32(p[i])
-			h *= 16777619
-		}
-		h ^= 0xff // separator so ("ab","c") and ("a","bc") differ
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
 		h *= 16777619
 	}
 	return h
 }
 
-// pairKey identifies one scored value comparison.
-type pairKey struct {
-	evidence, a, b string
+// pairEntry is one cached score and the generation it was computed under.
+type pairEntry struct {
+	v   float64
+	gen uint64
 }
 
 type pairShard struct {
-	mu  sync.RWMutex
-	gen uint64
-	m   map[pairKey]float64
+	mu sync.RWMutex
+	m  map[uint64]pairEntry
 }
 
-// pairCache is the sharded (evidence, valueA, valueB) -> similarity cache.
-type pairCache struct {
-	shards [cacheShards]pairShard
+// pairCache is the sharded (row, x, y) -> similarity cache.
+type pairCache [cacheShards]pairShard
+
+// shard picks k's shard by Fibonacci hashing, which spreads consecutive ids.
+func (c *pairCache) shard(k uint64) *pairShard {
+	return &c[(k*0x9E3779B97F4A7C15)>>(64-cacheShardBits)]
 }
 
-func (c *pairCache) shard(k pairKey) *pairShard {
-	return &c.shards[fnv1a(k.evidence, k.a, k.b)&(cacheShards-1)]
-}
-
-// get returns the cached score for k at statistics generation gen.
-func (c *pairCache) get(gen uint64, k pairKey) (float64, bool) {
+func (c *pairCache) get(k, gen uint64) (float64, bool) {
 	s := c.shard(k)
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.gen != gen || s.m == nil {
-		return 0, false
-	}
-	v, ok := s.m[k]
-	return v, ok
+	e, ok := s.m[k]
+	s.mu.RUnlock()
+	return e.v, ok && e.gen == gen
 }
 
-// put records the score for k under generation gen, emptying the shard if
-// it was filled under an older generation or has hit its bound. An emptied
-// shard keeps its buckets: on a workload with few repeated pairs shards
-// refill constantly, and a fresh map would re-grow through every rehash.
-func (c *pairCache) put(gen uint64, k pairKey, v float64) {
+// put records a score; an emptied shard keeps its buckets, which a
+// workload with few repeated pairs refills constantly.
+func (c *pairCache) put(k, gen uint64, v float64) {
 	s := c.shard(k)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.m == nil {
-		s.m = make(map[pairKey]float64, 64)
-	} else if s.gen != gen || len(s.m) >= pairShardCap {
+		s.m = make(map[uint64]pairEntry, 64)
+	} else if len(s.m) >= pairShardCap {
 		clear(s.m)
 	}
-	s.gen = gen
-	s.m[k] = v
+	s.m[k] = pairEntry{v, gen}
+	s.mu.Unlock()
 }
 
 // parsedAddr memoizes one emailaddr.Parse result (value + ok flag).
@@ -148,10 +161,12 @@ func (c *memo[V]) get(raw string, f func(string) V) V {
 	return v
 }
 
-// parseCache memoizes parsed person names, email addresses and word-token
-// lists by raw string. Token lists are shared: callers only read them.
+// parseCache memoizes parsed person names, email addresses, word-token
+// lists and venue token lists by raw string. Token lists are shared:
+// callers only read them.
 type parseCache struct {
 	names  memo[names.Name]
 	emails memo[parsedAddr]
 	words  memo[[]string]
+	venues memo[venueTokens]
 }

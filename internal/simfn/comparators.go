@@ -1,27 +1,22 @@
 // Package simfn implements the similarity functions of §4 of the paper: a
-// template S = S_rv + S_sb + S_wb where
+// template S = S_rv + S_sb + S_wb, where S_rv combines the real-valued
+// evidence (attribute-value and association similarities) through a
+// class-specific decision tree of linear combinations that tolerates
+// missing attributes and treats key attributes specially, and S_sb and
+// S_wb add β per merged strong-boolean and γ per merged weak-boolean
+// incoming neighbor (shared contacts and co-authors), both gated on
+// S_rv ≥ t_rv. Each instantiation — a tree with its t_rv, β and γ — is one
+// ClassScore row of the table in score.go; Scorer applies the template.
 //
-//   - S_rv combines the real-valued evidence (attribute-value similarities
-//     and association similarities) through a class-specific decision tree
-//     of linear combinations that tolerates missing attributes and treats
-//     key attributes specially;
-//   - S_sb adds β for every merged strong-boolean incoming neighbor, gated
-//     on S_rv ≥ t_rv;
-//   - S_wb adds γ for every merged weak-boolean incoming neighbor (shared
-//     contacts and co-authors), gated the same way.
-//
-// Each instantiation — a tree with its t_rv, β and γ — is one ClassScore
-// row of the table in score.go; Scorer applies the template to whichever
-// row a class is bound to.
-//
-// The package also defines the elementary value comparators: one
-// Comparator row per evidence type, holding its function, the liberal floor
-// used during graph construction (§3.1: "we use a relatively low similarity
-// threshold in order not to lose important nodes"), whether merged
-// references alias its values, and the corpus statistic they feed.
+// The package also defines the value comparators: one Comparator row per
+// evidence type, holding its function, the liberal floor used during graph
+// construction (§3.1: "we use a relatively low similarity threshold in
+// order not to lose important nodes"), whether merged references alias its
+// values, and the corpus statistic it feeds and reads.
 package simfn
 
 import (
+	"math"
 	"strings"
 
 	"refrecon/internal/emailaddr"
@@ -68,12 +63,14 @@ type Library struct {
 	surnameFirsts   map[string]map[string]bool
 	givenSurnames   map[string]map[string]bool
 
-	// statsGen counts name-population mutations; together with the title
-	// and venue corpus generations it versions the pair-score cache (a
-	// comparator's result may change whenever any statistic changes).
+	// statsGen counts name-population mutations.
 	statsGen uint64
-	pairs    *pairCache
-	parsed   *parseCache
+	// dict issues the value ids the pair cache is keyed by; owns says
+	// whether the library interns values (a fork only looks them up).
+	dict   *dict
+	owns   bool
+	pairs  *pairCache
+	parsed *parseCache
 
 	// ctr, when non-nil, receives pair-cache hit/miss counts. The nil
 	// default keeps Compare free of atomic traffic — one pointer
@@ -86,7 +83,7 @@ type Library struct {
 // safe even when Compare runs on the parallel scoring pool.
 func (l *Library) SetCounters(c *obs.Counters) { l.ctr = c }
 
-// NewLibrary returns a Library with empty corpora.
+// NewLibrary returns a Library with empty corpora and value dictionary.
 func NewLibrary() *Library {
 	return &Library{
 		Titles:          strsim.NewCorpus(),
@@ -94,24 +91,36 @@ func NewLibrary() *Library {
 		surnameInitials: make(map[string]map[byte]bool),
 		surnameFirsts:   make(map[string]map[string]bool),
 		givenSurnames:   make(map[string]map[string]bool),
+		dict:            newDict(),
+		owns:            true,
 		pairs:           &pairCache{},
 		parsed:          &parseCache{},
 	}
 }
 
-// generation versions the corpus-sensitive comparators: any statistics
-// mutation (name population, title corpus, venue corpus) invalidates
-// cached pair scores. Statistics mutate only between construction batches,
-// never concurrently with Compare.
-func (l *Library) generation() uint64 {
-	g := l.statsGen
-	if l.Titles != nil {
-		g += l.Titles.Gen()
+// Fork returns a library with empty statistics and caches that reads l's
+// value dictionary, which l may go on interning into, without writing to
+// it: ids keep naming the same values, ValueID only looks values up, and
+// Compare scores a value the dictionary lacks uncached.
+func (l *Library) Fork() *Library {
+	f := NewLibrary()
+	f.dict, f.owns = l.dict, false
+	return f
+}
+
+// NoValue is the id ValueID gives a value a fork's dictionary lacks.
+const NoValue = math.MaxUint32
+
+// ValueID returns a raw value's dictionary id, interned unless the library
+// is a fork.
+func (l *Library) ValueID(v string) uint32 {
+	if l.owns {
+		return l.dict.intern(v)
 	}
-	if l.Venues != nil {
-		g += l.Venues.Gen()
+	if id, ok := l.dict.lookup(v); ok {
+		return id
 	}
-	return g
+	return NoValue
 }
 
 // AddPersonName records one person-name value in the population
@@ -234,6 +243,11 @@ type Comparator struct {
 	// Feed counts one value of this type in the corpus statistics the
 	// comparators read; nil when it enters none.
 	Feed func(l *Library, value string)
+	// Gen returns the generation of the statistics sim reads, which tags
+	// its cached scores; nil for a row that reads none, whose scores never
+	// go stale.
+	Gen func(l *Library) uint64
+	row uint8 // index in the table: the top bits of the row's cache keys
 }
 
 // The comparator table. ByNameEmail takes the name first.
@@ -241,13 +255,15 @@ var (
 	ByName = &Comparator{Name: EvName, sim: func(l *Library, a, b string) float64 {
 		return names.ParsedSimilarity(l.parseName(a), l.parseName(b))
 	}, Floor: 0.5, Feed: (*Library).AddPersonName}
-	ByEmail     = &Comparator{Name: EvEmail, sim: (*Library).emailSim, Floor: 0.55, Alias: true}
-	ByNameEmail = &Comparator{Name: EvNameEmail, sim: (*Library).nameEmailSim, Floor: 0.45}
-	ByTitle     = &Comparator{Name: EvTitle, sim: (*Library).titleSim, Floor: 0.45, Feed: func(l *Library, v string) { l.Titles.Add(v) }}
+	ByEmail     = &Comparator{Name: EvEmail, sim: (*Library).emailSim, Floor: 0.55, Alias: true, Gen: func(l *Library) uint64 { return l.statsGen }}
+	ByNameEmail = &Comparator{Name: EvNameEmail, sim: (*Library).nameEmailSim, Floor: 0.45, Gen: func(l *Library) uint64 { return l.statsGen }}
+	ByTitle     = &Comparator{Name: EvTitle, sim: (*Library).titleSim, Floor: 0.45, Feed: func(l *Library, v string) { l.Titles.Add(v) },
+		Gen: func(l *Library) uint64 { return l.Titles.Gen() }}
 	ByYear      = &Comparator{Name: EvYear, sim: func(_ *Library, a, b string) float64 { return YearSim(a, b) }}
 	ByPages     = &Comparator{Name: EvPages, sim: func(_ *Library, a, b string) float64 { return PagesSim(a, b) }, Floor: 0.35}
-	ByVenueName = &Comparator{Name: EvVenueName, sim: (*Library).venueNameSim, Alias: true, Feed: func(l *Library, v string) { l.Venues.Add(v) }}
-	ByLocation  = &Comparator{Name: EvLocation, sim: func(_ *Library, a, b string) float64 { return strsim.JaccardTokens(a, b) }}
+	ByVenueName = &Comparator{Name: EvVenueName, sim: (*Library).venueNameSim, Alias: true, Feed: func(l *Library, v string) { l.Venues.Add(v) },
+		Gen: func(l *Library) uint64 { return l.Venues.Gen() }}
+	ByLocation = &Comparator{Name: EvLocation, sim: func(_ *Library, a, b string) float64 { return strsim.JaccardTokens(a, b) }}
 	// Generic is the row every other label resolves to.
 	Generic = &Comparator{Name: "generic", sim: func(l *Library, a, b string) float64 {
 		return strsim.MongeElkanTokens(l.words(a), l.words(b))
@@ -255,6 +271,12 @@ var (
 )
 
 var comparators = [...]*Comparator{ByName, ByEmail, ByNameEmail, ByTitle, ByYear, ByPages, ByVenueName, ByLocation, Generic}
+
+func init() {
+	for i, c := range comparators {
+		c.row = uint8(i)
+	}
+}
 
 // Lookup returns the row an evidence label names, Generic for any other
 // label (such as recon's per-attribute "g:<attr>").
@@ -273,18 +295,32 @@ func (l *Library) Compare(evidence, a, b string) float64 {
 	return l.CompareBy(Lookup(evidence), evidence, a, b)
 }
 
-// CompareBy is Compare for a caller that holds the row. Results are
-// memoized in a bounded cache keyed by (label, a, b) — Generic serves one
-// label per attribute — and tagged with the library's statistics generation,
-// so repeated value pairs are scored once per statistics epoch. Safe for
-// concurrent use as long as the statistics are not mutated concurrently.
+// CompareBy is Compare for a caller that holds the row: CompareIDs over
+// the two values' ids (a row scores the same whatever label selected it).
+// Safe for concurrent use as long as the statistics are not mutated
+// concurrently.
 func (l *Library) CompareBy(c *Comparator, label, a, b string) float64 {
 	if l == nil || l.pairs == nil {
 		return clamp01(c.sim(l, a, b))
 	}
-	gen := l.generation()
-	k := pairKey{label, a, b}
-	if v, ok := l.pairs.get(gen, k); ok {
+	if x, y := l.ValueID(a), l.ValueID(b); x != NoValue && y != NoValue {
+		return l.CompareIDs(c, x, y)
+	}
+	return clamp01(c.sim(l, a, b))
+}
+
+// CompareIDs scores two values of the library's dictionary by id, cached
+// by (row, x, y) under the generation of the statistics the row reads.
+func (l *Library) CompareIDs(c *Comparator, x, y uint32) float64 {
+	if x >= 1<<idBits || y >= 1<<idBits {
+		return clamp01(c.sim(l, l.dict.value(x), l.dict.value(y)))
+	}
+	k := uint64(c.row)<<(2*idBits) | uint64(x)<<idBits | uint64(y)
+	var gen uint64
+	if c.Gen != nil {
+		gen = c.Gen(l)
+	}
+	if v, ok := l.pairs.get(k, gen); ok {
 		if l.ctr != nil {
 			l.ctr.SimfnCacheHits.Add(1)
 		}
@@ -293,8 +329,8 @@ func (l *Library) CompareBy(c *Comparator, label, a, b string) float64 {
 	if l.ctr != nil {
 		l.ctr.SimfnCacheMisses.Add(1)
 	}
-	v := clamp01(c.sim(l, a, b))
-	l.pairs.put(gen, k, v)
+	v := clamp01(c.sim(l, l.dict.value(x), l.dict.value(y)))
+	l.pairs.put(k, gen, v)
 	return v
 }
 
@@ -381,51 +417,65 @@ var venueStopwords = map[string]bool{
 	"technical": true, "report": true, "tr": true,
 }
 
-// venueCoreTokens returns a venue name's distinctive tokens; when
-// filtering removes everything, the unfiltered content words are kept.
-func venueCoreTokens(s string) []string {
-	words := tokenizer.ContentWords(s)
-	core := words[:0:0]
-	for _, w := range words {
-		if !venueStopwords[w] {
-			core = append(core, w)
-		}
-	}
-	if len(core) == 0 {
-		return words
-	}
-	return core
+// venueTokens are a venue name's content words, its distinctive core (less
+// venueStopwords, unless that leaves none) and the core joined by spaces.
+type venueTokens struct {
+	content, core []string
+	joined        string
 }
 
-// fuzzyOverlap is the overlap coefficient over two token lists where
-// tokens match exactly or as near-typos (Jaro-Winkler >= 0.95). Character-
-// level similarity between *different* tokens ("data" vs "database",
-// "icde" vs "icdt") deliberately contributes nothing: distinct venues have
+func venueTokensOf(s string) venueTokens {
+	t := venueTokens{content: tokenizer.ContentWords(s)}
+	for _, w := range t.content {
+		if !venueStopwords[w] {
+			t.core = append(t.core, w)
+		}
+	}
+	if len(t.core) == 0 {
+		t.core = t.content
+	}
+	t.joined = strings.Join(t.core, " ")
+	return t
+}
+
+// venue memoizes venueTokensOf per raw value; the lists are read-only.
+func (l *Library) venue(raw string) venueTokens {
+	if l == nil || l.parsed == nil {
+		return venueTokensOf(raw)
+	}
+	return l.parsed.venues.get(raw, venueTokensOf)
+}
+
+// fuzzyMatch pairs each token of ta with the first unused token of tb it
+// matches exactly or as a near-typo (Jaro-Winkler >= 0.95), calling pair
+// for each match, and returns which tokens of tb were used. Character-level
+// similarity between *different* tokens ("data" vs "database", "icde" vs
+// "icdt") deliberately contributes nothing: distinct venues have
 // editorially close names, and treating closeness as evidence collapses
 // them.
+func fuzzyMatch(ta, tb []string, pair func(x, y string)) []bool {
+	used := make([]bool, len(tb))
+	for _, x := range ta {
+		for j, y := range tb {
+			if !used[j] && (x == y || strsim.JaroWinklerTokens(x, y) >= 0.95) {
+				used[j] = true
+				pair(x, y)
+				break
+			}
+		}
+	}
+	return used
+}
+
+// fuzzyOverlap is the overlap coefficient over two token lists under
+// fuzzyMatch.
 func fuzzyOverlap(ta, tb []string) float64 {
 	if len(ta) == 0 || len(tb) == 0 {
 		return 0
 	}
 	matches := 0
-	used := make([]bool, len(tb))
-	for _, x := range ta {
-		for j, y := range tb {
-			if used[j] {
-				continue
-			}
-			if x == y || strsim.JaroWinklerTokens(x, y) >= 0.95 {
-				used[j] = true
-				matches++
-				break
-			}
-		}
-	}
-	m := len(ta)
-	if len(tb) < m {
-		m = len(tb)
-	}
-	return float64(matches) / float64(m)
+	fuzzyMatch(ta, tb, func(_, _ string) { matches++ })
+	return float64(matches) / float64(min(len(ta), len(tb)))
 }
 
 // venueTokenIDF weighs a venue token's distinctiveness using the venue
@@ -438,7 +488,7 @@ func (l *Library) venueTokenIDF(tok string) float64 {
 }
 
 // weightedFuzzyJaccard is Jaccard over two token lists with per-token IDF
-// weights and near-typo token matching. Jaccard (union-normalized) rather
+// weights under fuzzyMatch. Jaccard (union-normalized) rather
 // than the overlap coefficient: one venue's core being CONTAINED in
 // another's ("Database Systems" inside "Principles of Database Systems")
 // must not score 1 — the unmatched distinctive token is exactly what
@@ -447,28 +497,17 @@ func (l *Library) weightedFuzzyJaccard(ta, tb []string) float64 {
 	if len(ta) == 0 || len(tb) == 0 {
 		return 0
 	}
-	matched := 0.0
-	union := 0.0
-	used := make([]bool, len(tb))
+	matched, union := 0.0, 0.0
 	for _, x := range ta {
-		w := l.venueTokenIDF(x)
-		union += w
-		for j, y := range tb {
-			if used[j] {
-				continue
-			}
-			if x == y || strsim.JaroWinklerTokens(x, y) >= 0.95 {
-				used[j] = true
-				wy := l.venueTokenIDF(y)
-				if wy < w {
-					matched += wy
-				} else {
-					matched += w
-				}
-				break
-			}
-		}
+		union += l.venueTokenIDF(x)
 	}
+	used := fuzzyMatch(ta, tb, func(x, y string) {
+		if w, wy := l.venueTokenIDF(x), l.venueTokenIDF(y); wy < w {
+			matched += wy
+		} else {
+			matched += w
+		}
+	})
 	for j, y := range tb {
 		if !used[j] {
 			union += l.venueTokenIDF(y)
@@ -481,19 +520,18 @@ func (l *Library) weightedFuzzyJaccard(ta, tb []string) float64 {
 }
 
 func (l *Library) venueNameSim(a, b string) float64 {
-	ca := venueCoreTokens(a)
-	cb := venueCoreTokens(b)
-	best := l.weightedFuzzyJaccard(ca, cb)
+	ta, tb := l.venue(a), l.venue(b)
+	best := l.weightedFuzzyJaccard(ta.core, tb.core)
 	// Boilerplate-token agreement ("ACM ..." vs "ACM ...") is weak but
 	// real evidence; it lets the SIGMOD'78 pair of Example 1 reach the
 	// boostable band without letting "Proc. X" match "Proc. Y" outright.
-	if s := 0.5 * fuzzyOverlap(tokenizer.ContentWords(a), tokenizer.ContentWords(b)); s > best {
+	if s := 0.5 * fuzzyOverlap(ta.content, tb.content); s > best {
 		best = s
 	}
 	if s := AcronymSim(a, b); s > best {
 		best = s
 	}
-	if s := AcronymSim(strings.Join(ca, " "), strings.Join(cb, " ")); s > best {
+	if s := AcronymSim(ta.joined, tb.joined); s > best {
 		best = s
 	}
 	return best

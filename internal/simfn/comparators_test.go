@@ -3,6 +3,7 @@ package simfn
 import (
 	"testing"
 
+	"refrecon/internal/obs"
 	"refrecon/internal/strsim"
 )
 
@@ -192,5 +193,44 @@ func TestCompareUnknownEvidence(t *testing.T) {
 	l := NewLibrary()
 	if s := l.Compare("mystery", "abc", "abc"); s != 1 {
 		t.Errorf("generic fallback identical = %f", s)
+	}
+}
+
+// TestCacheTagsFollowReads: after a statistics change, a row that reads
+// statistics scores afresh, a row that reads none hits its cached score,
+// and both return what a cache-less library with the same statistics
+// computes.
+func TestCacheTagsFollowReads(t *testing.T) {
+	pairs := map[*Comparator][2]string{
+		ByName:      {"Michael Stonebraker", "M. Stonebraker"},
+		ByEmail:     {"wei.li@x.edu", "wli@x.edu"},
+		ByNameEmail: {"Wei Li", "li@y.edu"},
+		ByTitle:     {"Query optimization", "Query optimisation"},
+		ByYear:      {"1998", "98"},
+		ByPages:     {"169-180", "pp. 169--180"},
+		ByVenueName: {"Proc. VLDB", "Very Large Data Bases"},
+		ByLocation:  {"Seattle, WA", "Seattle"},
+		Generic:     {"Acme FA 7310 drill", "ACME FA-4730 Drill"},
+	}
+	l := NewLibrary()
+	ctr := obs.NewCounters()
+	l.SetCounters(ctr)
+	for c, p := range pairs {
+		l.CompareBy(c, c.Name, p[0], p[1])
+	}
+	ByName.Feed(l, "Wei Li")
+	ByTitle.Feed(l, "Query optimization")
+	ByVenueName.Feed(l, "VLDB")
+	bare := *l
+	bare.pairs = nil
+	for c, p := range pairs {
+		hits := ctr.SimfnCacheHits.Load()
+		got := l.CompareBy(c, c.Name, p[0], p[1])
+		if hit := ctr.SimfnCacheHits.Load() > hits; hit != (c.Gen == nil) {
+			t.Errorf("%s: cache hit %v after a statistics change, reads statistics %v", c.Name, hit, c.Gen != nil)
+		}
+		if want := bare.CompareBy(c, c.Name, p[0], p[1]); got != want {
+			t.Errorf("%s: %v cached, %v cache-less", c.Name, got, want)
+		}
 	}
 }

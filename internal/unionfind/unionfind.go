@@ -11,12 +11,11 @@ import "sort"
 type UF struct {
 	parent []int
 	rank   []byte
-	sets   int
 }
 
 // New returns a forest of n singleton sets.
 func New(n int) *UF {
-	u := &UF{parent: make([]int, n), rank: make([]byte, n), sets: n}
+	u := &UF{parent: make([]int, n), rank: make([]byte, n)}
 	for i := range u.parent {
 		u.parent[i] = i
 	}
@@ -25,9 +24,6 @@ func New(n int) *UF {
 
 // Len returns the number of elements.
 func (u *UF) Len() int { return len(u.parent) }
-
-// Sets returns the current number of disjoint sets.
-func (u *UF) Sets() int { return u.sets }
 
 // Find returns the canonical representative of x's set.
 func (u *UF) Find(x int) int {
@@ -52,7 +48,6 @@ func (u *UF) Union(x, y int) bool {
 	if u.rank[rx] == u.rank[ry] {
 		u.rank[rx]++
 	}
-	u.sets--
 	return true
 }
 

@@ -6,6 +6,17 @@ import (
 	"testing/quick"
 )
 
+// Sets returns the current number of disjoint sets.
+func (u *UF) Sets() int {
+	n := 0
+	for i := range u.parent {
+		if u.Find(i) == i {
+			n++
+		}
+	}
+	return n
+}
+
 func TestBasic(t *testing.T) {
 	u := New(5)
 	if u.Len() != 5 || u.Sets() != 5 {

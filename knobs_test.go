@@ -616,11 +616,11 @@ func (r *knobRig) collective(t *testing.T, cc collective.Config) string {
 			t.Fatal(err)
 		}
 		r.matcher = recon.NewMatcher(schema.PIM(), recon.DefaultConfig(), snap)
-		snap.EachRef(func(sr *recon.SnapRef) {
-			if sr.ID%5 == 0 && len(sr.Atomic) > 0 && len(sr.Assoc) > 0 {
+		for id := 0; id < snap.RefCount(); id += 5 {
+			if sr, _ := snap.Ref(reference.ID(id)); len(sr.Atomic) > 0 && len(sr.Assoc) > 0 {
 				r.queries = append(r.queries, recon.Query{Class: sr.Class, Atomic: sr.Atomic, Assoc: sr.Assoc, Limit: 5})
 			}
-		})
+		}
 	}
 	cm := recon.NewCollectiveMatcher(r.matcher, cc)
 	pairs, degraded := 0, map[string]int{}

@@ -73,16 +73,16 @@ echo "== go test -race (twin-graph and worker-count determinism, golden outputs,
 go test -race -run 'DeltaRescanEquivalence' ./internal/depgraph
 go test -race -run 'WorkerCountDeterminism|GoldenOutputs|CollectiveAnswersUnchanged' .
 
-echo "== go test -race (sharded equivalence) =="
-go test -race -run 'TestShard' ./internal/recon
+echo "== go test -race (sharded equivalence; plain and collective queries while the session's commits grow the value dictionary) =="
+go test -race -run 'TestShard|TestQueriesWhileSessionCommits' ./internal/recon
 go test -race ./internal/shard
 
 echo "== bench smoke (build/propagate/fold/catalog-match benchmarks compile and run) =="
 go test -run=NONE -bench='BuildGraph|Propagate|EnrichFold|MatchCatalog' -benchtime=1x .
 
-echo "== alloc regression smoke (columnar storage allocs/op ceilings; hub-removal benchmark compiles and runs; comparator kernels and cache hits at zero) =="
+echo "== alloc regression smoke (columnar storage allocs/op ceilings; hub-removal benchmark compiles and runs; comparator kernels and string- and id-keyed cache hits at zero) =="
 go test -run='ZeroAlloc|AllocsAmortized' -bench='RemoveHubNeighbors' -benchtime=1x -count=1 ./internal/depgraph
-go test -run ZeroAllocs -count=1 ./internal/strsim ./internal/simfn
+go test -run 'ZeroAllocs|TestCompareIDsCacheHitZeroAllocs' -count=1 ./internal/strsim ./internal/simfn
 
 echo "== fuzz smoke (10s per target, seed corpora replayed by go test above) =="
 go test -fuzz='^FuzzBibTeX$' -fuzztime 10s ./internal/extract
@@ -346,11 +346,11 @@ cfgfields() { awk '/^type Config struct \{/{on=1; next} on && /^\}/{on=0} on && 
 knobs=$(( $(cfgfields internal/recon/config.go) + $(cfgfields internal/serve/serve.go) + $(cfgfields internal/collective/collective.go) \
     + $(grep -rhoE 'flag\.(String|Int|Int64|Bool|Float64|Duration)\(' cmd | wc -l) ))
 design=$(wc -c <DESIGN.md)
-echo "non-test Go lines under internal/ + cmd/: $lines (ceiling 19791)"
-echo "exported funcs, methods and types:         $exported (ceiling 520)"
+echo "non-test Go lines under internal/ + cmd/: $lines (ceiling 19790)"
+echo "exported funcs, methods and types:         $exported (ceiling 512)"
 echo "knobs (Config fields + cmd flags):         $knobs (ceiling 65)"
-echo "DESIGN.md bytes:                           $design (ceiling 68519)"
-if [ "$lines" -gt 19791 ] || [ "$exported" -gt 520 ] || [ "$knobs" -gt 65 ] || [ "$design" -gt 68519 ]; then
+echo "DESIGN.md bytes:                           $design (ceiling 68498)"
+if [ "$lines" -gt 19790 ] || [ "$exported" -gt 512 ] || [ "$knobs" -gt 65 ] || [ "$design" -gt 68498 ]; then
     echo "size ceiling exceeded" >&2
     exit 1
 fi
