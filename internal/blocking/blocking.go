@@ -4,19 +4,24 @@
 // reconciler, keeping the dependency graph far below the quadratic
 // all-pairs size.
 //
-// Buckets that grow beyond a cap are skipped: an extremely common key
-// (a stopword-like title token, a huge mailing list) produces quadratically
-// many low-value candidates. Skipped keys are counted so callers can report
-// the coverage loss instead of silently truncating.
+// Every bucket is kept sorted and unique as it grows, so enumeration and
+// lookup read buckets in place. Buckets that grow beyond a cap are
+// skipped: an extremely common key (a stopword-like title token, a huge
+// mailing list) produces quadratically many low-value candidates. Add
+// counts the over-cap buckets so callers can report the coverage loss
+// instead of silently truncating.
 package blocking
 
 import (
-	"sort"
+	"slices"
 
 	"refrecon/internal/reference"
 )
 
-// Index is an inverted index from blocking keys to reference ids.
+// Index is an inverted index from blocking keys to reference ids. Each
+// bucket is sorted ascending and holds an id once. Only Add writes: any
+// number of readers may run Pairs, PairsFrom and Candidates concurrently
+// while no Add runs.
 type Index struct {
 	buckets   map[string][]reference.ID
 	bucketCap int
@@ -29,108 +34,84 @@ func New(bucketCap int) *Index {
 	return &Index{buckets: make(map[string][]reference.ID), bucketCap: bucketCap}
 }
 
-// Add records that the reference exposes the blocking key. Duplicate
-// (key, id) insertions are tolerated; Pairs deduplicates.
+// Add records that the reference exposes the blocking key. An id above
+// the bucket's last one (ids fed in store order) is appended; any other is
+// inserted in place, and a repeated (key, id) is dropped.
 func (x *Index) Add(key string, id reference.ID) {
 	if key == "" {
 		return
 	}
-	x.buckets[key] = append(x.buckets[key], id)
+	ids := x.buckets[key]
+	if n := len(ids); n == 0 || ids[n-1] < id {
+		ids = append(ids, id)
+	} else if i, found := slices.BinarySearch(ids, id); !found {
+		ids = slices.Insert(ids, i, id)
+	} else {
+		return
+	}
+	x.buckets[key] = ids
+	if x.bucketCap > 0 && len(ids) == x.bucketCap+1 {
+		x.skipped++
+	}
 }
 
 // Keys returns the number of distinct keys.
 func (x *Index) Keys() int { return len(x.buckets) }
 
-// SkippedBuckets returns how many over-cap buckets the last Pairs call
-// skipped.
+// SkippedBuckets returns how many buckets are over the cap: the buckets
+// Pairs, PairsFrom and Candidates skip.
 func (x *Index) SkippedBuckets() int { return x.skipped }
 
-// MaxBucket returns the largest bucket's raw size (before deduplication),
-// skipped or not — the number observability reports to explain blocking
-// hot spots and cap-induced coverage loss.
+// MaxBucket returns the largest bucket's size (its distinct ids, the size
+// the cap is compared against), skipped or not — the number observability
+// reports to explain blocking hot spots and cap-induced coverage loss.
 func (x *Index) MaxBucket() int {
-	max := 0
+	m := 0
 	for _, ids := range x.buckets {
-		if len(ids) > max {
-			max = len(ids)
-		}
+		m = max(m, len(ids))
 	}
-	return max
+	return m
+}
+
+// over reports whether a bucket is over the cap.
+func (x *Index) over(ids []reference.ID) bool {
+	return x.bucketCap > 0 && len(ids) > x.bucketCap
 }
 
 // Pairs invokes fn once for every distinct unordered pair of references
 // sharing at least one non-skipped key, with a < b. Iteration order is
-// deterministic (keys sorted, ids sorted within buckets).
+// deterministic: PairsFrom over every key, sorted.
 func (x *Index) Pairs(fn func(a, b reference.ID)) {
-	x.skipped = 0
-	seen := make(map[uint64]bool)
 	keys := make([]string, 0, len(x.buckets))
 	for k := range x.buckets {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		ids := dedupIDs(x.buckets[k])
-		if x.bucketCap > 0 && len(ids) > x.bucketCap {
-			x.skipped++
-			continue
-		}
-		for i := 0; i < len(ids); i++ {
-			for j := i + 1; j < len(ids); j++ {
-				a, b := ids[i], ids[j]
-				pk := uint64(a)<<32 | uint64(uint32(b))
-				if seen[pk] {
-					continue
-				}
-				seen[pk] = true
-				fn(a, b)
-			}
-		}
-	}
+	slices.Sort(keys)
+	x.PairsFrom(keys, 0, fn)
 }
 
-// PairsInvolving invokes fn for every distinct unordered pair (a < b)
-// that shares a non-skipped key with at least one reference from ids —
-// the incremental variant of Pairs. Deterministic like Pairs.
-func (x *Index) PairsInvolving(ids []reference.ID, fn func(a, b reference.ID)) {
-	x.skipped = 0
-	want := make(map[reference.ID]bool, len(ids))
-	for _, id := range ids {
-		want[id] = true
-	}
-	seen := make(map[uint64]bool)
-	keys := make([]string, 0, len(x.buckets))
-	for k := range x.buckets {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+// PairsFrom invokes fn once for every distinct unordered pair a < b with
+// b >= from that shares a non-skipped key from keys, which must be sorted
+// and unique. Keys are walked in order and each bucket's pairs in i-major
+// order (a ascending, then b ascending); a pair met again under a later
+// key is not emitted again. With keys holding every key of the ids >= from,
+// it is the subsequence of Pairs whose larger id is >= from: the pairs a
+// batch of new references, the store's id suffix from from on, adds.
+func (x *Index) PairsFrom(keys []string, from reference.ID, fn func(a, b reference.ID)) {
+	seen := make(map[uint64]struct{})
 	for _, k := range keys {
-		members := dedupIDs(x.buckets[k])
-		if x.bucketCap > 0 && len(members) > x.bucketCap {
-			x.skipped++
+		ids := x.buckets[k]
+		if x.over(ids) {
 			continue
 		}
-		touched := false
-		for _, id := range members {
-			if want[id] {
-				touched = true
-				break
-			}
-		}
-		if !touched {
-			continue
-		}
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				a, b := members[i], members[j]
-				if !want[a] && !want[b] {
-					continue
-				}
+		start, _ := slices.BinarySearch(ids, from)
+		for i, a := range ids {
+			for _, b := range ids[max(i+1, start):] {
 				pk := uint64(a)<<32 | uint64(uint32(b))
-				if seen[pk] {
+				if _, dup := seen[pk]; dup {
 					continue
 				}
-				seen[pk] = true
+				seen[pk] = struct{}{}
 				fn(a, b)
 			}
 		}
@@ -139,43 +120,16 @@ func (x *Index) PairsInvolving(ids []reference.ID, fn func(a, b reference.ID)) {
 
 // Candidates returns every reference sharing at least one non-skipped key
 // with the given key set — the single-query lookup ("candidates for this
-// one new reference") behind query-time reconciliation. The result is
-// sorted and deduplicated; over-cap buckets are skipped exactly as Pairs
-// skips them. Unlike Pairs, Candidates mutates no index state, so it is
-// safe for concurrent use by any number of readers (as long as no
-// concurrent Add/Pairs runs).
+// one new reference") behind query-time reconciliation. The result is a
+// fresh slice, sorted and deduplicated; over-cap buckets are skipped
+// exactly as Pairs skips them.
 func (x *Index) Candidates(keys []string) []reference.ID {
 	var out []reference.ID
-	seen := make(map[reference.ID]bool)
 	for _, k := range keys {
-		bucket := x.buckets[k]
-		if len(bucket) == 0 {
-			continue
-		}
-		ids := dedupIDs(bucket)
-		if x.bucketCap > 0 && len(ids) > x.bucketCap {
-			continue
-		}
-		for _, id := range ids {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
+		if ids := x.buckets[k]; !x.over(ids) {
+			out = append(out, ids...)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func dedupIDs(ids []reference.ID) []reference.ID {
-	sorted := make([]reference.ID, len(ids))
-	copy(sorted, ids)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	out := sorted[:0]
-	for i, id := range sorted {
-		if i == 0 || id != sorted[i-1] {
-			out = append(out, id)
-		}
-	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }

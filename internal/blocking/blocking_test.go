@@ -1,6 +1,10 @@
 package blocking
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"refrecon/internal/reference"
@@ -217,4 +221,161 @@ func TestCandidatesReadOnly(t *testing.T) {
 			t.Fatalf("Pairs output changed after Candidates")
 		}
 	}
+}
+
+// bruteIndex is the reference the property test checks Index against: every
+// (key, id) set kept as plain sets, each answer recomputed from scratch.
+type bruteIndex struct {
+	cap     int
+	buckets map[string]map[reference.ID]bool
+}
+
+func (r *bruteIndex) bucket(k string) []reference.ID {
+	var ids []reference.ID
+	for id := range r.buckets[k] {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+func (r *bruteIndex) over(k string) bool { return r.cap > 0 && len(r.buckets[k]) > r.cap }
+
+// pairs lists, key by sorted key, each within-cap bucket's pairs a < b in
+// i-major order (a ascending, then b ascending), a pair emitted at its
+// first key only.
+func (r *bruteIndex) pairs() [][2]reference.ID {
+	keys := make([]string, 0, len(r.buckets))
+	for k := range r.buckets {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	var out [][2]reference.ID
+	seen := make(map[[2]reference.ID]bool)
+	for _, k := range keys {
+		if r.over(k) {
+			continue
+		}
+		ids := r.bucket(k)
+		for _, a := range ids {
+			for _, b := range ids {
+				if p := [2]reference.ID{a, b}; a < b && !seen[p] {
+					seen[p] = true
+					out = append(out, p)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestIndexMatchesBruteForce feeds random keys through out-of-order and
+// repeated Adds at caps 0, 2 and 5, and checks Pairs, PairsFrom,
+// Candidates, SkippedBuckets and MaxBucket against the reference.
+func TestIndexMatchesBruteForce(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		for _, bucketCap := range []int{0, 2, 5} {
+			rng := rand.New(rand.NewSource(seed))
+			x := New(bucketCap)
+			ref := &bruteIndex{cap: bucketCap, buckets: make(map[string]map[reference.ID]bool)}
+			keysOf := make(map[reference.ID][]string)
+			const nIDs = 24
+			for n := rng.Intn(80); n > 0; n-- {
+				k := fmt.Sprintf("k%d", rng.Intn(10))
+				id := reference.ID(rng.Intn(nIDs))
+				x.Add(k, id)
+				if ref.buckets[k] == nil {
+					ref.buckets[k] = make(map[reference.ID]bool)
+				}
+				ref.buckets[k][id] = true
+				keysOf[id] = append(keysOf[id], k)
+			}
+			var pairs [][2]reference.ID
+			x.Pairs(func(a, b reference.ID) { pairs = append(pairs, [2]reference.ID{a, b}) })
+			want := ref.pairs()
+			if !slices.Equal(pairs, want) {
+				t.Fatalf("seed %d cap %d: Pairs = %v, want %v", seed, bucketCap, pairs, want)
+			}
+			for from := reference.ID(0); from <= nIDs; from++ {
+				var keys []string
+				for id := from; id < nIDs; id++ {
+					keys = append(keys, keysOf[id]...)
+				}
+				slices.Sort(keys)
+				var got, sub [][2]reference.ID
+				x.PairsFrom(slices.Compact(keys), from, func(a, b reference.ID) { got = append(got, [2]reference.ID{a, b}) })
+				for _, p := range pairs {
+					if p[1] >= from {
+						sub = append(sub, p)
+					}
+				}
+				if !slices.Equal(got, sub) {
+					t.Fatalf("seed %d cap %d: PairsFrom(%d) = %v, want %v", seed, bucketCap, from, got, sub)
+				}
+			}
+			for q := 0; q < 10; q++ {
+				var keys []string
+				for n := rng.Intn(4); n > 0; n-- {
+					keys = append(keys, fmt.Sprintf("k%d", rng.Intn(12))) // k10, k11 absent
+				}
+				var union []reference.ID
+				for _, k := range keys {
+					if !ref.over(k) {
+						union = append(union, ref.bucket(k)...)
+					}
+				}
+				slices.Sort(union)
+				union = slices.Compact(union)
+				if got := x.Candidates(keys); !slices.Equal(got, union) {
+					t.Fatalf("seed %d cap %d: Candidates(%v) = %v, want %v", seed, bucketCap, keys, got, union)
+				}
+			}
+			skipped, maxBucket := 0, 0
+			for k, ids := range ref.buckets {
+				if ref.over(k) {
+					skipped++
+				}
+				maxBucket = max(maxBucket, len(ids))
+			}
+			if x.SkippedBuckets() != skipped || x.MaxBucket() != maxBucket || x.Keys() != len(ref.buckets) {
+				t.Fatalf("seed %d cap %d: SkippedBuckets %d MaxBucket %d Keys %d, want %d %d %d", seed, bucketCap,
+					x.SkippedBuckets(), x.MaxBucket(), x.Keys(), skipped, maxBucket, len(ref.buckets))
+			}
+		}
+	}
+}
+
+// TestConcurrentReaders runs Pairs and Candidates from several goroutines
+// over one index: neither writes index state, so under -race they share it
+// freely and each sees what a lone reader sees.
+func TestConcurrentReaders(t *testing.T) {
+	x := New(8)
+	for id := reference.ID(0); id < 40; id++ {
+		x.Add(fmt.Sprintf("k%d", id%7), id)
+		x.Add(fmt.Sprintf("j%d", id%11), id)
+		x.Add("all", id) // over the cap
+	}
+	sweep := func() ([]reference.ID, []reference.ID) {
+		var seq []reference.ID
+		x.Pairs(func(a, b reference.ID) { seq = append(seq, a, b) })
+		return seq, x.Candidates([]string{"k1", "j2", "k3"})
+	}
+	wantPairs, wantCands := sweep()
+	if len(wantPairs) == 0 || len(wantCands) == 0 || x.SkippedBuckets() != 1 {
+		t.Fatalf("fixture: %d pair ids, %d candidates, %d skipped", len(wantPairs), len(wantCands), x.SkippedBuckets())
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if p, c := sweep(); !slices.Equal(p, wantPairs) || !slices.Equal(c, wantCands) {
+					t.Error("concurrent reader saw a different answer")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

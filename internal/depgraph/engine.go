@@ -45,9 +45,6 @@ type Options struct {
 	// Enrich enables reference enrichment (§3.3): merging (r1,r2) folds
 	// every node (r2,r3) into (r1,r3).
 	Enrich bool
-	// OnMerge, if set, is invoked whenever a RefPair node first becomes
-	// merged. The reconciler uses it to feed its union-find.
-	OnMerge func(n *Node)
 	// OnFold, if set, is invoked whenever enrichment folds node l into node
 	// m, just before l is removed. The query-time collective pass uses it to
 	// follow its query pairs through folds. The hook stays installed for
@@ -245,9 +242,6 @@ func (g *Graph) Run(seed []*Node, opt Options) Stats {
 		if newlyMerged {
 			if g.kind[id] == RefPair {
 				st.Merges++
-				if opt.OnMerge != nil {
-					opt.OnMerge(n)
-				}
 			}
 			if opt.Propagate {
 				// Strong-boolean neighbors jump the queue; weak-boolean

@@ -166,11 +166,15 @@ func (b *builder) incorporate(newRefs []*reference.Reference) []*depgraph.Node {
 	clear(b.bare)
 	clear(b.contacts)
 	b.induced, b.probes = inducedCounts{}, 0
-	newByClass := make(map[string][]reference.ID)
+	// newKeys is each class's blocking keys of the batch: the buckets its
+	// candidate pairs come from.
+	newByClass, newKeys := make(map[string][]reference.ID), make(map[string][]string)
 	for _, r := range newRefs {
 		b.rowOf(r)
-		b.keys = append(b.keys, b.feed(r, nil))
+		keys := b.feed(r, nil)
+		b.keys = append(b.keys, keys)
 		newByClass[r.Class] = append(newByClass[r.Class], r.ID)
+		newKeys[r.Class] = append(newKeys[r.Class], keys...)
 	}
 
 	var batch []*depgraph.Node
@@ -195,10 +199,14 @@ func (b *builder) incorporate(newRefs []*reference.Reference) []*depgraph.Node {
 			if len(ids) == 0 || idx == nil {
 				continue
 			}
-			// No tombstone to consult: blocking emits only pairs involving a
-			// new reference, and this batch's tombstones are laid by the wire
-			// stage, which runs after enumeration.
-			idx.PairsInvolving(ids, func(x, y reference.ID) {
+			// The batch is the store's id suffix from its first id on, so the
+			// pairs involving a new reference are those of the batch's own
+			// keys whose larger id is in the batch. No tombstone to consult:
+			// this batch's tombstones are laid by the wire stage, which runs
+			// after enumeration.
+			keys := newKeys[class.Name]
+			slices.Sort(keys)
+			idx.PairsFrom(slices.Compact(keys), newRefs[0].ID, func(x, y reference.ID) {
 				b.candidatePairs++
 				r1, r2 := b.store.Get(x), b.store.Get(y)
 				if r1.ID == r2.ID || r1.Class != r2.Class || b.g.LookupRefPair(r1.ID, r2.ID) != nil {

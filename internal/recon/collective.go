@@ -132,6 +132,15 @@ func (h *queryHost) rowOf(r *reference.Reference) valueRow {
 	return h.m.rows[r.ID]
 }
 
+// keysOf returns r's blocking keys: the query's derived, a stored
+// reference's as the matcher fed them.
+func (h *queryHost) keysOf(r *reference.Reference) []string {
+	if r == h.qr {
+		return h.m.keysOf(r)
+	}
+	return h.m.keys[r.ID]
+}
+
 // EngineOptions implements collective.Host with the matcher's own: the
 // scorer and thresholds offline reconciliation ran with.
 func (h *queryHost) EngineOptions() depgraph.Options { return h.m.engineOptions() }
@@ -165,7 +174,7 @@ func (h *queryHost) Candidates(id reference.ID) []reference.ID {
 		return nil
 	}
 	return memo(h, h.m.cands, r, func() []reference.ID {
-		ids := h.m.candidates(r)
+		ids := h.m.candidates(r.Class, h.keysOf(r))
 		out := ids[:0]
 		for _, c := range ids {
 			if c != id {

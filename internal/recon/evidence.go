@@ -162,7 +162,7 @@ func (e *evidence) feed(r *reference.Reference, keys []string) []string {
 		e.indexes[r.Class] = idx
 	}
 	if keys == nil {
-		row.blockingKeys(r, func(k string) { keys = append(keys, k) })
+		keys = e.keysOf(r)
 	}
 	for _, k := range keys {
 		idx.Add(k, r.ID)
@@ -170,15 +170,20 @@ func (e *evidence) feed(r *reference.Reference, keys []string) []string {
 	return keys
 }
 
-// candidates returns the fed references of r's class that share a
-// blocking key with r, sorted ascending (r itself included if it was fed).
-func (e *evidence) candidates(r *reference.Reference) []reference.ID {
-	idx := e.indexes[r.Class]
+// keysOf derives the blocking keys r's class row gives it.
+func (e *evidence) keysOf(r *reference.Reference) []string {
+	var keys []string
+	e.row(r.Class).blockingKeys(r, func(k string) { keys = append(keys, k) })
+	return keys
+}
+
+// candidates returns the fed references of the class that share one of
+// keys, sorted ascending.
+func (e *evidence) candidates(class string, keys []string) []reference.ID {
+	idx := e.indexes[class]
 	if idx == nil {
 		return nil
 	}
-	var keys []string
-	e.row(r.Class).blockingKeys(r, func(k string) { keys = append(keys, k) })
 	return idx.Candidates(keys)
 }
 

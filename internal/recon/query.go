@@ -69,6 +69,8 @@ type Matcher struct {
 	refs []*reference.Reference
 	// unions is each entity's union's value row, by Entity.pos.
 	unions []valueRow
+	// keys is each stored reference's blocking keys as fed, by id.
+	keys [][]string
 	// cands and assocs memoize queryHost's answers per stored reference,
 	// filled on first use: a publish costs two zeroed slices.
 	cands  []atomic.Pointer[[]reference.ID]
@@ -87,6 +89,7 @@ func NewMatcher(sch *schema.Schema, cfg Config, snap *Snapshot) *Matcher {
 		snap:     snap,
 		refs:     snap.forms,
 		unions:   make([]valueRow, len(snap.entities)),
+		keys:     make([][]string, len(snap.refs)),
 		cands:    make([]atomic.Pointer[[]reference.ID], len(snap.refs)),
 		assocs:   make([]atomic.Pointer[[][]reference.ID], len(snap.refs)),
 	}
@@ -103,7 +106,7 @@ func NewMatcher(sch *schema.Schema, cfg Config, snap *Snapshot) *Matcher {
 		m.lib.SetCounters(cfg.Obs.Counters)
 	}
 	for i, r := range m.refs {
-		m.feed(r, snap.keys[i])
+		m.keys[i] = m.feed(r, snap.keys[i])
 	}
 	for i, ent := range snap.entities {
 		if m.unions[i] = m.rows[ent.Canonical]; len(ent.Members) > 1 {
@@ -133,7 +136,7 @@ func (m *Matcher) Match(q Query) ([]Candidate, MatchStats, error) {
 // into entities and scores each entity once; the result is unranked. qrow
 // is the query's value row, looked up, never interned.
 func (m *Matcher) score(qr *reference.Reference, qrow valueRow) ([]Candidate, MatchStats) {
-	ids := m.candidates(qr)
+	ids := m.candidates(qr.Class, m.keysOf(qr))
 	seen := make(map[int]bool)
 	var cands []Candidate
 	for _, id := range ids {

@@ -75,8 +75,8 @@ func TestValueIDsScoreAsRawValues(t *testing.T) {
 					t.Fatalf("pair (%d, %d): %d comparisons listed, %d by value", r1.ID, r2.ID, len(vals), i)
 				}
 			}
-			for class, idx := range b.indexes {
-				idx.PairsInvolving(store.ByClass(class), func(x, y reference.ID) {
+			for _, idx := range b.indexes {
+				idx.Pairs(func(x, y reference.ID) {
 					check(store.Get(x), store.Get(y))
 				})
 			}

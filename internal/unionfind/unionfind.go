@@ -4,8 +4,6 @@
 // step of the algorithm in Figure 4 of the paper).
 package unionfind
 
-import "sort"
-
 // UF is a disjoint-set forest over dense integer ids [0, n). The zero value
 // is unusable; construct with New.
 type UF struct {
@@ -55,18 +53,19 @@ func (u *UF) Union(x, y int) bool {
 func (u *UF) Same(x, y int) bool { return u.Find(x) == u.Find(y) }
 
 // Partitions returns the sets as sorted slices of member ids, ordered by
-// each set's smallest member. The output is deterministic.
+// each set's smallest member. The output is deterministic: members are
+// visited in ascending order, so each set opens at its smallest member and
+// grows in order.
 func (u *UF) Partitions() [][]int {
-	groups := make(map[int][]int)
+	var out [][]int
+	at := make([]int, len(u.parent)) // root -> 1 + its set's index in out
 	for i := range u.parent {
 		r := u.Find(i)
-		groups[r] = append(groups[r], i)
+		if at[r] == 0 {
+			out = append(out, nil)
+			at[r] = len(out)
+		}
+		out[at[r]-1] = append(out[at[r]-1], i)
 	}
-	out := make([][]int, 0, len(groups))
-	for _, g := range groups {
-		sort.Ints(g)
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
 }

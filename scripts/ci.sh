@@ -67,7 +67,7 @@ echo "== go test =="
 go test ./...
 
 echo "== go test -race (concurrent packages) =="
-go test -race ./internal/parallel ./internal/recon ./internal/serve ./internal/collective ./internal/obs
+go test -race ./internal/parallel ./internal/recon ./internal/serve ./internal/collective ./internal/obs ./internal/blocking
 
 echo "== go test -race (twin-graph and worker-count determinism, golden outputs, collective answers over a shared memo) =="
 go test -race -run 'DeltaRescanEquivalence' ./internal/depgraph
@@ -346,11 +346,11 @@ cfgfields() { awk '/^type Config struct \{/{on=1; next} on && /^\}/{on=0} on && 
 knobs=$(( $(cfgfields internal/recon/config.go) + $(cfgfields internal/serve/serve.go) + $(cfgfields internal/collective/collective.go) \
     + $(grep -rhoE 'flag\.(String|Int|Int64|Bool|Float64|Duration)\(' cmd | wc -l) ))
 design=$(wc -c <DESIGN.md)
-echo "non-test Go lines under internal/ + cmd/: $lines (ceiling 19790)"
+echo "non-test Go lines under internal/ + cmd/: $lines (ceiling 19762)"
 echo "exported funcs, methods and types:         $exported (ceiling 512)"
 echo "knobs (Config fields + cmd flags):         $knobs (ceiling 65)"
-echo "DESIGN.md bytes:                           $design (ceiling 68498)"
-if [ "$lines" -gt 19790 ] || [ "$exported" -gt 512 ] || [ "$knobs" -gt 65 ] || [ "$design" -gt 68498 ]; then
+echo "DESIGN.md bytes:                           $design (ceiling 68496)"
+if [ "$lines" -gt 19762 ] || [ "$exported" -gt 512 ] || [ "$knobs" -gt 65 ] || [ "$design" -gt 68496 ]; then
     echo "size ceiling exceeded" >&2
     exit 1
 fi
