@@ -216,6 +216,12 @@ func (b *builder) incorporate(newRefs []*reference.Reference) []*depgraph.Node {
 				vals = b.appendVals(vals, r1, r2)
 				items = append(items, pairItem{r1, r2, lo, len(vals)})
 			})
+		}
+		// An index's SkippedBuckets is its count of over-cap buckets now,
+		// so the builder's is the sum over the class indexes, never summed
+		// again across commits.
+		b.skippedBuckets = 0
+		for _, idx := range b.indexes {
 			b.skippedBuckets += idx.SkippedBuckets()
 		}
 		return nil

@@ -96,11 +96,11 @@ func (cm *CollectiveMatcher) MatchConfig(q Query, cc collective.Config) ([]Candi
 		pos[base[i].Entity.Label] = i
 	}
 	for id, s := range res.Scores {
-		label, ok := m.snap.assignment[id]
-		if !ok {
+		ent := m.snap.EntityOf(id)
+		if ent == nil {
 			continue
 		}
-		if i, ok := pos[label]; ok && s > base[i].Score {
+		if i, ok := pos[ent.Label]; ok && s > base[i].Score {
 			base[i].Score = s
 		}
 	}
@@ -121,7 +121,7 @@ type queryHost struct {
 }
 
 func newQueryHost(m *Matcher, qr *reference.Reference, qrow valueRow) *queryHost {
-	qr.ID = reference.ID(len(m.refs))
+	qr.ID = reference.ID(m.snap.RefCount())
 	return &queryHost{m: m, qr: qr, qrow: qrow}
 }
 
@@ -151,10 +151,8 @@ func (h *queryHost) ref(id reference.ID) *reference.Reference {
 	if id == h.qr.ID {
 		return h.qr
 	}
-	if id < 0 || int(id) >= len(h.m.refs) {
-		return nil
-	}
-	return h.m.refs[id]
+	r, _ := h.m.snap.Ref(id)
+	return r
 }
 
 // ClassOf implements collective.Host.

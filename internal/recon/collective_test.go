@@ -27,7 +27,8 @@ func snapshotOf(t *testing.T, store *reference.Store, cfg Config) *Snapshot {
 
 // queryFor builds the exact-copy query of one stored reference: its own
 // atomic values, plus (when withAssoc) its own association targets.
-func queryFor(sr *SnapRef, withAssoc bool, limit int) Query {
+func queryFor(r *reference.Reference, withAssoc bool, limit int) Query {
+	sr := r.Record()
 	q := Query{Class: sr.Class, Limit: limit}
 	if len(sr.Atomic) > 0 {
 		q.Atomic = make(map[string][]string, len(sr.Atomic))
@@ -54,11 +55,10 @@ func candidateFingerprint(cands []Candidate) string {
 }
 
 // sampleRefs picks every strideth reference with any content.
-func sampleRefs(snap *Snapshot, stride int) []*SnapRef {
-	var out []*SnapRef
-	for i := range snap.refs {
-		sr := &snap.refs[i]
-		if int(sr.ID)%stride == 0 && len(sr.Atomic) > 0 {
+func sampleRefs(snap *Snapshot, stride int) []*reference.Reference {
+	var out []*reference.Reference
+	for _, sr := range snap.forms {
+		if int(sr.ID)%stride == 0 && len(sr.AtomicAttrs()) > 0 {
 			out = append(out, sr)
 		}
 	}
@@ -113,7 +113,7 @@ func TestCollectiveBudgetFallbackBitIdentical(t *testing.T) {
 
 // goldTopHits counts queries whose top candidate entity contains a
 // reference with the query reference's gold entity label.
-func goldTopHits(t *testing.T, snap *Snapshot, refs []*SnapRef, match func(Query) ([]Candidate, error)) int {
+func goldTopHits(t *testing.T, snap *Snapshot, refs []*reference.Reference, match func(Query) ([]Candidate, error)) int {
 	t.Helper()
 	hits := 0
 	for _, sr := range refs {

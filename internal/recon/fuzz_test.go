@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"refrecon/internal/datagen/pim"
 	"refrecon/internal/reference"
 	"refrecon/internal/schema"
 )
@@ -21,34 +22,36 @@ func encodeWire(t testing.TB, w snapshotWire) []byte {
 	return buf.Bytes()
 }
 
-// incoherentWires are well-formed gob streams whose partitions and
-// assignment disagree with the references they carry. The first two used
-// to panic in buildEntities with an index out of range.
+// incoherentWires are well-formed gob streams whose partitions do not
+// partition the references they carry. The first two used to panic in
+// buildEntities with an index out of range.
 func incoherentWires(t testing.TB) map[string][]byte {
-	person := SnapRef{Class: schema.ClassPerson, Atomic: map[string][]string{schema.AttrName: {"Alice"}}}
+	person := reference.Record{Class: schema.ClassPerson, Atomic: map[string][]string{schema.AttrName: {"Alice"}}}
+	article := reference.Record{Class: schema.ClassArticle, Atomic: map[string][]string{schema.AttrTitle: {"Reconciliation"}}}
 	return map[string][]byte{
 		"partition-id-outside-refs": encodeWire(t, snapshotWire{
-			Refs:       []SnapRef{person},
+			Refs:       []reference.Record{person},
 			Partitions: map[string][][]reference.ID{schema.ClassPerson: {{0, 7}}},
-			Assignment: map[reference.ID]int{0: 0},
 		}),
 		"empty-partition": encodeWire(t, snapshotWire{
-			Refs:       []SnapRef{person},
+			Refs:       []reference.Record{person},
 			Partitions: map[string][][]reference.ID{schema.ClassPerson: {{0}, {}}},
-			Assignment: map[reference.ID]int{0: 0},
 		}),
 		"negative-partition-id": encodeWire(t, snapshotWire{
-			Refs:       []SnapRef{person},
+			Refs:       []reference.Record{person},
 			Partitions: map[string][][]reference.ID{schema.ClassPerson: {{-1}}},
 		}),
-		"member-assigned-elsewhere": encodeWire(t, snapshotWire{
-			Refs:       []SnapRef{person, person},
-			Partitions: map[string][][]reference.ID{schema.ClassPerson: {{0, 1}}},
-			Assignment: map[reference.ID]int{0: 0, 1: 1},
+		"id-in-two-partitions": encodeWire(t, snapshotWire{
+			Refs:       []reference.Record{person, person},
+			Partitions: map[string][][]reference.ID{schema.ClassPerson: {{0, 1}, {1}}},
 		}),
-		"assignment-id-outside-refs": encodeWire(t, snapshotWire{
-			Refs:       []SnapRef{person},
-			Assignment: map[reference.ID]int{3: 0},
+		"member-of-another-class": encodeWire(t, snapshotWire{
+			Refs:       []reference.Record{person, article},
+			Partitions: map[string][][]reference.ID{schema.ClassPerson: {{0, 1}}},
+		}),
+		"members-out-of-order": encodeWire(t, snapshotWire{
+			Refs:       []reference.Record{person, person},
+			Partitions: map[string][][]reference.ID{schema.ClassPerson: {{1, 0}}},
 		}),
 	}
 }
@@ -93,14 +96,12 @@ func TestDecodeSnapshotRejectsIncoherent(t *testing.T) {
 // builds over every snapshot it publishes.
 func exerciseSnapshot(t *testing.T, s *Snapshot) {
 	n := reference.ID(s.RefCount())
-	for _, parts := range s.Partitions() {
-		for _, part := range parts {
-			if s.EntityOf(part[0]) == nil {
-				t.Fatalf("partition %v has no entity", part)
+	for i, e := range s.Entities() {
+		for _, id := range e.Members {
+			if s.EntityOf(id) != e || e.Label != i {
+				t.Fatalf("entity %d (label %d) member %d indexes to another entity", i, e.Label, id)
 			}
 		}
-	}
-	for _, e := range s.Entities() {
 		e.Name()
 	}
 	for id := reference.ID(-1); id <= n; id++ {
@@ -136,8 +137,9 @@ func exerciseSnapshot(t *testing.T, s *Snapshot) {
 
 // FuzzDecodeSnapshot feeds arbitrary bytes to the checkpoint decoder: any
 // input is either an error or a snapshot whose every accessor is safe to
-// call. The committed corpus (testdata/fuzz/FuzzDecodeSnapshot) holds a
-// real snapshot, a truncation of it, and the incoherent wires above.
+// call. The committed corpus (testdata/fuzz/FuzzDecodeSnapshot) holds
+// blobs of the earlier wire form, which also carried an Assignment map: a
+// real snapshot, a truncation of it, and incoherent wires.
 func FuzzDecodeSnapshot(f *testing.F) {
 	valid := validBlob(f)
 	f.Add(valid)
@@ -155,4 +157,60 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		exerciseSnapshot(t, snap)
 	})
+}
+
+// labelledWire is the snapshot wire form as it was while it also carried
+// each reference's partition label (Assignment), redundant with
+// Partitions. Gob matches fields by name, so this stands in for it.
+type labelledWire struct {
+	Version    int
+	Taken      time.Time
+	Stats      Stats
+	Refs       []reference.Record
+	NameAttrs  map[string]string
+	Partitions map[string][][]reference.ID
+	Assignment map[reference.ID]int
+	Pairs      []PairDecision
+}
+
+// TestDecodeLabelledWire pins checkpoint compatibility: a blob written in
+// the earlier wire form, Assignment included, decodes to the snapshot the
+// current form round-trips to.
+func TestDecodeLabelledWire(t *testing.T) {
+	g, err := pim.Generate(pim.DatasetA(0.03))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := snapshotOf(t, g.Store, DefaultConfig())
+	blob, err := EncodeSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w snapshotWire
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&w); err != nil {
+		t.Fatal(err)
+	}
+	old := labelledWire{
+		Version: w.Version, Taken: w.Taken, Stats: w.Stats, Refs: w.Refs, NameAttrs: w.NameAttrs,
+		Partitions: w.Partitions, Assignment: make(map[reference.ID]int), Pairs: w.Pairs,
+	}
+	for _, e := range snap.Entities() {
+		for _, id := range e.Members {
+			old.Assignment[id] = e.Label
+		}
+	}
+	if len(old.Assignment) == 0 || len(old.Pairs) == 0 {
+		t.Fatal("the labelled blob carries no assignment or pairs; the test would prove nothing")
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeSnapshot(buf.Bytes())
+	if err != nil {
+		t.Fatalf("a labelled blob does not decode: %v", err)
+	}
+	if want := snapshotFingerprint(t, snap); snapshotFingerprint(t, got) != want {
+		t.Fatalf("a labelled blob decodes to another snapshot:\n%s\nwant:\n%s", snapshotFingerprint(t, got), want)
+	}
 }

@@ -3,6 +3,7 @@ package recon
 import (
 	"testing"
 
+	"refrecon/internal/obs"
 	"refrecon/internal/reference"
 	"refrecon/internal/schema"
 )
@@ -176,5 +177,48 @@ func TestSessionMatchesBatch(t *testing.T) {
 	}
 	if agree != total {
 		t.Errorf("incremental agrees with batch on %d/%d pairs", agree, total)
+	}
+}
+
+// TestSessionSkippedBucketsMatchBatch pins the skipped-bucket count of a
+// session to the one-shot run's: six identical references under a cap of
+// two, fed in three batches, overflow the same buckets once, however many
+// commits see them over the cap. The observer counter follows the stats.
+func TestSessionSkippedBucketsMatchBatch(t *testing.T) {
+	add := func(s *reference.Store) {
+		s.Add(reference.New(schema.ClassPerson).
+			AddAtomic(schema.AttrName, "Jennifer Widom").
+			AddAtomic(schema.AttrEmail, "widom@stanford.edu"))
+	}
+	cfg := DefaultConfig()
+	cfg.BucketCap = 2
+	oneShot := reference.NewStore()
+	for range 6 {
+		add(oneShot)
+	}
+	want, err := New(schema.PIM(), cfg).Reconcile(oneShot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Stats.SkippedBuckets == 0 {
+		t.Fatal("the one-shot run skips no bucket; the test would prove nothing")
+	}
+
+	cfg.Obs = &obs.Observer{Counters: obs.NewCounters()}
+	store := reference.NewStore()
+	sess := New(schema.PIM(), cfg).NewSession(store)
+	var got *Result
+	for range 3 {
+		add(store)
+		add(store)
+		if got, err = sess.Reconcile(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got.Stats.SkippedBuckets != want.Stats.SkippedBuckets {
+		t.Errorf("session SkippedBuckets = %d, one-shot run's = %d", got.Stats.SkippedBuckets, want.Stats.SkippedBuckets)
+	}
+	if c := cfg.Obs.Counters.SkippedBuckets.Load(); c != int64(want.Stats.SkippedBuckets) {
+		t.Errorf("skippedBuckets counter = %d, want %d", c, want.Stats.SkippedBuckets)
 	}
 }

@@ -1,12 +1,12 @@
 package recon
 
 // Snapshot persistence: a gob wire form carrying only the snapshot's base
-// data (references, partitions, assignment, pair decisions). Derived
-// structures — canonical entities, the label index, the merged-pair
-// adjacency used by Explain — are rebuilt on decode by the same code that
-// builds them at export, so a decoded snapshot answers every query
-// identically to the original. The serving layer's checkpoint files embed
-// this encoding.
+// data (references as records, partitions, pair decisions). Derived
+// structures — canonical entities, the reference-to-entity index, the
+// merged-pair adjacency used by Explain — are rebuilt on decode by the
+// same code that builds them at export, so a decoded snapshot answers
+// every query identically to the original. The serving layer's checkpoint
+// files embed this encoding.
 
 import (
 	"bytes"
@@ -20,15 +20,18 @@ import (
 
 // snapshotWire is the persisted form of a Snapshot. All fields are
 // exported for gob; pair decisions are flattened into a slice sorted by
-// pair key so their decoded in-memory order is deterministic.
+// pair key so their decoded in-memory order is deterministic. Partitions
+// list each class's parts in canonical-id order, members ascending. Blobs
+// written while the form also carried the partition labels by reference
+// id (an Assignment map) still decode: gob skips a field the receiver
+// lacks.
 type snapshotWire struct {
 	Version    int
 	Taken      time.Time
 	Stats      Stats
-	Refs       []SnapRef
+	Refs       []reference.Record
 	NameAttrs  map[string]string
 	Partitions map[string][][]reference.ID
-	Assignment map[reference.ID]int
 	Pairs      []PairDecision
 }
 
@@ -38,10 +41,15 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 		Version:    s.Version,
 		Taken:      s.Taken,
 		Stats:      s.Stats,
-		Refs:       s.refs,
+		Refs:       make([]reference.Record, len(s.forms)),
 		NameAttrs:  s.nameAttrs,
-		Partitions: s.partitions,
-		Assignment: s.assignment,
+		Partitions: make(map[string][][]reference.ID),
+	}
+	for i, r := range s.forms {
+		w.Refs[i] = r.Record()
+	}
+	for _, e := range s.entities {
+		w.Partitions[e.Class] = append(w.Partitions[e.Class], e.Members)
 	}
 	keys := make([]uint64, 0, len(s.pairs))
 	for k := range s.pairs {
@@ -61,57 +69,31 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 
 // DecodeSnapshot reconstructs a snapshot from EncodeSnapshot's output,
 // rebuilding the derived entity and explain indexes. The blob is outside
-// input (a checkpoint file): one that gob accepts but that names references
-// it does not carry is an error, never a snapshot that panics later.
+// input (a checkpoint file): one that gob accepts but whose partitions do
+// not partition a subset of the references it carries is an error, never
+// a snapshot that panics later.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	var w snapshotWire
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return nil, fmt.Errorf("recon: decode snapshot: %w", err)
 	}
 	snap := &Snapshot{
-		Version:    w.Version,
-		Taken:      w.Taken,
-		Stats:      w.Stats,
-		refs:       w.Refs,
-		nameAttrs:  w.NameAttrs,
-		partitions: w.Partitions,
-		assignment: w.Assignment,
-		byLabel:    make(map[int]*Entity),
-		pairs:      make(map[uint64]*PairDecision, len(w.Pairs)),
-		keys:       make([][]string, len(w.Refs)),
+		Version:   w.Version,
+		Taken:     w.Taken,
+		Stats:     w.Stats,
+		forms:     make([]*reference.Reference, len(w.Refs)),
+		nameAttrs: w.NameAttrs,
+		pairs:     make(map[uint64]*PairDecision, len(w.Pairs)),
+		keys:      make([][]string, len(w.Refs)),
 	}
-	// Gob omits empty maps; normalize so decoded snapshots behave like
-	// freshly exported ones (whose maps are always non-nil).
-	if snap.partitions == nil {
-		snap.partitions = make(map[string][][]reference.ID)
+	for i, rec := range w.Refs {
+		// Ids are dense: a record's own id field is informational.
+		snap.forms[i] = rec.Reference()
+		snap.forms[i].ID = reference.ID(i)
 	}
-	if snap.assignment == nil {
-		snap.assignment = make(map[reference.ID]int)
+	if err := snap.buildEntities(w.Partitions); err != nil {
+		return nil, fmt.Errorf("recon: decode snapshot: %w", err)
 	}
-	for id := range snap.assignment {
-		if int(id) >= len(snap.refs) || id < 0 {
-			return nil, fmt.Errorf("recon: decode snapshot: assignment id %d outside %d refs", id, len(snap.refs))
-		}
-	}
-	for class, parts := range snap.partitions {
-		for _, part := range parts {
-			if len(part) == 0 {
-				return nil, fmt.Errorf("recon: decode snapshot: empty %s partition", class)
-			}
-			for _, id := range part {
-				// An assigned id is in range (checked above), so this covers
-				// the partition ids too.
-				if label, ok := snap.assignment[id]; !ok || label != snap.assignment[part[0]] {
-					return nil, fmt.Errorf("recon: decode snapshot: %s partition member %d is not assigned to it", class, id)
-				}
-			}
-		}
-	}
-	for _, rec := range snap.refs {
-		snap.forms = append(snap.forms, rec.Reference())
-		snap.forms[len(snap.forms)-1].ID = rec.ID
-	}
-	snap.buildEntities()
 	for i := range w.Pairs {
 		d := &w.Pairs[i]
 		snap.pairs[pairIndex(d.A, d.B)] = d

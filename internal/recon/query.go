@@ -64,10 +64,7 @@ type MatchStats struct {
 type Matcher struct {
 	*evidence
 	snap *Snapshot
-	// refs are the snapshot's stored references as References, indexed by
-	// id: the shape the evidence model reads. Shared, read-only.
-	refs []*reference.Reference
-	// unions is each entity's union's value row, by Entity.pos.
+	// unions is each entity's union's value row, by Entity.Label.
 	unions []valueRow
 	// keys is each stored reference's blocking keys as fed, by id.
 	keys [][]string
@@ -87,17 +84,16 @@ func NewMatcher(sch *schema.Schema, cfg Config, snap *Snapshot) *Matcher {
 	m := &Matcher{
 		evidence: newEvidence(sch, cfg),
 		snap:     snap,
-		refs:     snap.forms,
 		unions:   make([]valueRow, len(snap.entities)),
-		keys:     make([][]string, len(snap.refs)),
-		cands:    make([]atomic.Pointer[[]reference.ID], len(snap.refs)),
-		assocs:   make([]atomic.Pointer[[][]reference.ID], len(snap.refs)),
+		keys:     make([][]string, len(snap.forms)),
+		cands:    make([]atomic.Pointer[[]reference.ID], len(snap.forms)),
+		assocs:   make([]atomic.Pointer[[][]reference.ID], len(snap.forms)),
 	}
 	if snap.vals != nil && slices.Equal(snap.attrs, m.attrs) {
 		m.rows, m.lib = snap.rows, snap.vals
 	} else {
-		m.rows = make([]valueRow, len(m.refs))
-		for i, r := range m.refs {
+		m.rows = make([]valueRow, len(snap.forms))
+		for i, r := range snap.forms {
 			m.rows[i] = m.valueRow(r)
 		}
 	}
@@ -105,7 +101,7 @@ func NewMatcher(sch *schema.Schema, cfg Config, snap *Snapshot) *Matcher {
 	if cfg.Obs != nil {
 		m.lib.SetCounters(cfg.Obs.Counters)
 	}
-	for i, r := range m.refs {
+	for i, r := range snap.forms {
 		m.keys[i] = m.feed(r, snap.keys[i])
 	}
 	for i, ent := range snap.entities {
@@ -140,15 +136,11 @@ func (m *Matcher) score(qr *reference.Reference, qrow valueRow) ([]Candidate, Ma
 	seen := make(map[int]bool)
 	var cands []Candidate
 	for _, id := range ids {
-		label, ok := m.snap.assignment[id]
-		if !ok || seen[label] {
+		ent := m.snap.EntityOf(id)
+		if ent == nil || seen[ent.Label] {
 			continue
 		}
-		seen[label] = true
-		ent := m.snap.byLabel[label]
-		if ent == nil {
-			continue
-		}
+		seen[ent.Label] = true
 		cands = append(cands, Candidate{Entity: ent, Score: m.scoreEntity(qr, qrow, ent)})
 	}
 	return cands, MatchStats{CandidateRefs: len(ids), CandidateEntities: len(cands)}
@@ -215,7 +207,7 @@ func (m *Matcher) Rank(cands []Candidate, limit int) []Candidate {
 // combined by the class decision tree (every tree scores no evidence 0).
 func (m *Matcher) scoreEntity(qr *reference.Reference, qrow valueRow, ent *Entity) float64 {
 	var ev simfn.Evidence
-	m.eachScored(qr, ent.union, qrow, m.unions[ent.pos], func(v valCompare, _, _ string, sim float64) {
+	m.eachScored(qr, ent.union, qrow, m.unions[ent.Label], func(v valCompare, _, _ string, sim float64) {
 		ev.Observe(m.cmps[v.row].evidence, sim)
 	})
 	return m.row(qr.Class).score.SRV(&ev)

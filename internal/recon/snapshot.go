@@ -1,15 +1,17 @@
 package recon
 
-// Snapshot export: a deep, read-only view of a reconciliation state that a
+// Snapshot export: a read-only view of a reconciliation state that a
 // serving layer can publish to concurrent readers while the live session
-// keeps ingesting batches. A snapshot owns copies of everything it exposes
-// — reference attribute values, partitions, canonical enriched entities,
-// and per-pair explain data — so mutating the session (adding references,
-// running further Reconcile batches) never changes an already-exported
-// snapshot. See internal/serve for the copy-on-write publication scheme
-// built on top.
+// keeps ingesting batches. A snapshot holds each fact once — every
+// reference as one Reference, the partition as canonical enriched entities
+// with one dense reference-to-entity index, and per-pair explain data —
+// and nothing it holds is written again, so mutating the session (adding
+// references, running further Reconcile batches) never changes an
+// already-exported snapshot. See internal/serve for the copy-on-write
+// publication scheme built on top.
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -21,17 +23,13 @@ import (
 	"refrecon/internal/simfn"
 )
 
-// SnapRef is one stored reference inside a Snapshot: the snapshot's own
-// deep copy, in record form. Read-only.
-type SnapRef = reference.Record
-
 // Entity is one canonical enriched entity of a snapshot: a partition with
 // the union of its members' attribute values (the §3.3 enrichment view,
 // materialized). The member with the lowest id is the canonical
 // representative; its id doubles as the entity's external identifier.
 type Entity struct {
-	// Label is the snapshot-local partition label (not stable across
-	// snapshots; Canonical is the stable handle).
+	// Label is the entity's index in Snapshot.Entities: snapshot-local,
+	// not stable across snapshots (Canonical is the stable handle).
 	Label int
 	Class string
 	// Canonical is the lowest member reference id.
@@ -45,7 +43,6 @@ type Entity struct {
 	union *reference.Reference
 	// nameAttr is the class's name-like attribute (schema.Class.NameAttr).
 	nameAttr string
-	pos      int // position in Snapshot.Entities
 }
 
 // Name returns a display value for the entity: its first value of the
@@ -85,16 +82,15 @@ type Snapshot struct {
 	// Stats are the accumulated run statistics at export time.
 	Stats Stats
 
-	refs []SnapRef
-	// forms are refs as References, ids set: the evidence model's shape.
+	// forms are the stored references by id, ids set. Read-only.
 	forms []*reference.Reference
 	// nameAttrs maps each schema class to its name-like attribute, so that
 	// entity labels follow the schema without the snapshot holding one.
-	nameAttrs  map[string]string
-	partitions map[string][][]reference.ID
-	assignment map[reference.ID]int
-	entities   []*Entity
-	byLabel    map[int]*Entity
+	nameAttrs map[string]string
+	// entities are the partitions in canonical-id order; entityOf maps a
+	// reference id to its entity's index there, -1 for one in no partition.
+	entities []*Entity
+	entityOf []int32
 	// pairs holds one copied decision per RefPair node; merged holds the
 	// merged-pair adjacency for explain path search, each list sorted by
 	// the other endpoint.
@@ -120,24 +116,20 @@ func pairIndex(a, b reference.ID) uint64 {
 }
 
 // RefCount returns the number of references in the snapshot.
-func (s *Snapshot) RefCount() int { return len(s.refs) }
+func (s *Snapshot) RefCount() int { return len(s.forms) }
 
-// Ref returns the snapshot's view of one reference.
-func (s *Snapshot) Ref(id reference.ID) (*SnapRef, bool) {
-	if id < 0 || int(id) >= len(s.refs) {
+// Ref returns the snapshot's view of one reference. Read-only.
+func (s *Snapshot) Ref(id reference.ID) (*reference.Reference, bool) {
+	if id < 0 || int(id) >= len(s.forms) {
 		return nil, false
 	}
-	return &s.refs[id], true
+	return s.forms[id], true
 }
-
-// Partitions returns the class partition map. Read-only.
-func (s *Snapshot) Partitions() map[string][][]reference.ID { return s.partitions }
 
 // SameEntity reports whether two references share a partition.
 func (s *Snapshot) SameEntity(a, b reference.ID) bool {
-	pa, okA := s.assignment[a]
-	pb, okB := s.assignment[b]
-	return okA && okB && pa == pb
+	e := s.EntityOf(a)
+	return e != nil && e == s.EntityOf(b)
 }
 
 // Entities returns the canonical enriched entities, sorted by canonical
@@ -147,11 +139,10 @@ func (s *Snapshot) Entities() []*Entity { return s.entities }
 // EntityOf returns the entity a reference belongs to (nil when the id is
 // out of range).
 func (s *Snapshot) EntityOf(id reference.ID) *Entity {
-	label, ok := s.assignment[id]
-	if !ok {
+	if id < 0 || int(id) >= len(s.entityOf) || s.entityOf[id] < 0 {
 		return nil
 	}
-	return s.byLabel[label]
+	return s.entities[s.entityOf[id]]
 }
 
 // Pair returns the copied decision for the (a, b) pair node, or nil when
@@ -163,7 +154,7 @@ func (s *Snapshot) Pair(a, b reference.ID) *PairDecision {
 // Explain reports whether a and b share a partition and, when they do,
 // the chain of merged pair decisions connecting them.
 func (s *Snapshot) Explain(a, b reference.ID) (Explanation, error) {
-	if int(a) >= len(s.refs) || int(b) >= len(s.refs) || a < 0 || b < 0 {
+	if int(a) >= len(s.forms) || int(b) >= len(s.forms) || a < 0 || b < 0 {
 		return Explanation{}, fmt.Errorf("recon: reference id out of range")
 	}
 	return s.explain(a, b), nil
@@ -183,11 +174,12 @@ func (s *Snapshot) explain(a, b reference.ID) Explanation {
 	return out
 }
 
-// Snapshot exports a deep, read-only view of the session's latest state:
-// references, partitions, canonical enriched entities, and per-pair
-// explain data. It errors before the first Reconcile. The result shares no
-// mutable state with the session, so later batches never disturb it: what
-// it shares with earlier exports is never written again.
+// Snapshot exports a read-only view of the session's latest state:
+// references, canonical enriched entities, and per-pair explain data. It
+// errors before the first Reconcile. The result shares no mutable state
+// with the session, so later batches never disturb it: what it shares with
+// earlier exports, and the result's partitions its entities list as
+// members, is never written again.
 func (s *Session) Snapshot() (*Snapshot, error) {
 	if s.latest == nil || s.g == nil {
 		return nil, fmt.Errorf("recon: Snapshot before Reconcile")
@@ -195,13 +187,10 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 	sp := s.rc.cfg.Obs.Tracer().Begin("publish", "snapshot")
 	res := s.latest
 	snap := &Snapshot{
-		Version:    s.b.batch,
-		Taken:      time.Now(),
-		Stats:      res.Stats,
-		nameAttrs:  make(map[string]string),
-		partitions: make(map[string][][]reference.ID, len(res.Partitions)),
-		assignment: make(map[reference.ID]int, len(res.Assignment)),
-		byLabel:    make(map[int]*Entity),
+		Version:   s.b.batch,
+		Taken:     time.Now(),
+		Stats:     res.Stats,
+		nameAttrs: make(map[string]string),
 	}
 
 	for _, c := range s.rc.sch.Classes() {
@@ -211,8 +200,9 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 	// Snapshots cover the store prefix the result was computed over:
 	// references added to the store after the result's Reconcile (but
 	// before export) have no partition assignment yet and are excluded,
-	// keeping refs and partitions mutually consistent. Records are copied
-	// once, and snapshots share the prefix, as they share blocking keys.
+	// keeping refs and partitions mutually consistent. References are
+	// copied once, and snapshots share the prefix, as they share blocking
+	// keys.
 	covered := s.store.Len()
 	for covered > 0 {
 		if _, ok := res.Assignment[reference.ID(covered-1)]; ok {
@@ -221,28 +211,20 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 		covered--
 	}
 	p := &s.pub
-	for i := len(p.refs); i < covered; i++ {
-		p.refs = append(p.refs, s.store.Get(reference.ID(i)).Record())
-		p.forms = append(p.forms, p.refs[i].Reference())
-		p.forms[i].ID = p.refs[i].ID
+	for i := len(p.forms); i < covered; i++ {
+		r := s.store.Get(reference.ID(i))
+		cp := r.Record().Reference()
+		cp.ID = r.ID
+		p.forms = append(p.forms, cp)
 	}
-	snap.refs, snap.forms = p.refs[:covered:covered], p.forms[:covered:covered]
+	snap.forms = p.forms[:covered:covered]
 	snap.keys = s.b.keys[:covered:covered]
 	snap.rows, snap.vals, snap.attrs = s.b.rows[:covered:covered], s.b.lib, s.b.attrs
 
-	for class, parts := range res.Partitions {
-		cp := make([][]reference.ID, len(parts))
-		for i, part := range parts {
-			cp[i] = append([]reference.ID(nil), part...)
-			sort.Slice(cp[i], func(x, y int) bool { return cp[i][x] < cp[i][y] })
-		}
-		snap.partitions[class] = cp
+	if err := snap.buildEntities(res.Partitions); err != nil {
+		sp.End()
+		return nil, err
 	}
-	for id, label := range res.Assignment {
-		snap.assignment[id] = label
-	}
-
-	snap.buildEntities()
 	described := p.describe(s.g)
 	snap.pairs = p.pairs
 	snap.linkMerged()
@@ -251,11 +233,10 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 }
 
 // publication is what a session's last export leaves for the next: the
-// record copies in both forms, the decision map, and per pair-node id the
-// decision exported with the inputs it was described from. It resets with
-// the graph.
+// reference copies, the decision map, and per pair-node id the decision
+// exported with the inputs it was described from. It resets with the
+// graph.
 type publication struct {
-	refs    []SnapRef
 	forms   []*reference.Reference
 	pairs   map[uint64]*PairDecision
 	memo    []pairMemo
@@ -325,47 +306,73 @@ func (snap *Snapshot) linkMerged() {
 }
 
 // buildEntities derives the canonical enriched entities from the
-// snapshot's refs, partitions, and assignment: one entity per partition,
-// attribute values unioned over the members (the MAX-rule view enrichment
-// builds implicitly). It is called once at export and again when a
-// snapshot is decoded from its persisted form, which carries only the base
-// data.
-func (snap *Snapshot) buildEntities() {
-	classes := make([]string, 0, len(snap.partitions))
-	for c := range snap.partitions {
-		classes = append(classes, c)
+// snapshot's references and a partition map whose parts list member ids in
+// ascending order: one entity per part, in canonical-id order, attribute
+// values unioned over the members (the MAX-rule view enrichment builds
+// implicitly), and the reference-to-entity index. It runs once at export
+// and again when a snapshot is decoded from its persisted form, which
+// carries only the base data; for the latter it is the coherence check, so
+// a part that is empty, names a reference the snapshot lacks, lists its
+// members out of order, overlaps another part or holds a member of another
+// class is an error.
+func (snap *Snapshot) buildEntities(partitions map[string][][]reference.ID) error {
+	type part struct {
+		class string
+		ids   []reference.ID
 	}
-	sort.Strings(classes)
-	for _, class := range classes {
-		for _, part := range snap.partitions[class] {
-			ent := &Entity{
-				Label:     snap.assignment[part[0]],
-				Class:     class,
-				Canonical: part[0],
-				Members:   part,
-				Atomic:    make(map[string][]string),
-				nameAttr:  snap.nameAttrs[class],
+	var parts []part
+	for class, ps := range partitions {
+		for _, ids := range ps {
+			if len(ids) == 0 {
+				return fmt.Errorf("empty %s partition", class)
 			}
-			for _, id := range part {
-				// Attribute order is immaterial: each attribute's values
-				// are unioned on their own, in member order.
-				for a, vs := range snap.refs[id].Atomic {
-					for _, v := range vs {
-						if !slices.Contains(ent.Atomic[a], v) {
-							ent.Atomic[a] = append(ent.Atomic[a], v)
-						}
+			parts = append(parts, part{class, ids})
+		}
+	}
+	// Two parts with one first id overlap, so the class tie-break only
+	// makes which of them the error names deterministic.
+	slices.SortFunc(parts, func(x, y part) int {
+		return cmp.Or(cmp.Compare(x.ids[0], y.ids[0]), cmp.Compare(x.class, y.class))
+	})
+	snap.entities = make([]*Entity, len(parts))
+	snap.entityOf = make([]int32, len(snap.forms))
+	for i := range snap.entityOf {
+		snap.entityOf[i] = -1
+	}
+	for i, p := range parts {
+		ent := &Entity{
+			Label:     i,
+			Class:     p.class,
+			Canonical: p.ids[0],
+			Members:   p.ids,
+			Atomic:    make(map[string][]string),
+			nameAttr:  snap.nameAttrs[p.class],
+		}
+		for j, id := range p.ids {
+			switch {
+			case id < 0 || int(id) >= len(snap.forms):
+				return fmt.Errorf("%s partition member %d outside %d references", p.class, id, len(snap.forms))
+			case j > 0 && id <= p.ids[j-1]:
+				return fmt.Errorf("%s partition members %d, %d not ascending", p.class, p.ids[j-1], id)
+			case snap.entityOf[id] >= 0:
+				return fmt.Errorf("reference %d in two partitions", id)
+			case snap.forms[id].Class != p.class:
+				return fmt.Errorf("%s partition member %d is a %s", p.class, id, snap.forms[id].Class)
+			}
+			snap.entityOf[id] = int32(i)
+			// Attribute order is immaterial: each attribute's values are
+			// unioned on their own, in member order.
+			r := snap.forms[id]
+			for _, a := range r.AtomicAttrs() {
+				for _, v := range r.Atomic(a) {
+					if !slices.Contains(ent.Atomic[a], v) {
+						ent.Atomic[a] = append(ent.Atomic[a], v)
 					}
 				}
 			}
-			ent.union = reference.Record{Class: class, Atomic: ent.Atomic}.Reference()
-			snap.entities = append(snap.entities, ent)
-			snap.byLabel[ent.Label] = ent
 		}
+		ent.union = reference.Record{Class: p.class, Atomic: ent.Atomic}.Reference()
+		snap.entities[i] = ent
 	}
-	sort.Slice(snap.entities, func(i, j int) bool {
-		return snap.entities[i].Canonical < snap.entities[j].Canonical
-	})
-	for i, ent := range snap.entities {
-		ent.pos = i
-	}
+	return nil
 }

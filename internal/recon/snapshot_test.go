@@ -2,7 +2,6 @@ package recon
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"refrecon/internal/reference"
@@ -10,22 +9,14 @@ import (
 )
 
 // snapshotFingerprint renders everything a snapshot exposes into one
-// comparable string: references, partitions, entities, a sample pair
-// decision, and an explain path.
+// comparable string: references, entities (the partitions, with their
+// classes and members), a sample pair decision, and an explain path.
 func snapshotFingerprint(t *testing.T, s *Snapshot) string {
 	t.Helper()
 	out := fmt.Sprintf("version=%d refs=%d\n", s.Version, s.RefCount())
-	for i := range s.refs {
-		r := &s.refs[i]
-		out += fmt.Sprintf("ref %d %s %v %v\n", r.ID, r.Class, r.Atomic, r.Assoc)
-	}
-	classes := make([]string, 0, len(s.Partitions()))
-	for c := range s.Partitions() {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-	for _, c := range classes {
-		out += fmt.Sprintf("%s: %v\n", c, s.Partitions()[c])
+	for _, r := range s.forms {
+		rec := r.Record()
+		out += fmt.Sprintf("ref %d %s %v %v\n", r.ID, r.Class, rec.Atomic, rec.Assoc)
 	}
 	for _, e := range s.Entities() {
 		out += fmt.Sprintf("entity %d (%s) members=%v atomic=%v name=%q\n",

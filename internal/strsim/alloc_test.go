@@ -1,10 +1,6 @@
 package strsim
 
-import (
-	"testing"
-
-	"refrecon/internal/tokenizer"
-)
+import "testing"
 
 // The comparator hot paths run inside the propagation engine's serial loop
 // and the parallel construction workers; the pooled-scratch design (see
@@ -75,17 +71,4 @@ func TestAlignZeroAllocs(t *testing.T) {
 	assertZeroAllocs(t, "NeedlemanWunsch", func() {
 		allocSink += needlemanWunsch("sigmod conference", "sigmod record")
 	})
-}
-
-func TestEachNGramZeroAllocs(t *testing.T) {
-	// The callback is bound outside the measured closure so the measurement
-	// sees only EachNGram's own behavior.
-	count := 0
-	emit := func(g []rune) { count += len(g) }
-	assertZeroAllocs(t, "tokenizer.EachNGram", func() {
-		tokenizer.EachNGram("Reference Reconciliation in Complex Information Spaces", 3, emit)
-	})
-	if count == 0 {
-		t.Fatal("EachNGram emitted no grams")
-	}
 }

@@ -9,7 +9,6 @@ package tokenizer
 
 import (
 	"strings"
-	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -38,9 +37,8 @@ func Normalize(s string) string {
 
 // AppendNormalizedRunes appends the normalized runes of s to dst and
 // returns the extended slice: exactly the runes of Normalize(s), but
-// written into a caller-owned buffer so that hot paths (the strsim
-// comparators, n-gram emission) can normalize without allocating a string
-// per call.
+// written into a caller-owned buffer so that the strsim comparators can
+// normalize without allocating a string per call.
 func AppendNormalizedRunes(dst []rune, s string) []rune {
 	start := len(dst)
 	prevSpace := false
@@ -224,39 +222,6 @@ func ContentWords(s string) []string {
 		return ws
 	}
 	return out
-}
-
-// runeBufPool recycles the padded normalization buffers behind EachNGram;
-// after warm-up, n-gram emission performs zero steady-state allocations.
-var runeBufPool = sync.Pool{New: func() any { return new([]rune) }}
-
-// EachNGram invokes fn for every character n-gram of the normalized form
-// of s, including the leading and trailing '#'-padded grams, in order. The
-// gram slice is a window into a pooled buffer: it is valid only for the
-// duration of the callback and must be copied to be retained. EachNGram
-// itself allocates nothing in steady state; it is the zero-allocation core
-// that the n-gram comparators are built on.
-func EachNGram(s string, n int, fn func(gram []rune)) {
-	if n <= 0 {
-		return
-	}
-	bp := runeBufPool.Get().(*[]rune)
-	buf := (*bp)[:0]
-	for i := 0; i < n-1; i++ {
-		buf = append(buf, '#')
-	}
-	mark := len(buf)
-	buf = AppendNormalizedRunes(buf, s)
-	if len(buf) > mark {
-		for i := 0; i < n-1; i++ {
-			buf = append(buf, '#')
-		}
-		for i := 0; i+n <= len(buf); i++ {
-			fn(buf[i : i+n])
-		}
-	}
-	*bp = buf
-	runeBufPool.Put(bp)
 }
 
 // EqualFolded reports whether two strings are identical after Normalize.

@@ -8,20 +8,10 @@ import (
 	"unicode"
 )
 
-// IsStopword, NGrams and Initial are helpers only these tests call.
+// IsStopword and Initial are helpers only these tests call.
 
 // IsStopword reports whether the (already normalized) token is a stopword.
 func IsStopword(tok string) bool { return stopwords[tok] }
-
-// NGrams returns the character n-grams of the normalized form of s,
-// including leading and trailing padded grams (using '#') so that string
-// boundaries contribute evidence. For n <= 0 or an empty string it returns
-// nil.
-func NGrams(s string, n int) []string {
-	var out []string
-	EachNGram(s, n, func(g []rune) { out = append(out, string(g)) })
-	return out
-}
 
 // Initial returns the first letter of the normalized token, or 0 if the
 // token has no letters.
@@ -150,40 +140,6 @@ func TestIsStopword(t *testing.T) {
 	}
 }
 
-func TestNGrams(t *testing.T) {
-	got := NGrams("ab", 2)
-	want := []string{"#a", "ab", "b#"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("NGrams(ab,2) = %v, want %v", got, want)
-	}
-	if NGrams("", 3) != nil {
-		t.Error("NGrams of empty string should be nil")
-	}
-	if NGrams("abc", 0) != nil {
-		t.Error("NGrams with n=0 should be nil")
-	}
-	// n=1 has no padding beyond the string itself minus 0 pads.
-	got1 := NGrams("Ab", 1)
-	if !reflect.DeepEqual(got1, []string{"a", "b"}) {
-		t.Errorf("NGrams(Ab,1) = %v", got1)
-	}
-}
-
-func TestNGramsCount(t *testing.T) {
-	f := func(s string, n uint8) bool {
-		k := int(n%5) + 1
-		grams := NGrams(s, k)
-		norm := []rune(Normalize(s))
-		if len(norm) == 0 {
-			return grams == nil
-		}
-		return len(grams) == len(norm)+k-1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestInitial(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -302,31 +258,5 @@ func TestWordsMatchesReference(t *testing.T) {
 		if got, want := Words(s), wordsReference(s); !reflect.DeepEqual(got, want) {
 			t.Errorf("Words(%q) = %q, want %q", s, got, want)
 		}
-	}
-}
-
-// TestEachNGramMatchesNGrams checks that streaming gram emission visits
-// exactly the grams NGrams returns, in order.
-func TestEachNGramMatchesNGrams(t *testing.T) {
-	f := func(s string, n uint8) bool {
-		k := int(n%5) + 1
-		want := NGrams(s, k)
-		var got []string
-		EachNGram(s, k, func(g []rune) { got = append(got, string(g)) })
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	if out := NGrams("ab", 0); out != nil {
-		t.Errorf("NGrams(n=0) = %v, want nil", out)
 	}
 }

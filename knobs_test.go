@@ -617,8 +617,9 @@ func (r *knobRig) collective(t *testing.T, cc collective.Config) string {
 		}
 		r.matcher = recon.NewMatcher(schema.PIM(), recon.DefaultConfig(), snap)
 		for id := 0; id < snap.RefCount(); id += 5 {
-			if sr, _ := snap.Ref(reference.ID(id)); len(sr.Atomic) > 0 && len(sr.Assoc) > 0 {
-				r.queries = append(r.queries, recon.Query{Class: sr.Class, Atomic: sr.Atomic, Assoc: sr.Assoc, Limit: 5})
+			sr, _ := snap.Ref(reference.ID(id))
+			if rec := sr.Record(); len(rec.Atomic) > 0 && len(rec.Assoc) > 0 {
+				r.queries = append(r.queries, recon.Query{Class: rec.Class, Atomic: rec.Atomic, Assoc: rec.Assoc, Limit: 5})
 			}
 		}
 	}

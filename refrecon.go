@@ -89,14 +89,12 @@ type (
 //	cands, _, _ := m.Match(refrecon.Query{Class: refrecon.ClassPerson,
 //	    Atomic: map[string][]string{refrecon.AttrName: {"J. Smith"}}})
 type (
-	// Snapshot is an immutable export of a reconciliation result:
-	// references, entity partitions, merged-pair evidence, and the
-	// similarity statistics queries score against. Obtain one from
-	// Session.Snapshot.
+	// Snapshot is an immutable export of a reconciliation result that
+	// holds each fact once: every reference as one Reference (Ref), the
+	// entity partition as canonical enriched entities with one
+	// reference-to-entity index (Entities, EntityOf), and the merged-pair
+	// evidence behind Explain. Obtain one from Session.Snapshot.
 	Snapshot = recon.Snapshot
-	// SnapRef is one reference inside a Snapshot, in the record form a
-	// dataset file and an ingest batch also use.
-	SnapRef = recon.SnapRef
 	// SnapEntity is one resolved entity inside a Snapshot: its member
 	// references, canonical id, and merged attribute values.
 	SnapEntity = recon.Entity

@@ -94,6 +94,7 @@ go test -fuzz='^FuzzComparators$' -fuzztime 10s ./internal/simfn
 go test -fuzz='^FuzzEngineOps$' -fuzztime 10s ./internal/depgraph
 go test -fuzz='^FuzzSegmentDecode$' -fuzztime 10s ./internal/durable
 go test -fuzz='^FuzzDecodeSnapshot$' -fuzztime 10s ./internal/recon
+go test -fuzz='^FuzzReconcileCodec$' -fuzztime 10s ./internal/serve
 
 echo "== invariant audit (reconcile -audit over PIM A-D and Cora) =="
 tmpdir=$(mktemp -d)
@@ -346,11 +347,11 @@ cfgfields() { awk '/^type Config struct \{/{on=1; next} on && /^\}/{on=0} on && 
 knobs=$(( $(cfgfields internal/recon/config.go) + $(cfgfields internal/serve/serve.go) + $(cfgfields internal/collective/collective.go) \
     + $(grep -rhoE 'flag\.(String|Int|Int64|Bool|Float64|Duration)\(' cmd | wc -l) ))
 design=$(wc -c <DESIGN.md)
-echo "non-test Go lines under internal/ + cmd/: $lines (ceiling 19762)"
-echo "exported funcs, methods and types:         $exported (ceiling 512)"
+echo "non-test Go lines under internal/ + cmd/: $lines (ceiling 19712)"
+echo "exported funcs, methods and types:         $exported (ceiling 509)"
 echo "knobs (Config fields + cmd flags):         $knobs (ceiling 65)"
-echo "DESIGN.md bytes:                           $design (ceiling 68496)"
-if [ "$lines" -gt 19762 ] || [ "$exported" -gt 512 ] || [ "$knobs" -gt 65 ] || [ "$design" -gt 68496 ]; then
+echo "DESIGN.md bytes:                           $design (ceiling 68426)"
+if [ "$lines" -gt 19712 ] || [ "$exported" -gt 509 ] || [ "$knobs" -gt 65 ] || [ "$design" -gt 68426 ]; then
     echo "size ceiling exceeded" >&2
     exit 1
 fi
