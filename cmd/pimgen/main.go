@@ -14,8 +14,8 @@
 // bibliography side). The same -refs/-dup/-assoc/-seed always produce the
 // same corpus.
 //
-// User errors exit 2: an unknown -dataset or -format, -dataset or -scale
-// with -refs, and -dup, -assoc or -seed without it.
+// User errors exit 2: an unknown -dataset, -dataset or -scale with -refs,
+// and -dup, -assoc or -seed without it.
 package main
 
 import (
@@ -40,11 +40,7 @@ func main() {
 	assoc := flag.Float64("assoc", 0.2, "with -refs: cross-class association density, fraction of references from the bibliography side")
 	seed := flag.Int64("seed", 1, "with -refs: generation seed")
 	out := flag.String("o", "", "output file (default stdout)")
-	format := flag.String("format", "json", "output format: json or csv")
 	flag.Parse()
-	if *format != "json" && *format != "csv" {
-		usageErrorf("unknown -format %q (want json or csv)", *format)
-	}
 	set := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	switch {
@@ -63,7 +59,7 @@ func main() {
 			log.Fatal(err)
 		}
 		ds = &dataset.Dataset{Name: fmt.Sprintf("scaled-%d", *refs), Store: g.Store}
-		writeDataset(ds, *out, *format)
+		writeDataset(ds, *out)
 		return
 	}
 	profiles := map[string]func(float64) pim.Profile{"A": pim.DatasetA, "B": pim.DatasetB, "C": pim.DatasetC, "D": pim.DatasetD}
@@ -84,10 +80,10 @@ func main() {
 		usageErrorf("unknown -dataset %q (want A, B, C, D, or cora)", *name)
 	}
 
-	writeDataset(ds, *out, *format)
+	writeDataset(ds, *out)
 }
 
-func writeDataset(ds *dataset.Dataset, out, format string) {
+func writeDataset(ds *dataset.Dataset, out string) {
 	var w io.Writer = os.Stdout
 	if out != "" {
 		f, err := os.Create(out)
@@ -101,11 +97,7 @@ func writeDataset(ds *dataset.Dataset, out, format string) {
 		}()
 		w = f
 	}
-	write := ds.WriteJSON
-	if format == "csv" {
-		write = ds.WriteCSV
-	}
-	if err := write(w); err != nil {
+	if err := ds.WriteJSON(w); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "pimgen: wrote %d references\n", ds.Store.Len())

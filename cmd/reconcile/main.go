@@ -95,12 +95,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var ds *dataset.Dataset
-	if strings.HasSuffix(*in, ".csv") {
-		ds, err = dataset.ReadCSV(strings.TrimSuffix(*in, ".csv"), f)
-	} else {
-		ds, err = dataset.ReadJSON(f)
-	}
+	ds, err := dataset.ReadJSON(f)
 	f.Close()
 	if err != nil {
 		log.Fatal(err)

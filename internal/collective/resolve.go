@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"slices"
-	"strconv"
 	"time"
 
 	"refrecon/internal/depgraph"
@@ -327,11 +326,8 @@ func (pl *plan) build() (*depgraph.Graph, []*depgraph.Node) {
 				}
 			}
 		case opShared:
-			// A shared target is direct relational evidence: a merged
-			// value node, as the offline builder wires it.
-			sn := g.AddValuePair("shared", sharedElem(o.t), sharedElem(o.t), 1)
-			g.MarkMerged(sn)
-			g.AddEdge(sn, nodes[o.p], o.dep, o.ev)
+			// A shared target is direct relational evidence.
+			g.AddEdge(g.SharedTarget(o.t), nodes[o.p], o.dep, o.ev)
 		case opAssoc:
 			g.AddEdge(nodes[o.c], nodes[o.p], o.dep, o.ev)
 			if o.back != "" {
@@ -348,12 +344,6 @@ func pairKey(a, b reference.ID) uint64 {
 		a, b = b, a
 	}
 	return uint64(uint32(a))<<32 | uint64(uint32(b))
-}
-
-// sharedElem names the merged value node standing for a shared
-// association target, matching the offline builder's convention.
-func sharedElem(t reference.ID) string {
-	return "r:" + strconv.Itoa(int(t))
 }
 
 // assocEntry is one association attribute with its targets.

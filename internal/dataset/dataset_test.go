@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -94,30 +95,47 @@ func TestPArticleSubset(t *testing.T) {
 	}
 }
 
+// TestJSONRoundTrip pins the dataset file form as lossless: every
+// reference comes back with the same record, whatever its values hold.
 func TestJSONRoundTrip(t *testing.T) {
-	d := sample()
-	var buf bytes.Buffer
-	if err := d.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != d.Name || back.Store.Len() != d.Store.Len() {
-		t.Fatalf("round trip mismatch: %s %d", back.Name, back.Store.Len())
-	}
-	for i := 0; i < d.Store.Len(); i++ {
-		a := d.Store.Get(reference.ID(i))
-		b := back.Store.Get(reference.ID(i))
-		if a.String() != b.String() || a.Entity != b.Entity || a.Source != b.Source {
-			t.Errorf("ref %d mismatch: %v vs %v", i, a, b)
-		}
-		for _, attr := range a.AssocAttrs() {
-			if len(a.Assoc(attr)) != len(b.Assoc(attr)) {
-				t.Errorf("ref %d assoc %s mismatch", i, attr)
+	for _, tc := range []struct {
+		name string
+		edit func(*Dataset)
+	}{
+		{"sample", func(*Dataset) {}},
+		{"multi-valued", func(d *Dataset) {
+			d.Store.Get(0).AddAtomic(schema.AttrEmail, "a@y.org")
+			d.Store.Get(0).AddAtomic(schema.AttrName, "A. Smith")
+		}},
+		{"commas", func(d *Dataset) { d.Store.Get(0).AddAtomic(schema.AttrName, "Liddell, Alice") }},
+		{"separator", func(d *Dataset) { d.Store.Get(3).AddAtomic(schema.AttrTitle, "Graphs | Networks") }},
+		{"quote-newline", func(d *Dataset) { d.Store.Get(3).AddAtomic(schema.AttrTitle, "A \"quoted\"\ntitle") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := sample()
+			tc.edit(d)
+			var buf bytes.Buffer
+			if err := d.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
 			}
-		}
+			back, err := ReadJSON(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if back.Name != d.Name || back.Store.Len() != d.Store.Len() {
+				t.Fatalf("round trip mismatch: %s %d", back.Name, back.Store.Len())
+			}
+			for i := 0; i < d.Store.Len(); i++ {
+				a := d.Store.Get(reference.ID(i)).Record()
+				b := back.Store.Get(reference.ID(i)).Record()
+				if !reflect.DeepEqual(a, b) {
+					t.Errorf("ref %d: wrote %+v, read %+v", i, a, b)
+				}
+			}
+			if err := back.Store.Validate(schema.PIM()); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 

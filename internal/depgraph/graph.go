@@ -2,6 +2,7 @@ package depgraph
 
 import (
 	"fmt"
+	"strconv"
 
 	"refrecon/internal/reference"
 )
@@ -207,6 +208,18 @@ func (g *Graph) AddRefPair(a, b reference.ID, class string) *Node {
 // values.
 func (g *Graph) AddValuePair(evidence, elemX, elemY string, sim float64) *Node {
 	return g.AddValuePairIDs(g.strs.intern(evidence), g.strs.intern(elemX), g.strs.intern(elemY), sim)
+}
+
+// SharedTarget returns the merged value node standing for an association
+// target that both references of a pair link to — the paper's (a1, a1)
+// node, §3.1 step 2 — with evidence "shared", element "r:<target>" and
+// similarity 1. Graph construction and query-time resolution both wire it
+// through here, so the node's key is spelled once.
+func (g *Graph) SharedTarget(target reference.ID) *Node {
+	elem := g.strs.intern("r:" + strconv.Itoa(int(target)))
+	n := g.AddValuePairIDs(g.strs.intern("shared"), elem, elem, 1)
+	g.MarkMerged(n)
+	return n
 }
 
 // Intern returns the graph's id for an evidence label or element key.

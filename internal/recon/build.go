@@ -393,16 +393,6 @@ func (b *builder) wireScored(r1, r2 *reference.Reference, induced bool, vals []v
 	return m
 }
 
-// sharedValueNode returns a merged ValuePair node representing an
-// association target shared by both references (the paper's (a1, a1) node,
-// §3.1 step 2). Its similarity is 1 by construction.
-func (b *builder) sharedValueNode(target reference.ID) *depgraph.Node {
-	elem := "r:" + strconv.Itoa(int(target))
-	n := b.g.AddValuePair("shared", elem, elem, 1)
-	b.g.MarkMerged(n)
-	return n
-}
-
 // buildAssociations wires, for each fresh pair, the dependencies its
 // class's association rules induce (§3.1 step 2): a shared link target, or
 // the pair of two link targets — created on demand as an induced pair —
@@ -425,7 +415,7 @@ func (b *builder) buildAssociations(fresh []*depgraph.Node) {
 			for _, a1 := range r1.Assoc(rule.attr) {
 				for _, a2 := range r2.Assoc(rule.attr) {
 					if a1 == a2 {
-						b.g.AddEdge(b.sharedValueNode(a1), m, rule.dep, rule.evidence)
+						b.g.AddEdge(b.g.SharedTarget(a1), m, rule.dep, rule.evidence)
 						continue
 					}
 					n := b.ensureRefPair(b.store.Get(a1), b.store.Get(a2))
@@ -557,7 +547,7 @@ func (b *builder) wirePooled(class string, rule *assocRule, fresh []*depgraph.No
 			for _, h := range b.rowHits(m, c1, c2s) {
 				src := h.n
 				if src == nil {
-					src = b.sharedValueNode(c1)
+					src = b.g.SharedTarget(c1)
 				}
 				b.g.AddEdge(src, m, rule.dep, rule.evidence)
 			}

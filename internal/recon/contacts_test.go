@@ -51,7 +51,7 @@ func nestedPooled(b *builder) func(string, *assocRule, []*depgraph.Node, *contac
 						continue
 					}
 					if c1 == c2 {
-						b.g.AddEdge(b.sharedValueNode(c1), m, rule.dep, rule.evidence)
+						b.g.AddEdge(b.g.SharedTarget(c1), m, rule.dep, rule.evidence)
 						continue
 					}
 					if c1 == m.RefA() || c1 == m.RefB() || c2 == m.RefA() || c2 == m.RefB() {

@@ -264,7 +264,7 @@ func (s *Session) finish(ctx context.Context, seed []*depgraph.Node, shards int)
 
 	sp = o.Tracer().Begin("phase", "closure")
 	start = time.Now()
-	res := closure(s.store, fp.nodes, s.rc.cfg.Constraints)
+	res := closure(s.store, fp.nodes)
 	s.stats.ClosureTime += time.Since(start)
 	sp.End()
 	o.Progressor().Emit(obs.Event{Phase: "closure", Final: true})

@@ -180,9 +180,10 @@ func feedEngineCounters(c *obs.Counters, e depgraph.Stats) {
 }
 
 // closure computes the transitive closure over merged reference pairs,
-// honoring non-merge constraints when enabled: merged pairs are applied in
-// descending similarity order and a union that would bring the two sides
-// of a constrained pair into one partition is skipped. This realizes
+// honoring non-merge constraints: merged pairs are applied in descending
+// similarity order and a union that would bring the two sides of a
+// constrained pair into one partition is skipped (with Config.Constraints
+// off no node is NonMerge, so every merged pair is unioned). This realizes
 // §3.4's post-fixed-point negative-evidence propagation — "if we decide to
 // reconcile r1 with r2, and r2 with r3, then r1, r2 and r3 will be
 // clustered even if we have evidence showing that r1 is not similar to r3"
@@ -190,17 +191,8 @@ func feedEngineCounters(c *obs.Counters, e depgraph.Stats) {
 //
 // each is the propagate step's node iterator: the session graph's nodes
 // or, under sharding, each global node's decision in global id order.
-func closure(store *reference.Store, each func(func(*depgraph.Node)), constrained bool) *Result {
+func closure(store *reference.Store, each func(func(*depgraph.Node))) *Result {
 	uf := unionfind.New(store.Len())
-	if !constrained {
-		each(func(n *depgraph.Node) {
-			if n.Kind() == depgraph.RefPair && n.Status() == depgraph.Merged {
-				uf.Union(int(n.RefA()), int(n.RefB()))
-			}
-		})
-		return partitionResult(store, uf)
-	}
-
 	var merged []*depgraph.Node
 	enemies := make(map[int][]int) // root -> enemy reference ids
 	each(func(n *depgraph.Node) {

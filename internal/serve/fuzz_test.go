@@ -60,3 +60,64 @@ func FuzzReconcileCodec(f *testing.F) {
 		}
 	})
 }
+
+// FuzzIngestBody POSTs arbitrary bytes to /ingest on a service seeded with
+// a small PIM store. Any body is answered 200, 400 or 413 with a JSON
+// body, never a 5xx or a panic, and a body that is not applied leaves the
+// store's length and the published snapshot version as they were: a batch
+// is applied whole or not at all.
+func FuzzIngestBody(f *testing.F) {
+	g, err := pim.Generate(pim.DatasetA(0.01))
+	if err != nil {
+		f.Fatal(err)
+	}
+	svc, err := NewFromStore(Config{Schema: schema.PIM(), Name: "refrecon-fuzz"}, g.Store)
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := svc.Handler()
+	person := g.Store.ByClass(schema.ClassPerson)[0]
+	article := g.Store.Get(g.Store.ByClass(schema.ClassArticle)[0])
+	batch, err := json.Marshal([]IngestRef{ToIngestRef(g.Store.Get(person)), ToIngestRef(article)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	last := g.Store.Len() - 1
+	for _, seed := range []string{
+		string(batch),
+		fmt.Sprintf(`{"references":%s}`, batch),
+		fmt.Sprintf(`{"name":"A","references":[{"id":7,"class":"Person","atomic":{"name":["Graphs | Networks","Liddell, Alice"]},"assoc":{%q:[%d]}}]}`, schema.AttrCoAuthor, person),
+		fmt.Sprintf(`[{"class":"Article","atomic":{"title":["a \"quoted\"\ntitle"]},"assoc":{%q:[%d,%d]}}]`, schema.AttrAuthoredBy, person, last+1),
+		fmt.Sprintf(`[{"class":"Person","assoc":{%q:[-3]}}]`, schema.AttrCoAuthor),
+		fmt.Sprintf(`[{"class":"Person","assoc":{%q:[%d]}}]`, schema.AttrCoAuthor, last+2),
+		fmt.Sprintf(`[{"class":"Person","assoc":{%q:[%d]}}]`, schema.AttrCoAuthor, article.ID),
+		fmt.Sprintf(`[{"class":"Person","assoc":{%q:["x"]}}]`, schema.AttrName),
+		`[{"class":"Nope"}]`, `[{"class":"Person","atomic":{"nope":["x"]}}]`, `[{}]`,
+		`{"references":[]}`, `{"references":null}`, `[]`, `null`, `{}`, ``, `{`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		refs, version := svc.store.Len(), svc.view.Load().Snapshot.Version
+		req := httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(string(data)))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		default:
+			t.Fatalf("%q: status %d: %s", data, rec.Code, rec.Body)
+		}
+		if !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("%q: status %d, body is not JSON: %q", data, rec.Code, rec.Body)
+		}
+		if rec.Code == http.StatusOK {
+			return
+		}
+		if got := svc.store.Len(); got != refs {
+			t.Fatalf("%q: status %d, but the store grew from %d to %d references", data, rec.Code, refs, got)
+		}
+		if got := svc.view.Load().Snapshot.Version; got != version {
+			t.Fatalf("%q: status %d, but the snapshot version moved from %d to %d", data, rec.Code, version, got)
+		}
+	})
+}

@@ -208,8 +208,6 @@ func knobTable() []knobRow {
 		{knob: "pimgen -seed", changes: output("", pimgen("-refs", "300"), pimgen("-refs", "300", "-seed", "2")),
 			refuses: refused(pimgen("-seed", "2"))},
 		{knob: "pimgen -o", smoke: "ci.sh: invariant audit"},
-		{knob: "pimgen -format", changes: output("", pimgen("-scale", "0.02"), pimgen("-scale", "0.02", "-format", "csv")),
-			refuses: refused(pimgen("-format", "xml"))},
 
 		{knob: "benchtables -scale", changes: output("Cora", benchtables(), benchtables("-scale", "0.03")),
 			refuses: refused(benchtables("-scale", "0"))},

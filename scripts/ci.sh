@@ -95,6 +95,7 @@ go test -fuzz='^FuzzEngineOps$' -fuzztime 10s ./internal/depgraph
 go test -fuzz='^FuzzSegmentDecode$' -fuzztime 10s ./internal/durable
 go test -fuzz='^FuzzDecodeSnapshot$' -fuzztime 10s ./internal/recon
 go test -fuzz='^FuzzReconcileCodec$' -fuzztime 10s ./internal/serve
+go test -fuzz='^FuzzIngestBody$' -fuzztime 10s ./internal/serve
 
 echo "== invariant audit (reconcile -audit over PIM A-D and Cora) =="
 tmpdir=$(mktemp -d)
@@ -125,7 +126,6 @@ refuse "-collective-max-nodes" reconserve -collective-max-nodes 0
 refuse "-refs -dataset -scale" pimgen -refs 100 -dataset B -scale 3
 refuse "-dup -refs" pimgen -dup 2
 refuse "-dataset" pimgen -dataset Z
-refuse "-format" pimgen -format xml
 refuse "-table" benchtables -table 9
 refuse "-scale" benchtables -scale 0
 refuse "-bucketcap" reconcile -in "$tmpdir/A.json" -bucketcap -5
@@ -347,11 +347,11 @@ cfgfields() { awk '/^type Config struct \{/{on=1; next} on && /^\}/{on=0} on && 
 knobs=$(( $(cfgfields internal/recon/config.go) + $(cfgfields internal/serve/serve.go) + $(cfgfields internal/collective/collective.go) \
     + $(grep -rhoE 'flag\.(String|Int|Int64|Bool|Float64|Duration)\(' cmd | wc -l) ))
 design=$(wc -c <DESIGN.md)
-echo "non-test Go lines under internal/ + cmd/: $lines (ceiling 19712)"
-echo "exported funcs, methods and types:         $exported (ceiling 509)"
-echo "knobs (Config fields + cmd flags):         $knobs (ceiling 65)"
-echo "DESIGN.md bytes:                           $design (ceiling 68426)"
-if [ "$lines" -gt 19712 ] || [ "$exported" -gt 509 ] || [ "$knobs" -gt 65 ] || [ "$design" -gt 68426 ]; then
+echo "non-test Go lines under internal/ + cmd/: $lines (ceiling 19526)"
+echo "exported funcs, methods and types:         $exported (ceiling 508)"
+echo "knobs (Config fields + cmd flags):         $knobs (ceiling 64)"
+echo "DESIGN.md bytes:                           $design (ceiling 68415)"
+if [ "$lines" -gt 19526 ] || [ "$exported" -gt 508 ] || [ "$knobs" -gt 64 ] || [ "$design" -gt 68415 ]; then
     echo "size ceiling exceeded" >&2
     exit 1
 fi
