@@ -10,7 +10,7 @@
 //	          [-dump partitions.json] [-explain id,id] [-dot graph.dot]
 //	          [-trace trace.json] [-progress]
 //
-// The input is the JSON format written by cmd/pimgen (or dataset.WriteJSON).
+// The input is a record batch as cmd/pimgen writes it, or any /ingest body.
 // The INDEPDEC baseline of §5.2 is -mode traditional -evidence attr
 // -constraints=false.
 // With -trace, the run records phase/round/enrichment spans and writes
@@ -19,7 +19,8 @@
 //
 // User errors exit 2 before any work: an unknown -mode or -evidence, a
 // negative count, a malformed -explain, -explain or -dot with -shards ≠ 1,
-// an -in dataset that is not PIM-schema (a catalog file, say).
+// an -in file that is not a PIM-schema batch (a catalog file, a link to a
+// negative or missing id; the message names the record and attribute).
 package main
 
 import (
@@ -95,13 +96,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ds, err := dataset.ReadJSON(f)
+	ds, err := dataset.ReadJSON(f, schema.PIM())
 	f.Close()
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := ds.Store.Validate(schema.PIM()); err != nil {
-		usageErrorf("-in %s is not a PIM-schema dataset (Person/Article/Venue): %v", *in, err)
+		usageErrorf("-in %s: %v", *in, err)
 	}
 	fmt.Printf("dataset %s: %d references\n", ds.Name, ds.Store.Len())
 

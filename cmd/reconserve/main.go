@@ -23,7 +23,8 @@
 //
 // User errors exit 2 before the service starts: an unknown -schema or
 // -evidence, -checkpoint-every without -data-dir, a collective bound < 1,
-// -in against a -data-dir that already holds state.
+// an -in file that the schema refuses (the message names the record and
+// attribute), -in against a -data-dir that already holds state.
 package main
 
 import (
@@ -119,10 +120,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ds, err := dataset.ReadJSON(f)
+		ds, err := dataset.ReadJSON(f, sch)
 		f.Close()
 		if err != nil {
-			log.Fatalf("read %s: %v", *in, err)
+			usageErrorf("-in %s: %v", *in, err)
 		}
 		store = ds.Store
 		log.Printf("loaded %s: %d references", *in, store.Len())

@@ -55,7 +55,7 @@ func TestGenerateTargetAndValidity(t *testing.T) {
 	if n := g.Store.Len(); n < 1000 || n > 1005 {
 		t.Fatalf("got %d refs, want 1000..1005", n)
 	}
-	if err := g.Store.Validate(schema.PIM()); err != nil {
+	if err := g.Store.Validate(schema.PIM(), 0); err != nil {
 		t.Fatalf("generated corpus violates PIM schema: %v", err)
 	}
 	classes := make(map[string]int)

@@ -53,7 +53,7 @@ func TestGenerateTargetAndValidity(t *testing.T) {
 	if n := g.Store.Len(); n < 800 || n > 802 {
 		t.Fatalf("got %d refs, want 800..802", n)
 	}
-	if err := g.Store.Validate(schema.Catalog()); err != nil {
+	if err := g.Store.Validate(schema.Catalog(), 0); err != nil {
 		t.Fatalf("generated corpus violates Catalog schema: %v", err)
 	}
 	for _, r := range g.Store.All() {

@@ -11,10 +11,10 @@ func TestGenerateValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Store.Validate(schema.Cora()); err != nil {
+	if err := g.Store.Validate(schema.Cora(), 0); err != nil {
 		// Cora schema omits year on Article; the extractor emits a PIM
 		// store, so validate against PIM instead.
-		if err2 := g.Store.Validate(schema.PIM()); err2 != nil {
+		if err2 := g.Store.Validate(schema.PIM(), 0); err2 != nil {
 			t.Fatalf("store invalid under PIM schema too: %v", err2)
 		}
 	}
@@ -79,7 +79,7 @@ func TestGenerateFreeText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Store.Validate(schema.PIM()); err != nil {
+	if err := g.Store.Validate(schema.PIM(), 0); err != nil {
 		t.Fatal(err)
 	}
 	articles := len(g.Store.ByClass(schema.ClassArticle))

@@ -61,7 +61,7 @@ func TestStoreZeroRateIsIdentity(t *testing.T) {
 			t.Fatalf("ref %d differs: %v vs %v", i, a, b)
 		}
 	}
-	if err := copy.Validate(schema.PIM()); err != nil {
+	if err := copy.Validate(schema.PIM(), 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -100,7 +100,7 @@ func TestStoreCorruptsAtRate(t *testing.T) {
 	if frac < 0.25 || frac > 0.55 {
 		t.Errorf("realized corruption rate %.2f, want ~0.3-0.5", frac)
 	}
-	if err := noisy.Validate(schema.PIM()); err != nil {
+	if err := noisy.Validate(schema.PIM(), 0); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -17,7 +17,7 @@ func TestGenerateValidates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("dataset %s: %v", p.Name, err)
 		}
-		if err := g.Validate(); err != nil {
+		if err := g.Store.Validate(schema.PIM(), 0); err != nil {
 			t.Errorf("dataset %s invalid: %v", p.Name, err)
 		}
 		if g.Store.Len() == 0 {

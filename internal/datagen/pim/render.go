@@ -6,7 +6,6 @@ import (
 
 	"refrecon/internal/extract"
 	"refrecon/internal/names"
-	"refrecon/internal/schema"
 )
 
 // renderBibliography renders each article's citations as BibTeX text,
@@ -245,10 +244,4 @@ func titleCase(s string) string {
 		return s
 	}
 	return strings.ToUpper(s[:1]) + s[1:]
-}
-
-// Validate is a convenience wrapper checking the generated store against
-// the PIM schema.
-func (g *Generated) Validate() error {
-	return g.Store.Validate(schema.PIM())
 }

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"refrecon/internal/extract"
 	"refrecon/internal/reference"
@@ -81,39 +80,37 @@ func (d *Dataset) PArticle() *Dataset {
 	})
 }
 
-// jsonDataset is the file form: the store's records under a name. The
-// "references" array is an ingest batch (serve's POST /ingest takes it
-// verbatim).
-type jsonDataset struct {
-	Name string             `json:"name"`
-	Refs []reference.Record `json:"references"`
-}
-
-// WriteJSON serializes the dataset.
+// WriteJSON serializes the dataset in the file form, a reference.Batch:
+// the store's records under its name, so the file is an ingest batch
+// (serve's POST /ingest takes it verbatim).
 func (d *Dataset) WriteJSON(w io.Writer) error {
-	out := jsonDataset{Name: d.Name}
+	out := reference.Batch{Name: d.Name}
 	for _, r := range d.Store.All() {
-		out.Refs = append(out.Refs, r.Record())
+		out.References = append(out.References, r.Record())
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(out)
 }
 
-// ReadJSON deserializes a dataset written by WriteJSON. References must be
-// listed with dense ids in order.
-func ReadJSON(r io.Reader) (*Dataset, error) {
-	var in jsonDataset
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
+// ReadJSON reads a dataset file through the door an ingest batch takes:
+// reference.DecodeBatch, then Admit into an empty store. Ids are assigned
+// in file order; a record's "id" is informational, as on /ingest.
+func ReadJSON(r io.Reader, sch *schema.Schema) (*Dataset, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: read: %w", err)
+	}
+	b, err := reference.DecodeBatch(data)
+	if err != nil {
 		return nil, fmt.Errorf("dataset: decode: %w", err)
 	}
-	sort.Slice(in.Refs, func(i, j int) bool { return in.Refs[i].ID < in.Refs[j].ID })
 	store := reference.NewStore()
-	for i, rec := range in.Refs {
-		if int(rec.ID) != i {
-			return nil, fmt.Errorf("dataset: non-dense reference id %d at position %d", rec.ID, i)
-		}
+	if err := store.Admit(sch, b.References); err != nil {
+		return nil, fmt.Errorf("dataset: %w", err)
+	}
+	for _, rec := range b.References {
 		store.Add(rec.Reference())
 	}
-	return &Dataset{Name: in.Name, Store: store}, nil
+	return &Dataset{Name: b.Name, Store: store}, nil
 }

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -90,7 +91,7 @@ func TestPArticleSubset(t *testing.T) {
 			}
 		}
 	}
-	if err := sub.Store.Validate(schema.PIM()); err != nil {
+	if err := sub.Store.Validate(schema.PIM(), 0); err != nil {
 		t.Errorf("subset invalid: %v", err)
 	}
 }
@@ -118,7 +119,7 @@ func TestJSONRoundTrip(t *testing.T) {
 			if err := d.WriteJSON(&buf); err != nil {
 				t.Fatal(err)
 			}
-			back, err := ReadJSON(&buf)
+			back, err := ReadJSON(&buf, schema.PIM())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +133,7 @@ func TestJSONRoundTrip(t *testing.T) {
 					t.Errorf("ref %d: wrote %+v, read %+v", i, a, b)
 				}
 			}
-			if err := back.Store.Validate(schema.PIM()); err != nil {
+			if err := back.Store.Validate(schema.PIM(), 0); err != nil {
 				t.Error(err)
 			}
 		})
@@ -140,10 +141,41 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONErrors(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{not json")); err == nil {
+	if _, err := ReadJSON(strings.NewReader("{not json"), schema.PIM()); err == nil {
 		t.Error("garbage should fail")
 	}
-	if _, err := ReadJSON(strings.NewReader(`{"name":"x","references":[{"id":5,"class":"Person"}]}`)); err == nil {
-		t.Error("non-dense ids should fail")
+	// A dataset file is an /ingest body: ids are informational, so an
+	// id-less file is admitted, in file order, as the same store.
+	var buf bytes.Buffer
+	if err := sample().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	withIDs, err := ReadJSON(bytes.NewReader(buf.Bytes()), schema.PIM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	idless := regexp.MustCompile(`(?m)^ *"id": [0-9]+,\n`).ReplaceAll(buf.Bytes(), nil)
+	if bytes.Contains(idless, []byte(`"id"`)) {
+		t.Fatal("the id-less file still names ids")
+	}
+	back, err := ReadJSON(bytes.NewReader(idless), schema.PIM())
+	if err != nil {
+		t.Fatalf("an id-less file is admitted: %v", err)
+	}
+	for i := 0; i < withIDs.Store.Len(); i++ {
+		if a, b := withIDs.Store.Get(reference.ID(i)).Record(), back.Store.Get(reference.ID(i)).Record(); !reflect.DeepEqual(a, b) {
+			t.Errorf("ref %d: with ids %+v, without %+v", i, a, b)
+		}
+	}
+	// What Record.Reference would drop is refused instead, naming the
+	// record and the attribute.
+	for body, want := range map[string]string{
+		`{"name":"x","references":[{"class":"Person","assoc":{"coAuthor":[-3]}}]}`: `reference 0: class "Person": attribute "coAuthor" links to out-of-range id -3`,
+		`[{"class":"Person"},{"class":"Person","assoc":{"coAuthor":[5]}}]`:         `reference 1: class "Person": attribute "coAuthor" links to out-of-range id 5`,
+		`{"name":"x","references":[]}`:                                             "no references",
+	} {
+		if _, err := ReadJSON(strings.NewReader(body), schema.PIM()); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err %v, want %q", body, err, want)
+		}
 	}
 }

@@ -101,7 +101,7 @@ func TestAddBibEntry(t *testing.T) {
 		t.Error("bibtex authors must be per-mention references")
 	}
 	// The whole store must validate against the PIM schema.
-	if err := store.Validate(schema.PIM()); err != nil {
+	if err := store.Validate(schema.PIM(), 0); err != nil {
 		t.Errorf("extracted store invalid: %v", err)
 	}
 }

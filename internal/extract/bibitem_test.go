@@ -74,7 +74,7 @@ func TestAddBibItems(t *testing.T) {
 	if art.FirstAtomic(schema.AttrYear) != "1994" {
 		t.Errorf("year = %q", art.FirstAtomic(schema.AttrYear))
 	}
-	if err := store.Validate(schema.PIM()); err != nil {
+	if err := store.Validate(schema.PIM(), 0); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -90,7 +90,7 @@ func TestAddCitation(t *testing.T) {
 	if got := store.Get(refs.Authors[0]).Assoc(schema.AttrCoAuthor); len(got) != 1 {
 		t.Errorf("coauthors = %v", got)
 	}
-	if err := store.Validate(schema.PIM()); err != nil {
+	if err := store.Validate(schema.PIM(), 0); err != nil {
 		t.Errorf("store invalid: %v", err)
 	}
 
@@ -116,7 +116,7 @@ func TestCitationRoundTripReconciles(t *testing.T) {
 	}
 	// Same title and year: the articles should reconcile downstream; here
 	// we only validate the extraction structure feeds the reconciler.
-	if err := store.Validate(schema.PIM()); err != nil {
+	if err := store.Validate(schema.PIM(), 0); err != nil {
 		t.Fatal(err)
 	}
 }

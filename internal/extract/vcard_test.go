@@ -103,7 +103,7 @@ func TestAddVCard(t *testing.T) {
 	if acc.AddVCard(VCard{}) != -1 {
 		t.Error("empty card should yield -1")
 	}
-	if err := store.Validate(schema.PIM()); err != nil {
+	if err := store.Validate(schema.PIM(), 0); err != nil {
 		t.Error(err)
 	}
 }

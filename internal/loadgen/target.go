@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"time"
 
+	"refrecon/internal/reference"
 	"refrecon/internal/serve"
 )
 
@@ -58,7 +59,7 @@ func NewHTTPTarget(base string, concurrency int) *HTTPTarget {
 }
 
 func (t *HTTPTarget) Ingest(batch []serve.IngestRef) error {
-	body, err := json.Marshal(serve.IngestRequest{References: batch})
+	body, err := json.Marshal(reference.Batch{References: batch})
 	if err != nil {
 		return err
 	}

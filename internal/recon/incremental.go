@@ -81,9 +81,11 @@ func (s *Session) Store() *reference.Store { return s.store }
 //
 // A call with no new references is a cheap no-op that returns the previous
 // result: nothing is re-seeded, no phase runs, and the accumulated stats
-// are untouched. The seen-cursor only advances once validation has passed,
-// so a batch rejected by store.Validate is re-incorporated in full when
-// Reconcile is retried after the store is repaired.
+// are untouched. Each commit checks only the references added since the
+// previous one (Store.Validate from the seen-cursor), and the cursor only
+// advances once that check has passed, so a batch it rejected is checked
+// and incorporated in full when Reconcile is retried after the store is
+// repaired.
 func (s *Session) Reconcile() (*Result, error) {
 	return s.CommitContext(context.Background())
 }
@@ -119,15 +121,14 @@ func (s *Session) commit(ctx context.Context, shards int) (*Result, error) {
 	return s.finish(ctx, seed, shards)
 }
 
-// build is the first half of commit: it validates the store, extends the
-// graph with the references added since the last commit, and returns the
-// new pairs in seed order. idle reports a commit with nothing to
-// incorporate.
+// build is the first half of commit: it validates the references added
+// since the last commit, extends the graph with them, and returns the new
+// pairs in seed order. idle reports a commit with nothing to incorporate.
 func (s *Session) build(ctx context.Context) (seed []*depgraph.Node, idle bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, canceled("build", err)
 	}
-	if err := s.store.Validate(s.rc.sch); err != nil {
+	if err := s.store.Validate(s.rc.sch, s.seen); err != nil {
 		return nil, false, invalidInput(err)
 	}
 	if s.poisoned {

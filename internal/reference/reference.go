@@ -11,6 +11,8 @@
 package reference
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -167,24 +169,67 @@ func (s *Store) Classes() []string {
 	return out
 }
 
-// Validate checks every reference against the schema (Record.Check, with
-// association targets resolved inside the store).
-func (s *Store) Validate(sch *schema.Schema) error {
+// Admit is the one admission check, the door every batch of records takes
+// into a store (a dataset file, an ingest body, a replayed log record):
+// Record.Check on every record, association targets resolved into the
+// store followed by the batch itself. It adds nothing — the caller appends
+// each record's Reference once the batch is admitted whole — and names
+// the first refused record by the id it would have taken.
+func (s *Store) Admit(sch *schema.Schema, batch []Record) error {
 	classOf := func(id ID) (string, bool) {
-		if id < 0 || int(id) >= len(s.refs) {
+		switch {
+		case id < 0 || int(id) >= len(s.refs)+len(batch):
 			return "", false
+		case int(id) < len(s.refs):
+			return s.refs[id].Class, true
 		}
-		return s.refs[id].Class, true
+		return batch[int(id)-len(s.refs)].Class, true
 	}
-	for _, r := range s.refs {
-		// A transient record over the reference's own maps: validation runs
-		// over the whole store on every commit and must not copy it.
-		rec := Record{Class: r.Class, Atomic: r.atomic, Assoc: r.assoc}
-		if err := rec.Check(sch, classOf); err != nil {
-			return fmt.Errorf("reference %d: %w", r.ID, err)
+	for i := range batch {
+		if err := batch[i].Check(sch, classOf); err != nil {
+			return fmt.Errorf("reference %d: %w", len(s.refs)+i, err)
 		}
 	}
 	return nil
+}
+
+// Validate admits the store's references from id from on as one batch
+// behind the ones before them. The store only appends, and a reference's
+// validity depends only on itself and its targets' classes, so checking
+// each appended suffix once checks the whole store.
+func (s *Store) Validate(sch *schema.Schema, from int) error {
+	batch := make([]Record, 0, len(s.refs)-from)
+	for _, r := range s.refs[from:] {
+		// A transient record over the reference's own maps: no copy.
+		batch = append(batch, Record{Class: r.Class, Atomic: r.atomic, Assoc: r.assoc})
+	}
+	return (&Store{refs: s.refs[:from]}).Admit(sch, batch)
+}
+
+// Batch is the body form of a record batch: a dataset file and an /ingest
+// body are both this envelope, or a bare JSON array of its records.
+type Batch struct {
+	Name       string   `json:"name,omitempty"`
+	References []Record `json:"references"`
+}
+
+// DecodeBatch is the one decoder of a batch body: either shape, and at
+// least one record.
+func DecodeBatch(data []byte) (Batch, error) {
+	var b Batch
+	var err error
+	if t := bytes.TrimLeft(data, " \t\r\n"); len(t) > 0 && t[0] == '[' {
+		err = json.Unmarshal(data, &b.References)
+	} else {
+		err = json.Unmarshal(data, &b)
+	}
+	if err != nil {
+		return Batch{}, fmt.Errorf("body must be {\"references\": [...]} or a JSON array of references: %w", err)
+	}
+	if len(b.References) == 0 {
+		return Batch{}, fmt.Errorf("no references")
+	}
+	return b, nil
 }
 
 // Record is the exported form of a reference, the paper's §2 shape written
@@ -225,8 +270,9 @@ func (r *Reference) Record() Record {
 
 // Reference is Record's inverse: a fresh reference, not yet in any store
 // (its ID is unassigned whatever the record's says), built with AddAtomic
-// and AddAssoc — empty values, negative targets and duplicates are
-// dropped, value order is kept.
+// and AddAssoc — empty values and exact duplicates are dropped, value
+// order is kept. A negative or out-of-range target is refused at the door
+// (Store.Admit), never dropped.
 func (rec Record) Reference() *Reference {
 	r := New(rec.Class)
 	r.Source = rec.Source

@@ -98,14 +98,14 @@ func TestValidate(t *testing.T) {
 	a.AddAtomic(schema.AttrTitle, "Distributed query processing")
 	a.AddAssoc(schema.AttrAuthoredBy, p.ID)
 	s.Add(a)
-	if err := s.Validate(sch); err != nil {
+	if err := s.Validate(sch, 0); err != nil {
 		t.Errorf("valid store rejected: %v", err)
 	}
 
 	// Unknown class.
 	bad := NewStore()
 	bad.Add(New("Martian"))
-	if err := bad.Validate(sch); err == nil || !strings.Contains(err.Error(), "unknown class") {
+	if err := bad.Validate(sch, 0); err == nil || !strings.Contains(err.Error(), "unknown class") {
 		t.Errorf("want unknown-class error, got %v", err)
 	}
 
@@ -114,7 +114,7 @@ func TestValidate(t *testing.T) {
 	q := New(schema.ClassPerson)
 	q.AddAtomic("shoeSize", "42")
 	bad2.Add(q)
-	if err := bad2.Validate(sch); err == nil || !strings.Contains(err.Error(), "unknown attribute") {
+	if err := bad2.Validate(sch, 0); err == nil || !strings.Contains(err.Error(), "unknown attribute") {
 		t.Errorf("want unknown-attribute error, got %v", err)
 	}
 
@@ -123,7 +123,7 @@ func TestValidate(t *testing.T) {
 	q3 := New(schema.ClassPerson)
 	q3.AddAssoc(schema.AttrName, 0)
 	bad3.Add(q3)
-	if err := bad3.Validate(sch); err == nil || !strings.Contains(err.Error(), "not an association") {
+	if err := bad3.Validate(sch, 0); err == nil || !strings.Contains(err.Error(), "not an association") {
 		t.Errorf("want not-an-association error, got %v", err)
 	}
 
@@ -134,7 +134,7 @@ func TestValidate(t *testing.T) {
 	art := New(schema.ClassArticle)
 	art.AddAssoc(schema.AttrAuthoredBy, v.ID) // authors must be persons
 	bad4.Add(art)
-	if err := bad4.Validate(sch); err == nil || !strings.Contains(err.Error(), "links to class") {
+	if err := bad4.Validate(sch, 0); err == nil || !strings.Contains(err.Error(), "links to class") {
 		t.Errorf("want wrong-target-class error, got %v", err)
 	}
 
@@ -143,8 +143,46 @@ func TestValidate(t *testing.T) {
 	art5 := New(schema.ClassArticle)
 	art5.AddAssoc(schema.AttrAuthoredBy, 99)
 	bad5.Add(art5)
-	if err := bad5.Validate(sch); err == nil || !strings.Contains(err.Error(), "out-of-range") {
+	if err := bad5.Validate(sch, 0); err == nil || !strings.Contains(err.Error(), "out-of-range") {
 		t.Errorf("want out-of-range error, got %v", err)
+	}
+}
+
+// TestAdmit pins the one door: a batch is checked whole against the store
+// followed by the batch itself, nothing is added, and what Reference
+// would silently drop — a negative target — is refused instead.
+func TestAdmit(t *testing.T) {
+	sch := schema.PIM()
+	s := NewStore()
+	s.Add(New(schema.ClassPerson).AddAtomic(schema.AttrName, "Eugene Wong"))
+	art := Record{Class: schema.ClassArticle, Atomic: map[string][]string{schema.AttrTitle: {"Query processing"}},
+		Assoc: map[string][]ID{schema.AttrAuthoredBy: {0, 2}}}
+	person := Record{Class: schema.ClassPerson, Atomic: map[string][]string{schema.AttrName: {"Karel Youssefi"}}}
+	if err := s.Admit(sch, []Record{art, person}); err != nil {
+		t.Fatalf("a forward link into the batch refused: %v", err)
+	}
+	if s.Len() != 1 {
+		t.Fatalf("Admit added to the store: %d references", s.Len())
+	}
+	if err := s.Admit(sch, []Record{art}); err == nil || !strings.Contains(err.Error(), "reference 1: ") {
+		t.Errorf("a link past the batch: %v, want reference 1 refused", err)
+	}
+	neg := Record{Class: schema.ClassPerson, Assoc: map[string][]ID{schema.AttrCoAuthor: {-3}}}
+	if err := s.Admit(sch, []Record{person, neg}); err == nil || !strings.Contains(err.Error(), "reference 2: ") ||
+		!strings.Contains(err.Error(), `"coAuthor" links to out-of-range id -3`) {
+		t.Errorf("negative target: %v, want a refusal naming reference 2 and the attribute", err)
+	}
+
+	// Validate checks only the suffix from the given id: the prefix passed
+	// its own check when it was appended.
+	bad := NewStore()
+	bad.Add(New("Martian"))
+	bad.Add(New(schema.ClassPerson))
+	if err := bad.Validate(sch, 1); err != nil {
+		t.Errorf("suffix from 1: %v", err)
+	}
+	if err := bad.Validate(sch, 0); err == nil || !strings.Contains(err.Error(), "reference 0: ") {
+		t.Errorf("suffix from 0: %v, want reference 0 refused", err)
 	}
 }
 

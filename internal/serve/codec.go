@@ -7,7 +7,6 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
 	"strconv"
 
 	"refrecon/internal/recon"
@@ -241,25 +240,6 @@ func ToIngestRef(r *reference.Reference) IngestRef {
 	rec := r.Record()
 	rec.ID = 0
 	return rec
-}
-
-// IngestRequest is the /ingest body: either this envelope or a bare JSON
-// array of references.
-type IngestRequest struct {
-	References []IngestRef `json:"references"`
-}
-
-// decodeIngest accepts both body shapes.
-func decodeIngest(data []byte) ([]IngestRef, error) {
-	var env IngestRequest
-	if err := json.Unmarshal(data, &env); err == nil && env.References != nil {
-		return env.References, nil
-	}
-	var arr []IngestRef
-	if err := json.Unmarshal(data, &arr); err == nil {
-		return arr, nil
-	}
-	return nil, fmt.Errorf("body must be {\"references\": [...]} or a JSON array of references")
 }
 
 // IngestResponse reports one applied batch.

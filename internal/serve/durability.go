@@ -32,7 +32,6 @@ package serve
 // cover the gap.
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -74,13 +73,21 @@ func countBatches(recs []durable.Record) int {
 	return n
 }
 
-// applyRecord appends a logged batch record's references to the store.
-func applyRecord(store *reference.Store, rec durable.Record) error {
-	var batch []IngestRef
-	if err := json.Unmarshal(rec.Payload, &batch); err != nil {
+// applyRecord admits a logged batch record into the store through the door
+// its live ingest took (reference.DecodeBatch, then Store.Admit), so a
+// record the live service could not have accepted is an error naming its
+// ordinal, never a different store.
+func (s *Service) applyRecord(store *reference.Store, rec durable.Record) error {
+	b, err := reference.DecodeBatch(rec.Payload)
+	if err != nil {
 		return fmt.Errorf("batch %d: %w", rec.Ordinal, err)
 	}
-	applyBatch(store, batch)
+	if err := store.Admit(s.cfg.Schema, b.References); err != nil {
+		return fmt.Errorf("batch %d: %w", rec.Ordinal, err)
+	}
+	for _, r := range b.References {
+		store.Add(r.Reference())
+	}
 	return nil
 }
 
@@ -176,12 +183,9 @@ func (s *Service) restoreFast(ck *durable.Checkpoint, all []durable.Record) erro
 		if r.Kind != durable.KindBatch {
 			continue
 		}
-		if err := applyRecord(store, r); err != nil {
+		if err := s.applyRecord(store, r); err != nil {
 			return err
 		}
-	}
-	if err := store.Validate(s.cfg.Schema); err != nil {
-		return err
 	}
 	if snap.RefCount() > store.Len() {
 		return fmt.Errorf("snapshot covers %d refs but the log yields %d", snap.RefCount(), store.Len())
@@ -229,7 +233,7 @@ func (s *Service) replay(all []durable.Record) error {
 	for i, r := range all {
 		switch r.Kind {
 		case durable.KindBatch:
-			if err := applyRecord(s.store, r); err != nil {
+			if err := s.applyRecord(s.store, r); err != nil {
 				return fmt.Errorf("serve: replay %w", err)
 			}
 			if r.Ordinal > accepted {

@@ -379,7 +379,7 @@ func TestDurablePoisonLifecycleReplay(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := svc.IngestContext(ctx, batches[1]); !errors.Is(err, recon.ErrCanceled) {
+	if _, err := svc.ingest(ctx, batches[1]); !errors.Is(err, recon.ErrCanceled) {
 		t.Fatalf("cancelled ingest = %v, want recon.ErrCanceled", err)
 	}
 	if got := svc.Metrics().SessionPoisoned; got != 1 {
@@ -422,7 +422,7 @@ func TestIngestCancelMaps503(t *testing.T) {
 	cancel()
 	batch := []IngestRef{{Class: schema.ClassPerson,
 		Atomic: map[string][]string{schema.AttrName: {"Eve Black"}}}}
-	if _, err := svc.IngestContext(ctx, batch); !errors.Is(err, recon.ErrCanceled) {
+	if _, err := svc.ingest(ctx, batch); !errors.Is(err, recon.ErrCanceled) {
 		t.Fatalf("cancelled ingest = %v, want recon.ErrCanceled", err)
 	}
 	if got := statusFor(fmt.Errorf("reconcile: %w", recon.ErrCanceled)); got != http.StatusServiceUnavailable {

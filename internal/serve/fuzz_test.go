@@ -1,15 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 
 	"refrecon/internal/datagen/pim"
+	"refrecon/internal/dataset"
 	"refrecon/internal/schema"
 )
 
@@ -65,7 +68,9 @@ func FuzzReconcileCodec(f *testing.F) {
 // a small PIM store. Any body is answered 200, 400 or 413 with a JSON
 // body, never a 5xx or a panic, and a body that is not applied leaves the
 // store's length and the published snapshot version as they were: a batch
-// is applied whole or not at all.
+// is applied whole or not at all. The same bytes are also a dataset file
+// and the first body POSTed to a fresh service: the two doors either both
+// admit them, into stores with equal records, or both refuse them.
 func FuzzIngestBody(f *testing.F) {
 	g, err := pim.Generate(pim.DatasetA(0.01))
 	if err != nil {
@@ -109,6 +114,19 @@ func FuzzIngestBody(f *testing.F) {
 		}
 		if !json.Valid(rec.Body.Bytes()) {
 			t.Fatalf("%q: status %d, body is not JSON: %q", data, rec.Code, rec.Body)
+		}
+		fresh, err := New(Config{Schema: schema.PIM()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frec := httptest.NewRecorder()
+		fresh.Handler().ServeHTTP(frec, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(data)))
+		ds, err := dataset.ReadJSON(bytes.NewReader(data), schema.PIM())
+		if (frec.Code == http.StatusOK) != (err == nil) {
+			t.Fatalf("%q: a fresh /ingest answers %d, dataset.ReadJSON %v", data, frec.Code, err)
+		}
+		if err == nil && !reflect.DeepEqual(storeRecords(ds.Store), storeRecords(fresh.store)) {
+			t.Fatalf("%q: dataset.ReadJSON and /ingest admit different stores", data)
 		}
 		if rec.Code == http.StatusOK {
 			return

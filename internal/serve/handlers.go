@@ -297,7 +297,7 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	batch, err := decodeIngest(body)
+	b, err := reference.DecodeBatch(body)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -306,7 +306,7 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// batch may be logged and stored, and a cancelled commit would poison
 	// the session and make the next ingest rebuild the whole store — so the
 	// ingest runs to completion whoever is still listening.
-	resp, err := s.IngestContext(context.WithoutCancel(r.Context()), batch)
+	resp, err := s.ingest(context.WithoutCancel(r.Context()), b.References)
 	if err != nil {
 		code := statusFor(err)
 		if code == http.StatusServiceUnavailable {

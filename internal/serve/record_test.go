@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"refrecon/internal/datagen/pim"
@@ -81,7 +82,7 @@ func TestDatasetFileIsIngestBody(t *testing.T) {
 	if err := (&dataset.Dataset{Name: "A", Store: g.Store}).WriteJSON(&file); err != nil {
 		t.Fatal(err)
 	}
-	read, err := dataset.ReadJSON(bytes.NewReader(file.Bytes()))
+	read, err := dataset.ReadJSON(bytes.NewReader(file.Bytes()), schema.PIM())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +118,13 @@ func TestDatasetFileIsIngestBody(t *testing.T) {
 }
 
 // TestBadRecordsAtEveryCheckSite drives one table of schema violations
-// through the four places that check a record — a reconcile over a store
-// (Store.Validate), an ingest batch (in process and over HTTP), a plain
-// query and a collective query — which all call reference.Record.Check.
-// The sentinels and statuses are the ones each site has always answered
-// with. The stored context is personStore: three persons, ids 0–2.
+// through every place that checks a record — a reconcile over a store
+// (a commit's Store.Validate), an ingest batch (in process and over HTTP),
+// a dataset file (dataset.ReadJSON), a replayed log record, a plain query
+// and a collective query — which all reach reference.Record.Check, the
+// four doors through Store.Admit. The sentinels and statuses are the ones
+// each site has always answered with. The stored context is personStore:
+// three persons, ids 0–2.
 func TestBadRecordsAtEveryCheckSite(t *testing.T) {
 	article := func(assoc map[string][]reference.ID) reference.Record {
 		return reference.Record{Class: schema.ClassArticle, Atomic: map[string][]string{schema.AttrTitle: {"T"}}, Assoc: assoc}
@@ -144,6 +147,8 @@ func TestBadRecordsAtEveryCheckSite(t *testing.T) {
 		{name: "atomic used as association", rec: reference.Record{Class: schema.ClassPerson, Assoc: map[string][]reference.ID{schema.AttrName: {0}}}},
 		{name: "target out of range", rec: article(map[string][]reference.ID{schema.AttrAuthoredBy: {99}})},
 		{name: "negative target", rec: article(map[string][]reference.ID{schema.AttrAuthoredBy: {-1}}), noStore: true},
+		// The dataset-file door once dropped this link and admitted the rest.
+		{name: "negative coAuthor link", rec: reference.Record{Class: schema.ClassPerson, Assoc: map[string][]reference.ID{schema.AttrCoAuthor: {-3}}}, noStore: true},
 		{name: "target of wrong class", rec: article(map[string][]reference.ID{schema.AttrPublishedIn: {0}})},
 		// The batch is [rec, a person]: id 4 is the person behind rec, a
 		// legal forward reference for a store or a batch, but not a stored
@@ -199,7 +204,51 @@ func TestBadRecordsAtEveryCheckSite(t *testing.T) {
 				}
 			}
 
-			// Sites 3 and 4: the record as a query against the stored
+			// Site 3: a dataset file holding the stored persons and then
+			// the batch, read into an empty store.
+			file, err := json.Marshal(reference.Batch{Name: "f", References: append(storeRecords(personStore()), batch...)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds, err := dataset.ReadJSON(bytes.NewReader(file), schema.PIM())
+			if tc.okStored {
+				if err != nil || ds.Store.Len() != 5 {
+					t.Errorf("dataset file: %v, want five references", err)
+				}
+			} else if err == nil {
+				t.Error("dataset file: admitted")
+			}
+
+			// Site 4: the batch as a logged record behind the stored
+			// persons' batch; recovery replays it through the same door or
+			// fails naming its ordinal.
+			dir := t.TempDir()
+			logged, err := NewFromStore(durableConfig(dir), personStore())
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload, err := json.Marshal(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := logged.log.Append(durable.Record{Kind: durable.KindBatch, Ordinal: 2, Payload: payload}); err != nil {
+				t.Fatal(err)
+			}
+			crash(t, logged)
+			recovered, err := New(durableConfig(dir))
+			if tc.okStored {
+				if err != nil {
+					t.Fatalf("replay: %v, want success", err)
+				}
+				if got := recovered.store.Len(); got != 5 {
+					t.Errorf("replay: %d references, want 5", got)
+				}
+				recovered.Close()
+			} else if err == nil || !strings.Contains(err.Error(), "batch 2: reference 3: ") {
+				t.Errorf("replay: %v, want an error naming batch 2 and its reference 3", err)
+			}
+
+			// Sites 5 and 6: the record as a query against the stored
 			// persons. The plain matcher reads no associations, so only a
 			// fault in the class or the atomic part is its to refuse.
 			if tc.noQuery {

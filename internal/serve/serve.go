@@ -243,56 +243,31 @@ func (s *Service) newView(snap *recon.Snapshot) *View {
 // View returns the currently published read state.
 func (s *Service) View() *View { return s.view.Load() }
 
-// validateBatch checks an ingest batch against the schema before any
-// reference is added: store.Add is irreversible, so a batch is applied
-// all-or-nothing. Association targets may point at existing references or
-// anywhere into the batch itself.
-func (s *Service) validateBatch(batch []IngestRef) error {
-	base := s.store.Len()
-	classOf := func(id reference.ID) (string, bool) {
-		if id < 0 || int(id) >= base+len(batch) {
-			return "", false
-		}
-		if int(id) < base {
-			return s.store.Get(id).Class, true
-		}
-		return batch[int(id)-base].Class, true
-	}
-	for i := range batch {
-		if err := batch[i].Check(s.cfg.Schema, classOf); err != nil {
-			return fmt.Errorf("reference %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // obs returns the observer threaded through the reconciler config (nil
 // when observability is off).
 func (s *Service) obs() *obs.Observer { return s.cfg.Recon.Obs }
 
-// Ingest validates and applies one batch, reconciles it incrementally,
-// and publishes a fresh view. It is IngestContext with a background
-// context.
+// Ingest admits one batch whole (reference.Store.Admit, the door a dataset
+// file and a replayed log record take too), reconciles it incrementally,
+// and publishes a fresh view. It returns the applied id range and the new
+// snapshot version. A refused batch — an error wrapping
+// recon.ErrBatchRejected — leaves the service unchanged (with durability
+// on, nothing reaches the log either).
+//
+// Once a batch is admitted it is logged (fsync) before any state mutates,
+// so an acknowledged batch survives a crash at any later point. A commit
+// that fails after that — a cancelled context, an audit failure, a
+// publish error — poisons the session explicitly: the batch's references
+// stay in the store, the previous view stays published at its version, a
+// poison marker is logged so crash recovery reproduces the same
+// evolution, and the next ingest rebuilds from the whole store. The
+// failed request maps to 503 with a Retry-After hint (recon.ErrCanceled).
 func (s *Service) Ingest(batch []IngestRef) (IngestResponse, error) {
-	return s.IngestContext(context.Background(), batch)
+	return s.ingest(context.Background(), batch)
 }
 
-// IngestContext validates and applies one batch, reconciles it
-// incrementally (honoring ctx at phase and propagation-round boundaries),
-// and publishes a fresh view. It returns the applied id range and the new
-// snapshot version. Validation errors — wrapping recon.ErrBatchRejected —
-// leave the service unchanged (with durability on, nothing reaches the
-// log either: the batch is applied all-or-nothing).
-//
-// Once a batch passes validation it is logged (fsync) before any state
-// mutates, so an acknowledged batch survives a crash at any later point.
-// A commit that fails after that — a cancelled context, an audit failure,
-// a publish error — poisons the session explicitly: the batch's
-// references stay in the store, the previous view stays published at its
-// version, a poison marker is logged so crash recovery reproduces the
-// same evolution, and the next ingest rebuilds from the whole store. The
-// failed request maps to 503 with a Retry-After hint (recon.ErrCanceled).
-func (s *Service) IngestContext(ctx context.Context, batch []IngestRef) (IngestResponse, error) {
+// ingest is Ingest honoring ctx at phase and propagation-round boundaries.
+func (s *Service) ingest(ctx context.Context, batch []IngestRef) (IngestResponse, error) {
 	if len(batch) == 0 {
 		return IngestResponse{}, fmt.Errorf("%w: empty batch", recon.ErrBatchRejected)
 	}
@@ -303,7 +278,7 @@ func (s *Service) IngestContext(ctx context.Context, batch []IngestRef) (IngestR
 	}
 	start := time.Now()
 	base := s.store.Len()
-	if err := s.validateBatch(batch); err != nil {
+	if err := s.store.Admit(s.cfg.Schema, batch); err != nil {
 		return IngestResponse{}, fmt.Errorf("%w: %w: %w", recon.ErrBatchRejected, recon.ErrSchemaViolation, err)
 	}
 	ord := s.accepted + 1
@@ -322,7 +297,9 @@ func (s *Service) IngestContext(ctx context.Context, batch []IngestRef) (IngestR
 		s.history = append(s.history, rec)
 	}
 	s.accepted = ord
-	applyBatch(s.store, batch)
+	for _, r := range batch {
+		s.store.Add(r.Reference())
+	}
 	if _, err := s.sess.CommitContext(ctx); err != nil {
 		s.poisonSession(ord)
 		s.syncDurabilityGauges()
@@ -351,13 +328,6 @@ func (s *Service) IngestContext(ctx context.Context, batch []IngestRef) (IngestR
 		References:      s.store.Len(),
 		ElapsedMS:       float64(elapsed.Nanoseconds()) / 1e6,
 	}, nil
-}
-
-// applyBatch appends a validated batch's references to the store.
-func applyBatch(store *reference.Store, batch []IngestRef) {
-	for i := range batch {
-		store.Add(batch[i].Reference())
-	}
 }
 
 // poisonSession records that batch ord's commit failed after its

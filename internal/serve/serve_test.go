@@ -247,7 +247,7 @@ func TestServeEntityAndExplain(t *testing.T) {
 }
 
 func ingestBody(refs []IngestRef) *bytes.Reader {
-	b, _ := json.Marshal(IngestRequest{References: refs})
+	b, _ := json.Marshal(reference.Batch{References: refs})
 	return bytes.NewReader(b)
 }
 

@@ -60,6 +60,17 @@ if find internal/indepdec -name '*.go' -not -name '*_test.go' -print0 |
     exit 1
 fi
 
+echo "== one door gate (a record batch is decoded by reference.DecodeBatch and enters a store through Store.Admit; Record.Check's one other caller is the query binder; a commit validates only its own batch) =="
+callers() { find internal cmd -name '*.go' -not -name '*_test.go' -print0 | xargs -0 grep -cHE "$1" | grep -v ':0$' | sort | tr '\n' ' '; }
+if [ "$(callers '\.Check\(')" != "internal/recon/query.go:1 internal/reference/reference.go:1 " ] ||
+    [ "$(callers '\.Admit\(')" != "internal/dataset/dataset.go:1 internal/reference/reference.go:1 internal/serve/durability.go:1 internal/serve/serve.go:1 " ] ||
+    [ "$(callers 'DecodeBatch\(')" != "internal/dataset/dataset.go:1 internal/reference/reference.go:1 internal/serve/durability.go:1 internal/serve/handlers.go:1 " ] ||
+    [ "$(callers '\.Validate\(')" != "internal/recon/incremental.go:1 " ] ||
+    find internal cmd -name '*.go' -not -name '*_test.go' -print0 | xargs -0 grep -nE 'validateBatch|applyBatch|decodeIngest|IngestRequest'; then
+    echo "a dataset file, an ingest body and a logged batch take one door: reference.DecodeBatch, then Store.Admit (the only Record.Check caller besides Matcher.queryRef)" >&2
+    exit 1
+fi
+
 echo "== go build =="
 go build ./...
 
@@ -136,9 +147,25 @@ refuse "-explain -shards" reconcile -in "$tmpdir/A.json" -explain 1,2 -shards 2
 refuse "-dot -shards" reconcile -in "$tmpdir/A.json" -dot "$tmpdir/g.dot" -shards 0
 printf '{"name":"catalog","references":[{"class":"Product","atomic":{"title":["widget"]}}]}' >"$tmpdir/catalog.json"
 refuse "-in" reconcile -in "$tmpdir/catalog.json"
+# A link to a negative or a missing id is refused at -in on both binaries,
+# naming the record and the attribute, as /ingest refuses it.
+printf '{"name":"neg","references":[{"class":"Person","atomic":{"name":["Ann Lee"]}},{"class":"Person","assoc":{"coAuthor":[-3]}}]}' >"$tmpdir/neglink.json"
+printf '[{"class":"Person","atomic":{"name":["Ann Lee"]}},{"class":"Person","assoc":{"coAuthor":[5]}}]' >"$tmpdir/outlink.json"
+for f in neglink outlink; do
+    for cmd in reconcile "reconserve -addr 127.0.0.1:18417"; do
+        refuse "-in coAuthor" $cmd -in "$tmpdir/$f.json"
+        grep -F 'reference 1:' "$tmpdir/refuse.err" >/dev/null || { echo "$cmd -in $f.json: message does not name reference 1" >&2; exit 1; }
+    done
+done
 "$tmpdir/reconcile" -in "$tmpdir/A.json" -workers 1 -dump "$tmpdir/workers1.json" >/dev/null
 "$tmpdir/reconcile" -in "$tmpdir/A.json" -workers 4 -dump "$tmpdir/workers4.json" >/dev/null
 cmp "$tmpdir/workers1.json" "$tmpdir/workers4.json" || { echo "reconcile -workers changed the partitions" >&2; exit 1; }
+# Ids in a dataset file are informational, as on /ingest: the same file
+# without them is the same store.
+sed '/^ *"id": [0-9]*,$/d' "$tmpdir/A.json" >"$tmpdir/A.noids.json"
+if grep -F '"id"' "$tmpdir/A.noids.json" >/dev/null; then echo "A.noids.json still names ids" >&2; exit 1; fi
+"$tmpdir/reconcile" -in "$tmpdir/A.noids.json" -workers 1 -dump "$tmpdir/noids.json" >/dev/null
+cmp "$tmpdir/workers1.json" "$tmpdir/noids.json" || { echo "an id-less dataset file reconciled differently" >&2; exit 1; }
 for d in A cora; do
     "$tmpdir/reconcile" -in "$tmpdir/$d.json" -shards 1 -dump "$tmpdir/shards1.json" >/dev/null
     "$tmpdir/reconcile" -in "$tmpdir/$d.json" -shards 4 -dump "$tmpdir/shards4.json" >/dev/null
@@ -347,11 +374,11 @@ cfgfields() { awk '/^type Config struct \{/{on=1; next} on && /^\}/{on=0} on && 
 knobs=$(( $(cfgfields internal/recon/config.go) + $(cfgfields internal/serve/serve.go) + $(cfgfields internal/collective/collective.go) \
     + $(grep -rhoE 'flag\.(String|Int|Int64|Bool|Float64|Duration)\(' cmd | wc -l) ))
 design=$(wc -c <DESIGN.md)
-echo "non-test Go lines under internal/ + cmd/: $lines (ceiling 19526)"
+echo "non-test Go lines under internal/ + cmd/: $lines (ceiling 19517)"
 echo "exported funcs, methods and types:         $exported (ceiling 508)"
 echo "knobs (Config fields + cmd flags):         $knobs (ceiling 64)"
-echo "DESIGN.md bytes:                           $design (ceiling 68415)"
-if [ "$lines" -gt 19526 ] || [ "$exported" -gt 508 ] || [ "$knobs" -gt 64 ] || [ "$design" -gt 68415 ]; then
+echo "DESIGN.md bytes:                           $design (ceiling 68349)"
+if [ "$lines" -gt 19517 ] || [ "$exported" -gt 508 ] || [ "$knobs" -gt 64 ] || [ "$design" -gt 68349 ]; then
     echo "size ceiling exceeded" >&2
     exit 1
 fi
