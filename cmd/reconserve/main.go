@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"refrecon/internal/collective"
-	"refrecon/internal/dataset"
 	"refrecon/internal/obs"
 	"refrecon/internal/recon"
 	"refrecon/internal/reference"
@@ -114,19 +113,20 @@ func main() {
 		}
 	}
 
-	store := reference.NewStore()
+	// The file is decoded here and admitted once, by the service's first
+	// Ingest, the door every batch takes.
+	var seed []serve.IngestRef
 	if *in != "" {
-		f, err := os.Open(*in)
+		data, err := os.ReadFile(*in)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ds, err := dataset.ReadJSON(f, sch)
-		f.Close()
+		b, err := reference.DecodeBatch(data)
 		if err != nil {
 			usageErrorf("-in %s: %v", *in, err)
 		}
-		store = ds.Store
-		log.Printf("loaded %s: %d references", *in, store.Len())
+		seed = b.References
+		log.Printf("loaded %s: %d references", *in, len(seed))
 	}
 
 	start := time.Now()
@@ -137,9 +137,12 @@ func main() {
 		DataDir:         *dataDir,
 		CheckpointEvery: *ckptEvery,
 		Collective:      collCfg,
-	}, store)
+	}, seed)
 	if errors.Is(err, serve.ErrReseed) {
 		usageErrorf("-in %s cannot seed -data-dir %s: %v", *in, *dataDir, err)
+	}
+	if errors.Is(err, recon.ErrBatchRejected) {
+		usageErrorf("-in %s: %v", *in, err)
 	}
 	if err != nil {
 		log.Fatal(err)

@@ -8,7 +8,8 @@
 // that would have applied it live, and the recovered state is
 // bit-identical to an uninterrupted run because replay preserves the
 // original batch boundaries (including the poison/reset lifecycle, which
-// is recorded as marker records).
+// is recorded as marker records). A clean restart replays the same way,
+// on the first commit after it.
 //
 // The package is storage only: records carry opaque payloads and the
 // record kinds defined here; encoding batches and snapshots is the
@@ -33,12 +34,11 @@ const (
 	// session was poisoned, and replay must skip that batch's commit and
 	// poison the session at the same point.
 	KindPoison byte = 2
-	// KindCold marks a restart that recovered the published view from a
-	// checkpoint without rebuilding the session (the fast path): the view
-	// through Ordinal is intact, but the session's incremental state was
-	// dropped, so the next commit after this marker rebuilt from scratch.
-	// Replay must poison the session at the same point to evolve
-	// identically.
+	// KindCold is a legacy marker: older versions logged it when a clean
+	// restart dropped the session, which then rebuilt from scratch on its
+	// next commit. Nothing writes it now; replay still reads it as a
+	// poison after a committed batch, so an old data directory recovers to
+	// the state its writer had.
 	KindCold byte = 3
 
 	kindCkptMeta     byte = 10
@@ -52,10 +52,6 @@ type Record struct {
 	Ordinal uint64
 	Payload []byte
 }
-
-// IsMarker reports whether the record is a lifecycle marker rather than a
-// batch.
-func (r Record) IsMarker() bool { return r.Kind == KindPoison || r.Kind == KindCold }
 
 // Frame layout: kind(1) | ordinal(8, LE) | payloadLen(4, LE) | crc(4, LE)
 // | payload. The CRC (Castagnoli) covers kind, ordinal, length, and

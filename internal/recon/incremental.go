@@ -327,10 +327,9 @@ func (s *Session) reset() {
 // Poison marks the session for a from-scratch rebuild on its next commit,
 // exactly as an internally cancelled commit would. Callers use it when the
 // session's incremental state is known to have diverged from the store —
-// the serving layer poisons after a publish failure, and crash recovery
-// poisons at the point where a past run lost its graph (a recorded
-// cancellation or a cold checkpoint restore) so a replayed history evolves
-// identically to the live one.
+// the serving layer poisons after a publish failure, and replay poisons
+// where the logged run did (a recorded cancellation) so a replayed history
+// evolves identically to the live one.
 func (s *Session) Poison() { s.poisoned = true }
 
 // WriteDOT renders the session's dependency graph in Graphviz DOT format

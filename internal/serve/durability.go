@@ -8,23 +8,21 @@ package serve
 // it live, preserving the original batch boundaries. Incremental results
 // depend on those boundaries (a rebatched replay is only
 // superset-consistent, not bit-identical), so the log records the full
-// lifecycle: one KindBatch record per validated batch, a KindPoison
+// lifecycle: one KindBatch record per validated batch, and a KindPoison
 // marker when a batch's commit failed after its references reached the
-// store (the live session was poisoned and rebuilt on the next commit),
-// and a KindCold marker when a restart restored the view from a
-// checkpoint without the session's incremental graph. Replaying batches
-// and markers in order therefore lands on exactly the state the live
-// process had — same published version, same pair decisions.
+// store (the live session was poisoned and rebuilt on the next commit).
+// Replaying batches and markers in order therefore lands on exactly the
+// state the live process had — same published version, same pair
+// decisions.
 //
 // Checkpoints persist the full record history plus the published
 // snapshot. A clean shutdown writes a final checkpoint, so the next start
-// skips replay entirely: rebuild the store from the checkpoint's batch
-// records (cheap appends, no reconcile), publish the decoded snapshot,
-// and log a KindCold marker recording that the incremental session state
-// was dropped. After a crash the service replays the history from the
-// start — with one shortcut: batches behind the last poison/cold marker
-// that is followed by further batches only feed the store, because the
-// marker's rebuild discarded their incremental contribution anyway.
+// skips replay: it admits the checkpoint's batch records into a scratch
+// store (no reconcile) and publishes the decoded snapshot. The session
+// itself is not restored; the first commit after the restart resumes it
+// by replaying the history, and then commits its own batch, so a restart
+// never moves an answer. After a crash the service replays the history
+// at startup.
 //
 // Two checkpoint generations are kept, and segments are compacted only
 // through the previous generation's ordinal, so a corrupt newest
@@ -114,18 +112,15 @@ func (s *Service) recover() error {
 
 	// Merge the checkpoint's history with the log tail. A crash between
 	// checkpoint write and segment compaction leaves records in both
-	// places; the ordinal filter dedups batches, and markers at the
-	// checkpoint boundary are kept unless the checkpoint already ends
-	// with them (reapplying a poison is idempotent anyway).
+	// places; the ordinal filter dedups batches. A marker at the
+	// checkpoint's ordinal is kept: it is either a legacy cold marker the
+	// checkpoint lacks or a poison it already holds, and a poison applied
+	// twice is one poison.
 	all := logRecs
 	if ck != nil {
 		all = append([]durable.Record(nil), ck.Records...)
 		for _, r := range logRecs {
-			if r.Ordinal > ck.Ordinal {
-				all = append(all, r)
-				continue
-			}
-			if r.IsMarker() && r.Ordinal == ck.Ordinal && !endsWith(ck.Records, r) {
+			if r.Ordinal > ck.Ordinal || r.Ordinal == ck.Ordinal && r.Kind != durable.KindBatch {
 				all = append(all, r)
 			}
 		}
@@ -145,6 +140,9 @@ func (s *Service) recover() error {
 	if err := s.replay(all); err != nil {
 		return err
 	}
+	if err := s.publish(); err != nil {
+		return err
+	}
 	s.recovery = recoveryInfo{Mode: "replay", Batches: countBatches(all), Millis: msSince(start)}
 	return nil
 }
@@ -153,26 +151,11 @@ func msSince(t time.Time) float64 {
 	return float64(time.Since(t).Nanoseconds()) / 1e6
 }
 
-// endsWith reports whether history's trailing marker run contains an
-// identical marker (same kind and ordinal).
-func endsWith(recs []durable.Record, m durable.Record) bool {
-	for i := len(recs) - 1; i >= 0; i-- {
-		if !recs[i].IsMarker() {
-			return false
-		}
-		if recs[i].Kind == m.Kind && recs[i].Ordinal == m.Ordinal {
-			return true
-		}
-	}
-	return false
-}
-
 // restoreFast is the clean-shutdown path: the checkpoint covers every log
-// record, so the store is rebuilt by plain appends and the published view
-// is the checkpoint's decoded snapshot — no reconcile at all. The
-// session starts cold (its incremental graph is gone); a KindCold marker
-// makes that restart part of the durable history so a later crash-replay
-// rebuilds at the same point the live process did.
+// record, so its batch records are only admitted (a record the live
+// service could not have accepted refuses the checkpoint) and the
+// published view is the checkpoint's decoded snapshot — no reconcile at
+// all. No session is built: the first ingest resumes it (see ingest).
 func (s *Service) restoreFast(ck *durable.Checkpoint, all []durable.Record) error {
 	snap, err := recon.DecodeSnapshot(ck.Snapshot)
 	if err != nil {
@@ -190,78 +173,53 @@ func (s *Service) restoreFast(ck *durable.Checkpoint, all []durable.Record) erro
 	if snap.RefCount() > store.Len() {
 		return fmt.Errorf("snapshot covers %d refs but the log yields %d", snap.RefCount(), store.Len())
 	}
-
-	cold := durable.Record{Kind: durable.KindCold, Ordinal: maxOrdinal(all)}
-	if err := s.log.Append(cold); err != nil {
-		return fmt.Errorf("serve: log cold-restart marker: %w", err)
-	}
-	s.history = append(all, cold)
-	s.store = store
-	s.sess = recon.New(s.cfg.Schema, s.cfg.Recon).NewSession(store)
-	s.sess.Poison()
+	s.history = all
 	s.accepted = maxOrdinal(all)
 	s.committed = uint64(snap.Version)
 	s.view.Store(s.newView(snap))
 	return nil
 }
 
-// replay rebuilds the live state by running the recorded history through
-// a fresh session, preserving the original batch boundaries and lifecycle
-// markers. Batches behind the last marker that is followed by further
-// batches only feed the store: the rebuild that marker triggered
-// discarded their incremental contribution, and the first commit after it
-// reconciles the whole store exactly as the live rebuild did.
+// replay runs a recorded history through a fresh session at its logged
+// batch boundaries and poison markers, and makes the result the service's
+// store and session (it publishes nothing). A batch whose next record is
+// its poison marker is stored but not committed: its live commit failed,
+// and a commit that failed deterministically must not be re-run. A legacy
+// KindCold record poisons like KindPoison, but its batch had committed.
+// On error the service is left as it was.
 func (s *Service) replay(all []durable.Record) error {
-	if err := s.openSession(); err != nil {
-		return err
+	store := reference.NewStore()
+	sess := recon.New(s.cfg.Schema, s.cfg.Recon).NewSession(store)
+	// The initial empty reconcile gives the session a result to snapshot
+	// even when every recorded batch was poisoned.
+	if _, err := sess.Reconcile(); err != nil {
+		return fmt.Errorf("serve: initial reconcile: %w", err)
 	}
-
-	lastBatch := -1
-	for i, r := range all {
-		if r.Kind == durable.KindBatch {
-			lastBatch = i
-		}
-	}
-	boundary := -1
-	for i, r := range all {
-		if r.IsMarker() && i < lastBatch {
-			boundary = i
-		}
-	}
-
 	var accepted, committed uint64
 	for i, r := range all {
 		switch r.Kind {
 		case durable.KindBatch:
-			if err := s.applyRecord(s.store, r); err != nil {
+			if err := s.applyRecord(store, r); err != nil {
 				return fmt.Errorf("serve: replay %w", err)
 			}
-			if r.Ordinal > accepted {
-				accepted = r.Ordinal
-			}
-			if i <= boundary {
-				continue // a later rebuild supersedes this commit
-			}
+			accepted = max(accepted, r.Ordinal)
 			if i+1 < len(all) && all[i+1].Kind == durable.KindPoison {
 				continue // the live commit was cancelled; replay the cancellation
 			}
-			if _, err := s.sess.Reconcile(); err != nil {
+			if _, err := sess.Reconcile(); err != nil {
 				return fmt.Errorf("serve: replay batch %d: %w", r.Ordinal, err)
 			}
 			committed = r.Ordinal
 		case durable.KindPoison, durable.KindCold:
-			if i > boundary {
-				s.sess.Poison()
-			}
+			sess.Poison()
 		default:
 			return fmt.Errorf("serve: replay: unknown record kind %d at ordinal %d", r.Kind, r.Ordinal)
 		}
 	}
-
+	s.store, s.sess = store, sess
 	s.history = all
-	s.accepted = accepted
-	s.committed = committed
-	return s.publish()
+	s.accepted, s.committed = accepted, committed
+	return nil
 }
 
 // maybeCheckpoint writes a checkpoint when enough batches have committed

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -14,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"refrecon/internal/datagen/biblio"
+	"refrecon/internal/durable"
 	"refrecon/internal/recon"
 	"refrecon/internal/reference"
 	"refrecon/internal/schema"
@@ -452,7 +455,7 @@ func TestIngestCancelMaps503(t *testing.T) {
 // view stays published at its version, the session is poisoned, and the
 // next ingest publishes a view covering both batches.
 func TestPublishFailureKeepsCoherence(t *testing.T) {
-	svc, err := NewFromStore(Config{Schema: schema.PIM()}, personStore())
+	svc, err := NewFromStore(Config{Schema: schema.PIM()}, seedOf(personStore()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,12 +550,11 @@ func TestCloseDrainsInFlightIngest(t *testing.T) {
 	}
 }
 
-// TestDurableColdMarkerReplay covers the double-restart lifecycle: a
-// clean shutdown, a fast restore (which logs a cold-restart marker and
-// leaves the session poisoned), further ingest on the restored service,
-// then a crash. The replay must reproduce the restored process's
-// evolution — including the rebuild the cold marker forced — bit for bit.
-func TestDurableColdMarkerReplay(t *testing.T) {
+// TestDurableRestartIngestCrashReplay covers the double-restart lifecycle:
+// a clean shutdown, a fast restore, further ingest on the restored service
+// (whose first commit resumes the session from the history), then a
+// crash. The replay must land on the restored process's state bit for bit.
+func TestDurableRestartIngestCrashReplay(t *testing.T) {
 	batches := durBatches()
 	dir := t.TempDir()
 	svc, err := New(durableConfig(dir))
@@ -586,7 +588,138 @@ func TestDurableColdMarkerReplay(t *testing.T) {
 		t.Errorf("second restart mode = %q, want replay", recovered.recovery.Mode)
 	}
 	if got := viewFingerprint(t, recovered.View()); got != want {
-		t.Errorf("cold-marker replay differs:\nwant:\n%s\ngot:\n%s", want, got)
+		t.Errorf("restart-ingest-crash replay differs:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
+// TestDurableLegacyColdMarker recovers a data dir as older versions wrote
+// it: biblio batches, a clean-shutdown checkpoint, a KindCold marker at the
+// checkpoint's ordinal (logged by the restart, whose session then rebuilt
+// from scratch on its next commit), the remaining batches, then a crash.
+// Replay reads the marker as a poison after a committed batch, so the dir
+// recovers to the state its writer had.
+func TestDurableLegacyColdMarker(t *testing.T) {
+	const k = 3
+	batches := biblioBatches(t, 400, 64, 1)
+	cfg := Config{Schema: schema.PIM(), Recon: recon.DefaultConfig(), DataDir: t.TempDir()}
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, svc, batches[:k])
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lg, _, err := durable.OpenLog(cfg.DataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Append(durable.Record{Kind: durable.KindCold, Ordinal: k}); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range batches[k:] {
+		payload, err := json.Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lg.Append(durable.Record{Kind: durable.KindBatch, Ordinal: uint64(k + 1 + i), Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	truth, err := New(Config{Schema: cfg.Schema, Recon: cfg.Recon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, truth, batches[:k])
+	truth.sess.Poison()
+	ingestAll(t, truth, batches[k:])
+	want := viewFingerprint(t, truth.View())
+
+	recovered, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	if recovered.recovery.Mode != "replay" {
+		t.Errorf("recovery mode = %q, want replay", recovered.recovery.Mode)
+	}
+	if got := viewFingerprint(t, recovered.View()); got != want {
+		t.Error("legacy cold-marker recovery differs from a session poisoned after the checkpointed batch")
+	}
+}
+
+// biblioBatches generates the biblio corpus (loadgen's, and mixed-biblio's)
+// at refs references and cuts it into ingest batches of about size
+// references, each cut extended until no reference in the batch links past
+// its end.
+func biblioBatches(t *testing.T, refs, size int, seed int64) [][]IngestRef {
+	t.Helper()
+	g, err := biblio.Generate(biblio.Default(refs, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := g.Store.All()
+	var out [][]IngestRef
+	for start := 0; start < len(all); {
+		end := min(start+size, len(all))
+		for i := start; i < end; i++ {
+			for _, attr := range all[i].AssocAttrs() {
+				for _, to := range all[i].Assoc(attr) {
+					end = max(end, int(to)+1)
+				}
+			}
+		}
+		batch := make([]IngestRef, 0, end-start)
+		for _, r := range all[start:end] {
+			batch = append(batch, ToIngestRef(r))
+		}
+		out = append(out, batch)
+		start = end
+	}
+	return out
+}
+
+// TestDurableRestartAnywhere: a clean restart is not an input. For every
+// cut k of a biblio history, a service closed after batch k and restarted
+// on its data dir, then fed the rest, publishes what a never-restarted
+// service publishes.
+func TestDurableRestartAnywhere(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		batches := biblioBatches(t, 400, 64, seed)
+		cfg := Config{Schema: schema.PIM(), Recon: recon.DefaultConfig()}
+		truth, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ingestAll(t, truth, batches)
+		want := viewFingerprint(t, truth.View())
+		for k := 1; k < len(batches); k++ {
+			cfg.DataDir = t.TempDir()
+			svc, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingestAll(t, svc, batches[:k])
+			if err := svc.Close(); err != nil {
+				t.Fatal(err)
+			}
+			restarted, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restarted.recovery.Mode != "checkpoint" {
+				t.Fatalf("seed %d cut %d: recovery mode = %q, want checkpoint", seed, k, restarted.recovery.Mode)
+			}
+			ingestAll(t, restarted, batches[k:])
+			if got := viewFingerprint(t, restarted.View()); got != want {
+				t.Errorf("seed %d: restart after batch %d of %d moved the answer", seed, k, len(batches))
+			}
+			restarted.Close()
+		}
 	}
 }
 
@@ -595,14 +728,14 @@ func TestDurableColdMarkerReplay(t *testing.T) {
 // is refused.
 func TestDurableSeedStore(t *testing.T) {
 	dir := t.TempDir()
-	svc, err := NewFromStore(durableConfig(dir), personStore())
+	svc, err := NewFromStore(durableConfig(dir), seedOf(personStore()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := viewFingerprint(t, svc.View())
 	crash(t, svc)
 
-	if _, err := NewFromStore(durableConfig(dir), personStore()); err == nil {
+	if _, err := NewFromStore(durableConfig(dir), seedOf(personStore())); err == nil {
 		t.Error("reseeding a non-empty data dir should be refused")
 	}
 

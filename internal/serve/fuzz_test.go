@@ -27,7 +27,7 @@ func FuzzReconcileCodec(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	svc, err := NewFromStore(Config{Schema: schema.PIM(), Name: "refrecon-fuzz"}, g.Store)
+	svc, err := NewFromStore(Config{Schema: schema.PIM(), Name: "refrecon-fuzz"}, seedOf(g.Store))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func FuzzIngestBody(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	svc, err := NewFromStore(Config{Schema: schema.PIM(), Name: "refrecon-fuzz"}, g.Store)
+	svc, err := NewFromStore(Config{Schema: schema.PIM(), Name: "refrecon-fuzz"}, seedOf(g.Store))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -69,6 +69,15 @@ func storeRecords(s *reference.Store) []reference.Record {
 	return out
 }
 
+// seedOf renders a store as the seed NewFromStore ingests.
+func seedOf(s *reference.Store) []IngestRef {
+	out := make([]IngestRef, 0, s.Len())
+	for _, r := range s.All() {
+		out = append(out, ToIngestRef(r))
+	}
+	return out
+}
+
 // TestDatasetFileIsIngestBody holds codec.go to its promise: a dataset
 // file written by cmd/pimgen is an /ingest body as it stands, and its
 // "references" array is one too; either way the service's store equals the
@@ -223,7 +232,7 @@ func TestBadRecordsAtEveryCheckSite(t *testing.T) {
 			// persons' batch; recovery replays it through the same door or
 			// fails naming its ordinal.
 			dir := t.TempDir()
-			logged, err := NewFromStore(durableConfig(dir), personStore())
+			logged, err := NewFromStore(durableConfig(dir), seedOf(personStore()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,10 +283,7 @@ func TestInitialStoreIsFirstBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := make([]IngestRef, 0, g.Store.Len())
-	for _, r := range g.Store.All() {
-		batch = append(batch, ToIngestRef(r))
-	}
+	batch := seedOf(g.Store)
 	viaIngest, err := New(Config{Schema: schema.PIM()})
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +312,7 @@ func TestInitialStoreIsFirstBatch(t *testing.T) {
 		}
 	}
 
-	inMemory, err := NewFromStore(Config{Schema: schema.PIM()}, g.Store)
+	inMemory, err := NewFromStore(Config{Schema: schema.PIM()}, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +322,7 @@ func TestInitialStoreIsFirstBatch(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	durableSvc, err := NewFromStore(durableConfig(dir), g.Store)
+	durableSvc, err := NewFromStore(durableConfig(dir), batch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,8 +84,10 @@ type View struct {
 // Service is the reconciliation service. One goroutine at a time may
 // ingest (Ingest serializes internally); any number may query.
 type Service struct {
-	cfg     Config
-	mu      sync.Mutex // guards sess + store writes and all durability state
+	cfg Config
+	mu  sync.Mutex // guards sess + store writes and all durability state
+	// sess and store are nil after a clean restart until the first ingest
+	// replays the history into them.
 	sess    *recon.Session
 	store   *reference.Store
 	view    atomic.Pointer[View]
@@ -97,9 +99,10 @@ type Service struct {
 	classNames []string
 
 	// Durability state (zero/nil without Config.DataDir); mu-guarded.
-	// history is the full record sequence — batches plus lifecycle
-	// markers — that reproduces the current state when replayed; it is
-	// what checkpoints persist. accepted is the ordinal of the last batch
+	// history is the full record sequence — batches plus poison markers —
+	// that reproduces the current state when replayed; it is what
+	// checkpoints persist and what the first ingest after a clean restart
+	// replays. accepted is the ordinal of the last batch
 	// that reached the log and store; committed is the ordinal whose
 	// commit last published a view (accepted > committed while the
 	// session is poisoned). lastCkpt is the newest checkpoint's ordinal.
@@ -157,25 +160,23 @@ func New(cfg Config) (*Service, error) {
 // holds state.
 var ErrReseed = errors.New("already holds state")
 
-// NewFromStore starts a service and ingests the store's references as its
-// first batch: a stored dataset is an ingest batch, so this is New plus one
-// Ingest. With Config.DataDir the store may seed only a fresh directory;
-// against one that already holds state the start is refused (the directory
-// is left as any start followed by a crash leaves it).
-func NewFromStore(cfg Config, store *reference.Store) (*Service, error) {
+// NewFromStore starts a service and ingests a stored dataset's records (a
+// dataset file's, as reference.DecodeBatch reads them) as its first batch:
+// a stored dataset is an ingest batch, so this is New plus one Ingest, and
+// the records are admitted once, at Ingest's door. With Config.DataDir the
+// dataset may seed only a fresh directory; against one that already holds
+// state the start is refused (the directory is left as any start followed
+// by a crash leaves it).
+func NewFromStore(cfg Config, seed []IngestRef) (*Service, error) {
 	s, err := New(cfg)
-	if err != nil || store.Len() == 0 {
+	if err != nil || len(seed) == 0 {
 		return s, err
 	}
 	if len(s.history) > 0 {
 		s.log.Close()
 		return nil, fmt.Errorf("serve: data dir %q %w; the initial store must be empty (remove the directory to reseed)", cfg.DataDir, ErrReseed)
 	}
-	batch := make([]IngestRef, 0, store.Len())
-	for _, r := range store.All() {
-		batch = append(batch, ToIngestRef(r))
-	}
-	if _, err := s.Ingest(batch); err != nil {
+	if _, err := s.Ingest(seed); err != nil {
 		if s.log != nil {
 			s.log.Close()
 		}
@@ -184,22 +185,10 @@ func NewFromStore(cfg Config, store *reference.Store) (*Service, error) {
 	return s, nil
 }
 
-// openSession starts the single-writer session over an empty store and
-// runs its initial (empty) reconcile, so the session always has a result
-// to snapshot — on a fresh start, and during replay even when every
-// recorded batch was poisoned.
-func (s *Service) openSession() error {
-	s.store = reference.NewStore()
-	s.sess = recon.New(s.cfg.Schema, s.cfg.Recon).NewSession(s.store)
-	if _, err := s.sess.Reconcile(); err != nil {
-		return fmt.Errorf("serve: initial reconcile: %w", err)
-	}
-	return nil
-}
-
-// openEmpty is the start with no prior state: an empty session, published.
+// openEmpty is the start with no prior state: an empty history replayed
+// into an empty session, published.
 func (s *Service) openEmpty() error {
-	if err := s.openSession(); err != nil {
+	if err := s.replay(nil); err != nil {
 		return err
 	}
 	return s.publish()
@@ -277,6 +266,14 @@ func (s *Service) ingest(ctx context.Context, batch []IngestRef) (IngestResponse
 		return IngestResponse{}, fmt.Errorf("%w: shutting down", ErrUnavailable)
 	}
 	start := time.Now()
+	if s.sess == nil {
+		// A clean restart published the checkpoint's snapshot without a
+		// session: resume it from the history before this batch commits,
+		// so the answer is the one a never-restarted process gives.
+		if err := s.replay(s.history); err != nil {
+			return IngestResponse{}, fmt.Errorf("serve: resume session: %w", err)
+		}
+	}
 	base := s.store.Len()
 	if err := s.store.Admit(s.cfg.Schema, batch); err != nil {
 		return IngestResponse{}, fmt.Errorf("%w: %w: %w", recon.ErrBatchRejected, recon.ErrSchemaViolation, err)

@@ -293,7 +293,7 @@ func TestNameLikeAttributeIsOneRule(t *testing.T) {
 	store := reference.NewStore()
 	store.Add(reference.New("Part").AddAtomic("label", "Widget Prime").AddAtomic("code", "AAA-1"))
 	store.Add(reference.New("Part").AddAtomic("label", "Gadget Deluxe").AddAtomic("code", "BBB-2"))
-	svc, err := NewFromStore(Config{Schema: schema.MustNew(part)}, store)
+	svc, err := NewFromStore(Config{Schema: schema.MustNew(part)}, seedOf(store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestRequestAnswersFromOneSnapshot(t *testing.T) {
 	part := &schema.Class{Name: "Part", Attrs: []schema.Attribute{{Name: "label", Kind: schema.Atomic}}}
 	store := reference.NewStore()
 	store.Add(reference.New("Part").AddAtomic("label", "Widget Prime"))
-	svc, err := NewFromStore(Config{Schema: schema.MustNew(part)}, store)
+	svc, err := NewFromStore(Config{Schema: schema.MustNew(part)}, seedOf(store))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func newCollectiveServer(t *testing.T) (*Service, *httptest.Server, reference.ID
 		Schema: schema.PIM(),
 		Name:   "refrecon-test",
 		Recon:  recon.DefaultConfig(),
-	}, store)
+	}, seedOf(store))
 	if err != nil {
 		t.Fatal(err)
 	}

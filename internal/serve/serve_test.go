@@ -38,7 +38,7 @@ func personStore() *reference.Store {
 
 func newTestServer(t *testing.T, store *reference.Store) (*Service, *httptest.Server) {
 	t.Helper()
-	svc, err := NewFromStore(Config{Schema: schema.PIM(), Name: "refrecon-test"}, store)
+	svc, err := NewFromStore(Config{Schema: schema.PIM(), Name: "refrecon-test"}, seedOf(store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestServeIngestValidation(t *testing.T) {
 // is stored either way, so the commit must run to completion instead of
 // poisoning the session and forcing the next ingest to rebuild the store.
 func TestServeIngestClientHangUp(t *testing.T) {
-	svc, err := NewFromStore(Config{Schema: schema.PIM(), Name: "refrecon-test"}, personStore())
+	svc, err := NewFromStore(Config{Schema: schema.PIM(), Name: "refrecon-test"}, seedOf(personStore()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +509,7 @@ func TestServeQueryConfig(t *testing.T) {
 	svc, err := NewFromStore(Config{
 		Schema: schema.PIM(),
 		Recon:  recon.Config{Evidence: recon.EvidenceContact},
-	}, reference.NewStore())
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

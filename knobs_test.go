@@ -449,7 +449,7 @@ func newKnobRig(t *testing.T) *knobRig {
 		t.Fatal(err)
 	}
 	seeded, err := serve.NewFromStore(serve.Config{Schema: schema.PIM(), Recon: recon.DefaultConfig(),
-		DataDir: filepath.Join(r.dir, seededDir)}, r.store)
+		DataDir: filepath.Join(r.dir, seededDir)}, seedOf(r.store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,12 +592,21 @@ func (r *knobRig) service(t *testing.T, store *reference.Store, set func(*serve.
 	if set != nil {
 		set(&cfg)
 	}
-	svc, err := serve.NewFromStore(cfg, store)
+	svc, err := serve.NewFromStore(cfg, seedOf(store))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { svc.Close() })
 	return svc
+}
+
+// seedOf renders a store as the seed serve.NewFromStore ingests.
+func seedOf(st *reference.Store) []serve.IngestRef {
+	out := make([]serve.IngestRef, 0, st.Len())
+	for _, r := range st.All() {
+		out = append(out, serve.ToIngestRef(r))
+	}
+	return out
 }
 
 // collective resolves every fifth tiny-corpus reference that carries
